@@ -90,33 +90,41 @@ BUILTIN_SCENARIOS = {"scenario1": scenario_1, "scenario2": scenario_2}
 
 @dataclass(frozen=True)
 class PlantConfig:
-    """Model-plant mismatch knobs: the controllers keep the nominal table."""
+    """Model-plant mismatch knobs: the controllers keep the nominal table.
 
-    surface_factors: tuple = tuple([1.0] * 13)
-    delay_offsets: tuple = tuple([0] * 13)
+    A per-reach list left at None leaves every reach of the plant's table
+    unperturbed; a given list must have one entry per reach.
+    """
+
+    surface_factors: tuple | None = None
+    delay_offsets: tuple | None = None
     process_noise: float = 0.0
     measurement_noise: float = 0.0
 
     def __post_init__(self):
-        if any(f <= 0.0 for f in self.surface_factors):
+        if any(f <= 0.0 for f in self.surface_factors or ()):
             raise ValueError("surface factors must keep areas positive")
 
     @classmethod
-    def with_mismatch(cls, factor: float, n: int = 13) -> "PlantConfig":
-        """Alternating +/- factor on the backwater surfaces."""
+    def with_mismatch(cls, factor: float, n: int = len(DEZ_REACHES)) -> "PlantConfig":
+        """Alternating +/- factor on the backwater surfaces of n reaches."""
         factors = tuple(1.0 + factor * (1 if i % 2 == 0 else -1) for i in range(n))
         return cls(surface_factors=factors)
 
     def perturbed_reaches(self, reaches=DEZ_REACHES):
-        out = []
-        for r, f, dd in zip(reaches, self.surface_factors, self.delay_offsets):
-            out.append(
-                ReachParams(
-                    r.index, r.backwater_area * f, r.delay_steps + dd,
-                    r.length, r.bottom_width,
-                )
+        n = len(reaches)
+        factors = (1.0,) * n if self.surface_factors is None else self.surface_factors
+        offsets = (0,) * n if self.delay_offsets is None else self.delay_offsets
+        if len(factors) != n or len(offsets) != n:
+            raise ValueError(
+                f"plant config has {len(factors)} surface factors and "
+                f"{len(offsets)} delay offsets for {n} reaches"
             )
-        return tuple(out)
+        return tuple(
+            ReachParams(r.index, r.backwater_area * f, r.delay_steps + dd,
+                        r.length, r.bottom_width)
+            for r, f, dd in zip(reaches, factors, offsets)
+        )
 
 
 def plant_step(model, state, inputs, offtakes, bound=None):

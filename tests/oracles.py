@@ -1,8 +1,9 @@
 """Independent reference routines used to cross-check the solvers.
 
 These deliberately take different computational paths from the production
-code (QR solve vs LU, scipy Riccati vs fixed point, exhaustive active-set
-enumeration vs pivoting) so that agreement is meaningful.
+code (QR solve vs LU, scipy's Schur-based Riccati solver vs structured
+doubling, exhaustive active-set enumeration vs pivoting) so that agreement
+is meaningful.
 """
 
 import itertools

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from canalmpc import numerics
+from canalmpc.canal import build_chain, build_coalition_model
+from canalmpc.control import ControllerConfig, weight_matrices
 from canalmpc.numerics import (
     QpProblem,
     RiccatiConvergenceError,
@@ -13,6 +17,7 @@ from canalmpc.numerics import (
     solve_linear,
     solve_qp,
 )
+from canalmpc.supervisor import CERT_RTOL
 
 from oracles import brute_force_qp, qr_solve, scipy_dare
 
@@ -88,6 +93,43 @@ class TestSolveDare:
         B = np.array([[0.0], [1.0]])
         with pytest.raises(RiccatiConvergenceError):
             solve_dare(A, B, np.eye(2), np.eye(1), max_iter=500)
+        # At the default cap the divergence must surface as the error, not as
+        # an overflow warning or a returned P with non-finite entries.  With
+        # no input at all, P overflows before any other iterate does.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RiccatiConvergenceError):
+                solve_dare(A, B, np.eye(2), np.eye(1))
+            with pytest.raises(RiccatiConvergenceError):
+                solve_dare(np.diag([1.5]), np.zeros((1, 1)), np.eye(1), np.eye(1))
+
+    def test_overflowing_scale_raises(self):
+        # Stabilizable, but I + G H overflows in the second doubling step.
+        with pytest.raises(RiccatiConvergenceError):
+            solve_dare(np.array([[1e100]]), np.eye(1), np.eye(1), np.eye(1))
+
+    def test_dez_coalitions_match_scipy(self):
+        # Every contiguous coalition of the 13-reach chain, full chain included.
+        chain = build_chain()
+        cfg = ControllerConfig()
+        n = len(chain)
+        solved = 0
+        for first in range(1, n + 1):
+            for last in range(first, n + 1):
+                members = tuple(range(first, last + 1))
+                blocks = [tuple(range(1, first)), members, tuple(range(last + 1, n + 1))]
+                coal = build_coalition_model(chain, members, [b for b in blocks if b])
+                q, r = weight_matrices(coal, cfg)
+                P = solve_dare(coal.Xi, coal.Up, q, r)
+                ref = scipy_dare(coal.Xi, coal.Up, q, r)
+                err = np.linalg.norm(P - ref, np.inf) / np.linalg.norm(ref, np.inf)
+                assert err <= 1e-10, (members, err)
+                K = lqr_gain(coal.Xi, coal.Up, r, P)
+                tol = CERT_RTOL * (1.0 + np.linalg.norm(P, np.inf))
+                assert dare_residual(coal.Xi, coal.Up, q, r, P) <= tol
+                assert lyapunov_residual(coal.Xi + coal.Up @ K, P, q, r, K) <= tol
+                solved += 1
+        assert solved == 91
 
 
 class TestLqrGain:

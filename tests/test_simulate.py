@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from canalmpc.canal import DEZ_REACHES, build_chain, assemble_global, steady_state
+from canalmpc.canal import DEZ_REACHES, ReachParams, build_chain, assemble_global, steady_state
 from canalmpc.control import ControllerConfig
 from canalmpc.simulate import (
     PlantConfig,
@@ -56,6 +56,19 @@ class TestPlantConfig:
     def test_rejects_nonpositive_surface(self):
         with pytest.raises(ValueError):
             PlantConfig(surface_factors=tuple([0.0] + [1.0] * 12))
+
+    def test_defaults_follow_reach_table(self):
+        reaches = DEZ_REACHES + tuple(ReachParams(i, 0.5e5, 2) for i in (14, 15, 16))
+        sc = Scenario("s16", 3, {i: ((0, 2.0),) for i in range(1, 17)})
+        trace = run_centralized(sc, reaches=reaches)
+        assert trace.levels.shape == (3, 16)
+        assert np.all(np.isfinite(trace.levels))
+
+    def test_rejects_list_not_matching_reach_table(self):
+        sc = Scenario("s5", 3, {i: ((0, 2.0),) for i in range(1, 6)})
+        with pytest.raises(ValueError, match="5 reaches"):
+            run_centralized(sc, plant_cfg=PlantConfig.with_mismatch(0.2),
+                            reaches=DEZ_REACHES[:5])
 
 
 class TestPlantStep:
