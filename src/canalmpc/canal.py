@@ -79,10 +79,6 @@ class SubsystemModel:
     def n(self):
         return self.delay + 1
 
-    @property
-    def level_row(self):
-        return self.delay
-
 
 def build_subsystem(params: ReachParams, t_sample: float, is_last: bool) -> SubsystemModel:
     """Build the augmented-state model of one reach from its parameters."""
@@ -141,13 +137,6 @@ def build_chain(reaches=DEZ_REACHES, t_sample=300.0):
     return tuple(
         build_subsystem(r, t_sample, is_last=(r.index == n)) for r in reaches
     )
-
-
-def neighborhood(i: int, n: int) -> frozenset:
-    """Subsystems whose state or input affects reach i: {i+1}, empty for i = n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range 1..{n}")
-    return frozenset() if i == n else frozenset({i + 1})
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,6 @@ class RunConfig:
                 "name": self.scenario.name,
                 "horizon": self.scenario.horizon,
                 "schedules": {k: list(map(list, v)) for k, v in sorted(self.scenario.schedules.items())},
-                "initial_regime": self.scenario.initial_regime,
             },
             "plant": dataclasses.asdict(self.plant),
             "t_lambda": self.t_lambda,
@@ -55,6 +54,20 @@ class RunConfig:
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _section(value, where, known):
+    """The mapping `value`, checked to hold only `known` fields."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(map(str, unknown))}")
+    return value
 
 
 def _require(mapping, key, kind, where):
@@ -67,21 +80,40 @@ def _require(mapping, key, kind, where):
         raise ConfigError(f"{where}.{key}: cannot interpret {value!r}") from None
 
 
+def _optional(mapping, key, kind, where, default):
+    return _require(mapping, key, kind, where) if key in mapping else default
+
+
+def _integer(value):
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _list_of(kind):
+    def convert(values):
+        if not isinstance(values, list):
+            raise TypeError(f"{values!r} is not a list")
+        return tuple(kind(v) for v in values)
+    return convert
+
+
 def _parse_reaches(items):
     if not isinstance(items, list) or not items:
         raise ConfigError("reaches: must be a nonempty list")
     reaches = []
     for pos, item in enumerate(items, start=1):
         where = f"reaches[{pos}]"
-        idx = _require(item, "index", int, where)
-        area = _require(item, "backwater_area", float, where)
-        delay = _require(item, "delay_steps", int, where)
+        item = _section(item, where, _fields(ReachParams))
         try:
             reaches.append(
                 ReachParams(
-                    idx, area, delay,
-                    float(item.get("length", 0.0)),
-                    float(item.get("bottom_width", 0.0)),
+                    _require(item, "index", _integer, where),
+                    _require(item, "backwater_area", float, where),
+                    _require(item, "delay_steps", _integer, where),
+                    _optional(item, "length", float, where, 0.0),
+                    _optional(item, "bottom_width", float, where, 0.0),
                 )
             )
         except ValueError as exc:
@@ -93,74 +125,74 @@ def _parse_reaches(items):
 
 
 def _parse_controller(section):
-    known = {f.name for f in dataclasses.fields(ControllerConfig)}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"controller: unknown fields {sorted(unknown)}")
+    defaults = dataclasses.asdict(ControllerConfig())
+    section = _section(section, "controller", defaults)
+    values = {k: _require(section, k, _integer if isinstance(defaults[k], int) else float,
+                          "controller") for k in section}
     try:
-        return ControllerConfig(**{k: type(getattr(ControllerConfig(), k))(v)
-                                   for k, v in section.items()})
+        return ControllerConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"controller: {exc}") from None
 
 
 def _parse_scenario(section, n_reaches):
+    section = _section(section, "scenario", ("name", "horizon", "offtakes"))
     name = _require(section, "name", str, "scenario")
-    horizon = _require(section, "horizon", int, "scenario")
-    offtakes = section.get("offtakes")
-    if offtakes is None:
-        raise ConfigError("scenario: missing required field 'offtakes'")
+    horizon = _require(section, "horizon", _integer, "scenario")
+    offtakes = _require(section, "offtakes", dict, "scenario")
     schedules = {}
     for key, entries in offtakes.items():
-        reach = int(key)
+        try:
+            reach = _integer(key)
+            schedule = tuple((_integer(step), float(v)) for step, v in entries)
+        except (TypeError, ValueError):
+            raise ConfigError(f"scenario.offtakes.{key}: cannot interpret {entries!r}") from None
         if not 1 <= reach <= n_reaches:
             raise ConfigError(f"scenario.offtakes: reach {reach} does not exist")
-        schedules[reach] = tuple((int(s), float(v)) for s, v in entries)
+        schedules[reach] = schedule
     missing = set(range(1, n_reaches + 1)) - set(schedules)
     if missing:
         raise ConfigError(f"scenario.offtakes: missing reaches {sorted(missing)}")
     try:
-        return Scenario(name, horizon, schedules,
-                        float(section.get("initial_regime", 0.36)))
+        return Scenario(name, horizon, schedules)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
 
 
 def _parse_plant(section, n_reaches):
-    factors = section.get("surface_factors", [1.0] * n_reaches)
-    offsets = section.get("delay_offsets", [0] * n_reaches)
-    if len(factors) != n_reaches or len(offsets) != n_reaches:
+    section = _section(section, "plant", _fields(PlantConfig))
+    factors = _optional(section, "surface_factors", _list_of(float), "plant", None)
+    offsets = _optional(section, "delay_offsets", _list_of(_integer), "plant", None)
+    if any(v is not None and len(v) != n_reaches for v in (factors, offsets)):
         raise ConfigError("plant: per-reach lists must match the reach count")
     try:
         return PlantConfig(
-            surface_factors=tuple(float(f) for f in factors),
-            delay_offsets=tuple(int(d) for d in offsets),
-            process_noise=float(section.get("process_noise", 0.0)),
-            measurement_noise=float(section.get("measurement_noise", 0.0)),
+            surface_factors=factors,
+            delay_offsets=offsets,
+            process_noise=_optional(section, "process_noise", float, "plant", 0.0),
+            measurement_noise=_optional(section, "measurement_noise", float, "plant", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"plant: {exc}") from None
 
 
 def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a mapping")
+    doc = _section(doc, "top level", _fields(RunConfig))
+    defaults = RunConfig()
     reaches = _parse_reaches(doc["reaches"]) if "reaches" in doc else DEZ_REACHES
-    controller = _parse_controller(doc.get("controller", {}))
-    scenario = (
-        _parse_scenario(doc["scenario"], len(reaches)) if "scenario" in doc else None
-    )
-    plant = _parse_plant(doc.get("plant", {}), len(reaches))
-    sweep = tuple(float(c) for c in doc.get("c_link_sweep", (0.0, 0.15, 0.3, 0.6, 1.2, 2.4)))
+    t_lambda = _optional(doc, "t_lambda", _integer, "top level", defaults.t_lambda)
+    if t_lambda < 1:
+        raise ConfigError("top level.t_lambda: must be at least 1")
     return RunConfig(
         reaches=reaches,
-        controller=controller,
-        scenario=scenario,
-        plant=plant,
-        t_lambda=int(doc.get("t_lambda", 4)),
-        c_link_sweep=sweep,
-        output_dir=str(doc.get("output_dir", "out")),
-        seed=int(doc.get("seed", 0)),
+        controller=_parse_controller(doc.get("controller", {})),
+        scenario=_parse_scenario(doc["scenario"], len(reaches)) if "scenario" in doc else None,
+        plant=_parse_plant(doc.get("plant", {}), len(reaches)),
+        t_lambda=t_lambda,
+        c_link_sweep=_optional(doc, "c_link_sweep", _list_of(float), "top level",
+                               defaults.c_link_sweep),
+        output_dir=_optional(doc, "output_dir", str, "top level", defaults.output_dir),
+        seed=_optional(doc, "seed", _integer, "top level", defaults.seed),
     )
 
 

@@ -7,7 +7,6 @@ t_lambda steps; coalition controllers run every step.  Runs are fully
 deterministic given the seed.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,6 @@ from .supervisor import (
 )
 from .topology import full_topology, partition_of
 
-HEAD_CAPACITY = 157.0  # m^3/s, maximum discharge at the head gate
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -37,7 +34,6 @@ class Scenario:
     name: str
     horizon: int
     schedules: dict
-    initial_regime: float = 0.36  # head inflow as a fraction of capacity
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -169,11 +165,11 @@ class SimTrace:
     """Per-step record of one run; array fields are what trace files persist."""
 
     scenario: str
-    levels: np.ndarray          # (T, 13)
-    flows: np.ndarray           # (T, 13) measured gate flows
-    inputs: np.ndarray          # (T, 13) applied increments
-    offtakes: np.ndarray        # (T, 13)
-    topology_bits: list         # (T,) strings of 12 link flags
+    levels: np.ndarray          # (T, N) for N reaches
+    flows: np.ndarray           # (T, N) measured gate flows
+    inputs: np.ndarray          # (T, N) applied increments
+    offtakes: np.ndarray        # (T, N)
+    topology_bits: list         # (T,) strings of N - 1 link flags
     perf_cost: np.ndarray       # (T,)
     net_links: np.ndarray       # (T,) int
     n_coalitions: np.ndarray    # (T,) int
@@ -370,9 +366,6 @@ class CostReport:
     combined_avg_free: float   # pricing links at zero
     decision_vars_avg: float
     coalitions_avg: float
-
-    def as_dict(self):
-        return dataclasses.asdict(self)
 
 
 def accumulate_costs(trace: SimTrace, c_link: float) -> CostReport:

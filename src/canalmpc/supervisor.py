@@ -2,20 +2,26 @@
 
 For every candidate topology the supervisor synthesizes (or retrieves from
 cache) a decentralized gain set, predicts each coalition's setpoint from the
-most recently published neighbour setpoints, and scores the candidate as
+most recently published neighbour setpoints, and rolls the candidate's
+decentralized law u = clip(K (xi - xi_bar) + u_bar), K = blockdiag(K_1, ...),
+out on the coupled chain model for H = max(t_lambda, preview_horizon) steps.
+The candidate scores
 
-    sum_i zeta_i' P_i zeta_i  +  c_link * |links| * t_lambda
+    sum_k ( Q ||e(k) - e*||^2 + R ||u(k)||^2 )  +  sum_i zeta_i' P_i zeta_i
+        +  c_link * |links| * t_lambda
 
-picking the minimizer.  Gains come from a per-coalition Riccati solve; the
-resulting (K, P) is checked against the closed-loop Lyapunov inequality, so
-every stored gain set carries an explicit certificate.
+where e are the level errors, zeta_i = xi_i(H) - xi*_i, and xi* is the
+global steady state; the minimizer is picked.  Gains come from a
+per-coalition Riccati solve; the resulting (K, P) is checked against the
+closed-loop Lyapunov inequality, so every stored gain set carries an
+explicit certificate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canal import build_coalition_model
+from .canal import assemble_global, build_coalition_model
 from .control import ControllerConfig, compute_setpoint, weight_matrices
 from .numerics import (
     RiccatiConvergenceError,
@@ -48,7 +54,6 @@ class CoalitionGains:
 class GainSet:
     """Per-coalition gains for one partition, in block (partition) order."""
 
-    partition: Partition
     entries: dict  # members tuple -> CoalitionGains
 
     def gains_for(self, members):
@@ -78,9 +83,6 @@ class SynthesisCache:
     def __init__(self):
         self._models = {}
         self._gains = {}
-
-    def __len__(self):
-        return len(self._gains)
 
     def model(self, subsystems, members, partition):
         key = tuple(sorted(members))
@@ -117,24 +119,20 @@ def _synthesize_one(coalition, cfg) -> CoalitionGains:
     return CoalitionGains(coalition.members, gain, p_mat, d_res, l_res)
 
 
-def synthesize(partition, subsystems, cfg: ControllerConfig, cache=None) -> GainSet:
-    """Gains for every coalition of the partition, certificates verified."""
-    partition = partition if isinstance(partition, Partition) else Partition(tuple(partition))
+def synthesize(partition: Partition, subsystems, cfg: ControllerConfig, cache=None) -> GainSet:
+    """Gains for every coalition of the partition, certificates verified.
+
+    Without a cache the coalitions are synthesized in a throwaway one.
+    """
+    cache = SynthesisCache() if cache is None else cache
     entries = {}
     for members in partition:
-        cached = cache.gains(members) if cache is not None else None
-        if cached is not None:
-            entries[members] = cached
-            continue
-        if cache is not None:
-            model = cache.model(subsystems, members, partition.blocks)
-        else:
-            model = build_coalition_model(subsystems, members, partition.blocks)
-        gains = _synthesize_one(model, cfg)
-        entries[members] = gains
-        if cache is not None:
+        gains = cache.gains(members)
+        if gains is None:
+            gains = _synthesize_one(cache.model(subsystems, members, partition.blocks), cfg)
             cache.store(members, gains)
-    return GainSet(partition, entries)
+        entries[members] = gains
+    return GainSet(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +162,6 @@ class PublishedSetpoints:
             self.flow[s - 1] = setpoint.xi_s[coalition.offsets[s]]
             self.input[s - 1] = setpoint.u_s[pos]
 
-    def copy(self):
-        return PublishedSetpoints(self.flow.copy(), self.input.copy())
-
 
 def estimate_cross_effects(coalitions, published: PublishedSetpoints):
     """Steady boundary-flow estimate per coalition from published setpoints.
@@ -185,16 +180,7 @@ def estimate_cross_effects(coalitions, published: PublishedSetpoints):
 
 def split_global_state(subsystems, flat):
     """Per-subsystem views of a flat chain-ordered global state."""
-    out = []
-    off = 0
-    for sub in subsystems:
-        out.append(np.asarray(flat)[off:off + sub.n])
-        off += sub.n
-    return out
-
-
-def stack_coalition_state(per_subsystem, members):
-    return np.concatenate([per_subsystem[s - 1] for s in members])
+    return np.split(np.asarray(flat), np.cumsum([sub.n for sub in subsystems])[:-1])
 
 
 @dataclass
@@ -214,65 +200,53 @@ class PreviewContext:
 
 
 def topology_value(per_subsystem_state, candidate, coalitions, gains, setpoints,
-                   c_link, t_lambda, preview: PreviewContext | None = None,
-                   setpoint_inputs=None):
+                   setpoint_inputs, c_link, t_lambda, preview: PreviewContext):
     """Candidate score: predicted shifted-state cost plus priced network usage.
 
-    With a preview context, the candidate's decentralized feedback laws
-    (each coalition steering toward its own setpoint) are rolled out on the
-    coupled chain model for t_lambda steps; stage costs and the terminal
+    The candidate's decentralized law u = clip(K (xi - xi_bar) + u_bar),
+    with K = blockdiag(K_1, ...) and each coalition steering toward its own
+    setpoint, is rolled out on the coupled chain model for
+    max(t_lambda, preview_horizon) steps.  The stage costs and the terminal
     per-coalition cost-to-go zeta'P zeta are measured against the common
-    global steady state.  Stale boundary targets make the rollout drift
-    away from that steady state, which the score exposes.  Without a
-    preview the value reduces to the instantaneous terminal term.
+    global steady state.  Stale boundary targets make the rollout drift away
+    from that steady state, which the score exposes.  The coalitions must be
+    the contiguous blocks of a chain partition in chain order, so that their
+    stacked states are the global state.
     """
-    total = network_cost_total(candidate, c_link, t_lambda)
-    if preview is None:
-        for coal, xi_bar in zip(coalitions, setpoints):
-            zeta = stack_coalition_state(per_subsystem_state, coal.members) - xi_bar
-            p_mat = gains.gains_for(coal.members).p_mat
-            total += float(zeta @ p_mat @ zeta)
-        return total
-
     model = preview.global_model
     cfg = preview.cfg
-    bound = cfg.input_bound
-    rows = {s: model.member_slice(s) for s in model.members}
-    in_col = {s: model.members.index(s) for s in model.members}
+    k_mat = gains.block_diag_gain(coalitions)
+    if k_mat.shape != (model.m, model.n):
+        raise ValueError(f"block gain {k_mat.shape} does not tile the chain model")
+    xi_bar = np.concatenate(setpoints)
+    u_bar = np.concatenate(setpoint_inputs)
+    drift = model.Phi @ preview.rho
     level_rows = model.level_rows()
-    xi = np.concatenate(per_subsystem_state)
     star = preview.yardstick
-    u_bars = setpoint_inputs or [np.zeros(c.m) for c in coalitions]
+    xi = np.concatenate(per_subsystem_state)
 
-    coal_rows = [
-        np.concatenate([np.arange(rows[s].start, rows[s].stop) for s in coal.members])
-        for coal in coalitions
-    ]
-
+    total = network_cost_total(candidate, c_link, t_lambda)
     for _ in range(max(t_lambda, cfg.preview_horizon)):
-        u_global = np.zeros(model.m)
-        for coal, xi_bar, u_bar, idx in zip(coalitions, setpoints, u_bars, coal_rows):
-            entry = gains.gains_for(coal.members)
-            u_c = np.clip(entry.gain @ (xi[idx] - xi_bar) + u_bar, -bound, bound)
-            for pos, s in enumerate(coal.members):
-                u_global[in_col[s]] = u_c[pos]
+        u = np.clip(k_mat @ (xi - xi_bar) + u_bar, -cfg.input_bound, cfg.input_bound)
         dev = xi - star
         total += float(
             cfg.level_weight * np.sum(dev[level_rows] ** 2)
-            + cfg.input_weight * np.sum(u_global ** 2)
+            + cfg.input_weight * np.sum(u ** 2)
         )
-        xi = model.Xi @ xi + model.Up @ u_global + model.Phi @ preview.rho
+        xi = model.Xi @ xi + model.Up @ u + drift
 
-    for coal, idx in zip(coalitions, coal_rows):
-        zeta = xi[idx] - star[idx]
-        total += float(zeta @ gains.gains_for(coal.members).p_mat @ zeta)
+    zeta = xi - star
+    start = 0
+    for coal in coalitions:
+        z = zeta[start:start + coal.n]
+        total += float(z @ gains.gains_for(coal.members).p_mat @ z)
+        start += coal.n
     return total
 
 
 @dataclass
 class SelectionResult:
     topology: Topology
-    gains: GainSet
     values: list  # (bit-string, value) per candidate, in evaluation order
 
 
@@ -291,12 +265,6 @@ def candidate_setpoints(partition_coalitions, rho, published):
     return states, inputs
 
 
-def _models_for(partition, subsystems, cache):
-    if cache is not None:
-        return [cache.model(subsystems, b, partition.blocks) for b in partition]
-    return [build_coalition_model(subsystems, b, partition.blocks) for b in partition]
-
-
 def select_topology(per_subsystem_state, rho, published, incumbent, cache,
                     subsystems, cfg: ControllerConfig, t_lambda: int,
                     c_link=None, global_model=None) -> SelectionResult:
@@ -304,18 +272,17 @@ def select_topology(per_subsystem_state, rho, published, incumbent, cache,
 
     Each candidate gets its own boundary estimates and setpoints from the
     published data, and is scored by rolling its decentralized feedback out
-    on the coupled chain model over the coming interval (topology_value
-    with a preview).  Ties break toward fewer links, then the
-    lexicographically smallest bit-string.  Candidate evaluations are
-    independent; results only depend on the inputs, never on evaluation
-    order.
+    on the coupled chain model over the coming interval (topology_value).
+    Ties break toward fewer links, then the lexicographically smallest
+    bit-string.  Candidate evaluations are independent; results only depend
+    on the inputs, never on evaluation order.  Without a cache the gains are
+    synthesized in a throwaway one.
     """
     if c_link is None:
         c_link = cfg.link_cost
+    cache = SynthesisCache() if cache is None else cache
     rho = np.asarray(rho, dtype=float)
     if global_model is None:
-        from .canal import assemble_global
-
         global_model = assemble_global(subsystems)
     yardstick, _ = compute_setpoint(global_model, rho, np.zeros(0))
     preview = PreviewContext(
@@ -323,22 +290,19 @@ def select_topology(per_subsystem_state, rho, published, incumbent, cache,
     )
 
     scored = []
-    gain_sets = {}
     for cand in candidate_set(incumbent):
         partition = partition_of(cand)
         gains = synthesize(partition, subsystems, cfg, cache)
-        coalitions = _models_for(partition, subsystems, cache)
+        coalitions = [cache.model(subsystems, b, partition.blocks) for b in partition]
         setpoints, sp_inputs = candidate_setpoints(coalitions, rho, published)
         value = topology_value(
-            per_subsystem_state, cand, coalitions, gains, setpoints,
-            c_link, t_lambda, preview=preview, setpoint_inputs=sp_inputs,
+            per_subsystem_state, cand, coalitions, gains, setpoints, sp_inputs,
+            c_link, t_lambda, preview,
         )
         scored.append((value, cand.n_links, cand.bits(), cand))
-        gain_sets[cand.bits()] = gains
     best = min(scored, key=lambda t: (t[0], t[1], t[2]))
     chosen = best[3]
     return SelectionResult(
         topology=chosen,
-        gains=gain_sets[chosen.bits()],
         values=[(bits, value) for value, _, bits, _ in scored],
     )

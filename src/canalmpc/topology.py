@@ -42,24 +42,9 @@ class Topology:
             return Topology(self.n_agents, self.enabled - {link})
         return Topology(self.n_agents, self.enabled | {link})
 
-    def sort_key(self):
-        """Orders by link count, then lexicographic bit-string."""
-        return (self.n_links, self.bits())
-
 
 def full_topology(n_agents: int) -> Topology:
     return Topology(n_agents, frozenset(range(1, n_agents)))
-
-
-def empty_topology(n_agents: int) -> Topology:
-    return Topology(n_agents, frozenset())
-
-
-def topology_from_bits(bits: str) -> Topology:
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"invalid topology bit-string {bits!r}")
-    enabled = frozenset(i + 1 for i, c in enumerate(bits) if c == "1")
-    return Topology(len(bits) + 1, enabled)
 
 
 @dataclass(frozen=True)
@@ -86,21 +71,13 @@ class Partition:
     def __iter__(self):
         return iter(self.blocks)
 
-    def block_of(self, agent: int) -> tuple:
-        for b in self.blocks:
-            if agent in b:
-                return b
-        raise KeyError(f"agent {agent} not in partition")
 
-    def key(self):
-        return self.blocks
+def partition_of(topology: Topology) -> Partition:
+    """Connected components induced by the enabled links of a chain graph.
 
-
-def partition_of(topology: Topology, n_agents: int | None = None) -> Partition:
-    """Connected components induced by the enabled links of a chain graph."""
-    n = topology.n_agents if n_agents is None else n_agents
-    if n != topology.n_agents:
-        raise ValueError("agent count does not match topology")
+    The blocks are contiguous runs of agents, in chain order.
+    """
+    n = topology.n_agents
     blocks = []
     current = [1]
     for i in range(1, n):
@@ -123,23 +100,6 @@ def network_cost_total(topology: Topology, c_link: float, t_lambda: int) -> floa
     if c_link < 0.0:
         raise ValueError("c_link must be nonnegative")
     return c_link * topology.n_links * t_lambda
-
-
-def incident_links(topology: Topology, agent: int) -> int:
-    """Number of enabled links directly connecting `agent` to others."""
-    if not 1 <= agent <= topology.n_agents:
-        raise ValueError(f"agent {agent} out of range")
-    count = 0
-    if agent - 1 in topology.enabled:
-        count += 1
-    if agent in topology.enabled and agent <= topology.n_agents - 1:
-        count += 1
-    return count
-
-
-def network_cost_agent(topology: Topology, agent: int, c_link: float, n_p: int) -> float:
-    """Agent share of the network cost; each link is split between its ends."""
-    return n_p * (c_link / 2.0) * incident_links(topology, agent)
 
 
 def link_activity_matrix(bit_strings) -> np.ndarray:

@@ -91,3 +91,32 @@ def union_find_components(n, edges):
     for v in range(1, n + 1):
         groups.setdefault(find(v), []).append(v)
     return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+
+
+def looped_rollout_value(xi0, blocks, xi_mat, up_mat, phi_rho, yardstick, level_rows,
+                         level_weight, input_weight, bound, steps):
+    """Candidate rollout score with one feedback law per coalition.
+
+    `blocks` holds (state rows, input columns, K, P, xi_bar, u_bar) per
+    coalition.  Each step gathers every coalition's slice of the global
+    state, applies that coalition's own saturated law and scatters its
+    inputs into the global input vector, then advances the coupled model.
+    Returns the stage plus terminal cost and the number of input entries
+    the saturation cut.
+    """
+    xi = np.array(xi0, dtype=float)
+    total = 0.0
+    clipped = 0
+    for _ in range(steps):
+        u = np.zeros(up_mat.shape[1])
+        for rows, cols, k_mat, _, xi_bar, u_bar in blocks:
+            raw = k_mat @ (xi[rows] - xi_bar) + u_bar
+            clipped += int(np.count_nonzero(np.abs(raw) > bound))
+            u[cols] = np.minimum(np.maximum(raw, -bound), bound)
+        dev = (xi - yardstick)[level_rows]
+        total += level_weight * (dev @ dev) + input_weight * (u @ u)
+        xi = xi_mat @ xi + up_mat @ u + phi_rho
+    for rows, _, _, p_mat, _, _ in blocks:
+        z = xi[rows] - yardstick[rows]
+        total += z @ p_mat @ z
+    return total, clipped

@@ -8,7 +8,6 @@ from canalmpc.canal import (
     build_chain,
     build_coalition_model,
     build_subsystem,
-    neighborhood,
     steady_state,
 )
 
@@ -58,7 +57,7 @@ class TestBuildSubsystem:
     def test_offtake_and_external_channels_match(self):
         sub = build_subsystem(DEZ_REACHES[4], T_C, is_last=False)
         assert np.array_equal(sub.e, sub.g)
-        assert sub.e[sub.level_row, 0] == pytest.approx(-sub.gain)
+        assert sub.e[sub.delay, 0] == pytest.approx(-sub.gain)
         assert np.count_nonzero(sub.e) == 1
 
     def test_last_reach_has_no_downstream_coupling(self):
@@ -74,29 +73,13 @@ class TestBuildSubsystem:
         p = np.array([1.5])
         w = np.array([q - 1.5])  # downstream gate takes the rest
         x_next = sub.a @ x + sub.b @ np.zeros(1) + sub.e @ p + sub.g @ w
-        assert x_next[sub.level_row] == pytest.approx(0.7)
+        assert x_next[sub.delay] == pytest.approx(0.7)
 
     def test_zero_state_zero_everything_fixed_point(self):
         sub = build_subsystem(ReachParams(3, 1e5, 2), T_C, is_last=False)
         x = np.zeros(3)
         x_next = sub.a @ x + sub.b @ np.zeros(1) + sub.e @ np.zeros(1) + sub.g @ np.zeros(1)
         assert np.array_equal(x_next, x)
-
-
-class TestNeighborhood:
-    def test_last_reach_empty(self):
-        assert neighborhood(13, 13) == frozenset()
-
-    def test_first_reach(self):
-        assert neighborhood(1, 13) == frozenset({2})
-
-    def test_all_interior(self):
-        for i in range(1, 13):
-            assert neighborhood(i, 13) == frozenset({i + 1})
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighborhood(0, 13)
 
 
 class TestCoalitionModel:
@@ -106,7 +89,7 @@ class TestCoalitionModel:
         sub = chain[3]
         assert np.array_equal(coal.Xi, sub.a)
         assert coal.Psi.shape == (3, 1)
-        assert coal.Psi[sub.level_row, 0] == pytest.approx(-sub.gain)
+        assert coal.Psi[sub.delay, 0] == pytest.approx(-sub.gain)
         assert coal.coupling_sources == (5,)
 
     def test_full_coalition_dimensions(self, chain):

@@ -84,6 +84,13 @@ class TestCli:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_validate_malformed_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("plant: {surface_factors: 1.2}\n")
+        rc = main(["validate", "--config", str(path)])
+        assert rc == 2
+        assert "configuration error: plant.surface_factors" in capsys.readouterr().err
+
     def test_mismatch_flag(self, tmp_path):
         cfg = mini_config(tmp_path, horizon=12)
         rc = main(["run", "--config", str(cfg), "--mismatch", "0.2"])

@@ -92,6 +92,35 @@ class TestLoadConfig:
                 "offtakes": {"99": [[0, 1.0]]},
             }})
 
+    def test_unknown_top_level_field_named(self):
+        with pytest.raises(ConfigError, match="t_lamda"):
+            parse_config({"t_lamda": 8})
+
+    def test_unknown_scenario_field_named(self):
+        with pytest.raises(ConfigError, match="initial_regime"):
+            parse_config({"scenario": {
+                "name": "x", "horizon": 5, "initial_regime": 0.36,
+                "offtakes": {str(i): [[0, 1.0]] for i in range(1, 14)},
+            }})
+
+    def test_unknown_plant_field_named(self):
+        with pytest.raises(ConfigError, match="surface_factor"):
+            parse_config({"plant": {"surface_factor": [1.2] * 13}})
+
+    def test_unknown_reach_field_named(self):
+        with pytest.raises(ConfigError, match=r"reaches\[1\].*backwater_aera"):
+            parse_config({"reaches": [
+                {"index": 1, "backwater_aera": 1e5, "delay_steps": 2},
+            ]})
+
+    def test_reach_item_must_be_mapping(self):
+        with pytest.raises(ConfigError, match=r"reaches\[1\]"):
+            parse_config({"reaches": [5]})
+
+    def test_scalar_per_reach_list_named(self):
+        with pytest.raises(ConfigError, match="plant.surface_factors"):
+            parse_config({"plant": {"surface_factors": 1.2}})
+
     def test_config_hash_stable(self):
         a = builtin_config("scenario1").config_hash()
         b = builtin_config("scenario1").config_hash()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ class TestAccumulateCosts:
     def test_report_dict_roundtrip(self):
         sc = scenario_1(horizon=20)
         trace = run_centralized(sc, seed=0, cache=CACHE)
-        d = accumulate_costs(trace, 0.6).as_dict()
+        d = dataclasses.asdict(accumulate_costs(trace, 0.6))
         assert d["c_link"] == 0.6
         assert d["combined_avg"] == pytest.approx(d["perf_avg"] + d["network_avg"])
 

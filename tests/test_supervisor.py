@@ -4,6 +4,7 @@ import pytest
 from canalmpc.canal import assemble_global, build_chain, build_coalition_model, steady_state
 from canalmpc.control import ControllerConfig, weight_matrices
 from canalmpc.supervisor import (
+    PreviewContext,
     PublishedSetpoints,
     SynthesisCache,
     SynthesisError,
@@ -13,9 +14,9 @@ from canalmpc.supervisor import (
     synthesize,
     topology_value,
 )
-from canalmpc.topology import Partition, empty_topology, full_topology
+from canalmpc.topology import Partition, Topology, full_topology
 
-from oracles import scipy_lqr_gain
+from oracles import looped_rollout_value, scipy_lqr_gain
 
 CHAIN = build_chain()
 CFG = ControllerConfig()
@@ -126,38 +127,88 @@ class TestEstimateCrossEffects:
                 assert omega.shape == (0,)
 
 
+def _steady_preview():
+    """Steady chain state at uniform offtakes, and a preview around it."""
+    offtakes = np.full(13, 2.0)
+    _, state = steady_state(CHAIN, offtakes)
+    return state, PreviewContext(assemble_global(CHAIN), offtakes, CFG, state)
+
+
+def _contiguous_partitions(rng, count):
+    """The singletons, the full chain, then random contiguous partitions."""
+    parts = [SINGLETON_PARTITION, FULL_PARTITION]
+    while len(parts) < count:
+        cuts = sorted(int(c) for c in rng.choice(range(1, 13), size=rng.integers(1, 6),
+                                                 replace=False))
+        ends = [0] + cuts + [13]
+        parts.append(Partition(tuple(tuple(range(a + 1, b + 1))
+                                     for a, b in zip(ends, ends[1:]))))
+    return parts
+
+
 class TestTopologyValue:
     def test_zero_at_setpoint_free_links(self, full_gains):
-        offtakes = np.full(13, 2.0)
-        _, state = steady_state(CHAIN, offtakes)
-        coal = assemble_global(CHAIN)
-        xi_bar = state.copy()
+        state, preview = _steady_preview()
         value = topology_value(
-            split_global_state(CHAIN, state), full_topology(13), [coal], full_gains,
-            [xi_bar], c_link=0.0, t_lambda=4,
+            split_global_state(CHAIN, state), full_topology(13), [preview.global_model],
+            full_gains, [state.copy()], [np.zeros(13)], c_link=0.0, t_lambda=4,
+            preview=preview,
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_network_term_only(self, full_gains):
-        offtakes = np.full(13, 2.0)
-        _, state = steady_state(CHAIN, offtakes)
-        coal = assemble_global(CHAIN)
+        state, preview = _steady_preview()
         value = topology_value(
-            split_global_state(CHAIN, state), full_topology(13), [coal], full_gains,
-            [state.copy()], c_link=0.6, t_lambda=4,
+            split_global_state(CHAIN, state), full_topology(13), [preview.global_model],
+            full_gains, [state.copy()], [np.zeros(13)], c_link=0.6, t_lambda=4,
+            preview=preview,
         )
         assert value == pytest.approx(28.8)
 
     def test_nonnegative_performance_term(self, full_gains):
         rng = np.random.default_rng(1)
-        coal = assemble_global(CHAIN)
+        _, preview = _steady_preview()
         for _ in range(10):
             state = rng.normal(size=39)
             value = topology_value(
-                split_global_state(CHAIN, state), empty_topology(13), [coal], full_gains,
-                [np.zeros(39)], c_link=0.0, t_lambda=4,
+                split_global_state(CHAIN, state), Topology(13, ()), [preview.global_model],
+                full_gains, [np.zeros(39)], [np.zeros(13)], c_link=0.0, t_lambda=4,
+                preview=preview,
             )
             assert value >= 0.0
+
+    def test_matches_per_coalition_loop_oracle(self):
+        """The block-diagonal rollout equals the per-coalition loop form."""
+        rng = np.random.default_rng(6)
+        cache = SynthesisCache()
+        steady, preview = _steady_preview()
+        model = preview.global_model
+        for part in _contiguous_partitions(rng, 7):
+            gains = synthesize(part, CHAIN, CFG, cache)
+            coalitions = [cache.model(CHAIN, b, part.blocks) for b in part]
+            blocks = []
+            for coal in coalitions:
+                rows = np.concatenate([np.arange(39)[model.member_slice(s)] for s in coal.members])
+                entry = gains.gains_for(coal.members)
+                xi_bar = steady[rows] + rng.normal(scale=0.1, size=coal.n)
+                u_bar = rng.uniform(-0.3, 0.3, size=coal.m)
+                cols = [s - 1 for s in coal.members]
+                blocks.append((rows, cols, entry.gain, entry.p_mat, xi_bar, u_bar))
+            xi0 = steady + rng.normal(scale=5.0, size=39)
+            candidate = Topology(13, {s for b in part for s in b[:-1]})
+            value = topology_value(
+                split_global_state(CHAIN, xi0), candidate, coalitions, gains,
+                [b[4] for b in blocks], [b[5] for b in blocks], c_link=0.6, t_lambda=4,
+                preview=preview,
+            )
+            expected, clipped = looped_rollout_value(
+                xi0, blocks, model.Xi, model.Up, model.Phi @ preview.rho, steady,
+                model.level_rows(), CFG.level_weight, CFG.input_weight, CFG.input_bound,
+                CFG.preview_horizon,
+            )
+            expected += 0.6 * candidate.n_links * 4
+            assert clipped > 0
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_full_partition_cost_to_go_matches_simulation(self, full_gains):
         """zeta'P zeta equals the accumulated unconstrained LQ cost within 1%."""
@@ -221,7 +272,7 @@ class TestSelectTopology:
     def test_zero_cost_prefers_performance(self):
         state, rho, published = _disturbed_setup()
         cache = SynthesisCache()
-        incumbent = empty_topology(13)
+        incumbent = Topology(13, ())
         result = select_topology(
             state, rho, published, incumbent, cache, CHAIN, CFG, 4, c_link=0.0
         )

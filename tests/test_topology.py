@@ -7,14 +7,10 @@ from canalmpc.topology import (
     Partition,
     Topology,
     candidate_set,
-    empty_topology,
     full_topology,
-    incident_links,
     link_activity_matrix,
-    network_cost_agent,
     network_cost_total,
     partition_of,
-    topology_from_bits,
 )
 
 from oracles import union_find_components
@@ -26,21 +22,21 @@ class TestTopology:
     def test_bits_roundtrip(self):
         t = Topology(5, frozenset({1, 3}))
         assert t.bits() == "1010"
-        assert topology_from_bits("1010") == t
+        assert Topology(3, ()).bits() == "00"
 
     def test_rejects_out_of_universe(self):
         with pytest.raises(ValueError):
             Topology(3, frozenset({3}))
 
     def test_toggle(self):
-        t = empty_topology(4)
+        t = Topology(4, ())
         assert t.toggled(2).enabled == frozenset({2})
         assert t.toggled(2).toggled(2) == t
 
 
 class TestPartitionOf:
     def test_all_disabled(self):
-        p = partition_of(empty_topology(N))
+        p = partition_of(Topology(N, ()))
         assert len(p) == 13
         assert all(len(b) == 1 for b in p)
 
@@ -84,9 +80,9 @@ class TestPartitionOf:
 
 class TestCandidateSet:
     def test_from_empty(self):
-        cands = candidate_set(empty_topology(N))
+        cands = candidate_set(Topology(N, ()))
         assert len(cands) == 13
-        assert cands[0] == empty_topology(N)
+        assert cands[0] == Topology(N, ())
         assert sorted(c.n_links for c in cands) == [0] + [1] * 12
 
     def test_from_full(self):
@@ -107,29 +103,10 @@ class TestCandidateSet:
 
 class TestNetworkCosts:
     def test_empty_is_free(self):
-        assert network_cost_total(empty_topology(N), 0.6, 4) == 0.0
+        assert network_cost_total(Topology(N, ()), 0.6, 4) == 0.0
 
     def test_full_price(self):
         assert network_cost_total(full_topology(N), 0.6, 4) == pytest.approx(28.8)
-
-    def test_agent_share_interior(self):
-        t = full_topology(N)
-        assert incident_links(t, 5) == 2
-        assert network_cost_agent(t, 5, 0.6, 10) == pytest.approx(6.0)
-
-    def test_isolated_agent(self):
-        assert network_cost_agent(empty_topology(N), 3, 0.6, 10) == 0.0
-
-    def test_agent_shares_sum_to_total(self):
-        rng = np.random.default_rng(8)
-        n_p = 10
-        for _ in range(30):
-            enabled = frozenset(
-                int(l) for l in rng.choice(range(1, N), size=rng.integers(0, N), replace=False)
-            )
-            t = Topology(N, enabled)
-            total = sum(network_cost_agent(t, j, 0.6, n_p) for j in range(1, N + 1))
-            assert total == pytest.approx(n_p * 0.6 * t.n_links)
 
 
 def test_link_activity_matrix():
