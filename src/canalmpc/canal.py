@@ -220,18 +220,16 @@ class CoalitionModel:
         return xi_ij, up_ij
 
 
-def build_coalition_model(subsystems, members, partition) -> CoalitionModel:
-    """Assemble the stacked model of one coalition of a partition.
+def build_coalition_model(subsystems, members) -> CoalitionModel:
+    """Assemble the stacked model of one coalition.
 
     `subsystems` lists every subsystem model in chain order.  Couplings
     between members are absorbed into Xi/Up; couplings toward non-members
-    become unit disturbance channels in Psi.  Members need not be
-    contiguous.
+    become unit disturbance channels in Psi, so the model depends on the
+    members alone, not on how the other subsystems are grouped.  Members
+    need not be contiguous.
     """
     members = tuple(sorted(members))
-    blocks = [tuple(sorted(b)) for b in partition]
-    if members not in blocks:
-        raise ValueError(f"coalition {members} is not a block of the partition")
     by_index = {s.index: s for s in subsystems}
     for s in members:
         if s not in by_index:
@@ -292,7 +290,7 @@ def build_coalition_model(subsystems, members, partition) -> CoalitionModel:
 def assemble_global(subsystems) -> CoalitionModel:
     """The whole chain as a single coalition (no external channels)."""
     members = tuple(s.index for s in subsystems)
-    return build_coalition_model(subsystems, members, (members,))
+    return build_coalition_model(subsystems, members)
 
 
 def steady_state(subsystems, offtakes):

@@ -146,7 +146,6 @@ def cmd_sweep(args):
     flows, state = steady_state(subs, rho)
     # mid-range incumbent, modest disturbance in its unlinked region
     from .canal import assemble_global
-    from .supervisor import split_global_state
     from .topology import Topology
 
     state = state.copy()
@@ -165,7 +164,7 @@ def cmd_sweep(args):
     counts = []
     for c_link in cfg.c_link_sweep:
         result = select_topology(
-            split_global_state(subs, state), rho, published, incumbent, cache,
+            state, rho, published, incumbent, cache,
             subs, cfg.controller, cfg.t_lambda, c_link=c_link, global_model=model,
         )
         counts.append(result.topology.n_links)

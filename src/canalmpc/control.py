@@ -347,19 +347,18 @@ class MpcProgram:
     n_c: int
     n_q: int
     m: int
-    n_floor: int                # floor-constrained steps (= N_c)
+    acl: np.ndarray             # Xi + Up K
     acl_powers: list            # Acl^t, t = 0..N_p
-    t_maps: list                # zeta(t) = acl_powers[t] zeta0 + t_maps[t] @ u
     h_mat: np.ndarray           # full Hessian over (u, eps)
     f_map: np.ndarray           # f_u = f_map @ zeta0
     floor_lhs: np.ndarray
     box_lhs: np.ndarray
     gain: np.ndarray
-    p_mat: np.ndarray
+    flow_sel: np.ndarray        # selects every flow slot of the state
 
 
 def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
-    """Condense the coalition MPC into dense QP blocks (done once per gain set)."""
+    """Condense the coalition MPC into dense QP blocks (done once per controller)."""
     n, m = coalition.n, coalition.m
     n_p, n_c = cfg.prediction_horizon, cfg.control_horizon
     q_mat, r_mat = weight_matrices(coalition, cfg)
@@ -370,6 +369,7 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
         powers.append(acl @ powers[-1])
 
     nu = m * n_c
+    # zeta(t) = powers[t] zeta0 + t_maps[t] @ u
     t_maps = [np.zeros((n, nu))]
     for t in range(1, n_p + 1):
         tm = acl @ t_maps[t - 1]
@@ -398,8 +398,7 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
 
     flow_sel = coalition.flow_selector()
     n_q = flow_sel.shape[0]
-    n_floor = n_c
-    n_eps = n_q * n_floor
+    n_eps = n_q * n_c
     nz = nu + n_eps
     h_mat = np.zeros((nz, nz))
     h_mat[:nu, :nu] = h_uu
@@ -407,7 +406,7 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
 
     # Soft flow floor for t = 1..N_c plus eps >= 0.
     floor_lhs = np.zeros((2 * n_eps, nz))
-    for t in range(1, n_floor + 1):
+    for t in range(1, n_c + 1):
         r0 = (t - 1) * n_q
         floor_lhs[r0:r0 + n_q, :nu] = -flow_sel @ t_maps[t]
         floor_lhs[r0:r0 + n_q, nu + r0: nu + r0 + n_q] = -np.eye(n_q)
@@ -422,34 +421,33 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
         box_lhs[m * (n_p + 1) + t * m: m * (n_p + 1) + (t + 1) * m, :nu] = -expr
 
     return MpcProgram(
-        n_p=n_p, n_c=n_c, n_q=n_q, m=m, n_floor=n_floor,
-        acl_powers=powers, t_maps=t_maps,
+        n_p=n_p, n_c=n_c, n_q=n_q, m=m,
+        acl=acl, acl_powers=powers,
         h_mat=h_mat, f_map=f_map,
         floor_lhs=floor_lhs, box_lhs=box_lhs,
-        gain=gain, p_mat=p_mat,
+        gain=gain, flow_sel=flow_sel,
     )
 
 
 @dataclass
 class MpcStep:
     vprime: np.ndarray   # (N_c, m) free moves, zero afterwards
-    eps: np.ndarray      # (N_p, n_q) flow-floor slacks for t = 1..N_p
+    eps: np.ndarray      # (N_c, n_q) flow-floor slacks for t = 1..N_c
     status: str
     objective: float
 
 
-def mpc_step(coalition, zeta0, setpoint, gain, p_mat, cfg, prepared=None) -> MpcStep:
+def mpc_step(coalition, zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
     """Solve the coalition MPC around the feedback law.
 
     Minimizes the shifted-state cost over v'(0..N_c-1) and nonnegative
     flow-floor slacks, subject to the closed-loop prediction, the soft flow
-    floor, and the hard input box at every step of the horizon.
+    floor, and the hard input box at every step of the horizon.  `prog` is
+    the coalition's program from prepare_mpc.
     """
-    prog = prepared if prepared is not None else prepare_mpc(coalition, gain, p_mat, cfg)
     n_p, n_c, n_q, m = prog.n_p, prog.n_c, prog.n_q, prog.m
     nu = m * n_c
-    n_eps = n_q * prog.n_floor
-    flow_sel = coalition.flow_selector()
+    n_eps = n_q * n_c
     bound = cfg.input_bound
     xi_s, u_s = setpoint.xi_s, setpoint.u_s
 
@@ -458,9 +456,9 @@ def mpc_step(coalition, zeta0, setpoint, gain, p_mat, cfg, prepared=None) -> Mpc
     f_vec[:nu] = prog.f_map @ zeta0
 
     floor_rhs = np.empty(2 * n_eps)
-    for t in range(1, prog.n_floor + 1):
+    for t in range(1, n_c + 1):
         floor_rhs[(t - 1) * n_q: t * n_q] = (
-            flow_sel @ (states[t] + xi_s) - cfg.flow_margin
+            prog.flow_sel @ (states[t] + xi_s) - cfg.flow_margin
         )
     floor_rhs[n_eps:] = 0.0
 
@@ -477,11 +475,11 @@ def mpc_step(coalition, zeta0, setpoint, gain, p_mat, cfg, prepared=None) -> Mpc
     sol = solve_qp(QpProblem(prog.h_mat, f_vec, None, None, ain, bin_), start=start)
     if sol.status == numerics.INFEASIBLE:
         return MpcStep(
-            np.zeros((n_c, m)), np.zeros((prog.n_floor, n_q)),
+            np.zeros((n_c, m)), np.zeros((n_c, n_q)),
             numerics.INFEASIBLE, float("nan"),
         )
     vprime = sol.x[:nu].reshape(n_c, m)
-    eps = sol.x[nu:].reshape(prog.n_floor, n_q)
+    eps = sol.x[nu:].reshape(n_c, n_q)
     return MpcStep(vprime, eps, sol.status, sol.objective)
 
 
@@ -489,30 +487,25 @@ def _feasible_mpc_start(coalition, prog, zeta0, setpoint, cfg):
     """Clamp the pure feedback law into the box and absorb floors into slacks."""
     n_p, n_c, n_q, m = prog.n_p, prog.n_c, prog.n_q, prog.m
     bound = cfg.input_bound
-    flow_sel = coalition.flow_selector()
-    acl = coalition.Xi + coalition.Up @ prog.gain
     u = np.zeros((n_c, m))
     z = zeta0.copy()
     traj = [z]
-    feasible = True
     for t in range(n_p):
         desired = prog.gain @ z + setpoint.u_s
         if t < n_c:
             total = np.clip(desired, -bound, bound)
             u[t] = total - desired
-            z = acl @ z + coalition.Up @ u[t]
+            z = prog.acl @ z + coalition.Up @ u[t]
         else:
             if np.max(np.abs(desired)) > bound + 1e-12:
-                feasible = False
-            z = acl @ z
+                return None
+            z = prog.acl @ z
         traj.append(z)
     if np.max(np.abs(prog.gain @ traj[n_p] + setpoint.u_s)) > bound + 1e-12:
-        feasible = False
-    if not feasible:
         return None
-    eps = np.zeros((prog.n_floor, n_q))
-    for t in range(1, prog.n_floor + 1):
-        flows = flow_sel @ (traj[t] + setpoint.xi_s)
+    eps = np.zeros((n_c, n_q))
+    for t in range(1, n_c + 1):
+        flows = prog.flow_sel @ (traj[t] + setpoint.xi_s)
         eps[t - 1] = np.maximum(0.0, cfg.flow_margin - flows)
     return np.concatenate([u.reshape(-1), eps.reshape(-1)])
 
@@ -546,7 +539,6 @@ class CoalitionController:
     def __init__(self, coalition, gain, p_mat, cfg):
         self.model = coalition
         self.gain = gain
-        self.p_mat = p_mat
         self.cfg = cfg
         self.program = prepare_mpc(coalition, gain, p_mat, cfg)
         self.kf: KalmanState | None = None
@@ -575,8 +567,7 @@ class CoalitionController:
         xi_bar, u_bar = compute_setpoint(model, rho, omega_hat)
         setpoint = feasible_setpoint(model, xi_bar, u_bar, xi_hat, self.gain, self.cfg)
         zeta = xi_hat - setpoint.xi_s
-        step = mpc_step(model, zeta, setpoint, self.gain, self.p_mat, self.cfg,
-                        prepared=self.program)
+        step = mpc_step(model, zeta, setpoint, self.program, self.cfg)
         if step.status == numerics.INFEASIBLE:
             raise RuntimeError(
                 f"MPC infeasible for coalition {model.members}"

@@ -198,15 +198,11 @@ class SimTrace:
 
 
 def _controller_frame_state(subsystems, flows_hist, levels):
-    """Per-subsystem states [q(k-1)..q(k-d), e] from measured flows and levels."""
-    parts = []
-    for sub in subsystems:
-        x = np.empty(sub.n)
-        for j in range(sub.delay):
-            x[j] = flows_hist[j][sub.index - 1]
-        x[sub.delay] = levels[sub.index - 1]
-        parts.append(x)
-    return parts
+    """Chain-ordered state of [q(k-1)..q(k-d), e] per subsystem, from measurements."""
+    return np.concatenate([
+        [flows_hist[j][sub.index - 1] for j in range(sub.delay)] + [levels[sub.index - 1]]
+        for sub in subsystems
+    ])
 
 
 def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
@@ -259,19 +255,16 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     )
 
     def rebuild_controllers(topology):
-        partition = partition_of(topology)
-        gains = synthesize(partition, subs, ctrl_cfg, cache)
         fresh = {}
-        for members in partition:
+        for record in synthesize(partition_of(topology), subs, ctrl_cfg, cache):
+            members = record.model.members
             if members in controllers:
                 fresh[members] = controllers[members]
                 continue
-            model = cache.model(subs, members, partition.blocks)
-            entry = gains.gains_for(members)
-            ctrl = CoalitionController(model, entry.gain, entry.p_mat, ctrl_cfg)
+            ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
             ctrl.warm_start(history)
             fresh[members] = ctrl
-            coal_weights[members] = weight_matrices(model, ctrl_cfg)
+            coal_weights[members] = weight_matrices(record.model, ctrl_cfg)
         controllers.clear()
         controllers.update(fresh)
 
@@ -282,10 +275,10 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             flows_hist.insert(0, flows.copy())
             del flows_hist[max_delay:]
 
+        state = _controller_frame_state(subs, flows_hist, levels)
         if supervision and k % t_lambda == 0:
-            state_parts = _controller_frame_state(subs, flows_hist, levels)
             result = select_topology(
-                state_parts, rho, published, incumbent, cache, subs, ctrl_cfg,
+                state, rho, published, incumbent, cache, subs, ctrl_cfg,
                 t_lambda, global_model=nominal_model,
             )
             trace.supervisor_log.append(
@@ -300,7 +293,6 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             for ctrl in controllers.values():
                 ctrl.advance_filter(prev_u, prev_rho, levels, flows)
 
-        state_parts = _controller_frame_state(subs, flows_hist, levels)
         u_global = np.zeros(n)
         step_logs = []
         perf = 0.0
@@ -316,8 +308,9 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             published.publish(ctrl.model, setpoint)
             step_logs.append(log)
             dec_vars.append(log.n_decision_inputs)
-            xi = np.concatenate([state_parts[s - 1] for s in members])
-            zeta = xi - setpoint.xi_s
+            # partition_of yields contiguous runs, so a coalition's state is one slice
+            off = nominal_model.offsets[members[0]]
+            zeta = state[off:off + ctrl.model.n] - setpoint.xi_s
             nu = u - setpoint.u_s
             q_mat, r_mat = coal_weights[members]
             perf += float(zeta @ q_mat @ zeta + nu @ r_mat @ nu)

@@ -1,11 +1,14 @@
 """Top layer: gain synthesis per coalition and network-topology selection.
 
-For every candidate topology the supervisor synthesizes (or retrieves from
-cache) a decentralized gain set, predicts each coalition's setpoint from the
-most recently published neighbour setpoints, and rolls the candidate's
-decentralized law u = clip(K (xi - xi_bar) + u_bar), K = blockdiag(K_1, ...),
-out on the coupled chain model for H = max(t_lambda, preview_horizon) steps.
-The candidate scores
+A coalition is carried by one CoalitionGains record: its stacked model,
+feedback gain K_i and cost-to-go matrix P_i, with certificates.  For every
+candidate topology the supervisor synthesizes (or retrieves from cache) the
+records of its coalitions in chain order, solves each distinct coalition's
+setpoint once per decision from the most recently published neighbour
+setpoints, and rolls the candidate's decentralized law
+u = clip(K (xi - xi_bar) + u_bar), K = blockdiag(K_1, ...), out on the
+coupled chain model for H = max(t_lambda, preview_horizon) steps.  The
+candidate scores
 
     sum_k ( Q ||e(k) - e*||^2 + R ||u(k)||^2 )  +  sum_i zeta_i' P_i zeta_i
         +  c_link * |links| * t_lambda
@@ -13,15 +16,16 @@ The candidate scores
 where e are the level errors, zeta_i = xi_i(H) - xi*_i, and xi* is the
 global steady state; the minimizer is picked.  Gains come from a
 per-coalition Riccati solve; the resulting (K, P) is checked against the
-closed-loop Lyapunov inequality, so every stored gain set carries an
-explicit certificate.
+closed-loop Lyapunov inequality, so every record carries an explicit
+certificate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .canal import assemble_global, build_coalition_model
+from .canal import CoalitionModel, assemble_global, build_coalition_model
 from .control import ControllerConfig, compute_setpoint, weight_matrices
 from .numerics import (
     RiccatiConvergenceError,
@@ -41,60 +45,40 @@ class SynthesisError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CoalitionGains:
-    """Feedback gain and cost-to-go matrix for one coalition, with certificates."""
+    """One coalition's model, feedback gain and cost-to-go matrix, with certificates."""
 
-    members: tuple
+    model: CoalitionModel
     gain: np.ndarray
     p_mat: np.ndarray
     dare_res: float
     lyap_res: float
 
 
-@dataclass
-class GainSet:
-    """Per-coalition gains for one partition, in block (partition) order."""
-
-    entries: dict  # members tuple -> CoalitionGains
-
-    def gains_for(self, members):
-        return self.entries[tuple(sorted(members))]
-
-    def block_diag_gain(self, coalitions):
-        mats = [self.gains_for(c.members).gain for c in coalitions]
-        n = sum(m.shape[1] for m in mats)
-        rows = sum(m.shape[0] for m in mats)
-        out = np.zeros((rows, n))
-        r0 = c0 = 0
-        for m in mats:
-            out[r0:r0 + m.shape[0], c0:c0 + m.shape[1]] = m
-            r0 += m.shape[0]
-            c0 += m.shape[1]
-        return out
-
-
 class SynthesisCache:
-    """Reusable synthesis results, keyed per coalition.
+    """Reusable synthesis records, keyed per coalition.
 
     Coalitions recur across partitions (a one-link toggle only changes two
     blocks), so caching per coalition rather than per partition maximizes
-    reuse; a cached entry is bit-identical to a fresh synthesis.
+    reuse; a cached record is bit-identical to a fresh synthesis.  Records
+    are keyed by members alone, so a cache serves one reach table and one
+    weighting: the first synthesis binds it to their fingerprint, and a
+    later one with a different fingerprint is refused.
     """
 
     def __init__(self):
-        self._models = {}
-        self._gains = {}
+        self._records = {}
+        self._fingerprint = None
 
-    def model(self, subsystems, members, partition):
-        key = tuple(sorted(members))
-        if key not in self._models:
-            self._models[key] = build_coalition_model(subsystems, key, partition)
-        return self._models[key]
+    def bind(self, fingerprint):
+        if self._fingerprint not in (None, fingerprint):
+            raise ValueError("synthesis cache holds gains of another reach table or weights")
+        self._fingerprint = fingerprint
 
     def gains(self, members):
-        return self._gains.get(tuple(sorted(members)))
+        return self._records.get(tuple(sorted(members)))
 
-    def store(self, members, gains):
-        self._gains[tuple(sorted(members))] = gains
+    def store(self, record):
+        self._records[record.model.members] = record
 
 
 def _synthesize_one(coalition, cfg) -> CoalitionGains:
@@ -116,23 +100,27 @@ def _synthesize_one(coalition, cfg) -> CoalitionGains:
             f"certificate failed for coalition {coalition.members}: "
             f"dare {d_res:.2e}, lyapunov {l_res:.2e}, tol {tol:.2e}"
         )
-    return CoalitionGains(coalition.members, gain, p_mat, d_res, l_res)
+    return CoalitionGains(coalition, gain, p_mat, d_res, l_res)
 
 
-def synthesize(partition: Partition, subsystems, cfg: ControllerConfig, cache=None) -> GainSet:
-    """Gains for every coalition of the partition, certificates verified.
+def synthesize(partition: Partition, subsystems, cfg: ControllerConfig, cache=None) -> list:
+    """One certified CoalitionGains record per block of the partition, in block order.
 
-    Without a cache the coalitions are synthesized in a throwaway one.
+    Gains depend on each subsystem's delay and gain and on the level and
+    input weights; the cache is bound to these by value.  Without a cache
+    the coalitions are synthesized in a throwaway one.
     """
     cache = SynthesisCache() if cache is None else cache
-    entries = {}
+    cache.bind((tuple((sub.delay, sub.gain) for sub in subsystems),
+                cfg.level_weight, cfg.input_weight))
+    records = []
     for members in partition:
-        gains = cache.gains(members)
-        if gains is None:
-            gains = _synthesize_one(cache.model(subsystems, members, partition.blocks), cfg)
-            cache.store(members, gains)
-        entries[members] = gains
-    return GainSet(entries)
+        record = cache.gains(members)
+        if record is None:
+            record = _synthesize_one(build_coalition_model(subsystems, members), cfg)
+            cache.store(record)
+        records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +166,6 @@ def estimate_cross_effects(coalitions, published: PublishedSetpoints):
     return omegas
 
 
-def split_global_state(subsystems, flat):
-    """Per-subsystem views of a flat chain-ordered global state."""
-    return np.split(np.asarray(flat), np.cumsum([sub.n for sub in subsystems])[:-1])
-
-
 @dataclass
 class PreviewContext:
     """What topology_value needs to roll the true model forward.
@@ -199,31 +182,32 @@ class PreviewContext:
     yardstick: np.ndarray       # global steady state xi_bar*
 
 
-def topology_value(per_subsystem_state, candidate, coalitions, gains, setpoints,
-                   setpoint_inputs, c_link, t_lambda, preview: PreviewContext):
+def topology_value(state, candidate, gains, setpoints, c_link, t_lambda,
+                   preview: PreviewContext):
     """Candidate score: predicted shifted-state cost plus priced network usage.
 
     The candidate's decentralized law u = clip(K (xi - xi_bar) + u_bar),
     with K = blockdiag(K_1, ...) and each coalition steering toward its own
-    setpoint, is rolled out on the coupled chain model for
-    max(t_lambda, preview_horizon) steps.  The stage costs and the terminal
-    per-coalition cost-to-go zeta'P zeta are measured against the common
-    global steady state.  Stale boundary targets make the rollout drift away
-    from that steady state, which the score exposes.  The coalitions must be
-    the contiguous blocks of a chain partition in chain order, so that their
-    stacked states are the global state.
+    setpoint, is rolled out on the coupled chain model from the flat
+    chain-ordered `state` for max(t_lambda, preview_horizon) steps.  The
+    stage costs and the terminal per-coalition cost-to-go zeta'P zeta are
+    measured against the common global steady state.  Stale boundary
+    targets make the rollout drift away from that steady state, which the
+    score exposes.  `gains` are the candidate's records in chain order, so
+    that their stacked states are the global state; `setpoints` maps each
+    coalition's members to its (xi_bar, u_bar).
     """
     model = preview.global_model
     cfg = preview.cfg
-    k_mat = gains.block_diag_gain(coalitions)
+    k_mat = block_diag(*[g.gain for g in gains])
     if k_mat.shape != (model.m, model.n):
         raise ValueError(f"block gain {k_mat.shape} does not tile the chain model")
-    xi_bar = np.concatenate(setpoints)
-    u_bar = np.concatenate(setpoint_inputs)
+    xi_bar = np.concatenate([setpoints[g.model.members][0] for g in gains])
+    u_bar = np.concatenate([setpoints[g.model.members][1] for g in gains])
     drift = model.Phi @ preview.rho
     level_rows = model.level_rows()
     star = preview.yardstick
-    xi = np.concatenate(per_subsystem_state)
+    xi = state
 
     total = network_cost_total(candidate, c_link, t_lambda)
     for _ in range(max(t_lambda, cfg.preview_horizon)):
@@ -237,10 +221,10 @@ def topology_value(per_subsystem_state, candidate, coalitions, gains, setpoints,
 
     zeta = xi - star
     start = 0
-    for coal in coalitions:
-        z = zeta[start:start + coal.n]
-        total += float(z @ gains.gains_for(coal.members).p_mat @ z)
-        start += coal.n
+    for g in gains:
+        z = zeta[start:start + g.model.n]
+        total += float(z @ g.p_mat @ z)
+        start += g.model.n
     return total
 
 
@@ -250,33 +234,33 @@ class SelectionResult:
     values: list  # (bit-string, value) per candidate, in evaluation order
 
 
-def candidate_setpoints(partition_coalitions, rho, published):
-    """Step-3/4 setpoints for a partition: boundary estimates, then the
-    zero-level steady state of each coalition."""
-    rho = np.asarray(rho, dtype=float)
-    omegas = estimate_cross_effects(partition_coalitions, published)
-    states = []
-    inputs = []
-    for coal, omega in zip(partition_coalitions, omegas):
-        idx = [s - 1 for s in coal.members]
-        xi_bar, u_bar = compute_setpoint(coal, rho[idx], omega)
-        states.append(xi_bar)
-        inputs.append(u_bar)
-    return states, inputs
+def candidate_setpoints(records, rho, published):
+    """Step-3/4 setpoints of every distinct coalition among the records.
+
+    A coalition's boundary estimate comes from the published data, then its
+    zero-level steady state is solved once, however many candidates share
+    it.  Returns members -> (xi_bar, u_bar).
+    """
+    coalitions = list({g.model.members: g.model for g in records}.values())
+    omegas = estimate_cross_effects(coalitions, published)
+    return {
+        coal.members: compute_setpoint(coal, rho[[s - 1 for s in coal.members]], omega)
+        for coal, omega in zip(coalitions, omegas)
+    }
 
 
-def select_topology(per_subsystem_state, rho, published, incumbent, cache,
+def select_topology(state, rho, published, incumbent, cache,
                     subsystems, cfg: ControllerConfig, t_lambda: int,
                     c_link=None, global_model=None) -> SelectionResult:
     """Evaluate the incumbent and all one-link toggles; return the cheapest.
 
-    Each candidate gets its own boundary estimates and setpoints from the
-    published data, and is scored by rolling its decentralized feedback out
-    on the coupled chain model over the coming interval (topology_value).
-    Ties break toward fewer links, then the lexicographically smallest
-    bit-string.  Candidate evaluations are independent; results only depend
-    on the inputs, never on evaluation order.  Without a cache the gains are
-    synthesized in a throwaway one.
+    Each candidate's coalitions get boundary estimates and setpoints from
+    the published data, and the candidate is scored by rolling its
+    decentralized feedback out on the coupled chain model over the coming
+    interval (topology_value).  Ties break toward fewer links, then the
+    lexicographically smallest bit-string.  Candidate evaluations are
+    independent; results only depend on the inputs, never on evaluation
+    order.  Without a cache the gains are synthesized in a throwaway one.
     """
     if c_link is None:
         c_link = cfg.link_cost
@@ -289,20 +273,15 @@ def select_topology(per_subsystem_state, rho, published, incumbent, cache,
         global_model=global_model, rho=rho, cfg=cfg, yardstick=yardstick
     )
 
+    candidates = candidate_set(incumbent)
+    records = [synthesize(partition_of(cand), subsystems, cfg, cache) for cand in candidates]
+    setpoints = candidate_setpoints([g for gains in records for g in gains], rho, published)
     scored = []
-    for cand in candidate_set(incumbent):
-        partition = partition_of(cand)
-        gains = synthesize(partition, subsystems, cfg, cache)
-        coalitions = [cache.model(subsystems, b, partition.blocks) for b in partition]
-        setpoints, sp_inputs = candidate_setpoints(coalitions, rho, published)
-        value = topology_value(
-            per_subsystem_state, cand, coalitions, gains, setpoints, sp_inputs,
-            c_link, t_lambda, preview,
-        )
+    for cand, gains in zip(candidates, records):
+        value = topology_value(state, cand, gains, setpoints, c_link, t_lambda, preview)
         scored.append((value, cand.n_links, cand.bits(), cand))
     best = min(scored, key=lambda t: (t[0], t[1], t[2]))
-    chosen = best[3]
     return SelectionResult(
-        topology=chosen,
+        topology=best[3],
         values=[(bits, value) for value, _, bits, _ in scored],
     )

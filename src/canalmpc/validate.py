@@ -45,7 +45,7 @@ def _check_block_assembly(cfg):
             if start <= c:
                 blocks.append(tuple(range(start, c + 1)))
             start = c + 1
-        coals = [build_coalition_model(subs, b, blocks) for b in blocks]
+        coals = [build_coalition_model(subs, b) for b in blocks]
         xi = np.zeros((global_model.n, global_model.n))
         row = 0
         offsets = []
@@ -91,12 +91,11 @@ def _check_synthesis_certificates(cfg):
     ]
     worst = 0.0
     for part in partitions:
-        gains = synthesize(part, subs, cfg.controller, cache)
-        for entry in gains.entries.values():
+        for entry in synthesize(part, subs, cfg.controller, cache):
             tol = 1e-8 * (1.0 + np.linalg.norm(entry.p_mat, np.inf))
             worst = max(worst, entry.dare_res / tol, entry.lyap_res / tol)
             if entry.dare_res > tol or entry.lyap_res > tol:
-                return False, f"certificate failed for {entry.members}"
+                return False, f"certificate failed for {entry.model.members}"
     return True, f"worst residual at {worst:.1e} of tolerance"
 
 

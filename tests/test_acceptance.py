@@ -35,7 +35,6 @@ from canalmpc.supervisor import (
     PublishedSetpoints,
     SynthesisCache,
     select_topology,
-    split_global_state,
     synthesize,
 )
 from canalmpc.topology import Partition, Topology, full_topology, partition_of
@@ -170,17 +169,15 @@ def test_07_synthesis_certificates():
         partitions.append(Partition(tuple(blocks)))
     worst = 0.0
     for part in partitions:
-        gains = synthesize(part, CHAIN, CFG, CACHE)
-        for entry in gains.entries.values():
+        for entry in synthesize(part, CHAIN, CFG, CACHE):
             tol = 1e-8 * (1.0 + np.linalg.norm(entry.p_mat, np.inf))
             worst = max(worst, entry.dare_res / tol, entry.lyap_res / tol)
             assert entry.dare_res <= tol and entry.lyap_res <= tol
     glob = assemble_global(CHAIN)
     q_mat, r_mat = weight_matrices(glob, CFG)
     k_ref = scipy_lqr_gain(glob.Xi, glob.Up, q_mat, r_mat)
-    full_gain = synthesize(
-        Partition((tuple(range(1, 14)),)), CHAIN, CFG, CACHE
-    ).gains_for(range(1, 14)).gain
+    (full,) = synthesize(Partition((tuple(range(1, 14)),)), CHAIN, CFG, CACHE)
+    full_gain = full.gain
     gain_err = float(np.max(np.abs(full_gain - k_ref))) / (1.0 + float(np.max(np.abs(k_ref))))
     ok = gain_err <= 1e-8
     assert report(
@@ -241,7 +238,7 @@ def test_10_link_count_monotone_in_cost():
     counts = []
     for c_link in (0.0, 0.15, 0.3, 0.6, 1.2, 2.4):
         result = select_topology(
-            split_global_state(CHAIN, state), offtakes, published, incumbent,
+            state, offtakes, published, incumbent,
             CACHE, CHAIN, CFG, 4, c_link=c_link, global_model=model,
         )
         counts.append(result.topology.n_links)
@@ -250,8 +247,7 @@ def test_10_link_count_monotone_in_cost():
 
 
 def test_11_kalman_convergence_and_warm_start():
-    part1 = tuple((i,) for i in range(1, 14))
-    coal = build_coalition_model(CHAIN, (12,), part1)
+    coal = build_coalition_model(CHAIN, (12,))
     w_true, p12 = 2.0, 1.5
     q12 = p12 + w_true
     x = np.array([q12, q12, 0.0])
@@ -279,8 +275,7 @@ def test_11_kalman_convergence_and_warm_start():
     err50 = abs(kf.xhat[3] - w_true)
 
     # forced topology switch: {12} merges with {11}; warm-start from history
-    part2 = ((11, 12),) + tuple((i,) for i in range(1, 14) if i not in (11, 12))
-    coal2 = build_coalition_model(CHAIN, (11, 12), part2)
+    coal2 = build_coalition_model(CHAIN, (11, 12))
     kf2 = kf_init(coal2, hist, CFG)
     x2 = np.array([3.0, 3.0, 0.0, x[0], x[1], x[2]])
     u2 = np.zeros(2)

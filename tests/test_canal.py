@@ -84,8 +84,7 @@ class TestBuildSubsystem:
 
 class TestCoalitionModel:
     def test_singleton_reach4(self, chain):
-        partition = tuple((i,) for i in range(1, 14))
-        coal = build_coalition_model(chain, (4,), partition)
+        coal = build_coalition_model(chain, (4,))
         sub = chain[3]
         assert np.array_equal(coal.Xi, sub.a)
         assert coal.Psi.shape == (3, 1)
@@ -100,15 +99,9 @@ class TestCoalitionModel:
         assert coal.coupling_sources == ()
 
     def test_first_four_one_channel(self, chain):
-        partition = ((1, 2, 3, 4),) + tuple((i,) for i in range(5, 14))
-        coal = build_coalition_model(chain, (1, 2, 3, 4), partition)
+        coal = build_coalition_model(chain, (1, 2, 3, 4))
         assert coal.n_channels == 1
         assert coal.coupling_sources == (5,)
-
-    def test_member_not_in_partition(self, chain):
-        partition = tuple((i,) for i in range(1, 14))
-        with pytest.raises(ValueError):
-            build_coalition_model(chain, (1, 2), partition)
 
     def test_gamma_selects_levels(self, chain):
         coal = assemble_global(chain)
@@ -119,8 +112,7 @@ class TestCoalitionModel:
         assert np.allclose(coal.gamma @ state, np.arange(1.0, 14.0))
 
     def test_noncontiguous_members(self, chain):
-        partition = ((1, 3), (2,)) + tuple((i,) for i in range(4, 14))
-        coal = build_coalition_model(chain, (1, 3), partition)
+        coal = build_coalition_model(chain, (1, 3))
         # both 1 and 3 couple to external downstream gates 2 and 4
         assert coal.coupling_sources == (2, 4)
         assert coal.n == chain[0].n + chain[2].n
@@ -168,7 +160,7 @@ def test_block_assembly_matches_global(chain, blocks):
     target_xi = global_model.Xi[np.ix_(perm, perm)]
     target_up = global_model.Up[np.ix_(perm, inp)]
 
-    coals = [build_coalition_model(chain, b, blocks) for b in blocks]
+    coals = [build_coalition_model(chain, b) for b in blocks]
     n = sum(c.n for c in coals)
     m = sum(c.m for c in coals)
     xi = np.zeros((n, n))

@@ -25,11 +25,8 @@ CHAIN = build_chain()
 SINGLETONS = tuple((i,) for i in range(1, 14))
 
 
-def make_coalition(members, partition=None):
-    if partition is None:
-        others = tuple((i,) for i in range(1, 14) if i not in members)
-        partition = (tuple(members),) + others
-    return build_coalition_model(CHAIN, members, partition)
+def make_coalition(members):
+    return build_coalition_model(CHAIN, members)
 
 
 def synth(coal, cfg):
@@ -266,14 +263,14 @@ class TestMpcStep:
 
     def test_origin_optimal(self):
         coal = make_coalition((9,))
-        k_gain, p_mat = synth(coal, self.cfg)
+        prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
         sp = Setpoint(
             xi_s=np.array([2.0, 2.0, 0.0]),
             u_s=np.zeros(1),
             sigma=np.zeros(3),
             feasible=True,
         )
-        step = mpc_step(coal, np.zeros(3), sp, k_gain, p_mat, self.cfg)
+        step = mpc_step(coal, np.zeros(3), sp, prog, self.cfg)
         assert step.status == "optimal"
         assert np.allclose(step.vprime, 0.0, atol=1e-9)
         assert np.allclose(step.eps, 0.0, atol=1e-9)
@@ -285,20 +282,20 @@ class TestMpcStep:
     def test_vprime_zero_unconstrained_nc_equals_np(self):
         cfg = ControllerConfig(control_horizon=10, prediction_horizon=10)
         coal = make_coalition((5,))
-        k_gain, p_mat = synth(coal, cfg)
+        prog = prepare_mpc(coal, *synth(coal, cfg), cfg)
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
         zeta = np.array([0.1, -0.05, 0.02])  # small: no constraint activity
-        step = mpc_step(coal, zeta, sp, k_gain, p_mat, cfg)
+        step = mpc_step(coal, zeta, sp, prog, cfg)
         assert step.status == "optimal"
         assert np.linalg.norm(step.vprime, np.inf) <= 1e-6
         assert np.allclose(step.eps, 0.0, atol=1e-9)
 
     def test_vprime_zero_unconstrained_short_horizon(self):
         coal = make_coalition((5,))
-        k_gain, p_mat = synth(coal, self.cfg)
+        prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
         zeta = np.array([0.05, -0.02, 0.01])
-        step = mpc_step(coal, zeta, sp, k_gain, p_mat, self.cfg)
+        step = mpc_step(coal, zeta, sp, prog, self.cfg)
         assert np.linalg.norm(step.vprime, np.inf) <= 1e-6
 
     def test_input_bound_binds_exactly(self):
@@ -308,29 +305,19 @@ class TestMpcStep:
         zeta = np.array([0.0, 0.0, 4.0])  # huge level error
         desired = float(np.max(np.abs(k_gain @ zeta)))
         assert desired > self.cfg.input_bound
-        step = mpc_step(coal, zeta, sp, k_gain, p_mat, self.cfg)
+        prog = prepare_mpc(coal, k_gain, p_mat, self.cfg)
+        step = mpc_step(coal, zeta, sp, prog, self.cfg)
         assert step.status == "optimal"
         u0 = control_action(zeta, sp.u_s, step.vprime, k_gain)
         assert abs(abs(u0[0]) - self.cfg.input_bound) <= 1e-8
 
     def test_slacks_zero_when_floor_clear(self):
         coal = make_coalition((6,))
-        k_gain, p_mat = synth(coal, self.cfg)
+        prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
         sp = Setpoint(np.array([5.0] * 3 + [0.0]), np.zeros(1), np.zeros(4), True)
         zeta = np.array([0.2, 0.1, -0.1, 0.3])
-        step = mpc_step(coal, zeta, sp, k_gain, p_mat, self.cfg)
+        step = mpc_step(coal, zeta, sp, prog, self.cfg)
         assert np.allclose(step.eps, 0.0, atol=1e-10)
-
-    def test_prepared_program_matches_fresh(self):
-        coal = make_coalition((11,))
-        k_gain, p_mat = synth(coal, self.cfg)
-        prog = prepare_mpc(coal, k_gain, p_mat, self.cfg)
-        sp = Setpoint(np.array([2.0, 2.0, 0.0]), np.zeros(1), np.zeros(3), True)
-        zeta = np.array([0.5, -0.3, 0.8])
-        fresh = mpc_step(coal, zeta, sp, k_gain, p_mat, self.cfg)
-        prep = mpc_step(coal, zeta, sp, k_gain, p_mat, self.cfg, prepared=prog)
-        assert np.array_equal(fresh.vprime, prep.vprime)
-        assert np.array_equal(fresh.eps, prep.eps)
 
 
 class TestControlAction:

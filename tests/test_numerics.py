@@ -116,14 +116,12 @@ class TestSolveDare:
         solved = 0
         for first in range(1, n + 1):
             for last in range(first, n + 1):
-                members = tuple(range(first, last + 1))
-                blocks = [tuple(range(1, first)), members, tuple(range(last + 1, n + 1))]
-                coal = build_coalition_model(chain, members, [b for b in blocks if b])
+                coal = build_coalition_model(chain, range(first, last + 1))
                 q, r = weight_matrices(coal, cfg)
                 P = solve_dare(coal.Xi, coal.Up, q, r)
                 ref = scipy_dare(coal.Xi, coal.Up, q, r)
                 err = np.linalg.norm(P - ref, np.inf) / np.linalg.norm(ref, np.inf)
-                assert err <= 1e-10, (members, err)
+                assert err <= 1e-10, (coal.members, err)
                 K = lqr_gain(coal.Xi, coal.Up, r, P)
                 tol = CERT_RTOL * (1.0 + np.linalg.norm(P, np.inf))
                 assert dare_residual(coal.Xi, coal.Up, q, r, P) <= tol

@@ -87,7 +87,7 @@ class TestPlantStep:
         from canalmpc.canal import ReachParams, build_subsystem, build_coalition_model
 
         sub = build_subsystem(ReachParams(1, 1e5, 2), 300.0, is_last=True)
-        model = build_coalition_model([sub], (1,), ((1,),))
+        model = build_coalition_model([sub], (1,))
         state = np.zeros(3)
         levels = []
         for k in range(4):

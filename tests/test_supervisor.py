@@ -1,26 +1,33 @@
 import numpy as np
 import pytest
 
-from canalmpc.canal import assemble_global, build_chain, build_coalition_model, steady_state
-from canalmpc.control import ControllerConfig, weight_matrices
+from canalmpc.canal import (
+    ReachParams,
+    assemble_global,
+    build_chain,
+    build_coalition_model,
+    steady_state,
+)
+from canalmpc.control import ControllerConfig, compute_setpoint, weight_matrices
 from canalmpc.supervisor import (
     PreviewContext,
     PublishedSetpoints,
     SynthesisCache,
     SynthesisError,
+    candidate_setpoints,
     estimate_cross_effects,
     select_topology,
-    split_global_state,
     synthesize,
     topology_value,
 )
-from canalmpc.topology import Partition, Topology, full_topology
+from canalmpc.topology import Partition, Topology, candidate_set, full_topology, partition_of
 
 from oracles import looped_rollout_value, scipy_lqr_gain
 
 CHAIN = build_chain()
 CFG = ControllerConfig()
-FULL_PARTITION = Partition((tuple(range(1, 14)),))
+FULL = tuple(range(1, 14))
+FULL_PARTITION = Partition((FULL,))
 SINGLETON_PARTITION = Partition(tuple((i,) for i in range(1, 14)))
 
 
@@ -34,29 +41,28 @@ class TestSynthesize:
         coal = assemble_global(CHAIN)
         q_mat, r_mat = weight_matrices(coal, CFG)
         k_ref = scipy_lqr_gain(coal.Xi, coal.Up, q_mat, r_mat)
-        entry = full_gains.gains_for(range(1, 14))
+        (entry,) = full_gains
         scale = 1.0 + np.max(np.abs(k_ref))
         assert np.max(np.abs(entry.gain - k_ref)) <= 1e-8 * scale
 
     def test_singletons_block_structure(self):
         gains = synthesize(SINGLETON_PARTITION, CHAIN, CFG)
-        assert len(gains.entries) == 13
-        for i in range(1, 14):
-            entry = gains.gains_for((i,))
+        assert [entry.model.members for entry in gains] == list(SINGLETON_PARTITION)
+        for i, entry in enumerate(gains, start=1):
             n = CHAIN[i - 1].n
             assert entry.gain.shape == (1, n)
             assert entry.p_mat.shape == (n, n)
             assert np.all(np.linalg.eigvalsh(entry.p_mat) > 0)
 
     def test_certificates_hold(self, full_gains):
-        for entry in full_gains.entries.values():
+        for entry in full_gains:
             tol = 1e-8 * (1.0 + np.linalg.norm(entry.p_mat, np.inf))
             assert entry.dare_res <= tol
             assert entry.lyap_res <= tol
 
     def test_full_system_closed_loop_stable(self, full_gains):
         coal = assemble_global(CHAIN)
-        entry = full_gains.gains_for(range(1, 14))
+        (entry,) = full_gains
         acl = coal.Xi + coal.Up @ entry.gain
         assert np.max(np.abs(np.linalg.eigvals(acl))) < 1.0
 
@@ -71,8 +77,7 @@ class TestSynthesize:
                 blocks.append(tuple(range(start, c + 1)))
                 start = c + 1
             blocks = [b for b in blocks if b]
-            gains = synthesize(Partition(tuple(blocks)), CHAIN, CFG, cache)
-            for entry in gains.entries.values():
+            for entry in synthesize(Partition(tuple(blocks)), CHAIN, CFG, cache):
                 tol = 1e-8 * (1.0 + np.linalg.norm(entry.p_mat, np.inf))
                 assert entry.dare_res <= tol and entry.lyap_res <= tol
 
@@ -81,20 +86,48 @@ class TestSynthesize:
         g1 = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
         g2 = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
         g3 = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache=None)
-        for members in g1.entries:
-            assert g1.entries[members] is g2.entries[members]
-            assert np.array_equal(g1.entries[members].gain, g3.entries[members].gain)
-            assert np.array_equal(g1.entries[members].p_mat, g3.entries[members].p_mat)
+        for a, b, c in zip(g1, g2, g3):
+            assert a is b
+            assert np.array_equal(a.gain, c.gain)
+            assert np.array_equal(a.p_mat, c.p_mat)
 
-    def test_block_diag_assembly(self):
-        cache = SynthesisCache()
+    def test_records_tile_the_chain_gain(self):
+        """In block order, the records' gains tile the 13x39 chain gain."""
         part = Partition(((1, 2), (3,)) + tuple((i,) for i in range(4, 14)))
-        gains = synthesize(part, CHAIN, CFG, cache)
-        coalitions = [cache.model(CHAIN, b, part.blocks) for b in part]
-        big_k = gains.block_diag_gain(coalitions)
-        assert big_k.shape == (13, 39)
-        c12 = cache.model(CHAIN, (1, 2), part.blocks)
-        assert np.array_equal(big_k[:2, : c12.n], gains.gains_for((1, 2)).gain)
+        gains = synthesize(part, CHAIN, CFG)
+        assert [entry.model.members for entry in gains] == list(part)
+        chain = assemble_global(CHAIN)
+        rows = [np.arange(39)[chain.member_slice(s)] for e in gains for s in e.model.members]
+        assert np.array_equal(np.concatenate(rows), np.arange(39))
+        for entry in gains:
+            assert entry.gain.shape == (entry.model.m, entry.model.n)
+        assert sum(e.model.m for e in gains) == 13 and sum(e.model.n for e in gains) == 39
+
+
+class TestSynthesisCache:
+    PAIR = Partition(((1, 2),))
+
+    def test_other_reach_table_refused(self):
+        cache = SynthesisCache()
+        synthesize(self.PAIR, build_chain((ReachParams(1, 1e5, 2), ReachParams(2, 1e5, 1))),
+                   CFG, cache)
+        smaller = build_chain((ReachParams(1, 4e4, 2), ReachParams(2, 4e4, 1)))
+        with pytest.raises(ValueError):
+            synthesize(self.PAIR, smaller, CFG, cache)
+
+    def test_other_weights_refused(self):
+        cache = SynthesisCache()
+        synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
+        with pytest.raises(ValueError):
+            synthesize(SINGLETON_PARTITION, CHAIN, ControllerConfig(level_weight=1.0), cache)
+
+    def test_rebuilt_table_accepted(self):
+        """Same reach values and weights, new objects: the cached records are reused."""
+        cache = SynthesisCache()
+        first = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
+        again = synthesize(SINGLETON_PARTITION, build_chain(), ControllerConfig(link_cost=2.0),
+                           cache)
+        assert all(a is b for a, b in zip(first, again))
 
 
 class TestEstimateCrossEffects:
@@ -106,7 +139,7 @@ class TestEstimateCrossEffects:
 
     def test_singleton_reads_downstream_flow(self):
         part = SINGLETON_PARTITION
-        coal = build_coalition_model(CHAIN, (4,), part.blocks)
+        coal = build_coalition_model(CHAIN, (4,))
         published = PublishedSetpoints.bootstrap(np.zeros(13))
         published.flow[4] = 6.5  # subsystem 5
         published.input[4] = 0.25
@@ -116,7 +149,7 @@ class TestEstimateCrossEffects:
     def test_bootstrap_equal_flows(self):
         published = PublishedSetpoints.bootstrap(np.full(13, 5.0))
         coalitions = [
-            build_coalition_model(CHAIN, (i,), SINGLETON_PARTITION.blocks)
+            build_coalition_model(CHAIN, (i,))
             for i in range(1, 14)
         ]
         omegas = estimate_cross_effects(coalitions, published)
@@ -150,18 +183,16 @@ class TestTopologyValue:
     def test_zero_at_setpoint_free_links(self, full_gains):
         state, preview = _steady_preview()
         value = topology_value(
-            split_global_state(CHAIN, state), full_topology(13), [preview.global_model],
-            full_gains, [state.copy()], [np.zeros(13)], c_link=0.0, t_lambda=4,
-            preview=preview,
+            state, full_topology(13), full_gains, {FULL: (state.copy(), np.zeros(13))},
+            c_link=0.0, t_lambda=4, preview=preview,
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_network_term_only(self, full_gains):
         state, preview = _steady_preview()
         value = topology_value(
-            split_global_state(CHAIN, state), full_topology(13), [preview.global_model],
-            full_gains, [state.copy()], [np.zeros(13)], c_link=0.6, t_lambda=4,
-            preview=preview,
+            state, full_topology(13), full_gains, {FULL: (state.copy(), np.zeros(13))},
+            c_link=0.6, t_lambda=4, preview=preview,
         )
         assert value == pytest.approx(28.8)
 
@@ -171,9 +202,8 @@ class TestTopologyValue:
         for _ in range(10):
             state = rng.normal(size=39)
             value = topology_value(
-                split_global_state(CHAIN, state), Topology(13, ()), [preview.global_model],
-                full_gains, [np.zeros(39)], [np.zeros(13)], c_link=0.0, t_lambda=4,
-                preview=preview,
+                state, Topology(13, ()), full_gains, {FULL: (np.zeros(39), np.zeros(13))},
+                c_link=0.0, t_lambda=4, preview=preview,
             )
             assert value >= 0.0
 
@@ -185,21 +215,20 @@ class TestTopologyValue:
         model = preview.global_model
         for part in _contiguous_partitions(rng, 7):
             gains = synthesize(part, CHAIN, CFG, cache)
-            coalitions = [cache.model(CHAIN, b, part.blocks) for b in part]
             blocks = []
-            for coal in coalitions:
+            setpoints = {}
+            for entry in gains:
+                coal = entry.model
                 rows = np.concatenate([np.arange(39)[model.member_slice(s)] for s in coal.members])
-                entry = gains.gains_for(coal.members)
                 xi_bar = steady[rows] + rng.normal(scale=0.1, size=coal.n)
                 u_bar = rng.uniform(-0.3, 0.3, size=coal.m)
                 cols = [s - 1 for s in coal.members]
                 blocks.append((rows, cols, entry.gain, entry.p_mat, xi_bar, u_bar))
+                setpoints[coal.members] = (xi_bar, u_bar)
             xi0 = steady + rng.normal(scale=5.0, size=39)
             candidate = Topology(13, {s for b in part for s in b[:-1]})
             value = topology_value(
-                split_global_state(CHAIN, xi0), candidate, coalitions, gains,
-                [b[4] for b in blocks], [b[5] for b in blocks], c_link=0.6, t_lambda=4,
-                preview=preview,
+                xi0, candidate, gains, setpoints, c_link=0.6, t_lambda=4, preview=preview,
             )
             expected, clipped = looped_rollout_value(
                 xi0, blocks, model.Xi, model.Up, model.Phi @ preview.rho, steady,
@@ -214,7 +243,7 @@ class TestTopologyValue:
         """zeta'P zeta equals the accumulated unconstrained LQ cost within 1%."""
         coal = assemble_global(CHAIN)
         q_mat, r_mat = weight_matrices(coal, CFG)
-        entry = full_gains.gains_for(range(1, 14))
+        (entry,) = full_gains
         acl = coal.Xi + coal.Up @ entry.gain
         rng = np.random.default_rng(3)
         zeta = rng.normal(size=39) * 0.1
@@ -237,7 +266,22 @@ def _disturbed_setup():
     state[level_rows[8]] = 0.35   # reaches 9 and 10 disturbed
     state[level_rows[9]] = 0.30
     published = PublishedSetpoints.bootstrap(flows)
-    return split_global_state(CHAIN, state), offtakes, published
+    return state, offtakes, published
+
+
+def test_candidate_setpoints_once_per_distinct_coalition():
+    """Singletons plus the twelve one-link merges: 25 distinct coalitions."""
+    state, rho, published = _disturbed_setup()
+    cache = SynthesisCache()
+    records = [synthesize(partition_of(cand), CHAIN, CFG, cache)
+               for cand in candidate_set(Topology(13, ()))]
+    setpoints = candidate_setpoints([g for gains in records for g in gains], rho, published)
+    assert len(setpoints) == 25
+    pair = build_coalition_model(CHAIN, (4, 5))
+    (omega,) = estimate_cross_effects([pair], published)
+    xi_bar, u_bar = compute_setpoint(pair, rho[[3, 4]], omega)
+    assert np.array_equal(setpoints[(4, 5)][0], xi_bar)
+    assert np.array_equal(setpoints[(4, 5)][1], u_bar)
 
 
 class TestSelectTopology:
