@@ -8,6 +8,7 @@ from .canal import build_chain, steady_state
 from .io import (
     ConfigError,
     builtin_config,
+    check_run_config,
     emit_plot_data,
     load_config,
     scenario_by_name,
@@ -74,7 +75,7 @@ def _materialize(args):
         cfg.t_lambda = args.tlambda
     if args.mismatch is not None:
         cfg.plant = PlantConfig.with_mismatch(args.mismatch, len(cfg.reaches))
-    return cfg
+    return check_run_config(cfg)
 
 
 def _run_one(cfg, centralized, cache):

@@ -180,20 +180,36 @@ def parse_config(doc: dict) -> RunConfig:
     doc = _section(doc, "top level", _fields(RunConfig))
     defaults = RunConfig()
     reaches = _parse_reaches(doc["reaches"]) if "reaches" in doc else DEZ_REACHES
-    t_lambda = _optional(doc, "t_lambda", _integer, "top level", defaults.t_lambda)
-    if t_lambda < 1:
-        raise ConfigError("top level.t_lambda: must be at least 1")
-    return RunConfig(
+    return check_run_config(RunConfig(
         reaches=reaches,
         controller=_parse_controller(doc.get("controller", {})),
         scenario=_parse_scenario(doc["scenario"], len(reaches)) if "scenario" in doc else None,
         plant=_parse_plant(doc.get("plant", {}), len(reaches)),
-        t_lambda=t_lambda,
+        t_lambda=_optional(doc, "t_lambda", _integer, "top level", defaults.t_lambda),
         c_link_sweep=_optional(doc, "c_link_sweep", _list_of(float), "top level",
                                defaults.c_link_sweep),
         output_dir=_optional(doc, "output_dir", str, "top level", defaults.output_dir),
         seed=_optional(doc, "seed", _integer, "top level", defaults.seed),
-    )
+    ))
+
+
+def check_run_config(cfg: RunConfig) -> RunConfig:
+    """Check the fields a run divides or prices by; a ConfigError names the field.
+
+    Parsed documents and configurations with command-line overrides both
+    pass here, so neither reaches the closed loop with a supervisory
+    interval below 1 or a negative or non-finite link price.
+    """
+    if cfg.t_lambda < 1:
+        raise ConfigError(f"t_lambda: must be at least 1, got {cfg.t_lambda}")
+    if not 0.0 <= cfg.controller.link_cost < np.inf:
+        raise ConfigError(
+            f"controller.link_cost: must be finite and nonnegative, got {cfg.controller.link_cost}"
+        )
+    bad = [c for c in cfg.c_link_sweep if not 0.0 <= c < np.inf]
+    if bad:
+        raise ConfigError(f"c_link_sweep: entries must be finite and nonnegative, got {bad}")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -1,14 +1,14 @@
 """Top layer: gain synthesis per coalition and network-topology selection.
 
 A coalition is carried by one CoalitionGains record: its stacked model,
-feedback gain K_i and cost-to-go matrix P_i, with certificates.  For every
-candidate topology the supervisor synthesizes (or retrieves from cache) the
-records of its coalitions in chain order, solves each distinct coalition's
-setpoint once per decision from the most recently published neighbour
-setpoints, and rolls the candidate's decentralized law
-u = clip(K (xi - xi_bar) + u_bar), K = blockdiag(K_1, ...), out on the
-coupled chain model for H = max(t_lambda, preview_horizon) steps.  The
-candidate scores
+feedback gain K_i and cost-to-go matrix P_i, with certificates.  At each
+decision the supervisor synthesizes (or retrieves from cache) the records
+of every candidate topology's coalitions in chain order, and solves each
+distinct coalition's setpoint once from the most recently published
+neighbour setpoints.  All candidates are then rolled out together on the
+coupled chain model for H = max(t_lambda, preview_horizon) steps, each
+under its own decentralized law u = clip(K (xi - xi_bar) + u_bar),
+K = blockdiag(K_1, ...).  A candidate scores
 
     sum_k ( Q ||e(k) - e*||^2 + R ||u(k)||^2 )  +  sum_i zeta_i' P_i zeta_i
         +  c_link * |links| * t_lambda
@@ -23,7 +23,6 @@ certificate.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .canal import CoalitionModel, assemble_global, build_coalition_model
 from .control import ControllerConfig, compute_setpoint, weight_matrices
@@ -182,56 +181,72 @@ class PreviewContext:
     yardstick: np.ndarray       # global steady state xi_bar*
 
 
-def topology_value(state, candidate, gains, setpoints, c_link, t_lambda,
+def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
                    preview: PreviewContext):
-    """Candidate score: predicted shifted-state cost plus priced network usage.
+    """Scores of all candidates: predicted shifted-state cost plus priced network usage.
 
-    The candidate's decentralized law u = clip(K (xi - xi_bar) + u_bar),
-    with K = blockdiag(K_1, ...) and each coalition steering toward its own
-    setpoint, is rolled out on the coupled chain model from the flat
+    Candidate c's decentralized law u = clip(K_c (xi - xi_bar_c) + u_bar_c),
+    with K_c = blockdiag(K_1, ...) and each coalition steering toward its
+    own setpoint, is rolled out on the coupled chain model from the flat
     chain-ordered `state` for max(t_lambda, preview_horizon) steps.  The
-    stage costs and the terminal per-coalition cost-to-go zeta'P zeta are
-    measured against the common global steady state.  Stale boundary
-    targets make the rollout drift away from that steady state, which the
-    score exposes.  `gains` are the candidate's records in chain order, so
-    that their stacked states are the global state; `setpoints` maps each
-    coalition's members to its (xi_bar, u_bar).
+    candidates are rolled out together: row c of the (C x n) batched state
+    is candidate c's own rollout, and each step is one batched product,
+    clip and model update.  The stage costs and the terminal per-coalition
+    cost-to-go zeta'P zeta are measured against the common global steady
+    state.  Stale boundary targets make a rollout drift away from that
+    steady state, which the score exposes.  `records[c]` are candidate c's
+    CoalitionGains in chain order, so that their stacked states are the
+    global state; `setpoints` maps each coalition's members to its
+    (xi_bar, u_bar).  Returns one score per candidate.
     """
     model = preview.global_model
     cfg = preview.cfg
-    k_mat = block_diag(*[g.gain for g in gains])
-    if k_mat.shape != (model.m, model.n):
-        raise ValueError(f"block gain {k_mat.shape} does not tile the chain model")
-    xi_bar = np.concatenate([setpoints[g.model.members][0] for g in gains])
-    u_bar = np.concatenate([setpoints[g.model.members][1] for g in gains])
+    n_cand = len(records)
+    k_t = np.zeros((n_cand, model.n, model.m))      # K_c transposed, block-diagonal
+    xi_bar = np.empty((n_cand, model.n))
+    u_bar = np.empty((n_cand, model.m))
+    for c, (cand, gains) in enumerate(zip(candidates, records)):
+        if (sum(g.model.n for g in gains), sum(g.model.m for g in gains)) != (model.n, model.m):
+            raise ValueError(f"gains of candidate {cand.bits()} do not tile the chain model")
+        row = col = 0
+        for g in gains:
+            rows, cols = slice(row, row + g.model.n), slice(col, col + g.model.m)
+            k_t[c, rows, cols] = g.gain.T
+            xi_bar[c, rows], u_bar[c, cols] = setpoints[g.model.members]
+            row, col = rows.stop, cols.stop
+
+    steps = max(t_lambda, cfg.preview_horizon)
+    xi = np.empty((steps + 1, n_cand, model.n))     # xi[k, c]: candidate c's state at step k
+    u = np.empty((steps, n_cand, model.m))
+    xi[0] = state
+    xi_t, up_t = model.Xi.T, model.Up.T
     drift = model.Phi @ preview.rho
+    for k in range(steps):
+        np.clip(np.matmul((xi[k] - xi_bar)[:, None, :], k_t)[:, 0, :] + u_bar,
+                -cfg.input_bound, cfg.input_bound, out=u[k])
+        xi[k + 1] = xi[k] @ xi_t + u[k] @ up_t + drift
+
     level_rows = model.level_rows()
     star = preview.yardstick
-    xi = state
-
-    total = network_cost_total(candidate, c_link, t_lambda)
-    for _ in range(max(t_lambda, cfg.preview_horizon)):
-        u = np.clip(k_mat @ (xi - xi_bar) + u_bar, -cfg.input_bound, cfg.input_bound)
-        dev = xi - star
-        total += float(
-            cfg.level_weight * np.sum(dev[level_rows] ** 2)
-            + cfg.input_weight * np.sum(u ** 2)
-        )
-        xi = model.Xi @ xi + model.Up @ u + drift
-
-    zeta = xi - star
-    start = 0
-    for g in gains:
-        z = zeta[start:start + g.model.n]
-        total += float(z @ g.p_mat @ z)
-        start += g.model.n
+    dev = xi[:steps, :, level_rows] - star[level_rows]
+    stage = (cfg.level_weight * np.sum(dev ** 2, axis=2)
+             + cfg.input_weight * np.sum(u ** 2, axis=2))
+    total = np.array([network_cost_total(cand, c_link, t_lambda) for cand in candidates])
+    total += stage.sum(axis=0)
+    zeta = xi[steps] - star
+    for c, gains in enumerate(records):
+        row = 0
+        for g in gains:
+            z = zeta[c, row:row + g.model.n]
+            total[c] += z @ g.p_mat @ z
+            row += g.model.n
     return total
 
 
 @dataclass
 class SelectionResult:
     topology: Topology
-    values: list  # (bit-string, value) per candidate, in evaluation order
+    values: list  # (bit-string, value) per candidate, in candidate_set order
 
 
 def candidate_setpoints(records, rho, published):
@@ -255,12 +270,15 @@ def select_topology(state, rho, published, incumbent, cache,
     """Evaluate the incumbent and all one-link toggles; return the cheapest.
 
     Each candidate's coalitions get boundary estimates and setpoints from
-    the published data, and the candidate is scored by rolling its
-    decentralized feedback out on the coupled chain model over the coming
-    interval (topology_value).  Ties break toward fewer links, then the
-    lexicographically smallest bit-string.  Candidate evaluations are
-    independent; results only depend on the inputs, never on evaluation
-    order.  Without a cache the gains are synthesized in a throwaway one.
+    the published data, and all candidates are scored in one batched
+    rollout of their decentralized feedback on the coupled chain model over
+    the coming interval (topology_value).  Each row of the batch is its
+    candidate's own rollout: rows share only the model and the starting
+    state, so a candidate scores the same, up to round-off, whichever
+    others are scored with it.  Ties break toward fewer links, then the
+    lexicographically smallest bit-string.  `values` lists (bit-string,
+    score) in candidate_set order.  Without a cache the gains are
+    synthesized in a throwaway one.
     """
     if c_link is None:
         c_link = cfg.link_cost
@@ -276,10 +294,9 @@ def select_topology(state, rho, published, incumbent, cache,
     candidates = candidate_set(incumbent)
     records = [synthesize(partition_of(cand), subsystems, cfg, cache) for cand in candidates]
     setpoints = candidate_setpoints([g for gains in records for g in gains], rho, published)
-    scored = []
-    for cand, gains in zip(candidates, records):
-        value = topology_value(state, cand, gains, setpoints, c_link, t_lambda, preview)
-        scored.append((value, cand.n_links, cand.bits(), cand))
+    values = topology_value(state, candidates, records, setpoints, c_link, t_lambda, preview)
+    scored = [(float(value), cand.n_links, cand.bits(), cand)
+              for value, cand in zip(values, candidates)]
     best = min(scored, key=lambda t: (t[0], t[1], t[2]))
     return SelectionResult(
         topology=best[3],

@@ -91,6 +91,30 @@ class TestCli:
         assert rc == 2
         assert "configuration error: plant.surface_factors" in capsys.readouterr().err
 
+    def test_zero_tlambda_override_refused(self, tmp_path, capsys):
+        cfg = mini_config(tmp_path)
+        rc = main(["run", "--config", str(cfg), "--tlambda", "0"])
+        assert rc == 2
+        assert "configuration error: t_lambda" in capsys.readouterr().err
+
+    def test_negative_clink_override_refused(self, tmp_path, capsys):
+        cfg = mini_config(tmp_path)
+        rc = main(["run", "--config", str(cfg), "--clink", "-1"])
+        assert rc == 2
+        assert "configuration error: controller.link_cost" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_sweep_entry_refused_before_any_result(self, tmp_path, capsys):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["c_link_sweep"] = [0.0, 0.3, -0.3]
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["sweep", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error: c_link_sweep" in captured.err
+        assert captured.out == ""
+
     def test_mismatch_flag(self, tmp_path):
         cfg = mini_config(tmp_path, horizon=12)
         rc = main(["run", "--config", str(cfg), "--mismatch", "0.2"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from canalmpc import supervisor
 from canalmpc.canal import (
     ReachParams,
     assemble_global,
@@ -179,19 +180,37 @@ def _contiguous_partitions(rng, count):
     return parts
 
 
+def _random_setpoints(rng, steady, preview, records):
+    """Random (xi_bar, u_bar) per distinct coalition, and its oracle blocks per record list."""
+    model = preview.global_model
+    setpoints = {}
+    blocks = []
+    for gains in records:
+        blocks.append([])
+        for entry in gains:
+            coal = entry.model
+            rows = np.concatenate([np.arange(39)[model.member_slice(s)] for s in coal.members])
+            if coal.members not in setpoints:
+                setpoints[coal.members] = (steady[rows] + rng.normal(scale=0.1, size=coal.n),
+                                           rng.uniform(-0.3, 0.3, size=coal.m))
+            cols = [s - 1 for s in coal.members]
+            blocks[-1].append((rows, cols, entry.gain, entry.p_mat) + setpoints[coal.members])
+    return setpoints, blocks
+
+
 class TestTopologyValue:
     def test_zero_at_setpoint_free_links(self, full_gains):
         state, preview = _steady_preview()
-        value = topology_value(
-            state, full_topology(13), full_gains, {FULL: (state.copy(), np.zeros(13))},
+        (value,) = topology_value(
+            state, [full_topology(13)], [full_gains], {FULL: (state.copy(), np.zeros(13))},
             c_link=0.0, t_lambda=4, preview=preview,
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_network_term_only(self, full_gains):
         state, preview = _steady_preview()
-        value = topology_value(
-            state, full_topology(13), full_gains, {FULL: (state.copy(), np.zeros(13))},
+        (value,) = topology_value(
+            state, [full_topology(13)], [full_gains], {FULL: (state.copy(), np.zeros(13))},
             c_link=0.6, t_lambda=4, preview=preview,
         )
         assert value == pytest.approx(28.8)
@@ -201,43 +220,60 @@ class TestTopologyValue:
         _, preview = _steady_preview()
         for _ in range(10):
             state = rng.normal(size=39)
-            value = topology_value(
-                state, Topology(13, ()), full_gains, {FULL: (np.zeros(39), np.zeros(13))},
+            (value,) = topology_value(
+                state, [Topology(13, ())], [full_gains], {FULL: (np.zeros(39), np.zeros(13))},
                 c_link=0.0, t_lambda=4, preview=preview,
             )
             assert value >= 0.0
 
     def test_matches_per_coalition_loop_oracle(self):
-        """The block-diagonal rollout equals the per-coalition loop form."""
+        """Each row of one batched rollout equals the per-coalition loop form."""
         rng = np.random.default_rng(6)
         cache = SynthesisCache()
         steady, preview = _steady_preview()
         model = preview.global_model
-        for part in _contiguous_partitions(rng, 7):
-            gains = synthesize(part, CHAIN, CFG, cache)
-            blocks = []
-            setpoints = {}
-            for entry in gains:
-                coal = entry.model
-                rows = np.concatenate([np.arange(39)[model.member_slice(s)] for s in coal.members])
-                xi_bar = steady[rows] + rng.normal(scale=0.1, size=coal.n)
-                u_bar = rng.uniform(-0.3, 0.3, size=coal.m)
-                cols = [s - 1 for s in coal.members]
-                blocks.append((rows, cols, entry.gain, entry.p_mat, xi_bar, u_bar))
-                setpoints[coal.members] = (xi_bar, u_bar)
-            xi0 = steady + rng.normal(scale=5.0, size=39)
-            candidate = Topology(13, {s for b in part for s in b[:-1]})
-            value = topology_value(
-                xi0, candidate, gains, setpoints, c_link=0.6, t_lambda=4, preview=preview,
-            )
+        parts = _contiguous_partitions(rng, 7)
+        candidates = [Topology(13, {s for b in part for s in b[:-1]}) for part in parts]
+        records = [synthesize(part, CHAIN, CFG, cache) for part in parts]
+        setpoints, blocks = _random_setpoints(rng, steady, preview, records)
+        xi0 = steady + rng.normal(scale=5.0, size=39)
+        values = topology_value(
+            xi0, candidates, records, setpoints, c_link=0.6, t_lambda=4, preview=preview,
+        )
+        assert values.shape == (7,)
+        for value, candidate, candidate_blocks in zip(values, candidates, blocks):
             expected, clipped = looped_rollout_value(
-                xi0, blocks, model.Xi, model.Up, model.Phi @ preview.rho, steady,
+                xi0, candidate_blocks, model.Xi, model.Up, model.Phi @ preview.rho, steady,
                 model.level_rows(), CFG.level_weight, CFG.input_weight, CFG.input_bound,
                 CFG.preview_horizon,
             )
             expected += 0.6 * candidate.n_links * 4
             assert clipped > 0
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_alone_equals_row_of_batch(self):
+        """A candidate scored alone equals its row among all 13 candidates."""
+        rng = np.random.default_rng(8)
+        steady, preview = _steady_preview()
+        candidates = candidate_set(Topology(13, {2, 3, 7, 11}))
+        records = [synthesize(partition_of(cand), CHAIN, CFG) for cand in candidates]
+        setpoints, _ = _random_setpoints(rng, steady, preview, records)
+        xi0 = steady + rng.normal(scale=1.0, size=39)
+        batch = topology_value(xi0, candidates, records, setpoints, 0.6, 4, preview)
+        assert batch.shape == (13,)
+        for c, (cand, gains) in enumerate(zip(candidates, records)):
+            (alone,) = topology_value(xi0, [cand], [gains], setpoints, 0.6, 4, preview)
+            assert alone == pytest.approx(batch[c], rel=1e-12, abs=0.0)
+
+    def test_records_not_tiling_the_chain_refused(self, full_gains):
+        """A record list missing one block is named by its candidate's bit-string."""
+        state, preview = _steady_preview()
+        singles = synthesize(SINGLETON_PARTITION, CHAIN, CFG)
+        setpoints = {FULL: (state.copy(), np.zeros(13))}
+        setpoints.update({g.model.members: (np.zeros(g.model.n), np.zeros(1)) for g in singles})
+        with pytest.raises(ValueError, match="candidate 000000000000 "):
+            topology_value(state, [full_topology(13), Topology(13, ())],
+                           [full_gains, singles[:-1]], setpoints, 0.6, 4, preview)
 
     def test_full_partition_cost_to_go_matches_simulation(self, full_gains):
         """zeta'P zeta equals the accumulated unconstrained LQ cost within 1%."""
@@ -323,6 +359,17 @@ class TestSelectTopology:
         best_value = min(v for _, v in result.values)
         incumbent_value = dict(result.values)[incumbent.bits()]
         assert best_value <= incumbent_value
+
+    def test_equal_scores_break_toward_fewer_links_then_smallest_bits(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "topology_value",
+                            lambda state, candidates, *rest: np.full(len(candidates), 5.0))
+        state, rho, published = _disturbed_setup()
+        incumbent = Topology(13, {3, 7})
+        result = select_topology(state, rho, published, incumbent, SynthesisCache(),
+                                 CHAIN, CFG, 4)
+        assert result.topology == Topology(13, {7})
+        assert [bits for bits, _ in result.values] == [c.bits() for c in candidate_set(incumbent)]
+        assert all(type(value) is float and value == 5.0 for _, value in result.values)
 
     def test_link_count_monotone_in_cost(self):
         state, rho, published = _disturbed_setup()
