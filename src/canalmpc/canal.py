@@ -14,8 +14,11 @@ downstream discharge is not manipulated.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .numerics import LuFactor, SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,24 @@ class CoalitionModel:
         sel = np.zeros((len(rows), self.n))
         sel[np.arange(len(rows)), rows] = 1.0
         return sel
+
+    @cached_property
+    def setpoint_factor(self) -> LuFactor:
+        """LU factor of [[I - Xi, -Up], [gamma, 0]], the setpoint system; built on first use.
+
+        Raises SingularMatrixError naming the members when it is singular.
+        """
+        n, m = self.n, self.m
+        lhs = np.zeros((n + m, n + m))
+        lhs[:n, :n] = np.eye(n) - self.Xi
+        lhs[:n, n:] = -self.Up
+        lhs[n:, :n] = self.gamma
+        try:
+            return LuFactor(lhs)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"setpoint system singular for coalition {self.members}"
+            ) from exc
 
     def coupling_matrices(self, other):
         """(Xi_ij, Up_ij) expressing this coalition's dependence on `other`.

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics
 from .canal import CoalitionModel
-from .numerics import QpProblem, solve_linear, solve_qp
+from .numerics import QpProblem, QpStructure, solve_linear, solve_qp
 
 
 @dataclass
@@ -131,13 +131,25 @@ class HistoryBuffer:
         return iter(self._items)
 
 
-def _augmented_matrices(coalition, cfg):
+@dataclass(frozen=True, eq=False)
+class KalmanModel:
+    """A coalition's filter matrices on [xi; w], built once per controller."""
+
+    coalition: CoalitionModel
+    f_mat: np.ndarray
+    c_mat: np.ndarray   # measured: member level errors and gate flows
+    w_mat: np.ndarray
+    v_mat: np.ndarray
+    prior: np.ndarray   # diagonal of the warm-start prior covariance
+
+
+def kalman_model(coalition, cfg) -> KalmanModel:
+    """Build a coalition's augmented filter matrices from the config's noise settings."""
     n, r = coalition.n, coalition.n_channels
     f_mat = np.zeros((n + r, n + r))
     f_mat[:n, :n] = coalition.Xi
     f_mat[:n, n:] = coalition.Psi
     f_mat[n:, n:] = np.eye(r)
-    # Measured: member level errors and gate flows.
     c_mat = np.zeros((2 * coalition.m, n + r))
     c_mat[: coalition.m, :n] = coalition.gamma
     c_mat[coalition.m:, :n] = coalition.gate_flow_selector()
@@ -146,7 +158,11 @@ def _augmented_matrices(coalition, cfg):
     w_diag[coalition.level_rows()] = cfg.kf_level_process_noise
     w_diag[n:] = cfg.kf_omega_process_noise
     v_mat = cfg.kf_measurement_noise * np.eye(2 * coalition.m)
-    return f_mat, c_mat, np.diag(w_diag), v_mat
+    prior = np.empty(n + r)
+    prior[:n] = cfg.kf_prior_flow
+    prior[coalition.level_rows()] = cfg.kf_prior_level
+    prior[n:] = cfg.kf_prior_omega
+    return KalmanModel(coalition, f_mat, c_mat, np.diag(w_diag), v_mat, prior)
 
 
 def _measurement(coalition, levels, flows):
@@ -155,17 +171,17 @@ def _measurement(coalition, levels, flows):
     return np.concatenate([np.asarray(levels)[idx], np.asarray(flows)[idx]])
 
 
-def _kf_predict(coalition, kf, u, rho, cfg):
-    f_mat, _, w_mat, _ = _augmented_matrices(coalition, cfg)
+def _kf_predict(filt, kf, u, rho):
+    coalition, f_mat = filt.coalition, filt.f_mat
     n = coalition.n
     xhat = f_mat @ kf.xhat
     xhat[:n] += coalition.Up @ u + coalition.Phi @ rho
-    cov = f_mat @ kf.cov @ f_mat.T + w_mat
+    cov = f_mat @ kf.cov @ f_mat.T + filt.w_mat
     return KalmanState(xhat, 0.5 * (cov + cov.T))
 
 
-def _kf_correct(coalition, kf, y, cfg):
-    _, c_mat, _, v_mat = _augmented_matrices(coalition, cfg)
+def _kf_correct(filt, kf, y):
+    c_mat, v_mat = filt.c_mat, filt.v_mat
     s_mat = c_mat @ kf.cov @ c_mat.T + v_mat
     try:
         gain = solve_linear(s_mat, c_mat @ kf.cov).T
@@ -179,14 +195,14 @@ def _kf_correct(coalition, kf, y, cfg):
     return KalmanState(xhat, 0.5 * (cov + cov.T))
 
 
-def kf_update(coalition, kf, u_applied, rho, y, cfg) -> KalmanState:
+def kf_update(filt: KalmanModel, kf, u_applied, rho, y) -> KalmanState:
     """One predict/correct cycle: state advances under (u, rho), then y lands."""
-    if y.shape[0] != 2 * coalition.m:
+    if y.shape[0] != 2 * filt.coalition.m:
         raise ValueError("measurement dimension mismatch")
-    return _kf_correct(coalition, _kf_predict(coalition, kf, u_applied, rho, cfg), y, cfg)
+    return _kf_correct(filt, _kf_predict(filt, kf, u_applied, rho), y)
 
 
-def kf_init(coalition, history: HistoryBuffer, cfg) -> KalmanState:
+def kf_init(filt: KalmanModel, history: HistoryBuffer) -> KalmanState:
     """Warm-start a coalition filter by replaying the shared history buffer.
 
     The prior is a steady state consistent with the oldest sample: flow
@@ -200,6 +216,7 @@ def kf_init(coalition, history: HistoryBuffer, cfg) -> KalmanState:
     if len(history) < 1:
         raise ValueError("history must hold at least one sample")
     samples = list(history)
+    coalition = filt.coalition
     n, r = coalition.n, coalition.n_channels
     idx = [s - 1 for s in coalition.members]
     first = samples[0]
@@ -212,16 +229,12 @@ def kf_init(coalition, history: HistoryBuffer, cfg) -> KalmanState:
     for c, source in enumerate(coalition.coupling_sources):
         attached = source - 1
         xhat[n + c] = first.flows[attached - 1] - first.offtakes[attached - 1]
-    prior = np.empty(n + r)
-    prior[:n] = cfg.kf_prior_flow
-    prior[coalition.level_rows()] = cfg.kf_prior_level
-    prior[n:] = cfg.kf_prior_omega
-    kf = KalmanState(xhat, np.diag(prior))
+    kf = KalmanState(xhat, np.diag(filt.prior))
 
-    kf = _kf_correct(coalition, kf, _measurement(coalition, first.levels, first.flows), cfg)
+    kf = _kf_correct(filt, kf, _measurement(coalition, first.levels, first.flows))
     for prev, cur in zip(samples, samples[1:]):
-        kf = _kf_predict(coalition, kf, prev.inputs[idx], prev.offtakes[idx], cfg)
-        kf = _kf_correct(coalition, kf, _measurement(coalition, cur.levels, cur.flows), cfg)
+        kf = _kf_predict(filt, kf, prev.inputs[idx], prev.offtakes[idx])
+        kf = _kf_correct(filt, kf, _measurement(coalition, cur.levels, cur.flows))
     return kf
 
 
@@ -244,77 +257,97 @@ def compute_setpoint(coalition, rho, omega):
     """Steady state with zero level errors compensating offtakes and omega.
 
     Solves the square linear system stacking (I - Xi) xi - Up u = Phi rho +
-    Psi omega with gamma xi = 0.
+    Psi omega with gamma xi = 0 against the coalition's cached factor
+    (CoalitionModel.setpoint_factor).  A non-finite rho or omega raises
+    ValueError.
     """
     n, m = coalition.n, coalition.m
     rho = np.asarray(rho, dtype=float).reshape(m)
     omega = np.asarray(omega, dtype=float).reshape(coalition.n_channels)
-    lhs = np.zeros((n + m, n + m))
-    lhs[:n, :n] = np.eye(n) - coalition.Xi
-    lhs[:n, n:] = -coalition.Up
-    lhs[n:, :n] = coalition.gamma
     rhs = np.concatenate([coalition.Phi @ rho + coalition.Psi @ omega, np.zeros(m)])
-    try:
-        sol = solve_linear(lhs, rhs)
-    except numerics.SingularMatrixError as exc:
-        raise numerics.SingularMatrixError(
-            f"setpoint system singular for coalition {coalition.members}"
-        ) from exc
+    sol = coalition.setpoint_factor.solve(rhs)
     return sol[:n], sol[n:]
 
 
-def feasible_setpoint(coalition, xi_bar, u_bar, xi_k, gain, cfg) -> Setpoint:
-    """Project the ideal setpoint onto the constraints (nearest feasible).
+@dataclass(frozen=True, eq=False)
+class SetpointProgram:
+    """State-independent parts of one coalition's setpoint projection QP.
 
-    Minimizes (u_s - u_bar)' R (u_s - u_bar) + xi_s' Q xi_s + sigma' G sigma
-    subject to the slacked steady-state equality, the flow floor on every
-    flow section, and the input box evaluated at the current state.
+    Over (xi_s, u_s, sigma), H, Aeq and Ain depend only on the coalition,
+    its gain and the weights; a projection fills in f, beq, bin and the
+    start.
     """
+
+    coalition: CoalitionModel
+    gain: np.ndarray
+    i_minus_xi: np.ndarray      # I - Xi
+    r2: np.ndarray              # 2 R, the u_s block of H
+    flow_rows: list
+    qp: QpStructure
+
+
+def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
+    """Assemble the setpoint projection QP's fixed blocks (done once per controller)."""
     n, m = coalition.n, coalition.m
     q_mat, r_mat = weight_matrices(coalition, cfg)
-    g_mat = cfg.setpoint_slack_weight * np.eye(n)
     nv = n + m + n  # xi_s, u_s, sigma
+    i_minus_xi = np.eye(n) - coalition.Xi
 
     h_mat = np.zeros((nv, nv))
     h_mat[:n, :n] = 2.0 * q_mat
     h_mat[n:n + m, n:n + m] = 2.0 * r_mat
-    h_mat[n + m:, n + m:] = 2.0 * g_mat
-    f_vec = np.zeros(nv)
-    f_vec[n:n + m] = -2.0 * r_mat @ u_bar
+    h_mat[n + m:, n + m:] = 2.0 * cfg.setpoint_slack_weight * np.eye(n)
 
     aeq = np.zeros((n, nv))
-    aeq[:, :n] = np.eye(n) - coalition.Xi
+    aeq[:, :n] = i_minus_xi
     aeq[:, n:n + m] = -coalition.Up
     aeq[:, n + m:] = -np.eye(n)
-    beq = (np.eye(n) - coalition.Xi) @ xi_bar - coalition.Up @ u_bar
 
-    flow_sel = coalition.flow_selector()
-    n_q = flow_sel.shape[0]
-    bound = cfg.input_bound
+    flow_rows = coalition.flow_rows()
+    n_q = len(flow_rows)
     ain = np.zeros((n_q + 2 * m, nv))
-    bin_ = np.zeros(n_q + 2 * m)
-    ain[:n_q, :n] = -flow_sel
-    bin_[:n_q] = -cfg.flow_margin
-    # K (xi_k - xi_s) + u_s within the input box
-    k_xi = gain @ xi_k
+    ain[np.arange(n_q), flow_rows] = -1.0
     ain[n_q:n_q + m, :n] = -gain
     ain[n_q:n_q + m, n:n + m] = np.eye(m)
-    bin_[n_q:n_q + m] = bound - k_xi
     ain[n_q + m:, :n] = gain
     ain[n_q + m:, n:n + m] = -np.eye(m)
-    bin_[n_q + m:] = bound + k_xi
+
+    return SetpointProgram(
+        coalition=coalition, gain=gain, i_minus_xi=i_minus_xi, r2=2.0 * r_mat,
+        flow_rows=flow_rows, qp=QpStructure(h_mat, aeq, ain),
+    )
+
+
+def feasible_setpoint(prog: SetpointProgram, xi_bar, u_bar, xi_k, cfg) -> Setpoint:
+    """Project the ideal setpoint onto the constraints (nearest feasible).
+
+    Minimizes (u_s - u_bar)' R (u_s - u_bar) + xi_s' Q xi_s + sigma' G sigma
+    subject to the slacked steady-state equality, the flow floor on every
+    flow section, and the input box evaluated at the current state.  `prog`
+    is the coalition's program from prepare_setpoint.
+    """
+    coalition = prog.coalition
+    n, m = coalition.n, coalition.m
+    bound = cfg.input_bound
+    f_vec = np.zeros(n + m + n)
+    f_vec[n:n + m] = -(prog.r2 @ u_bar)
+    beq = prog.i_minus_xi @ xi_bar - coalition.Up @ u_bar
+    # flow floor, then K (xi_k - xi_s) + u_s within the input box
+    k_xi = prog.gain @ xi_k
+    bin_ = np.concatenate([
+        np.full(len(prog.flow_rows), -cfg.flow_margin), bound - k_xi, bound + k_xi,
+    ])
 
     # Feasible start: clip the ideal flows to the floor, pick u_s that puts
     # the total input on the box, let sigma absorb the equality.
     xi0 = xi_bar.copy()
-    flow_rows = coalition.flow_rows()
-    xi0[flow_rows] = np.maximum(xi0[flow_rows], cfg.flow_margin)
-    t_vec = gain @ (xi_k - xi0)
+    xi0[prog.flow_rows] = np.maximum(xi0[prog.flow_rows], cfg.flow_margin)
+    t_vec = prog.gain @ (xi_k - xi0)
     u0 = np.clip(t_vec, -bound, bound) - t_vec
-    sigma0 = (np.eye(n) - coalition.Xi) @ xi0 - coalition.Up @ u0 - beq
+    sigma0 = prog.i_minus_xi @ xi0 - coalition.Up @ u0 - beq
     start = np.concatenate([xi0, u0, sigma0])
 
-    sol = solve_qp(QpProblem(h_mat, f_vec, aeq, beq, ain, bin_), start=start)
+    sol = solve_qp(QpProblem(prog.qp, f_vec, beq, bin_), start=start)
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
@@ -349,16 +382,20 @@ class MpcProgram:
     m: int
     acl: np.ndarray             # Xi + Up K
     acl_powers: list            # Acl^t, t = 0..N_p
-    h_mat: np.ndarray           # full Hessian over (u, eps)
     f_map: np.ndarray           # f_u = f_map @ zeta0
-    floor_lhs: np.ndarray
-    box_lhs: np.ndarray
+    qp: QpStructure             # Hessian over (u, eps); floor rows, then box rows
     gain: np.ndarray
     flow_sel: np.ndarray        # selects every flow slot of the state
+    q_mat: np.ndarray           # stage weights, also the harness's step cost
+    r_mat: np.ndarray
 
 
 def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
-    """Condense the coalition MPC into dense QP blocks (done once per controller)."""
+    """Condense the coalition MPC into dense QP blocks (done once per controller).
+
+    H and Ain go into the program's QpStructure, checked and factored;
+    mpc_step fills in only f and bin.
+    """
     n, m = coalition.n, coalition.m
     n_p, n_c = cfg.prediction_horizon, cfg.control_horizon
     q_mat, r_mat = weight_matrices(coalition, cfg)
@@ -422,10 +459,9 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
 
     return MpcProgram(
         n_p=n_p, n_c=n_c, n_q=n_q, m=m,
-        acl=acl, acl_powers=powers,
-        h_mat=h_mat, f_map=f_map,
-        floor_lhs=floor_lhs, box_lhs=box_lhs,
-        gain=gain, flow_sel=flow_sel,
+        acl=acl, acl_powers=powers, f_map=f_map,
+        qp=QpStructure(h_mat, None, np.vstack([floor_lhs, box_lhs])),
+        gain=gain, flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
     )
 
 
@@ -468,11 +504,10 @@ def mpc_step(coalition, zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
         box_rhs[t * m: (t + 1) * m] = bound - base
         box_rhs[m * (n_p + 1) + t * m: m * (n_p + 1) + (t + 1) * m] = bound + base
 
-    ain = np.vstack([prog.floor_lhs, prog.box_lhs])
     bin_ = np.concatenate([floor_rhs, box_rhs])
 
     start = _feasible_mpc_start(coalition, prog, zeta0, setpoint, cfg)
-    sol = solve_qp(QpProblem(prog.h_mat, f_vec, None, None, ain, bin_), start=start)
+    sol = solve_qp(QpProblem(prog.qp, f_vec, bin=bin_), start=start)
     if sol.status == numerics.INFEASIBLE:
         return MpcStep(
             np.zeros((n_c, m)), np.zeros((n_c, n_q)),
@@ -534,28 +569,32 @@ class StepLog:
 
 
 class CoalitionController:
-    """One coalition's filter, gains and condensed MPC, stepped by the simulator."""
+    """One coalition's filter, gains and condensed MPC, stepped by the simulator.
+
+    Filter matrices, setpoint program and MPC program are built once, here.
+    """
 
     def __init__(self, coalition, gain, p_mat, cfg):
         self.model = coalition
         self.gain = gain
         self.cfg = cfg
+        self.filter = kalman_model(coalition, cfg)
+        self.setpoint_program = prepare_setpoint(coalition, gain, cfg)
         self.program = prepare_mpc(coalition, gain, p_mat, cfg)
         self.kf: KalmanState | None = None
 
     def warm_start(self, history):
-        self.kf = kf_init(self.model, history, self.cfg)
+        self.kf = kf_init(self.filter, history)
 
     def advance_filter(self, u_prev_global, rho_prev_global, levels, flows):
         idx = [s - 1 for s in self.model.members]
         y = _measurement(self.model, levels, flows)
         self.kf = kf_update(
-            self.model,
+            self.filter,
             self.kf,
             np.asarray(u_prev_global)[idx],
             np.asarray(rho_prev_global)[idx],
             y,
-            self.cfg,
         )
 
     def compute(self, rho_global):
@@ -565,7 +604,7 @@ class CoalitionController:
         rho = np.asarray(rho_global)[idx]
         xi_hat, omega_hat = self.kf.split(model.n)
         xi_bar, u_bar = compute_setpoint(model, rho, omega_hat)
-        setpoint = feasible_setpoint(model, xi_bar, u_bar, xi_hat, self.gain, self.cfg)
+        setpoint = feasible_setpoint(self.setpoint_program, xi_bar, u_bar, xi_hat, self.cfg)
         zeta = xi_hat - setpoint.xi_s
         step = mpc_step(model, zeta, setpoint, self.program, self.cfg)
         if step.status == numerics.INFEASIBLE:

@@ -45,34 +45,51 @@ def _as_vector(b, name="vector"):
     return b
 
 
-def solve_linear(A, b):
-    """Solve A x = b by LU with partial pivoting.
+class LuFactor:
+    """LU factor with partial pivoting of a square matrix; each solve reuses it.
 
-    Raises SingularMatrixError when any pivot magnitude falls below
-    PIVOT_RTOL times the largest entry of A.
+    The matrix is checked once, here: a non-finite entry raises ValueError,
+    and SingularMatrixError is raised when any pivot magnitude falls below
+    PIVOT_RTOL times the largest entry.
     """
-    A = _as_matrix(A, "A")
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got {A.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-    if n == 0:
-        return np.zeros_like(b)
-    scale = np.max(np.abs(A))
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    with warnings.catch_warnings():
-        # lu_factor warns instead of raising on an exact zero pivot; the
-        # threshold check below turns either case into an error.
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A)
-    if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"pivot below {PIVOT_RTOL:g} * scale (matrix is singular to working precision)"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b)
+
+    def __init__(self, A):
+        A = _as_matrix(A, "A")
+        self.n = A.shape[0]
+        if A.shape[1] != self.n:
+            raise ValueError(f"A must be square, got {A.shape}")
+        self._lu_piv = None
+        if self.n == 0:
+            return
+        scale = np.max(np.abs(A))
+        if scale == 0.0:
+            raise SingularMatrixError("zero matrix")
+        with warnings.catch_warnings():
+            # lu_factor warns instead of raising on an exact zero pivot; the
+            # threshold check below turns either case into an error.
+            warnings.simplefilter("ignore")
+            lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * scale:
+            raise SingularMatrixError(
+                f"pivot below {PIVOT_RTOL:g} * scale (matrix is singular to working precision)"
+            )
+        self._lu_piv = (lu, piv)
+
+    def solve(self, b):
+        """x with A x = b; the columns of a 2-D b are separate right-hand sides."""
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.n:
+            raise ValueError(f"b has {b.shape[0]} rows, expected {self.n}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b contains non-finite entries")
+        if self.n == 0:
+            return np.zeros_like(b)
+        return scipy.linalg.lu_solve(self._lu_piv, b, check_finite=False)
+
+
+def solve_linear(A, b):
+    """Solve A x = b by LU with partial pivoting (see LuFactor)."""
+    return LuFactor(A).solve(b)
 
 
 def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
@@ -188,49 +205,56 @@ _STEP_TOL = 1e-11
 _MULT_TOL = 1e-9
 
 
-@dataclass
-class QpProblem:
-    """min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin.
+class QpStructure:
+    """The fixed part of a QP family: H, Aeq and Ain, checked and factored once.
 
-    H must be symmetric and positive semidefinite on the null space of Aeq
-    (positive definite there for a unique solution).
+    The family is min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin with
+    only f, beq and bin varying.  H must be symmetric and positive
+    semidefinite on the null space of Aeq (positive definite there for a
+    unique solution).  Built here: the Cholesky factor of H (None when H is
+    not positive definite) and a maximal independent subset of the equality
+    rows.  A controller keeps one structure per QP it solves every step; a
+    one-off problem builds its own.
     """
 
-    H: np.ndarray
+    def __init__(self, H, Aeq=None, Ain=None):
+        self.H = _as_matrix(H, "H")
+        self.n = n = self.H.shape[0]
+        if self.H.shape != (n, n):
+            raise ValueError(f"H must be square, got {self.H.shape}")
+        self.Aeq = np.zeros((0, n)) if Aeq is None or np.size(Aeq) == 0 else _as_matrix(Aeq, "Aeq")
+        self.Ain = np.zeros((0, n)) if Ain is None or np.size(Ain) == 0 else _as_matrix(Ain, "Ain")
+        if self.Aeq.shape[1] != n or self.Ain.shape[1] != n:
+            raise ValueError("constraint column count inconsistent with n")
+        try:
+            self.chol = scipy.linalg.cho_factor(self.H, check_finite=False)
+        except np.linalg.LinAlgError:
+            self.chol = None
+        self.eq_rows = _independent_rows(self.Aeq)
+        # With full row rank, Aeq x = beq is consistent for every beq.
+        self.eq_full_rank = len(self.eq_rows) == self.Aeq.shape[0]
+
+
+@dataclass
+class QpProblem:
+    """One member of a QP family: its structure plus the vectors f, beq and bin."""
+
+    structure: QpStructure
     f: np.ndarray
-    Aeq: np.ndarray | None = None
     beq: np.ndarray | None = None
-    Ain: np.ndarray | None = None
     bin: np.ndarray | None = None
 
     def __post_init__(self):
-        self.H = _as_matrix(self.H, "H")
         self.f = _as_vector(self.f, "f")
-        n = self.f.shape[0]
-        if self.H.shape != (n, n):
-            raise ValueError(f"H must be {n}x{n}, got {self.H.shape}")
-        if self.Aeq is None or np.size(self.Aeq) == 0:
-            self.Aeq = np.zeros((0, n))
-            self.beq = np.zeros(0)
-        else:
-            self.Aeq = _as_matrix(self.Aeq, "Aeq")
-            self.beq = _as_vector(self.beq, "beq")
-        if self.Ain is None or np.size(self.Ain) == 0:
-            self.Ain = np.zeros((0, n))
-            self.bin = np.zeros(0)
-        else:
-            self.Ain = _as_matrix(self.Ain, "Ain")
-            self.bin = _as_vector(self.bin, "bin")
-        if self.Aeq.shape[1] != n or self.Ain.shape[1] != n:
-            raise ValueError("constraint column count inconsistent with n")
-        if self.Aeq.shape[0] != self.beq.shape[0]:
+        self.beq = np.zeros(0) if self.beq is None else _as_vector(self.beq, "beq")
+        self.bin = np.zeros(0) if self.bin is None else _as_vector(self.bin, "bin")
+        s = self.structure
+        if self.f.shape[0] != s.n:
+            raise ValueError(f"f has {self.f.shape[0]} entries, expected {s.n}")
+        if s.Aeq.shape[0] != self.beq.shape[0]:
             raise ValueError("Aeq/beq row mismatch")
-        if self.Ain.shape[0] != self.bin.shape[0]:
+        if s.Ain.shape[0] != self.bin.shape[0]:
             raise ValueError("Ain/bin row mismatch")
-
-    @property
-    def n(self):
-        return self.f.shape[0]
 
 
 @dataclass
@@ -247,7 +271,7 @@ class QpSolution:
 
 
 def _objective(prob, x):
-    return float(0.5 * x @ prob.H @ x + prob.f @ x)
+    return float(0.5 * x @ prob.structure.H @ x + prob.f @ x)
 
 
 def _independent_rows(A, rtol=RANK_RTOL):
@@ -298,7 +322,7 @@ def _kkt_step(H, g, A_w, chol=None):
     return sol[:n], sol[n:]
 
 
-def _active_set_loop(prob, x, eq_rows, max_iter):
+def _active_set_loop(prob, x, max_iter):
     """Primal active-set iteration from a feasible x.
 
     The working set starts empty and is populated by blocking constraints;
@@ -307,18 +331,15 @@ def _active_set_loop(prob, x, eq_rows, max_iter):
     blocking constraint and when dropping one with a negative multiplier,
     which prevents cycling and keeps the method deterministic.
     """
-    H, f, Ain, bin_ = prob.H, prob.f, prob.Ain, prob.bin
-    A_eq = prob.Aeq[eq_rows]
+    s = prob.structure
+    H, f, Ain, bin_ = s.H, prob.f, s.Ain, prob.bin
+    A_eq = s.Aeq[s.eq_rows]
     working = []
-    try:
-        chol = scipy.linalg.cho_factor(H)
-    except np.linalg.LinAlgError:
-        chol = None
 
     for it in range(1, max_iter + 1):
         g = H @ x + f
         A_w = np.vstack([A_eq, Ain[working]]) if working else A_eq
-        p, mult = _kkt_step(H, g, A_w, chol)
+        p, mult = _kkt_step(H, g, A_w, s.chol)
         if np.linalg.norm(p, np.inf) <= _STEP_TOL * (1.0 + np.linalg.norm(x, np.inf)):
             ineq_mult = mult[A_eq.shape[0]:]
             negative = [
@@ -353,25 +374,26 @@ def _active_set_loop(prob, x, eq_rows, max_iter):
     return x, MAX_ITERATIONS, max_iter, tuple(working)
 
 
-def _feasible_start(prob, eq_rows, x0, max_iter):
+def _feasible_start(prob, x0, max_iter):
     """Find a feasible point by driving the worst inequality violation to zero."""
-    Ain, bin_ = prob.Ain, prob.bin
+    s = prob.structure
+    Ain, bin_ = s.Ain, prob.bin
     viol = Ain @ x0 - bin_ if Ain.shape[0] else np.zeros(0)
     worst = float(np.max(viol)) if viol.size else 0.0
     if worst <= _FEAS_TOL:
         return x0, True
-    n = prob.n
-    # Auxiliary problem in (x, s): minimize s^2 subject to the original
-    # equalities and Ain x - s <= bin; (x0, worst + 1) is strictly feasible.
+    n = s.n
+    # Auxiliary problem in (x, t): minimize t^2 subject to the independent
+    # original equalities and Ain x - t <= bin; (x0, worst + 1) is strictly
+    # feasible.
     H_aux = np.zeros((n + 1, n + 1))
     H_aux[n, n] = 2.0
-    f_aux = np.zeros(n + 1)
-    Aeq_aux = np.hstack([prob.Aeq[eq_rows], np.zeros((len(eq_rows), 1))])
-    beq_aux = prob.beq[eq_rows]
+    Aeq_aux = np.hstack([s.Aeq[s.eq_rows], np.zeros((len(s.eq_rows), 1))])
     Ain_aux = np.hstack([Ain, -np.ones((Ain.shape[0], 1))])
-    aux = QpProblem(H_aux, f_aux, Aeq_aux, beq_aux, Ain_aux, bin_)
+    aux = QpProblem(QpStructure(H_aux, Aeq_aux, Ain_aux), np.zeros(n + 1),
+                    prob.beq[s.eq_rows], bin_)
     z0 = np.concatenate([x0, [worst + 1.0]])
-    z, status, _, _ = _active_set_loop(aux, z0, list(range(len(eq_rows))), max_iter)
+    z, status, _, _ = _active_set_loop(aux, z0, max_iter)
     if status != OPTIMAL or z[n] > 1e-7:
         return x0, False
     return z[:n], True
@@ -383,44 +405,42 @@ def solve_qp(prob, start=None, max_iter=None):
     Deterministic: the same problem (and optional warm start) always yields
     the same solution.  Status is 'infeasible' when the equality system is
     inconsistent or no feasible point exists, 'max-iterations' with the best
-    iterate attached when the cap is reached.
+    iterate attached when the cap is reached.  Nothing fixed is factored per
+    solve: the Cholesky factor of H and the independent equality rows come
+    from the problem's QpStructure.  An equality system of full row rank is
+    consistent for every beq, so its least-squares point is computed only
+    when the start is missing or infeasible.
     """
     if not isinstance(prob, QpProblem):
         raise TypeError("expected a QpProblem")
-    n = prob.n
+    s = prob.structure
     if max_iter is None:
-        max_iter = 100 + 10 * (n + prob.Ain.shape[0])
-
-    # Consistency of the equality system (rank check, relative tolerance).
-    eq_rows = _independent_rows(prob.Aeq)
-    if prob.Aeq.shape[0]:
-        x_eq, *_ = np.linalg.lstsq(prob.Aeq, prob.beq, rcond=None)
-        eq_err = np.linalg.norm(prob.Aeq @ x_eq - prob.beq, np.inf)
-        if eq_err > RANK_RTOL * (1.0 + np.linalg.norm(prob.beq, np.inf)):
-            return QpSolution(x_eq, _objective(prob, x_eq), INFEASIBLE)
-    else:
-        x_eq = np.zeros(n)
+        max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
 
     x0 = None
     if start is not None:
         start = _as_vector(start, "start")
-        if start.shape[0] != n:
+        if start.shape[0] != s.n:
             raise ValueError("start has wrong dimension")
         ok_eq = (
-            prob.Aeq.shape[0] == 0
-            or np.linalg.norm(prob.Aeq @ start - prob.beq, np.inf)
+            s.Aeq.shape[0] == 0
+            or np.linalg.norm(s.Aeq @ start - prob.beq, np.inf)
             <= _FEAS_TOL * (1.0 + np.linalg.norm(prob.beq, np.inf))
         )
-        ok_in = (
-            prob.Ain.shape[0] == 0
-            or float(np.max(prob.Ain @ start - prob.bin)) <= _FEAS_TOL
-        )
+        ok_in = s.Ain.shape[0] == 0 or float(np.max(s.Ain @ start - prob.bin)) <= _FEAS_TOL
         if ok_eq and ok_in:
             x0 = start
+    x_eq = np.zeros(s.n)
+    if s.Aeq.shape[0] and (x0 is None or not s.eq_full_rank):
+        # Consistency of the equality system (relative tolerance).
+        x_eq, *_ = np.linalg.lstsq(s.Aeq, prob.beq, rcond=None)
+        eq_err = np.linalg.norm(s.Aeq @ x_eq - prob.beq, np.inf)
+        if eq_err > RANK_RTOL * (1.0 + np.linalg.norm(prob.beq, np.inf)):
+            return QpSolution(x_eq, _objective(prob, x_eq), INFEASIBLE)
     if x0 is None:
-        x0, feasible = _feasible_start(prob, eq_rows, x_eq, max_iter)
+        x0, feasible = _feasible_start(prob, x_eq, max_iter)
         if not feasible:
             return QpSolution(x0, _objective(prob, x0), INFEASIBLE)
 
-    x, status, iters, active = _active_set_loop(prob, x0, eq_rows, max_iter)
+    x, status, iters, active = _active_set_loop(prob, x0, max_iter)
     return QpSolution(x, _objective(prob, x), status, iters, active)

@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain, steady_state
-from .control import (
-    CoalitionController,
-    ControllerConfig,
-    HistoryBuffer,
-    weight_matrices,
-)
+from .control import CoalitionController, ControllerConfig, HistoryBuffer
 from .supervisor import (
     PublishedSetpoints,
     SynthesisCache,
@@ -235,7 +230,6 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
 
     incumbent = full_topology(n)
     controllers: dict = {}
-    coal_weights: dict = {}
     prev_u = np.zeros(n)
     prev_rho = rho0
 
@@ -264,7 +258,6 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
             ctrl.warm_start(history)
             fresh[members] = ctrl
-            coal_weights[members] = weight_matrices(record.model, ctrl_cfg)
         controllers.clear()
         controllers.update(fresh)
 
@@ -312,7 +305,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             off = nominal_model.offsets[members[0]]
             zeta = state[off:off + ctrl.model.n] - setpoint.xi_s
             nu = u - setpoint.u_s
-            q_mat, r_mat = coal_weights[members]
+            q_mat, r_mat = ctrl.program.q_mat, ctrl.program.r_mat
             perf += float(zeta @ q_mat @ zeta + nu @ r_mat @ nu)
 
         if np.max(np.abs(u_global)) > ctrl_cfg.input_bound + 1e-9:

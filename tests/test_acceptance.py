@@ -17,12 +17,13 @@ from canalmpc.control import (
     ControllerConfig,
     HistoryBuffer,
     KalmanState,
+    kalman_model,
     kf_init,
     kf_update,
     weight_matrices,
 )
 from canalmpc.io import read_trace, write_trace
-from canalmpc.numerics import QpProblem, solve_qp
+from canalmpc.numerics import QpProblem, QpStructure, solve_qp
 from canalmpc.simulate import (
     PlantConfig,
     accumulate_costs,
@@ -198,7 +199,7 @@ def test_08_qp_oracle_equivalence():
         f = rng.normal(size=n)
         a_in = rng.normal(size=(n_in, n))
         b_in = a_in @ rng.normal(size=n) + rng.uniform(0.05, 1.0, size=n_in)
-        sol = solve_qp(QpProblem(h, f, Ain=a_in, bin=b_in))
+        sol = solve_qp(QpProblem(QpStructure(h, Ain=a_in), f, bin=b_in))
         assert sol.optimal
         x_ref, obj_ref = brute_force_qp(h, f, Ain=a_in, bin_=b_in)
         worst_obj = max(worst_obj, abs(sol.objective - obj_ref))
@@ -248,6 +249,7 @@ def test_10_link_count_monotone_in_cost():
 
 def test_11_kalman_convergence_and_warm_start():
     coal = build_coalition_model(CHAIN, (12,))
+    filt = kalman_model(coal, CFG)
     w_true, p12 = 2.0, 1.5
     q12 = p12 + w_true
     x = np.array([q12, q12, 0.0])
@@ -269,21 +271,22 @@ def test_11_kalman_convergence_and_warm_start():
         fl = flows.copy(); fl[11] = x[0]
         hist.push(lv, fl, inputs, offs)
         x = coal.Xi @ x + coal.Phi @ rho + coal.Psi @ np.array([w_true])
-        kf = kf_update(coal, kf, u, rho, np.array([x[2], x[0]]), CFG)
+        kf = kf_update(filt, kf, u, rho, np.array([x[2], x[0]]))
         if first_hit is None and abs(kf.xhat[3] - w_true) <= 1e-3:
             first_hit = k + 1
     err50 = abs(kf.xhat[3] - w_true)
 
     # forced topology switch: {12} merges with {11}; warm-start from history
     coal2 = build_coalition_model(CHAIN, (11, 12))
-    kf2 = kf_init(coal2, hist, CFG)
+    filt2 = kalman_model(coal2, CFG)
+    kf2 = kf_init(filt2, hist)
     x2 = np.array([3.0, 3.0, 0.0, x[0], x[1], x[2]])
     u2 = np.zeros(2)
     rho2 = np.array([1.0, p12])
     rehit = None
     for k in range(20):
         x2 = coal2.Xi @ x2 + coal2.Phi @ rho2 + coal2.Psi @ np.array([w_true])
-        kf2 = kf_update(coal2, kf2, u2, rho2, np.array([x2[2], x2[5], x2[0], x2[3]]), CFG)
+        kf2 = kf_update(filt2, kf2, u2, rho2, np.array([x2[2], x2[5], x2[0], x2[3]]))
         if rehit is None and abs(kf2.xhat[6] - w_true) <= 1e-3:
             rehit = k + 1
     ok = err50 <= 1e-3 and rehit is not None

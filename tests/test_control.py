@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,15 @@ from canalmpc.control import (
     compute_setpoint,
     control_action,
     feasible_setpoint,
+    kalman_model,
     kf_init,
     kf_update,
     mpc_step,
     prepare_mpc,
+    prepare_setpoint,
     weight_matrices,
 )
-from canalmpc.numerics import lqr_gain, solve_dare
+from canalmpc.numerics import SingularMatrixError, lqr_gain, solve_dare
 
 from oracles import brute_force_qp
 
@@ -72,7 +76,7 @@ class TestKalman:
         levels, flows, offs = steady_global_arrays({12: 2.0, 13: 2.0}, {12: 0.0, 13: 2.0})
         for _ in range(20):
             buf.push(levels, flows, np.zeros(13), offs)
-        kf = kf_init(coal, buf, self.cfg)
+        kf = kf_init(kalman_model(coal, self.cfg), buf)
         xi_hat, omega = kf.split(coal.n)
         assert omega.shape == (0,)
         assert np.allclose(coal.gamma @ xi_hat, 0.0, atol=1e-9)
@@ -85,7 +89,7 @@ class TestKalman:
         levels, flows, offs = steady_global_arrays({12: q12, 13: w_true}, {12: p12, 13: w_true})
         for _ in range(20):
             buf.push(levels, flows, np.zeros(13), offs)
-        kf = kf_init(coal, buf, self.cfg)
+        kf = kf_init(kalman_model(coal, self.cfg), buf)
         _, omega = kf.split(coal.n)
         assert abs(omega[0] - w_true) <= 0.05 * w_true
 
@@ -95,8 +99,8 @@ class TestKalman:
         levels, flows, offs = steady_global_arrays({5: 3.0, 6: 1.0}, {5: 2.0})
         for _ in range(10):
             buf.push(levels, flows, np.zeros(13), offs)
-        kf1 = kf_init(coal, buf, self.cfg)
-        kf2 = kf_init(coal, buf, self.cfg)
+        kf1 = kf_init(kalman_model(coal, self.cfg), buf)
+        kf2 = kf_init(kalman_model(coal, self.cfg), buf)
         assert np.array_equal(kf1.xhat, kf2.xhat)
         assert np.array_equal(kf1.cov, kf2.cov)
 
@@ -110,13 +114,14 @@ class TestKalman:
             + [self.cfg.kf_prior_level, self.cfg.kf_prior_omega]
         )
         kf = KalmanState(np.array([q12, q12, 0.0, 0.0]), prior)
+        filt = kalman_model(coal, self.cfg)
         u = np.zeros(1)
         rho = np.array([p12])
         err = np.inf
         for k in range(50):
             x = coal.Xi @ x + coal.Phi @ rho + coal.Psi @ np.array([w_true])
             y = np.array([x[2], x[0]])
-            kf = kf_update(coal, kf, u, rho, y, self.cfg)
+            kf = kf_update(filt, kf, u, rho, y)
             err = abs(kf.xhat[3] - w_true)
         assert err <= 1e-3
 
@@ -129,9 +134,10 @@ class TestKalman:
         offs = np.zeros(13)
         for _ in range(3):
             buf.push(levels, flows, np.zeros(13), offs)
-        kf = kf_init(coal, buf, self.cfg)
+        filt = kalman_model(coal, self.cfg)
+        kf = kf_init(filt, buf)
         assert kf.xhat.shape == (39,)
-        kf2 = kf_update(coal, kf, np.zeros(13), offs, np.zeros(26), self.cfg)
+        kf2 = kf_update(filt, kf, np.zeros(13), offs, np.zeros(26))
         assert kf2.xhat.shape == (39,)
 
     def test_zero_measurement_noise_limit_tracks_levels(self):
@@ -140,7 +146,7 @@ class TestKalman:
         prior = np.diag([cfg.kf_prior_flow] * 2 + [cfg.kf_prior_level, cfg.kf_prior_omega])
         kf = KalmanState(np.zeros(4), prior)
         y = np.array([0.123, 4.56])  # level, gate flow
-        kf = kf_update(coal, kf, np.zeros(1), np.zeros(1), y, cfg)
+        kf = kf_update(kalman_model(coal, cfg), kf, np.zeros(1), np.zeros(1), y)
         assert abs(kf.xhat[2] - 0.123) < 1e-9
         assert abs(kf.xhat[0] - 4.56) < 1e-9
 
@@ -148,10 +154,11 @@ class TestKalman:
         coal = make_coalition((3,))
         prior = np.diag([1.0, 1.0, 0.01, 10.0])
         kf = KalmanState(np.zeros(4), prior)
+        filt = kalman_model(coal, self.cfg)
         rng = np.random.default_rng(17)
         for _ in range(30):
             y = rng.normal(size=2)
-            kf = kf_update(coal, kf, np.zeros(1), np.zeros(1), y, self.cfg)
+            kf = kf_update(filt, kf, np.zeros(1), np.zeros(1), y)
             assert np.allclose(kf.cov, kf.cov.T)
             assert np.min(np.linalg.eigvalsh(kf.cov)) > -1e-12
 
@@ -183,14 +190,45 @@ class TestComputeSetpoint:
         assert np.allclose(u_bar, 0.0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
+    def test_cached_factor_matches_direct_solve(self, members):
+        coal = make_coalition(members)
+        n, m = coal.n, coal.m
+        rng = np.random.default_rng(len(members))
+        kkt = np.block([
+            [np.eye(n) - coal.Xi, -coal.Up],
+            [coal.gamma, np.zeros((m, m))],
+        ])
+        for _ in range(3):
+            rho = rng.uniform(0.0, 5.0, size=m)
+            omega = rng.uniform(0.0, 5.0, size=coal.n_channels)
+            xi_bar, u_bar = compute_setpoint(coal, rho, omega)
+            ref = np.linalg.solve(kkt, np.concatenate(
+                [coal.Phi @ rho + coal.Psi @ omega, np.zeros(m)]))
+            assert np.allclose(np.concatenate([xi_bar, u_bar]), ref, rtol=0.0,
+                               atol=1e-12 * (1.0 + np.max(np.abs(ref))))
+
+    def test_non_finite_omega_raises(self):
+        coal = make_coalition((4,))
+        with pytest.raises(ValueError):
+            compute_setpoint(coal, [3.0], [np.nan])
+
+    def test_singular_system_names_coalition(self):
+        coal = dataclasses.replace(make_coalition((4,)), Up=np.zeros((3, 1)))
+        for _ in range(2):  # a failed factor is not cached
+            with pytest.raises(SingularMatrixError, match=r"coalition \(4,\)"):
+                compute_setpoint(coal, [3.0], [7.0])
+
+
 class TestFeasibleSetpoint:
     cfg = ControllerConfig()
 
     def test_unconstrained_passthrough(self):
         coal = make_coalition((4,))
         k_gain, _ = synth(coal, self.cfg)
+        prog = prepare_setpoint(coal, k_gain, self.cfg)
         xi_bar, u_bar = compute_setpoint(coal, [3.0], [7.0])
-        sp = feasible_setpoint(coal, xi_bar, u_bar, xi_bar.copy(), k_gain, self.cfg)
+        sp = feasible_setpoint(prog, xi_bar, u_bar, xi_bar.copy(), self.cfg)
         assert sp.feasible
         assert np.allclose(sp.xi_s, xi_bar, atol=1e-7)
         assert np.allclose(sp.u_s, u_bar, atol=1e-7)
@@ -199,11 +237,12 @@ class TestFeasibleSetpoint:
     def test_negative_flow_hits_floor(self):
         coal = make_coalition((8,))
         k_gain, _ = synth(coal, self.cfg)
+        prog = prepare_setpoint(coal, k_gain, self.cfg)
         # disturbance estimate forcing a negative steady flow
         xi_bar, u_bar = compute_setpoint(coal, [0.5], [-1.0])
         assert xi_bar[0] < 0.0
         xi_now = np.array([0.5, 0.0])
-        sp = feasible_setpoint(coal, xi_bar, u_bar, xi_now, k_gain, self.cfg)
+        sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
         flows = sp.xi_s[coal.flow_rows()]
         assert np.all(flows >= self.cfg.flow_margin - 1e-9)
         assert np.linalg.norm(sp.sigma, np.inf) > 1e-6
@@ -211,6 +250,7 @@ class TestFeasibleSetpoint:
     def test_matches_enumeration_oracle_on_one_reach(self):
         coal = make_coalition((8,))  # d = 1, smallest instance
         k_gain, _ = synth(coal, self.cfg)
+        prog = prepare_setpoint(coal, k_gain, self.cfg)
         q_mat, r_mat = weight_matrices(coal, self.cfg)
         g_mat = self.cfg.setpoint_slack_weight * np.eye(2)
         for rho, omega, xi_now in [
@@ -219,7 +259,7 @@ class TestFeasibleSetpoint:
             (0.0, 0.0, np.array([0.0, -3.0])),
         ]:
             xi_bar, u_bar = compute_setpoint(coal, [rho], [omega])
-            sp = feasible_setpoint(coal, xi_bar, u_bar, xi_now, k_gain, self.cfg)
+            sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
             # hand-assembled QP: variables (xi_s, u_s, sigma)
             h = np.zeros((5, 5))
             h[:2, :2] = 2 * q_mat
@@ -249,11 +289,12 @@ class TestFeasibleSetpoint:
     def test_input_box_respected_exactly(self):
         coal = make_coalition((8,))
         k_gain, _ = synth(coal, self.cfg)
+        prog = prepare_setpoint(coal, k_gain, self.cfg)
         xi_bar, u_bar = compute_setpoint(coal, [2.0], [1.0])
         # current state far above target: pure feedback would exceed the box
         xi_now = xi_bar + np.array([0.0, 5.0])
         assert np.max(np.abs(k_gain @ (xi_now - xi_bar) + u_bar)) > self.cfg.input_bound
-        sp = feasible_setpoint(coal, xi_bar, u_bar, xi_now, k_gain, self.cfg)
+        sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
         total = k_gain @ (xi_now - sp.xi_s) + sp.u_s
         assert np.max(np.abs(total)) <= self.cfg.input_bound + 1e-8
 
@@ -334,6 +375,66 @@ class TestControlAction:
         zeta[coal.level_rows()[0]] = 0.5  # level above target
         u = control_action(zeta, np.zeros(1), np.zeros((3, 1)), k_gain)
         assert u[0] < 0.0
+
+
+def _stepped_controller(members, cfg, steps=5):
+    """A controller on `members` warm-started at steady state and stepped a few times."""
+    coal = make_coalition(members)
+    ctrl = CoalitionController(coal, *synth(coal, cfg), cfg)
+    gate_flows = {s: 3.0 for s in range(members[0], 14)}
+    levels, flows, offs = steady_global_arrays(gate_flows, {members[-1]: 1.0})
+    buf = HistoryBuffer(cfg.history_capacity)
+    buf.push(levels, flows, np.zeros(13), offs)
+    ctrl.warm_start(buf)
+    for _ in range(steps):
+        ctrl.compute(offs)
+        ctrl.advance_filter(np.zeros(13), offs, levels, flows)
+    return ctrl, (levels, flows, offs)
+
+
+class TestBuiltOncePrograms:
+    cfg = ControllerConfig()
+
+    @pytest.mark.parametrize("members", [(4,), (5, 6)])
+    def test_programs_equal_fresh_build(self, members):
+        ctrl, _ = _stepped_controller(members, self.cfg)
+        coal = ctrl.model
+        fresh_filter = kalman_model(coal, self.cfg)
+        for name in ("f_mat", "c_mat", "w_mat", "v_mat", "prior"):
+            assert np.array_equal(getattr(ctrl.filter, name), getattr(fresh_filter, name))
+        fresh = prepare_setpoint(coal, ctrl.gain, self.cfg)
+        kept = ctrl.setpoint_program
+        for name in ("i_minus_xi", "r2"):
+            assert np.array_equal(getattr(kept, name), getattr(fresh, name))
+        assert kept.flow_rows == fresh.flow_rows
+        for name in ("H", "Aeq", "Ain", "eq_rows", "eq_full_rank"):
+            assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
+        # Q weighs levels only, so H is singular and carries no Cholesky factor.
+        assert kept.qp.chol is None and fresh.qp.chol is None
+        assert np.array_equal(ctrl.program.qp.H, prepare_mpc(coal, *synth(coal, self.cfg),
+                                                             self.cfg).qp.H)
+
+    def test_filter_matrices_match_model(self):
+        coal = make_coalition((5, 6))
+        filt = kalman_model(coal, self.cfg)
+        n, r, m = coal.n, coal.n_channels, coal.m
+        assert np.array_equal(filt.f_mat, np.block([
+            [coal.Xi, coal.Psi], [np.zeros((r, n)), np.eye(r)]]))
+        assert np.array_equal(filt.c_mat[:m, :n], coal.gamma)
+        assert np.array_equal(filt.c_mat[m:, :n], coal.gate_flow_selector())
+        assert not np.any(filt.c_mat[:, n:])
+        w = np.diag(filt.w_mat)
+        assert np.all(w[coal.level_rows()] == self.cfg.kf_level_process_noise)
+        assert np.all(w[coal.flow_rows()] == self.cfg.kf_flow_process_noise)
+        assert np.all(w[n:] == self.cfg.kf_omega_process_noise)
+
+    def test_non_finite_level_raises(self):
+        ctrl, (levels, flows, offs) = _stepped_controller((4,), self.cfg, steps=1)
+        levels = levels.copy()
+        levels[3] = np.nan
+        with pytest.raises(ValueError):
+            ctrl.advance_filter(np.zeros(13), offs, levels, flows)
+            ctrl.compute(offs)
 
 
 class TestOffsetFreeClosedLoop:

@@ -8,6 +8,7 @@ from canalmpc.canal import build_chain, build_coalition_model
 from canalmpc.control import ControllerConfig, weight_matrices
 from canalmpc.numerics import (
     QpProblem,
+    QpStructure,
     RiccatiConvergenceError,
     SingularMatrixError,
     dare_residual,
@@ -58,6 +59,16 @@ class TestSolveLinear:
         B = np.eye(2)
         X = solve_linear(A, B)
         assert np.allclose(A @ X, B)
+
+    def test_non_finite_matrix_raises(self):
+        A = np.array([[2.0, np.nan], [0.0, 3.0]])
+        with pytest.raises(ValueError):
+            solve_linear(A, np.ones(2))
+
+    def test_non_finite_rhs_raises(self):
+        A = np.array([[2.0, 1.0], [0.0, 3.0]])
+        with pytest.raises(ValueError):
+            solve_linear(A, np.array([1.0, np.nan]))
 
 
 class TestSolveDare:
@@ -189,9 +200,8 @@ class TestSolveQp:
     def test_projection_onto_halfspace(self):
         # min ||x - (2, 0)||^2 s.t. x1 <= 1
         prob = QpProblem(
-            H=2.0 * np.eye(2),
+            QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0]])),
             f=np.array([-4.0, 0.0]),
-            Ain=np.array([[1.0, 0.0]]),
             bin=np.array([1.0]),
         )
         sol = solve_qp(prob)
@@ -199,7 +209,7 @@ class TestSolveQp:
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
 
     def test_unconstrained(self):
-        prob = QpProblem(H=2.0 * np.eye(2), f=np.array([-2.0, -2.0]))
+        prob = QpProblem(QpStructure(2.0 * np.eye(2)), f=np.array([-2.0, -2.0]))
         sol = solve_qp(prob)
         assert sol.optimal
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-10)
@@ -213,7 +223,7 @@ class TestSolveQp:
             f = rng.normal(size=n)
             Aeq = rng.normal(size=(1, n))
             beq = rng.normal(size=1)
-            prob = QpProblem(H, f, Aeq=Aeq, beq=beq)
+            prob = QpProblem(QpStructure(H, Aeq), f, beq)
             sol = solve_qp(prob)
             assert sol.optimal
             x_ref = _kkt_equality_solution(H, f, Aeq, beq)
@@ -221,18 +231,25 @@ class TestSolveQp:
 
     def test_inconsistent_equalities_infeasible(self):
         prob = QpProblem(
-            H=np.eye(2),
+            QpStructure(np.eye(2), Aeq=np.array([[1.0, 0.0], [1.0, 0.0]])),
             f=np.zeros(2),
-            Aeq=np.array([[1.0, 0.0], [1.0, 0.0]]),
             beq=np.array([0.0, 1.0]),
         )
         assert solve_qp(prob).status == numerics.INFEASIBLE
 
+    def test_inconsistent_equalities_infeasible_with_start(self):
+        # A rank-deficient equality system is checked even when a start is given.
+        prob = QpProblem(
+            QpStructure(np.eye(2), Aeq=np.array([[1.0, 0.0], [1.0, 0.0]])),
+            f=np.zeros(2),
+            beq=np.array([0.0, 1.0]),
+        )
+        assert solve_qp(prob, start=np.zeros(2)).status == numerics.INFEASIBLE
+
     def test_infeasible_inequalities(self):
         prob = QpProblem(
-            H=np.eye(1),
+            QpStructure(np.eye(1), Ain=np.array([[1.0], [-1.0]])),
             f=np.zeros(1),
-            Ain=np.array([[1.0], [-1.0]]),
             bin=np.array([-1.0, -1.0]),  # x <= -1 and x >= 1
         )
         assert solve_qp(prob).status == numerics.INFEASIBLE
@@ -240,9 +257,8 @@ class TestSolveQp:
     def test_degenerate_start_on_boundary(self):
         # Start exactly on the constraint that is not active at the optimum.
         prob = QpProblem(
-            H=2.0 * np.eye(2),
+            QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0], [0.0, 1.0]])),
             f=np.array([2.0, 0.0]),
-            Ain=np.array([[1.0, 0.0], [0.0, 1.0]]),
             bin=np.array([0.0, 0.0]),
         )
         sol = solve_qp(prob, start=np.zeros(2))
@@ -260,7 +276,7 @@ class TestSolveQp:
             Ain = rng.normal(size=(n_in, n))
             x_feas = rng.normal(size=n)
             bin_ = Ain @ x_feas + rng.uniform(0.05, 1.0, size=n_in)
-            prob = QpProblem(H, f, Ain=Ain, bin=bin_)
+            prob = QpProblem(QpStructure(H, Ain=Ain), f, bin=bin_)
             sol = solve_qp(prob)
             assert sol.optimal, f"trial {trial} not optimal: {sol.status}"
             x_ref, obj_ref = brute_force_qp(H, f, Ain=Ain, bin_=bin_)
@@ -279,16 +295,44 @@ class TestSolveQp:
             beq = Aeq @ x_feas
             Ain = rng.normal(size=(4, n))
             bin_ = Ain @ x_feas + rng.uniform(0.01, 1.0, size=4)
-            prob = QpProblem(H, f, Aeq, beq, Ain, bin_)
+            prob = QpProblem(QpStructure(H, Aeq, Ain), f, beq, bin_)
             sol = solve_qp(prob)
             assert sol.optimal
-            assert np.max(prob.Ain @ sol.x - prob.bin) <= 1e-8
-            assert np.linalg.norm(prob.Aeq @ sol.x - prob.beq, np.inf) <= 1e-8
+            assert np.max(Ain @ sol.x - prob.bin) <= 1e-8
+            assert np.linalg.norm(Aeq @ sol.x - prob.beq, np.inf) <= 1e-8
             # Stationarity: gradient must be a combination of active rows.
             g = H @ sol.x + f
             rows = np.vstack([Aeq, Ain[list(sol.active_set)]])
             coef, *_ = np.linalg.lstsq(rows.T, -g, rcond=None)
             assert np.linalg.norm(rows.T @ coef + g, np.inf) <= 1e-7
+
+    def test_non_finite_linear_term_raises(self):
+        with pytest.raises(ValueError):
+            solve_qp(QpProblem(QpStructure(np.eye(2)), f=np.array([0.0, np.nan])))
+
+    def test_non_finite_inequality_rhs_raises(self):
+        structure = QpStructure(np.eye(2), Ain=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            solve_qp(QpProblem(structure, f=np.zeros(2), bin=np.array([1.0, np.inf])))
+
+    def test_structure_reused_across_problems(self):
+        # One structure serves every problem of its family, each solve
+        # matching a structure built for that problem alone.
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(3, 3))
+        H = M @ M.T + 0.5 * np.eye(3)
+        Aeq = rng.normal(size=(1, 3))
+        Ain = rng.normal(size=(4, 3))
+        shared = QpStructure(H, Aeq, Ain)
+        for _ in range(5):
+            f = rng.normal(size=3)
+            x_feas = rng.normal(size=3)
+            beq = Aeq @ x_feas
+            bin_ = Ain @ x_feas + rng.uniform(0.01, 1.0, size=4)
+            s1 = solve_qp(QpProblem(shared, f, beq, bin_))
+            s2 = solve_qp(QpProblem(QpStructure(H, Aeq, Ain), f, beq, bin_))
+            assert s1.optimal
+            assert np.array_equal(s1.x, s2.x)
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
@@ -296,8 +340,8 @@ class TestSolveQp:
         f = rng.normal(size=3)
         Ain = rng.normal(size=(5, 3))
         bin_ = Ain @ rng.normal(size=3) + 0.5
-        prob1 = QpProblem(H, f, Ain=Ain, bin=bin_)
-        prob2 = QpProblem(H.copy(), f.copy(), Ain=Ain.copy(), bin=bin_.copy())
+        prob1 = QpProblem(QpStructure(H, Ain=Ain), f, bin=bin_)
+        prob2 = QpProblem(QpStructure(H.copy(), Ain=Ain.copy()), f.copy(), bin=bin_.copy())
         s1 = solve_qp(prob1)
         s2 = solve_qp(prob2)
         assert np.array_equal(s1.x, s2.x)

@@ -1,10 +1,20 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from canalmpc.canal import DEZ_REACHES, ReachParams, build_chain, assemble_global, steady_state
-from canalmpc.control import ControllerConfig
+from canalmpc import canal, control, supervisor
+from canalmpc.canal import (
+    DEZ_REACHES,
+    CoalitionModel,
+    ReachParams,
+    assemble_global,
+    build_chain,
+    steady_state,
+)
+from canalmpc.control import CoalitionController, ControllerConfig
 from canalmpc.simulate import (
     PlantConfig,
     Scenario,
@@ -162,6 +172,41 @@ class TestClosedLoop:
         bad = ControllerConfig(input_bound=1e-6)
         with pytest.raises(RuntimeError, match=r"step \d+"):
             run_closed_loop(sc, ctrl_cfg=bad, seed=0, cache=SynthesisCache())
+
+
+class TestBuiltOnce:
+    def test_setup_work_scales_with_controllers_not_steps(self, monkeypatch):
+        """Filter matrices, setpoint factors and QP data are built per coalition or
+        controller; a step only solves against them."""
+        calls = Counter()
+
+        def count(owner, name, key=None):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key or name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(CoalitionModel, "flow_selector")
+        count(CoalitionModel, "gate_flow_selector")
+        count(control, "weight_matrices")
+        count(supervisor, "weight_matrices")
+        count(scipy.linalg, "cho_factor")
+        count(CoalitionController, "__init__", "controllers")
+        count(SynthesisCache, "store", "coalitions")
+        count(canal, "LuFactor", "setpoint_factor")  # only the setpoint factor is built there
+
+        trace = run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
+        controllers, coalitions = calls["controllers"], calls["coalitions"]
+        # A per-step rebuild would add at least one call per coalition-step.
+        assert int(trace.n_coalitions.sum()) > coalitions + 2 * controllers
+        assert calls["flow_selector"] <= controllers
+        assert calls["gate_flow_selector"] <= controllers
+        assert calls["cho_factor"] <= 2 * controllers
+        assert calls["weight_matrices"] <= coalitions + 2 * controllers
+        assert calls["setpoint_factor"] <= coalitions + 1  # plus the chain model's
 
 
 class TestCentralized:
