@@ -381,7 +381,8 @@ class MpcProgram:
     n_q: int
     m: int
     acl: np.ndarray             # Xi + Up K
-    acl_powers: list            # Acl^t, t = 0..N_p
+    box_map: np.ndarray         # K Acl^t stacked for t = 0..N_p: feedback inputs from zeta0
+    floor_map: np.ndarray       # flow_sel Acl^t stacked for t = 1..N_c: free-run flows
     f_map: np.ndarray           # f_u = f_map @ zeta0
     qp: QpStructure             # Hessian over (u, eps); floor rows, then box rows
     gain: np.ndarray
@@ -458,8 +459,10 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
         box_lhs[m * (n_p + 1) + t * m: m * (n_p + 1) + (t + 1) * m, :nu] = -expr
 
     return MpcProgram(
-        n_p=n_p, n_c=n_c, n_q=n_q, m=m,
-        acl=acl, acl_powers=powers, f_map=f_map,
+        n_p=n_p, n_c=n_c, n_q=n_q, m=m, acl=acl,
+        box_map=np.vstack([gain @ p for p in powers]),
+        floor_map=np.vstack([flow_sel @ p for p in powers[1:n_c + 1]]),
+        f_map=f_map,
         qp=QpStructure(h_mat, None, np.vstack([floor_lhs, box_lhs])),
         gain=gain, flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
     )
@@ -487,24 +490,13 @@ def mpc_step(coalition, zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
     bound = cfg.input_bound
     xi_s, u_s = setpoint.xi_s, setpoint.u_s
 
-    states = [p @ zeta0 for p in prog.acl_powers]
     f_vec = np.zeros(nu + n_eps)
     f_vec[:nu] = prog.f_map @ zeta0
-
-    floor_rhs = np.empty(2 * n_eps)
-    for t in range(1, n_c + 1):
-        floor_rhs[(t - 1) * n_q: t * n_q] = (
-            prog.flow_sel @ (states[t] + xi_s) - cfg.flow_margin
-        )
-    floor_rhs[n_eps:] = 0.0
-
-    box_rhs = np.empty(2 * m * (n_p + 1))
-    for t in range(n_p + 1):
-        base = prog.gain @ states[t] + u_s
-        box_rhs[t * m: (t + 1) * m] = bound - base
-        box_rhs[m * (n_p + 1) + t * m: m * (n_p + 1) + (t + 1) * m] = bound + base
-
-    bin_ = np.concatenate([floor_rhs, box_rhs])
+    # Rows: flow floor for t = 1..N_c, eps >= 0, then the box's upper and
+    # lower halves for t = 0..N_p.
+    flows = prog.floor_map @ zeta0 + np.tile(prog.flow_sel @ xi_s, n_c)
+    base = prog.box_map @ zeta0 + np.tile(u_s, n_p + 1)
+    bin_ = np.concatenate([flows - cfg.flow_margin, np.zeros(n_eps), bound - base, bound + base])
 
     start = _feasible_mpc_start(coalition, prog, zeta0, setpoint, cfg)
     sol = solve_qp(QpProblem(prog.qp, f_vec, bin=bin_), start=start)
@@ -520,28 +512,22 @@ def mpc_step(coalition, zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
 
 def _feasible_mpc_start(coalition, prog, zeta0, setpoint, cfg):
     """Clamp the pure feedback law into the box and absorb floors into slacks."""
-    n_p, n_c, n_q, m = prog.n_p, prog.n_c, prog.n_q, prog.m
+    n_p, n_c, m = prog.n_p, prog.n_c, prog.m
     bound = cfg.input_bound
     u = np.zeros((n_c, m))
-    z = zeta0.copy()
-    traj = [z]
-    for t in range(n_p):
-        desired = prog.gain @ z + setpoint.u_s
-        if t < n_c:
-            total = np.clip(desired, -bound, bound)
-            u[t] = total - desired
-            z = prog.acl @ z + coalition.Up @ u[t]
-        else:
-            if np.max(np.abs(desired)) > bound + 1e-12:
-                return None
-            z = prog.acl @ z
-        traj.append(z)
-    if np.max(np.abs(prog.gain @ traj[n_p] + setpoint.u_s)) > bound + 1e-12:
+    traj = np.empty((n_c + 1, zeta0.shape[0]))
+    traj[0] = zeta0
+    for t in range(n_c):
+        desired = prog.gain @ traj[t] + setpoint.u_s
+        total = np.clip(desired, -bound, bound)
+        u[t] = total - desired
+        traj[t + 1] = prog.acl @ traj[t] + coalition.Up @ u[t]
+    # From N_c on the pure feedback law must stay inside the box unaided.
+    tail = prog.box_map[: m * (n_p - n_c + 1)] @ traj[n_c] + np.tile(setpoint.u_s, n_p - n_c + 1)
+    if np.max(np.abs(tail)) > bound + 1e-12:
         return None
-    eps = np.zeros((n_c, n_q))
-    for t in range(1, n_c + 1):
-        flows = prog.flow_sel @ (traj[t] + setpoint.xi_s)
-        eps[t - 1] = np.maximum(0.0, cfg.flow_margin - flows)
+    flows = (traj[1:] + setpoint.xi_s) @ prog.flow_sel.T
+    eps = np.maximum(0.0, cfg.flow_margin - flows)
     return np.concatenate([u.reshape(-1), eps.reshape(-1)])
 
 

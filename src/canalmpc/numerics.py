@@ -1,14 +1,16 @@
 """Dense linear-algebra kernel: linear solves, Riccati synthesis, small convex QPs.
 
 Everything here is pure and deterministic: identical inputs produce
-bit-identical outputs, so simulation traces are reproducible.
+bit-identical outputs, so simulation traces are reproducible.  Repeated
+solves call LAPACK (getrf/getrs, potrs) directly, not through scipy's
+lu_factor/lu_solve/cho_solve wrappers; inputs are checked here instead.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -48,8 +50,9 @@ def _as_vector(b, name="vector"):
 class LuFactor:
     """LU factor with partial pivoting of a square matrix; each solve reuses it.
 
-    The matrix is checked once, here: a non-finite entry raises ValueError,
-    and SingularMatrixError is raised when any pivot magnitude falls below
+    LAPACK getrf factors, getrs solves.  The matrix is checked once, here: a
+    non-finite entry raises ValueError, and SingularMatrixError is raised
+    when any pivot magnitude (an exact zero included) falls below
     PIVOT_RTOL times the largest entry.
     """
 
@@ -64,11 +67,7 @@ class LuFactor:
         scale = np.max(np.abs(A))
         if scale == 0.0:
             raise SingularMatrixError("zero matrix")
-        with warnings.catch_warnings():
-            # lu_factor warns instead of raising on an exact zero pivot; the
-            # threshold check below turns either case into an error.
-            warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        lu, piv = _lapack(dgetrf, A)
         if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * scale:
             raise SingularMatrixError(
                 f"pivot below {PIVOT_RTOL:g} * scale (matrix is singular to working precision)"
@@ -84,7 +83,15 @@ class LuFactor:
             raise ValueError("b contains non-finite entries")
         if self.n == 0:
             return np.zeros_like(b)
-        return scipy.linalg.lu_solve(self._lu_piv, b, check_finite=False)
+        return _lapack(dgetrs, *self._lu_piv, b)
+
+
+def _lapack(routine, *args, **kwargs):
+    """Outputs of a LAPACK call, which leaves its inputs intact, less the trailing info."""
+    *out, info = routine(*args, **kwargs)
+    if info < 0:  # getrf's info > 0 is a zero pivot, left to LuFactor's pivot test
+        raise ValueError(f"LAPACK argument {-info} has an illegal value")
+    return out[0] if len(out) == 1 else out
 
 
 def solve_linear(A, b):
@@ -296,10 +303,10 @@ def _kkt_step(H, g, A_w, chol=None):
     n = H.shape[0]
     nw = A_w.shape[0]
     if chol is not None:
-        hinv_g = scipy.linalg.cho_solve(chol, g)
+        hinv_g = _lapack(dpotrs, chol[0], g, lower=chol[1])
         if nw == 0:
             return -hinv_g, np.zeros(0)
-        hinv_at = scipy.linalg.cho_solve(chol, A_w.T)
+        hinv_at = _lapack(dpotrs, chol[0], A_w.T, lower=chol[1])
         schur = A_w @ hinv_at
         mult = solve_linear(0.5 * (schur + schur.T), -(A_w @ hinv_g))
         p = -hinv_g - hinv_at @ mult

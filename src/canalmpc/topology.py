@@ -55,12 +55,12 @@ class Partition:
 
     def __post_init__(self):
         blocks = tuple(tuple(sorted(b)) for b in self.blocks)
+        if not all(blocks):
+            raise ValueError("empty coalition")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         object.__setattr__(self, "blocks", blocks)
         seen = set()
         for b in blocks:
-            if not b:
-                raise ValueError("empty coalition")
             if seen & set(b):
                 raise ValueError("coalitions overlap")
             seen |= set(b)

@@ -38,7 +38,8 @@ def _check_block_assembly(cfg):
     rng = np.random.default_rng(0)
     n = len(subs)
     for _ in range(5):
-        cuts = sorted(rng.choice(range(1, n), size=int(rng.integers(0, n - 1)), replace=False))
+        n_cuts = int(rng.integers(0, max(n - 1, 1)))  # none for one or two reaches
+        cuts = sorted(rng.choice(range(1, n), size=n_cuts, replace=False))
         blocks = []
         start = 1
         for c in list(cuts) + [n]:
@@ -84,11 +85,13 @@ def _check_synthesis_certificates(cfg):
     subs = build_chain(cfg.reaches, cfg.controller.sample_time)
     cache = SynthesisCache()
     n = len(subs)
+    cut = min(3, n - 1)  # head block of up to three reaches, tail nonempty
     partitions = [
         Partition(tuple((i,) for i in range(1, n + 1))),
         Partition((tuple(range(1, n + 1)),)),
-        Partition(((1, 2, 3), tuple(range(4, n + 1)))),
     ]
+    if cut:
+        partitions.append(Partition((tuple(range(1, cut + 1)), tuple(range(cut + 1, n + 1)))))
     worst = 0.0
     for part in partitions:
         for entry in synthesize(part, subs, cfg.controller, cache):

@@ -2,8 +2,8 @@
 
 These deliberately take different computational paths from the production
 code (QR solve vs LU, scipy's Schur-based Riccati solver vs structured
-doubling, exhaustive active-set enumeration vs pivoting) so that agreement
-is meaningful.
+doubling, exhaustive active-set enumeration vs pivoting, horizon loops vs
+stacked prediction maps) so that agreement is meaningful.
 """
 
 import itertools
@@ -120,3 +120,43 @@ def looped_rollout_value(xi0, blocks, xi_mat, up_mat, phi_rho, yardstick, level_
         z = xi[rows] - yardstick[rows]
         total += z @ p_mat @ z
     return total, clipped
+
+
+def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, margin):
+    """Inequality right-hand side and feasible start of the condensed MPC, step by step.
+
+    Propagates the closed-loop state one horizon step at a time instead of
+    through precomputed stacked maps.  The right-hand side holds the flow
+    floor for t = 1..N_c, the slack sign rows, then the upper and lower
+    input-box halves for t = 0..N_p.  The start clamps the feedback law into
+    the box for the first N_c steps and lets the slacks absorb floor
+    violations; it is None when the unaided law leaves the box for some
+    t = N_c..N_p.  Also returns the largest |input| of that tail.
+    """
+    n_q, m = flow_sel.shape[0], gain.shape[0]
+    z = np.array(zeta0, dtype=float)
+    floor, upper, lower = [], [], []
+    for t in range(n_p + 1):
+        if 1 <= t <= n_c:
+            floor.append(flow_sel @ (z + xi_s) - margin)
+        base = gain @ z + u_s
+        upper.append(bound - base)
+        lower.append(bound + base)
+        z = acl @ z
+    rhs = np.concatenate(floor + [np.zeros(n_q * n_c)] + upper + lower)
+
+    z = np.array(zeta0, dtype=float)
+    moves, slacks = [], []
+    for t in range(n_c):
+        desired = gain @ z + u_s
+        moves.append(np.minimum(np.maximum(desired, -bound), bound) - desired)
+        z = acl @ z + up @ moves[-1]
+        slacks.append(np.maximum(0.0, margin - flow_sel @ (z + xi_s)))
+    tail_peak = 0.0
+    for _ in range(n_c, n_p + 1):
+        tail_peak = max(tail_peak, float(np.max(np.abs(gain @ z + u_s))))
+        z = acl @ z
+    start = None
+    if tail_peak <= bound + 1e-12:
+        start = np.concatenate([np.reshape(moves, m * n_c), np.reshape(slacks, n_q * n_c)])
+    return rhs, start, tail_peak

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from canalmpc import control
 from canalmpc.canal import build_chain, build_coalition_model, assemble_global
 from canalmpc.control import (
     ControllerConfig,
@@ -23,7 +24,7 @@ from canalmpc.control import (
 )
 from canalmpc.numerics import SingularMatrixError, lqr_gain, solve_dare
 
-from oracles import brute_force_qp
+from oracles import brute_force_qp, looped_mpc_data
 
 CHAIN = build_chain()
 SINGLETONS = tuple((i,) for i in range(1, 14))
@@ -359,6 +360,96 @@ class TestMpcStep:
         zeta = np.array([0.2, 0.1, -0.1, 0.3])
         step = mpc_step(coal, zeta, sp, prog, self.cfg)
         assert np.allclose(step.eps, 0.0, atol=1e-10)
+
+
+class TestStackedHorizonMaps:
+    """mpc_step's inequality data and start against a step-by-step rollout."""
+
+    cfg = ControllerConfig()
+
+    def _programs(self, members):
+        coal = make_coalition(members)
+        return coal, prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
+
+    def _production(self, coal, prog, zeta0, sp, monkeypatch):
+        """(bin, start) that mpc_step hands to its QP solve; the solve is skipped."""
+
+        class Handed(Exception):
+            pass
+
+        def spy(prob, start=None):
+            raise Handed(prob.bin, start)
+
+        monkeypatch.setattr(control, "solve_qp", spy)
+        with pytest.raises(Handed) as handed:
+            mpc_step(coal, zeta0, sp, prog, self.cfg)
+        return handed.value.args
+
+    def _oracle(self, coal, prog, zeta0, sp):
+        cfg = self.cfg
+        return looped_mpc_data(prog.acl, coal.Up, prog.gain, prog.flow_sel, zeta0, sp.xi_s,
+                               sp.u_s, cfg.prediction_horizon, cfg.control_horizon,
+                               cfg.input_bound, cfg.flow_margin)
+
+    @staticmethod
+    def _assert_close(actual, expected):
+        assert actual.shape == expected.shape
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+    @staticmethod
+    def _setpoint(coal, rng):
+        xi_s = np.zeros(coal.n)
+        xi_s[coal.flow_rows()] = rng.uniform(0.0, 3.0, size=len(coal.flow_rows()))
+        return Setpoint(xi_s, rng.uniform(-0.5, 0.5, size=coal.m), np.zeros(coal.n), True)
+
+    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
+    def test_random_states_match_horizon_loop(self, members, monkeypatch):
+        coal, prog = self._programs(members)
+        rng = np.random.default_rng(sum(members))
+        outcomes = set()
+        for _ in range(12):
+            sp = self._setpoint(coal, rng)
+            zeta0 = rng.normal(scale=rng.choice([0.05, 0.5, 5.0]), size=coal.n)
+            bin_, start = self._production(coal, prog, zeta0, sp, monkeypatch)
+            ref_bin, ref_start, _ = self._oracle(coal, prog, zeta0, sp)
+            self._assert_close(bin_, ref_bin)
+            assert (start is None) == (ref_start is None)
+            if start is not None:
+                self._assert_close(start, ref_start)
+            outcomes.add(start is None)
+        assert outcomes == {True, False}  # both branches exercised
+
+    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
+    def test_tail_just_outside_box_has_no_start(self, members, monkeypatch):
+        """Bisect along one direction to where the unaided tail leaves the box."""
+        coal, prog = self._programs(members)
+        rng = np.random.default_rng(7)
+        sp = self._setpoint(coal, rng)
+        direction = rng.normal(size=coal.n)
+
+        def tail_peak(scale):
+            return self._oracle(coal, prog, scale * direction, sp)[2]
+
+        def crossing(level):
+            """(lo, hi) scales bracketing where the tail's peak passes `level`."""
+            lo, hi = 0.0, 1.0
+            while tail_peak(hi) <= level:
+                hi *= 2.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if tail_peak(mid) <= level else (lo, mid)
+            return lo, hi
+
+        # The start's test allows 1e-12 over the bound: step just past that.
+        bound = self.cfg.input_bound
+        inside, outside = crossing(bound)[0], crossing(bound + 5e-11)[1]
+        assert bound - 1e-9 < tail_peak(inside) <= bound
+        assert bound + 1e-11 < tail_peak(outside) < bound + 1e-10
+        _, start = self._production(coal, prog, outside * direction, sp, monkeypatch)
+        assert start is None
+        _, start = self._production(coal, prog, inside * direction, sp, monkeypatch)
+        assert start is not None
+        self._assert_close(start, self._oracle(coal, prog, inside * direction, sp)[1])
 
 
 class TestControlAction:

@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from canalmpc import numerics
 from canalmpc.canal import build_chain, build_coalition_model
 from canalmpc.control import ControllerConfig, weight_matrices
 from canalmpc.numerics import (
+    LuFactor,
     QpProblem,
     QpStructure,
     RiccatiConvergenceError,
@@ -69,6 +71,54 @@ class TestSolveLinear:
         A = np.array([[2.0, 1.0], [0.0, 3.0]])
         with pytest.raises(ValueError):
             solve_linear(A, np.array([1.0, np.nan]))
+
+
+class TestLapackCalls:
+    """LuFactor and the Schur step call LAPACK directly; the results are those of
+    scipy's wrappers around the same routines, bit for bit."""
+
+    @pytest.mark.parametrize("rhs_shape", [(6,), (6, 4)])
+    def test_lu_solve_bit_equal_to_scipy(self, rhs_shape):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            A = rng.normal(size=(6, 6))
+            b = rng.normal(size=rhs_shape)
+            A_copy, b_copy = A.copy(), b.copy()
+            x = LuFactor(A).solve(b)
+            expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, expected)
+            assert np.array_equal(A, A_copy) and np.array_equal(b, b_copy)
+
+    @pytest.mark.parametrize("n_working", [0, 1, 3])
+    def test_schur_step_bit_equal_to_cho_solve(self, n_working):
+        rng = np.random.default_rng(12 + n_working)
+        M = rng.normal(size=(7, 7))
+        H = M @ M.T + np.eye(7)
+        g = rng.normal(size=7)
+        A_w = rng.normal(size=(n_working, 7))
+        chol = QpStructure(H).chol
+        copies = [H.copy(), g.copy(), A_w.copy()]
+        p, mult = numerics._kkt_step(H, g, A_w, chol)
+        hinv_g = scipy.linalg.cho_solve(chol, g)
+        if n_working:
+            hinv_at = scipy.linalg.cho_solve(chol, A_w.T)
+            schur = A_w @ hinv_at
+            expected_mult = scipy.linalg.lu_solve(
+                scipy.linalg.lu_factor(0.5 * (schur + schur.T)), -(A_w @ hinv_g))
+            expected_p = -hinv_g - hinv_at @ expected_mult
+        else:
+            expected_p, expected_mult = -hinv_g, np.zeros(0)
+        assert np.array_equal(p, expected_p)
+        assert np.array_equal(mult, expected_mult)
+        assert all(np.array_equal(a, c) for a, c in zip((H, g, A_w), copies))
+
+    def test_exact_zero_pivot_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
+                with pytest.raises(SingularMatrixError):
+                    LuFactor(A)
 
 
 class TestSolveDare:

@@ -197,6 +197,9 @@ class TestBuiltOnce:
         count(CoalitionController, "__init__", "controllers")
         count(SynthesisCache, "store", "coalitions")
         count(canal, "LuFactor", "setpoint_factor")  # only the setpoint factor is built there
+        count(control, "prepare_mpc")
+        for wrapper in ("lu_factor", "lu_solve", "cho_solve"):  # LAPACK is called directly
+            count(scipy.linalg, wrapper)
 
         trace = run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
         controllers, coalitions = calls["controllers"], calls["coalitions"]
@@ -207,6 +210,8 @@ class TestBuiltOnce:
         assert calls["cho_factor"] <= 2 * controllers
         assert calls["weight_matrices"] <= coalitions + 2 * controllers
         assert calls["setpoint_factor"] <= coalitions + 1  # plus the chain model's
+        assert calls["prepare_mpc"] <= controllers
+        assert calls["lu_factor"] == calls["lu_solve"] == calls["cho_solve"] == 0
 
 
 class TestCentralized:

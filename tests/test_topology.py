@@ -77,6 +77,11 @@ class TestPartitionOf:
         with pytest.raises(ValueError):
             Partition(((1, 2), (2, 3)))
 
+    @pytest.mark.parametrize("blocks", [((1, 2), ()), ((), (1, 2)), ((),)])
+    def test_partition_rejects_empty_block(self, blocks):
+        with pytest.raises(ValueError, match="empty coalition"):
+            Partition(blocks)
+
 
 class TestCandidateSet:
     def test_from_empty(self):
