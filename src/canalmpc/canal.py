@@ -10,7 +10,8 @@ outflow (downstream gate flow plus offtake); flows form a delay line driven
 by the flow increment u_i = dq_i commanded at the upstream gate.  The
 downstream gate flow perturbs the level, so the neighbour set of reach i is
 {i+1} (distant downstream control), empty for the last reach whose
-downstream discharge is not manipulated.
+downstream discharge is not manipulated.  CoalitionModel owns this layout:
+its row helpers and stack_state are the only code that encodes it.
 """
 
 from dataclasses import dataclass
@@ -58,76 +59,22 @@ DEZ_REACHES = (
 
 @dataclass(frozen=True, eq=False)
 class SubsystemModel:
-    """State-space model of one gate+reach pair.
-
-    a, b, e, g are the local dynamics, offtake and external-flow input
-    columns.  a_down_col / b_down_col are coupling templates toward the
-    downstream neighbour: a_down_col multiplies the neighbour's newest flow
-    state (first slot) and b_down_col its flow increment.  Both are absent
-    for the last reach.
-    """
+    """One gate+reach pair: its flow delay and level gain T_c / A_s."""
 
     index: int
     delay: int
     gain: float  # T_c / A_s
-    a: np.ndarray
-    b: np.ndarray
-    e: np.ndarray
-    g: np.ndarray
-    a_down_col: np.ndarray | None
-    b_down_col: np.ndarray | None
-    is_last: bool
 
     @property
     def n(self):
         return self.delay + 1
 
 
-def build_subsystem(params: ReachParams, t_sample: float, is_last: bool) -> SubsystemModel:
-    """Build the augmented-state model of one reach from its parameters."""
+def build_subsystem(params: ReachParams, t_sample: float) -> SubsystemModel:
+    """The model of one reach from its parameters."""
     if t_sample <= 0.0:
         raise ValueError("t_sample must be positive")
-    d = params.delay_steps
-    n = d + 1
-    gain = t_sample / params.backwater_area
-
-    a = np.zeros((n, n))
-    b = np.zeros((n, 1))
-    # Flow delay line: slot 0 integrates the gate increment, later slots shift.
-    a[0, 0] = 1.0
-    b[0, 0] = 1.0
-    for j in range(1, d):
-        a[j, j - 1] = 1.0
-    # Level row: integrates the delayed inflow q(k-d) (slot d-1).
-    a[d, d - 1] = gain
-    a[d, d] = 1.0
-
-    e = np.zeros((n, 1))
-    e[d, 0] = -gain
-    g = np.zeros((n, 1))
-    g[d, 0] = -gain
-
-    if is_last:
-        a_down = None
-        b_down = None
-    else:
-        a_down = np.zeros((n, 1))
-        a_down[d, 0] = -gain
-        b_down = np.zeros((n, 1))
-        b_down[d, 0] = -gain
-
-    return SubsystemModel(
-        index=params.index,
-        delay=d,
-        gain=gain,
-        a=a,
-        b=b,
-        e=e,
-        g=g,
-        a_down_col=a_down,
-        b_down_col=b_down,
-        is_last=is_last,
-    )
+    return SubsystemModel(params.index, params.delay_steps, t_sample / params.backwater_area)
 
 
 def build_chain(reaches=DEZ_REACHES, t_sample=300.0):
@@ -136,10 +83,7 @@ def build_chain(reaches=DEZ_REACHES, t_sample=300.0):
     for pos, r in enumerate(reaches, start=1):
         if r.index != pos:
             raise ValueError("reach indices must be contiguous starting at 1")
-    n = len(reaches)
-    return tuple(
-        build_subsystem(r, t_sample, is_last=(r.index == n)) for r in reaches
-    )
+    return tuple(build_subsystem(r, t_sample) for r in reaches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +120,17 @@ class CoalitionModel:
     def n_channels(self):
         return self.Psi.shape[1]
 
-    def member_slice(self, s):
-        off = self.offsets[s]
-        return slice(off, off + self.delays[self.members.index(s)] + 1)
+    def stack_state(self, flow_history, levels):
+        """The stacked state [q_s(k-1), ..., q_s(k-d_s), e_s] per member, from measurements.
+
+        flow_history[j] holds every gate's flow j + 1 steps back, for at
+        least the longest member delay; levels holds every reach's level
+        error.  Both are indexed by reach index - 1.
+        """
+        return np.concatenate([
+            [flow_history[j][s - 1] for j in range(d)] + [levels[s - 1]]
+            for s, d in zip(self.members, self.delays)
+        ])
 
     def level_rows(self):
         """State indices of the member level errors, in member order."""
@@ -244,11 +196,14 @@ class CoalitionModel:
 def build_coalition_model(subsystems, members) -> CoalitionModel:
     """Assemble the stacked model of one coalition.
 
-    `subsystems` lists every subsystem model in chain order.  Couplings
-    between members are absorbed into Xi/Up; couplings toward non-members
-    become unit disturbance channels in Psi, so the model depends on the
-    members alone, not on how the other subsystems are grouped.  Members
-    need not be contiguous.
+    `subsystems` lists every subsystem model in chain order.  Each member
+    contributes its flow delay line and its level row: + gain on the
+    delayed inflow q(k-d), - gain on the offtake and - gain on the
+    downstream gate's flow q(k-1) + dq(k).  When that gate is a member the
+    coupling lands in Xi/Up; otherwise it becomes a disturbance channel in
+    Psi, so the model depends on the members alone, not on how the other
+    subsystems are grouped.  The last reach of the chain has no downstream
+    gate.  Members need not be contiguous.
     """
     members = tuple(sorted(members))
     by_index = {s.index: s for s in subsystems}
@@ -258,42 +213,40 @@ def build_coalition_model(subsystems, members) -> CoalitionModel:
 
     offsets = {}
     off = 0
-    delays = []
     for s in members:
         offsets[s] = off
         off += by_index[s].n
-        delays.append(by_index[s].delay)
     n = off
     m = len(members)
 
     Xi = np.zeros((n, n))
     Up = np.zeros((n, m))
     Phi = np.zeros((n, m))
-    psi_cols = []
-    sources = []
+    gamma = np.zeros((m, n))
+    channels = []  # (level row, gain, source gate) per coupling to a non-member
 
     for col, s in enumerate(members):
-        sub = by_index[s]
-        sl = slice(offsets[s], offsets[s] + sub.n)
-        Xi[sl, sl] = sub.a
-        Up[sl, col] = sub.b[:, 0]
-        Phi[sl, col] = sub.e[:, 0]
-        if sub.is_last:
-            continue
+        off, d, gain = offsets[s], by_index[s].delay, by_index[s].gain
+        # Flow delay line: slot 0 integrates the gate increment, later slots shift.
+        Xi[off, off] = 1.0
+        Up[off, col] = 1.0
+        for j in range(1, d):
+            Xi[off + j, off + j - 1] = 1.0
+        level = off + d
+        Xi[level, level] = 1.0
+        Xi[level, level - 1] = gain
+        Phi[level, col] = -gain
+        gamma[col, level] = 1.0
         down = s + 1
         if down in offsets:
-            Xi[sl, offsets[down]] += sub.a_down_col[:, 0]
-            Up[sl, members.index(down)] += sub.b_down_col[:, 0]
-        else:
-            col_vec = np.zeros(n)
-            col_vec[sl] = sub.g[:, 0]
-            psi_cols.append(col_vec)
-            sources.append(down)
+            Xi[level, offsets[down]] = -gain
+            Up[level, members.index(down)] = -gain
+        elif down in by_index:
+            channels.append((level, gain, down))
 
-    Psi = np.column_stack(psi_cols) if psi_cols else np.zeros((n, 0))
-    gamma = np.zeros((m, n))
-    for row, s in enumerate(members):
-        gamma[row, offsets[s] + by_index[s].delay] = 1.0
+    Psi = np.zeros((n, len(channels)))
+    for c, (level, gain, _) in enumerate(channels):
+        Psi[level, c] = -gain
 
     return CoalitionModel(
         members=members,
@@ -302,9 +255,9 @@ def build_coalition_model(subsystems, members) -> CoalitionModel:
         Phi=Phi,
         Psi=Psi,
         gamma=gamma,
-        coupling_sources=tuple(sources),
+        coupling_sources=tuple(source for _, _, source in channels),
         offsets=offsets,
-        delays=tuple(delays),
+        delays=tuple(by_index[s].delay for s in members),
     )
 
 

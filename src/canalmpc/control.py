@@ -52,7 +52,7 @@ class ControllerConfig:
     kf_prior_flow: float = 1.0
     kf_prior_level: float = 1e-2
     kf_prior_omega: float = 10.0
-    history_capacity: int = 20
+    history_capacity: int = 20      # filter warm-start samples, at least 1
     # Supervisory rollout length when scoring candidate topologies.  Long
     # enough to expose slow cross-coalition externalities (the slowest pool
     # settles in ~100 steps); the topology choice itself still applies for
@@ -70,6 +70,8 @@ class ControllerConfig:
                 raise ValueError(f"{name} must be positive")
         if self.level_weight < 0.0 or self.link_cost < 0.0:
             raise ValueError("weights must be nonnegative")
+        if self.history_capacity < 1:
+            raise ValueError("history_capacity must be at least 1")
 
 
 def weight_matrices(coalition: CoalitionModel, cfg: ControllerConfig):
@@ -222,10 +224,7 @@ def kf_init(filt: KalmanModel, history: HistoryBuffer) -> KalmanState:
     first = samples[0]
 
     xhat = np.zeros(n + r)
-    for s in coalition.members:
-        sl = coalition.member_slice(s)
-        xhat[sl.start: sl.stop - 1] = first.flows[s - 1]
-        xhat[sl.stop - 1] = first.levels[s - 1]
+    xhat[:n] = coalition.stack_state([first.flows] * max(coalition.delays), first.levels)
     for c, source in enumerate(coalition.coupling_sources):
         attached = source - 1
         xhat[n + c] = first.flows[attached - 1] - first.offtakes[attached - 1]
@@ -541,19 +540,6 @@ def control_action(zeta, u_s, vprime, gain):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StepLog:
-    """Per-step controller record (feeds the trace and cost accounting)."""
-
-    members: tuple
-    xi_s: np.ndarray
-    u_s: np.ndarray
-    sigma_norm: float
-    omega_hat: np.ndarray
-    qp_status: str
-    n_decision_inputs: int
-
-
 class CoalitionController:
     """One coalition's filter, gains and condensed MPC, stepped by the simulator.
 
@@ -584,7 +570,7 @@ class CoalitionController:
         )
 
     def compute(self, rho_global):
-        """Setpoint projection plus MPC; returns (u, setpoint, log)."""
+        """Setpoint projection plus MPC; returns (u, setpoint)."""
         model = self.model
         idx = [s - 1 for s in model.members]
         rho = np.asarray(rho_global)[idx]
@@ -597,14 +583,4 @@ class CoalitionController:
             raise RuntimeError(
                 f"MPC infeasible for coalition {model.members}"
             )
-        u = control_action(zeta, setpoint.u_s, step.vprime, self.gain)
-        log = StepLog(
-            members=model.members,
-            xi_s=setpoint.xi_s,
-            u_s=setpoint.u_s,
-            sigma_norm=float(np.linalg.norm(setpoint.sigma, np.inf)),
-            omega_hat=omega_hat.copy(),
-            qp_status=step.status,
-            n_decision_inputs=model.m * self.cfg.control_horizon,
-        )
-        return u, setpoint, log
+        return control_action(zeta, setpoint.u_s, step.vprime, self.gain), setpoint

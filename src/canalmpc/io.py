@@ -40,8 +40,10 @@ class RunConfig:
     seed: int = 0
 
     def config_hash(self) -> str:
+        """Digest of the run-defining fields; equal values hash equally, int or float."""
         payload = {
-            "reaches": [dataclasses.astuple(r) for r in self.reaches],
+            "reaches": [[r.index, float(r.backwater_area), r.delay_steps,
+                         float(r.length), float(r.bottom_width)] for r in self.reaches],
             "controller": dataclasses.asdict(self.controller),
             "scenario": None if self.scenario is None else {
                 "name": self.scenario.name,
@@ -198,7 +200,8 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
 
     Parsed documents and configurations with command-line overrides both
     pass here, so neither reaches the closed loop with a supervisory
-    interval below 1 or a negative or non-finite link price.
+    interval below 1, a negative or non-finite link price, or a plant delay
+    below one step.
     """
     if cfg.t_lambda < 1:
         raise ConfigError(f"t_lambda: must be at least 1, got {cfg.t_lambda}")
@@ -209,6 +212,12 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
     bad = [c for c in cfg.c_link_sweep if not 0.0 <= c < np.inf]
     if bad:
         raise ConfigError(f"c_link_sweep: entries must be finite and nonnegative, got {bad}")
+    for r, offset in zip(cfg.reaches, cfg.plant.delay_offsets or ()):
+        if r.delay_steps + offset < 1:
+            raise ConfigError(
+                f"plant.delay_offsets: reach {r.index} offset {offset} takes its delay "
+                f"{r.delay_steps} below 1"
+            )
     return cfg
 
 

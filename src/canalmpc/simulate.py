@@ -7,7 +7,7 @@ t_lambda steps; coalition controllers run every step.  Runs are fully
 deterministic given the seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,8 +171,6 @@ class SimTrace:
     mean_decision_vars: np.ndarray  # (T,)
     config_hash: str = ""
     seed: int = 0
-    coalition_log: list = field(default_factory=list, repr=False)
-    supervisor_log: list = field(default_factory=list, repr=False)
 
     @property
     def horizon(self):
@@ -190,14 +188,6 @@ class SimTrace:
                 )
             )
         )
-
-
-def _controller_frame_state(subsystems, flows_hist, levels):
-    """Chain-ordered state of [q(k-1)..q(k-d), e] per subsystem, from measurements."""
-    return np.concatenate([
-        [flows_hist[j][sub.index - 1] for j in range(sub.delay)] + [levels[sub.index - 1]]
-        for sub in subsystems
-    ])
 
 
 def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
@@ -268,14 +258,11 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             flows_hist.insert(0, flows.copy())
             del flows_hist[max_delay:]
 
-        state = _controller_frame_state(subs, flows_hist, levels)
+        state = nominal_model.stack_state(flows_hist, levels)
         if supervision and k % t_lambda == 0:
             result = select_topology(
                 state, rho, published, incumbent, cache, subs, ctrl_cfg,
                 t_lambda, global_model=nominal_model,
-            )
-            trace.supervisor_log.append(
-                {"step": k, "chosen": result.topology.bits(), "values": result.values}
             )
             incumbent = result.topology
             rebuild_controllers(incumbent)
@@ -287,20 +274,18 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                 ctrl.advance_filter(prev_u, prev_rho, levels, flows)
 
         u_global = np.zeros(n)
-        step_logs = []
         perf = 0.0
         dec_vars = []
         for members in sorted(controllers):
             ctrl = controllers[members]
             try:
-                u, setpoint, log = ctrl.compute(rho)
+                u, setpoint = ctrl.compute(rho)
             except Exception as exc:
                 raise RuntimeError(f"controller failure at step {k}: {exc}") from exc
             for pos, s in enumerate(members):
                 u_global[s - 1] = u[pos]
             published.publish(ctrl.model, setpoint)
-            step_logs.append(log)
-            dec_vars.append(log.n_decision_inputs)
+            dec_vars.append(ctrl.model.m * ctrl_cfg.control_horizon)
             # partition_of yields contiguous runs, so a coalition's state is one slice
             off = nominal_model.offsets[members[0]]
             zeta = state[off:off + ctrl.model.n] - setpoint.xi_s
@@ -320,7 +305,6 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
         trace.net_links[k] = incumbent.n_links
         trace.n_coalitions[k] = len(controllers)
         trace.mean_decision_vars[k] = float(np.mean(dec_vars))
-        trace.coalition_log.append(step_logs)
 
         plant.step(u_global, rho, rng)
         history.push(levels, flows, u_global, rho)

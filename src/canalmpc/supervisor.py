@@ -129,25 +129,22 @@ def synthesize(partition: Partition, subsystems, cfg: ControllerConfig, cache=No
 
 @dataclass
 class PublishedSetpoints:
-    """Most recent per-subsystem steady setpoints, shared with the top layer.
+    """Most recent per-gate steady outflow q_s + dq_s, shared with the top layer.
 
-    Coalition setpoints are scattered to per-subsystem records so that any
+    Coalition setpoints are scattered to per-gate entries so that any
     candidate partition can read them, whatever partition produced them.
     Bootstrap uses the currently measured gate flows with zero inputs.
     """
 
-    flow: np.ndarray
-    input: np.ndarray
+    outflow: np.ndarray
 
     @classmethod
     def bootstrap(cls, measured_flows):
-        measured_flows = np.asarray(measured_flows, dtype=float)
-        return cls(flow=measured_flows.copy(), input=np.zeros_like(measured_flows))
+        return cls(outflow=np.array(measured_flows, dtype=float))
 
     def publish(self, coalition, setpoint):
-        for pos, s in enumerate(coalition.members):
-            self.flow[s - 1] = setpoint.xi_s[coalition.offsets[s]]
-            self.input[s - 1] = setpoint.u_s[pos]
+        idx = [s - 1 for s in coalition.members]
+        self.outflow[idx] = setpoint.xi_s[coalition.gate_flow_rows()] + setpoint.u_s
 
 
 def estimate_cross_effects(coalitions, published: PublishedSetpoints):
@@ -156,13 +153,7 @@ def estimate_cross_effects(coalitions, published: PublishedSetpoints):
     Each coupling channel carries the downstream source gate's flow plus its
     input increment, read from the owning coalition's latest setpoint.
     """
-    omegas = []
-    for coal in coalitions:
-        omega = np.array(
-            [published.flow[s - 1] + published.input[s - 1] for s in coal.coupling_sources]
-        )
-        omegas.append(omega)
-    return omegas
+    return [published.outflow[[s - 1 for s in coal.coupling_sources]] for coal in coalitions]
 
 
 @dataclass

@@ -47,19 +47,23 @@ def _check_block_assembly(cfg):
                 blocks.append(tuple(range(start, c + 1)))
             start = c + 1
         coals = [build_coalition_model(subs, b) for b in blocks]
+        unrouted = [s for c in coals for s in c.coupling_sources if s not in global_model.offsets]
+        if unrouted:
+            return False, f"channels to gates {unrouted} outside the chain"
+        rows = np.cumsum([0] + [c.n for c in coals])
+        cols = np.cumsum([0] + [c.m for c in coals])
         xi = np.zeros((global_model.n, global_model.n))
-        row = 0
-        offsets = []
-        for c in coals:
-            offsets.append(row)
-            xi[row:row + c.n, row:row + c.n] = c.Xi
-            row += c.n
+        up = np.zeros((global_model.n, global_model.m))
         for i, ci in enumerate(coals):
+            xi[rows[i]:rows[i + 1], rows[i]:rows[i + 1]] = ci.Xi
+            up[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = ci.Up
             for j, cj in enumerate(coals):
                 if i != j:
-                    xi_ij, _ = ci.coupling_matrices(cj)
-                    xi[offsets[i]:offsets[i] + ci.n, offsets[j]:offsets[j] + cj.n] += xi_ij
-        if not np.allclose(xi, global_model.Xi, atol=1e-13):
+                    xi_ij, up_ij = ci.coupling_matrices(cj)
+                    xi[rows[i]:rows[i + 1], rows[j]:rows[j + 1]] += xi_ij
+                    up[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] += up_ij
+        if not (np.allclose(xi, global_model.Xi, atol=1e-13)
+                and np.allclose(up, global_model.Up, atol=1e-13)):
             return False, f"assembly mismatch for {blocks}"
     return True, "5 random partitions"
 

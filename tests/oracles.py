@@ -1,9 +1,10 @@
-"""Independent reference routines used to cross-check the solvers.
+"""Independent reference routines used to cross-check the solvers and models.
 
 These deliberately take different computational paths from the production
 code (QR solve vs LU, scipy's Schur-based Riccati solver vs structured
 doubling, exhaustive active-set enumeration vs pivoting, horizon loops vs
-stacked prediction maps) so that agreement is meaningful.
+stacked prediction maps, reach-by-reach difference equations vs stacked
+state-space matrices) so that agreement is meaningful.
 """
 
 import itertools
@@ -160,3 +161,42 @@ def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, 
     if tail_peak <= bound + 1e-12:
         start = np.concatenate([np.reshape(moves, m * n_c), np.reshape(slacks, n_q * n_c)])
     return rhs, start, tail_peak
+
+
+def step_reaches(reaches, t_sample, members, state, inputs, offtakes, external):
+    """One step of the member reaches' difference equations, reach by reach.
+
+    `reaches` is the whole chain's parameter table and `members` lists the
+    simulated reaches in increasing order.  For member s with delay d and
+    backwater area A, `state` holds [q_s(k-1), ..., q_s(k-d), e_s(k)], the
+    members stacked in order; `inputs` and `offtakes` hold dq_s(k) and
+    p_s(k) per member.  The gate flow now is q_s(k) = q_s(k-1) + dq_s(k),
+    the delay line shifts by one, and the level follows the mass balance
+
+        e_s(k+1) = e_s(k) + T / A (q_s(k-d) - q_{s+1}(k) - p_s(k)),
+
+    where the downstream gate flow q_{s+1}(k) is computed here when s + 1 is
+    a member, read from `external[s + 1]` when it is not, and zero below the
+    last reach of the chain.  Returns the next stacked state.
+    """
+    params = {r.index: r for r in reaches}
+    last = max(params)
+    lines, levels, pos = {}, {}, 0
+    for s in members:
+        d = params[s].delay_steps
+        lines[s] = [float(v) for v in state[pos:pos + d]]
+        levels[s] = float(state[pos + d])
+        pos += d + 1
+    gate_now = {s: lines[s][0] + float(dq) for s, dq in zip(members, inputs)}
+    nxt = []
+    for s, p in zip(members, offtakes):
+        if s == last:
+            down = 0.0
+        elif s + 1 in gate_now:
+            down = gate_now[s + 1]
+        else:
+            down = float(external[s + 1])
+        inflow = lines[s][-1]
+        level = levels[s] + t_sample / params[s].backwater_area * (inflow - down - float(p))
+        nxt.extend([gate_now[s]] + lines[s][:-1] + [level])
+    return np.array(nxt)

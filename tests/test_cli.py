@@ -115,6 +115,26 @@ class TestCli:
         assert "configuration error: c_link_sweep" in captured.err
         assert captured.out == ""
 
+    def test_zero_history_capacity_refused(self, tmp_path, capsys):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["controller"] = {"history_capacity": 0}
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["run", "--config", str(path)])
+        assert rc == 2
+        assert "configuration error: controller: history_capacity" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_delay_offset_below_one_step_refused(self, tmp_path, capsys):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["plant"] = {"delay_offsets": [-3] + [0] * 12}
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["run", "--config", str(path)])
+        assert rc == 2
+        assert "configuration error: plant.delay_offsets: reach 1 " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_mismatch_flag(self, tmp_path):
         cfg = mini_config(tmp_path, horizon=12)
         rc = main(["run", "--config", str(cfg), "--mismatch", "0.2"])

@@ -549,7 +549,7 @@ class TestOffsetFreeClosedLoop:
         horizon = 300
         last_u = np.zeros(1)
         for k in range(horizon):
-            u, sp, log = ctrl.compute(rho_global)
+            u, sp = ctrl.compute(rho_global)
             assert np.max(np.abs(u)) <= cfg.input_bound + 1e-9
             x = coal.Xi @ x + coal.Up @ u + coal.Phi @ np.array([p_off]) + coal.Psi @ np.array([w_true])
             u_global[9] = u[0]

@@ -6,6 +6,7 @@ import yaml
 
 from canalmpc.io import (
     ConfigError,
+    RunConfig,
     builtin_config,
     emit_plot_data,
     load_config,
@@ -126,6 +127,30 @@ class TestLoadConfig:
         b = builtin_config("scenario1").config_hash()
         assert a == b and len(a) == 12
         assert builtin_config("scenario2").config_hash() != a
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+    def test_config_hash_ignores_int_or_float_reach_values(self, name):
+        """The built-in table holds lengths and widths as ints, the YAML parser as floats."""
+        bundled = builtin_config(name)
+        built = RunConfig(scenario=scenario_by_name(name))
+        assert bundled.reaches == built.reaches
+        assert built.config_hash() == bundled.config_hash()
+
+    @pytest.mark.parametrize("name, digest", [("scenario1", "6bb14feeca60"),
+                                              ("scenario2", "a4198d0632b7")])
+    def test_config_hash_of_bundled_files_unchanged(self, name, digest):
+        assert builtin_config(name).config_hash() == digest
+
+    def test_zero_history_capacity_named(self):
+        with pytest.raises(ConfigError, match="controller: history_capacity"):
+            parse_config({"controller": {"history_capacity": 0}})
+
+    def test_delay_offset_below_one_step_named(self):
+        offsets = [-3] + [0] * 12  # reach 1 has a delay of 3 steps
+        with pytest.raises(ConfigError, match=r"plant.delay_offsets: reach 1\b"):
+            parse_config({"plant": {"delay_offsets": offsets}})
+        offsets[0] = -2
+        assert parse_config({"plant": {"delay_offsets": offsets}}).plant.delay_offsets[0] == -2
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):

@@ -96,7 +96,7 @@ class TestPlantStep:
         # single-reach model: a unit pulse moves the level d steps later by T/A
         from canalmpc.canal import ReachParams, build_subsystem, build_coalition_model
 
-        sub = build_subsystem(ReachParams(1, 1e5, 2), 300.0, is_last=True)
+        sub = build_subsystem(ReachParams(1, 1e5, 2), 300.0)
         model = build_coalition_model([sub], (1,))
         state = np.zeros(3)
         levels = []

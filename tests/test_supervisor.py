@@ -9,7 +9,7 @@ from canalmpc.canal import (
     build_coalition_model,
     steady_state,
 )
-from canalmpc.control import ControllerConfig, compute_setpoint, weight_matrices
+from canalmpc.control import ControllerConfig, Setpoint, compute_setpoint, weight_matrices
 from canalmpc.supervisor import (
     PreviewContext,
     PublishedSetpoints,
@@ -97,8 +97,8 @@ class TestSynthesize:
         part = Partition(((1, 2), (3,)) + tuple((i,) for i in range(4, 14)))
         gains = synthesize(part, CHAIN, CFG)
         assert [entry.model.members for entry in gains] == list(part)
-        chain = assemble_global(CHAIN)
-        rows = [np.arange(39)[chain.member_slice(s)] for e in gains for s in e.model.members]
+        offsets = assemble_global(CHAIN).offsets
+        rows = [offsets[e.model.members[0]] + np.arange(e.model.n) for e in gains]
         assert np.array_equal(np.concatenate(rows), np.arange(39))
         for entry in gains:
             assert entry.gain.shape == (entry.model.m, entry.model.n)
@@ -142,10 +142,20 @@ class TestEstimateCrossEffects:
         part = SINGLETON_PARTITION
         coal = build_coalition_model(CHAIN, (4,))
         published = PublishedSetpoints.bootstrap(np.zeros(13))
-        published.flow[4] = 6.5  # subsystem 5
-        published.input[4] = 0.25
+        published.outflow[4] = 6.75  # gate 5: flow 6.5 plus increment 0.25
         (omega,) = estimate_cross_effects([coal], published)
         assert omega[0] == pytest.approx(6.75)
+
+    def test_publish_stores_gate_outflow(self):
+        coal = build_coalition_model(CHAIN, (4, 5))
+        published = PublishedSetpoints.bootstrap(np.full(13, 5.0))
+        xi_s = np.arange(1.0, coal.n + 1.0)
+        published.publish(coal, Setpoint(xi_s, np.array([0.5, -0.25]), np.zeros(coal.n), True))
+        assert published.outflow[3] == xi_s[0] + 0.5
+        assert published.outflow[4] == xi_s[coal.offsets[5]] - 0.25
+        assert np.all(np.delete(published.outflow, [3, 4]) == 5.0)
+        (omega,) = estimate_cross_effects([build_coalition_model(CHAIN, (3,))], published)
+        assert omega[0] == published.outflow[3]
 
     def test_bootstrap_equal_flows(self):
         published = PublishedSetpoints.bootstrap(np.full(13, 5.0))
@@ -189,7 +199,7 @@ def _random_setpoints(rng, steady, preview, records):
         blocks.append([])
         for entry in gains:
             coal = entry.model
-            rows = np.concatenate([np.arange(39)[model.member_slice(s)] for s in coal.members])
+            rows = model.offsets[coal.members[0]] + np.arange(coal.n)  # contiguous members
             if coal.members not in setpoints:
                 setpoints[coal.members] = (steady[rows] + rng.normal(scale=0.1, size=coal.n),
                                            rng.uniform(-0.3, 0.3, size=coal.m))
@@ -385,13 +395,18 @@ class TestSelectTopology:
 
 
 class TestSynthesisErrors:
-    def test_failure_identifies_coalition(self):
-        # An unstabilizable fabricated subsystem: duplicate of reach 1 with
-        # no input authority on its level integrator chain.
+    def test_failure_identifies_coalition(self, monkeypatch):
+        # An unstabilizable fabricated model: reach 1 with no input authority
+        # on its level integrator chain.
         import dataclasses
 
-        bad = dataclasses.replace(CHAIN[0], b=np.zeros((4, 1)))
-        subs = (bad,) + CHAIN[1:]
+        def without_input(subsystems, members):
+            model = build_coalition_model(subsystems, members)
+            if model.members != (1,):
+                return model
+            return dataclasses.replace(model, Up=np.zeros_like(model.Up))
+
+        monkeypatch.setattr(supervisor, "build_coalition_model", without_input)
         with pytest.raises(SynthesisError) as err:
-            synthesize(SINGLETON_PARTITION, subs, CFG)
+            synthesize(SINGLETON_PARTITION, CHAIN, CFG)
         assert "(1,)" in str(err.value)
