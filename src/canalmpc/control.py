@@ -286,21 +286,27 @@ class SetpointProgram:
 
 
 def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
-    """Assemble the setpoint projection QP's fixed blocks (done once per controller)."""
+    """Assemble the setpoint projection QP's fixed blocks (done once per controller).
+
+    Q weighs levels only, so diag(2Q, 2R, 2G) is singular.  H adds rho Aeq'Aeq
+    with rho = 1e-3 G (G the setpoint slack weight): rho/2 |Aeq x|^2 is constant
+    on Aeq x = beq, and as [I - Xi; gamma] has full column rank, this H is
+    positive definite and the QP takes range-space steps.
+    """
     n, m = coalition.n, coalition.m
     q_mat, r_mat = weight_matrices(coalition, cfg)
     nv = n + m + n  # xi_s, u_s, sigma
     i_minus_xi = np.eye(n) - coalition.Xi
 
-    h_mat = np.zeros((nv, nv))
-    h_mat[:n, :n] = 2.0 * q_mat
-    h_mat[n:n + m, n:n + m] = 2.0 * r_mat
-    h_mat[n + m:, n + m:] = 2.0 * cfg.setpoint_slack_weight * np.eye(n)
-
     aeq = np.zeros((n, nv))
     aeq[:, :n] = i_minus_xi
     aeq[:, n:n + m] = -coalition.Up
     aeq[:, n + m:] = -np.eye(n)
+
+    h_mat = 1e-3 * cfg.setpoint_slack_weight * (aeq.T @ aeq)
+    h_mat[:n, :n] += 2.0 * q_mat
+    h_mat[n:n + m, n:n + m] += 2.0 * r_mat
+    h_mat[n + m:, n + m:] += 2.0 * cfg.setpoint_slack_weight * np.eye(n)
 
     flow_rows = coalition.flow_rows()
     n_q = len(flow_rows)

@@ -2,7 +2,7 @@
 
 Everything here is pure and deterministic: identical inputs produce
 bit-identical outputs, so simulation traces are reproducible.  Repeated
-solves call LAPACK (getrf/getrs, potrs) directly, not through scipy's
+solves call LAPACK (getrf/getrs, potrf/potrs) directly, not through scipy's
 lu_factor/lu_solve/cho_solve wrappers; inputs are checked here instead.
 """
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -218,10 +218,10 @@ class QpStructure:
     The family is min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin with
     only f, beq and bin varying.  H must be symmetric and positive
     semidefinite on the null space of Aeq (positive definite there for a
-    unique solution).  Built here: the Cholesky factor of H (None when H is
-    not positive definite) and a maximal independent subset of the equality
-    rows.  A controller keeps one structure per QP it solves every step; a
-    one-off problem builds its own.
+    unique solution).  Built here: the independent equality rows, the
+    Cholesky factor of H and H^-1 Aeq[eq_rows]' (both None when H is not
+    positive definite).  A controller keeps one structure per QP it solves
+    every step; a one-off problem builds its own.
     """
 
     def __init__(self, H, Aeq=None, Ain=None):
@@ -240,6 +240,11 @@ class QpStructure:
         self.eq_rows = _independent_rows(self.Aeq)
         # With full row rank, Aeq x = beq is consistent for every beq.
         self.eq_full_rank = len(self.eq_rows) == self.Aeq.shape[0]
+        self.hinv_aeq_t = None if self.chol is None else self.hinv(self.Aeq[self.eq_rows].T)
+
+    def hinv(self, b):
+        """H^-1 b through the Cholesky factor (LAPACK potrs)."""
+        return _lapack(dpotrs, self.chol[0], b, lower=self.chol[1])
 
 
 @dataclass
@@ -293,24 +298,30 @@ def _independent_rows(A, rtol=RANK_RTOL):
     return sorted(piv[:rank].tolist())
 
 
-def _kkt_step(H, g, A_w, chol=None):
-    """Minimize 0.5 p'Hp + g'p subject to A_w p = 0; return (p, multipliers).
+def _range_space_step(hinv_g, A_w, hinv_at):
+    """(p, multipliers) minimizing 0.5 p'Hp + g'p s.t. A_w p = 0, H positive definite.
 
-    With a Cholesky factor of H the system is solved through the Schur
-    complement A H^-1 A' (fast when the working set is small); otherwise the
-    full KKT matrix is factored.
+    Range-space step (Nocedal & Wright, Numerical Optimization, 16.2): only
+    S = A_w H^-1 A_w' is factored, by Cholesky, which fails exactly when the
+    rows of A_w are dependent.  Round-off on an ill-conditioned H leaves p
+    off A_w p = 0 and stalls the step-norm stop; one refinement with S
+    projects it back.
     """
+    if A_w.shape[0] == 0:
+        return -hinv_g, np.zeros(0)
+    schur, info = dpotrf(A_w @ hinv_at)  # reads the upper triangle
+    if info:
+        raise SingularMatrixError("working-set rows are linearly dependent")
+    mult = _lapack(dpotrs, schur, -(A_w @ hinv_g))
+    p = -hinv_g - hinv_at @ mult
+    fix = _lapack(dpotrs, schur, A_w @ p)
+    return p - hinv_at @ fix, mult + fix
+
+
+def _kkt_step(H, g, A_w):
+    """(p, multipliers) minimizing 0.5 p'Hp + g'p s.t. A_w p = 0, H without a factor."""
     n = H.shape[0]
     nw = A_w.shape[0]
-    if chol is not None:
-        hinv_g = _lapack(dpotrs, chol[0], g, lower=chol[1])
-        if nw == 0:
-            return -hinv_g, np.zeros(0)
-        hinv_at = _lapack(dpotrs, chol[0], A_w.T, lower=chol[1])
-        schur = A_w @ hinv_at
-        mult = solve_linear(0.5 * (schur + schur.T), -(A_w @ hinv_g))
-        p = -hinv_g - hinv_at @ mult
-        return p, mult
     kkt = np.zeros((n + nw, n + nw))
     kkt[:n, :n] = H
     if nw:
@@ -342,11 +353,17 @@ def _active_set_loop(prob, x, max_iter):
     H, f, Ain, bin_ = s.H, prob.f, s.Ain, prob.bin
     A_eq = s.Aeq[s.eq_rows]
     working = []
+    if s.chol is not None:
+        hinv_f = s.hinv(f)  # so that H^-1 g = x + H^-1 f
+        hinv_rows = {}  # row i -> H^-1 a_i, solved as i first enters this solve
 
     for it in range(1, max_iter + 1):
-        g = H @ x + f
         A_w = np.vstack([A_eq, Ain[working]]) if working else A_eq
-        p, mult = _kkt_step(H, g, A_w, s.chol)
+        if s.chol is None:
+            p, mult = _kkt_step(H, H @ x + f, A_w)
+        else:
+            hinv_at = np.column_stack([s.hinv_aeq_t, *(hinv_rows[i] for i in working)])
+            p, mult = _range_space_step(x + hinv_f, A_w, hinv_at)
         if np.linalg.norm(p, np.inf) <= _STEP_TOL * (1.0 + np.linalg.norm(x, np.inf)):
             ineq_mult = mult[A_eq.shape[0]:]
             negative = [
@@ -378,6 +395,8 @@ def _active_set_loop(prob, x, max_iter):
         x = x + alpha * p
         if blocker >= 0:
             working = sorted(working + [blocker])
+            if s.chol is not None and blocker not in hinv_rows:
+                hinv_rows[blocker] = s.hinv(Ain[blocker])
     return x, MAX_ITERATIONS, max_iter, tuple(working)
 
 
@@ -413,10 +432,11 @@ def solve_qp(prob, start=None, max_iter=None):
     the same solution.  Status is 'infeasible' when the equality system is
     inconsistent or no feasible point exists, 'max-iterations' with the best
     iterate attached when the cap is reached.  Nothing fixed is factored per
-    solve: the Cholesky factor of H and the independent equality rows come
-    from the problem's QpStructure.  An equality system of full row rank is
-    consistent for every beq, so its least-squares point is computed only
-    when the start is missing or infeasible.
+    solve: H's factor, H^-1 Aeq' and the independent equality rows come from
+    the QpStructure; a step factors only the working set's Schur complement
+    (the KKT matrix when H has no factor).  An equality system of full row
+    rank is consistent for every beq, so its least-squares point is computed
+    only when the start is missing or infeasible.
     """
     if not isinstance(prob, QpProblem):
         raise TypeError("expected a QpProblem")

@@ -36,6 +36,7 @@ from .numerics import (
 from .topology import Partition, Topology, candidate_set, network_cost_total, partition_of
 
 CERT_RTOL = 1e-8
+TIE_RTOL = 1e-9  # score tie tolerance; real margins measure >= 3e-5 relative
 
 
 class SynthesisError(RuntimeError):
@@ -266,8 +267,9 @@ def select_topology(state, rho, published, incumbent, cache,
     the coming interval (topology_value).  Each row of the batch is its
     candidate's own rollout: rows share only the model and the starting
     state, so a candidate scores the same, up to round-off, whichever
-    others are scored with it.  Ties break toward fewer links, then the
-    lexicographically smallest bit-string.  `values` lists (bit-string,
+    others are scored with it.  Scores within TIE_RTOL * (1 + |best|) of the
+    best tie, so round-off never decides; ties break toward fewer links, then
+    the lexicographically smallest bit-string.  `values` lists (bit-string,
     score) in candidate_set order.  Without a cache the gains are
     synthesized in a throwaway one.
     """
@@ -288,7 +290,9 @@ def select_topology(state, rho, published, incumbent, cache,
     values = topology_value(state, candidates, records, setpoints, c_link, t_lambda, preview)
     scored = [(float(value), cand.n_links, cand.bits(), cand)
               for value, cand in zip(values, candidates)]
-    best = min(scored, key=lambda t: (t[0], t[1], t[2]))
+    cutoff = min(t[0] for t in scored)
+    cutoff += TIE_RTOL * (1.0 + abs(cutoff))
+    best = min((t for t in scored if t[0] <= cutoff), key=lambda t: (t[1], t[2]))
     return SelectionResult(
         topology=best[3],
         values=[(bits, value) for value, _, bits, _ in scored],

@@ -61,6 +61,10 @@ def brute_force_qp(H, f, Aeq=None, beq=None, Ain=None, bin_=None, tol=1e-8):
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
                 continue
+            # A singular KKT matrix (more active rows than the problem can
+            # hold) need not raise; its round-off "solution" misses the rows.
+            if np.linalg.norm(kkt @ sol - rhs, np.inf) > tol * (1.0 + np.linalg.norm(rhs, np.inf)):
+                continue
             x = sol[:n]
             mult_in = sol[n + Aeq.shape[0]:]
             if Ain.shape[0] and np.max(Ain @ x - bin_) > tol:

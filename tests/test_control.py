@@ -287,6 +287,50 @@ class TestFeasibleSetpoint:
             assert abs(obj_ours - obj_ref) <= 1e-6
             assert np.linalg.norm(ours - x_ref, np.inf) <= 1e-5
 
+    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
+    def test_augmented_program_matches_plain_qp_oracle(self, members):
+        """H + rho Aeq'Aeq changes the objective by a constant on Aeq x = beq only.
+
+        The oracle solves the plain QP (H = diag(2Q, 2R, 2G), singular) by
+        enumeration over the rows a cutting-plane loop collects: once the
+        relaxation's minimizer satisfies every row, it is the minimizer.
+        """
+        coal = make_coalition(members)
+        k_gain, _ = synth(coal, self.cfg)
+        prog = prepare_setpoint(coal, k_gain, self.cfg)
+        n, m = coal.n, coal.m
+        q_mat, r_mat = weight_matrices(coal, self.cfg)
+        h = np.zeros((2 * n + m, 2 * n + m))
+        h[:n, :n] = 2 * q_mat
+        h[n:n + m, n:n + m] = 2 * r_mat
+        h[n + m:, n + m:] = 2 * self.cfg.setpoint_slack_weight * np.eye(n)
+        aeq = np.hstack([np.eye(n) - coal.Xi, -coal.Up, -np.eye(n)])
+        rng = np.random.default_rng(7)
+        binding = 0
+        for scale in (0.3, 1.0, 3.0, 0.3, 1.0, 3.0):
+            xi_bar, u_bar = compute_setpoint(
+                coal, rng.uniform(0, 2, m), rng.uniform(-3, 1, coal.n_channels))
+            xi_now = xi_bar + rng.normal(0, scale, n)
+            sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
+            assert sp.feasible
+            f = np.zeros(2 * n + m)
+            f[n:n + m] = -2 * r_mat @ u_bar
+            beq = aeq[:, :n] @ xi_bar - coal.Up @ u_bar
+            kx = k_gain @ xi_now
+            bin_ = np.concatenate([np.full(len(coal.flow_rows()), -self.cfg.flow_margin),
+                                   self.cfg.input_bound - kx, self.cfg.input_bound + kx])
+            rows = []
+            while True:
+                x_ref, _ = brute_force_qp(h, f, aeq, beq, prog.qp.Ain[rows], bin_[rows])
+                violated = np.nonzero(prog.qp.Ain @ x_ref - bin_ > 1e-9)[0].tolist()
+                if not violated:
+                    break
+                rows = sorted(rows + violated)
+            binding += bool(rows)
+            ours = np.concatenate([sp.xi_s, sp.u_s, sp.sigma])
+            assert np.linalg.norm(ours - x_ref, np.inf) <= 1e-9 * (1 + np.linalg.norm(x_ref, np.inf))
+        assert binding >= 2  # the flow floor or the input box shapes some projections
+
     def test_input_box_respected_exactly(self):
         coal = make_coalition((8,))
         k_gain, _ = synth(coal, self.cfg)
@@ -500,8 +544,12 @@ class TestBuiltOncePrograms:
         assert kept.flow_rows == fresh.flow_rows
         for name in ("H", "Aeq", "Ain", "eq_rows", "eq_full_rank"):
             assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
-        # Q weighs levels only, so H is singular and carries no Cholesky factor.
-        assert kept.qp.chol is None and fresh.qp.chol is None
+        # The augmented Hessian is positive definite: the kept factor and
+        # H^-1 Aeq' are those of a fresh build.
+        assert kept.qp.chol[1] == fresh.qp.chol[1]
+        for kept_arr, fresh_arr in ((kept.qp.chol[0], fresh.qp.chol[0]),
+                                    (kept.qp.hinv_aeq_t, fresh.qp.hinv_aeq_t)):
+            assert np.array_equal(kept_arr, fresh_arr)
         assert np.array_equal(ctrl.program.qp.H, prepare_mpc(coal, *synth(coal, self.cfg),
                                                              self.cfg).qp.H)
 

@@ -74,8 +74,8 @@ class TestSolveLinear:
 
 
 class TestLapackCalls:
-    """LuFactor and the Schur step call LAPACK directly; the results are those of
-    scipy's wrappers around the same routines, bit for bit."""
+    """LuFactor calls LAPACK directly; the results are those of scipy's
+    wrappers around the same routines, bit for bit."""
 
     @pytest.mark.parametrize("rhs_shape", [(6,), (6, 4)])
     def test_lu_solve_bit_equal_to_scipy(self, rhs_shape):
@@ -90,35 +90,36 @@ class TestLapackCalls:
             assert np.array_equal(x, expected)
             assert np.array_equal(A, A_copy) and np.array_equal(b, b_copy)
 
-    @pytest.mark.parametrize("n_working", [0, 1, 3])
-    def test_schur_step_bit_equal_to_cho_solve(self, n_working):
-        rng = np.random.default_rng(12 + n_working)
-        M = rng.normal(size=(7, 7))
-        H = M @ M.T + np.eye(7)
-        g = rng.normal(size=7)
-        A_w = rng.normal(size=(n_working, 7))
-        chol = QpStructure(H).chol
-        copies = [H.copy(), g.copy(), A_w.copy()]
-        p, mult = numerics._kkt_step(H, g, A_w, chol)
-        hinv_g = scipy.linalg.cho_solve(chol, g)
-        if n_working:
-            hinv_at = scipy.linalg.cho_solve(chol, A_w.T)
-            schur = A_w @ hinv_at
-            expected_mult = scipy.linalg.lu_solve(
-                scipy.linalg.lu_factor(0.5 * (schur + schur.T)), -(A_w @ hinv_g))
-            expected_p = -hinv_g - hinv_at @ expected_mult
-        else:
-            expected_p, expected_mult = -hinv_g, np.zeros(0)
-        assert np.array_equal(p, expected_p)
-        assert np.array_equal(mult, expected_mult)
-        assert all(np.array_equal(a, c) for a, c in zip((H, g, A_w), copies))
-
     def test_exact_zero_pivot_raises_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
                 with pytest.raises(SingularMatrixError):
                     LuFactor(A)
+
+
+class TestRangeSpaceStep:
+    """The step for a factored H agrees with the full KKT system."""
+
+    @pytest.mark.parametrize("n_eq", [0, 2])
+    @pytest.mark.parametrize("n_working", [0, 1, 3])
+    def test_step_matches_full_kkt(self, n_working, n_eq):
+        rng = np.random.default_rng(12 + n_working + 10 * n_eq)
+        n = 7
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + np.eye(n)
+        s = QpStructure(H, rng.normal(size=(n_eq, n)), rng.normal(size=(4, n)))
+        g = rng.normal(size=n)
+        rows = [3, 0, 2][:n_working]
+        A_w = np.vstack([s.Aeq, s.Ain[rows]])
+        hinv_at = np.column_stack([s.hinv_aeq_t, scipy.linalg.cho_solve(s.chol, s.Ain[rows].T)])
+        p, mult = numerics._range_space_step(scipy.linalg.cho_solve(s.chol, g), A_w, hinv_at)
+        nw = n_eq + n_working
+        kkt = np.block([[H, A_w.T], [A_w, np.zeros((nw, nw))]])
+        ref = np.linalg.solve(kkt, np.concatenate([-g, np.zeros(nw)]))
+        assert np.linalg.norm(p - ref[:n], np.inf) <= 1e-12 * (1 + np.linalg.norm(ref[:n], np.inf))
+        assert np.linalg.norm(mult - ref[n:], np.inf) <= 1e-12 * (1 + np.linalg.norm(ref[n:], np.inf))
+        assert s.hinv_aeq_t.shape == (n, n_eq)
 
 
 class TestSolveDare:
@@ -332,6 +333,28 @@ class TestSolveQp:
             x_ref, obj_ref = brute_force_qp(H, f, Ain=Ain, bin_=bin_)
             assert abs(sol.objective - obj_ref) <= 1e-6
             assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-5
+
+    def test_random_pd_with_equalities_vs_enumeration(self):
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            n = int(rng.integers(2, 6))
+            n_eq = int(rng.integers(1, n))
+            n_in = int(rng.integers(1, 7))
+            M = rng.normal(size=(n, n))
+            H = M @ M.T + 0.3 * np.eye(n)
+            f = rng.normal(size=n)
+            Aeq = rng.normal(size=(n_eq, n))
+            Ain = rng.normal(size=(n_in, n))
+            x_feas = rng.normal(size=n)
+            beq = Aeq @ x_feas
+            bin_ = Ain @ x_feas + rng.uniform(0.05, 1.0, size=n_in)
+            structure = QpStructure(H, Aeq, Ain)
+            assert structure.chol is not None
+            sol = solve_qp(QpProblem(structure, f, beq, bin_))
+            assert sol.optimal, f"trial {trial} not optimal: {sol.status}"
+            x_ref, obj_ref = brute_force_qp(H, f, Aeq, beq, Ain, bin_)
+            assert abs(sol.objective - obj_ref) <= 1e-6 * (1 + abs(obj_ref))
+            assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-6 * (1 + np.linalg.norm(x_ref, np.inf))
 
     def test_kkt_residual_and_feasibility(self):
         rng = np.random.default_rng(9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from canalmpc import canal, control, supervisor
+from canalmpc import canal, control, numerics, supervisor
 from canalmpc.canal import (
     DEZ_REACHES,
     CoalitionModel,
@@ -200,6 +200,18 @@ class TestBuiltOnce:
         count(control, "prepare_mpc")
         for wrapper in ("lu_factor", "lu_solve", "cho_solve"):  # LAPACK is called directly
             count(scipy.linalg, wrapper)
+        solve_qp = numerics.solve_qp
+
+        def solve_counting_iterations(*args, **kwargs):
+            sol = solve_qp(*args, **kwargs)
+            calls["iterations"] += sol.iterations
+            return sol
+
+        monkeypatch.setattr(control, "solve_qp", solve_counting_iterations)
+        count(control, "solve_qp", "solves")
+        count(control, "QpStructure", "structures")
+        count(numerics.QpStructure, "hinv")
+        count(numerics, "_kkt_step")
 
         trace = run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
         controllers, coalitions = calls["controllers"], calls["coalitions"]
@@ -212,6 +224,11 @@ class TestBuiltOnce:
         assert calls["setpoint_factor"] <= coalitions + 1  # plus the chain model's
         assert calls["prepare_mpc"] <= controllers
         assert calls["lu_factor"] == calls["lu_solve"] == calls["cho_solve"] == 0
+        # Both QPs take range-space steps: no full-KKT factorization, and H's
+        # factor solves H^-1 f per solve, H^-1 a_i per working-set entry (an
+        # iteration that is not its solve's last) and H^-1 Aeq' per structure.
+        assert calls["solves"] > 0 and calls["_kkt_step"] == 0
+        assert calls["hinv"] <= calls["iterations"] + calls["structures"]
 
 
 class TestCentralized:

@@ -381,6 +381,22 @@ class TestSelectTopology:
         assert [bits for bits, _ in result.values] == [c.bits() for c in candidate_set(incumbent)]
         assert all(type(value) is float and value == 5.0 for _, value in result.values)
 
+    @pytest.mark.parametrize("rel_gap, winner", [(1e-12, {7}), (1e-6, {3, 7, 9})])
+    def test_near_tie_tolerance(self, monkeypatch, rel_gap, winner):
+        """Scores within 1e-9 (1 + |best|) tie and go to fewer links; wider gaps decide."""
+        incumbent = Topology(13, {3, 7})
+        fewer, more = Topology(13, {7}), Topology(13, {3, 7, 9})
+
+        def scores(state, candidates, *rest):
+            by_bits = {fewer.bits(): 24.0 * (1 + rel_gap), more.bits(): 24.0}
+            return np.array([by_bits.get(c.bits(), 30.0) for c in candidates])
+
+        monkeypatch.setattr(supervisor, "topology_value", scores)
+        state, rho, published = _disturbed_setup()
+        result = select_topology(state, rho, published, incumbent, SynthesisCache(),
+                                 CHAIN, CFG, 4)
+        assert result.topology == Topology(13, winner)
+
     def test_link_count_monotone_in_cost(self):
         state, rho, published = _disturbed_setup()
         cache = SynthesisCache()
