@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics
 from .canal import CoalitionModel
-from .numerics import QpProblem, QpStructure, solve_linear, solve_qp
+from .numerics import QpProblem, QpStructure, solve_qp
 
 
 @dataclass
@@ -65,11 +65,13 @@ class ControllerConfig:
         if self.control_horizon < 1:
             raise ValueError("control horizon must be at least 1")
         for name in ("input_weight", "slack_weight", "setpoint_slack_weight",
-                     "sample_time", "input_bound"):
+                     "sample_time", "input_bound", "kf_measurement_noise"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.level_weight < 0.0 or self.link_cost < 0.0:
-            raise ValueError("weights must be nonnegative")
+        for name in ("level_weight", "link_cost", "kf_flow_process_noise", "kf_level_process_noise",
+                     "kf_omega_process_noise", "kf_prior_flow", "kf_prior_level", "kf_prior_omega"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.history_capacity < 1:
             raise ValueError("history_capacity must be at least 1")
 
@@ -185,12 +187,7 @@ def _kf_predict(filt, kf, u, rho):
 def _kf_correct(filt, kf, y):
     c_mat, v_mat = filt.c_mat, filt.v_mat
     s_mat = c_mat @ kf.cov @ c_mat.T + v_mat
-    try:
-        gain = solve_linear(s_mat, c_mat @ kf.cov).T
-    except numerics.SingularMatrixError:
-        raise ValueError(
-            "singular innovation covariance: noise settings are mis-specified"
-        ) from None
+    gain = np.linalg.solve(s_mat, c_mat @ kf.cov).T  # s_mat > 0: V > 0 is checked in the config
     xhat = kf.xhat + gain @ (y - c_mat @ kf.xhat)
     ikc = np.eye(kf.cov.shape[0]) - gain @ c_mat
     cov = ikc @ kf.cov @ ikc.T + gain @ v_mat @ gain.T

@@ -1,29 +1,27 @@
 """Dense linear-algebra kernel: linear solves, Riccati synthesis, small convex QPs.
 
 Everything here is pure and deterministic: identical inputs produce
-bit-identical outputs, so simulation traces are reproducible.  Repeated
-solves call LAPACK (getrf/getrs, potrf/potrs) directly, not through scipy's
-lu_factor/lu_solve/cho_solve wrappers; inputs are checked here instead.
+bit-identical outputs, so simulation traces are reproducible.  The kernels
+are numpy's (solve, cholesky, qr, eigvalsh), so the package needs no scipy
+at run time; inputs are checked here.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A linear system has no reliable solution (pivot below threshold)."""
+    """A linear system has no reliable solution (reciprocal condition number below threshold)."""
 
 
 class RiccatiConvergenceError(RuntimeError):
     """Riccati doubling diverged or hit its step cap; the pair is likely not stabilizable."""
 
 
-# Pivot threshold (relative to the largest matrix entry) under which a
-# factorization is declared singular.
-PIVOT_RTOL = 1e-12
+# A matrix whose reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1)
+# falls below this is declared singular.
+RCOND_MIN = 1e-12
 
 # Rank tolerance used to detect inconsistent equality systems.
 RANK_RTOL = 1e-10
@@ -47,56 +45,59 @@ def _as_vector(b, name="vector"):
     return b
 
 
-class LuFactor:
-    """LU factor with partial pivoting of a square matrix; each solve reuses it.
+def _rhs(b, n):
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != n:
+        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b contains non-finite entries")
+    return b
 
-    LAPACK getrf factors, getrs solves.  The matrix is checked once, here: a
-    non-finite entry raises ValueError, and SingularMatrixError is raised
-    when any pivot magnitude (an exact zero included) falls below
-    PIVOT_RTOL times the largest entry.
+
+def _solve_with_inverse(A, b):
+    """(x, A^-1) for A x = b from one np.linalg.solve against [b, I].
+
+    A non-finite entry raises ValueError.  SingularMatrixError is raised
+    when the reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1)
+    falls below RCOND_MIN, an exact zero pivot included.
     """
+    A = _as_matrix(A, "A")
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"A must be square, got {A.shape}")
+    b = _rhs(b, n)
+    rhs = np.column_stack([b, np.eye(n)])
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        sol = np.full(rhs.shape, np.inf)
+    x, inv = np.hsplit(sol, [rhs.shape[1] - n])
+    # ||A||_1 ||A^-1||_1 in Python floats: an infinite or NaN product fails
+    # the test below without a floating-point warning.
+    cond = float(np.abs(A).sum(axis=0).max(initial=0.0)) * float(np.abs(inv).sum(axis=0).max(initial=0.0))
+    if not cond * RCOND_MIN <= 1.0:
+        raise SingularMatrixError(
+            f"reciprocal condition number below {RCOND_MIN:g} (matrix is singular to working precision)"
+        )
+    return x[:, 0] if b.ndim == 1 else x, inv
+
+
+class LuFactor:
+    """A square matrix's inverse, taken once (see _solve_with_inverse for the
+    checks), so that each solve is a product with it."""
 
     def __init__(self, A):
-        A = _as_matrix(A, "A")
-        self.n = A.shape[0]
-        if A.shape[1] != self.n:
-            raise ValueError(f"A must be square, got {A.shape}")
-        self._lu_piv = None
-        if self.n == 0:
-            return
-        scale = np.max(np.abs(A))
-        if scale == 0.0:
-            raise SingularMatrixError("zero matrix")
-        lu, piv = _lapack(dgetrf, A)
-        if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * scale:
-            raise SingularMatrixError(
-                f"pivot below {PIVOT_RTOL:g} * scale (matrix is singular to working precision)"
-            )
-        self._lu_piv = (lu, piv)
+        self.n = np.shape(A)[0]
+        self._inv = _solve_with_inverse(A, np.zeros((self.n, 0)))[1]
 
     def solve(self, b):
         """x with A x = b; the columns of a 2-D b are separate right-hand sides."""
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError(f"b has {b.shape[0]} rows, expected {self.n}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b contains non-finite entries")
-        if self.n == 0:
-            return np.zeros_like(b)
-        return _lapack(dgetrs, *self._lu_piv, b)
-
-
-def _lapack(routine, *args, **kwargs):
-    """Outputs of a LAPACK call, which leaves its inputs intact, less the trailing info."""
-    *out, info = routine(*args, **kwargs)
-    if info < 0:  # getrf's info > 0 is a zero pivot, left to LuFactor's pivot test
-        raise ValueError(f"LAPACK argument {-info} has an illegal value")
-    return out[0] if len(out) == 1 else out
+        return self._inv @ _rhs(b, self.n)
 
 
 def solve_linear(A, b):
-    """Solve A x = b by LU with partial pivoting (see LuFactor)."""
-    return LuFactor(A).solve(b)
+    """Solve A x = b by one np.linalg.solve, checked as in _solve_with_inverse."""
+    return _solve_with_inverse(A, b)[0]
 
 
 def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
@@ -196,7 +197,7 @@ def lyapunov_residual(Acl, P, Q, R, K):
     R = _as_matrix(R, "R")
     K = _as_matrix(K, "K")
     S = Acl.T @ P @ Acl - P + Q + K.T @ R @ K
-    return float(np.max(scipy.linalg.eigvalsh(0.5 * (S + S.T))))
+    return float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +219,10 @@ class QpStructure:
     The family is min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin with
     only f, beq and bin varying.  H must be symmetric and positive
     semidefinite on the null space of Aeq (positive definite there for a
-    unique solution).  Built here: the independent equality rows, the
-    Cholesky factor of H and H^-1 Aeq[eq_rows]' (both None when H is not
-    positive definite).  A controller keeps one structure per QP it solves
-    every step; a one-off problem builds its own.
+    unique solution).  Built here: the independent equality rows and, when
+    H = LL' is positive definite, L', L^-1 and the QR factors eq_q, eq_r of
+    L^-1 Aeq[eq_rows]' (all None otherwise); cond(L) = sqrt(cond(H)).  A
+    controller keeps one structure per QP it solves every step.
     """
 
     def __init__(self, H, Aeq=None, Ain=None):
@@ -233,18 +234,16 @@ class QpStructure:
         self.Ain = np.zeros((0, n)) if Ain is None or np.size(Ain) == 0 else _as_matrix(Ain, "Ain")
         if self.Aeq.shape[1] != n or self.Ain.shape[1] != n:
             raise ValueError("constraint column count inconsistent with n")
-        try:
-            self.chol = scipy.linalg.cho_factor(self.H, check_finite=False)
-        except np.linalg.LinAlgError:
-            self.chol = None
         self.eq_rows = _independent_rows(self.Aeq)
         # With full row rank, Aeq x = beq is consistent for every beq.
         self.eq_full_rank = len(self.eq_rows) == self.Aeq.shape[0]
-        self.hinv_aeq_t = None if self.chol is None else self.hinv(self.Aeq[self.eq_rows].T)
-
-    def hinv(self, b):
-        """H^-1 b through the Cholesky factor (LAPACK potrs)."""
-        return _lapack(dpotrs, self.chol[0], b, lower=self.chol[1])
+        self.chol_t = self.chol_inv = self.eq_q = self.eq_r = None
+        try:
+            chol = np.linalg.cholesky(self.H)
+        except np.linalg.LinAlgError:
+            return
+        self.chol_t, self.chol_inv = chol.T.copy(), np.linalg.inv(chol)
+        self.eq_q, self.eq_r = np.linalg.qr(self.chol_inv @ self.Aeq[self.eq_rows].T)
 
 
 @dataclass
@@ -287,35 +286,39 @@ def _objective(prob, x):
 
 
 def _independent_rows(A, rtol=RANK_RTOL):
-    """Indices of a maximal independent row subset, chosen deterministically."""
-    if A.shape[0] == 0:
+    """Indices of a maximal independent row subset, chosen deterministically:
+    all rows when an unpivoted QR of A' shows no R diagonal entry <= rtol times
+    the largest, else rows in order, each kept when Gram-Schmidt leaves more
+    than rtol times the largest row norm."""
+    m, n = A.shape
+    if m == 0:
         return []
-    q, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return []
-    rank = int(np.sum(diag > rtol * diag[0]))
-    return sorted(piv[:rank].tolist())
+    diag = np.abs(np.diag(np.linalg.qr(A.T, mode="r")))
+    if m <= n and diag.min() > rtol * diag.max():
+        return list(range(m))
+    scale = rtol * np.max(np.linalg.norm(A, axis=1))
+    keep, q, r = [], np.zeros((n, 0)), np.zeros((0, 0))
+    for i, row in enumerate(A):
+        try:
+            q, r = _qr_append(q, r, row, scale)
+        except SingularMatrixError:
+            continue
+        keep.append(i)
+    return keep
 
 
-def _range_space_step(hinv_g, A_w, hinv_at):
-    """(p, multipliers) minimizing 0.5 p'Hp + g'p s.t. A_w p = 0, H positive definite.
-
-    Range-space step (Nocedal & Wright, Numerical Optimization, 16.2): only
-    S = A_w H^-1 A_w' is factored, by Cholesky, which fails exactly when the
-    rows of A_w are dependent.  Round-off on an ill-conditioned H leaves p
-    off A_w p = 0 and stalls the step-norm stop; one refinement with S
-    projects it back.
-    """
-    if A_w.shape[0] == 0:
-        return -hinv_g, np.zeros(0)
-    schur, info = dpotrf(A_w @ hinv_at)  # reads the upper triangle
-    if info:
+def _qr_append(q, r, v, tol):
+    """Q, R of [QR, v] by Gram-Schmidt with one re-orthogonalisation; raises
+    SingularMatrixError when v leaves a residual of norm <= tol off span(Q)."""
+    coef = q.T @ v
+    w = v - q @ coef
+    again = q.T @ w
+    w -= q @ again
+    norm = np.linalg.norm(w)
+    if not norm > tol:
         raise SingularMatrixError("working-set rows are linearly dependent")
-    mult = _lapack(dpotrs, schur, -(A_w @ hinv_g))
-    p = -hinv_g - hinv_at @ mult
-    fix = _lapack(dpotrs, schur, A_w @ p)
-    return p - hinv_at @ fix, mult + fix
+    r_new = np.block([[r, (coef + again)[:, None]], [np.zeros((1, r.shape[0])), norm]])
+    return np.column_stack([q, w / norm]), r_new
 
 
 def _kkt_step(H, g, A_w):
@@ -348,33 +351,42 @@ def _active_set_loop(prob, x, max_iter):
     Ties are broken toward the lowest constraint index both when adding a
     blocking constraint and when dropping one with a negative multiplier,
     which prevents cycling and keeps the method deterministic.
+
+    When H = LL' is factored, steps are taken in z = L'x (Goldfarb & Idnani,
+    Math. Programming 27, 1983).  With L^-1 A_w' = QR, p = -L^-T (I - QQ') g
+    and R lambda = -Q'g for the gradient g = L'x + L^-1 f; an entering row
+    is appended to Q and R, a leaving row triggers a fresh QR.
     """
     s = prob.structure
     H, f, Ain, bin_ = s.H, prob.f, s.Ain, prob.bin
     A_eq = s.Aeq[s.eq_rows]
-    working = []
-    if s.chol is not None:
-        hinv_f = s.hinv(f)  # so that H^-1 g = x + H^-1 f
-        hinv_rows = {}  # row i -> H^-1 a_i, solved as i first enters this solve
+    working = []  # in entry order, the order of the working rows in A_w and Q
+    factored = s.chol_inv is not None
+    if factored:
+        linv_f = s.chol_inv @ f
+        z = s.chol_t @ x  # advanced with x, so that z + L^-1 f is the gradient in z
+        q, r = s.eq_q, s.eq_r
 
     for it in range(1, max_iter + 1):
-        A_w = np.vstack([A_eq, Ain[working]]) if working else A_eq
-        if s.chol is None:
-            p, mult = _kkt_step(H, H @ x + f, A_w)
+        if factored:
+            g = z + linv_f
+            q_g = q.T @ g
+            p_z = q @ q_g - g
+            p = s.chol_inv.T @ p_z
         else:
-            hinv_at = np.column_stack([s.hinv_aeq_t, *(hinv_rows[i] for i in working)])
-            p, mult = _range_space_step(x + hinv_f, A_w, hinv_at)
+            p, mult = _kkt_step(H, H @ x + f, np.vstack([A_eq, Ain[working]]))
         if np.linalg.norm(p, np.inf) <= _STEP_TOL * (1.0 + np.linalg.norm(x, np.inf)):
+            if not working:
+                return x, OPTIMAL, it, ()
+            if factored:
+                mult = np.linalg.solve(r, -q_g)
             ineq_mult = mult[A_eq.shape[0]:]
-            negative = [
-                (working[j], ineq_mult[j])
-                for j in range(len(working))
-                if ineq_mult[j] < -_MULT_TOL
-            ]
+            negative = [working[j] for j in range(len(working)) if ineq_mult[j] < -_MULT_TOL]
             if not negative:
-                return x, OPTIMAL, it, tuple(working)
-            drop = min(idx for idx, _ in negative)
-            working.remove(drop)
+                return x, OPTIMAL, it, tuple(sorted(working))
+            working.remove(min(negative))
+            if factored:
+                q, r = np.linalg.qr(s.chol_inv @ np.vstack([A_eq, Ain[working]]).T)
             continue
         # Step length limited by the nearest inactive constraint; the lowest
         # index wins ties.
@@ -393,11 +405,14 @@ def _active_set_loop(prob, x, max_iter):
                     alpha = max(best, 0.0)
                     blocker = int(idx[np.nonzero(ratios <= best + 1e-12)[0][0]])
         x = x + alpha * p
+        if factored:
+            z = z + alpha * p_z
         if blocker >= 0:
-            working = sorted(working + [blocker])
-            if s.chol is not None and blocker not in hinv_rows:
-                hinv_rows[blocker] = s.hinv(Ain[blocker])
-    return x, MAX_ITERATIONS, max_iter, tuple(working)
+            working.append(blocker)
+            if factored:
+                v = s.chol_inv @ Ain[blocker]
+                q, r = _qr_append(q, r, v, RANK_RTOL * np.linalg.norm(v))
+    return x, MAX_ITERATIONS, max_iter, tuple(sorted(working))
 
 
 def _feasible_start(prob, x0, max_iter):
@@ -432,9 +447,10 @@ def solve_qp(prob, start=None, max_iter=None):
     the same solution.  Status is 'infeasible' when the equality system is
     inconsistent or no feasible point exists, 'max-iterations' with the best
     iterate attached when the cap is reached.  Nothing fixed is factored per
-    solve: H's factor, H^-1 Aeq' and the independent equality rows come from
-    the QpStructure; a step factors only the working set's Schur complement
-    (the KKT matrix when H has no factor).  An equality system of full row
+    solve: L', L^-1, the QR of L^-1 Aeq' and the independent equality rows
+    come from the QpStructure; a step updates that QR by one row (a fresh QR
+    when a row leaves), or factors the KKT matrix when H has no factor.
+    An equality system of full row
     rank is consistent for every beq, so its least-squares point is computed
     only when the start is missing or infeasible.
     """

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import yaml
 
+import canalmpc
 from canalmpc.cli import main
 from canalmpc.io import read_trace
 
@@ -125,6 +130,16 @@ class TestCli:
         assert "configuration error: controller: history_capacity" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_measurement_noise_refused(self, tmp_path, capsys):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["controller"] = {"kf_measurement_noise": -1e-4}
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["run", "--config", str(path)])
+        assert rc == 2
+        assert "configuration error: controller: kf_measurement_noise" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_delay_offset_below_one_step_refused(self, tmp_path, capsys):
         path = mini_config(tmp_path)
         doc = yaml.safe_load(path.read_text())
@@ -144,3 +159,25 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         rc = main(["sweep", "--scenario", "scenario1"])
         assert rc == 0
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import canalmpc.cli
+from canalmpc import io, simulate, validate
+from canalmpc.supervisor import SynthesisCache
+simulate.run_closed_loop(simulate.scenario_1(horizon=24), seed=0, cache=SynthesisCache())
+simulate.run_centralized(simulate.scenario_1(horizon=24), seed=0, cache=SynthesisCache())
+assert all(ok for _, ok, _ in validate.run_checks(io.RunConfig()))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_on_numpy_alone():
+    """The CLI, coalitional and centralized runs and validate load no scipy module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(canalmpc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -141,6 +141,18 @@ class TestKalman:
         kf2 = kf_update(filt, kf, np.zeros(13), offs, np.zeros(26))
         assert kf2.xhat.shape == (39,)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kf_measurement_noise", 0.0), ("kf_measurement_noise", -1e-4),
+        ("kf_flow_process_noise", -1e-4), ("kf_level_process_noise", -1e-6),
+        ("kf_omega_process_noise", -1e-2), ("kf_prior_flow", -1.0),
+        ("kf_prior_level", -1e-2), ("kf_prior_omega", -10.0),
+    ])
+    def test_noise_settings_checked_at_config(self, field, value):
+        # A nonpositive V or a negative W or prior would leave the innovation
+        # covariance indefinite; the config refuses it, naming the field.
+        with pytest.raises(ValueError, match=field):
+            ControllerConfig(**{field: value})
+
     def test_zero_measurement_noise_limit_tracks_levels(self):
         cfg = ControllerConfig(kf_measurement_noise=1e-14)
         coal = make_coalition((7,))
@@ -544,12 +556,11 @@ class TestBuiltOncePrograms:
         assert kept.flow_rows == fresh.flow_rows
         for name in ("H", "Aeq", "Ain", "eq_rows", "eq_full_rank"):
             assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
-        # The augmented Hessian is positive definite: the kept factor and
-        # H^-1 Aeq' are those of a fresh build.
-        assert kept.qp.chol[1] == fresh.qp.chol[1]
-        for kept_arr, fresh_arr in ((kept.qp.chol[0], fresh.qp.chol[0]),
-                                    (kept.qp.hinv_aeq_t, fresh.qp.hinv_aeq_t)):
-            assert np.array_equal(kept_arr, fresh_arr)
+        # The augmented Hessian is positive definite: the kept L', L^-1 and
+        # QR of L^-1 Aeq' are those of a fresh build.
+        for name in ("chol_t", "chol_inv", "eq_q", "eq_r"):
+            assert getattr(kept.qp, name) is not None
+            assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
         assert np.array_equal(ctrl.program.qp.H, prepare_mpc(coal, *synth(coal, self.cfg),
                                                              self.cfg).qp.H)
 

@@ -145,6 +145,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="controller: history_capacity"):
             parse_config({"controller": {"history_capacity": 0}})
 
+    @pytest.mark.parametrize("field, value", [("kf_measurement_noise", 0.0),
+                                              ("kf_omega_process_noise", -1e-2)])
+    def test_bad_kalman_noise_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"controller: {field}"):
+            parse_config({"controller": {field: value}})
+
     def test_delay_offset_below_one_step_named(self):
         offsets = [-3] + [0] * 12  # reach 1 has a delay of 3 steps
         with pytest.raises(ConfigError, match=r"plant.delay_offsets: reach 1\b"):

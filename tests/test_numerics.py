@@ -74,11 +74,11 @@ class TestSolveLinear:
 
 
 class TestLapackCalls:
-    """LuFactor calls LAPACK directly; the results are those of scipy's
-    wrappers around the same routines, bit for bit."""
+    """LuFactor keeps A^-1 from one numpy (LAPACK gesv) solve; its solves
+    agree with scipy's LU to rounding, and the rcond rule decides singularity."""
 
     @pytest.mark.parametrize("rhs_shape", [(6,), (6, 4)])
-    def test_lu_solve_bit_equal_to_scipy(self, rhs_shape):
+    def test_lu_solve_agrees_with_scipy(self, rhs_shape):
         rng = np.random.default_rng(11)
         for _ in range(10):
             A = rng.normal(size=(6, 6))
@@ -87,7 +87,7 @@ class TestLapackCalls:
             x = LuFactor(A).solve(b)
             expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
             assert x.shape == b.shape
-            assert np.array_equal(x, expected)
+            assert np.linalg.norm(x - expected, np.inf) <= 1e-12 * np.linalg.norm(expected, np.inf)
             assert np.array_equal(A, A_copy) and np.array_equal(b, b_copy)
 
     def test_exact_zero_pivot_raises_without_warning(self):
@@ -97,9 +97,29 @@ class TestLapackCalls:
                 with pytest.raises(SingularMatrixError):
                     LuFactor(A)
 
+    @pytest.mark.parametrize("solve", [lambda A, b: LuFactor(A).solve(b), solve_linear])
+    def test_rcond_rule(self, solve):
+        # rcond_1(A) = 1 / (||A||_1 ||A^-1||_1) below RCOND_MIN = 1e-12 is singular.
+        assert np.allclose(solve(np.diag([1.0, 2e-12]), np.array([1.0, 2e-12])), [1.0, 1.0])
+        for A in (np.diag([1.0, 5e-13]), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])):
+            with pytest.raises(SingularMatrixError, match="reciprocal condition number"):
+                solve(A, np.ones(2))
+
 
 class TestRangeSpaceStep:
-    """The step for a factored H agrees with the full KKT system."""
+    """The step in Cholesky coordinates z = L'x agrees with the full KKT system."""
+
+    @staticmethod
+    def step(s, g, rows):
+        # One iteration of the factored loop at x = 0 with linear term g and
+        # the inequality rows `rows` entered in order.
+        q, r = s.eq_q, s.eq_r
+        for i in rows:
+            v = s.chol_inv @ s.Ain[i]
+            q, r = numerics._qr_append(q, r, v, numerics.RANK_RTOL * np.linalg.norm(v))
+        z_g = s.chol_inv @ g
+        q_g = q.T @ z_g
+        return s.chol_inv.T @ (q @ q_g - z_g), np.linalg.solve(r, -q_g)
 
     @pytest.mark.parametrize("n_eq", [0, 2])
     @pytest.mark.parametrize("n_working", [0, 1, 3])
@@ -111,15 +131,43 @@ class TestRangeSpaceStep:
         s = QpStructure(H, rng.normal(size=(n_eq, n)), rng.normal(size=(4, n)))
         g = rng.normal(size=n)
         rows = [3, 0, 2][:n_working]
+        p, mult = self.step(s, g, rows)
         A_w = np.vstack([s.Aeq, s.Ain[rows]])
-        hinv_at = np.column_stack([s.hinv_aeq_t, scipy.linalg.cho_solve(s.chol, s.Ain[rows].T)])
-        p, mult = numerics._range_space_step(scipy.linalg.cho_solve(s.chol, g), A_w, hinv_at)
         nw = n_eq + n_working
         kkt = np.block([[H, A_w.T], [A_w, np.zeros((nw, nw))]])
         ref = np.linalg.solve(kkt, np.concatenate([-g, np.zeros(nw)]))
         assert np.linalg.norm(p - ref[:n], np.inf) <= 1e-12 * (1 + np.linalg.norm(ref[:n], np.inf))
         assert np.linalg.norm(mult - ref[n:], np.inf) <= 1e-12 * (1 + np.linalg.norm(ref[n:], np.inf))
-        assert s.hinv_aeq_t.shape == (n, n_eq)
+        assert s.eq_q.shape == (n, n_eq)
+
+    def test_duplicate_working_row_raises(self):
+        rng = np.random.default_rng(4)
+        M = rng.normal(size=(5, 5))
+        Ain = rng.normal(size=(3, 5))
+        s = QpStructure(M @ M.T + np.eye(5), rng.normal(size=(1, 5)), np.vstack([Ain, Ain[1]]))
+        self.step(s, np.ones(5), [1, 2])
+        with pytest.raises(SingularMatrixError, match="dependent"):
+            self.step(s, np.ones(5), [1, 2, 3])  # row 3 duplicates row 1
+        s_eq = QpStructure(s.H, Ain[:1], Ain)  # inequality row 0 duplicates the equality row
+        with pytest.raises(SingularMatrixError, match="dependent"):
+            self.step(s_eq, np.ones(5), [0])
+
+
+class TestIndependentRows:
+    def test_dependent_row_dropped_in_row_order(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(2, 6))
+        A = np.vstack([a, 2.0 * a, b])
+        keep = numerics._independent_rows(A)
+        assert keep == [0, 2]
+        r = scipy.linalg.qr(A.T, mode="r", pivoting=True)[0]
+        diag = np.abs(np.diag(r))
+        assert len(keep) == int(np.sum(diag > numerics.RANK_RTOL * diag[0]))
+
+    def test_full_row_rank_keeps_every_row(self):
+        A = np.random.default_rng(10).normal(size=(4, 6))
+        assert numerics._independent_rows(A) == [0, 1, 2, 3]
+        assert numerics._independent_rows(np.zeros((2, 3))) == []
 
 
 class TestSolveDare:
@@ -349,7 +397,7 @@ class TestSolveQp:
             beq = Aeq @ x_feas
             bin_ = Ain @ x_feas + rng.uniform(0.05, 1.0, size=n_in)
             structure = QpStructure(H, Aeq, Ain)
-            assert structure.chol is not None
+            assert structure.chol_inv is not None
             sol = solve_qp(QpProblem(structure, f, beq, bin_))
             assert sol.optimal, f"trial {trial} not optimal: {sol.status}"
             x_ref, obj_ref = brute_force_qp(H, f, Aeq, beq, Ain, bin_)

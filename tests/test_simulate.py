@@ -3,7 +3,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from canalmpc import canal, control, numerics, supervisor
 from canalmpc.canal import (
@@ -193,13 +192,11 @@ class TestBuiltOnce:
         count(CoalitionModel, "gate_flow_selector")
         count(control, "weight_matrices")
         count(supervisor, "weight_matrices")
-        count(scipy.linalg, "cho_factor")
+        count(np.linalg, "cholesky")
         count(CoalitionController, "__init__", "controllers")
         count(SynthesisCache, "store", "coalitions")
         count(canal, "LuFactor", "setpoint_factor")  # only the setpoint factor is built there
         count(control, "prepare_mpc")
-        for wrapper in ("lu_factor", "lu_solve", "cho_solve"):  # LAPACK is called directly
-            count(scipy.linalg, wrapper)
         solve_qp = numerics.solve_qp
 
         def solve_counting_iterations(*args, **kwargs):
@@ -210,7 +207,7 @@ class TestBuiltOnce:
         monkeypatch.setattr(control, "solve_qp", solve_counting_iterations)
         count(control, "solve_qp", "solves")
         count(control, "QpStructure", "structures")
-        count(numerics.QpStructure, "hinv")
+        count(numerics, "_qr_append")
         count(numerics, "_kkt_step")
 
         trace = run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
@@ -219,16 +216,16 @@ class TestBuiltOnce:
         assert int(trace.n_coalitions.sum()) > coalitions + 2 * controllers
         assert calls["flow_selector"] <= controllers
         assert calls["gate_flow_selector"] <= controllers
-        assert calls["cho_factor"] <= 2 * controllers
+        assert calls["cholesky"] <= calls["structures"] <= 2 * controllers
         assert calls["weight_matrices"] <= coalitions + 2 * controllers
         assert calls["setpoint_factor"] <= coalitions + 1  # plus the chain model's
         assert calls["prepare_mpc"] <= controllers
-        assert calls["lu_factor"] == calls["lu_solve"] == calls["cho_solve"] == 0
-        # Both QPs take range-space steps: no full-KKT factorization, and H's
-        # factor solves H^-1 f per solve, H^-1 a_i per working-set entry (an
-        # iteration that is not its solve's last) and H^-1 Aeq' per structure.
+        # Both QPs step on their structure's Cholesky factor: no full-KKT
+        # factorization, one factorization per structure, and one row
+        # L^-1 a_i appended to the QR per working-set entry (an iteration
+        # that is not its solve's last); L^-1 Aeq' is built per structure.
         assert calls["solves"] > 0 and calls["_kkt_step"] == 0
-        assert calls["hinv"] <= calls["iterations"] + calls["structures"]
+        assert calls["_qr_append"] <= calls["iterations"]
 
 
 class TestCentralized:

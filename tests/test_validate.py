@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -13,3 +14,15 @@ def test_invariants_hold_on_leading_reaches(n_reaches):
     cfg = dataclasses.replace(RunConfig(), reaches=DEZ_REACHES[:n_reaches])
     failed = [(name, detail) for name, ok, detail in run_checks(cfg) if not ok]
     assert not failed
+
+
+def test_partition_check_samples_long_chains():
+    """Past 16 reaches the partition check samples instead of enumerating 2^(N-1)."""
+    tail = [dataclasses.replace(r, index=13 + r.index) for r in DEZ_REACHES[:7]]
+    cfg = dataclasses.replace(RunConfig(), reaches=DEZ_REACHES + tuple(tail))
+    start = time.perf_counter()
+    results = run_checks(cfg)
+    assert time.perf_counter() - start < 5.0
+    assert [(name, detail) for name, ok, detail in results if not ok] == []
+    detail = dict((name, detail) for name, _, detail in results)["partition-conditions-exhaustive"]
+    assert detail == "4096 topologies, a seeded sample of the 2^19"
