@@ -270,8 +270,7 @@ class SetpointProgram:
     """State-independent parts of one coalition's setpoint projection QP.
 
     Over (xi_s, u_s, sigma), H, Aeq and Ain depend only on the coalition,
-    its gain and the weights; a projection fills in f, beq, bin and the
-    start.
+    its gain and the weights; a projection fills in f, beq and bin.
     """
 
     coalition: CoalitionModel
@@ -340,16 +339,7 @@ def feasible_setpoint(prog: SetpointProgram, xi_bar, u_bar, xi_k, cfg) -> Setpoi
         np.full(len(prog.flow_rows), -cfg.flow_margin), bound - k_xi, bound + k_xi,
     ])
 
-    # Feasible start: clip the ideal flows to the floor, pick u_s that puts
-    # the total input on the box, let sigma absorb the equality.
-    xi0 = xi_bar.copy()
-    xi0[prog.flow_rows] = np.maximum(xi0[prog.flow_rows], cfg.flow_margin)
-    t_vec = prog.gain @ (xi_k - xi0)
-    u0 = np.clip(t_vec, -bound, bound) - t_vec
-    sigma0 = prog.i_minus_xi @ xi0 - coalition.Up @ u0 - beq
-    start = np.concatenate([xi0, u0, sigma0])
-
-    sol = solve_qp(QpProblem(prog.qp, f_vec, beq, bin_), start=start)
+    sol = solve_qp(QpProblem(prog.qp, f_vec, beq, bin_))
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
@@ -382,12 +372,10 @@ class MpcProgram:
     n_c: int
     n_q: int
     m: int
-    acl: np.ndarray             # Xi + Up K
     box_map: np.ndarray         # K Acl^t stacked for t = 0..N_p: feedback inputs from zeta0
     floor_map: np.ndarray       # flow_sel Acl^t stacked for t = 1..N_c: free-run flows
     f_map: np.ndarray           # f_u = f_map @ zeta0
     qp: QpStructure             # Hessian over (u, eps); floor rows, then box rows
-    gain: np.ndarray
     flow_sel: np.ndarray        # selects every flow slot of the state
     q_mat: np.ndarray           # stage weights, also the harness's step cost
     r_mat: np.ndarray
@@ -461,12 +449,12 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
         box_lhs[m * (n_p + 1) + t * m: m * (n_p + 1) + (t + 1) * m, :nu] = -expr
 
     return MpcProgram(
-        n_p=n_p, n_c=n_c, n_q=n_q, m=m, acl=acl,
+        n_p=n_p, n_c=n_c, n_q=n_q, m=m,
         box_map=np.vstack([gain @ p for p in powers]),
         floor_map=np.vstack([flow_sel @ p for p in powers[1:n_c + 1]]),
         f_map=f_map,
         qp=QpStructure(h_mat, None, np.vstack([floor_lhs, box_lhs])),
-        gain=gain, flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
+        flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
     )
 
 
@@ -478,7 +466,7 @@ class MpcStep:
     objective: float
 
 
-def mpc_step(coalition, zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
+def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
     """Solve the coalition MPC around the feedback law.
 
     Minimizes the shifted-state cost over v'(0..N_c-1) and nonnegative
@@ -500,8 +488,7 @@ def mpc_step(coalition, zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
     base = prog.box_map @ zeta0 + np.tile(u_s, n_p + 1)
     bin_ = np.concatenate([flows - cfg.flow_margin, np.zeros(n_eps), bound - base, bound + base])
 
-    start = _feasible_mpc_start(coalition, prog, zeta0, setpoint, cfg)
-    sol = solve_qp(QpProblem(prog.qp, f_vec, bin=bin_), start=start)
+    sol = solve_qp(QpProblem(prog.qp, f_vec, bin=bin_))
     if sol.status == numerics.INFEASIBLE:
         return MpcStep(
             np.zeros((n_c, m)), np.zeros((n_c, n_q)),
@@ -510,27 +497,6 @@ def mpc_step(coalition, zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
     vprime = sol.x[:nu].reshape(n_c, m)
     eps = sol.x[nu:].reshape(n_c, n_q)
     return MpcStep(vprime, eps, sol.status, sol.objective)
-
-
-def _feasible_mpc_start(coalition, prog, zeta0, setpoint, cfg):
-    """Clamp the pure feedback law into the box and absorb floors into slacks."""
-    n_p, n_c, m = prog.n_p, prog.n_c, prog.m
-    bound = cfg.input_bound
-    u = np.zeros((n_c, m))
-    traj = np.empty((n_c + 1, zeta0.shape[0]))
-    traj[0] = zeta0
-    for t in range(n_c):
-        desired = prog.gain @ traj[t] + setpoint.u_s
-        total = np.clip(desired, -bound, bound)
-        u[t] = total - desired
-        traj[t + 1] = prog.acl @ traj[t] + coalition.Up @ u[t]
-    # From N_c on the pure feedback law must stay inside the box unaided.
-    tail = prog.box_map[: m * (n_p - n_c + 1)] @ traj[n_c] + np.tile(setpoint.u_s, n_p - n_c + 1)
-    if np.max(np.abs(tail)) > bound + 1e-12:
-        return None
-    flows = (traj[1:] + setpoint.xi_s) @ prog.flow_sel.T
-    eps = np.maximum(0.0, cfg.flow_margin - flows)
-    return np.concatenate([u.reshape(-1), eps.reshape(-1)])
 
 
 def control_action(zeta, u_s, vprime, gain):
@@ -581,7 +547,7 @@ class CoalitionController:
         xi_bar, u_bar = compute_setpoint(model, rho, omega_hat)
         setpoint = feasible_setpoint(self.setpoint_program, xi_bar, u_bar, xi_hat, self.cfg)
         zeta = xi_hat - setpoint.xi_s
-        step = mpc_step(model, zeta, setpoint, self.program, self.cfg)
+        step = mpc_step(zeta, setpoint, self.program, self.cfg)
         if step.status == numerics.INFEASIBLE:
             raise RuntimeError(
                 f"MPC infeasible for coalition {model.members}"

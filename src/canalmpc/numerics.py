@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: linear solves, Riccati synthesis, small convex QPs.
+"""Dense linear-algebra kernel: linear solves, Riccati synthesis, small strictly convex QPs.
 
 Everything here is pure and deterministic: identical inputs produce
 bit-identical outputs, so simulation traces are reproducible.  The kernels
@@ -209,20 +209,17 @@ INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max-iterations"
 
 _FEAS_TOL = 1e-9
-_STEP_TOL = 1e-11
-_MULT_TOL = 1e-9
 
 
 class QpStructure:
     """The fixed part of a QP family: H, Aeq and Ain, checked and factored once.
 
     The family is min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin with
-    only f, beq and bin varying.  H must be symmetric and positive
-    semidefinite on the null space of Aeq (positive definite there for a
-    unique solution).  Built here: the independent equality rows and, when
-    H = LL' is positive definite, L', L^-1 and the QR factors eq_q, eq_r of
-    L^-1 Aeq[eq_rows]' (all None otherwise); cond(L) = sqrt(cond(H)).  A
-    controller keeps one structure per QP it solves every step.
+    only f, beq and bin varying.  H must be symmetric positive definite; a
+    ValueError is raised when its Cholesky factorization H = LL' fails.
+    Built here: the independent equality rows, L^-1 and the QR factors eq_q,
+    eq_r of L^-1 Aeq[eq_rows]'; cond(L) = sqrt(cond(H)).  A controller keeps
+    one structure per QP it solves every step.
     """
 
     def __init__(self, H, Aeq=None, Ain=None):
@@ -235,14 +232,11 @@ class QpStructure:
         if self.Aeq.shape[1] != n or self.Ain.shape[1] != n:
             raise ValueError("constraint column count inconsistent with n")
         self.eq_rows = _independent_rows(self.Aeq)
-        # With full row rank, Aeq x = beq is consistent for every beq.
-        self.eq_full_rank = len(self.eq_rows) == self.Aeq.shape[0]
-        self.chol_t = self.chol_inv = self.eq_q = self.eq_r = None
         try:
             chol = np.linalg.cholesky(self.H)
         except np.linalg.LinAlgError:
-            return
-        self.chol_t, self.chol_inv = chol.T.copy(), np.linalg.inv(chol)
+            raise ValueError("H must be positive definite") from None
+        self.chol_inv = np.linalg.inv(chol)
         self.eq_q, self.eq_r = np.linalg.qr(self.chol_inv @ self.Aeq[self.eq_rows].T)
 
 
@@ -321,169 +315,78 @@ def _qr_append(q, r, v, tol):
     return np.column_stack([q, w / norm]), r_new
 
 
-def _kkt_step(H, g, A_w):
-    """(p, multipliers) minimizing 0.5 p'Hp + g'p s.t. A_w p = 0, H without a factor."""
-    n = H.shape[0]
-    nw = A_w.shape[0]
-    kkt = np.zeros((n + nw, n + nw))
-    kkt[:n, :n] = H
-    if nw:
-        kkt[:n, n:] = A_w.T
-        kkt[n:, :n] = A_w
-    rhs = np.concatenate([-g, np.zeros(nw)])
-    try:
-        sol = solve_linear(kkt, rhs)
-    except SingularMatrixError:
-        # Semidefinite flat directions: fall back to the minimum-norm KKT
-        # solution, which is still a subproblem minimizer for convex H.
-        sol, residual, _, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        check = np.linalg.norm(kkt @ sol - rhs, np.inf)
-        if check > 1e-6 * (1.0 + np.linalg.norm(rhs, np.inf)):
-            raise ValueError("QP subproblem is unbounded below") from None
-    return sol[:n], sol[n:]
+def solve_qp(prob, max_iter=None):
+    """Solve a small dense strictly convex QP by the dual active-set method
+    of Goldfarb & Idnani (Math. Programming 27, 1983).
 
+    In z = L'x the objective is 0.5 |z + L^-1 f|^2 and a constraint row a
+    becomes v = L^-1 a'.  The solve starts at the equality-constrained
+    minimizer and adds the most violated inequality (lowest index on ties).
+    With the working rows' L^-1 A_w' = QR, adding v moves z along
+    -(I - QQ')v and the working inequality multipliers along -R^-1 Q'v; a
+    working row whose multiplier reaches zero first (lowest index on ties)
+    leaves before v enters.  A v in the span of the working rows that no
+    multiplier makes room for proves the inequalities infeasible.
 
-def _active_set_loop(prob, x, max_iter):
-    """Primal active-set iteration from a feasible x.
-
-    The working set starts empty and is populated by blocking constraints;
-    degenerately active rows never enter unless the step pushes into them.
-    Ties are broken toward the lowest constraint index both when adding a
-    blocking constraint and when dropping one with a negative multiplier,
-    which prevents cycling and keeps the method deterministic.
-
-    When H = LL' is factored, steps are taken in z = L'x (Goldfarb & Idnani,
-    Math. Programming 27, 1983).  With L^-1 A_w' = QR, p = -L^-T (I - QQ') g
-    and R lambda = -Q'g for the gradient g = L'x + L^-1 f; an entering row
-    is appended to Q and R, a leaving row triggers a fresh QR.
-    """
-    s = prob.structure
-    H, f, Ain, bin_ = s.H, prob.f, s.Ain, prob.bin
-    A_eq = s.Aeq[s.eq_rows]
-    working = []  # in entry order, the order of the working rows in A_w and Q
-    factored = s.chol_inv is not None
-    if factored:
-        linv_f = s.chol_inv @ f
-        z = s.chol_t @ x  # advanced with x, so that z + L^-1 f is the gradient in z
-        q, r = s.eq_q, s.eq_r
-
-    for it in range(1, max_iter + 1):
-        if factored:
-            g = z + linv_f
-            q_g = q.T @ g
-            p_z = q @ q_g - g
-            p = s.chol_inv.T @ p_z
-        else:
-            p, mult = _kkt_step(H, H @ x + f, np.vstack([A_eq, Ain[working]]))
-        if np.linalg.norm(p, np.inf) <= _STEP_TOL * (1.0 + np.linalg.norm(x, np.inf)):
-            if not working:
-                return x, OPTIMAL, it, ()
-            if factored:
-                mult = np.linalg.solve(r, -q_g)
-            ineq_mult = mult[A_eq.shape[0]:]
-            negative = [working[j] for j in range(len(working)) if ineq_mult[j] < -_MULT_TOL]
-            if not negative:
-                return x, OPTIMAL, it, tuple(sorted(working))
-            working.remove(min(negative))
-            if factored:
-                q, r = np.linalg.qr(s.chol_inv @ np.vstack([A_eq, Ain[working]]).T)
-            continue
-        # Step length limited by the nearest inactive constraint; the lowest
-        # index wins ties.
-        alpha = 1.0
-        blocker = -1
-        if Ain.shape[0]:
-            d = Ain @ p
-            candidates = d > _FEAS_TOL
-            if working:
-                candidates[working] = False
-            if np.any(candidates):
-                idx = np.nonzero(candidates)[0]
-                ratios = (bin_[idx] - Ain[idx] @ x) / d[idx]
-                best = np.min(ratios)
-                if best < alpha - 1e-12:
-                    alpha = max(best, 0.0)
-                    blocker = int(idx[np.nonzero(ratios <= best + 1e-12)[0][0]])
-        x = x + alpha * p
-        if factored:
-            z = z + alpha * p_z
-        if blocker >= 0:
-            working.append(blocker)
-            if factored:
-                v = s.chol_inv @ Ain[blocker]
-                q, r = _qr_append(q, r, v, RANK_RTOL * np.linalg.norm(v))
-    return x, MAX_ITERATIONS, max_iter, tuple(sorted(working))
-
-
-def _feasible_start(prob, x0, max_iter):
-    """Find a feasible point by driving the worst inequality violation to zero."""
-    s = prob.structure
-    Ain, bin_ = s.Ain, prob.bin
-    viol = Ain @ x0 - bin_ if Ain.shape[0] else np.zeros(0)
-    worst = float(np.max(viol)) if viol.size else 0.0
-    if worst <= _FEAS_TOL:
-        return x0, True
-    n = s.n
-    # Auxiliary problem in (x, t): minimize t^2 subject to the independent
-    # original equalities and Ain x - t <= bin; (x0, worst + 1) is strictly
-    # feasible.
-    H_aux = np.zeros((n + 1, n + 1))
-    H_aux[n, n] = 2.0
-    Aeq_aux = np.hstack([s.Aeq[s.eq_rows], np.zeros((len(s.eq_rows), 1))])
-    Ain_aux = np.hstack([Ain, -np.ones((Ain.shape[0], 1))])
-    aux = QpProblem(QpStructure(H_aux, Aeq_aux, Ain_aux), np.zeros(n + 1),
-                    prob.beq[s.eq_rows], bin_)
-    z0 = np.concatenate([x0, [worst + 1.0]])
-    z, status, _, _ = _active_set_loop(aux, z0, max_iter)
-    if status != OPTIMAL or z[n] > 1e-7:
-        return x0, False
-    return z[:n], True
-
-
-def solve_qp(prob, start=None, max_iter=None):
-    """Solve a small dense convex QP with a primal active-set method.
-
-    Deterministic: the same problem (and optional warm start) always yields
-    the same solution.  Status is 'infeasible' when the equality system is
-    inconsistent or no feasible point exists, 'max-iterations' with the best
-    iterate attached when the cap is reached.  Nothing fixed is factored per
-    solve: L', L^-1, the QR of L^-1 Aeq' and the independent equality rows
-    come from the QpStructure; a step updates that QR by one row (a fresh QR
-    when a row leaves), or factors the KKT matrix when H has no factor.
-    An equality system of full row
-    rank is consistent for every beq, so its least-squares point is computed
-    only when the start is missing or infeasible.
+    Deterministic: the same problem always yields the same solution.  Status
+    is 'infeasible' when the equality system is inconsistent or no feasible
+    point exists, 'max-iterations' with the last iterate attached when the
+    cap is reached.  Nothing fixed is factored per solve: L^-1, the QR of
+    L^-1 Aeq' and the independent equality rows come from the QpStructure;
+    an entering row is appended to that QR, a leaving row triggers a fresh QR.
     """
     if not isinstance(prob, QpProblem):
         raise TypeError("expected a QpProblem")
     s = prob.structure
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
+    Ain, bin_, A_eq = s.Ain, prob.bin, s.Aeq[s.eq_rows]
+    n_eq = len(s.eq_rows)
+    q, r = s.eq_q, s.eq_r
+    linv_f = s.chol_inv @ prob.f
+    # z0 = Q R^-T beq - (I - QQ') L^-1 f
+    z = q @ (np.linalg.solve(r.T, prob.beq[s.eq_rows]) + q.T @ linv_f) - linv_f
+    x = s.chol_inv.T @ z
+    if n_eq < s.Aeq.shape[0] and (np.linalg.norm(s.Aeq @ x - prob.beq, np.inf)
+                                  > RANK_RTOL * (1.0 + np.linalg.norm(prob.beq, np.inf))):
+        return QpSolution(x, _objective(prob, x), INFEASIBLE)
 
-    x0 = None
-    if start is not None:
-        start = _as_vector(start, "start")
-        if start.shape[0] != s.n:
-            raise ValueError("start has wrong dimension")
-        ok_eq = (
-            s.Aeq.shape[0] == 0
-            or np.linalg.norm(s.Aeq @ start - prob.beq, np.inf)
-            <= _FEAS_TOL * (1.0 + np.linalg.norm(prob.beq, np.inf))
-        )
-        ok_in = s.Ain.shape[0] == 0 or float(np.max(s.Ain @ start - prob.bin)) <= _FEAS_TOL
-        if ok_eq and ok_in:
-            x0 = start
-    x_eq = np.zeros(s.n)
-    if s.Aeq.shape[0] and (x0 is None or not s.eq_full_rank):
-        # Consistency of the equality system (relative tolerance).
-        x_eq, *_ = np.linalg.lstsq(s.Aeq, prob.beq, rcond=None)
-        eq_err = np.linalg.norm(s.Aeq @ x_eq - prob.beq, np.inf)
-        if eq_err > RANK_RTOL * (1.0 + np.linalg.norm(prob.beq, np.inf)):
-            return QpSolution(x_eq, _objective(prob, x_eq), INFEASIBLE)
-    if x0 is None:
-        x0, feasible = _feasible_start(prob, x_eq, max_iter)
-        if not feasible:
-            return QpSolution(x0, _objective(prob, x0), INFEASIBLE)
-
-    x, status, iters, active = _active_set_loop(prob, x0, max_iter)
-    return QpSolution(x, _objective(prob, x), status, iters, active)
+    working, lam = [], np.zeros(0)  # inequality rows in QR column order, their multipliers
+    enter = None
+    for it in range(1, max_iter + 1):
+        if enter is None:
+            viol = Ain @ x - bin_
+            viol[working] = -np.inf
+            if not viol.size or viol.max() <= _FEAS_TOL:
+                return QpSolution(x, _objective(prob, x), OPTIMAL, it, tuple(sorted(working)))
+            enter, lam_enter = int(np.argmax(viol)), 0.0
+            v = s.chol_inv @ Ain[enter]
+        try:
+            q_add, r_add = _qr_append(q, r, v, RANK_RTOL * np.linalg.norm(v))
+            q_v, w_norm = r_add[:-1, -1], r_add[-1, -1]
+        except SingularMatrixError:
+            q_v, w_norm = q.T @ v, 0.0
+        dual = np.linalg.solve(r, q_v)[n_eq:]
+        t_add = (Ain[enter] @ x - bin_[enter]) / w_norm**2 if w_norm else np.inf
+        shrinking = dual > 0.0
+        ratios = lam[shrinking] / dual[shrinking]
+        t_drop = ratios.min(initial=np.inf)
+        if t_add == t_drop == np.inf:
+            return QpSolution(x, _objective(prob, x), INFEASIBLE, it, tuple(sorted(working)))
+        t = min(t_add, t_drop)
+        if w_norm:
+            z = z - t * w_norm * q_add[:, -1]
+            x = s.chol_inv.T @ z
+        lam = lam - t * dual
+        lam_enter += t
+        if t_add <= t_drop:
+            working.append(enter)
+            lam = np.append(lam, lam_enter)
+            q, r = q_add, r_add
+            enter = None
+        else:
+            j = working.index(min(np.array(working)[shrinking][ratios == t_drop]))
+            del working[j]
+            lam = np.delete(lam, j)
+            q, r = np.linalg.qr(s.chol_inv @ np.vstack([A_eq, Ain[working]]).T)
+    return QpSolution(x, _objective(prob, x), MAX_ITERATIONS, max_iter, tuple(sorted(working)))

@@ -127,10 +127,14 @@ def plant_step(model, state, inputs, offtakes, bound=None):
 
 
 class Plant:
-    """Stateful wrapper: perturbed chain model plus measurement extraction."""
+    """Stateful wrapper: perturbed chain model plus measurement extraction.
+
+    The noise generator, seeded with `seed`, exists only when the config sets
+    process or measurement noise, so a noiseless run never imports numpy.random.
+    """
 
     def __init__(self, plant_cfg: PlantConfig, t_sample: float, initial_offtakes,
-                 reaches=DEZ_REACHES, input_bound=None):
+                 reaches=DEZ_REACHES, input_bound=None, seed=0):
         self.cfg = plant_cfg
         self.subs = build_chain(plant_cfg.perturbed_reaches(reaches), t_sample)
         self.model = assemble_global(self.subs)
@@ -138,20 +142,22 @@ class Plant:
         _, self.state = steady_state(self.subs, np.asarray(initial_offtakes, float))
         self._level_rows = self.model.level_rows()
         self._gate_rows = self.model.gate_flow_rows()
+        noisy = plant_cfg.process_noise > 0.0 or plant_cfg.measurement_noise > 0.0
+        self._rng = np.random.default_rng(seed) if noisy else None
 
-    def measure(self, rng=None):
+    def measure(self):
         levels = self.state[self._level_rows].copy()
         flows = self.state[self._gate_rows].copy()
-        if rng is not None and self.cfg.measurement_noise > 0.0:
-            levels += rng.normal(0.0, self.cfg.measurement_noise, size=levels.shape)
-            flows += rng.normal(0.0, self.cfg.measurement_noise, size=flows.shape)
+        if self.cfg.measurement_noise > 0.0:
+            levels += self._rng.normal(0.0, self.cfg.measurement_noise, size=levels.shape)
+            flows += self._rng.normal(0.0, self.cfg.measurement_noise, size=flows.shape)
         return levels, flows
 
-    def step(self, inputs, offtakes, rng=None):
+    def step(self, inputs, offtakes):
         self.state = plant_step(self.model, self.state, inputs, offtakes,
                                 bound=self.input_bound)
-        if rng is not None and self.cfg.process_noise > 0.0:
-            noise = rng.normal(0.0, self.cfg.process_noise, size=len(self._level_rows))
+        if self.cfg.process_noise > 0.0:
+            noise = self._rng.normal(0.0, self.cfg.process_noise, size=len(self._level_rows))
             self.state[self._level_rows] += noise
 
 
@@ -209,10 +215,9 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
 
     rho0 = scenario.offtakes_at(0)
     plant = Plant(plant_cfg, ctrl_cfg.sample_time, rho0, reaches=reaches,
-                  input_bound=ctrl_cfg.input_bound)
-    rng = np.random.default_rng(seed)
+                  input_bound=ctrl_cfg.input_bound, seed=seed)
 
-    levels, flows = plant.measure(rng)
+    levels, flows = plant.measure()
     flows_hist = [flows.copy() for _ in range(max_delay)]
     history = HistoryBuffer(ctrl_cfg.history_capacity)
     history.push(levels, flows, np.zeros(n), rho0)
@@ -254,7 +259,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     for k in range(horizon):
         rho = scenario.offtakes_at(k)
         if k > 0:
-            levels, flows = plant.measure(rng)
+            levels, flows = plant.measure()
             flows_hist.insert(0, flows.copy())
             del flows_hist[max_delay:]
 
@@ -306,7 +311,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
         trace.n_coalitions[k] = len(controllers)
         trace.mean_decision_vars[k] = float(np.mean(dec_vars))
 
-        plant.step(u_global, rho, rng)
+        plant.step(u_global, rho)
         history.push(levels, flows, u_global, rho)
         prev_u = u_global
         prev_rho = rho

@@ -136,7 +136,7 @@ def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, 
     input-box halves for t = 0..N_p.  The start clamps the feedback law into
     the box for the first N_c steps and lets the slacks absorb floor
     violations; it is None when the unaided law leaves the box for some
-    t = N_c..N_p.  Also returns the largest |input| of that tail.
+    t = N_c..N_p.
     """
     n_q, m = flow_sel.shape[0], gain.shape[0]
     z = np.array(zeta0, dtype=float)
@@ -164,7 +164,7 @@ def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, 
     start = None
     if tail_peak <= bound + 1e-12:
         start = np.concatenate([np.reshape(moves, m * n_c), np.reshape(slacks, n_q * n_c)])
-    return rhs, start, tail_peak
+    return rhs, start
 
 
 def step_reaches(reaches, t_sample, members, state, inputs, offtakes, external):

@@ -168,13 +168,15 @@ from canalmpc import io, simulate, validate
 from canalmpc.supervisor import SynthesisCache
 simulate.run_closed_loop(simulate.scenario_1(horizon=24), seed=0, cache=SynthesisCache())
 simulate.run_centralized(simulate.scenario_1(horizon=24), seed=0, cache=SynthesisCache())
+assert "numpy.random" not in sys.modules  # noiseless runs draw nothing; validate seeds its own
 assert all(ok for _, ok, _ in validate.run_checks(io.RunConfig()))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_runs_on_numpy_alone():
-    """The CLI, coalitional and centralized runs and validate load no scipy module."""
+    """The CLI, coalitional and centralized runs and validate load no scipy module,
+    and the noiseless runs no numpy.random."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(canalmpc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,

@@ -1,9 +1,11 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from canalmpc import control
+from canalmpc import control, numerics
 from canalmpc.canal import build_chain, build_coalition_model, assemble_global
 from canalmpc.control import (
     ControllerConfig,
@@ -368,7 +370,7 @@ class TestMpcStep:
             sigma=np.zeros(3),
             feasible=True,
         )
-        step = mpc_step(coal, np.zeros(3), sp, prog, self.cfg)
+        step = mpc_step(np.zeros(3), sp, prog, self.cfg)
         assert step.status == "optimal"
         assert np.allclose(step.vprime, 0.0, atol=1e-9)
         assert np.allclose(step.eps, 0.0, atol=1e-9)
@@ -383,7 +385,7 @@ class TestMpcStep:
         prog = prepare_mpc(coal, *synth(coal, cfg), cfg)
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
         zeta = np.array([0.1, -0.05, 0.02])  # small: no constraint activity
-        step = mpc_step(coal, zeta, sp, prog, cfg)
+        step = mpc_step(zeta, sp, prog, cfg)
         assert step.status == "optimal"
         assert np.linalg.norm(step.vprime, np.inf) <= 1e-6
         assert np.allclose(step.eps, 0.0, atol=1e-9)
@@ -393,7 +395,7 @@ class TestMpcStep:
         prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
         zeta = np.array([0.05, -0.02, 0.01])
-        step = mpc_step(coal, zeta, sp, prog, self.cfg)
+        step = mpc_step(zeta, sp, prog, self.cfg)
         assert np.linalg.norm(step.vprime, np.inf) <= 1e-6
 
     def test_input_bound_binds_exactly(self):
@@ -404,7 +406,7 @@ class TestMpcStep:
         desired = float(np.max(np.abs(k_gain @ zeta)))
         assert desired > self.cfg.input_bound
         prog = prepare_mpc(coal, k_gain, p_mat, self.cfg)
-        step = mpc_step(coal, zeta, sp, prog, self.cfg)
+        step = mpc_step(zeta, sp, prog, self.cfg)
         assert step.status == "optimal"
         u0 = control_action(zeta, sp.u_s, step.vprime, k_gain)
         assert abs(abs(u0[0]) - self.cfg.input_bound) <= 1e-8
@@ -414,43 +416,39 @@ class TestMpcStep:
         prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
         sp = Setpoint(np.array([5.0] * 3 + [0.0]), np.zeros(1), np.zeros(4), True)
         zeta = np.array([0.2, 0.1, -0.1, 0.3])
-        step = mpc_step(coal, zeta, sp, prog, self.cfg)
+        step = mpc_step(zeta, sp, prog, self.cfg)
         assert np.allclose(step.eps, 0.0, atol=1e-10)
 
 
 class TestStackedHorizonMaps:
-    """mpc_step's inequality data and start against a step-by-step rollout."""
+    """mpc_step's inequality data and verdict against a step-by-step rollout."""
 
     cfg = ControllerConfig()
 
     def _programs(self, members):
         coal = make_coalition(members)
-        return coal, prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
+        gain, p_mat = synth(coal, self.cfg)
+        return coal, gain, prepare_mpc(coal, gain, p_mat, self.cfg)
 
-    def _production(self, coal, prog, zeta0, sp, monkeypatch):
-        """(bin, start) that mpc_step hands to its QP solve; the solve is skipped."""
+    def _production(self, prog, zeta0, sp, monkeypatch):
+        """mpc_step's result, the QP problem it hands to solve_qp and the solve's wall time."""
+        handed = []
 
-        class Handed(Exception):
-            pass
-
-        def spy(prob, start=None):
-            raise Handed(prob.bin, start)
+        def spy(prob):
+            start = time.perf_counter()
+            sol = numerics.solve_qp(prob)
+            handed.append((prob, time.perf_counter() - start))
+            return sol
 
         monkeypatch.setattr(control, "solve_qp", spy)
-        with pytest.raises(Handed) as handed:
-            mpc_step(coal, zeta0, sp, prog, self.cfg)
-        return handed.value.args
+        step = mpc_step(zeta0, sp, prog, self.cfg)
+        return (step,) + handed[0]
 
-    def _oracle(self, coal, prog, zeta0, sp):
+    def _oracle(self, coal, gain, zeta0, sp):
         cfg = self.cfg
-        return looped_mpc_data(prog.acl, coal.Up, prog.gain, prog.flow_sel, zeta0, sp.xi_s,
-                               sp.u_s, cfg.prediction_horizon, cfg.control_horizon,
-                               cfg.input_bound, cfg.flow_margin)
-
-    @staticmethod
-    def _assert_close(actual, expected):
-        assert actual.shape == expected.shape
-        assert np.max(np.abs(actual - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+        return looped_mpc_data(coal.Xi + coal.Up @ gain, coal.Up, gain, coal.flow_selector(),
+                               zeta0, sp.xi_s, sp.u_s, cfg.prediction_horizon,
+                               cfg.control_horizon, cfg.input_bound, cfg.flow_margin)
 
     @staticmethod
     def _setpoint(coal, rng):
@@ -460,52 +458,38 @@ class TestStackedHorizonMaps:
 
     @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
     def test_random_states_match_horizon_loop(self, members, monkeypatch):
-        coal, prog = self._programs(members)
+        coal, gain, prog = self._programs(members)
         rng = np.random.default_rng(sum(members))
         outcomes = set()
         for _ in range(12):
             sp = self._setpoint(coal, rng)
             zeta0 = rng.normal(scale=rng.choice([0.05, 0.5, 5.0]), size=coal.n)
-            bin_, start = self._production(coal, prog, zeta0, sp, monkeypatch)
-            ref_bin, ref_start, _ = self._oracle(coal, prog, zeta0, sp)
-            self._assert_close(bin_, ref_bin)
-            assert (start is None) == (ref_start is None)
+            step, prob, _ = self._production(prog, zeta0, sp, monkeypatch)
+            ref_bin, start = self._oracle(coal, gain, zeta0, sp)
+            assert prob.bin.shape == ref_bin.shape
+            assert np.max(np.abs(prob.bin - ref_bin)) <= 1e-12 * max(1.0, np.max(np.abs(ref_bin)))
             if start is not None:
-                self._assert_close(start, ref_start)
+                # The clamped feedback law is a feasible point of the QP.
+                start_obj = 0.5 * start @ prog.qp.H @ start + prob.f @ start
+                assert step.status == "optimal"
+                assert step.objective <= start_obj + 1e-12 * (1.0 + abs(start_obj))
             outcomes.add(start is None)
         assert outcomes == {True, False}  # both branches exercised
 
-    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
-    def test_tail_just_outside_box_has_no_start(self, members, monkeypatch):
-        """Bisect along one direction to where the unaided tail leaves the box."""
-        coal, prog = self._programs(members)
-        rng = np.random.default_rng(7)
-        sp = self._setpoint(coal, rng)
-        direction = rng.normal(size=coal.n)
-
-        def tail_peak(scale):
-            return self._oracle(coal, prog, scale * direction, sp)[2]
-
-        def crossing(level):
-            """(lo, hi) scales bracketing where the tail's peak passes `level`."""
-            lo, hi = 0.0, 1.0
-            while tail_peak(hi) <= level:
-                hi *= 2.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if tail_peak(mid) <= level else (lo, mid)
-            return lo, hi
-
-        # The start's test allows 1e-12 over the bound: step just past that.
-        bound = self.cfg.input_bound
-        inside, outside = crossing(bound)[0], crossing(bound + 5e-11)[1]
-        assert bound - 1e-9 < tail_peak(inside) <= bound
-        assert bound + 1e-11 < tail_peak(outside) < bound + 1e-10
-        _, start = self._production(coal, prog, outside * direction, sp, monkeypatch)
-        assert start is None
-        _, start = self._production(coal, prog, inside * direction, sp, monkeypatch)
-        assert start is not None
-        self._assert_close(start, self._oracle(coal, prog, inside * direction, sp)[1])
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 5.0])
+    def test_infeasible_verdict_matches_feasibility_lp(self, scale, monkeypatch):
+        """mpc_step reports 'infeasible' exactly when an LP over its rows finds no point."""
+        coal, gain, prog = self._programs(tuple(range(1, 14)))
+        rng = np.random.default_rng(13)
+        for _ in range(14):
+            sp = self._setpoint(coal, rng)
+            zeta0 = rng.normal(scale=scale, size=coal.n)
+            step, prob, elapsed = self._production(prog, zeta0, sp, monkeypatch)
+            lp = scipy.optimize.linprog(np.zeros(prog.qp.n), A_ub=prog.qp.Ain, b_ub=prob.bin,
+                                        bounds=(None, None), method="highs")
+            assert lp.status in (0, 2)  # solved or infeasible
+            assert step.status == ("infeasible" if lp.status == 2 else "optimal")
+            assert elapsed < 1.0
 
 
 class TestControlAction:
@@ -554,12 +538,8 @@ class TestBuiltOncePrograms:
         for name in ("i_minus_xi", "r2"):
             assert np.array_equal(getattr(kept, name), getattr(fresh, name))
         assert kept.flow_rows == fresh.flow_rows
-        for name in ("H", "Aeq", "Ain", "eq_rows", "eq_full_rank"):
-            assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
-        # The augmented Hessian is positive definite: the kept L', L^-1 and
-        # QR of L^-1 Aeq' are those of a fresh build.
-        for name in ("chol_t", "chol_inv", "eq_q", "eq_r"):
-            assert getattr(kept.qp, name) is not None
+        # The kept H, rows, L^-1 and QR of L^-1 Aeq' are those of a fresh build.
+        for name in ("H", "Aeq", "Ain", "eq_rows", "chol_inv", "eq_q", "eq_r"):
             assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
         assert np.array_equal(ctrl.program.qp.H, prepare_mpc(coal, *synth(coal, self.cfg),
                                                              self.cfg).qp.H)

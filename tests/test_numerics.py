@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from canalmpc import numerics
 from canalmpc.canal import build_chain, build_coalition_model
@@ -107,12 +109,13 @@ class TestLapackCalls:
 
 
 class TestRangeSpaceStep:
-    """The step in Cholesky coordinates z = L'x agrees with the full KKT system."""
+    """The dual step in Cholesky coordinates z = L'x agrees with the full KKT system."""
 
     @staticmethod
     def step(s, g, rows):
-        # One iteration of the factored loop at x = 0 with linear term g and
-        # the inequality rows `rows` entered in order.
+        # With the inequality rows `rows` entered in order, the directions
+        # solve_qp moves x and the working multipliers per unit of an entering
+        # row g's multiplier: p = -L^-T (I - QQ') L^-1 g and -R^-1 Q' L^-1 g.
         q, r = s.eq_q, s.eq_r
         for i in rows:
             v = s.chol_inv @ s.Ain[i]
@@ -336,15 +339,6 @@ class TestSolveQp:
         )
         assert solve_qp(prob).status == numerics.INFEASIBLE
 
-    def test_inconsistent_equalities_infeasible_with_start(self):
-        # A rank-deficient equality system is checked even when a start is given.
-        prob = QpProblem(
-            QpStructure(np.eye(2), Aeq=np.array([[1.0, 0.0], [1.0, 0.0]])),
-            f=np.zeros(2),
-            beq=np.array([0.0, 1.0]),
-        )
-        assert solve_qp(prob, start=np.zeros(2)).status == numerics.INFEASIBLE
-
     def test_infeasible_inequalities(self):
         prob = QpProblem(
             QpStructure(np.eye(1), Ain=np.array([[1.0], [-1.0]])),
@@ -353,16 +347,23 @@ class TestSolveQp:
         )
         assert solve_qp(prob).status == numerics.INFEASIBLE
 
-    def test_degenerate_start_on_boundary(self):
-        # Start exactly on the constraint that is not active at the optimum.
+    def test_row_at_bound_at_unconstrained_minimizer_stays_out(self):
+        # x2 <= 0 holds with equality at the unconstrained minimizer (-1, 0):
+        # it is not violated, so it never enters the working set.
         prob = QpProblem(
             QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0], [0.0, 1.0]])),
             f=np.array([2.0, 0.0]),
             bin=np.array([0.0, 0.0]),
         )
-        sol = solve_qp(prob, start=np.zeros(2))
-        assert sol.optimal
+        sol = solve_qp(prob)
+        assert sol.optimal and sol.active_set == () and sol.iterations == 1
         assert np.allclose(sol.x, [-1.0, 0.0], atol=1e-9)
+
+    @pytest.mark.parametrize("H", [np.diag([2.0, 0.0]), np.diag([1.0, -1.0])],
+                             ids=["semidefinite", "indefinite"])
+    def test_hessian_not_positive_definite_raises(self, H):
+        with pytest.raises(ValueError, match="positive definite"):
+            QpStructure(H, Ain=np.array([[1.0, 1.0]]))
 
     def test_random_vs_enumeration(self):
         rng = np.random.default_rng(42)
@@ -467,6 +468,44 @@ class TestSolveQp:
         s2 = solve_qp(prob2)
         assert np.array_equal(s1.x, s2.x)
         assert s1.objective == s2.objective
+
+
+# Entries on a half-integer grid: exact ties, dependent rows and single-point
+# feasible sets occur, while feasibility never hinges on a margin comparable
+# with the solvers' tolerances.
+ENTRIES = st.integers(-4, 4).map(lambda k: 0.5 * k)
+
+
+@st.composite
+def dense_qps(draw):
+    """A positive-definite QP with independent equalities and inequalities
+    whose right-hand sides are drawn freely, so that some are infeasible."""
+    n = draw(st.integers(1, 4))
+    n_eq = draw(st.integers(0, n - 1))
+    n_in = draw(st.integers(0, 5))
+    M = draw(hnp.arrays(float, (n, n), elements=ENTRIES))
+    Aeq = draw(hnp.arrays(float, (n_eq, n), elements=ENTRIES))
+    # brute_force_qp needs independent equality rows.
+    assume(n_eq == 0 or np.linalg.svd(Aeq, compute_uv=False)[-1] > 0.1)
+    return (M @ M.T + 0.5 * np.eye(n), draw(hnp.arrays(float, n, elements=ENTRIES)),
+            Aeq, draw(hnp.arrays(float, n_eq, elements=ENTRIES)),
+            draw(hnp.arrays(float, (n_in, n), elements=ENTRIES)),
+            draw(hnp.arrays(float, n_in, elements=ENTRIES)))
+
+
+class TestSolveQpProperty:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(dense_qps())
+    def test_matches_enumeration_or_reports_infeasible(self, qp):
+        H, f, Aeq, beq, Ain, bin_ = qp
+        sol = solve_qp(QpProblem(QpStructure(H, Aeq, Ain), f, beq, bin_))
+        x_ref, obj_ref = brute_force_qp(H, f, Aeq, beq, Ain, bin_)
+        if x_ref is None:
+            assert sol.status == numerics.INFEASIBLE
+            return
+        assert sol.optimal
+        assert abs(sol.objective - obj_ref) <= 1e-6 * (1 + abs(obj_ref))
+        assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-6 * (1 + np.linalg.norm(x_ref, np.inf))
 
 
 class TestPurity:
