@@ -15,11 +15,8 @@ its row helpers and stack_state are the only code that encodes it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-
-from .numerics import LuFactor, SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -159,24 +156,6 @@ class CoalitionModel:
         sel[np.arange(len(rows)), rows] = 1.0
         return sel
 
-    @cached_property
-    def setpoint_factor(self) -> LuFactor:
-        """LU factor of [[I - Xi, -Up], [gamma, 0]], the setpoint system; built on first use.
-
-        Raises SingularMatrixError naming the members when it is singular.
-        """
-        n, m = self.n, self.m
-        lhs = np.zeros((n + m, n + m))
-        lhs[:n, :n] = np.eye(n) - self.Xi
-        lhs[:n, n:] = -self.Up
-        lhs[n:, :n] = self.gamma
-        try:
-            return LuFactor(lhs)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"setpoint system singular for coalition {self.members}"
-            ) from exc
-
     def coupling_matrices(self, other):
         """(Xi_ij, Up_ij) expressing this coalition's dependence on `other`.
 
@@ -266,20 +245,3 @@ def assemble_global(subsystems) -> CoalitionModel:
     members = tuple(s.index for s in subsystems)
     return build_coalition_model(subsystems, members)
 
-
-def steady_state(subsystems, offtakes):
-    """Steady flows and levels for constant offtakes: flows telescope upstream.
-
-    Returns (flows, state) where flows[i] is the gate flow of reach i+1 and
-    state is the stacked global state with all level errors zero.
-    """
-    offtakes = np.asarray(offtakes, dtype=float)
-    n_sub = len(subsystems)
-    if offtakes.shape[0] != n_sub:
-        raise ValueError("one offtake per reach required")
-    flows = np.cumsum(offtakes[::-1])[::-1]
-    state = []
-    for sub, q in zip(subsystems, flows):
-        state.extend([q] * sub.delay)
-        state.append(0.0)
-    return flows, np.array(state)

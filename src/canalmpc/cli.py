@@ -4,7 +4,10 @@ import argparse
 import os
 import sys
 
-from .canal import build_chain, steady_state
+import numpy as np
+
+from .canal import assemble_global, build_chain
+from .control import compute_setpoint
 from .io import (
     ConfigError,
     builtin_config,
@@ -16,6 +19,7 @@ from .io import (
 )
 from .simulate import PlantConfig, accumulate_costs, run_centralized, run_closed_loop
 from .supervisor import PublishedSetpoints, SynthesisCache, select_topology
+from .topology import Topology
 from .validate import run_checks
 
 
@@ -144,13 +148,10 @@ def cmd_sweep(args):
     cfg = _materialize(args)
     subs = build_chain(cfg.reaches, cfg.controller.sample_time)
     rho = cfg.scenario.offtakes_at(0)
-    flows, state = steady_state(subs, rho)
-    # mid-range incumbent, modest disturbance in its unlinked region
-    from .canal import assemble_global
-    from .topology import Topology
-
-    state = state.copy()
     model = assemble_global(subs)
+    state = compute_setpoint(model, rho, np.zeros(0))
+    flows = state[model.gate_flow_rows()]
+    # mid-range incumbent, modest disturbance in its unlinked region
     lv = model.level_rows()
     n = len(subs)
     mid = n // 2

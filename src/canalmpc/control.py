@@ -252,17 +252,24 @@ class Setpoint:
 def compute_setpoint(coalition, rho, omega):
     """Steady state with zero level errors compensating offtakes and omega.
 
-    Solves the square linear system stacking (I - Xi) xi - Up u = Phi rho +
-    Psi omega with gamma xi = 0 against the coalition's cached factor
-    (CoalitionModel.setpoint_factor).  A non-finite rho or omega raises
-    ValueError.
+    A settled gate passes its reach's offtake plus what the gate below it
+    passes: the next member's flow, the omega channel sourced there, or
+    nothing below the chain's last reach.  Walking the members upstream
+    gives every gate flow, which fills its delay line; levels are zero and
+    no input is needed, so xi_bar = Xi xi_bar + Phi rho + Psi omega.  A
+    non-finite rho or omega raises ValueError.
     """
-    n, m = coalition.n, coalition.m
-    rho = np.asarray(rho, dtype=float).reshape(m)
+    rho = np.asarray(rho, dtype=float).reshape(coalition.m)
     omega = np.asarray(omega, dtype=float).reshape(coalition.n_channels)
-    rhs = np.concatenate([coalition.Phi @ rho + coalition.Psi @ omega, np.zeros(m)])
-    sol = coalition.setpoint_factor.solve(rhs)
-    return sol[:n], sol[n:]
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(omega))):
+        raise ValueError("offtakes and boundary flows must be finite")
+    below = dict(zip(coalition.coupling_sources, omega.tolist()))
+    for s, p in zip(coalition.members[::-1], rho[::-1].tolist()):
+        below[s] = p + below.get(s + 1, 0.0)
+    xi_bar = np.zeros(coalition.n)
+    xi_bar[coalition.flow_rows()] = np.repeat([below[s] for s in coalition.members],
+                                              coalition.delays)
+    return xi_bar
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,13 +277,11 @@ class SetpointProgram:
     """State-independent parts of one coalition's setpoint projection QP.
 
     Over (xi_s, u_s, sigma), H, Aeq and Ain depend only on the coalition,
-    its gain and the weights; a projection fills in f, beq and bin.
+    its gain and the weights; a projection fills in beq and bin.
     """
 
     coalition: CoalitionModel
     gain: np.ndarray
-    i_minus_xi: np.ndarray      # I - Xi
-    r2: np.ndarray              # 2 R, the u_s block of H
     flow_rows: list
     qp: QpStructure
 
@@ -292,10 +297,9 @@ def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
     n, m = coalition.n, coalition.m
     q_mat, r_mat = weight_matrices(coalition, cfg)
     nv = n + m + n  # xi_s, u_s, sigma
-    i_minus_xi = np.eye(n) - coalition.Xi
 
     aeq = np.zeros((n, nv))
-    aeq[:, :n] = i_minus_xi
+    aeq[:, :n] = np.eye(n) - coalition.Xi
     aeq[:, n:n + m] = -coalition.Up
     aeq[:, n + m:] = -np.eye(n)
 
@@ -314,32 +318,31 @@ def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
     ain[n_q + m:, n:n + m] = -np.eye(m)
 
     return SetpointProgram(
-        coalition=coalition, gain=gain, i_minus_xi=i_minus_xi, r2=2.0 * r_mat,
-        flow_rows=flow_rows, qp=QpStructure(h_mat, aeq, ain),
+        coalition=coalition, gain=gain, flow_rows=flow_rows, qp=QpStructure(h_mat, aeq, ain),
     )
 
 
-def feasible_setpoint(prog: SetpointProgram, xi_bar, u_bar, xi_k, cfg) -> Setpoint:
-    """Project the ideal setpoint onto the constraints (nearest feasible).
+def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
+    """Project the steady state for offtakes rho and boundary flows omega onto the constraints.
 
-    Minimizes (u_s - u_bar)' R (u_s - u_bar) + xi_s' Q xi_s + sigma' G sigma
-    subject to the slacked steady-state equality, the flow floor on every
-    flow section, and the input box evaluated at the current state.  `prog`
-    is the coalition's program from prepare_setpoint.
+    Minimizes u_s' R u_s + xi_s' Q xi_s + sigma' G sigma subject to the
+    slacked steady-state equality (I - Xi) xi_s - Up u_s - sigma = Phi rho +
+    Psi omega, the flow floor on every flow section, and the input box
+    evaluated at the current state.  Without active constraints the
+    minimizer is compute_setpoint's zero-level steady state with u_s = 0 and
+    sigma = 0.  `prog` is the coalition's program from prepare_setpoint.
     """
     coalition = prog.coalition
     n, m = coalition.n, coalition.m
     bound = cfg.input_bound
-    f_vec = np.zeros(n + m + n)
-    f_vec[n:n + m] = -(prog.r2 @ u_bar)
-    beq = prog.i_minus_xi @ xi_bar - coalition.Up @ u_bar
+    beq = coalition.Phi @ rho + coalition.Psi @ omega
     # flow floor, then K (xi_k - xi_s) + u_s within the input box
     k_xi = prog.gain @ xi_k
     bin_ = np.concatenate([
         np.full(len(prog.flow_rows), -cfg.flow_margin), bound - k_xi, bound + k_xi,
     ])
 
-    sol = solve_qp(QpProblem(prog.qp, f_vec, beq, bin_))
+    sol = solve_qp(QpProblem(prog.qp, np.zeros(n + m + n), beq, bin_))
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
@@ -544,8 +547,7 @@ class CoalitionController:
         idx = [s - 1 for s in model.members]
         rho = np.asarray(rho_global)[idx]
         xi_hat, omega_hat = self.kf.split(model.n)
-        xi_bar, u_bar = compute_setpoint(model, rho, omega_hat)
-        setpoint = feasible_setpoint(self.setpoint_program, xi_bar, u_bar, xi_hat, self.cfg)
+        setpoint = feasible_setpoint(self.setpoint_program, rho, omega_hat, xi_hat, self.cfg)
         zeta = xi_hat - setpoint.xi_s
         step = mpc_step(zeta, setpoint, self.program, self.cfg)
         if step.status == numerics.INFEASIBLE:

@@ -45,27 +45,24 @@ def _as_vector(b, name="vector"):
     return b
 
 
-def _rhs(b, n):
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != n:
-        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b contains non-finite entries")
-    return b
+def solve_linear(A, b):
+    """Solve A x = b by one np.linalg.solve against [b, I]; the columns of
+    a 2-D b are separate right-hand sides.
 
-
-def _solve_with_inverse(A, b):
-    """(x, A^-1) for A x = b from one np.linalg.solve against [b, I].
-
-    A non-finite entry raises ValueError.  SingularMatrixError is raised
-    when the reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1)
-    falls below RCOND_MIN, an exact zero pivot included.
+    A non-square A, a b whose row count is not A's, or a non-finite entry
+    raises ValueError.  SingularMatrixError is raised when the reciprocal
+    1-norm condition number 1 / (||A||_1 ||A^-1||_1), with A^-1 from the
+    same solve, falls below RCOND_MIN, an exact zero pivot included.
     """
     A = _as_matrix(A, "A")
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"A must be square, got {A.shape}")
-    b = _rhs(b, n)
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != n:
+        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b contains non-finite entries")
     rhs = np.column_stack([b, np.eye(n)])
     try:
         sol = np.linalg.solve(A, rhs)
@@ -79,25 +76,7 @@ def _solve_with_inverse(A, b):
         raise SingularMatrixError(
             f"reciprocal condition number below {RCOND_MIN:g} (matrix is singular to working precision)"
         )
-    return x[:, 0] if b.ndim == 1 else x, inv
-
-
-class LuFactor:
-    """A square matrix's inverse, taken once (see _solve_with_inverse for the
-    checks), so that each solve is a product with it."""
-
-    def __init__(self, A):
-        self.n = np.shape(A)[0]
-        self._inv = _solve_with_inverse(A, np.zeros((self.n, 0)))[1]
-
-    def solve(self, b):
-        """x with A x = b; the columns of a 2-D b are separate right-hand sides."""
-        return self._inv @ _rhs(b, self.n)
-
-
-def solve_linear(A, b):
-    """Solve A x = b by one np.linalg.solve, checked as in _solve_with_inverse."""
-    return _solve_with_inverse(A, b)[0]
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
@@ -331,9 +310,11 @@ def solve_qp(prob, max_iter=None):
     Deterministic: the same problem always yields the same solution.  Status
     is 'infeasible' when the equality system is inconsistent or no feasible
     point exists, 'max-iterations' with the last iterate attached when the
-    cap is reached.  Nothing fixed is factored per solve: L^-1, the QR of
-    L^-1 Aeq' and the independent equality rows come from the QpStructure;
-    an entering row is appended to that QR, a leaving row triggers a fresh QR.
+    cap is reached.  A ValueError is raised when the step onto an entering
+    row all but in the working span overflows.  Nothing fixed is factored
+    per solve: L^-1, the QR of L^-1 Aeq' and the independent equality rows
+    come from the QpStructure; an entering row is appended to that QR, a
+    leaving row triggers a fresh QR.
     """
     if not isinstance(prob, QpProblem):
         raise TypeError("expected a QpProblem")
@@ -367,7 +348,10 @@ def solve_qp(prob, max_iter=None):
         except SingularMatrixError:
             q_v, w_norm = q.T @ v, 0.0
         dual = np.linalg.solve(r, q_v)[n_eq:]
-        t_add = (Ain[enter] @ x - bin_[enter]) / w_norm**2 if w_norm else np.inf
+        with np.errstate(all="ignore"):  # checked below
+            t_add = (Ain[enter] @ x - bin_[enter]) / w_norm**2 if w_norm else np.inf
+        if w_norm and not np.isfinite(t_add):
+            raise ValueError(f"step onto inequality row {enter} overflows")
         shrinking = dual > 0.0
         ratios = lam[shrinking] / dual[shrinking]
         t_drop = ratios.min(initial=np.inf)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain, steady_state
-from .control import CoalitionController, ControllerConfig, HistoryBuffer
+from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
+from .control import CoalitionController, ControllerConfig, HistoryBuffer, compute_setpoint
 from .supervisor import (
     PublishedSetpoints,
     SynthesisCache,
@@ -139,7 +139,7 @@ class Plant:
         self.subs = build_chain(plant_cfg.perturbed_reaches(reaches), t_sample)
         self.model = assemble_global(self.subs)
         self.input_bound = input_bound
-        _, self.state = steady_state(self.subs, np.asarray(initial_offtakes, float))
+        self.state = compute_setpoint(self.model, initial_offtakes, np.zeros(0))
         self._level_rows = self.model.level_rows()
         self._gate_rows = self.model.gate_flow_rows()
         noisy = plant_cfg.process_noise > 0.0 or plant_cfg.measurement_noise > 0.0
@@ -338,7 +338,6 @@ class CostReport:
     links_avg: float
     network_avg: float         # c_link * links_avg
     combined_avg: float        # perf + network at c_link
-    combined_avg_free: float   # pricing links at zero
     decision_vars_avg: float
     coalitions_avg: float
 
@@ -352,7 +351,6 @@ def accumulate_costs(trace: SimTrace, c_link: float) -> CostReport:
         links_avg=links,
         network_avg=c_link * links,
         combined_avg=perf + c_link * links,
-        combined_avg_free=perf,
         decision_vars_avg=float(np.mean(trace.mean_decision_vars)),
         coalitions_avg=float(np.mean(trace.n_coalitions)),
     )

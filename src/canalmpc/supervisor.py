@@ -7,7 +7,7 @@ of every candidate topology's coalitions in chain order, and solves each
 distinct coalition's setpoint once from the most recently published
 neighbour setpoints.  All candidates are then rolled out together on the
 coupled chain model for H = max(t_lambda, preview_horizon) steps, each
-under its own decentralized law u = clip(K (xi - xi_bar) + u_bar),
+under its own decentralized law u = clip(K (xi - xi_bar)),
 K = blockdiag(K_1, ...).  A candidate scores
 
     sum_k ( Q ||e(k) - e*||^2 + R ||u(k)||^2 )  +  sum_i zeta_i' P_i zeta_i
@@ -177,26 +177,25 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
                    preview: PreviewContext):
     """Scores of all candidates: predicted shifted-state cost plus priced network usage.
 
-    Candidate c's decentralized law u = clip(K_c (xi - xi_bar_c) + u_bar_c),
-    with K_c = blockdiag(K_1, ...) and each coalition steering toward its
-    own setpoint, is rolled out on the coupled chain model from the flat
-    chain-ordered `state` for max(t_lambda, preview_horizon) steps.  The
-    candidates are rolled out together: row c of the (C x n) batched state
+    Candidate c's decentralized law u = clip(K_c (xi - xi_bar_c)), with
+    K_c = blockdiag(K_1, ...) and each coalition steering toward its own
+    zero-level steady state, is rolled out on the coupled chain model from
+    the flat chain-ordered `state` for max(t_lambda, preview_horizon) steps.
+    The candidates are rolled out together: row c of the (C x n) batched state
     is candidate c's own rollout, and each step is one batched product,
     clip and model update.  The stage costs and the terminal per-coalition
     cost-to-go zeta'P zeta are measured against the common global steady
     state.  Stale boundary targets make a rollout drift away from that
     steady state, which the score exposes.  `records[c]` are candidate c's
     CoalitionGains in chain order, so that their stacked states are the
-    global state; `setpoints` maps each coalition's members to its
-    (xi_bar, u_bar).  Returns one score per candidate.
+    global state; `setpoints` maps each coalition's members to its xi_bar.
+    Returns one score per candidate.
     """
     model = preview.global_model
     cfg = preview.cfg
     n_cand = len(records)
     k_t = np.zeros((n_cand, model.n, model.m))      # K_c transposed, block-diagonal
     xi_bar = np.empty((n_cand, model.n))
-    u_bar = np.empty((n_cand, model.m))
     for c, (cand, gains) in enumerate(zip(candidates, records)):
         if (sum(g.model.n for g in gains), sum(g.model.m for g in gains)) != (model.n, model.m):
             raise ValueError(f"gains of candidate {cand.bits()} do not tile the chain model")
@@ -204,7 +203,7 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
         for g in gains:
             rows, cols = slice(row, row + g.model.n), slice(col, col + g.model.m)
             k_t[c, rows, cols] = g.gain.T
-            xi_bar[c, rows], u_bar[c, cols] = setpoints[g.model.members]
+            xi_bar[c, rows] = setpoints[g.model.members]
             row, col = rows.stop, cols.stop
 
     steps = max(t_lambda, cfg.preview_horizon)
@@ -214,7 +213,7 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
     xi_t, up_t = model.Xi.T, model.Up.T
     drift = model.Phi @ preview.rho
     for k in range(steps):
-        np.clip(np.matmul((xi[k] - xi_bar)[:, None, :], k_t)[:, 0, :] + u_bar,
+        np.clip(np.matmul((xi[k] - xi_bar)[:, None, :], k_t)[:, 0, :],
                 -cfg.input_bound, cfg.input_bound, out=u[k])
         xi[k + 1] = xi[k] @ xi_t + u[k] @ up_t + drift
 
@@ -246,7 +245,7 @@ def candidate_setpoints(records, rho, published):
 
     A coalition's boundary estimate comes from the published data, then its
     zero-level steady state is solved once, however many candidates share
-    it.  Returns members -> (xi_bar, u_bar).
+    it.  Returns members -> xi_bar.
     """
     coalitions = list({g.model.members: g.model for g in records}.values())
     omegas = estimate_cross_effects(coalitions, published)
@@ -279,7 +278,7 @@ def select_topology(state, rho, published, incumbent, cache,
     rho = np.asarray(rho, dtype=float)
     if global_model is None:
         global_model = assemble_global(subsystems)
-    yardstick, _ = compute_setpoint(global_model, rho, np.zeros(0))
+    yardstick = compute_setpoint(global_model, rho, np.zeros(0))
     preview = PreviewContext(
         global_model=global_model, rho=rho, cfg=cfg, yardstick=yardstick
     )

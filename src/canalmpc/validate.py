@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from .canal import assemble_global, build_chain, build_coalition_model, steady_state
+from .canal import assemble_global, build_chain, build_coalition_model
 from .control import compute_setpoint
 from .numerics import QpProblem, QpStructure, solve_qp
 from .supervisor import SynthesisCache, synthesize
@@ -80,10 +80,10 @@ def _check_steady_state(cfg):
     subs = build_chain(cfg.reaches, cfg.controller.sample_time)
     model = assemble_global(subs)
     offtakes = np.full(len(subs), 2.0)
-    _, state = steady_state(subs, offtakes)
+    state = compute_setpoint(model, offtakes, np.zeros(0))
     nxt = model.Xi @ state + model.Phi @ offtakes
     ok = np.allclose(nxt, state, atol=1e-10)
-    return ok, "telescoped flows are a fixed point"
+    return ok, "zero-level steady state is a fixed point"
 
 
 def _check_gamma_rows(cfg):
@@ -118,15 +118,19 @@ def _check_setpoint_telescoping(cfg):
     subs = build_chain(cfg.reaches, cfg.controller.sample_time)
     model = assemble_global(subs)
     rng = np.random.default_rng(1)
-    rho = rng.uniform(0.5, 4.0, size=len(subs))
-    xi_bar, u_bar = compute_setpoint(model, rho, np.zeros(0))
-    expected = np.cumsum(rho[::-1])[::-1]
-    ok = (
-        np.allclose(xi_bar[model.gate_flow_rows()], expected, atol=1e-9)
-        and np.allclose(model.gamma @ xi_bar, 0.0, atol=1e-10)
-        and np.allclose(u_bar, 0.0, atol=1e-10)
-    )
-    return ok, "flows telescope, levels zero"
+    n = len(subs)
+    for _ in range(5):
+        rho = rng.uniform(0.5, 4.0, size=n)
+        star = compute_setpoint(model, rho, np.zeros(0))
+        flows = star[model.gate_flow_rows()]
+        for members in partition_of(Topology(n, {l for l in range(1, n) if rng.random() < 0.5})):
+            coal = build_coalition_model(subs, members)
+            omega = flows[[s - 1 for s in coal.coupling_sources]]
+            xi_bar = compute_setpoint(coal, rho[[s - 1 for s in members]], omega)
+            off = model.offsets[members[0]]  # partition blocks are contiguous runs
+            if not np.allclose(xi_bar, star[off:off + coal.n], rtol=1e-12, atol=0.0):
+                return False, f"coalition {members} leaves the chain's steady state"
+    return True, "coalition steady states match the chain's on 5 random partitions"
 
 
 def _check_qp_equality_agreement(cfg):

@@ -1,7 +1,8 @@
 """Independent reference routines used to cross-check the solvers and models.
 
 These deliberately take different computational paths from the production
-code (QR solve vs LU, scipy's Schur-based Riccati solver vs structured
+code (QR solve vs LU, a dense solve of the square setpoint system vs the
+closed-form upstream walk, scipy's Schur-based Riccati solver vs structured
 doubling, exhaustive active-set enumeration vs pivoting, horizon loops vs
 stacked prediction maps, reach-by-reach difference equations vs stacked
 state-space matrices) so that agreement is meaningful.
@@ -17,6 +18,21 @@ def qr_solve(A, b):
     """Solve A x = b through a QR factorization."""
     q, r = np.linalg.qr(A)
     return scipy.linalg.solve_triangular(r, q.T @ b)
+
+
+def square_setpoint(coalition, rho, omega):
+    """(xi_bar, u_bar) from one dense LU solve of the square setpoint system
+
+        [[I - Xi, -Up], [gamma, 0]] [xi; u] = [Phi rho + Psi omega; 0],
+
+    whose solution is the steady state with zero level errors.
+    """
+    n, m = coalition.n, coalition.m
+    lhs = np.block([[np.eye(n) - coalition.Xi, -coalition.Up],
+                    [coalition.gamma, np.zeros((m, m))]])
+    rhs = np.concatenate([coalition.Phi @ rho + coalition.Psi @ omega, np.zeros(m)])
+    sol = np.linalg.solve(lhs, rhs)
+    return sol[:n], sol[n:]
 
 
 def scipy_dare(A, B, Q, R):
@@ -102,7 +118,7 @@ def looped_rollout_value(xi0, blocks, xi_mat, up_mat, phi_rho, yardstick, level_
                          level_weight, input_weight, bound, steps):
     """Candidate rollout score with one feedback law per coalition.
 
-    `blocks` holds (state rows, input columns, K, P, xi_bar, u_bar) per
+    `blocks` holds (state rows, input columns, K, P, xi_bar) per
     coalition.  Each step gathers every coalition's slice of the global
     state, applies that coalition's own saturated law and scatters its
     inputs into the global input vector, then advances the coupled model.
@@ -114,14 +130,14 @@ def looped_rollout_value(xi0, blocks, xi_mat, up_mat, phi_rho, yardstick, level_
     clipped = 0
     for _ in range(steps):
         u = np.zeros(up_mat.shape[1])
-        for rows, cols, k_mat, _, xi_bar, u_bar in blocks:
-            raw = k_mat @ (xi[rows] - xi_bar) + u_bar
+        for rows, cols, k_mat, _, xi_bar in blocks:
+            raw = k_mat @ (xi[rows] - xi_bar)
             clipped += int(np.count_nonzero(np.abs(raw) > bound))
             u[cols] = np.minimum(np.maximum(raw, -bound), bound)
         dev = (xi - yardstick)[level_rows]
         total += level_weight * (dev @ dev) + input_weight * (u @ u)
         xi = xi_mat @ xi + up_mat @ u + phi_rho
-    for rows, _, _, p_mat, _, _ in blocks:
+    for rows, _, _, p_mat, _ in blocks:
         z = xi[rows] - yardstick[rows]
         total += z @ p_mat @ z
     return total, clipped

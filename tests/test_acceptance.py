@@ -12,11 +12,12 @@ import itertools
 import numpy as np
 import pytest
 
-from canalmpc.canal import assemble_global, build_chain, build_coalition_model, steady_state
+from canalmpc.canal import assemble_global, build_chain, build_coalition_model
 from canalmpc.control import (
     ControllerConfig,
     HistoryBuffer,
     KalmanState,
+    compute_setpoint,
     kalman_model,
     kf_init,
     kf_update,
@@ -228,9 +229,9 @@ def test_10_link_count_monotone_in_cost():
     # mid-range incumbent plus a modest disturbance in the unlinked region,
     # so the sweep can exhibit both enabling and shedding
     offtakes = np.full(13, 2.0)
-    flows, state = steady_state(CHAIN, offtakes)
-    state = state.copy()
     model = assemble_global(CHAIN)
+    state = compute_setpoint(model, offtakes, np.zeros(0))
+    flows = state[model.gate_flow_rows()]
     lv = model.level_rows()
     state[lv[5]] = 0.06
     state[lv[6]] = 0.048

@@ -8,8 +8,8 @@ from canalmpc.canal import (
     build_chain,
     build_coalition_model,
     build_subsystem,
-    steady_state,
 )
+from canalmpc.control import compute_setpoint
 
 from oracles import step_reaches
 
@@ -135,8 +135,9 @@ class TestCoalitionModel:
 
     def test_steady_state_is_fixed_point(self, chain):
         offtakes = np.full(13, 2.0)
-        flows, state = steady_state(chain, offtakes)
         coal = assemble_global(chain)
+        state = compute_setpoint(coal, offtakes, np.zeros(0))
+        flows = state[coal.gate_flow_rows()]
         nxt = coal.Xi @ state + coal.Up @ np.zeros(13) + coal.Phi @ offtakes
         assert np.allclose(nxt, state, atol=1e-12)
         assert flows[0] == pytest.approx(26.0)

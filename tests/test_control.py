@@ -1,12 +1,13 @@
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from canalmpc import control, numerics
-from canalmpc.canal import build_chain, build_coalition_model, assemble_global
+from canalmpc.canal import ReachParams, build_chain, build_coalition_model, assemble_global
 from canalmpc.control import (
     ControllerConfig,
     CoalitionController,
@@ -24,9 +25,9 @@ from canalmpc.control import (
     prepare_setpoint,
     weight_matrices,
 )
-from canalmpc.numerics import SingularMatrixError, lqr_gain, solve_dare
+from canalmpc.numerics import lqr_gain, solve_dare
 
-from oracles import brute_force_qp, looped_mpc_data
+from oracles import brute_force_qp, looped_mpc_data, square_setpoint
 
 CHAIN = build_chain()
 SINGLETONS = tuple((i,) for i in range(1, 14))
@@ -181,58 +182,70 @@ class TestKalman:
 class TestComputeSetpoint:
     def test_singleton_mass_balance(self):
         coal = make_coalition((4,))
-        xi_bar, u_bar = compute_setpoint(coal, rho=[3.0], omega=[7.0])
+        xi_bar = compute_setpoint(coal, rho=[3.0], omega=[7.0])
         assert np.allclose(xi_bar[:2], 10.0)  # flows = offtake + downstream outflow
         assert xi_bar[2] == pytest.approx(0.0, abs=1e-12)
-        assert u_bar[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_all_zero(self):
         coal = make_coalition((6,))
-        xi_bar, u_bar = compute_setpoint(coal, [0.0], [0.0])
+        xi_bar = compute_setpoint(coal, [0.0], [0.0])
         assert np.allclose(xi_bar, 0.0, atol=1e-12)
-        assert np.allclose(u_bar, 0.0, atol=1e-12)
 
     def test_full_coalition_telescopes(self):
         coal = assemble_global(CHAIN)
         rho = np.array([2.0] * 13)
         rho[3] = 2.5
         rho[12] = 0.0
-        xi_bar, u_bar = compute_setpoint(coal, rho, np.zeros(0))
+        xi_bar = compute_setpoint(coal, rho, np.zeros(0))
         expected = np.cumsum(rho[::-1])[::-1]
         gate_flows = xi_bar[coal.gate_flow_rows()]
         assert np.allclose(gate_flows, expected, atol=1e-9)
         assert np.allclose(coal.gamma @ xi_bar, 0.0, atol=1e-12)
-        assert np.allclose(u_bar, 0.0, atol=1e-12)
 
-
-    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
+    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14)), (3, 5, 6, 9)])
     def test_cached_factor_matches_direct_solve(self, members):
+        """The closed form is the square system's solution, with zero input."""
         coal = make_coalition(members)
-        n, m = coal.n, coal.m
         rng = np.random.default_rng(len(members))
-        kkt = np.block([
-            [np.eye(n) - coal.Xi, -coal.Up],
-            [coal.gamma, np.zeros((m, m))],
-        ])
         for _ in range(3):
-            rho = rng.uniform(0.0, 5.0, size=m)
+            rho = rng.uniform(0.0, 5.0, size=coal.m)
             omega = rng.uniform(0.0, 5.0, size=coal.n_channels)
-            xi_bar, u_bar = compute_setpoint(coal, rho, omega)
-            ref = np.linalg.solve(kkt, np.concatenate(
-                [coal.Phi @ rho + coal.Psi @ omega, np.zeros(m)]))
-            assert np.allclose(np.concatenate([xi_bar, u_bar]), ref, rtol=0.0,
-                               atol=1e-12 * (1.0 + np.max(np.abs(ref))))
+            ref = np.concatenate(square_setpoint(coal, rho, omega))
+            ours = np.concatenate([compute_setpoint(coal, rho, omega), np.zeros(coal.m)])
+            assert np.allclose(ours, ref, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(ref))))
 
     def test_non_finite_omega_raises(self):
         coal = make_coalition((4,))
         with pytest.raises(ValueError):
             compute_setpoint(coal, [3.0], [np.nan])
 
-    def test_singular_system_names_coalition(self):
-        coal = dataclasses.replace(make_coalition((4,)), Up=np.zeros((3, 1)))
-        for _ in range(2):  # a failed factor is not cached
-            with pytest.raises(SingularMatrixError, match=r"coalition \(4,\)"):
-                compute_setpoint(coal, [3.0], [7.0])
+
+@st.composite
+def setpoint_cases(draw):
+    """A random reach table, a random (possibly non-contiguous) member set, rho and omega."""
+    n = draw(st.integers(2, 20))
+    areas = draw(st.lists(st.floats(1e4, 1e6), min_size=n, max_size=n))
+    delays = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    members = draw(st.sets(st.integers(1, n), min_size=1))
+    chain = build_chain([ReachParams(i, a, d) for i, (a, d) in enumerate(zip(areas, delays), 1)])
+    coal = build_coalition_model(chain, members)
+    rho = draw(hnp.arrays(float, coal.m, elements=st.floats(0.0, 20.0)))
+    omega = draw(hnp.arrays(float, coal.n_channels, elements=st.floats(-5.0, 40.0)))
+    return coal, rho, omega
+
+
+class TestComputeSetpointProperty:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(setpoint_cases())
+    def test_matches_square_system_and_is_fixed_point(self, case):
+        coal, rho, omega = case
+        xi_bar = compute_setpoint(coal, rho, omega)
+        ref_xi, ref_u = square_setpoint(coal, rho, omega)
+        scale = 1.0 + np.max(np.abs(ref_xi))
+        assert np.max(np.abs(xi_bar - ref_xi)) <= 1e-12 * scale
+        assert np.max(np.abs(ref_u)) <= 1e-12 * scale
+        residual = coal.Xi @ xi_bar + coal.Phi @ rho + coal.Psi @ omega - xi_bar
+        assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
 class TestFeasibleSetpoint:
@@ -242,11 +255,11 @@ class TestFeasibleSetpoint:
         coal = make_coalition((4,))
         k_gain, _ = synth(coal, self.cfg)
         prog = prepare_setpoint(coal, k_gain, self.cfg)
-        xi_bar, u_bar = compute_setpoint(coal, [3.0], [7.0])
-        sp = feasible_setpoint(prog, xi_bar, u_bar, xi_bar.copy(), self.cfg)
+        xi_bar = compute_setpoint(coal, [3.0], [7.0])
+        sp = feasible_setpoint(prog, [3.0], [7.0], xi_bar.copy(), self.cfg)
         assert sp.feasible
         assert np.allclose(sp.xi_s, xi_bar, atol=1e-7)
-        assert np.allclose(sp.u_s, u_bar, atol=1e-7)
+        assert np.allclose(sp.u_s, 0.0, atol=1e-7)
         assert np.linalg.norm(sp.sigma, np.inf) <= 1e-7
 
     def test_negative_flow_hits_floor(self):
@@ -254,10 +267,9 @@ class TestFeasibleSetpoint:
         k_gain, _ = synth(coal, self.cfg)
         prog = prepare_setpoint(coal, k_gain, self.cfg)
         # disturbance estimate forcing a negative steady flow
-        xi_bar, u_bar = compute_setpoint(coal, [0.5], [-1.0])
-        assert xi_bar[0] < 0.0
+        assert compute_setpoint(coal, [0.5], [-1.0])[0] < 0.0
         xi_now = np.array([0.5, 0.0])
-        sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
+        sp = feasible_setpoint(prog, [0.5], [-1.0], xi_now, self.cfg)
         flows = sp.xi_s[coal.flow_rows()]
         assert np.all(flows >= self.cfg.flow_margin - 1e-9)
         assert np.linalg.norm(sp.sigma, np.inf) > 1e-6
@@ -273,15 +285,13 @@ class TestFeasibleSetpoint:
             (2.0, 1.0, np.array([3.0, 0.4])),
             (0.0, 0.0, np.array([0.0, -3.0])),
         ]:
-            xi_bar, u_bar = compute_setpoint(coal, [rho], [omega])
-            sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
+            sp = feasible_setpoint(prog, [rho], [omega], xi_now, self.cfg)
             # hand-assembled QP: variables (xi_s, u_s, sigma)
             h = np.zeros((5, 5))
             h[:2, :2] = 2 * q_mat
             h[2, 2] = 2 * r_mat[0, 0]
             h[3:, 3:] = 2 * g_mat
             f = np.zeros(5)
-            f[2] = -2 * r_mat[0, 0] * u_bar[0]
             i_xi = np.eye(2) - coal.Xi
             aeq = np.hstack([i_xi, -coal.Up, -np.eye(2)])
             beq = (coal.Phi @ np.array([rho]) + coal.Psi @ np.array([omega])).ravel()
@@ -322,14 +332,12 @@ class TestFeasibleSetpoint:
         rng = np.random.default_rng(7)
         binding = 0
         for scale in (0.3, 1.0, 3.0, 0.3, 1.0, 3.0):
-            xi_bar, u_bar = compute_setpoint(
-                coal, rng.uniform(0, 2, m), rng.uniform(-3, 1, coal.n_channels))
-            xi_now = xi_bar + rng.normal(0, scale, n)
-            sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
+            rho, omega = rng.uniform(0, 2, m), rng.uniform(-3, 1, coal.n_channels)
+            xi_now = compute_setpoint(coal, rho, omega) + rng.normal(0, scale, n)
+            sp = feasible_setpoint(prog, rho, omega, xi_now, self.cfg)
             assert sp.feasible
             f = np.zeros(2 * n + m)
-            f[n:n + m] = -2 * r_mat @ u_bar
-            beq = aeq[:, :n] @ xi_bar - coal.Up @ u_bar
+            beq = coal.Phi @ rho + coal.Psi @ omega
             kx = k_gain @ xi_now
             bin_ = np.concatenate([np.full(len(coal.flow_rows()), -self.cfg.flow_margin),
                                    self.cfg.input_bound - kx, self.cfg.input_bound + kx])
@@ -349,11 +357,11 @@ class TestFeasibleSetpoint:
         coal = make_coalition((8,))
         k_gain, _ = synth(coal, self.cfg)
         prog = prepare_setpoint(coal, k_gain, self.cfg)
-        xi_bar, u_bar = compute_setpoint(coal, [2.0], [1.0])
+        xi_bar = compute_setpoint(coal, [2.0], [1.0])
         # current state far above target: pure feedback would exceed the box
         xi_now = xi_bar + np.array([0.0, 5.0])
-        assert np.max(np.abs(k_gain @ (xi_now - xi_bar) + u_bar)) > self.cfg.input_bound
-        sp = feasible_setpoint(prog, xi_bar, u_bar, xi_now, self.cfg)
+        assert np.max(np.abs(k_gain @ (xi_now - xi_bar))) > self.cfg.input_bound
+        sp = feasible_setpoint(prog, [2.0], [1.0], xi_now, self.cfg)
         total = k_gain @ (xi_now - sp.xi_s) + sp.u_s
         assert np.max(np.abs(total)) <= self.cfg.input_bound + 1e-8
 
@@ -535,8 +543,6 @@ class TestBuiltOncePrograms:
             assert np.array_equal(getattr(ctrl.filter, name), getattr(fresh_filter, name))
         fresh = prepare_setpoint(coal, ctrl.gain, self.cfg)
         kept = ctrl.setpoint_program
-        for name in ("i_minus_xi", "r2"):
-            assert np.array_equal(getattr(kept, name), getattr(fresh, name))
         assert kept.flow_rows == fresh.flow_rows
         # The kept H, rows, L^-1 and QR of L^-1 Aeq' are those of a fresh build.
         for name in ("H", "Aeq", "Ain", "eq_rows", "chol_inv", "eq_q", "eq_r"):

@@ -10,7 +10,6 @@ from canalmpc import numerics
 from canalmpc.canal import build_chain, build_coalition_model
 from canalmpc.control import ControllerConfig, weight_matrices
 from canalmpc.numerics import (
-    LuFactor,
     QpProblem,
     QpStructure,
     RiccatiConvergenceError,
@@ -76,8 +75,8 @@ class TestSolveLinear:
 
 
 class TestLapackCalls:
-    """LuFactor keeps A^-1 from one numpy (LAPACK gesv) solve; its solves
-    agree with scipy's LU to rounding, and the rcond rule decides singularity."""
+    """solve_linear takes x and A^-1 from one numpy (LAPACK gesv) solve; x
+    agrees with scipy's LU to rounding, and the rcond rule decides singularity."""
 
     @pytest.mark.parametrize("rhs_shape", [(6,), (6, 4)])
     def test_lu_solve_agrees_with_scipy(self, rhs_shape):
@@ -86,7 +85,7 @@ class TestLapackCalls:
             A = rng.normal(size=(6, 6))
             b = rng.normal(size=rhs_shape)
             A_copy, b_copy = A.copy(), b.copy()
-            x = LuFactor(A).solve(b)
+            x = solve_linear(A, b)
             expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
             assert x.shape == b.shape
             assert np.linalg.norm(x - expected, np.inf) <= 1e-12 * np.linalg.norm(expected, np.inf)
@@ -97,9 +96,10 @@ class TestLapackCalls:
             warnings.simplefilter("error")
             for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
                 with pytest.raises(SingularMatrixError):
-                    LuFactor(A)
+                    solve_linear(A, np.ones(2))
 
-    @pytest.mark.parametrize("solve", [lambda A, b: LuFactor(A).solve(b), solve_linear])
+    # The rule holds for a one-column matrix right-hand side as for a vector.
+    @pytest.mark.parametrize("solve", [lambda A, b: solve_linear(A, b[:, None])[:, 0], solve_linear])
     def test_rcond_rule(self, solve):
         # rcond_1(A) = 1 / (||A||_1 ||A^-1||_1) below RCOND_MIN = 1e-12 is singular.
         assert np.allclose(solve(np.diag([1.0, 2e-12]), np.array([1.0, 2e-12])), [1.0, 1.0])
@@ -346,6 +346,16 @@ class TestSolveQp:
             bin=np.array([-1.0, -1.0]),  # x <= -1 and x >= 1
         )
         assert solve_qp(prob).status == numerics.INFEASIBLE
+
+    def test_overflowing_step_raises_not_infeasible(self):
+        # Feasible (x2 ~ 5.6e155 works), but the entering row lies ~1e-154 off
+        # the equality span, so its step length overflows the float range.
+        prob = QpProblem(
+            QpStructure(0.5 * np.eye(2), np.array([[1.0, 1e-9]]), np.array([[1.79e-147, 0.0]])),
+            f=np.zeros(2), beq=np.zeros(1), bin=np.array([-1.0]),
+        )
+        with pytest.raises(ValueError, match="row 0 overflows"):
+            solve_qp(prob)
 
     def test_row_at_bound_at_unconstrained_minimizer_stays_out(self):
         # x2 <= 0 holds with equality at the unconstrained minimizer (-1, 0):

@@ -7,7 +7,6 @@ from canalmpc.canal import (
     assemble_global,
     build_chain,
     build_coalition_model,
-    steady_state,
 )
 from canalmpc.control import ControllerConfig, Setpoint, compute_setpoint, weight_matrices
 from canalmpc.supervisor import (
@@ -174,8 +173,9 @@ class TestEstimateCrossEffects:
 def _steady_preview():
     """Steady chain state at uniform offtakes, and a preview around it."""
     offtakes = np.full(13, 2.0)
-    _, state = steady_state(CHAIN, offtakes)
-    return state, PreviewContext(assemble_global(CHAIN), offtakes, CFG, state)
+    model = assemble_global(CHAIN)
+    state = compute_setpoint(model, offtakes, np.zeros(0))
+    return state, PreviewContext(model, offtakes, CFG, state)
 
 
 def _contiguous_partitions(rng, count):
@@ -191,7 +191,7 @@ def _contiguous_partitions(rng, count):
 
 
 def _random_setpoints(rng, steady, preview, records):
-    """Random (xi_bar, u_bar) per distinct coalition, and its oracle blocks per record list."""
+    """Random xi_bar per distinct coalition, and its oracle blocks per record list."""
     model = preview.global_model
     setpoints = {}
     blocks = []
@@ -201,10 +201,9 @@ def _random_setpoints(rng, steady, preview, records):
             coal = entry.model
             rows = model.offsets[coal.members[0]] + np.arange(coal.n)  # contiguous members
             if coal.members not in setpoints:
-                setpoints[coal.members] = (steady[rows] + rng.normal(scale=0.1, size=coal.n),
-                                           rng.uniform(-0.3, 0.3, size=coal.m))
+                setpoints[coal.members] = steady[rows] + rng.normal(scale=0.1, size=coal.n)
             cols = [s - 1 for s in coal.members]
-            blocks[-1].append((rows, cols, entry.gain, entry.p_mat) + setpoints[coal.members])
+            blocks[-1].append((rows, cols, entry.gain, entry.p_mat, setpoints[coal.members]))
     return setpoints, blocks
 
 
@@ -212,7 +211,7 @@ class TestTopologyValue:
     def test_zero_at_setpoint_free_links(self, full_gains):
         state, preview = _steady_preview()
         (value,) = topology_value(
-            state, [full_topology(13)], [full_gains], {FULL: (state.copy(), np.zeros(13))},
+            state, [full_topology(13)], [full_gains], {FULL: state.copy()},
             c_link=0.0, t_lambda=4, preview=preview,
         )
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -220,7 +219,7 @@ class TestTopologyValue:
     def test_network_term_only(self, full_gains):
         state, preview = _steady_preview()
         (value,) = topology_value(
-            state, [full_topology(13)], [full_gains], {FULL: (state.copy(), np.zeros(13))},
+            state, [full_topology(13)], [full_gains], {FULL: state.copy()},
             c_link=0.6, t_lambda=4, preview=preview,
         )
         assert value == pytest.approx(28.8)
@@ -231,7 +230,7 @@ class TestTopologyValue:
         for _ in range(10):
             state = rng.normal(size=39)
             (value,) = topology_value(
-                state, [Topology(13, ())], [full_gains], {FULL: (np.zeros(39), np.zeros(13))},
+                state, [Topology(13, ())], [full_gains], {FULL: np.zeros(39)},
                 c_link=0.0, t_lambda=4, preview=preview,
             )
             assert value >= 0.0
@@ -279,8 +278,8 @@ class TestTopologyValue:
         """A record list missing one block is named by its candidate's bit-string."""
         state, preview = _steady_preview()
         singles = synthesize(SINGLETON_PARTITION, CHAIN, CFG)
-        setpoints = {FULL: (state.copy(), np.zeros(13))}
-        setpoints.update({g.model.members: (np.zeros(g.model.n), np.zeros(1)) for g in singles})
+        setpoints = {FULL: state.copy()}
+        setpoints.update({g.model.members: np.zeros(g.model.n) for g in singles})
         with pytest.raises(ValueError, match="candidate 000000000000 "):
             topology_value(state, [full_topology(13), Topology(13, ())],
                            [full_gains, singles[:-1]], setpoints, 0.6, 4, preview)
@@ -305,9 +304,9 @@ class TestTopologyValue:
 
 def _disturbed_setup():
     offtakes = np.full(13, 2.0)
-    flows, state = steady_state(CHAIN, offtakes)
-    state = state.copy()
     coal = assemble_global(CHAIN)
+    state = compute_setpoint(coal, offtakes, np.zeros(0))
+    flows = state[coal.gate_flow_rows()]
     level_rows = coal.level_rows()
     state[level_rows[8]] = 0.35   # reaches 9 and 10 disturbed
     state[level_rows[9]] = 0.30
@@ -325,9 +324,7 @@ def test_candidate_setpoints_once_per_distinct_coalition():
     assert len(setpoints) == 25
     pair = build_coalition_model(CHAIN, (4, 5))
     (omega,) = estimate_cross_effects([pair], published)
-    xi_bar, u_bar = compute_setpoint(pair, rho[[3, 4]], omega)
-    assert np.array_equal(setpoints[(4, 5)][0], xi_bar)
-    assert np.array_equal(setpoints[(4, 5)][1], u_bar)
+    assert np.array_equal(setpoints[(4, 5)], compute_setpoint(pair, rho[[3, 4]], omega))
 
 
 class TestSelectTopology:
