@@ -30,8 +30,8 @@ class ReachParams:
     bottom_width: float = 0.0
 
     def __post_init__(self):
-        if self.backwater_area <= 0.0:
-            raise ValueError(f"reach {self.index}: backwater_area must be positive")
+        if not 0.0 < self.backwater_area < np.inf:
+            raise ValueError(f"reach {self.index}: backwater_area must be finite and positive")
         if self.delay_steps < 1:
             raise ValueError(f"reach {self.index}: delay_steps must be >= 1")
 

@@ -160,9 +160,8 @@ def cmd_sweep(args):
     published = PublishedSetpoints.bootstrap(flows)
     cache = SynthesisCache()
     third = max(1, (n - 1) // 4)
-    incumbent = Topology(
-        n, frozenset(range(1, third + 1)) | frozenset(range(n - third, n))
-    )
+    ends = frozenset(range(1, third + 1)) | frozenset(range(n - third, n))
+    incumbent = Topology(n, ends & frozenset(range(1, n)))  # links 1..n-1 only
     counts = []
     for c_link in cfg.c_link_sweep:
         result = select_topology(

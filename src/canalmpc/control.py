@@ -186,8 +186,9 @@ def _kf_predict(filt, kf, u, rho):
 
 def _kf_correct(filt, kf, y):
     c_mat, v_mat = filt.c_mat, filt.v_mat
-    s_mat = c_mat @ kf.cov @ c_mat.T + v_mat
-    gain = np.linalg.solve(s_mat, c_mat @ kf.cov).T  # s_mat > 0: V > 0 is checked in the config
+    cp = c_mat @ kf.cov
+    s_mat = cp @ c_mat.T + v_mat
+    gain = np.linalg.solve(s_mat, cp).T  # s_mat > 0: V > 0 is checked in the config
     xhat = kf.xhat + gain @ (y - c_mat @ kf.xhat)
     ikc = np.eye(kf.cov.shape[0]) - gain @ c_mat
     cov = ikc @ kf.cov @ ikc.T + gain @ v_mat @ gain.T

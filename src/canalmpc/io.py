@@ -200,9 +200,16 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
 
     Parsed documents and configurations with command-line overrides both
     pass here, so neither reaches the closed loop with a supervisory
-    interval below 1, a negative or non-finite link price, or a plant delay
-    below one step.
+    interval below 1, a negative or non-finite link price, a plant delay
+    below one step, or a scenario whose schedules are not those of reaches
+    1..N of the reach table.
     """
+    n = len(cfg.reaches)
+    if cfg.scenario is not None and sorted(cfg.scenario.schedules) != list(range(1, n + 1)):
+        raise ConfigError(
+            f"scenario: '{cfg.scenario.name}' schedules reaches {sorted(cfg.scenario.schedules)}, "
+            f"but the reach table has reaches 1..{n}"
+        )
     if cfg.t_lambda < 1:
         raise ConfigError(f"t_lambda: must be at least 1, got {cfg.t_lambda}")
     if not 0.0 <= cfg.controller.link_cost < np.inf:
@@ -274,16 +281,13 @@ def write_trace(trace: SimTrace, path) -> None:
         f"# seed={trace.seed}",
         ",".join(trace_columns(n)),
     ]
-    for k in range(trace.horizon):
-        row = [str(k)]
-        for array in (trace.levels, trace.flows, trace.inputs, trace.offtakes):
-            row += [_fmt(v) for v in array[k]]
-        row.append(trace.topology_bits[k])
-        row.append(_fmt(trace.perf_cost[k]))
-        row.append(str(int(trace.net_links[k])))
-        row.append(str(int(trace.n_coalitions[k])))
-        row.append(_fmt(trace.mean_decision_vars[k]))
-        lines.append(",".join(row))
+    body = np.hstack([trace.levels, trace.flows, trace.inputs, trace.offtakes], dtype=float)
+    for k, values in enumerate(body):
+        lines.append(",".join([
+            str(k), *map(repr, values.tolist()), trace.topology_bits[k],
+            _fmt(trace.perf_cost[k]), str(int(trace.net_links[k])),
+            str(int(trace.n_coalitions[k])), _fmt(trace.mean_decision_vars[k]),
+        ]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -362,30 +366,28 @@ def emit_plot_data(trace: SimTrace, outdir, c_link: float = 0.6) -> list:
         written.append(path)
 
     steps = range(trace.horizon)
+    levels, flows = (np.asarray(a, dtype=float) for a in (trace.levels, trace.flows))
     table(
         "levels.csv",
         ["step"] + [f"e_{i}" for i in range(1, n + 1)],
-        ([str(k)] + [_fmt(v) for v in trace.levels[k]] for k in steps),
+        ([str(k), *map(repr, levels[k].tolist())] for k in steps),
     )
     table(
         "inflows.csv",
         ["step"] + [f"q_{i}" for i in range(1, n + 1)],
-        ([str(k)] + [_fmt(v) for v in trace.flows[k]] for k in steps),
+        ([str(k), *map(repr, flows[k].tolist())] for k in steps),
     )
     raster = link_activity_matrix(trace.topology_bits)
     table(
         "links.csv",
         ["step"] + [f"link_{i}" for i in range(1, raster.shape[1] + 1)],
-        ([str(k)] + [str(v) for v in raster[k]] for k in steps),
+        ([str(k), *map(str, raster[k].tolist())] for k in steps),
     )
-    perf_cum = np.cumsum(trace.perf_cost)
-    combined_cum = np.cumsum(trace.perf_cost + c_link * trace.net_links)
+    costs = np.cumsum(np.column_stack([trace.perf_cost, trace.perf_cost + c_link * trace.net_links]),
+                      axis=0, dtype=float)
     table(
         "costs_accumulated.csv",
         ["step", "perf_cum", "combined_cum"],
-        (
-            [str(k), _fmt(perf_cum[k]), _fmt(combined_cum[k])]
-            for k in steps
-        ),
+        ([str(k), *map(repr, costs[k].tolist())] for k in steps),
     )
     return written

@@ -196,9 +196,12 @@ class QpStructure:
     The family is min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin with
     only f, beq and bin varying.  H must be symmetric positive definite; a
     ValueError is raised when its Cholesky factorization H = LL' fails.
-    Built here: the independent equality rows, L^-1 and the QR factors eq_q,
-    eq_r of L^-1 Aeq[eq_rows]'; cond(L) = sqrt(cond(H)).  A controller keeps
-    one structure per QP it solves every step.
+    Built here: the independent equality rows, L^-1, the QR factors eq_q,
+    eq_r of L^-1 Aeq[eq_rows]' and the start maps start_beq = Q R^-T and
+    start_f = QQ'L^-1 - L^-1, which give the equality-constrained minimizer
+    z0 = start_beq beq[eq_rows] + start_f f in z = L'x; cond(L) =
+    sqrt(cond(H)).  A controller keeps one structure per QP it solves every
+    step.
     """
 
     def __init__(self, H, Aeq=None, Ain=None):
@@ -217,6 +220,8 @@ class QpStructure:
             raise ValueError("H must be positive definite") from None
         self.chol_inv = np.linalg.inv(chol)
         self.eq_q, self.eq_r = np.linalg.qr(self.chol_inv @ self.Aeq[self.eq_rows].T)
+        self.start_beq = np.linalg.solve(self.eq_r, self.eq_q.T).T
+        self.start_f = self.eq_q @ (self.eq_q.T @ self.chol_inv) - self.chol_inv
 
 
 @dataclass
@@ -290,8 +295,20 @@ def _qr_append(q, r, v, tol):
     norm = np.linalg.norm(w)
     if not norm > tol:
         raise SingularMatrixError("working-set rows are linearly dependent")
-    r_new = np.block([[r, (coef + again)[:, None]], [np.zeros((1, r.shape[0])), norm]])
+    k = r.shape[0]
+    r_new = np.zeros((k + 1, k + 1))
+    r_new[:k, :k] = r
+    r_new[:k, k] = coef + again
+    r_new[k, k] = norm
     return np.column_stack([q, w / norm]), r_new
+
+
+def _working_dual(r, q_v, n_working):
+    """The last n_working entries of R^-1 Q'v: R is upper triangular, so they
+    solve against its trailing block alone."""
+    if not n_working:
+        return np.zeros(0)
+    return np.linalg.solve(r[-n_working:, -n_working:], q_v[-n_working:])
 
 
 def solve_qp(prob, max_iter=None):
@@ -312,9 +329,9 @@ def solve_qp(prob, max_iter=None):
     point exists, 'max-iterations' with the last iterate attached when the
     cap is reached.  A ValueError is raised when the step onto an entering
     row all but in the working span overflows.  Nothing fixed is factored
-    per solve: L^-1, the QR of L^-1 Aeq' and the independent equality rows
-    come from the QpStructure; an entering row is appended to that QR, a
-    leaving row triggers a fresh QR.
+    per solve: L^-1, the QR of L^-1 Aeq', the start maps and the independent
+    equality rows come from the QpStructure; an entering row is appended to
+    that QR, a leaving row triggers a fresh QR.
     """
     if not isinstance(prob, QpProblem):
         raise TypeError("expected a QpProblem")
@@ -322,14 +339,11 @@ def solve_qp(prob, max_iter=None):
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
     Ain, bin_, A_eq = s.Ain, prob.bin, s.Aeq[s.eq_rows]
-    n_eq = len(s.eq_rows)
     q, r = s.eq_q, s.eq_r
-    linv_f = s.chol_inv @ prob.f
-    # z0 = Q R^-T beq - (I - QQ') L^-1 f
-    z = q @ (np.linalg.solve(r.T, prob.beq[s.eq_rows]) + q.T @ linv_f) - linv_f
+    z = s.start_beq @ prob.beq[s.eq_rows] + s.start_f @ prob.f
     x = s.chol_inv.T @ z
-    if n_eq < s.Aeq.shape[0] and (np.linalg.norm(s.Aeq @ x - prob.beq, np.inf)
-                                  > RANK_RTOL * (1.0 + np.linalg.norm(prob.beq, np.inf))):
+    if len(s.eq_rows) < s.Aeq.shape[0] and (np.linalg.norm(s.Aeq @ x - prob.beq, np.inf)
+                                            > RANK_RTOL * (1.0 + np.linalg.norm(prob.beq, np.inf))):
         return QpSolution(x, _objective(prob, x), INFEASIBLE)
 
     working, lam = [], np.zeros(0)  # inequality rows in QR column order, their multipliers
@@ -347,7 +361,7 @@ def solve_qp(prob, max_iter=None):
             q_v, w_norm = r_add[:-1, -1], r_add[-1, -1]
         except SingularMatrixError:
             q_v, w_norm = q.T @ v, 0.0
-        dual = np.linalg.solve(r, q_v)[n_eq:]
+        dual = _working_dual(r, q_v, len(working))
         with np.errstate(all="ignore"):  # checked below
             t_add = (Ain[enter] @ x - bin_[enter]) / w_norm**2 if w_norm else np.inf
         if w_norm and not np.isfinite(t_add):

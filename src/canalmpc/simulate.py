@@ -39,8 +39,8 @@ class Scenario:
                 raise ValueError(f"reach {reach}: schedule must start at step 0")
             if steps != sorted(set(steps)):
                 raise ValueError(f"reach {reach}: steps must be strictly increasing")
-            if any(v < 0 for _, v in entries):
-                raise ValueError(f"reach {reach}: offtakes must be nonnegative")
+            if not all(0.0 <= v < np.inf for _, v in entries):
+                raise ValueError(f"reach {reach}: offtakes must be finite and nonnegative")
 
     def offtakes_at(self, k: int) -> np.ndarray:
         out = np.zeros(len(self.schedules))
@@ -93,8 +93,11 @@ class PlantConfig:
     measurement_noise: float = 0.0
 
     def __post_init__(self):
-        if any(f <= 0.0 for f in self.surface_factors or ()):
-            raise ValueError("surface factors must keep areas positive")
+        if not all(0.0 < f < np.inf for f in self.surface_factors or ()):
+            raise ValueError("surface_factors must be finite and positive")
+        for name in ("process_noise", "measurement_noise"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     @classmethod
     def with_mismatch(cls, factor: float, n: int = len(DEZ_REACHES)) -> "PlantConfig":

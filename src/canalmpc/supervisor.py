@@ -207,24 +207,28 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
             row, col = rows.stop, cols.stop
 
     steps = max(t_lambda, cfg.preview_horizon)
-    xi = np.empty((steps + 1, n_cand, model.n))     # xi[k, c]: candidate c's state at step k
+    e = np.empty((steps + 1, n_cand, model.n))      # e[k, c]: candidate c's xi - xi_bar_c at step k
     u = np.empty((steps, n_cand, model.m))
-    xi[0] = state
+    e[0] = state - xi_bar
     xi_t, up_t = model.Xi.T, model.Up.T
-    drift = model.Phi @ preview.rho
-    for k in range(steps):
-        np.clip(np.matmul((xi[k] - xi_bar)[:, None, :], k_t)[:, 0, :],
-                -cfg.input_bound, cfg.input_bound, out=u[k])
-        xi[k + 1] = xi[k] @ xi_t + u[k] @ up_t + drift
+    drift = xi_bar @ xi_t - xi_bar + model.Phi @ preview.rho
+    bound, by_input = cfg.input_bound, np.empty((n_cand, model.n))
+    for e_k, e_next, u_k in zip(e, e[1:], u):
+        np.matmul(e_k[:, None, :], k_t, out=u_k[:, None, :])
+        np.minimum(u_k, bound, out=u_k)
+        np.maximum(u_k, -bound, out=u_k)
+        np.matmul(e_k, xi_t, out=e_next)
+        e_next += np.matmul(u_k, up_t, out=by_input)
+        e_next += drift
 
     level_rows = model.level_rows()
-    star = preview.yardstick
-    dev = xi[:steps, :, level_rows] - star[level_rows]
+    offset = xi_bar - preview.yardstick             # e + offset: deviation from xi*
+    dev = e[:steps, :, level_rows] + offset[:, level_rows]
     stage = (cfg.level_weight * np.sum(dev ** 2, axis=2)
              + cfg.input_weight * np.sum(u ** 2, axis=2))
     total = np.array([network_cost_total(cand, c_link, t_lambda) for cand in candidates])
     total += stage.sum(axis=0)
-    zeta = xi[steps] - star
+    zeta = e[steps] + offset
     for c, gains in enumerate(records):
         row = 0
         for g in gains:

@@ -220,3 +220,35 @@ def step_reaches(reaches, t_sample, members, state, inputs, offtakes, external):
         level = levels[s] + t_sample / params[s].backwater_area * (inflow - down - float(p))
         nxt.extend([gate_now[s]] + lines[s][:-1] + [level])
     return np.array(nxt)
+
+
+def _fmt_scalar(x):
+    return repr(float(x))
+
+
+def trace_rows(trace):
+    """The data rows of a trace file, each value formatted on its own."""
+    rows = []
+    for k in range(trace.horizon):
+        row = [str(k)]
+        for array in (trace.levels, trace.flows, trace.inputs, trace.offtakes):
+            row += [_fmt_scalar(v) for v in array[k]]
+        row += [trace.topology_bits[k], _fmt_scalar(trace.perf_cost[k]),
+                str(int(trace.net_links[k])), str(int(trace.n_coalitions[k])),
+                _fmt_scalar(trace.mean_decision_vars[k])]
+        rows.append(",".join(row))
+    return rows
+
+
+def plot_rows(trace, c_link):
+    """File name -> data rows of the plot tables, each value formatted on its own."""
+    perf_cum = np.cumsum(trace.perf_cost)
+    combined_cum = np.cumsum(trace.perf_cost + c_link * trace.net_links)
+    tables = {
+        "levels.csv": lambda k: [_fmt_scalar(v) for v in trace.levels[k]],
+        "inflows.csv": lambda k: [_fmt_scalar(v) for v in trace.flows[k]],
+        "links.csv": lambda k: list(trace.topology_bits[k]),
+        "costs_accumulated.csv": lambda k: [_fmt_scalar(perf_cum[k]), _fmt_scalar(combined_cum[k])],
+    }
+    return {name: [",".join([str(k)] + row(k)) for k in range(trace.horizon)]
+            for name, row in tables.items()}

@@ -3,9 +3,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import yaml
 
 import canalmpc
+from canalmpc.canal import DEZ_REACHES
 from canalmpc.cli import main
 from canalmpc.io import read_trace
 
@@ -74,6 +76,33 @@ class TestCli:
         rc = main(["sweep", "--config", str(cfg)])
         assert rc == 0
         assert "non-increasing in c_link: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_reaches", [1, 2])
+    def test_sweep_on_short_chain(self, tmp_path, capsys, n_reaches):
+        doc = {
+            "reaches": [{"index": r.index, "backwater_area": r.backwater_area,
+                         "delay_steps": r.delay_steps} for r in DEZ_REACHES[:n_reaches]],
+            "scenario": {"name": "short", "horizon": 8,
+                         "offtakes": {str(i): [[0, 2.0]] for i in range(1, n_reaches + 1)}},
+        }
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["sweep", "--config", str(path)])
+        assert rc == 0
+        assert "non-increasing in c_link: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario_flag", [[], ["--scenario", "scenario1"]])
+    def test_scenario_not_covering_reach_table_refused(self, tmp_path, capsys, scenario_flag):
+        path = tmp_path / "two.yaml"
+        path.write_text(yaml.safe_dump({"reaches": [
+            {"index": r.index, "backwater_area": r.backwater_area, "delay_steps": r.delay_steps}
+            for r in DEZ_REACHES[:2]
+        ]}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")] + scenario_flag)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: scenario: 'scenario1' schedules reaches" in err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_passes(self, tmp_path, capsys):
         cfg = mini_config(tmp_path)

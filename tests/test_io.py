@@ -1,3 +1,4 @@
+import copy
 import os
 
 import numpy as np
@@ -18,6 +19,8 @@ from canalmpc.io import (
 )
 from canalmpc.simulate import Scenario, run_centralized
 from canalmpc.supervisor import SynthesisCache
+
+from oracles import plot_rows, trace_rows
 
 CACHE = SynthesisCache()
 
@@ -158,6 +161,32 @@ class TestLoadConfig:
         offsets[0] = -2
         assert parse_config({"plant": {"delay_offsets": offsets}}).plant.delay_offsets[0] == -2
 
+    def test_infinite_backwater_area_named(self):
+        with pytest.raises(ConfigError, match=r"reaches\[1\]: .*backwater_area"):
+            parse_config({"reaches": [
+                {"index": 1, "backwater_area": float("inf"), "delay_steps": 2},
+            ]})
+
+    def test_infinite_surface_factor_named(self):
+        with pytest.raises(ConfigError, match="plant: surface_factors"):
+            parse_config({"plant": {"surface_factors": [float("inf")] + [1.0] * 12}})
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.01])
+    def test_bad_measurement_noise_named(self, value):
+        with pytest.raises(ConfigError, match="plant: measurement_noise"):
+            parse_config({"plant": {"measurement_noise": value}})
+
+    @pytest.mark.parametrize("value", [float("inf"), -0.01])
+    def test_bad_process_noise_named(self, value):
+        with pytest.raises(ConfigError, match="plant: process_noise"):
+            parse_config({"plant": {"process_noise": value}})
+
+    def test_nan_offtake_named(self):
+        offtakes = {str(i): [[0, 2.0]] for i in range(1, 14)}
+        offtakes["3"] = [[0, 2.0], [10, float("nan")]]
+        with pytest.raises(ConfigError, match="scenario: reach 3: offtakes"):
+            parse_config({"scenario": {"name": "x", "horizon": 20, "offtakes": offtakes}})
+
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):
             scenario_by_name("scenario9")
@@ -202,6 +231,22 @@ class TestTraceRoundTrip:
         back = read_trace(path)
         assert back.levels[0, 0] == short_trace.levels[0, 0]
 
+    def test_rows_match_per_value_formatting(self, short_trace, tmp_path):
+        trace = _awkward_trace(short_trace)
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        assert path.read_text().splitlines()[6:] == trace_rows(trace)
+
+
+def _awkward_trace(trace):
+    """A copy of `trace` holding values whose shortest repr is easy to get wrong."""
+    trace = copy.deepcopy(trace)
+    for array in (trace.levels, trace.flows, trace.inputs, trace.offtakes):
+        array[0, :4] = [-0.0, 5e-324, 0.1 + 0.2, 1e300]
+    trace.perf_cost[:4] = [-0.0, 5e-324, 0.1 + 0.2, 1e300]
+    trace.mean_decision_vars[:4] = [-0.0, 5e-324, 0.1 + 0.2, 1e300]
+    return trace
+
 
 class TestEmitPlotData:
     def test_files_and_monotone_costs(self, short_trace, tmp_path):
@@ -217,3 +262,9 @@ class TestEmitPlotData:
         emit_plot_data(short_trace, tmp_path / "plots", c_link=0.6)
         raster = np.genfromtxt(tmp_path / "plots" / "links.csv", delimiter=",", skip_header=1)
         assert np.all(raster[:, 1:] == 1)
+
+    def test_rows_match_per_value_formatting(self, short_trace, tmp_path):
+        trace = _awkward_trace(short_trace)
+        emit_plot_data(trace, tmp_path / "plots", c_link=0.6)
+        for name, rows in plot_rows(trace, 0.6).items():
+            assert (tmp_path / "plots" / name).read_text().splitlines()[1:] == rows

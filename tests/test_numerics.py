@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -154,6 +155,51 @@ class TestRangeSpaceStep:
         s_eq = QpStructure(s.H, Ain[:1], Ain)  # inequality row 0 duplicates the equality row
         with pytest.raises(SingularMatrixError, match="dependent"):
             self.step(s_eq, np.ones(5), [0])
+
+
+class TestFixedMaps:
+    """The per-structure start maps and the trailing-block dual match their direct forms."""
+
+    @pytest.mark.parametrize("n_eq", [0, 1, 3])
+    def test_start_maps_give_equality_constrained_minimizer(self, n_eq):
+        rng = np.random.default_rng(30 + n_eq)
+        for n in (4, 9):
+            M = rng.normal(size=(n, n))
+            s = QpStructure(M @ M.T + 0.1 * np.eye(n), rng.normal(size=(n_eq, n)))
+            for _ in range(3):
+                f, beq = rng.normal(size=n), rng.normal(size=n_eq)
+                q, r = s.eq_q, s.eq_r
+                linv_f = s.chol_inv @ f
+                # z0 = Q R^-T beq - (I - QQ') L^-1 f
+                ref = q @ scipy.linalg.solve_triangular(r, beq, trans="T") - linv_f + q @ (q.T @ linv_f)
+                z0 = s.start_beq @ beq[s.eq_rows] + s.start_f @ f
+                assert np.linalg.norm(z0 - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+
+    @pytest.mark.parametrize("n_eq", [0, 2])
+    @pytest.mark.parametrize("n_working", [0, 1, 4])
+    def test_working_dual_is_tail_of_full_triangular_solve(self, n_working, n_eq):
+        rng = np.random.default_rng(40 + n_working + 10 * n_eq)
+        n = 8
+        M = rng.normal(size=(n, n))
+        s = QpStructure(M @ M.T + np.eye(n), rng.normal(size=(n_eq, n)), rng.normal(size=(5, n)))
+        q, r = s.eq_q, s.eq_r
+        for i in range(n_working):
+            v = s.chol_inv @ s.Ain[i]
+            q, r = numerics._qr_append(q, r, v, numerics.RANK_RTOL * np.linalg.norm(v))
+        q_v = q.T @ (s.chol_inv @ rng.normal(size=n))
+        full = scipy.linalg.solve_triangular(r, q_v)
+        dual = numerics._working_dual(r, q_v, n_working)
+        assert dual.shape == (n_working,)
+        assert np.allclose(dual, full[n_eq:], rtol=1e-12, atol=0.0)
+
+    def test_qr_append_keeps_r_upper_triangular(self):
+        rng = np.random.default_rng(41)
+        q, r = np.zeros((6, 0)), np.zeros((0, 0))
+        rows = rng.normal(size=(4, 6))
+        for v in rows:
+            q, r = numerics._qr_append(q, r, v, 1e-12)
+        assert np.array_equal(r, np.triu(r))
+        assert np.allclose(q @ r, rows.T, rtol=0.0, atol=1e-12)
 
 
 class TestIndependentRows:
@@ -437,6 +483,27 @@ class TestSolveQp:
             rows = np.vstack([Aeq, Ain[list(sol.active_set)]])
             coef, *_ = np.linalg.lstsq(rows.T, -g, rcond=None)
             assert np.linalg.norm(rows.T @ coef + g, np.inf) <= 1e-7
+
+    def test_feasible_start_factors_nothing(self, monkeypatch):
+        """A QP whose equality-constrained minimizer is feasible returns after one
+        iteration without solving or factoring anything."""
+        rng = np.random.default_rng(17)
+        M = rng.normal(size=(6, 6))
+        H = M @ M.T + np.eye(6)
+        Aeq, Ain = rng.normal(size=(2, 6)), rng.normal(size=(5, 6))
+        f, beq = rng.normal(size=6), rng.normal(size=2)
+        x_eq = _kkt_equality_solution(H, f, Aeq, beq)
+        prob = QpProblem(QpStructure(H, Aeq, Ain), f, beq, Ain @ x_eq + 1.0)
+        calls = Counter()
+        for name in ("solve", "qr", "cholesky", "inv"):
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        sol = solve_qp(prob)
+        assert sol.optimal and sol.iterations == 1 and sol.active_set == ()
+        assert not calls
+        assert np.allclose(sol.x, x_eq, rtol=0.0, atol=1e-10)
 
     def test_non_finite_linear_term_raises(self):
         with pytest.raises(ValueError):
