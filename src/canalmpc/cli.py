@@ -78,7 +78,10 @@ def _materialize(args):
     if args.tlambda is not None:
         cfg.t_lambda = args.tlambda
     if args.mismatch is not None:
-        cfg.plant = PlantConfig.with_mismatch(args.mismatch, len(cfg.reaches))
+        try:
+            cfg.plant = PlantConfig.with_mismatch(args.mismatch, len(cfg.reaches))
+        except ValueError as exc:
+            raise ConfigError(f"--mismatch {args.mismatch}: {exc}") from None
     return check_run_config(cfg)
 
 

@@ -66,12 +66,14 @@ class ControllerConfig:
             raise ValueError("control horizon must be at least 1")
         for name in ("input_weight", "slack_weight", "setpoint_slack_weight",
                      "sample_time", "input_bound", "kf_measurement_noise"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("level_weight", "link_cost", "kf_flow_process_noise", "kf_level_process_noise",
                      "kf_omega_process_noise", "kf_prior_flow", "kf_prior_level", "kf_prior_omega"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not -np.inf < self.flow_margin < np.inf:
+            raise ValueError("flow_margin must be finite")
         if self.history_capacity < 1:
             raise ValueError("history_capacity must be at least 1")
 
@@ -101,38 +103,13 @@ class KalmanState:
 
 @dataclass
 class Sample:
-    """One global snapshot kept for filter warm-starts."""
+    """One global snapshot kept for filter warm-starts; the run keeps the
+    last history_capacity of them, oldest first."""
 
     levels: np.ndarray
     flows: np.ndarray
     inputs: np.ndarray
     offtakes: np.ndarray
-
-
-class HistoryBuffer:
-    """Ring buffer of the last M global samples, iterated oldest first."""
-
-    def __init__(self, capacity=20):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
-        self._items = deque(maxlen=capacity)
-
-    def push(self, levels, flows, inputs, offtakes):
-        self._items.append(
-            Sample(
-                np.array(levels, dtype=float),
-                np.array(flows, dtype=float),
-                np.array(inputs, dtype=float),
-                np.array(offtakes, dtype=float),
-            )
-        )
-
-    def __len__(self):
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +179,8 @@ def kf_update(filt: KalmanModel, kf, u_applied, rho, y) -> KalmanState:
     return _kf_correct(filt, _kf_predict(filt, kf, u_applied, rho), y)
 
 
-def kf_init(filt: KalmanModel, history: HistoryBuffer) -> KalmanState:
-    """Warm-start a coalition filter by replaying the shared history buffer.
+def kf_init(filt: KalmanModel, history: deque) -> KalmanState:
+    """Warm-start a coalition filter by replaying the shared history of Samples.
 
     The prior is a steady state consistent with the oldest sample: flow
     slots filled with the measured gate flow, levels as measured, and each
@@ -257,13 +234,12 @@ def compute_setpoint(coalition, rho, omega):
     passes: the next member's flow, the omega channel sourced there, or
     nothing below the chain's last reach.  Walking the members upstream
     gives every gate flow, which fills its delay line; levels are zero and
-    no input is needed, so xi_bar = Xi xi_bar + Phi rho + Psi omega.  A
-    non-finite rho or omega raises ValueError.
+    no input is needed, so xi_bar = Xi xi_bar + Phi rho + Psi omega.
+    Offtakes are checked where a Scenario is built; rho and omega are
+    those offtakes or flows derived from them.
     """
     rho = np.asarray(rho, dtype=float).reshape(coalition.m)
     omega = np.asarray(omega, dtype=float).reshape(coalition.n_channels)
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(omega))):
-        raise ValueError("offtakes and boundary flows must be finite")
     below = dict(zip(coalition.coupling_sources, omega.tolist()))
     for s, p in zip(coalition.members[::-1], rho[::-1].tolist()):
         below[s] = p + below.get(s + 1, 0.0)

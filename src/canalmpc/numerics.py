@@ -1,9 +1,11 @@
-"""Dense linear-algebra kernel: linear solves, Riccati synthesis, small strictly convex QPs.
+"""Dense linear-algebra kernel: Riccati synthesis and small strictly convex QPs.
 
 Everything here is pure and deterministic: identical inputs produce
 bit-identical outputs, so simulation traces are reproducible.  The kernels
 are numpy's (solve, cholesky, qr, eigvalsh), so the package needs no scipy
-at run time; inputs are checked here.
+at run time.  solve_dare, QpStructure and QpProblem check their inputs on
+entry; the certificate helpers and solve_qp work on arrays those have
+checked.
 """
 
 from dataclasses import dataclass, field
@@ -12,16 +14,12 @@ import numpy as np
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A linear system has no reliable solution (reciprocal condition number below threshold)."""
+    """A row lies in the span of the rows before it, to within tolerance."""
 
 
 class RiccatiConvergenceError(RuntimeError):
     """Riccati doubling diverged or hit its step cap; the pair is likely not stabilizable."""
 
-
-# A matrix whose reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1)
-# falls below this is declared singular.
-RCOND_MIN = 1e-12
 
 # Rank tolerance used to detect inconsistent equality systems.
 RANK_RTOL = 1e-10
@@ -45,40 +43,6 @@ def _as_vector(b, name="vector"):
     return b
 
 
-def solve_linear(A, b):
-    """Solve A x = b by one np.linalg.solve against [b, I]; the columns of
-    a 2-D b are separate right-hand sides.
-
-    A non-square A, a b whose row count is not A's, or a non-finite entry
-    raises ValueError.  SingularMatrixError is raised when the reciprocal
-    1-norm condition number 1 / (||A||_1 ||A^-1||_1), with A^-1 from the
-    same solve, falls below RCOND_MIN, an exact zero pivot included.
-    """
-    A = _as_matrix(A, "A")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"A must be square, got {A.shape}")
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != n:
-        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b contains non-finite entries")
-    rhs = np.column_stack([b, np.eye(n)])
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:  # an exact zero pivot
-        sol = np.full(rhs.shape, np.inf)
-    x, inv = np.hsplit(sol, [rhs.shape[1] - n])
-    # ||A||_1 ||A^-1||_1 in Python floats: an infinite or NaN product fails
-    # the test below without a floating-point warning.
-    cond = float(np.abs(A).sum(axis=0).max(initial=0.0)) * float(np.abs(inv).sum(axis=0).max(initial=0.0))
-    if not cond * RCOND_MIN <= 1.0:
-        raise SingularMatrixError(
-            f"reciprocal condition number below {RCOND_MIN:g} (matrix is singular to working precision)"
-        )
-    return x[:, 0] if b.ndim == 1 else x
-
-
 def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
     """Solve the discrete algebraic Riccati equation by structured doubling.
 
@@ -96,8 +60,9 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
     number of doubling steps.
 
     Requires (A, B) stabilizable, Q >= 0 and R > 0 (symmetric); returns the
-    stabilizing solution P = P' > 0.  Raises RiccatiConvergenceError when an
-    iterate turns non-finite or singular, or the cap is reached.
+    stabilizing solution P = P' > 0.  A, B, Q and R are checked for shape
+    and finiteness on entry.  Raises RiccatiConvergenceError when an iterate
+    turns non-finite or singular, or the cap is reached.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -110,7 +75,7 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
     if R.shape != (m, m):
         raise ValueError(f"R must be {m}x{m}, got {R.shape}")
 
-    G = B @ solve_linear(R, B.T)
+    G = B @ np.linalg.solve(R, B.T)
     G = 0.5 * (G + G.T)
     H = 0.5 * (Q + Q.T)
     eye = np.eye(n)
@@ -118,10 +83,11 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
     # few steps: overflow is reported as an error, never as a warning.
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
+            # With G, H >= 0 the matrix I + G H is nonsingular in exact
+            # arithmetic; the certificates of P catch what rounding does.
             try:
-                # solve_linear rejects a non-finite or singular I + G H.
-                sol = solve_linear(eye + G @ H, np.hstack([A, G]))
-            except (SingularMatrixError, ValueError) as exc:
+                sol = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            except np.linalg.LinAlgError as exc:
                 raise RiccatiConvergenceError(
                     f"doubling step failed (pair may not be stabilizable): {exc}"
                 ) from exc
@@ -131,11 +97,12 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
             A = A @ WinvA
             H_next = 0.5 * (H_next + H_next.T)
             G = 0.5 * (G + G.T)
-            if not all(np.all(np.isfinite(M)) for M in (A, G, H_next)):
+            # H is finite, so a finite delta means H_next is too.
+            delta = np.linalg.norm(H_next - H, np.inf)
+            if not np.isfinite(delta):
                 raise RiccatiConvergenceError(
                     "non-finite doubling iterate (pair may not be stabilizable)"
                 )
-            delta = np.linalg.norm(H_next - H, np.inf)
             H = H_next
             if delta <= tol * (1.0 + np.linalg.norm(H, np.inf)):
                 return H
@@ -146,21 +113,15 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
 
 def lqr_gain(A, B, R, P):
     """Feedback gain K = -(R + B'PB)^-1 B'PA for a Riccati solution P."""
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    R = _as_matrix(R, "R")
-    P = _as_matrix(P, "P")
     BtP = B.T @ P
-    return -solve_linear(R + BtP @ B, BtP @ A)
+    return -np.linalg.solve(R + BtP @ B, BtP @ A)
 
 
 def dare_residual(A, B, Q, R, P):
     """Inf-norm of the Riccati equation residual at P."""
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
     BtP = B.T @ P
     BtPA = BtP @ A
-    gain = solve_linear(R + BtP @ B, BtPA)
+    gain = np.linalg.solve(R + BtP @ B, BtPA)
     return np.linalg.norm(A.T @ P @ A - P - BtPA.T @ gain + Q, np.inf)
 
 
@@ -170,11 +131,6 @@ def lyapunov_residual(Acl, P, Q, R, K):
     A value at or below tolerance certifies that x'Px upper-bounds the
     infinite-horizon cost of the closed loop Acl = A + BK.
     """
-    Acl = _as_matrix(Acl, "Acl")
-    P = _as_matrix(P, "P")
-    Q = _as_matrix(Q, "Q")
-    R = _as_matrix(R, "R")
-    K = _as_matrix(K, "K")
     S = Acl.T @ P @ Acl - P + Q + K.T @ R @ K
     return float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
 

@@ -7,12 +7,13 @@ t_lambda steps; coalition controllers run every step.  Runs are fully
 deterministic given the seed.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
-from .control import CoalitionController, ControllerConfig, HistoryBuffer, compute_setpoint
+from .control import CoalitionController, ControllerConfig, Sample, compute_setpoint
 from .supervisor import (
     PublishedSetpoints,
     SynthesisCache,
@@ -222,8 +223,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
 
     levels, flows = plant.measure()
     flows_hist = [flows.copy() for _ in range(max_delay)]
-    history = HistoryBuffer(ctrl_cfg.history_capacity)
-    history.push(levels, flows, np.zeros(n), rho0)
+    history = deque([Sample(levels, flows, np.zeros(n), rho0)], maxlen=ctrl_cfg.history_capacity)
     published = PublishedSetpoints.bootstrap(flows)
 
     incumbent = full_topology(n)
@@ -315,7 +315,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
         trace.mean_decision_vars[k] = float(np.mean(dec_vars))
 
         plant.step(u_global, rho)
-        history.push(levels, flows, u_global, rho)
+        history.append(Sample(levels, flows, u_global, rho))
         prev_u = u_global
         prev_rho = rho
 

@@ -12,7 +12,7 @@ import numpy as np
 from .canal import assemble_global, build_chain, build_coalition_model
 from .control import compute_setpoint
 from .numerics import QpProblem, QpStructure, solve_qp
-from .supervisor import SynthesisCache, synthesize
+from .supervisor import CERT_RTOL, SynthesisCache, synthesize
 from .topology import Partition, Topology, partition_of
 
 
@@ -107,7 +107,7 @@ def _check_synthesis_certificates(cfg):
     worst = 0.0
     for part in partitions:
         for entry in synthesize(part, subs, cfg.controller, cache):
-            tol = 1e-8 * (1.0 + np.linalg.norm(entry.p_mat, np.inf))
+            tol = CERT_RTOL * (1.0 + np.linalg.norm(entry.p_mat, np.inf))
             worst = max(worst, entry.dare_res / tol, entry.lyap_res / tol)
             if entry.dare_res > tol or entry.lyap_res > tol:
                 return False, f"certificate failed for {entry.model.members}"

@@ -1,10 +1,10 @@
 """Independent reference routines used to cross-check the solvers and models.
 
 These deliberately take different computational paths from the production
-code (QR solve vs LU, a dense solve of the square setpoint system vs the
-closed-form upstream walk, scipy's Schur-based Riccati solver vs structured
-doubling, exhaustive active-set enumeration vs pivoting, horizon loops vs
-stacked prediction maps, reach-by-reach difference equations vs stacked
+code (a dense solve of the square setpoint system vs the closed-form
+upstream walk, scipy's Schur-based Riccati solver vs structured doubling,
+exhaustive active-set enumeration vs pivoting, horizon loops vs stacked
+prediction maps, reach-by-reach difference equations vs stacked
 state-space matrices) so that agreement is meaningful.
 """
 
@@ -12,12 +12,6 @@ import itertools
 
 import numpy as np
 import scipy.linalg
-
-
-def qr_solve(A, b):
-    """Solve A x = b through a QR factorization."""
-    q, r = np.linalg.qr(A)
-    return scipy.linalg.solve_triangular(r, q.T @ b)
 
 
 def square_setpoint(coalition, rho, omega):

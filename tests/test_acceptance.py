@@ -8,6 +8,7 @@ values attached.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import pytest
 from canalmpc.canal import assemble_global, build_chain, build_coalition_model
 from canalmpc.control import (
     ControllerConfig,
-    HistoryBuffer,
     KalmanState,
+    Sample,
     compute_setpoint,
     kalman_model,
     kf_init,
@@ -257,7 +258,7 @@ def test_11_kalman_convergence_and_warm_start():
     prior = np.diag([CFG.kf_prior_flow] * 2 + [CFG.kf_prior_level, CFG.kf_prior_omega])
     kf = KalmanState(np.array([q12, q12, 0.0, 0.0]), prior)
 
-    hist = HistoryBuffer(CFG.history_capacity)
+    hist = deque(maxlen=CFG.history_capacity)
     levels = np.zeros(13)
     flows = np.zeros(13)
     inputs = np.zeros(13)
@@ -270,7 +271,7 @@ def test_11_kalman_convergence_and_warm_start():
     for k in range(50):
         lv = levels.copy(); lv[11] = x[2]
         fl = flows.copy(); fl[11] = x[0]
-        hist.push(lv, fl, inputs, offs)
+        hist.append(Sample(lv, fl, inputs, offs))
         x = coal.Xi @ x + coal.Phi @ rho + coal.Psi @ np.array([w_true])
         kf = kf_update(filt, kf, u, rho, np.array([x[2], x[0]]))
         if first_hit is None and abs(kf.xhat[3] - w_true) <= 1e-3:

@@ -169,6 +169,23 @@ class TestCli:
         assert "configuration error: controller: kf_measurement_noise" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_nan_input_weight_refused(self, tmp_path, capsys):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["controller"] = {"input_weight": float("nan")}
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["run", "--config", str(path)])
+        assert rc == 2
+        assert "configuration error: controller: input_weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_mismatch_factor_refused(self, tmp_path, capsys):
+        rc = main(["validate", "--config", str(mini_config(tmp_path)), "--mismatch", "1.5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error: --mismatch 1.5" in captured.err
+        assert captured.out == ""
+
     def test_delay_offset_below_one_step_refused(self, tmp_path, capsys):
         path = mini_config(tmp_path)
         doc = yaml.safe_load(path.read_text())

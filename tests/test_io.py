@@ -154,6 +154,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"controller: {field}"):
             parse_config({"controller": {field: value}})
 
+    @pytest.mark.parametrize("field", ["level_weight", "input_weight", "slack_weight",
+                                       "setpoint_slack_weight", "link_cost", "sample_time",
+                                       "input_bound", "flow_margin", "kf_flow_process_noise",
+                                       "kf_level_process_noise", "kf_omega_process_noise",
+                                       "kf_measurement_noise", "kf_prior_flow",
+                                       "kf_prior_level", "kf_prior_omega"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_controller_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"controller: {field}"):
+            parse_config({"controller": {field: value}})
+
     def test_delay_offset_below_one_step_named(self):
         offsets = [-3] + [0] * 12  # reach 1 has a delay of 3 steps
         with pytest.raises(ConfigError, match=r"plant.delay_offsets: reach 1\b"):

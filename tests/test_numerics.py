@@ -19,94 +19,13 @@ from canalmpc.numerics import (
     lqr_gain,
     lyapunov_residual,
     solve_dare,
-    solve_linear,
     solve_qp,
 )
 from canalmpc.supervisor import CERT_RTOL
 
-from oracles import brute_force_qp, qr_solve, scipy_dare
+from oracles import brute_force_qp, scipy_dare
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        x = solve_linear(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(x, [1.0, 2.0, 3.0])
-
-    def test_diagonal(self):
-        x = solve_linear(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
-        assert np.allclose(x, [1.0, 2.0])
-
-    def test_random_well_conditioned_vs_qr(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            A = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-            b = rng.normal(size=6)
-            x = solve_linear(A, b)
-            resid = np.linalg.norm(A @ x - b, np.inf)
-            assert resid <= 1e-9 * (1.0 + np.linalg.norm(b, np.inf))
-            assert np.allclose(x, qr_solve(A, b), atol=1e-9)
-
-    def test_singular_raises(self):
-        A = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
-            solve_linear(A, np.ones(2))
-
-    def test_near_singular_pivot_raises(self):
-        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-        with pytest.raises(SingularMatrixError):
-            solve_linear(A, np.ones(2))
-
-    def test_matrix_rhs(self):
-        A = np.array([[2.0, 1.0], [0.0, 3.0]])
-        B = np.eye(2)
-        X = solve_linear(A, B)
-        assert np.allclose(A @ X, B)
-
-    def test_non_finite_matrix_raises(self):
-        A = np.array([[2.0, np.nan], [0.0, 3.0]])
-        with pytest.raises(ValueError):
-            solve_linear(A, np.ones(2))
-
-    def test_non_finite_rhs_raises(self):
-        A = np.array([[2.0, 1.0], [0.0, 3.0]])
-        with pytest.raises(ValueError):
-            solve_linear(A, np.array([1.0, np.nan]))
-
-
-class TestLapackCalls:
-    """solve_linear takes x and A^-1 from one numpy (LAPACK gesv) solve; x
-    agrees with scipy's LU to rounding, and the rcond rule decides singularity."""
-
-    @pytest.mark.parametrize("rhs_shape", [(6,), (6, 4)])
-    def test_lu_solve_agrees_with_scipy(self, rhs_shape):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            A = rng.normal(size=(6, 6))
-            b = rng.normal(size=rhs_shape)
-            A_copy, b_copy = A.copy(), b.copy()
-            x = solve_linear(A, b)
-            expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
-            assert x.shape == b.shape
-            assert np.linalg.norm(x - expected, np.inf) <= 1e-12 * np.linalg.norm(expected, np.inf)
-            assert np.array_equal(A, A_copy) and np.array_equal(b, b_copy)
-
-    def test_exact_zero_pivot_raises_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
-                with pytest.raises(SingularMatrixError):
-                    solve_linear(A, np.ones(2))
-
-    # The rule holds for a one-column matrix right-hand side as for a vector.
-    @pytest.mark.parametrize("solve", [lambda A, b: solve_linear(A, b[:, None])[:, 0], solve_linear])
-    def test_rcond_rule(self, solve):
-        # rcond_1(A) = 1 / (||A||_1 ||A^-1||_1) below RCOND_MIN = 1e-12 is singular.
-        assert np.allclose(solve(np.diag([1.0, 2e-12]), np.array([1.0, 2e-12])), [1.0, 1.0])
-        for A in (np.diag([1.0, 5e-13]), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])):
-            with pytest.raises(SingularMatrixError, match="reciprocal condition number"):
-                solve(A, np.ones(2))
 
 
 class TestRangeSpaceStep:
@@ -267,6 +186,11 @@ class TestSolveDare:
         with pytest.raises(RiccatiConvergenceError):
             solve_dare(np.array([[1e100]]), np.eye(1), np.eye(1), np.eye(1))
 
+    def test_singular_doubling_step_raises(self):
+        # Q = -1 breaks Q >= 0 and makes I + G H exactly singular.
+        with pytest.raises(RiccatiConvergenceError, match="doubling step failed"):
+            solve_dare(np.eye(1), np.eye(1), -np.eye(1), np.eye(1))
+
     def test_dez_coalitions_match_scipy(self):
         # Every contiguous coalition of the 13-reach chain, full chain included.
         chain = build_chain()
@@ -287,6 +211,24 @@ class TestSolveDare:
                 assert lyapunov_residual(coal.Xi + coal.Up @ K, P, q, r, K) <= tol
                 solved += 1
         assert solved == 91
+
+    def test_one_solve_per_doubling_step(self, monkeypatch):
+        """G_0 takes one solve against R; every doubling step then solves
+        I + G H against [A, G] alone, 2n columns with no identity block."""
+        coal = build_coalition_model(build_chain(), range(1, 14))
+        q, r = weight_matrices(coal, ControllerConfig())
+        shapes = []
+
+        def counted(a, b, _real=np.linalg.solve):
+            shapes.append((a.shape, b.shape))
+            return _real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        solve_dare(coal.Xi, coal.Up, q, r)
+        n, m = coal.n, coal.m
+        assert shapes[0] == ((m, m), (m, n))
+        assert len(shapes) > 1
+        assert set(shapes[1:]) == {((n, n), (n, 2 * n))}
 
 
 class TestLqrGain:

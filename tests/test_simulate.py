@@ -164,6 +164,20 @@ class TestClosedLoop:
         after = trace.net_links[72:82].sum()
         assert after > before
 
+    def test_warm_starts_replay_at_most_history_capacity_samples(self, monkeypatch):
+        lengths = []
+        real = control.kf_init
+
+        def recording(filt, history):
+            lengths.append(len(history))
+            return real(filt, history)
+
+        monkeypatch.setattr(control, "kf_init", recording)
+        cfg = ControllerConfig(history_capacity=3)
+        run_closed_loop(scenario_1(horizon=24), cfg, seed=0, cache=SynthesisCache())
+        # Step 0 warm-starts on the initial sample; later ones see the last three.
+        assert lengths[0] == 1 and lengths[-1] == 3 and max(lengths) == 3
+
     def test_errors_carry_step_index(self):
         # an absurdly tight input box makes the tail constraints infeasible
         sc = scenario_1(horizon=80)
