@@ -152,34 +152,57 @@ def _measurement(coalition, levels, flows):
     return np.concatenate([np.asarray(levels)[idx], np.asarray(flows)[idx]])
 
 
-def _kf_predict(filt, kf, u, rho):
-    coalition, f_mat = filt.coalition, filt.f_mat
-    n = coalition.n
-    xhat = f_mat @ kf.xhat
-    xhat[:n] += coalition.Up @ u + coalition.Phi @ rho
-    cov = f_mat @ kf.cov @ f_mat.T + filt.w_mat
-    return KalmanState(xhat, 0.5 * (cov + cov.T))
+def _x_predict(filt, xhat, u, rho):
+    coalition = filt.coalition
+    xhat = filt.f_mat @ xhat
+    xhat[:coalition.n] += coalition.Up @ u + coalition.Phi @ rho
+    return xhat
 
 
-def _kf_correct(filt, kf, y):
+def _x_correct(filt, xhat, gain, y):
+    return xhat + gain @ (y - filt.c_mat @ xhat)
+
+
+def _cov_predict(filt, cov):
+    cov = filt.f_mat @ cov @ filt.f_mat.T + filt.w_mat
+    return 0.5 * (cov + cov.T)
+
+
+def _cov_correct(filt, cov):
+    """Kalman gain and corrected covariance; neither reads the measurement."""
     c_mat, v_mat = filt.c_mat, filt.v_mat
-    cp = c_mat @ kf.cov
+    cp = c_mat @ cov
     s_mat = cp @ c_mat.T + v_mat
     gain = np.linalg.solve(s_mat, cp).T  # s_mat > 0: V > 0 is checked in the config
-    xhat = kf.xhat + gain @ (y - c_mat @ kf.xhat)
-    ikc = np.eye(kf.cov.shape[0]) - gain @ c_mat
-    cov = ikc @ kf.cov @ ikc.T + gain @ v_mat @ gain.T
-    return KalmanState(xhat, 0.5 * (cov + cov.T))
+    ikc = np.eye(cov.shape[0]) - gain @ c_mat
+    cov = ikc @ cov @ ikc.T + gain @ v_mat @ gain.T
+    return gain, 0.5 * (cov + cov.T)
 
 
 def kf_update(filt: KalmanModel, kf, u_applied, rho, y) -> KalmanState:
     """One predict/correct cycle: state advances under (u, rho), then y lands."""
     if y.shape[0] != 2 * filt.coalition.m:
         raise ValueError("measurement dimension mismatch")
-    return _kf_correct(filt, _kf_predict(filt, kf, u_applied, rho), y)
+    gain, cov = _cov_correct(filt, _cov_predict(filt, kf.cov))
+    return KalmanState(_x_correct(filt, _x_predict(filt, kf.xhat, u_applied, rho), gain, y), cov)
 
 
-def kf_init(filt: KalmanModel, history: deque) -> KalmanState:
+def kf_schedule(filt: KalmanModel, length: int):
+    """Gains, stacked (length, n + r, 2m), and final covariance of a warm start.
+
+    The covariance recursion reads no measurement: one correction of
+    diag(prior), then length - 1 predict/correct steps, as in kf_update.
+    """
+    gain, cov = _cov_correct(filt, np.diag(filt.prior))
+    gains = np.empty((length,) + gain.T.shape)
+    gains[0] = gain.T
+    for j in range(1, length):
+        gain, cov = _cov_correct(filt, _cov_predict(filt, cov))
+        gains[j] = gain.T
+    return gains.transpose(0, 2, 1), cov
+
+
+def kf_init(filt: KalmanModel, history: deque, schedule) -> KalmanState:
     """Warm-start a coalition filter by replaying the shared history of Samples.
 
     The prior is a steady state consistent with the oldest sample: flow
@@ -187,11 +210,13 @@ def kf_init(filt: KalmanModel, history: deque) -> KalmanState:
     disturbance channel set to the mass-balance residual q_s - p_s of the
     member s it attaches to (a zero prior would contradict the measured
     flows and, producing no innovation at steady state, never get
-    corrected).  The remaining samples are then replayed through the
-    filter.
+    corrected).  Only the estimate is replayed: sample j's correction uses
+    gain j of `schedule`, kf_schedule(filt, len(history)), whose final
+    covariance the returned state carries.
     """
-    if len(history) < 1:
-        raise ValueError("history must hold at least one sample")
+    gains, cov = schedule
+    if not 1 <= len(history) == len(gains):
+        raise ValueError("history must hold at least one sample, one per schedule gain")
     samples = list(history)
     coalition = filt.coalition
     n, r = coalition.n, coalition.n_channels
@@ -203,13 +228,12 @@ def kf_init(filt: KalmanModel, history: deque) -> KalmanState:
     for c, source in enumerate(coalition.coupling_sources):
         attached = source - 1
         xhat[n + c] = first.flows[attached - 1] - first.offtakes[attached - 1]
-    kf = KalmanState(xhat, np.diag(filt.prior))
 
-    kf = _kf_correct(filt, kf, _measurement(coalition, first.levels, first.flows))
-    for prev, cur in zip(samples, samples[1:]):
-        kf = _kf_predict(filt, kf, prev.inputs[idx], prev.offtakes[idx])
-        kf = _kf_correct(filt, kf, _measurement(coalition, cur.levels, cur.flows))
-    return kf
+    xhat = _x_correct(filt, xhat, gains[0], _measurement(coalition, first.levels, first.flows))
+    for gain, prev, cur in zip(gains[1:], samples, samples[1:]):
+        xhat = _x_predict(filt, xhat, prev.inputs[idx], prev.offtakes[idx])
+        xhat = _x_correct(filt, xhat, gain, _measurement(coalition, cur.levels, cur.flows))
+    return KalmanState(xhat, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +410,24 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
             tm[:, (t - 1) * m: t * m] += coalition.Up
         t_maps.append(tm)
 
-    def u_select(t):
-        e = np.zeros((m, nu))
-        if t < n_c:
-            e[:, t * m: (t + 1) * m] = np.eye(m)
-        return e
-
+    # u(t) = gain @ powers[t] zeta0 + m_maps[t] @ u, where rows t*m..(t+1)*m of
+    # `select` pick the free move v'(t), zero from t = N_c on
+    select = np.eye(m * (n_p + 1), nu)
+    m_maps = [gain @ t_maps[t] + select[t * m:(t + 1) * m] for t in range(n_p + 1)]
+    # a @ b @ c is (a @ b) @ c, so each shared left factor is formed once
     h_uu = np.zeros((nu, nu))
     f_map = np.zeros((nu, n))
     for t in range(1, n_p):
-        h_uu += 2.0 * t_maps[t].T @ q_mat @ t_maps[t]
-        f_map += 2.0 * t_maps[t].T @ q_mat @ powers[t]
-    h_uu += 2.0 * t_maps[n_p].T @ p_mat @ t_maps[n_p]
-    f_map += 2.0 * t_maps[n_p].T @ p_mat @ powers[n_p]
+        left = 2.0 * t_maps[t].T @ q_mat
+        h_uu += left @ t_maps[t]
+        f_map += left @ powers[t]
+    left = 2.0 * t_maps[n_p].T @ p_mat
+    h_uu += left @ t_maps[n_p]
+    f_map += left @ powers[n_p]
     for t in range(n_p):
-        m_t = gain @ t_maps[t] + u_select(t)
-        h_uu += 2.0 * m_t.T @ r_mat @ m_t
-        f_map += 2.0 * m_t.T @ r_mat @ gain @ powers[t]
+        left = 2.0 * m_maps[t].T @ r_mat
+        h_uu += left @ m_maps[t]
+        f_map += left @ gain @ powers[t]
 
     flow_sel = coalition.flow_selector()
     n_q = flow_sel.shape[0]
@@ -412,28 +437,25 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     h_mat[:nu, :nu] = h_uu
     h_mat[nu:, nu:] = 2.0 * cfg.slack_weight * np.eye(n_eps)
 
-    # Soft flow floor for t = 1..N_c plus eps >= 0.
-    floor_lhs = np.zeros((2 * n_eps, nz))
+    # Ain rows: soft flow floor for t = 1..N_c, eps >= 0, then the hard input
+    # box's upper and lower halves for t = 0..N_p.
+    n_box = m * (n_p + 1)
+    ain = np.zeros((2 * n_eps + 2 * n_box, nz))
     for t in range(1, n_c + 1):
         r0 = (t - 1) * n_q
-        floor_lhs[r0:r0 + n_q, :nu] = -flow_sel @ t_maps[t]
-        floor_lhs[r0:r0 + n_q, nu + r0: nu + r0 + n_q] = -np.eye(n_q)
-    floor_lhs[n_eps:, nu:] = -np.eye(n_eps)
+        ain[r0:r0 + n_q, :nu] = -flow_sel @ t_maps[t]
+        ain[r0:r0 + n_q, nu + r0: nu + r0 + n_q] = -np.eye(n_q)
+    ain[n_eps:2 * n_eps, nu:] = -np.eye(n_eps)
+    box = ain[2 * n_eps:, :nu]
+    box[:n_box] = np.vstack(m_maps)
+    box[n_box:] = -box[:n_box]
 
-    # Hard input box for t = 0..N_p.
-    box_lhs = np.zeros((2 * m * (n_p + 1), nz))
-    for t in range(n_p + 1):
-        rows = slice(t * m, (t + 1) * m)
-        expr = gain @ t_maps[t] + (u_select(t) if t <= n_p - 1 else np.zeros((m, nu)))
-        box_lhs[rows, :nu] = expr
-        box_lhs[m * (n_p + 1) + t * m: m * (n_p + 1) + (t + 1) * m, :nu] = -expr
-
+    box_map = np.vstack([gain @ p for p in powers])
+    floor_map = np.vstack([flow_sel @ p for p in powers[1:n_c + 1]])
+    del powers, t_maps, m_maps  # freed before QpStructure factors H: a lower build peak
     return MpcProgram(
-        n_p=n_p, n_c=n_c, n_q=n_q, m=m,
-        box_map=np.vstack([gain @ p for p in powers]),
-        floor_map=np.vstack([flow_sel @ p for p in powers[1:n_c + 1]]),
-        f_map=f_map,
-        qp=QpStructure(h_mat, None, np.vstack([floor_lhs, box_lhs])),
+        n_p=n_p, n_c=n_c, n_q=n_q, m=m, box_map=box_map, floor_map=floor_map, f_map=f_map,
+        qp=QpStructure(h_mat, None, ain),
         flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
     )
 
@@ -504,8 +526,8 @@ class CoalitionController:
         self.program = prepare_mpc(coalition, gain, p_mat, cfg)
         self.kf: KalmanState | None = None
 
-    def warm_start(self, history):
-        self.kf = kf_init(self.filter, history)
+    def warm_start(self, history, schedule):
+        self.kf = kf_init(self.filter, history, schedule)
 
     def advance_filter(self, u_prev_global, rho_prev_global, levels, flows):
         idx = [s - 1 for s in self.model.members]

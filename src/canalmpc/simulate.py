@@ -254,7 +254,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                 fresh[members] = controllers[members]
                 continue
             ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
-            ctrl.warm_start(history)
+            ctrl.warm_start(history, cache.schedule(ctrl.filter, len(history)))
             fresh[members] = ctrl
         controllers.clear()
         controllers.update(fresh)

@@ -20,12 +20,13 @@ closed-loop Lyapunov inequality, so every record carries an explicit
 certificate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .canal import CoalitionModel, assemble_global, build_coalition_model
-from .control import ControllerConfig, compute_setpoint, weight_matrices
+from .control import ControllerConfig, compute_setpoint, kf_schedule, weight_matrices
 from .numerics import (
     RiccatiConvergenceError,
     dare_residual,
@@ -37,6 +38,8 @@ from .topology import Partition, Topology, candidate_set, network_cost_total, pa
 
 CERT_RTOL = 1e-8
 TIE_RTOL = 1e-9  # score tie tolerance; real margins measure >= 3e-5 relative
+# every filter setting a cached gain schedule depends on
+_kf_tuning = attrgetter(*(f.name for f in fields(ControllerConfig) if f.name.startswith("kf_")))
 
 
 class SynthesisError(RuntimeError):
@@ -55,23 +58,25 @@ class CoalitionGains:
 
 
 class SynthesisCache:
-    """Reusable synthesis records, keyed per coalition.
+    """Reusable synthesis records and filter gain schedules, keyed per coalition.
 
     Coalitions recur across partitions (a one-link toggle only changes two
     blocks), so caching per coalition rather than per partition maximizes
-    reuse; a cached record is bit-identical to a fresh synthesis.  Records
-    are keyed by members alone, so a cache serves one reach table and one
-    weighting: the first synthesis binds it to their fingerprint, and a
-    later one with a different fingerprint is refused.
+    reuse; a cached record is bit-identical to a fresh synthesis.  Filter
+    gain schedules are kept per (members, replay length).  As both are keyed
+    by members, a cache serves one reach table, weighting and kf_* tuning:
+    the first synthesis binds it to their fingerprint, and a later one with
+    a different fingerprint is refused.
     """
 
     def __init__(self):
         self._records = {}
+        self._schedules = {}
         self._fingerprint = None
 
     def bind(self, fingerprint):
         if self._fingerprint not in (None, fingerprint):
-            raise ValueError("synthesis cache holds gains of another reach table or weights")
+            raise ValueError("synthesis cache holds another reach table, weighting or filter tuning")
         self._fingerprint = fingerprint
 
     def gains(self, members):
@@ -79,6 +84,13 @@ class SynthesisCache:
 
     def store(self, record):
         self._records[record.model.members] = record
+
+    def schedule(self, filt, length):
+        """kf_schedule(filt, length), computed on the first request for its key."""
+        key = (filt.coalition.members, length)
+        if key not in self._schedules:
+            self._schedules[key] = kf_schedule(filt, length)
+        return self._schedules[key]
 
 
 def _synthesize_one(coalition, cfg) -> CoalitionGains:
@@ -107,12 +119,13 @@ def synthesize(partition: Partition, subsystems, cfg: ControllerConfig, cache=No
     """One certified CoalitionGains record per block of the partition, in block order.
 
     Gains depend on each subsystem's delay and gain and on the level and
-    input weights; the cache is bound to these by value.  Without a cache
+    input weights, and the cache's gain schedules also on every kf_*
+    setting; the cache is bound to all of these by value.  Without a cache
     the coalitions are synthesized in a throwaway one.
     """
     cache = SynthesisCache() if cache is None else cache
     cache.bind((tuple((sub.delay, sub.gain) for sub in subsystems),
-                cfg.level_weight, cfg.input_weight))
+                cfg.level_weight, cfg.input_weight, _kf_tuning(cfg)))
     records = []
     for members in partition:
         record = cache.gains(members)
@@ -223,9 +236,10 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
 
     level_rows = model.level_rows()
     offset = xi_bar - preview.yardstick             # e + offset: deviation from xi*
-    dev = e[:steps, :, level_rows] + offset[:, level_rows]
-    stage = (cfg.level_weight * np.sum(dev ** 2, axis=2)
-             + cfg.input_weight * np.sum(u ** 2, axis=2))
+    dev = e[:steps, :, level_rows]                  # a copy: squared in place below, as is u
+    dev += offset[:, level_rows]
+    stage = (cfg.level_weight * np.sum(np.square(dev, out=dev), axis=2)
+             + cfg.input_weight * np.sum(np.square(u, out=u), axis=2))
     total = np.array([network_cost_total(cand, c_link, t_lambda) for cand in candidates])
     total += stage.sum(axis=0)
     zeta = e[steps] + offset

@@ -5,7 +5,8 @@ code (a dense solve of the square setpoint system vs the closed-form
 upstream walk, scipy's Schur-based Riccati solver vs structured doubling,
 exhaustive active-set enumeration vs pivoting, horizon loops vs stacked
 prediction maps, reach-by-reach difference equations vs stacked
-state-space matrices) so that agreement is meaningful.
+state-space matrices, a fused filter replay vs a cached gain schedule) so
+that agreement is meaningful.
 """
 
 import itertools
@@ -175,6 +176,43 @@ def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, 
     if tail_peak <= bound + 1e-12:
         start = np.concatenate([np.reshape(moves, m * n_c), np.reshape(slacks, n_q * n_c)])
     return rhs, start
+
+
+def replay_kf_init(filt, history):
+    """Filter warm start by the fused replay: covariance and estimate together.
+
+    Each sample runs the whole predict/correct cycle, gain computed on the
+    spot, instead of replaying the estimate against a precomputed gain
+    schedule.  The prior is the one control.kf_init documents.
+    """
+    coalition, f_mat, c_mat, v_mat = filt.coalition, filt.f_mat, filt.c_mat, filt.v_mat
+    n, r = coalition.n, coalition.n_channels
+    idx = [s - 1 for s in coalition.members]
+    samples = list(history)
+    first = samples[0]
+
+    def measurement(sample):
+        return np.concatenate([sample.levels[idx], sample.flows[idx]])
+
+    def correct(xhat, cov, y):
+        cp = c_mat @ cov
+        gain = np.linalg.solve(cp @ c_mat.T + v_mat, cp).T
+        xhat = xhat + gain @ (y - c_mat @ xhat)
+        ikc = np.eye(cov.shape[0]) - gain @ c_mat
+        cov = ikc @ cov @ ikc.T + gain @ v_mat @ gain.T
+        return xhat, 0.5 * (cov + cov.T)
+
+    xhat = np.zeros(n + r)
+    xhat[:n] = coalition.stack_state([first.flows] * max(coalition.delays), first.levels)
+    for c, source in enumerate(coalition.coupling_sources):
+        xhat[n + c] = first.flows[source - 2] - first.offtakes[source - 2]
+    xhat, cov = correct(xhat, np.diag(filt.prior), measurement(first))
+    for prev, cur in zip(samples, samples[1:]):
+        xhat = f_mat @ xhat
+        xhat[:n] += coalition.Up @ prev.inputs[idx] + coalition.Phi @ prev.offtakes[idx]
+        cov = f_mat @ cov @ f_mat.T + filt.w_mat
+        xhat, cov = correct(xhat, 0.5 * (cov + cov.T), measurement(cur))
+    return xhat, cov
 
 
 def step_reaches(reaches, t_sample, members, state, inputs, offtakes, external):

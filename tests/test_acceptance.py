@@ -21,6 +21,7 @@ from canalmpc.control import (
     compute_setpoint,
     kalman_model,
     kf_init,
+    kf_schedule,
     kf_update,
     weight_matrices,
 )
@@ -281,7 +282,7 @@ def test_11_kalman_convergence_and_warm_start():
     # forced topology switch: {12} merges with {11}; warm-start from history
     coal2 = build_coalition_model(CHAIN, (11, 12))
     filt2 = kalman_model(coal2, CFG)
-    kf2 = kf_init(filt2, hist)
+    kf2 = kf_init(filt2, hist, kf_schedule(filt2, len(hist)))
     x2 = np.array([3.0, 3.0, 0.0, x[0], x[1], x[2]])
     u2 = np.zeros(2)
     rho2 = np.array([1.0, p12])

@@ -20,6 +20,7 @@ from canalmpc.control import (
     feasible_setpoint,
     kalman_model,
     kf_init,
+    kf_schedule,
     kf_update,
     mpc_step,
     prepare_mpc,
@@ -28,7 +29,7 @@ from canalmpc.control import (
 )
 from canalmpc.numerics import lqr_gain, solve_dare
 
-from oracles import brute_force_qp, looped_mpc_data, square_setpoint
+from oracles import brute_force_qp, looped_mpc_data, replay_kf_init, square_setpoint
 
 CHAIN = build_chain()
 SINGLETONS = tuple((i,) for i in range(1, 14))
@@ -43,6 +44,10 @@ def synth(coal, cfg):
     p = solve_dare(coal.Xi, coal.Up, q, r)
     k = lqr_gain(coal.Xi, coal.Up, r, p)
     return k, p
+
+
+def warm_start(filt, history):
+    return kf_init(filt, history, kf_schedule(filt, len(history)))
 
 
 def steady_global_arrays(flows_by_reach, offtakes_by_reach):
@@ -66,7 +71,7 @@ class TestKalman:
         assert coal.n_channels == 0
         levels, flows, offs = steady_global_arrays({12: 2.0, 13: 2.0}, {12: 0.0, 13: 2.0})
         buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 20)
-        kf = kf_init(kalman_model(coal, self.cfg), buf)
+        kf = warm_start(kalman_model(coal, self.cfg), buf)
         xi_hat, omega = kf.split(coal.n)
         assert omega.shape == (0,)
         assert np.allclose(coal.gamma @ xi_hat, 0.0, atol=1e-9)
@@ -77,7 +82,7 @@ class TestKalman:
         q12 = p12 + w_true
         levels, flows, offs = steady_global_arrays({12: q12, 13: w_true}, {12: p12, 13: w_true})
         buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 20)
-        kf = kf_init(kalman_model(coal, self.cfg), buf)
+        kf = warm_start(kalman_model(coal, self.cfg), buf)
         _, omega = kf.split(coal.n)
         assert abs(omega[0] - w_true) <= 0.05 * w_true
 
@@ -85,8 +90,8 @@ class TestKalman:
         coal = make_coalition((5,))
         levels, flows, offs = steady_global_arrays({5: 3.0, 6: 1.0}, {5: 2.0})
         buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 10)
-        kf1 = kf_init(kalman_model(coal, self.cfg), buf)
-        kf2 = kf_init(kalman_model(coal, self.cfg), buf)
+        kf1 = warm_start(kalman_model(coal, self.cfg), buf)
+        kf2 = warm_start(kalman_model(coal, self.cfg), buf)
         assert np.array_equal(kf1.xhat, kf2.xhat)
         assert np.array_equal(kf1.cov, kf2.cov)
 
@@ -119,10 +124,35 @@ class TestKalman:
         offs = np.zeros(13)
         buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 3)
         filt = kalman_model(coal, self.cfg)
-        kf = kf_init(filt, buf)
+        kf = warm_start(filt, buf)
         assert kf.xhat.shape == (39,)
         kf2 = kf_update(filt, kf, np.zeros(13), offs, np.zeros(26))
         assert kf2.xhat.shape == (39,)
+
+    @pytest.mark.parametrize("members", [(5,), (4, 5, 6), tuple(range(1, 14))])
+    @pytest.mark.parametrize("length", [1, 5, 20])
+    def test_schedule_replay_matches_fused_replay(self, members, length):
+        """Estimate replay against the gain schedule equals the fused
+        predict/correct replay bit for bit, estimate and covariance."""
+        rng = np.random.default_rng(length)
+        buf = deque(Sample(0.1 * rng.normal(size=13), 3.0 + rng.normal(size=13),
+                           0.3 * rng.normal(size=13), 2.0 + rng.normal(size=13))
+                    for _ in range(length))
+        filt = kalman_model(make_coalition(members), self.cfg)
+        schedule = kf_schedule(filt, length)
+        assert schedule[0].shape == (length, filt.f_mat.shape[0], 2 * len(members))
+        kf = kf_init(filt, buf, schedule)
+        xhat, cov = replay_kf_init(filt, buf)
+        assert np.array_equal(kf.xhat, xhat) and np.array_equal(kf.cov, cov)
+        omega = kf.split(filt.coalition.n)[1]
+        assert omega.size == 0 or np.all(omega != 0.0)
+
+    def test_schedule_must_match_history(self):
+        filt = kalman_model(make_coalition((5,)), self.cfg)
+        levels, flows, offs = steady_global_arrays({5: 3.0, 6: 1.0}, {5: 2.0})
+        buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 4)
+        with pytest.raises(ValueError, match="schedule"):
+            kf_init(filt, buf, kf_schedule(filt, 3))
 
     @pytest.mark.parametrize("field, value", [
         ("kf_measurement_noise", 0.0), ("kf_measurement_noise", -1e-4),
@@ -498,7 +528,7 @@ def _stepped_controller(members, cfg, steps=5):
     gate_flows = {s: 3.0 for s in range(members[0], 14)}
     levels, flows, offs = steady_global_arrays(gate_flows, {members[-1]: 1.0})
     buf = deque([Sample(levels, flows, np.zeros(13), offs)])
-    ctrl.warm_start(buf)
+    ctrl.warm_start(buf, kf_schedule(ctrl.filter, len(buf)))
     for _ in range(steps):
         ctrl.compute(offs)
         ctrl.advance_filter(np.zeros(13), offs, levels, flows)
@@ -560,7 +590,7 @@ class TestOffsetFreeClosedLoop:
         x = np.array([q0, q0, 0.0])
         levels, flows, offs = steady_global_arrays({10: q0}, {10: p_off})
         buf = deque([Sample(levels, flows, np.zeros(13), offs)])
-        ctrl.warm_start(buf)
+        ctrl.warm_start(buf, kf_schedule(ctrl.filter, len(buf)))
 
         u_global = np.zeros(13)
         rho_global = offs

@@ -168,15 +168,32 @@ class TestClosedLoop:
         lengths = []
         real = control.kf_init
 
-        def recording(filt, history):
+        def recording(filt, history, schedule):
             lengths.append(len(history))
-            return real(filt, history)
+            return real(filt, history, schedule)
 
         monkeypatch.setattr(control, "kf_init", recording)
         cfg = ControllerConfig(history_capacity=3)
         run_closed_loop(scenario_1(horizon=24), cfg, seed=0, cache=SynthesisCache())
         # Step 0 warm-starts on the initial sample; later ones see the last three.
         assert lengths[0] == 1 and lengths[-1] == 3 and max(lengths) == 3
+
+    def test_warm_cache_computes_no_gain_schedule(self, monkeypatch):
+        schedules = []
+        real = supervisor.kf_schedule
+
+        def counting(filt, length):
+            schedules.append(length)
+            return real(filt, length)
+
+        monkeypatch.setattr(supervisor, "kf_schedule", counting)
+        cache = SynthesisCache()
+        cold = run_closed_loop(scenario_1(), seed=0, cache=cache)
+        assert schedules
+        schedules.clear()
+        warm = run_closed_loop(scenario_1(), seed=0, cache=cache)
+        assert schedules == []
+        assert warm.arrays_equal(cold)
 
     def test_errors_carry_step_index(self):
         # an absurdly tight input box makes the tail constraints infeasible

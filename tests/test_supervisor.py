@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,16 @@ class TestSynthesisCache:
         synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
         with pytest.raises(ValueError):
             synthesize(SINGLETON_PARTITION, CHAIN, ControllerConfig(level_weight=1.0), cache)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ControllerConfig)
+                                       if f.name.startswith("kf_")])
+    def test_other_filter_tuning_refused(self, field):
+        """Cached gain schedules depend on every kf_* setting, so a change refuses the cache."""
+        cache = SynthesisCache()
+        synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
+        retuned = dataclasses.replace(CFG, **{field: 2.0 * getattr(CFG, field)})
+        with pytest.raises(ValueError, match="filter tuning"):
+            synthesize(SINGLETON_PARTITION, CHAIN, retuned, cache)
 
     def test_rebuilt_table_accepted(self):
         """Same reach values and weights, new objects: the cached records are reused."""
