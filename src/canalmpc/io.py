@@ -201,8 +201,8 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
     Parsed documents and configurations with command-line overrides both
     pass here, so neither reaches the closed loop with a supervisory
     interval below 1, a negative or non-finite link price, a plant delay
-    below one step, or a scenario whose schedules are not those of reaches
-    1..N of the reach table.
+    below one step, a negative seed, or a scenario whose schedules are not
+    those of reaches 1..N of the reach table.
     """
     n = len(cfg.reaches)
     if cfg.scenario is not None and sorted(cfg.scenario.schedules) != list(range(1, n + 1)):
@@ -212,6 +212,8 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
         )
     if cfg.t_lambda < 1:
         raise ConfigError(f"t_lambda: must be at least 1, got {cfg.t_lambda}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {cfg.seed}")
     if not 0.0 <= cfg.controller.link_cost < np.inf:
         raise ConfigError(
             f"controller.link_cost: must be finite and nonnegative, got {cfg.controller.link_cost}"
@@ -307,6 +309,8 @@ def read_trace(path) -> SimTrace:
         else:
             body_start = pos
             break
+    if body_start is None:
+        raise ValueError(f"{path}: no column header")
     header = lines[body_start].split(",")
     n = (len(header) - 6) // 4
     if trace_columns(n) != header:

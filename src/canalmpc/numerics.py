@@ -3,9 +3,9 @@
 Everything here is pure and deterministic: identical inputs produce
 bit-identical outputs, so simulation traces are reproducible.  The kernels
 are numpy's (solve, cholesky, qr, eigvalsh), so the package needs no scipy
-at run time.  solve_dare, QpStructure and QpProblem check their inputs on
-entry; the certificate helpers and solve_qp work on arrays those have
-checked.
+at run time.  solve_dare, QpStructure (positive-definite H, full-rank Aeq)
+and QpProblem check their inputs on entry; the certificate helpers and
+solve_qp work on arrays those have checked.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,8 @@ class RiccatiConvergenceError(RuntimeError):
     """Riccati doubling diverged or hit its step cap; the pair is likely not stabilizable."""
 
 
-# Rank tolerance used to detect inconsistent equality systems.
+# Relative tolerance below which equality rows (QpStructure's R diagonal) or
+# an entering working-set row (solve_qp) count as linearly dependent.
 RANK_RTOL = 1e-10
 
 
@@ -43,7 +44,7 @@ def _as_vector(b, name="vector"):
     return b
 
 
-def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
+def solve_dare(A, B, Q, R):
     """Solve the discrete algebraic Riccati equation by structured doubling.
 
     Structure-preserving doubling (SDA; Chu, Fan, Lin et al., 2004-05)
@@ -56,13 +57,13 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
 
     with one linear solve per step.  H_k converges quadratically to the
     stabilizing solution P; iteration stops once
-    ||H_{k+1} - H_k||_inf <= tol * (1 + ||H_{k+1}||_inf).  max_iter caps the
-    number of doubling steps.
+    ||H_{k+1} - H_k||_inf <= 1e-12 (1 + ||H_{k+1}||_inf), after at most 50
+    doubling steps.
 
     Requires (A, B) stabilizable, Q >= 0 and R > 0 (symmetric); returns the
     stabilizing solution P = P' > 0.  A, B, Q and R are checked for shape
     and finiteness on entry.  Raises RiccatiConvergenceError when an iterate
-    turns non-finite or singular, or the cap is reached.
+    turns non-finite or singular, or the 50-step cap is reached.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -82,7 +83,7 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
     # An unstabilizable mode grows like lambda^(2^k) and overflows within a
     # few steps: overflow is reported as an error, never as a warning.
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(50):
             # With G, H >= 0 the matrix I + G H is nonsingular in exact
             # arithmetic; the certificates of P catch what rounding does.
             try:
@@ -104,10 +105,10 @@ def solve_dare(A, B, Q, R, max_iter=50, tol=1e-12):
                     "non-finite doubling iterate (pair may not be stabilizable)"
                 )
             H = H_next
-            if delta <= tol * (1.0 + np.linalg.norm(H, np.inf)):
+            if delta <= 1e-12 * (1.0 + np.linalg.norm(H, np.inf)):
                 return H
     raise RiccatiConvergenceError(
-        f"no convergence within {max_iter} doubling steps (pair may not be stabilizable)"
+        "no convergence within 50 doubling steps (pair may not be stabilizable)"
     )
 
 
@@ -150,12 +151,13 @@ class QpStructure:
     """The fixed part of a QP family: H, Aeq and Ain, checked and factored once.
 
     The family is min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin with
-    only f, beq and bin varying.  H must be symmetric positive definite; a
-    ValueError is raised when its Cholesky factorization H = LL' fails.
-    Built here: the independent equality rows, L^-1, the QR factors eq_q,
-    eq_r of L^-1 Aeq[eq_rows]' and the start maps start_beq = Q R^-T and
-    start_f = QQ'L^-1 - L^-1, which give the equality-constrained minimizer
-    z0 = start_beq beq[eq_rows] + start_f f in z = L'x; cond(L) =
+    only f, beq and bin varying.  H must be symmetric positive definite and
+    Aeq of full row rank; a ValueError is raised when the Cholesky
+    factorization H = LL' fails, when Aeq has more rows than columns, or
+    when the QR of L^-1 Aeq' has an |R_ii| <= RANK_RTOL max |R_jj|.  Built
+    here: L^-1, the QR factors eq_q, eq_r of L^-1 Aeq' and the start map
+    start_beq = Q R^-T, with which solve_qp forms the equality-constrained
+    minimizer z0 = start_beq beq - (I - QQ') L^-1 f in z = L'x; cond(L) =
     sqrt(cond(H)).  A controller keeps one structure per QP it solves every
     step.
     """
@@ -169,15 +171,16 @@ class QpStructure:
         self.Ain = np.zeros((0, n)) if Ain is None or np.size(Ain) == 0 else _as_matrix(Ain, "Ain")
         if self.Aeq.shape[1] != n or self.Ain.shape[1] != n:
             raise ValueError("constraint column count inconsistent with n")
-        self.eq_rows = _independent_rows(self.Aeq)
         try:
             chol = np.linalg.cholesky(self.H)
         except np.linalg.LinAlgError:
             raise ValueError("H must be positive definite") from None
         self.chol_inv = np.linalg.inv(chol)
-        self.eq_q, self.eq_r = np.linalg.qr(self.chol_inv @ self.Aeq[self.eq_rows].T)
+        self.eq_q, self.eq_r = np.linalg.qr(self.chol_inv @ self.Aeq.T)
+        diag = np.abs(np.diag(self.eq_r))
+        if self.Aeq.shape[0] > n or diag.size and diag.min() <= RANK_RTOL * diag.max():
+            raise ValueError("Aeq must have full row rank")
         self.start_beq = np.linalg.solve(self.eq_r, self.eq_q.T).T
-        self.start_f = self.eq_q @ (self.eq_q.T @ self.chol_inv) - self.chol_inv
 
 
 @dataclass
@@ -217,28 +220,6 @@ class QpSolution:
 
 def _objective(prob, x):
     return float(0.5 * x @ prob.structure.H @ x + prob.f @ x)
-
-
-def _independent_rows(A, rtol=RANK_RTOL):
-    """Indices of a maximal independent row subset, chosen deterministically:
-    all rows when an unpivoted QR of A' shows no R diagonal entry <= rtol times
-    the largest, else rows in order, each kept when Gram-Schmidt leaves more
-    than rtol times the largest row norm."""
-    m, n = A.shape
-    if m == 0:
-        return []
-    diag = np.abs(np.diag(np.linalg.qr(A.T, mode="r")))
-    if m <= n and diag.min() > rtol * diag.max():
-        return list(range(m))
-    scale = rtol * np.max(np.linalg.norm(A, axis=1))
-    keep, q, r = [], np.zeros((n, 0)), np.zeros((0, 0))
-    for i, row in enumerate(A):
-        try:
-            q, r = _qr_append(q, r, row, scale)
-        except SingularMatrixError:
-            continue
-        keep.append(i)
-    return keep
 
 
 def _qr_append(q, r, v, tol):
@@ -281,26 +262,24 @@ def solve_qp(prob, max_iter=None):
     multiplier makes room for proves the inequalities infeasible.
 
     Deterministic: the same problem always yields the same solution.  Status
-    is 'infeasible' when the equality system is inconsistent or no feasible
-    point exists, 'max-iterations' with the last iterate attached when the
-    cap is reached.  A ValueError is raised when the step onto an entering
-    row all but in the working span overflows.  Nothing fixed is factored
-    per solve: L^-1, the QR of L^-1 Aeq', the start maps and the independent
-    equality rows come from the QpStructure; an entering row is appended to
-    that QR, a leaving row triggers a fresh QR.
+    is 'infeasible' when no point satisfies the inequalities on the equality
+    set, 'max-iterations' with the last iterate attached when the cap is
+    reached.  A ValueError is raised when the step onto an entering row all
+    but in the working span overflows.  Nothing fixed is factored per solve:
+    L^-1, the QR of L^-1 Aeq' and the start map Q R^-T come from the
+    QpStructure; an entering row is appended to that QR, a leaving row
+    triggers a fresh QR.
     """
     if not isinstance(prob, QpProblem):
         raise TypeError("expected a QpProblem")
     s = prob.structure
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
-    Ain, bin_, A_eq = s.Ain, prob.bin, s.Aeq[s.eq_rows]
+    Ain, bin_ = s.Ain, prob.bin
     q, r = s.eq_q, s.eq_r
-    z = s.start_beq @ prob.beq[s.eq_rows] + s.start_f @ prob.f
+    w = s.chol_inv @ prob.f
+    z = s.start_beq @ prob.beq - (w - q @ (q.T @ w))
     x = s.chol_inv.T @ z
-    if len(s.eq_rows) < s.Aeq.shape[0] and (np.linalg.norm(s.Aeq @ x - prob.beq, np.inf)
-                                            > RANK_RTOL * (1.0 + np.linalg.norm(prob.beq, np.inf))):
-        return QpSolution(x, _objective(prob, x), INFEASIBLE)
 
     working, lam = [], np.zeros(0)  # inequality rows in QR column order, their multipliers
     enter = None
@@ -342,5 +321,5 @@ def solve_qp(prob, max_iter=None):
             j = working.index(min(np.array(working)[shrinking][ratios == t_drop]))
             del working[j]
             lam = np.delete(lam, j)
-            q, r = np.linalg.qr(s.chol_inv @ np.vstack([A_eq, Ain[working]]).T)
+            q, r = np.linalg.qr(s.chol_inv @ np.vstack([s.Aeq, Ain[working]]).T)
     return QpSolution(x, _objective(prob, x), MAX_ITERATIONS, max_iter, tuple(sorted(working)))

@@ -196,6 +196,17 @@ class TestCli:
         assert "configuration error: plant.delay_offsets: reach 1 " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("plant", [{}, {"measurement_noise": 0.001}], ids=["noiseless", "noisy"])
+    def test_negative_seed_refused(self, tmp_path, capsys, plant):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["plant"] = plant
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["run", "--config", str(path), "--seed", "-1"])
+        assert rc == 2
+        assert "configuration error: seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_mismatch_flag(self, tmp_path):
         cfg = mini_config(tmp_path, horizon=12)
         rc = main(["run", "--config", str(cfg), "--mismatch", "0.2"])

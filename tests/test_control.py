@@ -253,6 +253,35 @@ class TestComputeSetpointProperty:
         assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
+@st.composite
+def tables_and_weights(draw):
+    """A random reach table and level, input and setpoint-slack weights over seven decades."""
+    n = draw(st.integers(2, 20))
+    areas = draw(st.lists(st.floats(3.5, 6.5).map(lambda e: 10.0 ** e), min_size=n, max_size=n))
+    delays = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    weight = st.floats(-2.0, 5.0).map(lambda e: 10.0 ** e)
+    cfg = ControllerConfig(level_weight=draw(weight), input_weight=draw(weight),
+                           setpoint_slack_weight=draw(weight))
+    return build_chain([ReachParams(i, a, d) for i, (a, d) in enumerate(zip(areas, delays), 1)]), cfg
+
+
+class TestSetpointProgramProperty:
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(tables_and_weights())
+    def test_every_coalition_has_full_rank_equalities(self, case):
+        # QpStructure refuses dependent equality rows; the slack sigma's -I
+        # block must keep every coalition's steady-state equality clear of
+        # that check.  The gain enters only the input-box rows, so a zero
+        # gain builds the same H and Aeq as the synthesized one.
+        chain, cfg = case
+        n = len(chain)
+        for first in range(1, n + 1):
+            for last in range(first, n + 1):
+                coal = build_coalition_model(chain, range(first, last + 1))
+                prog = prepare_setpoint(coal, np.zeros((coal.m, coal.n)), cfg)
+                assert prog.qp.eq_r.shape == (coal.n, coal.n)
+
+
 class TestFeasibleSetpoint:
     cfg = ControllerConfig()
 
@@ -549,7 +578,7 @@ class TestBuiltOncePrograms:
         kept = ctrl.setpoint_program
         assert kept.flow_rows == fresh.flow_rows
         # The kept H, rows, L^-1 and QR of L^-1 Aeq' are those of a fresh build.
-        for name in ("H", "Aeq", "Ain", "eq_rows", "chol_inv", "eq_q", "eq_r"):
+        for name in ("H", "Aeq", "Ain", "chol_inv", "eq_q", "eq_r"):
             assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
         assert np.array_equal(ctrl.program.qp.H, prepare_mpc(coal, *synth(coal, self.cfg),
                                                              self.cfg).qp.H)

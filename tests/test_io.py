@@ -235,6 +235,12 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError, match="not a canalmpc trace"):
             read_trace(path)
 
+    def test_rejects_file_without_column_header(self, tmp_path):
+        path = tmp_path / "truncated.csv"
+        path.write_text("# canalmpc-trace v1\n# scenario=scenario1\n# seed=0\n")
+        with pytest.raises(ValueError, match="no column header"):
+            read_trace(path)
+
     def test_full_precision(self, short_trace, tmp_path):
         short_trace.levels[0, 0] = 0.1 + 0.2  # not representable prettily
         path = tmp_path / "trace.csv"

@@ -77,10 +77,11 @@ class TestRangeSpaceStep:
 
 
 class TestFixedMaps:
-    """The per-structure start maps and the trailing-block dual match their direct forms."""
+    """The start solve_qp forms and the trailing-block dual match their direct forms."""
 
     @pytest.mark.parametrize("n_eq", [0, 1, 3])
     def test_start_maps_give_equality_constrained_minimizer(self, n_eq):
+        # Without inequalities solve_qp returns its start x0 = L^-T z0.
         rng = np.random.default_rng(30 + n_eq)
         for n in (4, 9):
             M = rng.normal(size=(n, n))
@@ -91,8 +92,11 @@ class TestFixedMaps:
                 linv_f = s.chol_inv @ f
                 # z0 = Q R^-T beq - (I - QQ') L^-1 f
                 ref = q @ scipy.linalg.solve_triangular(r, beq, trans="T") - linv_f + q @ (q.T @ linv_f)
-                z0 = s.start_beq @ beq[s.eq_rows] + s.start_f @ f
-                assert np.linalg.norm(z0 - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+                sol = solve_qp(QpProblem(s, f, beq))
+                assert sol.optimal and sol.iterations == 1
+                chol = scipy.linalg.cholesky(s.H, lower=True)
+                x_ref = scipy.linalg.solve_triangular(chol, ref, trans="T", lower=True)
+                assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-12 * np.linalg.norm(x_ref, np.inf)
 
     @pytest.mark.parametrize("n_eq", [0, 2])
     @pytest.mark.parametrize("n_working", [0, 1, 4])
@@ -119,23 +123,6 @@ class TestFixedMaps:
             q, r = numerics._qr_append(q, r, v, 1e-12)
         assert np.array_equal(r, np.triu(r))
         assert np.allclose(q @ r, rows.T, rtol=0.0, atol=1e-12)
-
-
-class TestIndependentRows:
-    def test_dependent_row_dropped_in_row_order(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.normal(size=(2, 6))
-        A = np.vstack([a, 2.0 * a, b])
-        keep = numerics._independent_rows(A)
-        assert keep == [0, 2]
-        r = scipy.linalg.qr(A.T, mode="r", pivoting=True)[0]
-        diag = np.abs(np.diag(r))
-        assert len(keep) == int(np.sum(diag > numerics.RANK_RTOL * diag[0]))
-
-    def test_full_row_rank_keeps_every_row(self):
-        A = np.random.default_rng(10).normal(size=(4, 6))
-        assert numerics._independent_rows(A) == [0, 1, 2, 3]
-        assert numerics._independent_rows(np.zeros((2, 3))) == []
 
 
 class TestSolveDare:
@@ -169,17 +156,20 @@ class TestSolveDare:
         # Unstable mode with no input authority.
         A = np.diag([2.0, 0.5])
         B = np.array([[0.0], [1.0]])
-        with pytest.raises(RiccatiConvergenceError):
-            solve_dare(A, B, np.eye(2), np.eye(1), max_iter=500)
-        # At the default cap the divergence must surface as the error, not as
-        # an overflow warning or a returned P with non-finite entries.  With
-        # no input at all, P overflows before any other iterate does.
+        # The divergence must surface as the error before the step cap, not
+        # as an overflow warning or a returned P with non-finite entries.
+        # With no input at all, P overflows before any other iterate does.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RiccatiConvergenceError):
+            with pytest.raises(RiccatiConvergenceError, match="non-finite"):
                 solve_dare(A, B, np.eye(2), np.eye(1))
-            with pytest.raises(RiccatiConvergenceError):
+            with pytest.raises(RiccatiConvergenceError, match="non-finite"):
                 solve_dare(np.diag([1.5]), np.zeros((1, 1)), np.eye(1), np.eye(1))
+
+    def test_step_cap_raises(self):
+        # With G = 0 and A = I each step doubles H: finite, never converging.
+        with pytest.raises(RiccatiConvergenceError, match="no convergence within 50 doubling steps"):
+            solve_dare(np.eye(1), np.zeros((1, 1)), np.eye(1), np.eye(1))
 
     def test_overflowing_scale_raises(self):
         # Stabilizable, but I + G H overflows in the second doubling step.
@@ -319,13 +309,23 @@ class TestSolveQp:
             x_ref = _kkt_equality_solution(H, f, Aeq, beq)
             assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-9 * (1 + np.linalg.norm(x_ref, np.inf))
 
-    def test_inconsistent_equalities_infeasible(self):
-        prob = QpProblem(
-            QpStructure(np.eye(2), Aeq=np.array([[1.0, 0.0], [1.0, 0.0]])),
-            f=np.zeros(2),
-            beq=np.array([0.0, 1.0]),
-        )
-        assert solve_qp(prob).status == numerics.INFEASIBLE
+    def test_dependent_equality_rows_refused(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(2, 6))
+        for aeq in (np.vstack([a, 2.0 * a, b]), np.vstack([a, a]), rng.normal(size=(7, 6))):
+            with pytest.raises(ValueError, match="Aeq must have full row rank"):
+                QpStructure(np.eye(6), aeq)
+
+    def test_iteration_cap_reports_last_iterate(self):
+        # The projection below takes two iterations: one adds x1 <= 1, the
+        # next finds nothing violated.
+        prob = QpProblem(QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0]])),
+                         f=np.array([-4.0, 0.0]), bin=np.array([1.0]))
+        assert solve_qp(prob).iterations == 2
+        sol = solve_qp(prob, max_iter=1)
+        assert sol.status == numerics.MAX_ITERATIONS and not sol.optimal
+        assert sol.iterations == 1
+        assert np.all(np.isfinite(sol.x)) and np.isfinite(sol.objective)
 
     def test_infeasible_inequalities(self):
         prob = QpProblem(
