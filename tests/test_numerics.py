@@ -125,6 +125,38 @@ class TestFixedMaps:
         assert np.allclose(q @ r, rows.T, rtol=0.0, atol=1e-12)
 
 
+class TestIndependentRows:
+    """QpStructure keeps a full-rank Aeq whole and refuses a dependent one."""
+
+    def test_dependent_row_dropped_in_row_order(self):
+        # The unpivoted QR of L^-1 Aeq' flags the later row of a dependent
+        # pair, in row order; without that row the equality is accepted.
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(2, 6))
+        A = np.vstack([a, 2.0 * a, b])
+        diag = np.abs(np.diag(np.linalg.qr(A.T, mode="r")))
+        assert list(np.flatnonzero(diag <= numerics.RANK_RTOL * diag.max())) == [1]
+        r = scipy.linalg.qr(A.T, mode="r", pivoting=True)[0]
+        pivoted = np.abs(np.diag(r))
+        assert int(np.sum(pivoted > numerics.RANK_RTOL * pivoted[0])) == 2
+        with pytest.raises(ValueError, match="Aeq must have full row rank"):
+            QpStructure(np.eye(6), A)
+        assert QpStructure(np.eye(6), A[[0, 2]]).eq_q.shape == (6, 2)
+
+    def test_full_row_rank_keeps_every_row(self):
+        rng = np.random.default_rng(10)
+        M = rng.normal(size=(6, 6))
+        A = rng.normal(size=(4, 6))
+        beq = rng.normal(size=4)
+        s = QpStructure(M @ M.T + np.eye(6), A)
+        assert s.eq_q.shape == (6, 4) and s.start_beq.shape == (6, 4)
+        sol = solve_qp(QpProblem(s, rng.normal(size=6), beq))
+        assert sol.optimal
+        assert np.linalg.norm(A @ sol.x - beq, np.inf) <= 1e-10 * (1 + np.linalg.norm(beq, np.inf))
+        with pytest.raises(ValueError, match="Aeq must have full row rank"):
+            QpStructure(np.eye(3), np.zeros((2, 3)))
+
+
 class TestSolveDare:
     def test_scalar_golden_ratio(self):
         P = solve_dare(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
@@ -315,6 +347,12 @@ class TestSolveQp:
         for aeq in (np.vstack([a, 2.0 * a, b]), np.vstack([a, a]), rng.normal(size=(7, 6))):
             with pytest.raises(ValueError, match="Aeq must have full row rank"):
                 QpStructure(np.eye(6), aeq)
+
+    def test_inconsistent_equalities_infeasible(self):
+        # Two copies of x1 = beq_i can hold only if beq_0 = beq_1; such an
+        # Aeq is refused when the structure is built, before any beq is posed.
+        with pytest.raises(ValueError, match="Aeq must have full row rank"):
+            QpStructure(np.eye(2), Aeq=np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_iteration_cap_reports_last_iterate(self):
         # The projection below takes two iterations: one adds x1 <= 1, the
