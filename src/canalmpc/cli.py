@@ -147,7 +147,7 @@ def cmd_compare(args):
 
 
 def cmd_sweep(args):
-    """Selected link count at a disturbed state for each c_link in the sweep list."""
+    """Selected link count at a disturbed state for each c_link in the sweep list, ascending."""
     cfg = _materialize(args)
     subs = build_chain(cfg.reaches, cfg.controller.sample_time)
     rho = cfg.scenario.offtakes_at(0)
@@ -166,7 +166,7 @@ def cmd_sweep(args):
     ends = frozenset(range(1, third + 1)) | frozenset(range(n - third, n))
     incumbent = Topology(n, ends & frozenset(range(1, n)))  # links 1..n-1 only
     counts = []
-    for c_link in cfg.c_link_sweep:
+    for c_link in sorted(cfg.c_link_sweep):
         result = select_topology(
             state, rho, published, incumbent, cache,
             subs, cfg.controller, cfg.t_lambda, c_link=c_link, global_model=model,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics
 from .canal import CoalitionModel
-from .numerics import QpProblem, QpStructure, solve_qp
+from .numerics import QpStructure, solve_qp
 
 
 @dataclass
@@ -181,8 +181,6 @@ def _cov_correct(filt, cov):
 
 def kf_update(filt: KalmanModel, kf, u_applied, rho, y) -> KalmanState:
     """One predict/correct cycle: state advances under (u, rho), then y lands."""
-    if y.shape[0] != 2 * filt.coalition.m:
-        raise ValueError("measurement dimension mismatch")
     gain, cov = _cov_correct(filt, _cov_predict(filt, kf.cov))
     return KalmanState(_x_correct(filt, _x_predict(filt, kf.xhat, u_applied, rho), gain, y), cov)
 
@@ -343,7 +341,7 @@ def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
         np.full(len(prog.flow_rows), -cfg.flow_margin), bound - k_xi, bound + k_xi,
     ])
 
-    sol = solve_qp(QpProblem(prog.qp, np.zeros(n + m + n), beq, bin_))
+    sol = solve_qp(prog.qp, np.zeros(n + m + n), beq, bin_)
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
@@ -490,7 +488,7 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
     base = prog.box_map @ zeta0 + np.tile(u_s, n_p + 1)
     bin_ = np.concatenate([flows - cfg.flow_margin, np.zeros(n_eps), bound - base, bound + base])
 
-    sol = solve_qp(QpProblem(prog.qp, f_vec, bin=bin_))
+    sol = solve_qp(prog.qp, f_vec, bin=bin_)
     if sol.status == numerics.INFEASIBLE:
         return MpcStep(
             np.zeros((n_c, m)), np.zeros((n_c, n_q)),
@@ -530,8 +528,12 @@ class CoalitionController:
         self.kf = kf_init(self.filter, history, schedule)
 
     def advance_filter(self, u_prev_global, rho_prev_global, levels, flows):
+        """Land one measurement, the only way one reaches a running filter; a
+        non-finite level or gate flow is refused, so every QP vector stays finite."""
         idx = [s - 1 for s in self.model.members]
         y = _measurement(self.model, levels, flows)
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"non-finite measurement for coalition {self.model.members}")
         self.kf = kf_update(
             self.filter,
             self.kf,

@@ -137,7 +137,7 @@ def _parse_controller(section):
         raise ConfigError(f"controller: {exc}") from None
 
 
-def _parse_scenario(section, n_reaches):
+def _parse_scenario(section):
     section = _section(section, "scenario", ("name", "horizon", "offtakes"))
     name = _require(section, "name", str, "scenario")
     horizon = _require(section, "horizon", _integer, "scenario")
@@ -149,12 +149,7 @@ def _parse_scenario(section, n_reaches):
             schedule = tuple((_integer(step), float(v)) for step, v in entries)
         except (TypeError, ValueError):
             raise ConfigError(f"scenario.offtakes.{key}: cannot interpret {entries!r}") from None
-        if not 1 <= reach <= n_reaches:
-            raise ConfigError(f"scenario.offtakes: reach {reach} does not exist")
         schedules[reach] = schedule
-    missing = set(range(1, n_reaches + 1)) - set(schedules)
-    if missing:
-        raise ConfigError(f"scenario.offtakes: missing reaches {sorted(missing)}")
     try:
         return Scenario(name, horizon, schedules)
     except ValueError as exc:
@@ -185,7 +180,7 @@ def parse_config(doc: dict) -> RunConfig:
     return check_run_config(RunConfig(
         reaches=reaches,
         controller=_parse_controller(doc.get("controller", {})),
-        scenario=_parse_scenario(doc["scenario"], len(reaches)) if "scenario" in doc else None,
+        scenario=_parse_scenario(doc["scenario"]) if "scenario" in doc else None,
         plant=_parse_plant(doc.get("plant", {}), len(reaches)),
         t_lambda=_optional(doc, "t_lambda", _integer, "top level", defaults.t_lambda),
         c_link_sweep=_optional(doc, "c_link_sweep", _list_of(float), "top level",

@@ -3,9 +3,11 @@
 Everything here is pure and deterministic: identical inputs produce
 bit-identical outputs, so simulation traces are reproducible.  The kernels
 are numpy's (solve, cholesky, qr, eigvalsh), so the package needs no scipy
-at run time.  solve_dare, QpStructure (positive-definite H, full-rank Aeq)
-and QpProblem check their inputs on entry; the certificate helpers and
-solve_qp work on arrays those have checked.
+at run time.  solve_dare and QpStructure (positive-definite H, full-rank
+Aeq) check their inputs on entry; the certificate helpers and solve_qp work
+on arrays those have checked, and solve_qp's vectors f, beq and bin are
+built by the controllers from checked configuration, certified gains and
+finite measurements.
 """
 
 from dataclasses import dataclass, field
@@ -35,13 +37,6 @@ def _as_matrix(a, name="matrix"):
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def _as_vector(b, name="vector"):
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.size and not np.all(np.isfinite(b)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return b
 
 
 def solve_dare(A, B, Q, R):
@@ -184,28 +179,6 @@ class QpStructure:
 
 
 @dataclass
-class QpProblem:
-    """One member of a QP family: its structure plus the vectors f, beq and bin."""
-
-    structure: QpStructure
-    f: np.ndarray
-    beq: np.ndarray | None = None
-    bin: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.f = _as_vector(self.f, "f")
-        self.beq = np.zeros(0) if self.beq is None else _as_vector(self.beq, "beq")
-        self.bin = np.zeros(0) if self.bin is None else _as_vector(self.bin, "bin")
-        s = self.structure
-        if self.f.shape[0] != s.n:
-            raise ValueError(f"f has {self.f.shape[0]} entries, expected {s.n}")
-        if s.Aeq.shape[0] != self.beq.shape[0]:
-            raise ValueError("Aeq/beq row mismatch")
-        if s.Ain.shape[0] != self.bin.shape[0]:
-            raise ValueError("Ain/bin row mismatch")
-
-
-@dataclass
 class QpSolution:
     x: np.ndarray
     objective: float
@@ -218,8 +191,8 @@ class QpSolution:
         return self.status == OPTIMAL
 
 
-def _objective(prob, x):
-    return float(0.5 * x @ prob.structure.H @ x + prob.f @ x)
+def _objective(H, f, x):
+    return float(0.5 * x @ H @ x + f @ x)
 
 
 def _qr_append(q, r, v, tol):
@@ -248,12 +221,15 @@ def _working_dual(r, q_v, n_working):
     return np.linalg.solve(r[-n_working:, -n_working:], q_v[-n_working:])
 
 
-def solve_qp(prob, max_iter=None):
+def solve_qp(structure, f, beq=None, bin=None, max_iter=None):
     """Solve a small dense strictly convex QP by the dual active-set method
     of Goldfarb & Idnani (Math. Programming 27, 1983).
 
-    In z = L'x the objective is 0.5 |z + L^-1 f|^2 and a constraint row a
-    becomes v = L^-1 a'.  The solve starts at the equality-constrained
+    The problem is the member of `structure`'s family with linear term f
+    and right-hand sides beq and bin (None where the family has no such
+    rows); the vectors are taken as given, unchecked.  In z = L'x the
+    objective is 0.5 |z + L^-1 f|^2 and a constraint row a becomes
+    v = L^-1 a'.  The solve starts at the equality-constrained
     minimizer and adds the most violated inequality (lowest index on ties).
     With the working rows' L^-1 A_w' = QR, adding v moves z along
     -(I - QQ')v and the working inequality multipliers along -R^-1 Q'v; a
@@ -270,15 +246,15 @@ def solve_qp(prob, max_iter=None):
     QpStructure; an entering row is appended to that QR, a leaving row
     triggers a fresh QR.
     """
-    if not isinstance(prob, QpProblem):
-        raise TypeError("expected a QpProblem")
-    s = prob.structure
+    s = structure
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
-    Ain, bin_ = s.Ain, prob.bin
+    Ain, bin_ = s.Ain, np.zeros(0) if bin is None else bin
     q, r = s.eq_q, s.eq_r
-    w = s.chol_inv @ prob.f
-    z = s.start_beq @ prob.beq - (w - q @ (q.T @ w))
+    w = s.chol_inv @ f
+    z = q @ (q.T @ w) - w
+    if beq is not None:
+        z += s.start_beq @ beq
     x = s.chol_inv.T @ z
 
     working, lam = [], np.zeros(0)  # inequality rows in QR column order, their multipliers
@@ -288,7 +264,7 @@ def solve_qp(prob, max_iter=None):
             viol = Ain @ x - bin_
             viol[working] = -np.inf
             if not viol.size or viol.max() <= _FEAS_TOL:
-                return QpSolution(x, _objective(prob, x), OPTIMAL, it, tuple(sorted(working)))
+                return QpSolution(x, _objective(s.H, f, x), OPTIMAL, it, tuple(sorted(working)))
             enter, lam_enter = int(np.argmax(viol)), 0.0
             v = s.chol_inv @ Ain[enter]
         try:
@@ -305,7 +281,7 @@ def solve_qp(prob, max_iter=None):
         ratios = lam[shrinking] / dual[shrinking]
         t_drop = ratios.min(initial=np.inf)
         if t_add == t_drop == np.inf:
-            return QpSolution(x, _objective(prob, x), INFEASIBLE, it, tuple(sorted(working)))
+            return QpSolution(x, _objective(s.H, f, x), INFEASIBLE, it, tuple(sorted(working)))
         t = min(t_add, t_drop)
         if w_norm:
             z = z - t * w_norm * q_add[:, -1]
@@ -322,4 +298,4 @@ def solve_qp(prob, max_iter=None):
             del working[j]
             lam = np.delete(lam, j)
             q, r = np.linalg.qr(s.chol_inv @ np.vstack([s.Aeq, Ain[working]]).T)
-    return QpSolution(x, _objective(prob, x), MAX_ITERATIONS, max_iter, tuple(sorted(working)))
+    return QpSolution(x, _objective(s.H, f, x), MAX_ITERATIONS, max_iter, tuple(sorted(working)))

@@ -200,8 +200,9 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
     cost-to-go zeta'P zeta are measured against the common global steady
     state.  Stale boundary targets make a rollout drift away from that
     steady state, which the score exposes.  `records[c]` are candidate c's
-    CoalitionGains in chain order, so that their stacked states are the
-    global state; `setpoints` maps each coalition's members to its xi_bar.
+    CoalitionGains in chain order, as synthesize(partition_of(candidate))
+    returns them, so that their stacked states are the global state;
+    `setpoints` maps each coalition's members to its xi_bar.
     Returns one score per candidate.
     """
     model = preview.global_model
@@ -209,9 +210,7 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
     n_cand = len(records)
     k_t = np.zeros((n_cand, model.n, model.m))      # K_c transposed, block-diagonal
     xi_bar = np.empty((n_cand, model.n))
-    for c, (cand, gains) in enumerate(zip(candidates, records)):
-        if (sum(g.model.n for g in gains), sum(g.model.m for g in gains)) != (model.n, model.m):
-            raise ValueError(f"gains of candidate {cand.bits()} do not tile the chain model")
+    for c, gains in enumerate(records):
         row = col = 0
         for g in gains:
             rows, cols = slice(row, row + g.model.n), slice(col, col + g.model.m)

@@ -96,9 +96,7 @@ def candidate_set(current: Topology) -> list:
 
 
 def network_cost_total(topology: Topology, c_link: float, t_lambda: int) -> float:
-    """Total network usage cost over a supervisory interval of t_lambda steps."""
-    if c_link < 0.0:
-        raise ValueError("c_link must be nonnegative")
+    """Total network usage cost over t_lambda steps; c_link is checked on entry."""
     return c_link * topology.n_links * t_lambda
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .canal import assemble_global, build_chain, build_coalition_model
 from .control import compute_setpoint
-from .numerics import QpProblem, QpStructure, solve_qp
+from .numerics import QpStructure, solve_qp
 from .supervisor import CERT_RTOL, SynthesisCache, synthesize
 from .topology import Partition, Topology, partition_of
 
@@ -142,7 +142,7 @@ def _check_qp_equality_agreement(cfg):
         f = rng.normal(size=n)
         aeq = rng.normal(size=(1, n))
         beq = rng.normal(size=1)
-        sol = solve_qp(QpProblem(QpStructure(h, aeq), f, beq))
+        sol = solve_qp(QpStructure(h, aeq), f, beq)
         kkt = np.block([[h, aeq.T], [aeq, np.zeros((1, 1))]])
         ref = np.linalg.solve(kkt, np.concatenate([-f, beq]))[:n]
         if np.linalg.norm(sol.x - ref, np.inf) > 1e-9 * (1 + np.linalg.norm(ref, np.inf)):

@@ -26,7 +26,7 @@ from canalmpc.control import (
     weight_matrices,
 )
 from canalmpc.io import read_trace, write_trace
-from canalmpc.numerics import QpProblem, QpStructure, solve_qp
+from canalmpc.numerics import QpStructure, solve_qp
 from canalmpc.simulate import (
     PlantConfig,
     accumulate_costs,
@@ -202,7 +202,7 @@ def test_08_qp_oracle_equivalence():
         f = rng.normal(size=n)
         a_in = rng.normal(size=(n_in, n))
         b_in = a_in @ rng.normal(size=n) + rng.uniform(0.05, 1.0, size=n_in)
-        sol = solve_qp(QpProblem(QpStructure(h, Ain=a_in), f, bin=b_in))
+        sol = solve_qp(QpStructure(h, Ain=a_in), f, bin=b_in)
         assert sol.optimal
         x_ref, obj_ref = brute_force_qp(h, f, Ain=a_in, bin_=b_in)
         worst_obj = max(worst_obj, abs(sol.objective - obj_ref))

@@ -77,6 +77,18 @@ class TestCli:
         assert rc == 0
         assert "non-increasing in c_link: yes" in capsys.readouterr().out
 
+    def test_sweep_checks_monotonicity_in_c_link_order(self, tmp_path, capsys):
+        """An unsorted sweep list is swept, and judged, in ascending c_link."""
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["c_link_sweep"] = [2.4, 0.0]
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["sweep", "--config", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split(":")[0] for line in lines[:2]] == ["c_link=0", "c_link=2.4"]
+        assert lines[2] == "link count non-increasing in c_link: yes"
+
     @pytest.mark.parametrize("n_reaches", [1, 2])
     def test_sweep_on_short_chain(self, tmp_path, capsys, n_reaches):
         doc = {

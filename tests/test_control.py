@@ -473,13 +473,13 @@ class TestStackedHorizonMaps:
         return coal, gain, prepare_mpc(coal, gain, p_mat, self.cfg)
 
     def _production(self, prog, zeta0, sp, monkeypatch):
-        """mpc_step's result, the QP problem it hands to solve_qp and the solve's wall time."""
+        """mpc_step's result, the f and bin it hands to solve_qp and the solve's wall time."""
         handed = []
 
-        def spy(prob):
+        def spy(structure, f, beq=None, bin=None):
             start = time.perf_counter()
-            sol = numerics.solve_qp(prob)
-            handed.append((prob, time.perf_counter() - start))
+            sol = numerics.solve_qp(structure, f, beq, bin)
+            handed.append((f, bin, time.perf_counter() - start))
             return sol
 
         monkeypatch.setattr(control, "solve_qp", spy)
@@ -506,13 +506,13 @@ class TestStackedHorizonMaps:
         for _ in range(12):
             sp = self._setpoint(coal, rng)
             zeta0 = rng.normal(scale=rng.choice([0.05, 0.5, 5.0]), size=coal.n)
-            step, prob, _ = self._production(prog, zeta0, sp, monkeypatch)
+            step, f, bin_, _ = self._production(prog, zeta0, sp, monkeypatch)
             ref_bin, start = self._oracle(coal, gain, zeta0, sp)
-            assert prob.bin.shape == ref_bin.shape
-            assert np.max(np.abs(prob.bin - ref_bin)) <= 1e-12 * max(1.0, np.max(np.abs(ref_bin)))
+            assert bin_.shape == ref_bin.shape
+            assert np.max(np.abs(bin_ - ref_bin)) <= 1e-12 * max(1.0, np.max(np.abs(ref_bin)))
             if start is not None:
                 # The clamped feedback law is a feasible point of the QP.
-                start_obj = 0.5 * start @ prog.qp.H @ start + prob.f @ start
+                start_obj = 0.5 * start @ prog.qp.H @ start + f @ start
                 assert step.status == "optimal"
                 assert step.objective <= start_obj + 1e-12 * (1.0 + abs(start_obj))
             outcomes.add(start is None)
@@ -526,8 +526,8 @@ class TestStackedHorizonMaps:
         for _ in range(14):
             sp = self._setpoint(coal, rng)
             zeta0 = rng.normal(scale=scale, size=coal.n)
-            step, prob, elapsed = self._production(prog, zeta0, sp, monkeypatch)
-            lp = scipy.optimize.linprog(np.zeros(prog.qp.n), A_ub=prog.qp.Ain, b_ub=prob.bin,
+            step, _, bin_, elapsed = self._production(prog, zeta0, sp, monkeypatch)
+            lp = scipy.optimize.linprog(np.zeros(prog.qp.n), A_ub=prog.qp.Ain, b_ub=bin_,
                                         bounds=(None, None), method="highs")
             assert lp.status in (0, 2)  # solved or infeasible
             assert step.status == ("infeasible" if lp.status == 2 else "optimal")
@@ -598,12 +598,14 @@ class TestBuiltOncePrograms:
         assert np.all(w[n:] == self.cfg.kf_omega_process_noise)
 
     def test_non_finite_level_raises(self):
+        """A NaN level, a NaN gate flow and an inf gate flow are each refused
+        as they reach the filter."""
         ctrl, (levels, flows, offs) = _stepped_controller((4,), self.cfg, steps=1)
-        levels = levels.copy()
-        levels[3] = np.nan
-        with pytest.raises(ValueError):
-            ctrl.advance_filter(np.zeros(13), offs, levels, flows)
-            ctrl.compute(offs)
+        for which, value in [("levels", np.nan), ("flows", np.nan), ("flows", np.inf)]:
+            measured = {"levels": levels.copy(), "flows": flows.copy()}
+            measured[which][3] = value
+            with pytest.raises(ValueError, match=r"non-finite measurement for coalition \(4,\)"):
+                ctrl.advance_filter(np.zeros(13), offs, measured["levels"], measured["flows"])
 
 
 class TestOffsetFreeClosedLoop:

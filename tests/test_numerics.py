@@ -11,7 +11,6 @@ from canalmpc import numerics
 from canalmpc.canal import build_chain, build_coalition_model
 from canalmpc.control import ControllerConfig, weight_matrices
 from canalmpc.numerics import (
-    QpProblem,
     QpStructure,
     RiccatiConvergenceError,
     SingularMatrixError,
@@ -92,7 +91,7 @@ class TestFixedMaps:
                 linv_f = s.chol_inv @ f
                 # z0 = Q R^-T beq - (I - QQ') L^-1 f
                 ref = q @ scipy.linalg.solve_triangular(r, beq, trans="T") - linv_f + q @ (q.T @ linv_f)
-                sol = solve_qp(QpProblem(s, f, beq))
+                sol = solve_qp(s, f, beq)
                 assert sol.optimal and sol.iterations == 1
                 chol = scipy.linalg.cholesky(s.H, lower=True)
                 x_ref = scipy.linalg.solve_triangular(chol, ref, trans="T", lower=True)
@@ -150,7 +149,7 @@ class TestIndependentRows:
         beq = rng.normal(size=4)
         s = QpStructure(M @ M.T + np.eye(6), A)
         assert s.eq_q.shape == (6, 4) and s.start_beq.shape == (6, 4)
-        sol = solve_qp(QpProblem(s, rng.normal(size=6), beq))
+        sol = solve_qp(s, rng.normal(size=6), beq)
         assert sol.optimal
         assert np.linalg.norm(A @ sol.x - beq, np.inf) <= 1e-10 * (1 + np.linalg.norm(beq, np.inf))
         with pytest.raises(ValueError, match="Aeq must have full row rank"):
@@ -311,18 +310,16 @@ def _kkt_equality_solution(H, f, Aeq, beq):
 class TestSolveQp:
     def test_projection_onto_halfspace(self):
         # min ||x - (2, 0)||^2 s.t. x1 <= 1
-        prob = QpProblem(
+        sol = solve_qp(
             QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0]])),
             f=np.array([-4.0, 0.0]),
             bin=np.array([1.0]),
         )
-        sol = solve_qp(prob)
         assert sol.optimal
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
 
     def test_unconstrained(self):
-        prob = QpProblem(QpStructure(2.0 * np.eye(2)), f=np.array([-2.0, -2.0]))
-        sol = solve_qp(prob)
+        sol = solve_qp(QpStructure(2.0 * np.eye(2)), f=np.array([-2.0, -2.0]))
         assert sol.optimal
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-10)
 
@@ -335,8 +332,7 @@ class TestSolveQp:
             f = rng.normal(size=n)
             Aeq = rng.normal(size=(1, n))
             beq = rng.normal(size=1)
-            prob = QpProblem(QpStructure(H, Aeq), f, beq)
-            sol = solve_qp(prob)
+            sol = solve_qp(QpStructure(H, Aeq), f, beq)
             assert sol.optimal
             x_ref = _kkt_equality_solution(H, f, Aeq, beq)
             assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-9 * (1 + np.linalg.norm(x_ref, np.inf))
@@ -357,41 +353,38 @@ class TestSolveQp:
     def test_iteration_cap_reports_last_iterate(self):
         # The projection below takes two iterations: one adds x1 <= 1, the
         # next finds nothing violated.
-        prob = QpProblem(QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0]])),
-                         f=np.array([-4.0, 0.0]), bin=np.array([1.0]))
-        assert solve_qp(prob).iterations == 2
-        sol = solve_qp(prob, max_iter=1)
+        structure = QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0]]))
+        f, bin_ = np.array([-4.0, 0.0]), np.array([1.0])
+        assert solve_qp(structure, f, bin=bin_).iterations == 2
+        sol = solve_qp(structure, f, bin=bin_, max_iter=1)
         assert sol.status == numerics.MAX_ITERATIONS and not sol.optimal
         assert sol.iterations == 1
         assert np.all(np.isfinite(sol.x)) and np.isfinite(sol.objective)
 
     def test_infeasible_inequalities(self):
-        prob = QpProblem(
+        sol = solve_qp(
             QpStructure(np.eye(1), Ain=np.array([[1.0], [-1.0]])),
             f=np.zeros(1),
             bin=np.array([-1.0, -1.0]),  # x <= -1 and x >= 1
         )
-        assert solve_qp(prob).status == numerics.INFEASIBLE
+        assert sol.status == numerics.INFEASIBLE
 
     def test_overflowing_step_raises_not_infeasible(self):
         # Feasible (x2 ~ 5.6e155 works), but the entering row lies ~1e-154 off
         # the equality span, so its step length overflows the float range.
-        prob = QpProblem(
-            QpStructure(0.5 * np.eye(2), np.array([[1.0, 1e-9]]), np.array([[1.79e-147, 0.0]])),
-            f=np.zeros(2), beq=np.zeros(1), bin=np.array([-1.0]),
-        )
+        structure = QpStructure(0.5 * np.eye(2), np.array([[1.0, 1e-9]]),
+                                np.array([[1.79e-147, 0.0]]))
         with pytest.raises(ValueError, match="row 0 overflows"):
-            solve_qp(prob)
+            solve_qp(structure, f=np.zeros(2), beq=np.zeros(1), bin=np.array([-1.0]))
 
     def test_row_at_bound_at_unconstrained_minimizer_stays_out(self):
         # x2 <= 0 holds with equality at the unconstrained minimizer (-1, 0):
         # it is not violated, so it never enters the working set.
-        prob = QpProblem(
+        sol = solve_qp(
             QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0], [0.0, 1.0]])),
             f=np.array([2.0, 0.0]),
             bin=np.array([0.0, 0.0]),
         )
-        sol = solve_qp(prob)
         assert sol.optimal and sol.active_set == () and sol.iterations == 1
         assert np.allclose(sol.x, [-1.0, 0.0], atol=1e-9)
 
@@ -412,8 +405,7 @@ class TestSolveQp:
             Ain = rng.normal(size=(n_in, n))
             x_feas = rng.normal(size=n)
             bin_ = Ain @ x_feas + rng.uniform(0.05, 1.0, size=n_in)
-            prob = QpProblem(QpStructure(H, Ain=Ain), f, bin=bin_)
-            sol = solve_qp(prob)
+            sol = solve_qp(QpStructure(H, Ain=Ain), f, bin=bin_)
             assert sol.optimal, f"trial {trial} not optimal: {sol.status}"
             x_ref, obj_ref = brute_force_qp(H, f, Ain=Ain, bin_=bin_)
             assert abs(sol.objective - obj_ref) <= 1e-6
@@ -435,7 +427,7 @@ class TestSolveQp:
             bin_ = Ain @ x_feas + rng.uniform(0.05, 1.0, size=n_in)
             structure = QpStructure(H, Aeq, Ain)
             assert structure.chol_inv is not None
-            sol = solve_qp(QpProblem(structure, f, beq, bin_))
+            sol = solve_qp(structure, f, beq, bin_)
             assert sol.optimal, f"trial {trial} not optimal: {sol.status}"
             x_ref, obj_ref = brute_force_qp(H, f, Aeq, beq, Ain, bin_)
             assert abs(sol.objective - obj_ref) <= 1e-6 * (1 + abs(obj_ref))
@@ -453,11 +445,10 @@ class TestSolveQp:
             beq = Aeq @ x_feas
             Ain = rng.normal(size=(4, n))
             bin_ = Ain @ x_feas + rng.uniform(0.01, 1.0, size=4)
-            prob = QpProblem(QpStructure(H, Aeq, Ain), f, beq, bin_)
-            sol = solve_qp(prob)
+            sol = solve_qp(QpStructure(H, Aeq, Ain), f, beq, bin_)
             assert sol.optimal
-            assert np.max(Ain @ sol.x - prob.bin) <= 1e-8
-            assert np.linalg.norm(Aeq @ sol.x - prob.beq, np.inf) <= 1e-8
+            assert np.max(Ain @ sol.x - bin_) <= 1e-8
+            assert np.linalg.norm(Aeq @ sol.x - beq, np.inf) <= 1e-8
             # Stationarity: gradient must be a combination of active rows.
             g = H @ sol.x + f
             rows = np.vstack([Aeq, Ain[list(sol.active_set)]])
@@ -473,26 +464,17 @@ class TestSolveQp:
         Aeq, Ain = rng.normal(size=(2, 6)), rng.normal(size=(5, 6))
         f, beq = rng.normal(size=6), rng.normal(size=2)
         x_eq = _kkt_equality_solution(H, f, Aeq, beq)
-        prob = QpProblem(QpStructure(H, Aeq, Ain), f, beq, Ain @ x_eq + 1.0)
+        structure, bin_ = QpStructure(H, Aeq, Ain), Ain @ x_eq + 1.0
         calls = Counter()
         for name in ("solve", "qr", "cholesky", "inv"):
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        sol = solve_qp(prob)
+        sol = solve_qp(structure, f, beq, bin_)
         assert sol.optimal and sol.iterations == 1 and sol.active_set == ()
         assert not calls
         assert np.allclose(sol.x, x_eq, rtol=0.0, atol=1e-10)
-
-    def test_non_finite_linear_term_raises(self):
-        with pytest.raises(ValueError):
-            solve_qp(QpProblem(QpStructure(np.eye(2)), f=np.array([0.0, np.nan])))
-
-    def test_non_finite_inequality_rhs_raises(self):
-        structure = QpStructure(np.eye(2), Ain=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            solve_qp(QpProblem(structure, f=np.zeros(2), bin=np.array([1.0, np.inf])))
 
     def test_structure_reused_across_problems(self):
         # One structure serves every problem of its family, each solve
@@ -508,8 +490,8 @@ class TestSolveQp:
             x_feas = rng.normal(size=3)
             beq = Aeq @ x_feas
             bin_ = Ain @ x_feas + rng.uniform(0.01, 1.0, size=4)
-            s1 = solve_qp(QpProblem(shared, f, beq, bin_))
-            s2 = solve_qp(QpProblem(QpStructure(H, Aeq, Ain), f, beq, bin_))
+            s1 = solve_qp(shared, f, beq, bin_)
+            s2 = solve_qp(QpStructure(H, Aeq, Ain), f, beq, bin_)
             assert s1.optimal
             assert np.array_equal(s1.x, s2.x)
 
@@ -519,10 +501,8 @@ class TestSolveQp:
         f = rng.normal(size=3)
         Ain = rng.normal(size=(5, 3))
         bin_ = Ain @ rng.normal(size=3) + 0.5
-        prob1 = QpProblem(QpStructure(H, Ain=Ain), f, bin=bin_)
-        prob2 = QpProblem(QpStructure(H.copy(), Ain=Ain.copy()), f.copy(), bin=bin_.copy())
-        s1 = solve_qp(prob1)
-        s2 = solve_qp(prob2)
+        s1 = solve_qp(QpStructure(H, Ain=Ain), f, bin=bin_)
+        s2 = solve_qp(QpStructure(H.copy(), Ain=Ain.copy()), f.copy(), bin=bin_.copy())
         assert np.array_equal(s1.x, s2.x)
         assert s1.objective == s2.objective
 
@@ -555,7 +535,7 @@ class TestSolveQpProperty:
     @given(dense_qps())
     def test_matches_enumeration_or_reports_infeasible(self, qp):
         H, f, Aeq, beq, Ain, bin_ = qp
-        sol = solve_qp(QpProblem(QpStructure(H, Aeq, Ain), f, beq, bin_))
+        sol = solve_qp(QpStructure(H, Aeq, Ain), f, beq, bin_)
         x_ref, obj_ref = brute_force_qp(H, f, Aeq, beq, Ain, bin_)
         if x_ref is None:
             assert sol.status == numerics.INFEASIBLE

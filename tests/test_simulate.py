@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from canalmpc import canal, control, numerics, supervisor
+from canalmpc import canal, control, numerics, simulate, supervisor
 from canalmpc.canal import (
     DEZ_REACHES,
     CoalitionModel,
@@ -53,6 +53,12 @@ class TestScenario:
             Scenario("bad", 10, {1: ((0, 1.0), (0, 2.0))})
         with pytest.raises(ValueError):
             Scenario("bad", 10, {1: ((0, -1.0),)})
+
+    @pytest.mark.parametrize("reaches, bad", [((0, 1), 0), ((1, 3), 3)])
+    def test_rejects_reach_keys_other_than_one_to_n(self, reaches, bad):
+        """Reach 0 would land on the last reach, reach 3 of two would index past it."""
+        with pytest.raises(ValueError, match=f"reach {bad}: "):
+            Scenario("x", 10, {r: ((0, 1.0),) for r in reaches})
 
 
 class TestPlantConfig:
@@ -129,13 +135,6 @@ class TestPlantStep:
             assert abs(np.sum(areas * de) - rhs) <= 1e-9 * max(1.0, abs(rhs))
             state = nxt
 
-    def test_input_outside_box_asserts(self):
-        subs = build_chain()
-        model = assemble_global(subs)
-        state = np.zeros(39)
-        with pytest.raises(AssertionError):
-            plant_step(model, state, np.full(13, 1.5), np.zeros(13), bound=1.0)
-
 
 class TestClosedLoop:
     def test_zero_disturbance_sheds_links_levels_stay(self):
@@ -194,6 +193,17 @@ class TestClosedLoop:
         warm = run_closed_loop(scenario_1(), seed=0, cache=cache)
         assert schedules == []
         assert warm.arrays_equal(cold)
+
+    def test_input_outside_box_refused_before_the_plant(self, monkeypatch):
+        """The run loop, not the plant, checks the hard input box, and names the step."""
+        bound = ControllerConfig().input_bound
+        monkeypatch.setattr(control, "control_action",
+                            lambda zeta, u_s, vprime, gain: np.full(u_s.shape, 1.5 * bound))
+        stepped = []
+        monkeypatch.setattr(simulate, "plant_step", lambda *args: stepped.append(args))
+        with pytest.raises(RuntimeError, match="hard input constraint violated at step 0"):
+            run_closed_loop(scenario_1(horizon=4), seed=0, cache=CACHE)
+        assert not stepped
 
     def test_errors_carry_step_index(self):
         # an absurdly tight input box makes the tail constraints infeasible

@@ -286,16 +286,6 @@ class TestTopologyValue:
             (alone,) = topology_value(xi0, [cand], [gains], setpoints, 0.6, 4, preview)
             assert alone == pytest.approx(batch[c], rel=1e-12, abs=0.0)
 
-    def test_records_not_tiling_the_chain_refused(self, full_gains):
-        """A record list missing one block is named by its candidate's bit-string."""
-        state, preview = _steady_preview()
-        singles = synthesize(SINGLETON_PARTITION, CHAIN, CFG)
-        setpoints = {FULL: state.copy()}
-        setpoints.update({g.model.members: np.zeros(g.model.n) for g in singles})
-        with pytest.raises(ValueError, match="candidate 000000000000 "):
-            topology_value(state, [full_topology(13), Topology(13, ())],
-                           [full_gains, singles[:-1]], setpoints, 0.6, 4, preview)
-
     def test_full_partition_cost_to_go_matches_simulation(self, full_gains):
         """zeta'P zeta equals the accumulated unconstrained LQ cost within 1%."""
         coal = assemble_global(CHAIN)
