@@ -74,7 +74,7 @@ def build_subsystem(params: ReachParams, t_sample: float) -> SubsystemModel:
     return SubsystemModel(params.index, params.delay_steps, t_sample / params.backwater_area)
 
 
-def build_chain(reaches=DEZ_REACHES, t_sample=300.0):
+def build_chain(reaches, t_sample):
     """Build all subsystem models for a chain of reaches."""
     reaches = tuple(reaches)
     for pos, r in enumerate(reaches, start=1):

@@ -10,7 +10,7 @@ from .canal import assemble_global, build_chain
 from .control import compute_setpoint
 from .io import (
     ConfigError,
-    builtin_config,
+    RunConfig,
     check_run_config,
     emit_plot_data,
     load_config,
@@ -31,8 +31,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="YAML run configuration (default: bundled case study)")
-        p.add_argument("--scenario", default=None, help="bundled scenario name (scenario1/scenario2)")
+        p.add_argument("--config", help="YAML run configuration (default: the case study)")
+        p.add_argument("--scenario", default=None, help="built-in scenario name (scenario1/scenario2)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--clink", type=float, default=None, help="link cost override")
@@ -61,13 +61,8 @@ def _build_parser():
 
 
 def _materialize(args):
-    if args.config:
-        cfg = load_config(args.config)
-        if args.scenario:
-            cfg.scenario = scenario_by_name(args.scenario)
-    else:
-        cfg = builtin_config(args.scenario or "scenario1")
-    if cfg.scenario is None:
+    cfg = load_config(args.config) if args.config else RunConfig()
+    if args.scenario or cfg.scenario is None:
         cfg.scenario = scenario_by_name(args.scenario or "scenario1")
     if args.out is not None:
         cfg.output_dir = args.out

@@ -8,7 +8,6 @@ write/read cycle is lossless.
 
 import dataclasses
 import hashlib
-import importlib.resources
 import json
 from dataclasses import dataclass, field
 
@@ -93,6 +92,12 @@ def _integer(value):
     return number
 
 
+def _real(value):
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _list_of(kind):
     def convert(values):
         if not isinstance(values, list):
@@ -112,10 +117,10 @@ def _parse_reaches(items):
             reaches.append(
                 ReachParams(
                     _require(item, "index", _integer, where),
-                    _require(item, "backwater_area", float, where),
+                    _require(item, "backwater_area", _real, where),
                     _require(item, "delay_steps", _integer, where),
-                    _optional(item, "length", float, where, 0.0),
-                    _optional(item, "bottom_width", float, where, 0.0),
+                    _optional(item, "length", _real, where, 0.0),
+                    _optional(item, "bottom_width", _real, where, 0.0),
                 )
             )
         except ValueError as exc:
@@ -129,7 +134,7 @@ def _parse_reaches(items):
 def _parse_controller(section):
     defaults = dataclasses.asdict(ControllerConfig())
     section = _section(section, "controller", defaults)
-    values = {k: _require(section, k, _integer if isinstance(defaults[k], int) else float,
+    values = {k: _require(section, k, _integer if isinstance(defaults[k], int) else _real,
                           "controller") for k in section}
     try:
         return ControllerConfig(**values)
@@ -146,7 +151,7 @@ def _parse_scenario(section):
     for key, entries in offtakes.items():
         try:
             reach = _integer(key)
-            schedule = tuple((_integer(step), float(v)) for step, v in entries)
+            schedule = tuple((_integer(step), _real(v)) for step, v in entries)
         except (TypeError, ValueError):
             raise ConfigError(f"scenario.offtakes.{key}: cannot interpret {entries!r}") from None
         schedules[reach] = schedule
@@ -158,7 +163,7 @@ def _parse_scenario(section):
 
 def _parse_plant(section, n_reaches):
     section = _section(section, "plant", _fields(PlantConfig))
-    factors = _optional(section, "surface_factors", _list_of(float), "plant", None)
+    factors = _optional(section, "surface_factors", _list_of(_real), "plant", None)
     offsets = _optional(section, "delay_offsets", _list_of(_integer), "plant", None)
     if any(v is not None and len(v) != n_reaches for v in (factors, offsets)):
         raise ConfigError("plant: per-reach lists must match the reach count")
@@ -166,8 +171,8 @@ def _parse_plant(section, n_reaches):
         return PlantConfig(
             surface_factors=factors,
             delay_offsets=offsets,
-            process_noise=_optional(section, "process_noise", float, "plant", 0.0),
-            measurement_noise=_optional(section, "measurement_noise", float, "plant", 0.0),
+            process_noise=_optional(section, "process_noise", _real, "plant", 0.0),
+            measurement_noise=_optional(section, "measurement_noise", _real, "plant", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"plant: {exc}") from None
@@ -176,14 +181,14 @@ def _parse_plant(section, n_reaches):
 def parse_config(doc: dict) -> RunConfig:
     doc = _section(doc, "top level", _fields(RunConfig))
     defaults = RunConfig()
-    reaches = _parse_reaches(doc["reaches"]) if "reaches" in doc else DEZ_REACHES
+    reaches = _parse_reaches(doc["reaches"]) if "reaches" in doc else defaults.reaches
     return check_run_config(RunConfig(
         reaches=reaches,
         controller=_parse_controller(doc.get("controller", {})),
         scenario=_parse_scenario(doc["scenario"]) if "scenario" in doc else None,
         plant=_parse_plant(doc.get("plant", {}), len(reaches)),
         t_lambda=_optional(doc, "t_lambda", _integer, "top level", defaults.t_lambda),
-        c_link_sweep=_optional(doc, "c_link_sweep", _list_of(float), "top level",
+        c_link_sweep=_optional(doc, "c_link_sweep", _list_of(_real), "top level",
                                defaults.c_link_sweep),
         output_dir=_optional(doc, "output_dir", str, "top level", defaults.output_dir),
         seed=_optional(doc, "seed", _integer, "top level", defaults.seed),
@@ -213,6 +218,8 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(
             f"controller.link_cost: must be finite and nonnegative, got {cfg.controller.link_cost}"
         )
+    if not cfg.c_link_sweep:
+        raise ConfigError("c_link_sweep: must hold at least one link cost")
     bad = [c for c in cfg.c_link_sweep if not 0.0 <= c < np.inf]
     if bad:
         raise ConfigError(f"c_link_sweep: entries must be finite and nonnegative, got {bad}")
@@ -235,17 +242,15 @@ def load_config(path) -> RunConfig:
     return parse_config(doc)
 
 
-def builtin_config(scenario_name: str = "scenario1") -> RunConfig:
-    """Bundled case-study configuration for one of the two scenarios."""
-    resource = importlib.resources.files("canalmpc.data") / f"dez_{scenario_name}.yaml"
-    with importlib.resources.as_file(resource) as path:
-        return load_config(path)
-
-
 def scenario_by_name(name: str) -> Scenario:
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown scenario '{name}' (have {sorted(BUILTIN_SCENARIOS)})")
     return BUILTIN_SCENARIOS[name]()
+
+
+def builtin_config(scenario_name: str) -> RunConfig:
+    """The case-study configuration for one of the two scenarios."""
+    return RunConfig(scenario=scenario_by_name(scenario_name))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +349,7 @@ def read_trace(path) -> SimTrace:
     return trace
 
 
-def emit_plot_data(trace: SimTrace, outdir, c_link: float = 0.6) -> list:
+def emit_plot_data(trace: SimTrace, outdir, c_link: float) -> list:
     """Write plottable series: levels, inflows, link raster, accumulated costs.
 
     Returns the list of files written.  The cost file carries accumulated

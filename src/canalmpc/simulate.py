@@ -137,8 +137,7 @@ class Plant:
     process or measurement noise, so a noiseless run never imports numpy.random.
     """
 
-    def __init__(self, plant_cfg: PlantConfig, t_sample: float, initial_offtakes,
-                 reaches=DEZ_REACHES, seed=0):
+    def __init__(self, plant_cfg: PlantConfig, t_sample: float, initial_offtakes, reaches, seed):
         self.cfg = plant_cfg
         self.subs = build_chain(plant_cfg.perturbed_reaches(reaches), t_sample)
         self.model = assemble_global(self.subs)

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from canalmpc.canal import assemble_global, build_chain, build_coalition_model
+from canalmpc.canal import DEZ_REACHES, assemble_global, build_chain, build_coalition_model
 from canalmpc.control import (
     ControllerConfig,
     KalmanState,
@@ -46,7 +46,7 @@ from canalmpc.topology import Partition, Topology, full_topology, partition_of
 from oracles import brute_force_qp, scipy_lqr_gain, union_find_components
 
 CACHE = SynthesisCache()
-CHAIN = build_chain()
+CHAIN = build_chain(DEZ_REACHES, 300.0)
 CFG = ControllerConfig()
 
 

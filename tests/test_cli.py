@@ -8,7 +8,7 @@ import yaml
 
 import canalmpc
 from canalmpc.canal import DEZ_REACHES
-from canalmpc.cli import main
+from canalmpc.cli import _build_parser, _materialize, main
 from canalmpc.io import read_trace
 
 
@@ -161,6 +161,17 @@ class TestCli:
         assert "configuration error: c_link_sweep" in captured.err
         assert captured.out == ""
 
+    def test_empty_sweep_refused(self, tmp_path, capsys):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["c_link_sweep"] = []
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["sweep", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error: c_link_sweep" in captured.err
+        assert captured.out == ""
+
     def test_zero_history_capacity_refused(self, tmp_path, capsys):
         path = mini_config(tmp_path)
         doc = yaml.safe_load(path.read_text())
@@ -228,6 +239,36 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         rc = main(["sweep", "--scenario", "scenario1"])
         assert rc == 0
+
+
+class TestMaterialize:
+    """The configuration a command runs: file or case study, then the scenario."""
+
+    @staticmethod
+    def materialize(argv):
+        return _materialize(_build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("flags, name, digest", [
+        ([], "scenario1", "6bb14feeca60"),
+        (["--scenario", "scenario2"], "scenario2", "a4198d0632b7"),
+    ])
+    def test_case_study(self, flags, name, digest):
+        cfg = self.materialize(["run"] + flags)
+        assert cfg.scenario.name == name
+        assert cfg.config_hash() == digest
+
+    def test_scenario_flag_replaces_the_files_scenario(self, tmp_path):
+        cfg = self.materialize(["run", "--config", str(mini_config(tmp_path, seed=3)),
+                                "--scenario", "scenario2"])
+        assert cfg.scenario.name == "scenario2"
+        assert cfg.seed == 3
+
+    def test_file_without_scenario_gets_scenario1(self, tmp_path):
+        path = tmp_path / "no_scenario.yaml"
+        path.write_text(yaml.safe_dump({"t_lambda": 8}))
+        cfg = self.materialize(["run", "--config", str(path)])
+        assert cfg.scenario.name == "scenario1"
+        assert cfg.t_lambda == 8
 
 
 NO_SCIPY_SCRIPT = """

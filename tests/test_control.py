@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from canalmpc import control, numerics
-from canalmpc.canal import ReachParams, build_chain, build_coalition_model, assemble_global
+from canalmpc.canal import (
+    DEZ_REACHES,
+    ReachParams,
+    assemble_global,
+    build_chain,
+    build_coalition_model,
+)
 from canalmpc.control import (
     ControllerConfig,
     CoalitionController,
@@ -31,7 +37,7 @@ from canalmpc.numerics import lqr_gain, solve_dare
 
 from oracles import brute_force_qp, looped_mpc_data, replay_kf_init, square_setpoint
 
-CHAIN = build_chain()
+CHAIN = build_chain(DEZ_REACHES, 300.0)
 SINGLETONS = tuple((i,) for i in range(1, 14))
 
 
@@ -232,7 +238,8 @@ def setpoint_cases(draw):
     areas = draw(st.lists(st.floats(1e4, 1e6), min_size=n, max_size=n))
     delays = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     members = draw(st.sets(st.integers(1, n), min_size=1))
-    chain = build_chain([ReachParams(i, a, d) for i, (a, d) in enumerate(zip(areas, delays), 1)])
+    table = [ReachParams(i, a, d) for i, (a, d) in enumerate(zip(areas, delays), 1)]
+    chain = build_chain(table, 300.0)
     coal = build_coalition_model(chain, members)
     rho = draw(hnp.arrays(float, coal.m, elements=st.floats(0.0, 20.0)))
     omega = draw(hnp.arrays(float, coal.n_channels, elements=st.floats(-5.0, 40.0)))
@@ -262,7 +269,8 @@ def tables_and_weights(draw):
     weight = st.floats(-2.0, 5.0).map(lambda e: 10.0 ** e)
     cfg = ControllerConfig(level_weight=draw(weight), input_weight=draw(weight),
                            setpoint_slack_weight=draw(weight))
-    return build_chain([ReachParams(i, a, d) for i, (a, d) in enumerate(zip(areas, delays), 1)]), cfg
+    table = [ReachParams(i, a, d) for i, (a, d) in enumerate(zip(areas, delays), 1)]
+    return build_chain(table, 300.0), cfg
 
 
 class TestSetpointProgramProperty:

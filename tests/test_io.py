@@ -1,13 +1,15 @@
 import copy
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 import yaml
 
+from canalmpc.canal import DEZ_REACHES
+from canalmpc.control import ControllerConfig
 from canalmpc.io import (
     ConfigError,
-    RunConfig,
     builtin_config,
     emit_plot_data,
     load_config,
@@ -132,12 +134,23 @@ class TestLoadConfig:
         assert builtin_config("scenario2").config_hash() != a
 
     @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
-    def test_config_hash_ignores_int_or_float_reach_values(self, name):
-        """The built-in table holds lengths and widths as ints, the YAML parser as floats."""
-        bundled = builtin_config(name)
-        built = RunConfig(scenario=scenario_by_name(name))
-        assert bundled.reaches == built.reaches
-        assert built.config_hash() == bundled.config_hash()
+    def test_config_hash_ignores_int_or_float_reach_values(self, name, tmp_path):
+        """The case study written out as YAML, lengths and widths as ints, parses to the
+        built-in configuration: the parser reads them as floats, the table holds ints."""
+        scenario = scenario_by_name(name)
+        doc = {
+            "reaches": [dataclasses.asdict(r) for r in DEZ_REACHES],
+            "controller": dataclasses.asdict(ControllerConfig()),
+            "scenario": {"name": name, "horizon": scenario.horizon,
+                         "offtakes": {reach: [list(entry) for entry in entries]
+                                      for reach, entries in scenario.schedules.items()}},
+        }
+        assert all(isinstance(r["length"], int) for r in doc["reaches"])
+        path = tmp_path / f"dez_{name}.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        parsed = load_config(path)
+        assert parsed == builtin_config(name)
+        assert parsed.config_hash() == builtin_config(name).config_hash()
 
     @pytest.mark.parametrize("name, digest", [("scenario1", "6bb14feeca60"),
                                               ("scenario2", "a4198d0632b7")])
@@ -197,6 +210,20 @@ class TestLoadConfig:
         offtakes["3"] = [[0, 2.0], [10, float("nan")]]
         with pytest.raises(ConfigError, match="scenario: reach 3: offtakes"):
             parse_config({"scenario": {"name": "x", "horizon": 20, "offtakes": offtakes}})
+
+    @pytest.mark.parametrize("text, field", [
+        ("reaches: [{index: 1, backwater_area: true, delay_steps: 2}]",
+         r"reaches\[1\]\.backwater_area"),
+        ("controller: {level_weight: true}", "controller.level_weight"),
+        ("scenario: {name: x, horizon: 5, offtakes: {1: [[0, on]]}}", "scenario.offtakes.1"),
+        ("plant: {process_noise: yes}", "plant.process_noise"),
+        ("plant: {surface_factors: [no]}", "plant.surface_factors"),
+        ("c_link_sweep: [true, false]", "top level.c_link_sweep"),
+    ], ids=["reaches", "controller", "scenario", "plant", "plant-list", "top-level"])
+    def test_boolean_in_float_field_named(self, text, field):
+        """YAML reads true/false, yes/no and on/off as booleans, which are not numbers."""
+        with pytest.raises(ConfigError, match=field):
+            parse_config(yaml.safe_load(text))
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from canalmpc import numerics
-from canalmpc.canal import build_chain, build_coalition_model
+from canalmpc.canal import DEZ_REACHES, build_chain, build_coalition_model
 from canalmpc.control import ControllerConfig, weight_matrices
 from canalmpc.numerics import (
     QpStructure,
@@ -214,7 +214,7 @@ class TestSolveDare:
 
     def test_dez_coalitions_match_scipy(self):
         # Every contiguous coalition of the 13-reach chain, full chain included.
-        chain = build_chain()
+        chain = build_chain(DEZ_REACHES, 300.0)
         cfg = ControllerConfig()
         n = len(chain)
         solved = 0
@@ -236,7 +236,7 @@ class TestSolveDare:
     def test_one_solve_per_doubling_step(self, monkeypatch):
         """G_0 takes one solve against R; every doubling step then solves
         I + G H against [A, G] alone, 2n columns with no identity block."""
-        coal = build_coalition_model(build_chain(), range(1, 14))
+        coal = build_coalition_model(build_chain(DEZ_REACHES, 300.0), range(1, 14))
         q, r = weight_matrices(coal, ControllerConfig())
         shapes = []
 

@@ -89,7 +89,7 @@ class TestPlantConfig:
 
 class TestPlantStep:
     def test_steady_state_fixed(self):
-        subs = build_chain()
+        subs = build_chain(DEZ_REACHES, 300.0)
         model = assemble_global(subs)
         offtakes = np.full(13, 2.0)
         state = compute_setpoint(model, offtakes, np.zeros(0))
@@ -114,7 +114,7 @@ class TestPlantStep:
 
     def test_mass_balance_identity(self):
         """sum_i A_i de_i = T(sum_i q_i(k-d_i) - sum_{i>=2} q_i(k) - sum p_i) to 1e-9."""
-        subs = build_chain()
+        subs = build_chain(DEZ_REACHES, 300.0)
         model = assemble_global(subs)
         rng = np.random.default_rng(5)
         state = rng.uniform(0.0, 5.0, size=39)

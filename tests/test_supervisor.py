@@ -5,6 +5,7 @@ import pytest
 
 from canalmpc import supervisor
 from canalmpc.canal import (
+    DEZ_REACHES,
     ReachParams,
     assemble_global,
     build_chain,
@@ -26,7 +27,7 @@ from canalmpc.topology import Partition, Topology, candidate_set, full_topology,
 
 from oracles import looped_rollout_value, scipy_lqr_gain
 
-CHAIN = build_chain()
+CHAIN = build_chain(DEZ_REACHES, 300.0)
 CFG = ControllerConfig()
 FULL = tuple(range(1, 14))
 FULL_PARTITION = Partition((FULL,))
@@ -111,9 +112,9 @@ class TestSynthesisCache:
 
     def test_other_reach_table_refused(self):
         cache = SynthesisCache()
-        synthesize(self.PAIR, build_chain((ReachParams(1, 1e5, 2), ReachParams(2, 1e5, 1))),
-                   CFG, cache)
-        smaller = build_chain((ReachParams(1, 4e4, 2), ReachParams(2, 4e4, 1)))
+        pair = build_chain((ReachParams(1, 1e5, 2), ReachParams(2, 1e5, 1)), 300.0)
+        synthesize(self.PAIR, pair, CFG, cache)
+        smaller = build_chain((ReachParams(1, 4e4, 2), ReachParams(2, 4e4, 1)), 300.0)
         with pytest.raises(ValueError):
             synthesize(self.PAIR, smaller, CFG, cache)
 
@@ -137,8 +138,8 @@ class TestSynthesisCache:
         """Same reach values and weights, new objects: the cached records are reused."""
         cache = SynthesisCache()
         first = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
-        again = synthesize(SINGLETON_PARTITION, build_chain(), ControllerConfig(link_cost=2.0),
-                           cache)
+        again = synthesize(SINGLETON_PARTITION, build_chain(DEZ_REACHES, 300.0),
+                           ControllerConfig(link_cost=2.0), cache)
         assert all(a is b for a, b in zip(first, again))
 
 
