@@ -44,18 +44,23 @@ def _build_parser():
     common(p_run)
     p_run.add_argument("--centralized", action="store_true",
                        help="fixed full topology instead of the supervisory layer")
+    p_run.set_defaults(func=cmd_run)
 
     p_base = sub.add_parser("baseline", help="centralized baseline run")
     common(p_base)
+    p_base.set_defaults(func=cmd_run, centralized=True)
 
     p_cmp = sub.add_parser("compare", help="coalitional and centralized runs plus cost report")
     common(p_cmp)
+    p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="link-cost sweep: selected link counts at a disturbed state")
     common(p_swp)
+    p_swp.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     common(p_val)
+    p_val.set_defaults(func=cmd_validate)
 
     return parser
 
@@ -112,11 +117,11 @@ def _print_report(tag, report):
           f"decision_vars_avg={report.decision_vars_avg:.2f} coalitions_avg={report.coalitions_avg:.2f}")
 
 
-def cmd_run(args, centralized=False):
+def cmd_run(args):
     cfg = _materialize(args)
     cache = SynthesisCache()
-    trace = _run_one(cfg, centralized or getattr(args, "centralized", False), cache)
-    tag = "centralized" if (centralized or getattr(args, "centralized", False)) else "coalitional"
+    trace = _run_one(cfg, args.centralized, cache)
+    tag = "centralized" if args.centralized else "coalitional"
     path = _emit(cfg, trace, tag)
     report = accumulate_costs(trace, cfg.controller.link_cost)
     _print_report(tag, report)
@@ -184,20 +189,9 @@ def cmd_validate(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "baseline":
-            return cmd_run(args, centralized=True)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        parser.error(f"unknown command {args.command}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

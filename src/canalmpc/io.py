@@ -9,6 +9,9 @@ write/read cycle is lossless.
 import dataclasses
 import hashlib
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +32,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything one run needs: plant table, tuning, scenario, outputs."""
 
-    reaches: tuple = DEZ_REACHES
+    reaches: tuple[ReachParams, ...] = DEZ_REACHES
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     scenario: Scenario | None = None
     plant: PlantConfig = field(default_factory=PlantConfig)
     t_lambda: int = 4
-    c_link_sweep: tuple = (0.0, 0.15, 0.3, 0.6, 1.2, 2.4)
+    c_link_sweep: tuple[float, ...] = (0.0, 0.15, 0.3, 0.6, 1.2, 2.4)
     output_dir: str = "out"
     seed: int = 0
 
@@ -57,142 +60,88 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _fields(cls):
-    return {f.name for f in dataclasses.fields(cls)}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _section(value, where, known):
-    """The mapping `value`, checked to hold only `known` fields."""
+def _scalar(kind, value, where):
+    """A YAML scalar read as `kind`: a float field also takes an int; nothing else converts."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _mapping(value, where, known, required):
+    """The mapping `value`, checked to hold every `required` and only `known` fields."""
+    where = where or "top level"
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping, got {value!r}")
     unknown = set(value) - set(known)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(map(str, unknown))}")
+    for name in required:
+        if name not in value:
+            raise ConfigError(f"{where}: missing required field '{name}'")
     return value
 
 
-def _require(mapping, key, kind, where):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    value = mapping[key]
+def _read(kind, value, where):
+    """`value` read as the annotation `kind`: X | None, tuple[X, ...], a dataclass or a scalar.
+
+    A dataclass section takes its fields by name and leaves omitted ones at
+    their defaults; an error names the field by its path from the document root.
+    """
+    if kind is Scenario:
+        return _read_scenario(value, where)
+    if isinstance(kind, types.UnionType):  # X | None
+        return None if value is None else _read(typing.get_args(kind)[0], value, where)
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_read(item, v, f"{where}[{pos}]") for pos, v in enumerate(value, start=1))
+    if not dataclasses.is_dataclass(kind):
+        return _scalar(kind, value, where)
+    fields = {f.name: f for f in dataclasses.fields(kind)}
+    required = [name for name, f in fields.items()
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    _mapping(value, where, fields, required)
+    values = {name: _read(fields[name].type, v, f"{where}.{name}" if where else name)
+              for name, v in value.items()}
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: cannot interpret {value!r}") from None
-
-
-def _optional(mapping, key, kind, where, default):
-    return _require(mapping, key, kind, where) if key in mapping else default
-
-
-def _integer(value):
-    number = int(value)
-    if isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise ValueError(f"{value!r} is not an integer")
-    return number
-
-
-def _real(value):
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _list_of(kind):
-    def convert(values):
-        if not isinstance(values, list):
-            raise TypeError(f"{values!r} is not a list")
-        return tuple(kind(v) for v in values)
-    return convert
-
-
-def _parse_reaches(items):
-    if not isinstance(items, list) or not items:
-        raise ConfigError("reaches: must be a nonempty list")
-    reaches = []
-    for pos, item in enumerate(items, start=1):
-        where = f"reaches[{pos}]"
-        item = _section(item, where, _fields(ReachParams))
-        try:
-            reaches.append(
-                ReachParams(
-                    _require(item, "index", _integer, where),
-                    _require(item, "backwater_area", _real, where),
-                    _require(item, "delay_steps", _integer, where),
-                    _optional(item, "length", _real, where, 0.0),
-                    _optional(item, "bottom_width", _real, where, 0.0),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    indices = [r.index for r in reaches]
-    if indices != list(range(1, len(reaches) + 1)):
-        raise ConfigError("reaches: indices must be contiguous starting at 1")
-    return tuple(reaches)
-
-
-def _parse_controller(section):
-    defaults = dataclasses.asdict(ControllerConfig())
-    section = _section(section, "controller", defaults)
-    values = {k: _require(section, k, _integer if isinstance(defaults[k], int) else _real,
-                          "controller") for k in section}
-    try:
-        return ControllerConfig(**values)
+        return kind(**values)
     except ValueError as exc:
-        raise ConfigError(f"controller: {exc}") from None
+        raise ConfigError(f"{where or 'top level'}: {exc}") from None
 
 
-def _parse_scenario(section):
-    section = _section(section, "scenario", ("name", "horizon", "offtakes"))
-    name = _require(section, "name", str, "scenario")
-    horizon = _require(section, "horizon", _integer, "scenario")
-    offtakes = _require(section, "offtakes", dict, "scenario")
+def _read_scenario(value, where):
+    """The scenario section: its offtake table maps reach numbers to [step, value] lists."""
+    keys = ("name", "horizon", "offtakes")
+    section = _mapping(value, where, keys, keys)
+    if not isinstance(section["offtakes"], dict):
+        raise ConfigError(f"{where}.offtakes: expected a mapping, got {section['offtakes']!r}")
     schedules = {}
-    for key, entries in offtakes.items():
-        try:
-            reach = _integer(key)
-            schedule = tuple((_integer(step), _real(v)) for step, v in entries)
-        except (TypeError, ValueError):
-            raise ConfigError(f"scenario.offtakes.{key}: cannot interpret {entries!r}") from None
-        schedules[reach] = schedule
+    for key, entries in section["offtakes"].items():
+        at = f"{where}.offtakes.{key}"
+        reach = int(key) if isinstance(key, str) and key.isdecimal() else _scalar(int, key, at)
+        if reach in schedules:
+            raise ConfigError(f"{at}: reach {reach} is scheduled twice")
+        if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2
+                                                    for e in entries):
+            raise ConfigError(f"{at}: expected a list of [step, value] pairs, got {entries!r}")
+        schedules[reach] = tuple(
+            (_scalar(int, step, f"{at}[{pos}].step"), _scalar(float, v, f"{at}[{pos}].value"))
+            for pos, (step, v) in enumerate(entries, start=1))
     try:
-        return Scenario(name, horizon, schedules)
+        return Scenario(_scalar(str, section["name"], f"{where}.name"),
+                        _scalar(int, section["horizon"], f"{where}.horizon"), schedules)
     except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-
-
-def _parse_plant(section, n_reaches):
-    section = _section(section, "plant", _fields(PlantConfig))
-    factors = _optional(section, "surface_factors", _list_of(_real), "plant", None)
-    offsets = _optional(section, "delay_offsets", _list_of(_integer), "plant", None)
-    if any(v is not None and len(v) != n_reaches for v in (factors, offsets)):
-        raise ConfigError("plant: per-reach lists must match the reach count")
-    try:
-        return PlantConfig(
-            surface_factors=factors,
-            delay_offsets=offsets,
-            process_noise=_optional(section, "process_noise", _real, "plant", 0.0),
-            measurement_noise=_optional(section, "measurement_noise", _real, "plant", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(doc: dict) -> RunConfig:
-    doc = _section(doc, "top level", _fields(RunConfig))
-    defaults = RunConfig()
-    reaches = _parse_reaches(doc["reaches"]) if "reaches" in doc else defaults.reaches
-    return check_run_config(RunConfig(
-        reaches=reaches,
-        controller=_parse_controller(doc.get("controller", {})),
-        scenario=_parse_scenario(doc["scenario"]) if "scenario" in doc else None,
-        plant=_parse_plant(doc.get("plant", {}), len(reaches)),
-        t_lambda=_optional(doc, "t_lambda", _integer, "top level", defaults.t_lambda),
-        c_link_sweep=_optional(doc, "c_link_sweep", _list_of(_real), "top level",
-                               defaults.c_link_sweep),
-        output_dir=_optional(doc, "output_dir", str, "top level", defaults.output_dir),
-        seed=_optional(doc, "seed", _integer, "top level", defaults.seed),
-    ))
+    return check_run_config(_read(RunConfig, doc, ""))
 
 
 def check_run_config(cfg: RunConfig) -> RunConfig:
@@ -201,10 +150,18 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
     Parsed documents and configurations with command-line overrides both
     pass here, so neither reaches the closed loop with a supervisory
     interval below 1, a negative or non-finite link price, a plant delay
-    below one step, a negative seed, or a scenario whose schedules are not
-    those of reaches 1..N of the reach table.
+    below one step, a negative seed, a reach table that is empty or not
+    numbered 1..N, a per-reach plant list of another length than the table,
+    or a scenario whose schedules are not those of reaches 1..N.
     """
     n = len(cfg.reaches)
+    indices = [r.index for r in cfg.reaches]
+    if not n or indices != list(range(1, n + 1)):
+        raise ConfigError(f"reaches: indices must be 1..N for at least one reach, got {indices}")
+    for name in ("surface_factors", "delay_offsets"):
+        values = getattr(cfg.plant, name)
+        if values is not None and len(values) != n:
+            raise ConfigError(f"plant.{name}: {len(values)} entries for {n} reaches")
     if cfg.scenario is not None and sorted(cfg.scenario.schedules) != list(range(1, n + 1)):
         raise ConfigError(
             f"scenario: '{cfg.scenario.name}' schedules reaches {sorted(cfg.scenario.schedules)}, "

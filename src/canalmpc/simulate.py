@@ -91,8 +91,8 @@ class PlantConfig:
     unperturbed; a given list must have one entry per reach.
     """
 
-    surface_factors: tuple | None = None
-    delay_offsets: tuple | None = None
+    surface_factors: tuple[float, ...] | None = None
+    delay_offsets: tuple[int, ...] | None = None
     process_noise: float = 0.0
     measurement_noise: float = 0.0
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import yaml
 
-from canalmpc.canal import DEZ_REACHES
+from canalmpc.canal import DEZ_REACHES, ReachParams
 from canalmpc.control import ControllerConfig
 from canalmpc.io import (
     ConfigError,
+    RunConfig,
     builtin_config,
+    check_run_config,
     emit_plot_data,
     load_config,
     parse_config,
@@ -19,7 +21,7 @@ from canalmpc.io import (
     trace_columns,
     write_trace,
 )
-from canalmpc.simulate import Scenario, run_centralized
+from canalmpc.simulate import PlantConfig, Scenario, run_centralized
 from canalmpc.supervisor import SynthesisCache
 
 from oracles import plot_rows, trace_rows
@@ -97,6 +99,12 @@ class TestLoadConfig:
                 "name": "x", "horizon": 5,
                 "offtakes": {"99": [[0, 1.0]]},
             }})
+
+    def test_reach_scheduled_twice_named(self):
+        """A quoted and an unquoted key for one reach would otherwise let the last one win."""
+        with pytest.raises(ConfigError, match="reach 1 is scheduled twice"):
+            parse_config(yaml.safe_load("scenario: {name: x, horizon: 5, offtakes: "
+                                        "{1: [[0, 1.0]], '1': [[0, 5.0]]}}"))
 
     def test_unknown_top_level_field_named(self):
         with pytest.raises(ConfigError, match="t_lamda"):
@@ -218,12 +226,71 @@ class TestLoadConfig:
         ("scenario: {name: x, horizon: 5, offtakes: {1: [[0, on]]}}", "scenario.offtakes.1"),
         ("plant: {process_noise: yes}", "plant.process_noise"),
         ("plant: {surface_factors: [no]}", "plant.surface_factors"),
-        ("c_link_sweep: [true, false]", "top level.c_link_sweep"),
+        ("c_link_sweep: [true, false]", r"c_link_sweep\[1\]"),
     ], ids=["reaches", "controller", "scenario", "plant", "plant-list", "top-level"])
     def test_boolean_in_float_field_named(self, text, field):
         """YAML reads true/false, yes/no and on/off as booleans, which are not numbers."""
         with pytest.raises(ConfigError, match=field):
             parse_config(yaml.safe_load(text))
+
+    @pytest.mark.parametrize("text, names", [
+        ('reaches: [{index: 1, backwater_area: "1e5", delay_steps: 2}]', ["backwater_area"]),
+        ("reaches: [{index: 1, backwater_area: 100000.0, delay_steps: 2.0}]", ["delay_steps"]),
+        ('controller: {level_weight: "250"}', ["level_weight"]),
+        ('controller: {prediction_horizon: "10"}', ["prediction_horizon"]),
+        ('scenario: {name: x, horizon: 5, offtakes: {1: [["0", 1.0]]}}', ["offtakes.1[1].step"]),
+        ('scenario: {name: x, horizon: 5, offtakes: {1: [[0, "1.0"]]}}', ["offtakes.1[1].value"]),
+        ('plant: {process_noise: "0.1"}', ["process_noise"]),
+        ('plant: {surface_factors: [1.0, "0.8"]}', ["surface_factors[2]"]),
+        ("t_lambda: 4.0", ["t_lambda"]),
+        ('seed: "3"', ["seed"]),
+        ("output_dir: 5", ["output_dir"]),
+        ("reaches: [{index: 1, delay_steps: 2}]", ["reaches[1]", "backwater_area"]),
+        (f"controller: {{input_weight: {10 ** 400}}}", ["input_weight"]),
+    ], ids=["reach-float", "reach-int", "controller-float", "controller-int", "offtake-step",
+            "offtake-value", "plant-scalar", "plant-list", "t_lambda", "seed", "output_dir",
+            "missing-reach-field", "int-beyond-float"])
+    def test_field_of_wrong_type_named_once(self, text, names):
+        """A YAML value is read only as its field's type: an int may fill a float field if a
+        float can hold it, but no string or float is taken as a number or integer, and no
+        number as a string."""
+        with pytest.raises(ConfigError) as info:
+            parse_config(yaml.safe_load(text))
+        assert [str(info.value).count(name) for name in names] == [1] * len(names)
+
+    def test_every_field_read_back(self, tmp_path):
+        """Every field of every section, set away from its default, survives a YAML round trip."""
+        default = ControllerConfig()
+        cfg = RunConfig(
+            reaches=(ReachParams(1, 2.5e4, 2, 1500.0, 3.5), ReachParams(2, 4.0e4, 3, 2500.0, 6.0)),
+            controller=dataclasses.replace(default, **{
+                f.name: 2 * getattr(default, f.name) for f in dataclasses.fields(default)}),
+            scenario=Scenario("two", 12, {1: ((0, 1.5), (6, 0.5)), 2: ((0, 2.0),)}),
+            plant=PlantConfig(surface_factors=(1.1, 0.9), delay_offsets=(1, -1),
+                              process_noise=1e-3, measurement_noise=2e-3),
+            t_lambda=2,
+            c_link_sweep=(0.1, 0.5),
+            output_dir="elsewhere",
+            seed=5,
+        )
+        for section in (cfg, cfg.controller, cfg.plant, *cfg.reaches):
+            assert _fields_at_default(section) == []
+        doc = dataclasses.asdict(cfg)
+        doc["scenario"]["offtakes"] = doc["scenario"].pop("schedules")
+        path = tmp_path / "every_field.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("cfg, field", [
+        (RunConfig(plant=PlantConfig(surface_factors=(1.0,) * 12)), "plant.surface_factors"),
+        (RunConfig(plant=PlantConfig(delay_offsets=(0,) * 14)), "plant.delay_offsets"),
+        (RunConfig(reaches=()), "reaches"),
+        (RunConfig(reaches=DEZ_REACHES[1:]), "reaches"),
+    ], ids=["surface-factors", "delay-offsets", "no-reaches", "reach-numbering"])
+    def test_cross_field_checks_cover_built_configs(self, cfg, field):
+        """A configuration built in Python meets the same checks as a parsed one."""
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            check_run_config(cfg)
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):
@@ -280,6 +347,14 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
         assert path.read_text().splitlines()[6:] == trace_rows(trace)
+
+
+def _fields_at_default(obj):
+    """The names of the fields of dataclass `obj` that hold their default value."""
+    return [f.name for f in dataclasses.fields(obj)
+            if f.default is not dataclasses.MISSING and getattr(obj, f.name) == f.default
+            or f.default_factory is not dataclasses.MISSING
+            and getattr(obj, f.name) == f.default_factory()]
 
 
 def _awkward_trace(trace):
