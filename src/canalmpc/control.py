@@ -464,15 +464,17 @@ class MpcStep:
     eps: np.ndarray      # (N_c, n_q) flow-floor slacks for t = 1..N_c
     status: str
     objective: float
+    active_set: tuple = ()   # the QP's final working inequality rows
 
 
-def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
+def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> MpcStep:
     """Solve the coalition MPC around the feedback law.
 
     Minimizes the shifted-state cost over v'(0..N_c-1) and nonnegative
     flow-floor slacks, subject to the closed-loop prediction, the soft flow
     floor, and the hard input box at every step of the horizon.  `prog` is
-    the coalition's program from prepare_mpc.
+    the coalition's program from prepare_mpc; `start` is the QP's initial
+    working set (solve_qp), usually the previous step's active_set.
     """
     n_p, n_c, n_q, m = prog.n_p, prog.n_c, prog.n_q, prog.m
     nu = m * n_c
@@ -488,7 +490,7 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
     base = prog.box_map @ zeta0 + np.tile(u_s, n_p + 1)
     bin_ = np.concatenate([flows - cfg.flow_margin, np.zeros(n_eps), bound - base, bound + base])
 
-    sol = solve_qp(prog.qp, f_vec, bin=bin_)
+    sol = solve_qp(prog.qp, f_vec, bin=bin_, start=start)
     if sol.status == numerics.INFEASIBLE:
         return MpcStep(
             np.zeros((n_c, m)), np.zeros((n_c, n_q)),
@@ -496,7 +498,7 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg) -> MpcStep:
         )
     vprime = sol.x[:nu].reshape(n_c, m)
     eps = sol.x[nu:].reshape(n_c, n_q)
-    return MpcStep(vprime, eps, sol.status, sol.objective)
+    return MpcStep(vprime, eps, sol.status, sol.objective, sol.active_set)
 
 
 def control_action(zeta, u_s, vprime, gain):
@@ -513,6 +515,8 @@ class CoalitionController:
     """One coalition's filter, gains and condensed MPC, stepped by the simulator.
 
     Filter matrices, setpoint program and MPC program are built once, here.
+    Each MPC solve starts from the working set the last optimal one ended
+    on; a new controller starts cold, so the set never outlives its run.
     """
 
     def __init__(self, coalition, gain, p_mat, cfg):
@@ -523,6 +527,7 @@ class CoalitionController:
         self.setpoint_program = prepare_setpoint(coalition, gain, cfg)
         self.program = prepare_mpc(coalition, gain, p_mat, cfg)
         self.kf: KalmanState | None = None
+        self.mpc_start = ()
 
     def warm_start(self, history, schedule):
         self.kf = kf_init(self.filter, history, schedule)
@@ -550,9 +555,10 @@ class CoalitionController:
         xi_hat, omega_hat = self.kf.split(model.n)
         setpoint = feasible_setpoint(self.setpoint_program, rho, omega_hat, xi_hat, self.cfg)
         zeta = xi_hat - setpoint.xi_s
-        step = mpc_step(zeta, setpoint, self.program, self.cfg)
+        step = mpc_step(zeta, setpoint, self.program, self.cfg, self.mpc_start)
         if step.status == numerics.INFEASIBLE:
             raise RuntimeError(
                 f"MPC infeasible for coalition {model.members}"
             )
+        self.mpc_start = step.active_set if step.status == numerics.OPTIMAL else ()
         return control_action(zeta, setpoint.u_s, step.vprime, self.gain), setpoint

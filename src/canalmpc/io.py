@@ -194,7 +194,7 @@ def load_config(path) -> RunConfig:
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
             raise ConfigError(f"{path}: {exc}") from None
     return parse_config(doc)
 

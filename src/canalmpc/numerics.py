@@ -221,7 +221,29 @@ def _working_dual(r, q_v, n_working):
     return np.linalg.solve(r[-n_working:, -n_working:], q_v[-n_working:])
 
 
-def solve_qp(structure, f, beq=None, bin=None, max_iter=None):
+def _warm_start(s, w, beq, bin_, start):
+    """Q, R, z and inequality multipliers on the working set Aeq, Ain[start],
+    or None when a start row is dependent or a multiplier is negative.
+
+    With the working rows' L^-1 A_W' = QR and y = R^-T b_W, the minimizer of
+    0.5 |z + w|^2 on A_W x = b_W is z = Q(Q'w + y) - w, with multipliers
+    -R^-1 (Q'w + y)."""
+    q, r = s.eq_q, s.eq_r
+    try:
+        for i in start:
+            v = s.chol_inv @ s.Ain[i]
+            q, r = _qr_append(q, r, v, RANK_RTOL * np.linalg.norm(v))
+    except SingularMatrixError:
+        return None
+    b = bin_[list(start)] if beq is None else np.concatenate([beq, bin_[list(start)]])
+    qwy = q.T @ w + np.linalg.solve(r.T, b)
+    lam = -_working_dual(r, qwy, len(start))
+    if not np.all(lam >= 0.0):
+        return None
+    return q, r, q @ qwy - w, lam
+
+
+def solve_qp(structure, f, beq=None, bin=None, max_iter=None, start=()):
     """Solve a small dense strictly convex QP by the dual active-set method
     of Goldfarb & Idnani (Math. Programming 27, 1983).
 
@@ -229,13 +251,23 @@ def solve_qp(structure, f, beq=None, bin=None, max_iter=None):
     and right-hand sides beq and bin (None where the family has no such
     rows); the vectors are taken as given, unchecked.  In z = L'x the
     objective is 0.5 |z + L^-1 f|^2 and a constraint row a becomes
-    v = L^-1 a'.  The solve starts at the equality-constrained
-    minimizer and adds the most violated inequality (lowest index on ties).
-    With the working rows' L^-1 A_w' = QR, adding v moves z along
-    -(I - QQ')v and the working inequality multipliers along -R^-1 Q'v; a
-    working row whose multiplier reaches zero first (lowest index on ties)
-    leaves before v enters.  A v in the span of the working rows that no
-    multiplier makes room for proves the inequalities infeasible.
+    v = L^-1 a'.  The solve starts at the minimizer on the equality rows
+    plus the inequality rows `start` and adds the most violated inequality
+    (lowest index on ties).  With the working rows' L^-1 A_w' = QR, adding
+    v moves z along -(I - QQ')v and the working inequality multipliers
+    along -R^-1 Q'v; a working row whose multiplier reaches zero first
+    (lowest index on ties) leaves before v enters.  A v in the span of the
+    working rows that no multiplier makes room for proves the inequalities
+    infeasible.
+
+    `start`, typically the previous solve's active_set, may be any
+    inequality rows: Goldfarb & Idnani may start from any working set whose
+    minimizer has nonnegative multipliers.  A start row whose v depends on
+    the rows before it, or a start with a negative multiplier, is refused
+    for the cold start on the equality rows alone, which start=() selects.
+    Either way the solve ends at the unique minimizer of the strictly
+    convex QP, so a taken start changes only round-off and the iteration
+    count, and a refused one gives the cold solve bit for bit.
 
     Deterministic: the same problem always yields the same solution.  Status
     is 'infeasible' when no point satisfies the inequalities on the equality
@@ -243,21 +275,27 @@ def solve_qp(structure, f, beq=None, bin=None, max_iter=None):
     reached.  A ValueError is raised when the step onto an entering row all
     but in the working span overflows.  Nothing fixed is factored per solve:
     L^-1, the QR of L^-1 Aeq' and the start map Q R^-T come from the
-    QpStructure; an entering row is appended to that QR, a leaving row
-    triggers a fresh QR.
+    QpStructure; start rows and an entering row are appended to that QR, a
+    leaving row triggers a fresh QR.
     """
     s = structure
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
     Ain, bin_ = s.Ain, np.zeros(0) if bin is None else bin
-    q, r = s.eq_q, s.eq_r
     w = s.chol_inv @ f
-    z = q @ (q.T @ w) - w
-    if beq is not None:
-        z += s.start_beq @ beq
+    warm = _warm_start(s, w, beq, bin_, start) if start else None
+    # working: inequality rows in QR column order; lam: their multipliers
+    if warm is None:
+        q, r = s.eq_q, s.eq_r
+        z = q @ (q.T @ w) - w
+        if beq is not None:
+            z += s.start_beq @ beq
+        working, lam = [], np.zeros(0)
+    else:
+        q, r, z, lam = warm
+        working = list(start)
     x = s.chol_inv.T @ z
 
-    working, lam = [], np.zeros(0)  # inequality rows in QR column order, their multipliers
     enter = None
     for it in range(1, max_iter + 1):
         if enter is None:

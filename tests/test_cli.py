@@ -137,6 +137,14 @@ class TestCli:
         assert rc == 2
         assert "configuration error: plant.surface_factors" in capsys.readouterr().err
 
+    def test_oversized_int_config_exit_code(self, tmp_path, capsys):
+        """PyYAML raises a plain ValueError for an int past Python's 4300-digit limit."""
+        path = tmp_path / "big.yaml"
+        path.write_text("seed: 1" + "0" * 5000 + "\n")
+        rc = main(["validate", "--config", str(path)])
+        assert rc == 2
+        assert f"configuration error: {path}: Exceeds the limit" in capsys.readouterr().err
+
     def test_zero_tlambda_override_refused(self, tmp_path, capsys):
         cfg = mini_config(tmp_path)
         rc = main(["run", "--config", str(cfg), "--tlambda", "0"])

@@ -484,10 +484,10 @@ class TestStackedHorizonMaps:
         """mpc_step's result, the f and bin it hands to solve_qp and the solve's wall time."""
         handed = []
 
-        def spy(structure, f, beq=None, bin=None):
-            start = time.perf_counter()
-            sol = numerics.solve_qp(structure, f, beq, bin)
-            handed.append((f, bin, time.perf_counter() - start))
+        def spy(structure, f, beq=None, bin=None, start=()):
+            began = time.perf_counter()
+            sol = numerics.solve_qp(structure, f, beq, bin, start=start)
+            handed.append((f, bin, time.perf_counter() - began))
             return sol
 
         monkeypatch.setattr(control, "solve_qp", spy)

@@ -495,6 +495,28 @@ class TestSolveQp:
             assert s1.optimal
             assert np.array_equal(s1.x, s2.x)
 
+    # x1 <= 1 binds at the optimum (1, 0); x1 >= -5 held as an equality
+    # needs multiplier -14, and x1 >= -5 is parallel to x1 <= 1.
+    START_QP = (QpStructure(2.0 * np.eye(2), Ain=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])),
+                np.array([-4.0, 0.0]), np.array([1.0, 5.0, 3.0]))
+
+    def test_start_on_final_working_set_takes_one_iteration(self):
+        structure, f, bin_ = self.START_QP
+        cold = solve_qp(structure, f, bin=bin_)
+        assert cold.optimal and cold.active_set == (0,) and cold.iterations == 2
+        warm = solve_qp(structure, f, bin=bin_, start=cold.active_set)
+        assert warm.optimal and warm.active_set == (0,) and warm.iterations == 1
+        assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("start", [(1,), (0, 1)], ids=["negative-multiplier", "dependent-row"])
+    def test_rejected_start_is_the_cold_solve(self, start):
+        structure, f, bin_ = self.START_QP
+        cold = solve_qp(structure, f, bin=bin_)
+        warm = solve_qp(structure, f, bin=bin_, start=start)
+        assert np.array_equal(warm.x, cold.x)
+        assert (warm.objective, warm.status, warm.iterations, warm.active_set) == \
+            (cold.objective, cold.status, cold.iterations, cold.active_set)
+
     def test_deterministic(self):
         rng = np.random.default_rng(21)
         H = np.eye(3) * 2
@@ -530,19 +552,35 @@ def dense_qps(draw):
             draw(hnp.arrays(float, n_in, elements=ENTRIES)))
 
 
+def _assert_matches(sol, reference):
+    x_ref, obj_ref = reference
+    if x_ref is None:
+        assert sol.status == numerics.INFEASIBLE
+        return
+    assert sol.optimal
+    assert abs(sol.objective - obj_ref) <= 1e-6 * (1 + abs(obj_ref))
+    assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-6 * (1 + np.linalg.norm(x_ref, np.inf))
+
+
 class TestSolveQpProperty:
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(dense_qps())
     def test_matches_enumeration_or_reports_infeasible(self, qp):
         H, f, Aeq, beq, Ain, bin_ = qp
-        sol = solve_qp(QpStructure(H, Aeq, Ain), f, beq, bin_)
-        x_ref, obj_ref = brute_force_qp(H, f, Aeq, beq, Ain, bin_)
-        if x_ref is None:
-            assert sol.status == numerics.INFEASIBLE
-            return
-        assert sol.optimal
-        assert abs(sol.objective - obj_ref) <= 1e-6 * (1 + abs(obj_ref))
-        assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-6 * (1 + np.linalg.norm(x_ref, np.inf))
+        _assert_matches(solve_qp(QpStructure(H, Aeq, Ain), f, beq, bin_), brute_force_qp(*qp))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(dense_qps(), st.data())
+    def test_any_start_matches_enumeration(self, qp, data):
+        """A start on any subset of the inequality rows, taken or refused for
+        the cold start, ends at the enumerated minimizer.  Random subsets are
+        mostly refused, subsets of the cold solve's active set mostly taken."""
+        H, f, Aeq, beq, Ain, bin_ = qp
+        structure, reference = QpStructure(H, Aeq, Ain), brute_force_qp(*qp)
+        cold = solve_qp(structure, f, beq, bin_)
+        for rows in (range(len(bin_)), cold.active_set):
+            start = tuple(i for i in rows if data.draw(st.booleans()))
+            _assert_matches(solve_qp(structure, f, beq, bin_, start=start), reference)
 
 
 class TestPurity:

@@ -151,6 +151,26 @@ class TestClosedLoop:
         t2 = run_closed_loop(sc, seed=3, cache=SynthesisCache())
         assert t1.arrays_equal(t2)
 
+    @pytest.mark.parametrize("run", [run_closed_loop, run_centralized])
+    def test_mpc_start_lives_with_its_controller(self, run, monkeypatch):
+        """MPC solves start from the previous step's working set, but each
+        controller's first solve starts cold, and a run on a cache another
+        run filled equals that run: the set is never shared."""
+        starts = {}  # per QP structure, kept alive so no two share an id
+        real = control.solve_qp
+
+        def recording(structure, *args, start=(), **kwargs):
+            starts.setdefault(structure, []).append(start)
+            return real(structure, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(control, "solve_qp", recording)
+        # The MPC's input box first binds near step 100, after the k = 72 drop.
+        cache = SynthesisCache()
+        first = run(scenario_1(horizon=120), seed=0, cache=cache)
+        assert run(scenario_1(horizon=120), seed=0, cache=cache).arrays_equal(first)
+        assert any(any(seen) for seen in starts.values())
+        assert all(seen[0] == () for seen in starts.values())
+
     def test_hard_constraint_all_steps(self):
         sc = scenario_1(horizon=120)
         trace = run_closed_loop(sc, seed=0, cache=CACHE)
@@ -238,9 +258,10 @@ class TestBuiltOnce:
         count(control, "prepare_mpc")
         solve_qp = numerics.solve_qp
 
-        def solve_counting_iterations(*args, **kwargs):
-            sol = solve_qp(*args, **kwargs)
+        def solve_counting_iterations(*args, start=(), **kwargs):
+            sol = solve_qp(*args, start=start, **kwargs)
             calls["iterations"] += sol.iterations
+            calls["start_rows"] += len(start)
             return sol
 
         monkeypatch.setattr(control, "solve_qp", solve_counting_iterations)
@@ -259,13 +280,16 @@ class TestBuiltOnce:
         assert calls["prepare_mpc"] <= controllers
         assert calls["solves"] > 0
         # Both QPs step on their structure's Cholesky factor, factored once
-        # per structure, and append at most one row L^-1 a_i to the QR per
-        # iteration.  No row enters the working set before step 72 of
-        # scenario1, so the bound is checked on a run past it.
+        # per structure, and append to the QR one row L^-1 a_i per start
+        # row before the first iteration and at most one per iteration.  No
+        # row enters the working set before step 72 of scenario1, and no
+        # MPC row, so no start row, before step 100, so the bound is checked
+        # on a run past both.
         calls.clear()
-        run_centralized(scenario_1(horizon=80), seed=0, cache=SynthesisCache())
+        run_centralized(scenario_1(horizon=120), seed=0, cache=SynthesisCache())
         assert calls["cholesky"] <= calls["structures"] == 2
-        assert 0 < calls["_qr_append"] <= calls["iterations"]
+        assert calls["start_rows"] > 0
+        assert 0 < calls["_qr_append"] <= calls["iterations"] + calls["start_rows"]
 
 
 class TestCentralized:
