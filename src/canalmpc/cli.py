@@ -1,6 +1,7 @@
 """Command-line surface: run, baseline, compare, sweep, validate."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -38,7 +39,7 @@ def _build_parser():
         p.add_argument("--clink", type=float, default=None, help="link cost override")
         p.add_argument("--tlambda", type=int, default=None, help="supervisory interval override")
         p.add_argument("--mismatch", type=float, default=None,
-                       help="plant mismatch factor (alternating +/- on surfaces)")
+                       help="plant mismatch factor (alternating +/- on surfaces only)")
 
     p_run = sub.add_parser("run", help="closed-loop coalitional run")
     common(p_run)
@@ -79,7 +80,8 @@ def _materialize(args):
         cfg.t_lambda = args.tlambda
     if args.mismatch is not None:
         try:
-            cfg.plant = PlantConfig.with_mismatch(args.mismatch, len(cfg.reaches))
+            factors = PlantConfig.with_mismatch(args.mismatch, len(cfg.reaches)).surface_factors
+            cfg.plant = dataclasses.replace(cfg.plant, surface_factors=factors)
         except ValueError as exc:
             raise ConfigError(f"--mismatch {args.mismatch}: {exc}") from None
     return check_run_config(cfg)
@@ -167,10 +169,8 @@ def cmd_sweep(args):
     incumbent = Topology(n, ends & frozenset(range(1, n)))  # links 1..n-1 only
     counts = []
     for c_link in sorted(cfg.c_link_sweep):
-        result = select_topology(
-            state, rho, published, incumbent, cache,
-            subs, cfg.controller, cfg.t_lambda, c_link=c_link, global_model=model,
-        )
+        result = select_topology(state, rho, published, incumbent, cache, subs,
+                                 cfg.controller, cfg.t_lambda, c_link, model)
         counts.append(result.topology.n_links)
         print(f"c_link={c_link:g}: selected {result.topology.bits()} ({result.topology.n_links} links)")
     monotone = all(a >= b for a, b in zip(counts, counts[1:]))

@@ -9,6 +9,7 @@ write/read cycle is lossless.
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import types
 import typing
@@ -273,21 +274,8 @@ def read_trace(path) -> SimTrace:
     if trace_columns(n) != header:
         raise ValueError(f"{path}: unexpected column layout")
     rows = [ln.split(",") for ln in lines[body_start + 1:] if ln]
-    horizon = len(rows)
-    trace = SimTrace(
-        scenario=meta.get("scenario", ""),
-        levels=np.zeros((horizon, n)),
-        flows=np.zeros((horizon, n)),
-        inputs=np.zeros((horizon, n)),
-        offtakes=np.zeros((horizon, n)),
-        topology_bits=[],
-        perf_cost=np.zeros(horizon),
-        net_links=np.zeros(horizon, dtype=int),
-        n_coalitions=np.zeros(horizon, dtype=int),
-        mean_decision_vars=np.zeros(horizon),
-        config_hash=meta.get("config_hash", ""),
-        seed=int(meta.get("seed", 0)),
-    )
+    trace = SimTrace.empty(meta.get("scenario", ""), len(rows), n,
+                           int(meta.get("seed", 0)), meta.get("config_hash", ""))
     for k, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {k} has {len(row)} fields, expected {len(header)}")
@@ -312,8 +300,6 @@ def emit_plot_data(trace: SimTrace, outdir, c_link: float) -> list:
     Returns the list of files written.  The cost file carries accumulated
     performance cost and the same plus network usage priced at c_link.
     """
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     n = trace.levels.shape[1]
     written = []

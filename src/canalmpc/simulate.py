@@ -179,6 +179,17 @@ class SimTrace:
     config_hash: str = ""
     seed: int = 0
 
+    @classmethod
+    def empty(cls, scenario: str, horizon: int, n: int, seed: int, config_hash: str) -> "SimTrace":
+        """A zero-filled trace of `horizon` steps over `n` reaches, to be filled step by step."""
+        levels, flows, inputs, offtakes = (np.zeros((horizon, n)) for _ in range(4))
+        return cls(
+            scenario, levels, flows, inputs, offtakes, topology_bits=[],
+            perf_cost=np.zeros(horizon), net_links=np.zeros(horizon, dtype=int),
+            n_coalitions=np.zeros(horizon, dtype=int), mean_decision_vars=np.zeros(horizon),
+            config_hash=config_hash, seed=seed,
+        )
+
     @property
     def horizon(self):
         return self.levels.shape[0]
@@ -223,37 +234,21 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     published = PublishedSetpoints.bootstrap(flows)
 
     incumbent = full_topology(n)
-    controllers: dict = {}
-
-    horizon = scenario.horizon
-    trace = SimTrace(
-        scenario=scenario.name,
-        levels=np.zeros((horizon, n)),
-        flows=np.zeros((horizon, n)),
-        inputs=np.zeros((horizon, n)),
-        offtakes=np.zeros((horizon, n)),
-        topology_bits=[],
-        perf_cost=np.zeros(horizon),
-        net_links=np.zeros(horizon, dtype=int),
-        n_coalitions=np.zeros(horizon, dtype=int),
-        mean_decision_vars=np.zeros(horizon),
-        seed=seed,
-    )
+    controllers = {}
+    trace = SimTrace.empty(scenario.name, scenario.horizon, n, seed, "")
 
     def rebuild_controllers(topology):
         fresh = {}
         for record in synthesize(partition_of(topology), subs, ctrl_cfg, cache):
             members = record.model.members
-            if members in controllers:
-                fresh[members] = controllers[members]
-                continue
-            ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
-            ctrl.warm_start(history, cache.schedule(ctrl.filter, len(history)))
+            ctrl = controllers.get(members)
+            if ctrl is None:
+                ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
+                ctrl.warm_start(history, cache.schedule(ctrl.filter, len(history)))
             fresh[members] = ctrl
-        controllers.clear()
-        controllers.update(fresh)
+        return fresh
 
-    for k in range(horizon):
+    for k in range(scenario.horizon):
         rho = scenario.offtakes_at(k)
         if k > 0:
             levels, flows = plant.measure()
@@ -261,15 +256,13 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             del flows_hist[max_delay:]
 
         state = nominal_model.stack_state(flows_hist, levels)
-        if supervision and k % t_lambda == 0:
-            result = select_topology(
-                state, rho, published, incumbent, cache, subs, ctrl_cfg,
-                t_lambda, global_model=nominal_model,
-            )
-            incumbent = result.topology
-            rebuild_controllers(incumbent)
-        elif k == 0:
-            rebuild_controllers(incumbent)
+        if k == 0 or supervision and k % t_lambda == 0:
+            if supervision:
+                incumbent = select_topology(
+                    state, rho, published, incumbent, cache, subs, ctrl_cfg,
+                    t_lambda, ctrl_cfg.link_cost, nominal_model,
+                ).topology
+            controllers = rebuild_controllers(incumbent)
 
         if k > 0:
             last = history[-1]

@@ -25,7 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .canal import CoalitionModel, assemble_global, build_coalition_model
+from .canal import CoalitionModel, build_coalition_model
 from .control import ControllerConfig, compute_setpoint, kf_schedule, weight_matrices
 from .numerics import (
     RiccatiConvergenceError,
@@ -34,7 +34,7 @@ from .numerics import (
     lyapunov_residual,
     solve_dare,
 )
-from .topology import Partition, Topology, candidate_set, network_cost_total, partition_of
+from .topology import Partition, Topology, candidate_set, partition_of
 
 CERT_RTOL = 1e-8
 TIE_RTOL = 1e-9  # score tie tolerance; real margins measure >= 3e-5 relative
@@ -115,15 +115,14 @@ def _synthesize_one(coalition, cfg) -> CoalitionGains:
     return CoalitionGains(coalition, gain, p_mat, d_res, l_res)
 
 
-def synthesize(partition: Partition, subsystems, cfg: ControllerConfig, cache=None) -> list:
+def synthesize(partition: Partition, subsystems, cfg: ControllerConfig,
+               cache: SynthesisCache) -> list:
     """One certified CoalitionGains record per block of the partition, in block order.
 
     Gains depend on each subsystem's delay and gain and on the level and
     input weights, and the cache's gain schedules also on every kf_*
-    setting; the cache is bound to all of these by value.  Without a cache
-    the coalitions are synthesized in a throwaway one.
+    setting; the cache is bound to all of these by value.
     """
-    cache = SynthesisCache() if cache is None else cache
     cache.bind((tuple((sub.delay, sub.gain) for sub in subsystems),
                 cfg.level_weight, cfg.input_weight, _kf_tuning(cfg)))
     records = []
@@ -161,61 +160,38 @@ class PublishedSetpoints:
         self.outflow[idx] = setpoint.xi_s[coalition.gate_flow_rows()] + setpoint.u_s
 
 
-def estimate_cross_effects(coalitions, published: PublishedSetpoints):
-    """Steady boundary-flow estimate per coalition from published setpoints.
-
-    Each coupling channel carries the downstream source gate's flow plus its
-    input increment, read from the owning coalition's latest setpoint.
-    """
-    return [published.outflow[[s - 1 for s in coal.coupling_sources]] for coal in coalitions]
-
-
-@dataclass
-class PreviewContext:
-    """What topology_value needs to roll the true model forward.
-
-    The yardstick is the zero-level steady state of the whole chain at the
-    currently measured offtakes: the one deviation measure every candidate
-    shares, so that a decomposition cannot look good merely because its own
-    (stale) targets sit close to the current state.
-    """
-
-    global_model: object        # assembled chain (controllers' nominal model)
-    rho: np.ndarray             # current offtakes, held constant
-    cfg: ControllerConfig
-    yardstick: np.ndarray       # global steady state xi_bar*
-
-
-def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
-                   preview: PreviewContext):
+def topology_value(state, candidates, records, setpoints, c_link, t_lambda, model, rho, cfg):
     """Scores of all candidates: predicted shifted-state cost plus priced network usage.
 
     Candidate c's decentralized law u = clip(K_c (xi - xi_bar_c)), with
     K_c = blockdiag(K_1, ...) and each coalition steering toward its own
-    zero-level steady state, is rolled out on the coupled chain model from
-    the flat chain-ordered `state` for max(t_lambda, preview_horizon) steps.
+    zero-level steady state, is rolled out on the coupled chain `model` from
+    the flat chain-ordered `state` for max(t_lambda, preview_horizon) steps,
+    with the offtakes `rho` held constant.
     The candidates are rolled out together: row c of the (C x n) batched state
     is candidate c's own rollout, and each step is one batched product,
     clip and model update.  The stage costs and the terminal per-coalition
-    cost-to-go zeta'P zeta are measured against the common global steady
-    state.  Stale boundary targets make a rollout drift away from that
-    steady state, which the score exposes.  `records[c]` are candidate c's
-    CoalitionGains in chain order, as synthesize(partition_of(candidate))
-    returns them, so that their stacked states are the global state;
-    `setpoints` maps each coalition's members to its xi_bar.
-    Returns one score per candidate.
+    cost-to-go zeta'P zeta are measured against the yardstick xi*, the
+    chain's zero-level steady state at `rho`: the one deviation measure every
+    candidate shares, so that a decomposition cannot look good merely because
+    its own (stale) targets sit close to the current state.  Stale boundary
+    targets make a rollout drift away from xi*, which the score exposes.
+    `records[c]` are candidate c's CoalitionGains in chain order, as
+    synthesize(partition_of(candidate)) returns them, so that their stacked
+    states are the global state; `setpoints` maps each coalition's members
+    to its xi_bar.  Returns one score per candidate.
     """
-    model = preview.global_model
-    cfg = preview.cfg
     n_cand = len(records)
     k_t = np.zeros((n_cand, model.n, model.m))      # K_c transposed, block-diagonal
     xi_bar = np.empty((n_cand, model.n))
+    terminal = []                                   # (c, rows, P_i) per zeta_i' P_i zeta_i
     for c, gains in enumerate(records):
         row = col = 0
         for g in gains:
             rows, cols = slice(row, row + g.model.n), slice(col, col + g.model.m)
             k_t[c, rows, cols] = g.gain.T
             xi_bar[c, rows] = setpoints[g.model.members]
+            terminal.append((c, rows, g.p_mat))
             row, col = rows.stop, cols.stop
 
     steps = max(t_lambda, cfg.preview_horizon)
@@ -223,7 +199,7 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
     u = np.empty((steps, n_cand, model.m))
     e[0] = state - xi_bar
     xi_t, up_t = model.Xi.T, model.Up.T
-    drift = xi_bar @ xi_t - xi_bar + model.Phi @ preview.rho
+    drift = xi_bar @ xi_t - xi_bar + model.Phi @ rho
     bound, by_input = cfg.input_bound, np.empty((n_cand, model.n))
     for e_k, e_next, u_k in zip(e, e[1:], u):
         np.matmul(e_k[:, None, :], k_t, out=u_k[:, None, :])
@@ -234,20 +210,17 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda,
         e_next += drift
 
     level_rows = model.level_rows()
-    offset = xi_bar - preview.yardstick             # e + offset: deviation from xi*
+    offset = xi_bar - compute_setpoint(model, rho, np.zeros(0))  # e + offset: deviation from xi*
     dev = e[:steps, :, level_rows]                  # a copy: squared in place below, as is u
     dev += offset[:, level_rows]
     stage = (cfg.level_weight * np.sum(np.square(dev, out=dev), axis=2)
              + cfg.input_weight * np.sum(np.square(u, out=u), axis=2))
-    total = np.array([network_cost_total(cand, c_link, t_lambda) for cand in candidates])
+    total = np.array([c_link * cand.n_links * t_lambda for cand in candidates])
     total += stage.sum(axis=0)
     zeta = e[steps] + offset
-    for c, gains in enumerate(records):
-        row = 0
-        for g in gains:
-            z = zeta[c, row:row + g.model.n]
-            total[c] += z @ g.p_mat @ z
-            row += g.model.n
+    for c, rows, p_mat in terminal:
+        z = zeta[c, rows]
+        total[c] += z @ p_mat @ z
     return total
 
 
@@ -260,50 +233,41 @@ class SelectionResult:
 def candidate_setpoints(records, rho, published):
     """Step-3/4 setpoints of every distinct coalition among the records.
 
-    A coalition's boundary estimate comes from the published data, then its
-    zero-level steady state is solved once, however many candidates share
-    it.  Returns members -> xi_bar.
+    A coalition's boundary estimate is the published outflow of each of its
+    coupling sources: that gate's flow plus its input increment, from the
+    owning coalition's latest setpoint.  Its zero-level steady state is then
+    solved once, however many candidates share it.  Returns members -> xi_bar.
     """
-    coalitions = list({g.model.members: g.model for g in records}.values())
-    omegas = estimate_cross_effects(coalitions, published)
+    coalitions = {g.model.members: g.model for g in records}.values()
     return {
-        coal.members: compute_setpoint(coal, rho[[s - 1 for s in coal.members]], omega)
-        for coal, omega in zip(coalitions, omegas)
+        coal.members: compute_setpoint(coal, rho[[s - 1 for s in coal.members]],
+                                       published.outflow[[s - 1 for s in coal.coupling_sources]])
+        for coal in coalitions
     }
 
 
 def select_topology(state, rho, published, incumbent, cache,
                     subsystems, cfg: ControllerConfig, t_lambda: int,
-                    c_link=None, global_model=None) -> SelectionResult:
+                    c_link, global_model) -> SelectionResult:
     """Evaluate the incumbent and all one-link toggles; return the cheapest.
 
     Each candidate's coalitions get boundary estimates and setpoints from
     the published data, and all candidates are scored in one batched
-    rollout of their decentralized feedback on the coupled chain model over
-    the coming interval (topology_value).  Each row of the batch is its
-    candidate's own rollout: rows share only the model and the starting
-    state, so a candidate scores the same, up to round-off, whichever
-    others are scored with it.  Scores within TIE_RTOL * (1 + |best|) of the
-    best tie, so round-off never decides; ties break toward fewer links, then
-    the lexicographically smallest bit-string.  `values` lists (bit-string,
-    score) in candidate_set order.  Without a cache the gains are
-    synthesized in a throwaway one.
+    rollout of their decentralized feedback on the coupled chain model
+    `global_model` over the coming interval (topology_value).  Each row of
+    the batch is its candidate's own rollout: rows share only the model and
+    the starting state, so a candidate scores the same, up to round-off,
+    whichever others are scored with it.  Scores within TIE_RTOL * (1 + |best|)
+    of the best tie, so round-off never decides; ties break toward fewer
+    links, then the lexicographically smallest bit-string.  `values` lists
+    (bit-string, score) in candidate_set order.
     """
-    if c_link is None:
-        c_link = cfg.link_cost
-    cache = SynthesisCache() if cache is None else cache
     rho = np.asarray(rho, dtype=float)
-    if global_model is None:
-        global_model = assemble_global(subsystems)
-    yardstick = compute_setpoint(global_model, rho, np.zeros(0))
-    preview = PreviewContext(
-        global_model=global_model, rho=rho, cfg=cfg, yardstick=yardstick
-    )
-
     candidates = candidate_set(incumbent)
     records = [synthesize(partition_of(cand), subsystems, cfg, cache) for cand in candidates]
     setpoints = candidate_setpoints([g for gains in records for g in gains], rho, published)
-    values = topology_value(state, candidates, records, setpoints, c_link, t_lambda, preview)
+    values = topology_value(state, candidates, records, setpoints, c_link, t_lambda,
+                            global_model, rho, cfg)
     scored = [(float(value), cand.n_links, cand.bits(), cand)
               for value, cand in zip(values, candidates)]
     cutoff = min(t[0] for t in scored)

@@ -95,11 +95,6 @@ def candidate_set(current: Topology) -> list:
     return [current] + [current.toggled(i) for i in range(1, current.n_agents)]
 
 
-def network_cost_total(topology: Topology, c_link: float, t_lambda: int) -> float:
-    """Total network usage cost over t_lambda steps; c_link is checked on entry."""
-    return c_link * topology.n_links * t_lambda
-
-
 def link_activity_matrix(bit_strings) -> np.ndarray:
     """Steps-by-links 0/1 matrix from a sequence of topology bit-strings."""
     return np.array([[int(c) for c in bits] for bits in bit_strings], dtype=int)

@@ -278,6 +278,18 @@ class TestMaterialize:
         assert cfg.scenario.name == "scenario1"
         assert cfg.t_lambda == 8
 
+    def test_mismatch_replaces_only_surface_factors(self, tmp_path):
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["plant"] = {"process_noise": 0.01, "measurement_noise": 0.002,
+                        "delay_offsets": [1] + [0] * 12}
+        path.write_text(yaml.safe_dump(doc))
+        cfg = self.materialize(["run", "--config", str(path), "--mismatch", "0.2"])
+        assert cfg.plant.surface_factors == (1.2, 0.8) * 6 + (1.2,)
+        assert cfg.plant.process_noise == 0.01
+        assert cfg.plant.measurement_noise == 0.002
+        assert cfg.plant.delay_offsets == (1,) + (0,) * 12
+
 
 NO_SCIPY_SCRIPT = """
 import sys

@@ -13,12 +13,10 @@ from canalmpc.canal import (
 )
 from canalmpc.control import ControllerConfig, Setpoint, compute_setpoint, weight_matrices
 from canalmpc.supervisor import (
-    PreviewContext,
     PublishedSetpoints,
     SynthesisCache,
     SynthesisError,
     candidate_setpoints,
-    estimate_cross_effects,
     select_topology,
     synthesize,
     topology_value,
@@ -28,6 +26,7 @@ from canalmpc.topology import Partition, Topology, candidate_set, full_topology,
 from oracles import looped_rollout_value, scipy_lqr_gain
 
 CHAIN = build_chain(DEZ_REACHES, 300.0)
+MODEL = assemble_global(CHAIN)
 CFG = ControllerConfig()
 FULL = tuple(range(1, 14))
 FULL_PARTITION = Partition((FULL,))
@@ -36,7 +35,7 @@ SINGLETON_PARTITION = Partition(tuple((i,) for i in range(1, 14)))
 
 @pytest.fixture(scope="module")
 def full_gains():
-    return synthesize(FULL_PARTITION, CHAIN, CFG)
+    return synthesize(FULL_PARTITION, CHAIN, CFG, SynthesisCache())
 
 
 class TestSynthesize:
@@ -49,7 +48,7 @@ class TestSynthesize:
         assert np.max(np.abs(entry.gain - k_ref)) <= 1e-8 * scale
 
     def test_singletons_block_structure(self):
-        gains = synthesize(SINGLETON_PARTITION, CHAIN, CFG)
+        gains = synthesize(SINGLETON_PARTITION, CHAIN, CFG, SynthesisCache())
         assert [entry.model.members for entry in gains] == list(SINGLETON_PARTITION)
         for i, entry in enumerate(gains, start=1):
             n = CHAIN[i - 1].n
@@ -88,7 +87,7 @@ class TestSynthesize:
         cache = SynthesisCache()
         g1 = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
         g2 = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache)
-        g3 = synthesize(SINGLETON_PARTITION, CHAIN, CFG, cache=None)
+        g3 = synthesize(SINGLETON_PARTITION, CHAIN, CFG, SynthesisCache())
         for a, b, c in zip(g1, g2, g3):
             assert a is b
             assert np.array_equal(a.gain, c.gain)
@@ -97,7 +96,7 @@ class TestSynthesize:
     def test_records_tile_the_chain_gain(self):
         """In block order, the records' gains tile the 13x39 chain gain."""
         part = Partition(((1, 2), (3,)) + tuple((i,) for i in range(4, 14)))
-        gains = synthesize(part, CHAIN, CFG)
+        gains = synthesize(part, CHAIN, CFG, SynthesisCache())
         assert [entry.model.members for entry in gains] == list(part)
         offsets = assemble_global(CHAIN).offsets
         rows = [offsets[e.model.members[0]] + np.arange(e.model.n) for e in gains]
@@ -143,20 +142,29 @@ class TestSynthesisCache:
         assert all(a is b for a, b in zip(first, again))
 
 
-class TestEstimateCrossEffects:
+def _setpoints_of(blocks, rho, published):
+    """candidate_setpoints over freshly synthesized records of the given coalitions."""
+    return candidate_setpoints(synthesize(Partition(blocks), CHAIN, CFG, SynthesisCache()),
+                               rho, published)
+
+
+class TestCandidateSetpoints:
+    RHO = np.full(13, 2.0)
+
     def test_full_coalition_empty(self):
-        coal = assemble_global(CHAIN)
-        published = PublishedSetpoints.bootstrap(np.zeros(13))
-        (omega,) = estimate_cross_effects([coal], published)
-        assert omega.shape == (0,)
+        """The whole chain has no coupling channel, so no published flow enters."""
+        quiet = PublishedSetpoints.bootstrap(np.zeros(13))
+        busy = PublishedSetpoints.bootstrap(np.full(13, 7.0))
+        full = _setpoints_of((FULL,), self.RHO, quiet)[FULL]
+        assert np.array_equal(full, _setpoints_of((FULL,), self.RHO, busy)[FULL])
+        assert np.array_equal(full, compute_setpoint(MODEL, self.RHO, np.zeros(0)))
 
     def test_singleton_reads_downstream_flow(self):
-        part = SINGLETON_PARTITION
         coal = build_coalition_model(CHAIN, (4,))
         published = PublishedSetpoints.bootstrap(np.zeros(13))
         published.outflow[4] = 6.75  # gate 5: flow 6.5 plus increment 0.25
-        (omega,) = estimate_cross_effects([coal], published)
-        assert omega[0] == pytest.approx(6.75)
+        xi_bar = _setpoints_of(((4,),), self.RHO, published)[(4,)]
+        assert xi_bar[coal.flow_rows()] == pytest.approx(2.0 + 6.75)
 
     def test_publish_stores_gate_outflow(self):
         coal = build_coalition_model(CHAIN, (4, 5))
@@ -166,29 +174,23 @@ class TestEstimateCrossEffects:
         assert published.outflow[3] == xi_s[0] + 0.5
         assert published.outflow[4] == xi_s[coal.offsets[5]] - 0.25
         assert np.all(np.delete(published.outflow, [3, 4]) == 5.0)
-        (omega,) = estimate_cross_effects([build_coalition_model(CHAIN, (3,))], published)
-        assert omega[0] == published.outflow[3]
+        upstream = build_coalition_model(CHAIN, (3,))
+        xi_bar = _setpoints_of(((3,),), self.RHO, published)[(3,)]
+        expected = compute_setpoint(upstream, self.RHO[[2]], published.outflow[[3]])
+        assert np.array_equal(xi_bar, expected)
 
     def test_bootstrap_equal_flows(self):
         published = PublishedSetpoints.bootstrap(np.full(13, 5.0))
-        coalitions = [
-            build_coalition_model(CHAIN, (i,))
-            for i in range(1, 14)
-        ]
-        omegas = estimate_cross_effects(coalitions, published)
-        for i, omega in enumerate(omegas, start=1):
-            if i < 13:
-                assert omega[0] == pytest.approx(5.0)
-            else:
-                assert omega.shape == (0,)
+        setpoints = _setpoints_of(tuple((i,) for i in range(1, 14)), self.RHO, published)
+        for i in range(1, 14):
+            flows = setpoints[(i,)][build_coalition_model(CHAIN, (i,)).flow_rows()]
+            assert flows == pytest.approx(2.0 + (5.0 if i < 13 else 0.0))
 
 
 def _steady_preview():
-    """Steady chain state at uniform offtakes, and a preview around it."""
+    """Steady chain state at uniform offtakes, with the chain model and those offtakes."""
     offtakes = np.full(13, 2.0)
-    model = assemble_global(CHAIN)
-    state = compute_setpoint(model, offtakes, np.zeros(0))
-    return state, PreviewContext(model, offtakes, CFG, state)
+    return compute_setpoint(MODEL, offtakes, np.zeros(0)), MODEL, offtakes
 
 
 def _contiguous_partitions(rng, count):
@@ -203,9 +205,8 @@ def _contiguous_partitions(rng, count):
     return parts
 
 
-def _random_setpoints(rng, steady, preview, records):
+def _random_setpoints(rng, steady, model, records):
     """Random xi_bar per distinct coalition, and its oracle blocks per record list."""
-    model = preview.global_model
     setpoints = {}
     blocks = []
     for gains in records:
@@ -222,29 +223,42 @@ def _random_setpoints(rng, steady, preview, records):
 
 class TestTopologyValue:
     def test_zero_at_setpoint_free_links(self, full_gains):
-        state, preview = _steady_preview()
+        state, model, rho = _steady_preview()
         (value,) = topology_value(
             state, [full_topology(13)], [full_gains], {FULL: state.copy()},
-            c_link=0.0, t_lambda=4, preview=preview,
+            c_link=0.0, t_lambda=4, model=model, rho=rho, cfg=CFG,
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_network_term_only(self, full_gains):
-        state, preview = _steady_preview()
+        """At the setpoint all 12 links cost c_link * 12 * t_lambda."""
+        state, model, rho = _steady_preview()
         (value,) = topology_value(
             state, [full_topology(13)], [full_gains], {FULL: state.copy()},
-            c_link=0.6, t_lambda=4, preview=preview,
+            c_link=0.6, t_lambda=4, model=model, rho=rho, cfg=CFG,
         )
         assert value == pytest.approx(28.8)
 
+    def test_empty_is_free(self):
+        """Singletons at their setpoints with no link enabled score zero at any link price."""
+        state, model, rho = _steady_preview()
+        gains = synthesize(SINGLETON_PARTITION, CHAIN, CFG, SynthesisCache())
+        setpoints = {(i,): state[model.offsets[i]:model.offsets[i] + CHAIN[i - 1].n]
+                     for i in range(1, 14)}
+        (value,) = topology_value(
+            state, [Topology(13, ())], [gains], setpoints,
+            c_link=0.6, t_lambda=4, model=model, rho=rho, cfg=CFG,
+        )
+        assert value == pytest.approx(0.0, abs=1e-12)
+
     def test_nonnegative_performance_term(self, full_gains):
         rng = np.random.default_rng(1)
-        _, preview = _steady_preview()
+        _, model, rho = _steady_preview()
         for _ in range(10):
             state = rng.normal(size=39)
             (value,) = topology_value(
                 state, [Topology(13, ())], [full_gains], {FULL: np.zeros(39)},
-                c_link=0.0, t_lambda=4, preview=preview,
+                c_link=0.0, t_lambda=4, model=model, rho=rho, cfg=CFG,
             )
             assert value >= 0.0
 
@@ -252,20 +266,20 @@ class TestTopologyValue:
         """Each row of one batched rollout equals the per-coalition loop form."""
         rng = np.random.default_rng(6)
         cache = SynthesisCache()
-        steady, preview = _steady_preview()
-        model = preview.global_model
+        steady, model, rho = _steady_preview()
         parts = _contiguous_partitions(rng, 7)
         candidates = [Topology(13, {s for b in part for s in b[:-1]}) for part in parts]
         records = [synthesize(part, CHAIN, CFG, cache) for part in parts]
-        setpoints, blocks = _random_setpoints(rng, steady, preview, records)
+        setpoints, blocks = _random_setpoints(rng, steady, model, records)
         xi0 = steady + rng.normal(scale=5.0, size=39)
         values = topology_value(
-            xi0, candidates, records, setpoints, c_link=0.6, t_lambda=4, preview=preview,
+            xi0, candidates, records, setpoints, c_link=0.6, t_lambda=4,
+            model=model, rho=rho, cfg=CFG,
         )
         assert values.shape == (7,)
         for value, candidate, candidate_blocks in zip(values, candidates, blocks):
             expected, clipped = looped_rollout_value(
-                xi0, candidate_blocks, model.Xi, model.Up, model.Phi @ preview.rho, steady,
+                xi0, candidate_blocks, model.Xi, model.Up, model.Phi @ rho, steady,
                 model.level_rows(), CFG.level_weight, CFG.input_weight, CFG.input_bound,
                 CFG.preview_horizon,
             )
@@ -276,15 +290,16 @@ class TestTopologyValue:
     def test_alone_equals_row_of_batch(self):
         """A candidate scored alone equals its row among all 13 candidates."""
         rng = np.random.default_rng(8)
-        steady, preview = _steady_preview()
+        steady, model, rho = _steady_preview()
+        cache = SynthesisCache()
         candidates = candidate_set(Topology(13, {2, 3, 7, 11}))
-        records = [synthesize(partition_of(cand), CHAIN, CFG) for cand in candidates]
-        setpoints, _ = _random_setpoints(rng, steady, preview, records)
+        records = [synthesize(partition_of(cand), CHAIN, CFG, cache) for cand in candidates]
+        setpoints, _ = _random_setpoints(rng, steady, model, records)
         xi0 = steady + rng.normal(scale=1.0, size=39)
-        batch = topology_value(xi0, candidates, records, setpoints, 0.6, 4, preview)
+        batch = topology_value(xi0, candidates, records, setpoints, 0.6, 4, model, rho, CFG)
         assert batch.shape == (13,)
         for c, (cand, gains) in enumerate(zip(candidates, records)):
-            (alone,) = topology_value(xi0, [cand], [gains], setpoints, 0.6, 4, preview)
+            (alone,) = topology_value(xi0, [cand], [gains], setpoints, 0.6, 4, model, rho, CFG)
             assert alone == pytest.approx(batch[c], rel=1e-12, abs=0.0)
 
     def test_full_partition_cost_to_go_matches_simulation(self, full_gains):
@@ -326,7 +341,7 @@ def test_candidate_setpoints_once_per_distinct_coalition():
     setpoints = candidate_setpoints([g for gains in records for g in gains], rho, published)
     assert len(setpoints) == 25
     pair = build_coalition_model(CHAIN, (4, 5))
-    (omega,) = estimate_cross_effects([pair], published)
+    omega = published.outflow[[5]]  # coupling source: gate 6
     assert np.array_equal(setpoints[(4, 5)], compute_setpoint(pair, rho[[3, 4]], omega))
 
 
@@ -334,28 +349,33 @@ class TestSelectTopology:
     def test_deterministic(self):
         state, rho, published = _disturbed_setup()
         cache = SynthesisCache()
-        r1 = select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4)
-        r2 = select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4)
+        r1 = select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4,
+                             CFG.link_cost, MODEL)
+        r2 = select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4,
+                             CFG.link_cost, MODEL)
         assert r1.topology == r2.topology
         assert r1.values == r2.values
 
     def test_cache_transparency(self):
+        """A cache warmed by a decision at another state scores exactly as a fresh one."""
         state, rho, published = _disturbed_setup()
-        with_cache = select_topology(
-            state, rho, published, full_topology(13), SynthesisCache(), CHAIN, CFG, 4
+        warm = SynthesisCache()
+        select_topology(compute_setpoint(MODEL, rho, np.zeros(0)), rho, published,
+                        full_topology(13), warm, CHAIN, CFG, 4, CFG.link_cost, MODEL)
+        warmed, fresh = (
+            select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4,
+                            CFG.link_cost, MODEL)
+            for cache in (warm, SynthesisCache())
         )
-        without = select_topology(
-            state, rho, published, full_topology(13), None, CHAIN, CFG, 4
-        )
-        assert with_cache.topology == without.topology
-        assert with_cache.values == without.values
+        assert warmed.topology == fresh.topology
+        assert warmed.values == fresh.values
 
     def test_huge_link_cost_sheds(self):
         state, rho, published = _disturbed_setup()
         cache = SynthesisCache()
         incumbent = full_topology(13)
         result = select_topology(
-            state, rho, published, incumbent, cache, CHAIN, CFG, 4, c_link=1e9
+            state, rho, published, incumbent, cache, CHAIN, CFG, 4, 1e9, MODEL
         )
         assert result.topology.n_links < incumbent.n_links
 
@@ -364,7 +384,7 @@ class TestSelectTopology:
         cache = SynthesisCache()
         incumbent = Topology(13, ())
         result = select_topology(
-            state, rho, published, incumbent, cache, CHAIN, CFG, 4, c_link=0.0
+            state, rho, published, incumbent, cache, CHAIN, CFG, 4, 0.0, MODEL
         )
         best_value = min(v for _, v in result.values)
         incumbent_value = dict(result.values)[incumbent.bits()]
@@ -376,7 +396,7 @@ class TestSelectTopology:
         state, rho, published = _disturbed_setup()
         incumbent = Topology(13, {3, 7})
         result = select_topology(state, rho, published, incumbent, SynthesisCache(),
-                                 CHAIN, CFG, 4)
+                                 CHAIN, CFG, 4, CFG.link_cost, MODEL)
         assert result.topology == Topology(13, {7})
         assert [bits for bits, _ in result.values] == [c.bits() for c in candidate_set(incumbent)]
         assert all(type(value) is float and value == 5.0 for _, value in result.values)
@@ -394,7 +414,7 @@ class TestSelectTopology:
         monkeypatch.setattr(supervisor, "topology_value", scores)
         state, rho, published = _disturbed_setup()
         result = select_topology(state, rho, published, incumbent, SynthesisCache(),
-                                 CHAIN, CFG, 4)
+                                 CHAIN, CFG, 4, CFG.link_cost, MODEL)
         assert result.topology == Topology(13, winner)
 
     def test_link_count_monotone_in_cost(self):
@@ -404,7 +424,7 @@ class TestSelectTopology:
         counts = []
         for c_link in (0.0, 0.15, 0.3, 0.6, 1.2, 2.4):
             result = select_topology(
-                state, rho, published, incumbent, cache, CHAIN, CFG, 4, c_link=c_link
+                state, rho, published, incumbent, cache, CHAIN, CFG, 4, c_link, MODEL
             )
             counts.append(result.topology.n_links)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -424,5 +444,5 @@ class TestSynthesisErrors:
 
         monkeypatch.setattr(supervisor, "build_coalition_model", without_input)
         with pytest.raises(SynthesisError) as err:
-            synthesize(SINGLETON_PARTITION, CHAIN, CFG)
+            synthesize(SINGLETON_PARTITION, CHAIN, CFG, SynthesisCache())
         assert "(1,)" in str(err.value)

@@ -9,7 +9,6 @@ from canalmpc.topology import (
     candidate_set,
     full_topology,
     link_activity_matrix,
-    network_cost_total,
     partition_of,
 )
 
@@ -104,14 +103,6 @@ class TestCandidateSet:
             t = Topology(N, enabled)
             for c in candidate_set(t):
                 assert len(c.enabled ^ t.enabled) <= 1
-
-
-class TestNetworkCosts:
-    def test_empty_is_free(self):
-        assert network_cost_total(Topology(N, ()), 0.6, 4) == 0.0
-
-    def test_full_price(self):
-        assert network_cost_total(full_topology(N), 0.6, 4) == pytest.approx(28.8)
 
 
 def test_link_activity_matrix():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from canalmpc import supervisor
 from canalmpc.canal import DEZ_REACHES
 from canalmpc.io import RunConfig
 from canalmpc.validate import run_checks
@@ -26,3 +27,12 @@ def test_partition_check_samples_long_chains():
     assert [(name, detail) for name, ok, detail in results if not ok] == []
     detail = dict((name, detail) for name, _, detail in results)["partition-conditions-exhaustive"]
     assert detail == "4096 topologies, a seeded sample of the 2^19"
+
+
+def test_failed_certificate_reported(monkeypatch):
+    """A certificate past tolerance fails the synthesis check, naming the coalition."""
+    monkeypatch.setattr(supervisor, "CERT_RTOL", 0.0)
+    results = {name: (ok, detail) for name, ok, detail in run_checks(RunConfig())}
+    ok, detail = results["synthesis-certificates"]
+    assert not ok
+    assert "certificate failed for coalition (1,)" in detail
