@@ -239,6 +239,20 @@ class TestTopologyValue:
         )
         assert value == pytest.approx(28.8)
 
+    def test_full_price(self, full_gains):
+        """Away from the setpoint all 12 links still add exactly c_link * 12 * t_lambda."""
+        state, model, rho = _steady_preview()
+        state = state + np.random.default_rng(3).normal(scale=0.05, size=state.size)
+        free, priced = (
+            topology_value(
+                state, [full_topology(13)], [full_gains], {FULL: np.zeros(39)},
+                c_link=c_link, t_lambda=4, model=model, rho=rho, cfg=CFG,
+            )[0]
+            for c_link in (0.0, 0.6)
+        )
+        assert free > 0.0
+        assert priced - free == pytest.approx(28.8)
+
     def test_empty_is_free(self):
         """Singletons at their setpoints with no link enabled score zero at any link price."""
         state, model, rho = _steady_preview()
