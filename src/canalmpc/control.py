@@ -146,9 +146,8 @@ def kalman_model(coalition, cfg) -> KalmanModel:
     return KalmanModel(coalition, f_mat, c_mat, np.diag(w_diag), v_mat, prior)
 
 
-def _measurement(coalition, levels, flows):
-    """Coalition measurement vector from global level/flow measurements."""
-    idx = [s - 1 for s in coalition.members]
+def _measurement(idx, levels, flows):
+    """Coalition measurement vector: global levels and flows at reach indices idx."""
     return np.concatenate([np.asarray(levels)[idx], np.asarray(flows)[idx]])
 
 
@@ -227,10 +226,10 @@ def kf_init(filt: KalmanModel, history: deque, schedule) -> KalmanState:
         attached = source - 1
         xhat[n + c] = first.flows[attached - 1] - first.offtakes[attached - 1]
 
-    xhat = _x_correct(filt, xhat, gains[0], _measurement(coalition, first.levels, first.flows))
+    xhat = _x_correct(filt, xhat, gains[0], _measurement(idx, first.levels, first.flows))
     for gain, prev, cur in zip(gains[1:], samples, samples[1:]):
         xhat = _x_predict(filt, xhat, prev.inputs[idx], prev.offtakes[idx])
-        xhat = _x_correct(filt, xhat, gain, _measurement(coalition, cur.levels, cur.flows))
+        xhat = _x_correct(filt, xhat, gain, _measurement(idx, cur.levels, cur.flows))
     return KalmanState(xhat, cov)
 
 
@@ -341,7 +340,7 @@ def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
         np.full(len(prog.flow_rows), -cfg.flow_margin), bound - k_xi, bound + k_xi,
     ])
 
-    sol = solve_qp(prog.qp, np.zeros(n + m + n), beq, bin_)
+    sol = solve_qp(prog.qp, None, beq, bin_)
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
@@ -376,7 +375,6 @@ class MpcProgram:
     m: int
     box_map: np.ndarray         # K Acl^t stacked for t = 0..N_p: feedback inputs from zeta0
     floor_map: np.ndarray       # flow_sel Acl^t stacked for t = 1..N_c: free-run flows
-    f_map: np.ndarray           # f_u = f_map @ zeta0
     qp: QpStructure             # Hessian over (u, eps); floor rows, then box rows
     flow_sel: np.ndarray        # selects every flow slot of the state
     q_mat: np.ndarray           # stage weights, also the harness's step cost
@@ -387,45 +385,38 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     """Condense the coalition MPC into dense QP blocks (done once per controller).
 
     H and Ain go into the program's QpStructure, checked and factored;
-    mpc_step fills in only f and bin.
+    mpc_step fills in only bin.  There is no linear term: K and P come from
+    one certified Riccati synthesis with these weight_matrices, so
+    R K + Up' P Acl = 0 and P = Q + K'RK + Acl' P Acl.  Along v' = 0 the
+    cost-to-go from zeta(t + 1) is zeta(t + 1)' P zeta(t + 1), so the
+    gradient in v'(t) is 2 (R K + Up' P Acl) zeta(t): zero for every zeta0,
+    up to the certified Riccati residual.
     """
     n, m = coalition.n, coalition.m
     n_p, n_c = cfg.prediction_horizon, cfg.control_horizon
     q_mat, r_mat = weight_matrices(coalition, cfg)
     acl = coalition.Xi + coalition.Up @ gain
 
-    powers = [np.eye(n)]
-    for _ in range(n_p):
-        powers.append(acl @ powers[-1])
+    powers = np.empty((n_p + 1, n, n))   # Acl^t
+    powers[0] = np.eye(n)
+    for t in range(n_p):
+        powers[t + 1] = acl @ powers[t]
 
     nu = m * n_c
-    # zeta(t) = powers[t] zeta0 + t_maps[t] @ u
-    t_maps = [np.zeros((n, nu))]
-    for t in range(1, n_p + 1):
-        tm = acl @ t_maps[t - 1]
-        if t - 1 < n_c:
-            tm = tm.copy()
-            tm[:, (t - 1) * m: t * m] += coalition.Up
-        t_maps.append(tm)
-
-    # u(t) = gain @ powers[t] zeta0 + m_maps[t] @ u, where rows t*m..(t+1)*m of
-    # `select` pick the free move v'(t), zero from t = N_c on
-    select = np.eye(m * (n_p + 1), nu)
-    m_maps = [gain @ t_maps[t] + select[t * m:(t + 1) * m] for t in range(n_p + 1)]
-    # a @ b @ c is (a @ b) @ c, so each shared left factor is formed once
-    h_uu = np.zeros((nu, nu))
-    f_map = np.zeros((nu, n))
-    for t in range(1, n_p):
-        left = 2.0 * t_maps[t].T @ q_mat
-        h_uu += left @ t_maps[t]
-        f_map += left @ powers[t]
-    left = 2.0 * t_maps[n_p].T @ p_mat
-    h_uu += left @ t_maps[n_p]
-    f_map += left @ powers[n_p]
-    for t in range(n_p):
-        left = 2.0 * m_maps[t].T @ r_mat
-        h_uu += left @ m_maps[t]
-        f_map += left @ gain @ powers[t]
+    # zeta(t) = powers[t] zeta0 + t_maps[t] @ u; block j of t_maps[t] is Acl^(t-1-j) Up
+    drive = powers[:n_p] @ coalition.Up
+    t_maps = np.zeros((n_p + 1, n, nu))
+    for j in range(n_c):
+        t_maps[j + 1:, :, j * m:(j + 1) * m] = drive[:n_p - j]
+    # u(t) = gain @ powers[t] zeta0 + m_maps[t] @ u, with v'(t) = 0 from t = N_c on
+    m_maps = gain @ t_maps
+    for t in range(n_c):
+        m_maps[t, :, t * m:(t + 1) * m] += np.eye(m)
+    # sum_t maps[t]' W maps[t] over a stack of maps is one product of the stacked rows
+    stage, inputs = t_maps[1:n_p], m_maps[:n_p]
+    h_uu = 2.0 * (stage.reshape(-1, nu).T @ (q_mat @ stage).reshape(-1, nu)
+                  + t_maps[n_p].T @ p_mat @ t_maps[n_p]
+                  + inputs.reshape(-1, nu).T @ (r_mat @ inputs).reshape(-1, nu))
 
     flow_sel = coalition.flow_selector()
     n_q = flow_sel.shape[0]
@@ -439,20 +430,16 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     # box's upper and lower halves for t = 0..N_p.
     n_box = m * (n_p + 1)
     ain = np.zeros((2 * n_eps + 2 * n_box, nz))
-    for t in range(1, n_c + 1):
-        r0 = (t - 1) * n_q
-        ain[r0:r0 + n_q, :nu] = -flow_sel @ t_maps[t]
-        ain[r0:r0 + n_q, nu + r0: nu + r0 + n_q] = -np.eye(n_q)
-    ain[n_eps:2 * n_eps, nu:] = -np.eye(n_eps)
-    box = ain[2 * n_eps:, :nu]
-    box[:n_box] = np.vstack(m_maps)
-    box[n_box:] = -box[:n_box]
+    ain[:n_eps, :nu] = -(flow_sel @ t_maps[1:n_c + 1]).reshape(n_eps, nu)
+    ain[:n_eps, nu:] = ain[n_eps:2 * n_eps, nu:] = -np.eye(n_eps)
+    ain[2 * n_eps:2 * n_eps + n_box, :nu] = m_maps.reshape(n_box, nu)
+    ain[2 * n_eps + n_box:, :nu] = -m_maps.reshape(n_box, nu)
 
-    box_map = np.vstack([gain @ p for p in powers])
-    floor_map = np.vstack([flow_sel @ p for p in powers[1:n_c + 1]])
-    del powers, t_maps, m_maps  # freed before QpStructure factors H: a lower build peak
+    box_map = (gain @ powers).reshape(n_box, n)
+    floor_map = (flow_sel @ powers[1:n_c + 1]).reshape(n_eps, n)
+    del powers, drive, t_maps, m_maps, stage, inputs  # freed before H is factored: a lower peak
     return MpcProgram(
-        n_p=n_p, n_c=n_c, n_q=n_q, m=m, box_map=box_map, floor_map=floor_map, f_map=f_map,
+        n_p=n_p, n_c=n_c, n_q=n_q, m=m, box_map=box_map, floor_map=floor_map,
         qp=QpStructure(h_mat, None, ain),
         flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
     )
@@ -472,25 +459,24 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> MpcStep:
 
     Minimizes the shifted-state cost over v'(0..N_c-1) and nonnegative
     flow-floor slacks, subject to the closed-loop prediction, the soft flow
-    floor, and the hard input box at every step of the horizon.  `prog` is
-    the coalition's program from prepare_mpc; `start` is the QP's initial
+    floor, and the hard input box at every step of the horizon.  The cost
+    has no linear term (see prepare_mpc), so when the feedback law keeps
+    every row, solve_qp returns v' = 0 after one iteration.  `prog` is the
+    coalition's program from prepare_mpc; `start` is the QP's initial
     working set (solve_qp), usually the previous step's active_set.
     """
     n_p, n_c, n_q, m = prog.n_p, prog.n_c, prog.n_q, prog.m
     nu = m * n_c
-    n_eps = n_q * n_c
     bound = cfg.input_bound
     xi_s, u_s = setpoint.xi_s, setpoint.u_s
 
-    f_vec = np.zeros(nu + n_eps)
-    f_vec[:nu] = prog.f_map @ zeta0
     # Rows: flow floor for t = 1..N_c, eps >= 0, then the box's upper and
     # lower halves for t = 0..N_p.
-    flows = prog.floor_map @ zeta0 + np.tile(prog.flow_sel @ xi_s, n_c)
-    base = prog.box_map @ zeta0 + np.tile(u_s, n_p + 1)
-    bin_ = np.concatenate([flows - cfg.flow_margin, np.zeros(n_eps), bound - base, bound + base])
+    floor = (prog.floor_map @ zeta0).reshape(n_c, n_q) + prog.flow_sel @ xi_s - cfg.flow_margin
+    base = (prog.box_map @ zeta0).reshape(n_p + 1, m) + u_s
+    bin_ = np.concatenate([floor, np.zeros(floor.size), bound - base, bound + base], axis=None)
 
-    sol = solve_qp(prog.qp, f_vec, bin=bin_, start=start)
+    sol = solve_qp(prog.qp, bin=bin_, start=start)
     if sol.status == numerics.INFEASIBLE:
         return MpcStep(
             np.zeros((n_c, m)), np.zeros((n_c, n_q)),
@@ -521,6 +507,7 @@ class CoalitionController:
 
     def __init__(self, coalition, gain, p_mat, cfg):
         self.model = coalition
+        self.idx = np.array(coalition.members) - 1   # members' 0-based reach indices
         self.gain = gain
         self.cfg = cfg
         self.filter = kalman_model(coalition, cfg)
@@ -535,8 +522,8 @@ class CoalitionController:
     def advance_filter(self, u_prev_global, rho_prev_global, levels, flows):
         """Land one measurement, the only way one reaches a running filter; a
         non-finite level or gate flow is refused, so every QP vector stays finite."""
-        idx = [s - 1 for s in self.model.members]
-        y = _measurement(self.model, levels, flows)
+        idx = self.idx
+        y = _measurement(idx, levels, flows)
         if not np.all(np.isfinite(y)):
             raise ValueError(f"non-finite measurement for coalition {self.model.members}")
         self.kf = kf_update(
@@ -550,8 +537,7 @@ class CoalitionController:
     def compute(self, rho_global):
         """Setpoint projection plus MPC; returns (u, setpoint)."""
         model = self.model
-        idx = [s - 1 for s in model.members]
-        rho = np.asarray(rho_global)[idx]
+        rho = np.asarray(rho_global)[self.idx]
         xi_hat, omega_hat = self.kf.split(model.n)
         setpoint = feasible_setpoint(self.setpoint_program, rho, omega_hat, xi_hat, self.cfg)
         zeta = xi_hat - setpoint.xi_s

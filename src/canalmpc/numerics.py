@@ -192,7 +192,7 @@ class QpSolution:
 
 
 def _objective(H, f, x):
-    return float(0.5 * x @ H @ x + f @ x)
+    return float(0.5 * x @ H @ x + (0.0 if f is None else f @ x))
 
 
 def _qr_append(q, r, v, tol):
@@ -243,22 +243,24 @@ def _warm_start(s, w, beq, bin_, start):
     return q, r, q @ qwy - w, lam
 
 
-def solve_qp(structure, f, beq=None, bin=None, max_iter=None, start=()):
+def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
     """Solve a small dense strictly convex QP by the dual active-set method
     of Goldfarb & Idnani (Math. Programming 27, 1983).
 
     The problem is the member of `structure`'s family with linear term f
-    and right-hand sides beq and bin (None where the family has no such
-    rows); the vectors are taken as given, unchecked.  In z = L'x the
-    objective is 0.5 |z + L^-1 f|^2 and a constraint row a becomes
-    v = L^-1 a'.  The solve starts at the minimizer on the equality rows
-    plus the inequality rows `start` and adds the most violated inequality
-    (lowest index on ties).  With the working rows' L^-1 A_w' = QR, adding
-    v moves z along -(I - QQ')v and the working inequality multipliers
-    along -R^-1 Q'v; a working row whose multiplier reaches zero first
-    (lowest index on ties) leaves before v enters.  A v in the span of the
-    working rows that no multiplier makes room for proves the inequalities
-    infeasible.
+    and right-hand sides beq and bin (None for no term or rows); the
+    vectors are taken as given, unchecked.  In z = L'x the objective is
+    0.5 |z + L^-1 f|^2 and a constraint row a becomes v = L^-1 a'.  With f
+    None, z0 = Q R^-T beq (0 without equality rows) is returned after one
+    iteration, active set empty, when it satisfies every inequality; that
+    check comes before any start.  The solve starts at the minimizer on
+    the equality rows plus the inequality rows `start` and adds the most
+    violated inequality (lowest index on ties).  With the working rows'
+    L^-1 A_w' = QR, adding v moves z along -(I - QQ')v and the working
+    inequality multipliers along -R^-1 Q'v; a working row whose multiplier
+    reaches zero first (lowest index on ties) leaves before v enters.  A v
+    in the span of the working rows that no multiplier makes room for
+    proves the inequalities infeasible.
 
     `start`, typically the previous solve's active_set, may be any
     inequality rows: Goldfarb & Idnani may start from any working set whose
@@ -282,14 +284,25 @@ def solve_qp(structure, f, beq=None, bin=None, max_iter=None, start=()):
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
     Ain, bin_ = s.Ain, np.zeros(0) if bin is None else bin
-    w = s.chol_inv @ f
+    if f is None:  # 0.5 |z|^2, least at z = 0 or, on equality rows, at Q R^-T beq
+        if beq is None:
+            z = x = w = np.zeros(s.n)
+            viol = -bin_
+        else:
+            z, w = s.start_beq @ beq, np.zeros(s.n)
+            x = s.chol_inv.T @ z
+            viol = Ain @ x - bin_
+        if viol.max(initial=-np.inf) <= _FEAS_TOL:
+            return QpSolution(x, 0.5 * float(z @ z), OPTIMAL, 1, ())
+    else:
+        w = s.chol_inv @ f
+        z = s.eq_q @ (s.eq_q.T @ w) - w
+        if beq is not None:
+            z += s.start_beq @ beq
     warm = _warm_start(s, w, beq, bin_, start) if start else None
     # working: inequality rows in QR column order; lam: their multipliers
     if warm is None:
         q, r = s.eq_q, s.eq_r
-        z = q @ (q.T @ w) - w
-        if beq is not None:
-            z += s.start_beq @ beq
         working, lam = [], np.zeros(0)
     else:
         q, r, z, lam = warm

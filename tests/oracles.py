@@ -4,9 +4,10 @@ These deliberately take different computational paths from the production
 code (a dense solve of the square setpoint system vs the closed-form
 upstream walk, scipy's Schur-based Riccati solver vs structured doubling,
 exhaustive active-set enumeration vs pivoting, horizon loops vs stacked
-prediction maps, reach-by-reach difference equations vs stacked
-state-space matrices, a fused filter replay vs a cached gain schedule) so
-that agreement is meaningful.
+prediction maps, a term-by-term condensation vs stacked products, a
+backward costate sweep vs the condensed cost's linear term, reach-by-reach
+difference equations vs stacked state-space matrices, a fused filter
+replay vs a cached gain schedule) so that agreement is meaningful.
 """
 
 import itertools
@@ -176,6 +177,79 @@ def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, 
     if tail_peak <= bound + 1e-12:
         start = np.concatenate([np.reshape(moves, m * n_c), np.reshape(slacks, n_q * n_c)])
     return rhs, start
+
+
+def looped_mpc_program(acl, up, gain, q_mat, r_mat, p_mat, flow_sel, n_p, n_c, slack_weight):
+    """Condensed MPC Hessian, inequality rows and free-run maps, one horizon step at a time.
+
+    Over (v'(0..N_c-1), eps) the closed loop gives zeta(t) = Acl^t zeta0 +
+    T_t v' and u(t) = K Acl^t zeta0 + M_t v'; T_t and M_t are propagated
+    step by step, and H accumulates 2 T_t'Q T_t (t = 1..N_p-1), 2 T_N'P T_N
+    and 2 M_t'R M_t (t = 0..N_p-1), each term formed on its own, plus the
+    slack block.  The rows are the soft flow floor for t = 1..N_c, eps >= 0,
+    then the input box's upper and lower halves for t = 0..N_p.  Returns H,
+    Ain, the stacked K Acl^t (t = 0..N_p) and flow_sel Acl^t (t = 1..N_c).
+    """
+    n, m = acl.shape[0], gain.shape[0]
+    n_q = flow_sel.shape[0]
+    nu, n_eps, n_box = m * n_c, n_q * n_c, m * (n_p + 1)
+    powers = [np.eye(n)]
+    t_maps = [np.zeros((n, nu))]
+    for t in range(1, n_p + 1):
+        powers.append(acl @ powers[-1])
+        tm = acl @ t_maps[-1]
+        if t - 1 < n_c:
+            tm[:, (t - 1) * m:t * m] += up
+        t_maps.append(tm)
+    select = np.eye(n_box, nu)
+    m_maps = [gain @ t_maps[t] + select[t * m:(t + 1) * m] for t in range(n_p + 1)]
+    h_uu = np.zeros((nu, nu))
+    for t in range(1, n_p):
+        h_uu += 2.0 * t_maps[t].T @ q_mat @ t_maps[t]
+    h_uu += 2.0 * t_maps[n_p].T @ p_mat @ t_maps[n_p]
+    for t in range(n_p):
+        h_uu += 2.0 * m_maps[t].T @ r_mat @ m_maps[t]
+    h_mat = np.zeros((nu + n_eps, nu + n_eps))
+    h_mat[:nu, :nu] = h_uu
+    h_mat[nu:, nu:] = 2.0 * slack_weight * np.eye(n_eps)
+
+    ain = np.zeros((2 * n_eps + 2 * n_box, nu + n_eps))
+    for t in range(1, n_c + 1):
+        r0 = (t - 1) * n_q
+        ain[r0:r0 + n_q, :nu] = -flow_sel @ t_maps[t]
+        ain[r0:r0 + n_q, nu + r0:nu + r0 + n_q] = -np.eye(n_q)
+        ain[n_eps + r0:n_eps + r0 + n_q, nu + r0:nu + r0 + n_q] = -np.eye(n_q)
+    for t in range(n_p + 1):
+        r0 = 2 * n_eps + t * m
+        ain[r0:r0 + m, :nu] = m_maps[t]
+        ain[r0 + n_box:r0 + n_box + m, :nu] = -m_maps[t]
+    box_map = np.vstack([gain @ p for p in powers])
+    floor_map = np.vstack([flow_sel @ p for p in powers[1:n_c + 1]])
+    return h_mat, ain, box_map, floor_map
+
+
+def costate_gradient(acl, up, gain, q_mat, r_mat, p_mat, zeta0, n_p, n_c):
+    """Gradient of the MPC cost in v'(0..N_c-1) at v' = 0, by a backward costate sweep.
+
+    The cost is sum_{t=1}^{N_p-1} zeta(t)'Q zeta(t) + zeta(N_p)'P zeta(N_p)
+    + sum_{t=0}^{N_p-1} u(t)'R u(t) with u(t) = K zeta(t) + v'(t) and
+    zeta(t+1) = Acl zeta(t) + Up v'(t).  A forward pass steps the closed
+    loop at v' = 0; the backward pass carries the costate lambda(t) =
+    dJ/dzeta(t), from lambda(N_p) = 2 P zeta(N_p) through lambda(t) =
+    2 Q zeta(t) + 2 K'R u(t) + Acl' lambda(t+1), and reads off
+    dJ/dv'(t) = 2 R u(t) + Up' lambda(t+1).
+    """
+    zetas = [np.array(zeta0, dtype=float)]
+    for _ in range(n_p):
+        zetas.append(acl @ zetas[-1])
+    lam = 2.0 * p_mat @ zetas[n_p]
+    grads = []
+    for t in range(n_p - 1, -1, -1):
+        r_u = 2.0 * r_mat @ (gain @ zetas[t])
+        if t < n_c:
+            grads.append(r_u + up.T @ lam)
+        lam = 2.0 * q_mat @ zetas[t] + gain.T @ r_u + acl.T @ lam
+    return np.concatenate(grads[::-1])
 
 
 def replay_kf_init(filt, history):

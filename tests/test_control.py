@@ -34,8 +34,16 @@ from canalmpc.control import (
     weight_matrices,
 )
 from canalmpc.numerics import lqr_gain, solve_dare
+from canalmpc.supervisor import _synthesize_one
 
-from oracles import brute_force_qp, looped_mpc_data, replay_kf_init, square_setpoint
+from oracles import (
+    brute_force_qp,
+    costate_gradient,
+    looped_mpc_data,
+    looped_mpc_program,
+    replay_kf_init,
+    square_setpoint,
+)
 
 CHAIN = build_chain(DEZ_REACHES, 300.0)
 SINGLETONS = tuple((i,) for i in range(1, 14))
@@ -261,9 +269,9 @@ class TestComputeSetpointProperty:
 
 
 @st.composite
-def tables_and_weights(draw):
+def tables_and_weights(draw, max_reaches=20):
     """A random reach table and level, input and setpoint-slack weights over seven decades."""
-    n = draw(st.integers(2, 20))
+    n = draw(st.integers(2, max_reaches))
     areas = draw(st.lists(st.floats(3.5, 6.5).map(lambda e: 10.0 ** e), min_size=n, max_size=n))
     delays = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     weight = st.floats(-2.0, 5.0).map(lambda e: 10.0 ** e)
@@ -436,9 +444,8 @@ class TestMpcStep:
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
         zeta = np.array([0.1, -0.05, 0.02])  # small: no constraint activity
         step = mpc_step(zeta, sp, prog, cfg)
-        assert step.status == "optimal"
-        assert np.linalg.norm(step.vprime, np.inf) <= 1e-6
-        assert np.allclose(step.eps, 0.0, atol=1e-9)
+        assert step.status == "optimal" and step.active_set == ()
+        assert not np.any(step.vprime) and not np.any(step.eps)
 
     def test_vprime_zero_unconstrained_short_horizon(self):
         coal = make_coalition((5,))
@@ -446,7 +453,8 @@ class TestMpcStep:
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
         zeta = np.array([0.05, -0.02, 0.01])
         step = mpc_step(zeta, sp, prog, self.cfg)
-        assert np.linalg.norm(step.vprime, np.inf) <= 1e-6
+        assert step.status == "optimal" and step.active_set == ()
+        assert not np.any(step.vprime) and not np.any(step.eps)
 
     def test_input_bound_binds_exactly(self):
         coal = make_coalition((10,))
@@ -481,13 +489,15 @@ class TestStackedHorizonMaps:
         return coal, gain, prepare_mpc(coal, gain, p_mat, self.cfg)
 
     def _production(self, prog, zeta0, sp, monkeypatch):
-        """mpc_step's result, the f and bin it hands to solve_qp and the solve's wall time."""
+        """mpc_step's result, the f (zero when none is passed) and bin it hands
+        to solve_qp and the solve's wall time."""
         handed = []
 
-        def spy(structure, f, beq=None, bin=None, start=()):
+        def spy(structure, f=None, beq=None, bin=None, start=()):
             began = time.perf_counter()
             sol = numerics.solve_qp(structure, f, beq, bin, start=start)
-            handed.append((f, bin, time.perf_counter() - began))
+            handed.append((np.zeros(structure.n) if f is None else f, bin,
+                           time.perf_counter() - began))
             return sol
 
         monkeypatch.setattr(control, "solve_qp", spy)
@@ -540,6 +550,87 @@ class TestStackedHorizonMaps:
             assert lp.status in (0, 2)  # solved or infeasible
             assert step.status == ("infeasible" if lp.status == 2 else "optimal")
             assert elapsed < 1.0
+
+
+class TestStackedCondensation:
+    """prepare_mpc's stacked products against a term-by-term horizon loop."""
+
+    @pytest.mark.parametrize("horizons", [(10, 3), (10, 10), (4, 1)], ids=str)
+    @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
+    def test_matches_looped_build(self, members, horizons):
+        cfg = ControllerConfig(prediction_horizon=horizons[0], control_horizon=horizons[1])
+        coal = make_coalition(members)
+        gain, p_mat = synth(coal, cfg)
+        prog = prepare_mpc(coal, gain, p_mat, cfg)
+        q_mat, r_mat = weight_matrices(coal, cfg)
+        looped = looped_mpc_program(coal.Xi + coal.Up @ gain, coal.Up, gain, q_mat, r_mat, p_mat,
+                                    coal.flow_selector(), *horizons, cfg.slack_weight)
+        for stacked, ref in zip((prog.qp.H, prog.qp.Ain, prog.box_map, prog.floor_map), looped):
+            assert stacked.shape == ref.shape
+            assert np.max(np.abs(stacked - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _assert_zero_gradient(coal, cfg, rng, samples=3):
+    """The certified synthesis's K and P leave the condensed MPC cost with zero
+    gradient at v' = 0 for random zeta0, relative to max |H|."""
+    rec = _synthesize_one(coal, cfg)
+    h_max = np.max(np.abs(prepare_mpc(coal, rec.gain, rec.p_mat, cfg).qp.H))
+    q_mat, r_mat = weight_matrices(coal, cfg)
+    for _ in range(samples):
+        zeta0 = rng.normal(size=coal.n)
+        grad = costate_gradient(coal.Xi + coal.Up @ rec.gain, coal.Up, rec.gain, q_mat, r_mat,
+                                rec.p_mat, zeta0, cfg.prediction_horizon, cfg.control_horizon)
+        assert grad.shape == (coal.m * cfg.control_horizon,)
+        assert np.max(np.abs(grad)) <= 1e-9 * (1.0 + h_max) * np.max(np.abs(zeta0))
+
+
+class TestZeroLinearTerm:
+    """mpc_step passes solve_qp no linear term: the condensed cost's gradient at
+    v' = 0, from a backward costate sweep, vanishes for every coalition."""
+
+    cfg = ControllerConfig()
+
+    def test_every_dez_coalition(self):
+        rng = np.random.default_rng(24)
+        for first in range(1, 14):
+            for last in range(first, 14):
+                _assert_zero_gradient(make_coalition(range(first, last + 1)), self.cfg, rng)
+
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None)
+    @given(tables_and_weights(max_reaches=8))
+    def test_every_coalition_of_random_tables(self, case):
+        chain, cfg = case
+        rng = np.random.default_rng(len(chain))
+        for first in range(1, len(chain) + 1):
+            for last in range(first, len(chain) + 1):
+                _assert_zero_gradient(build_coalition_model(chain, range(first, last + 1)),
+                                      cfg, rng)
+
+    def test_costate_sweep_matches_rollout_differences(self):
+        """With a terminal cost from other weights the gradient is not zero, and
+        the sweep gives the central differences of the rolled-out cost (exact
+        for a quadratic, up to round-off)."""
+        cfg, coal = self.cfg, make_coalition((5, 6))
+        gain, _ = synth(coal, cfg)
+        _, p_mat = synth(coal, ControllerConfig(level_weight=2.0 * cfg.level_weight))
+        q_mat, r_mat = weight_matrices(coal, cfg)
+        acl, n_p, n_c, m = coal.Xi + coal.Up @ gain, cfg.prediction_horizon, cfg.control_horizon, coal.m
+        zeta0 = np.random.default_rng(5).normal(size=coal.n)
+
+        def cost(v):
+            z, total = zeta0, 0.0
+            for t in range(n_p):
+                move = v[t * m:(t + 1) * m] if t < n_c else np.zeros(m)
+                u = gain @ z + move
+                total += (z @ q_mat @ z if t else 0.0) + u @ r_mat @ u
+                z = acl @ z + coal.Up @ move
+            return total + z @ p_mat @ z
+
+        grad = costate_gradient(acl, coal.Up, gain, q_mat, r_mat, p_mat, zeta0, n_p, n_c)
+        steps = 1e-2 * np.eye(m * n_c)
+        diffs = np.array([(cost(h) - cost(-h)) / 2e-2 for h in steps])
+        assert np.max(np.abs(grad)) > 1.0
+        assert np.max(np.abs(grad - diffs)) <= 1e-6 * np.max(np.abs(grad))
 
 
 class TestControlAction:

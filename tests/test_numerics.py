@@ -517,6 +517,56 @@ class TestSolveQp:
         assert (warm.objective, warm.status, warm.iterations, warm.active_set) == \
             (cold.objective, cold.status, cold.iterations, cold.active_set)
 
+    def test_no_linear_term_matches_zero_f(self):
+        """f=None solves the f = 0 problem: same status and active set, x to
+        1e-12 relative, with and without equality rows and a start."""
+        rng = np.random.default_rng(24)
+        feasible_at_zero = 0
+        for trial in range(80):
+            n = int(rng.integers(2, 6))
+            n_eq = int(rng.integers(0, n)) if trial % 2 else 0
+            M = rng.normal(size=(n, n))
+            H = M @ M.T + 0.3 * np.eye(n)
+            Aeq, Ain = rng.normal(size=(n_eq, n)), rng.normal(size=(int(rng.integers(1, 7)), n))
+            x_feas = rng.normal(size=n)
+            beq = Aeq @ x_feas if n_eq else None
+            bin_ = Ain @ x_feas + rng.uniform(0.05, 1.0, size=len(Ain))
+            structure = QpStructure(H, Aeq, Ain)
+            zero = solve_qp(structure, np.zeros(n), beq, bin_)
+            feasible_at_zero += zero.active_set == ()
+            for start in ((), zero.active_set, tuple(np.nonzero(rng.random(len(Ain)) < 0.5)[0])):
+                ours = solve_qp(structure, None, beq, bin_, start=start)
+                assert (ours.status, ours.active_set) == (zero.status, zero.active_set)
+                assert np.linalg.norm(ours.x - zero.x, np.inf) <= \
+                    1e-12 * max(1.0, np.linalg.norm(zero.x, np.inf))
+                assert abs(ours.objective - zero.objective) <= 1e-12 * max(1.0, abs(zero.objective))
+        assert 10 <= feasible_at_zero <= 70  # both outcomes of the first check exercised
+
+    @pytest.mark.parametrize("n_eq", [0, 2])
+    def test_feasible_point_without_linear_term_ignores_start(self, n_eq, monkeypatch):
+        """With no linear term and its least-norm point on the equality rows
+        feasible, a solve with a start returns that point after one iteration,
+        appending, solving and factoring nothing."""
+        rng = np.random.default_rng(30 + n_eq)
+        M = rng.normal(size=(6, 6))
+        H = M @ M.T + np.eye(6)
+        Aeq, Ain = rng.normal(size=(n_eq, 6)), rng.normal(size=(5, 6))
+        beq = rng.normal(size=n_eq) if n_eq else None
+        x_eq = _kkt_equality_solution(H, np.zeros(6), Aeq, np.zeros(0) if beq is None else beq)
+        structure, bin_ = QpStructure(H, Aeq, Ain), Ain @ x_eq + 1.0
+        calls = Counter()
+        for owner, name in [(np.linalg, "solve"), (np.linalg, "qr"), (np.linalg, "cholesky"),
+                            (np.linalg, "inv"), (numerics, "_qr_append")]:
+            def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        sol = solve_qp(structure, bin=bin_, beq=beq, start=(0, 3))
+        assert sol.optimal and sol.iterations == 1 and sol.active_set == ()
+        assert not calls
+        assert np.allclose(sol.x, x_eq, rtol=0.0, atol=1e-10)
+        assert sol.objective == pytest.approx(0.5 * x_eq @ H @ x_eq, rel=1e-12, abs=0.0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(21)
         H = np.eye(3) * 2
