@@ -307,12 +307,13 @@ def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
     else:
         q, r, z, lam = warm
         working = list(start)
-    x = s.chol_inv.T @ z
+    if f is not None or warm is not None:  # else x and viol are the cold start's, checked above
+        x = s.chol_inv.T @ z
+        viol = Ain @ x - bin_
 
     enter = None
     for it in range(1, max_iter + 1):
         if enter is None:
-            viol = Ain @ x - bin_
             viol[working] = -np.inf
             if not viol.size or viol.max() <= _FEAS_TOL:
                 return QpSolution(x, _objective(s.H, f, x), OPTIMAL, it, tuple(sorted(working)))
@@ -344,6 +345,7 @@ def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
             lam = np.append(lam, lam_enter)
             q, r = q_add, r_add
             enter = None
+            viol = Ain @ x - bin_
         else:
             j = working.index(min(np.array(working)[shrinking][ratios == t_drop]))
             del working[j]

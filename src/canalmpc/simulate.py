@@ -238,14 +238,14 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     trace = SimTrace.empty(scenario.name, scenario.horizon, n, seed, "")
 
     def rebuild_controllers(topology):
-        fresh = {}
-        for record in synthesize(partition_of(topology), subs, ctrl_cfg, cache):
-            members = record.model.members
-            ctrl = controllers.get(members)
-            if ctrl is None:
+        records = synthesize(partition_of(topology), subs, ctrl_cfg, cache)
+        fresh = {r.model.members: controllers.pop(r.model.members, None) for r in records}
+        controllers.clear()  # the replaced controllers go before any successor is built
+        for record in records:
+            if fresh[record.model.members] is None:
                 ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
                 ctrl.warm_start(history, cache.schedule(ctrl.filter, len(history)))
-            fresh[members] = ctrl
+                fresh[record.model.members] = ctrl
         return fresh
 
     for k in range(scenario.horizon):
@@ -262,6 +262,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                     state, rho, published, incumbent, cache, subs, ctrl_cfg,
                     t_lambda, ctrl_cfg.link_cost, nominal_model,
                 ).topology
+            ctrl = None  # drop the last step's reference: the rebuild may replace it
             controllers = rebuild_controllers(incumbent)
 
         if k > 0:

@@ -8,7 +8,12 @@ distinct coalition's setpoint once from the most recently published
 neighbour setpoints.  All candidates are then rolled out together on the
 coupled chain model for H = max(t_lambda, preview_horizon) steps, each
 under its own decentralized law u = clip(K (xi - xi_bar)),
-K = blockdiag(K_1, ...).  A candidate scores
+K = blockdiag(K_1, ...).  Unclipped, a rollout is an affine recursion, so
+all of them are filled by doubling in log depth (7 batched products for
+H = 120, as in the associative scan of Blelloch, 1990); only the candidates
+whose unclipped inputs leave the box are rolled out again step by step
+under the clip.  Scores thus equal the sequential clipped rollout's up to
+round-off.  A candidate scores
 
     sum_k ( Q ||e(k) - e*||^2 + R ||u(k)||^2 )  +  sum_i zeta_i' P_i zeta_i
         +  c_link * |links| * t_lambda
@@ -166,62 +171,110 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda, mode
     Candidate c's decentralized law u = clip(K_c (xi - xi_bar_c)), with
     K_c = blockdiag(K_1, ...) and each coalition steering toward its own
     zero-level steady state, is rolled out on the coupled chain `model` from
-    the flat chain-ordered `state` for max(t_lambda, preview_horizon) steps,
-    with the offtakes `rho` held constant.
-    The candidates are rolled out together: row c of the (C x n) batched state
-    is candidate c's own rollout, and each step is one batched product,
-    clip and model update.  The stage costs and the terminal per-coalition
-    cost-to-go zeta'P zeta are measured against the yardstick xi*, the
-    chain's zero-level steady state at `rho`: the one deviation measure every
-    candidate shares, so that a decomposition cannot look good merely because
-    its own (stale) targets sit close to the current state.  Stale boundary
-    targets make a rollout drift away from xi*, which the score exposes.
+    the flat chain-ordered `state` for H = max(t_lambda, preview_horizon)
+    steps, with the offtakes `rho` held constant.
+    The candidates are rolled out together, row c of each batched array being
+    candidate c's own rollout.  All rows are rolled out unclipped by doubling
+    (_doubled_rollout) and their inputs formed in one product; the rows whose
+    inputs leave the box are rolled out again by the saturated loop, step by
+    step (_clipped_rollout).  In every other row the clip never acts, so the
+    scores equal the sequential clipped loop's up to round-off.  The stage
+    costs and the terminal per-coalition cost-to-go zeta'P zeta, one batched
+    product over blockdiag(P_1, ...), are measured against the yardstick xi*,
+    the chain's zero-level steady state at `rho`: the one deviation measure
+    every candidate shares, so that a decomposition cannot look good merely
+    because its own (stale) targets sit close to the current state.  Stale
+    boundary targets make a rollout drift away from xi*, which the score
+    exposes.
     `records[c]` are candidate c's CoalitionGains in chain order, as
     synthesize(partition_of(candidate)) returns them, so that their stacked
     states are the global state; `setpoints` maps each coalition's members
     to its xi_bar.  Returns one score per candidate.
     """
-    n_cand = len(records)
-    k_t = np.zeros((n_cand, model.n, model.m))      # K_c transposed, block-diagonal
-    xi_bar = np.empty((n_cand, model.n))
-    terminal = []                                   # (c, rows, P_i) per zeta_i' P_i zeta_i
+    n_cand, n = len(records), model.n
+    k_t = np.zeros((n_cand, n, model.m))            # K_c transposed, block-diagonal
+    p_diag = np.zeros((n_cand, n, n))               # blockdiag(P_1, ...) per candidate
+    xi_bar = np.empty((n_cand, n))
     for c, gains in enumerate(records):
         row = col = 0
         for g in gains:
             rows, cols = slice(row, row + g.model.n), slice(col, col + g.model.m)
             k_t[c, rows, cols] = g.gain.T
+            p_diag[c, rows, rows] = g.p_mat
             xi_bar[c, rows] = setpoints[g.model.members]
-            terminal.append((c, rows, g.p_mat))
             row, col = rows.stop, cols.stop
 
     steps = max(t_lambda, cfg.preview_horizon)
-    e = np.empty((steps + 1, n_cand, model.n))      # e[k, c]: candidate c's xi - xi_bar_c at step k
-    u = np.empty((steps, n_cand, model.m))
-    e[0] = state - xi_bar
     xi_t, up_t = model.Xi.T, model.Up.T
     drift = xi_bar @ xi_t - xi_bar + model.Phi @ rho
-    bound, by_input = cfg.input_bound, np.empty((n_cand, model.n))
-    for e_k, e_next, u_k in zip(e, e[1:], u):
-        np.matmul(e_k[:, None, :], k_t, out=u_k[:, None, :])
-        np.minimum(u_k, bound, out=u_k)
-        np.maximum(u_k, -bound, out=u_k)
-        np.matmul(e_k, xi_t, out=e_next)
-        e_next += np.matmul(u_k, up_t, out=by_input)
-        e_next += drift
+    e = _doubled_rollout(state - xi_bar, k_t, xi_t, up_t, drift, steps)
+    u = e[:, :steps] @ k_t
+    bound = cfg.input_bound
+    clipped = np.flatnonzero((u.max(axis=(1, 2)) > bound) | (u.min(axis=(1, 2)) < -bound))
+    if clipped.size:
+        _clipped_rollout(e, u, clipped, k_t, xi_t, up_t, drift, bound)
 
     level_rows = model.level_rows()
     offset = xi_bar - compute_setpoint(model, rho, np.zeros(0))  # e + offset: deviation from xi*
-    dev = e[:steps, :, level_rows]                  # a copy: squared in place below, as is u
-    dev += offset[:, level_rows]
+    dev = e[:, :steps, level_rows]                  # a copy: squared in place below, as is u
+    dev += offset[:, None, level_rows]
     stage = (cfg.level_weight * np.sum(np.square(dev, out=dev), axis=2)
              + cfg.input_weight * np.sum(np.square(u, out=u), axis=2))
     total = np.array([c_link * cand.n_links * t_lambda for cand in candidates])
-    total += stage.sum(axis=0)
-    zeta = e[steps] + offset
-    for c, rows, p_mat in terminal:
-        z = zeta[c, rows]
-        total[c] += z @ p_mat @ z
+    total += stage.sum(axis=1)
+    zeta = e[:, steps] + offset
+    total += (zeta[:, None] @ p_diag @ zeta[:, :, None]).ravel()
     return total
+
+
+def _doubled_rollout(e0, k_t, xi_t, up_t, drift, steps):
+    """Unclipped trajectories e(0..steps) from e(0) = e0, all rows at once.
+
+    Row c obeys the affine recursion [e, 1](k+1) = [e, 1](k) M_c with
+    M_c = [[Xi' + K_c' Up', 0], [drift_c, 1]].  By doubling, rows h..2h-1 of
+    the trajectory are rows 0..h-1 times M_c^h, and M_c^2h is M_c^h squared
+    into a spare buffer, so steps = 120 takes 7 batched products and 6
+    squarings.  Returns a C x (steps+1) x n view.
+    """
+    n_cand, n = e0.shape
+    power = np.zeros((n_cand, n + 1, n + 1))        # M_c, then M_c^h
+    np.matmul(k_t, up_t, out=power[:, :n, :n])
+    power[:, :n, :n] += xi_t
+    power[:, n, :n] = drift
+    power[:, n, n] = 1.0
+    spare = np.empty_like(power)
+    z = np.empty((n_cand, steps + 1, n + 1))        # z[c, k] = [e, 1]: row c at step k
+    z[:, 0, :n] = e0
+    z[:, 0, n] = 1.0
+    h = 1
+    while h <= steps:
+        span = min(h, steps + 1 - h)
+        np.matmul(z[:, :span], power, out=z[:, h:h + span])
+        h *= 2
+        if h <= steps:
+            np.matmul(power, power, out=spare)
+            power, spare = spare, power
+    return z[:, :, :n]
+
+
+def _clipped_rollout(e, u, rows, k_t, xi_t, up_t, drift, bound):
+    """Roll out `rows` of the batch step by step under u = clip(K_c e), in place.
+
+    The one definition of a saturated rollout: e (C x (H+1) x n) holds each
+    row's start in e[:, 0]; e[rows] and u[rows] (C x H x m) are overwritten
+    with the trajectory and inputs of e(k+1) = e(k) Xi' + u(k) Up' + drift_c.
+    """
+    e_r, u_r, k_r, drift_r = e[rows], u[rows], k_t[rows], drift[rows]
+    by_input = np.empty_like(drift_r)
+    for k in range(u.shape[1]):
+        u_k, e_next = u_r[:, k], e_r[:, k + 1]
+        np.matmul(e_r[:, k, None, :], k_r, out=u_k[:, None, :])
+        np.minimum(u_k, bound, out=u_k)
+        np.maximum(u_k, -bound, out=u_k)
+        np.matmul(e_r[:, k], xi_t, out=e_next)
+        e_next += np.matmul(u_k, up_t, out=by_input)
+        e_next += drift_r
+    e[rows], u[rows] = e_r, u_r
 
 
 @dataclass
@@ -254,13 +307,15 @@ def select_topology(state, rho, published, incumbent, cache,
     Each candidate's coalitions get boundary estimates and setpoints from
     the published data, and all candidates are scored in one batched
     rollout of their decentralized feedback on the coupled chain model
-    `global_model` over the coming interval (topology_value).  Each row of
-    the batch is its candidate's own rollout: rows share only the model and
-    the starting state, so a candidate scores the same, up to round-off,
-    whichever others are scored with it.  Scores within TIE_RTOL * (1 + |best|)
-    of the best tie, so round-off never decides; ties break toward fewer
-    links, then the lexicographically smallest bit-string.  `values` lists
-    (bit-string, score) in candidate_set order.
+    `global_model` over the coming interval (topology_value): unclipped
+    rollouts by doubling, and the rows whose inputs leave the box by the
+    sequential clipped loop, so scores match that loop to round-off.  Each
+    row of the batch is its candidate's own rollout: rows share only the
+    model and the starting state, so a candidate scores the same, up to
+    round-off, whichever others are scored with it.  Scores within
+    TIE_RTOL * (1 + |best|) of the best tie, so round-off never decides;
+    ties break toward fewer links, then the lexicographically smallest
+    bit-string.  `values` lists (bit-string, score) in candidate_set order.
     """
     rho = np.asarray(rho, dtype=float)
     candidates = candidate_set(incumbent)

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -290,6 +292,23 @@ class TestBuiltOnce:
         assert calls["cholesky"] <= calls["structures"] == 2
         assert calls["start_rows"] > 0
         assert 0 < calls["_qr_append"] <= calls["iterations"] + calls["start_rows"]
+
+    def test_replaced_controllers_released_before_successors_are_built(self, monkeypatch):
+        """A rebuild holds no replaced controller while it builds the new ones, so the
+        controllers alive at any construction cover at most the chain's states."""
+        alive, covered = weakref.WeakSet(), []
+        build = CoalitionController.__init__
+
+        def tracked(ctrl, *args, **kwargs):
+            gc.collect()
+            covered.append(sum(c.model.n for c in alive))
+            build(ctrl, *args, **kwargs)
+            alive.add(ctrl)
+
+        monkeypatch.setattr(CoalitionController, "__init__", tracked)
+        run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
+        assert len(covered) > 1  # some rebuild came after the first build
+        assert max(covered) <= 39
 
 
 class TestCentralized:

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canalmpc import supervisor
 from canalmpc.canal import (
@@ -193,15 +194,18 @@ def _steady_preview():
     return compute_setpoint(MODEL, offtakes, np.zeros(0)), MODEL, offtakes
 
 
+def _partition_at(cuts):
+    """The contiguous partition of the 13 reaches that ends a block after each cut."""
+    ends = [0] + sorted(int(c) for c in cuts) + [13]
+    return Partition(tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
+
+
 def _contiguous_partitions(rng, count):
     """The singletons, the full chain, then random contiguous partitions."""
     parts = [SINGLETON_PARTITION, FULL_PARTITION]
     while len(parts) < count:
-        cuts = sorted(int(c) for c in rng.choice(range(1, 13), size=rng.integers(1, 6),
-                                                 replace=False))
-        ends = [0] + cuts + [13]
-        parts.append(Partition(tuple(tuple(range(a + 1, b + 1))
-                                     for a, b in zip(ends, ends[1:]))))
+        parts.append(_partition_at(rng.choice(range(1, 13), size=rng.integers(1, 6),
+                                              replace=False)))
     return parts
 
 
@@ -219,6 +223,41 @@ def _random_setpoints(rng, steady, model, records):
             cols = [s - 1 for s in coal.members]
             blocks[-1].append((rows, cols, entry.gain, entry.p_mat, setpoints[coal.members]))
     return setpoints, blocks
+
+
+def _rollout_batch(rng, parts, scale):
+    """Candidates, records, setpoints, oracle blocks and a start state `scale` off steady."""
+    steady, model, _ = _steady_preview()
+    candidates = [Topology(13, {s for b in part for s in b[:-1]}) for part in parts]
+    cache = SynthesisCache()
+    records = [synthesize(part, CHAIN, CFG, cache) for part in parts]
+    setpoints, blocks = _random_setpoints(rng, steady, model, records)
+    return candidates, records, setpoints, blocks, steady + rng.normal(scale=scale, size=39)
+
+
+def _seeded_batch(seed, scale):
+    """Seven candidates: singletons, the full chain and five random partitions."""
+    rng = np.random.default_rng(seed)
+    return _rollout_batch(rng, _contiguous_partitions(rng, 7), scale)
+
+
+def _assert_matches_oracle(batch, cfg=CFG, t_lambda=4):
+    """Scores equal the per-coalition loop's; returns the entries it clipped, per candidate."""
+    candidates, records, setpoints, blocks, xi0 = batch
+    steady, model, rho = _steady_preview()
+    values = topology_value(xi0, candidates, records, setpoints, 0.6, t_lambda, model, rho, cfg)
+    assert values.shape == (len(candidates),)
+    clipped = []
+    for value, candidate, candidate_blocks in zip(values, candidates, blocks):
+        expected, clips = looped_rollout_value(
+            xi0, candidate_blocks, model.Xi, model.Up, model.Phi @ rho, steady,
+            model.level_rows(), cfg.level_weight, cfg.input_weight, cfg.input_bound,
+            max(t_lambda, cfg.preview_horizon),
+        )
+        expected += 0.6 * candidate.n_links * t_lambda
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        clipped.append(clips)
+    return clipped
 
 
 class TestTopologyValue:
@@ -277,29 +316,8 @@ class TestTopologyValue:
             assert value >= 0.0
 
     def test_matches_per_coalition_loop_oracle(self):
-        """Each row of one batched rollout equals the per-coalition loop form."""
-        rng = np.random.default_rng(6)
-        cache = SynthesisCache()
-        steady, model, rho = _steady_preview()
-        parts = _contiguous_partitions(rng, 7)
-        candidates = [Topology(13, {s for b in part for s in b[:-1]}) for part in parts]
-        records = [synthesize(part, CHAIN, CFG, cache) for part in parts]
-        setpoints, blocks = _random_setpoints(rng, steady, model, records)
-        xi0 = steady + rng.normal(scale=5.0, size=39)
-        values = topology_value(
-            xi0, candidates, records, setpoints, c_link=0.6, t_lambda=4,
-            model=model, rho=rho, cfg=CFG,
-        )
-        assert values.shape == (7,)
-        for value, candidate, candidate_blocks in zip(values, candidates, blocks):
-            expected, clipped = looped_rollout_value(
-                xi0, candidate_blocks, model.Xi, model.Up, model.Phi @ rho, steady,
-                model.level_rows(), CFG.level_weight, CFG.input_weight, CFG.input_bound,
-                CFG.preview_horizon,
-            )
-            expected += 0.6 * candidate.n_links * 4
-            assert clipped > 0
-            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        """Each row of one batched rollout equals the per-coalition loop form; all rows clip."""
+        assert all(_assert_matches_oracle(_seeded_batch(6, 5.0)))
 
     def test_alone_equals_row_of_batch(self):
         """A candidate scored alone equals its row among all 13 candidates."""
@@ -332,6 +350,45 @@ class TestTopologyValue:
             accumulated += float(z @ q_mat @ z + u @ r_mat @ u)
             z = acl @ z
         assert accumulated == pytest.approx(predicted, rel=0.01)
+
+
+class TestDoubledRollout:
+    """Unclipped rows are filled by doubling, clipped rows by the sequential loop."""
+
+    def test_unclipped_batch(self):
+        assert not any(_assert_matches_oracle(_seeded_batch(2, 0.3)))
+
+    def test_mixed_batch(self):
+        clipped = _assert_matches_oracle(_seeded_batch(2, 2.0))
+        assert any(clipped) and not all(clipped)
+
+    @pytest.mark.parametrize("preview, t_lambda", [(1, 1), (64, 4), (65, 4), (5, 9)])
+    def test_horizons(self, preview, t_lambda):
+        """H = 1, a power of two, one past it, and t_lambda beyond the preview."""
+        cfg = dataclasses.replace(CFG, preview_horizon=preview)
+        for scale in (0.3, 2.0):
+            _assert_matches_oracle(_seeded_batch(2, scale), cfg, t_lambda)
+
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.sets(st.integers(1, 12)), min_size=1, max_size=4),
+           st.floats(0.05, 4.0), st.integers(0, 2**16))
+    def test_random_partitions_and_scales(self, cut_sets, scale, seed):
+        parts = [_partition_at(cuts) for cuts in cut_sets]
+        _assert_matches_oracle(_rollout_batch(np.random.default_rng(seed), parts, scale))
+
+    def test_fallback_gets_exactly_the_rows_that_leave_the_box(self, monkeypatch):
+        seen = []
+        clipped_rollout = supervisor._clipped_rollout
+
+        def recording(e, u, rows, *args):
+            seen.append(rows.tolist())
+            clipped_rollout(e, u, rows, *args)
+
+        monkeypatch.setattr(supervisor, "_clipped_rollout", recording)
+        _assert_matches_oracle(_seeded_batch(2, 0.3))
+        assert seen == []
+        clipped = _assert_matches_oracle(_seeded_batch(2, 2.0))
+        assert seen == [[c for c, clips in enumerate(clipped) if clips]]
 
 
 def _disturbed_setup():
