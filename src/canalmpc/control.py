@@ -214,11 +214,9 @@ def kf_init(filt: KalmanModel, history: deque, schedule) -> KalmanState:
     gains, cov = schedule
     if not 1 <= len(history) == len(gains):
         raise ValueError("history must hold at least one sample, one per schedule gain")
-    samples = list(history)
     coalition = filt.coalition
     n, r = coalition.n, coalition.n_channels
-    idx = [s - 1 for s in coalition.members]
-    first = samples[0]
+    first = history[0]
 
     xhat = np.zeros(n + r)
     xhat[:n] = coalition.stack_state([first.flows] * max(coalition.delays), first.levels)
@@ -226,10 +224,12 @@ def kf_init(filt: KalmanModel, history: deque, schedule) -> KalmanState:
         attached = source - 1
         xhat[n + c] = first.flows[attached - 1] - first.offtakes[attached - 1]
 
-    xhat = _x_correct(filt, xhat, gains[0], _measurement(idx, first.levels, first.flows))
-    for gain, prev, cur in zip(gains[1:], samples, samples[1:]):
-        xhat = _x_predict(filt, xhat, prev.inputs[idx], prev.offtakes[idx])
-        xhat = _x_correct(filt, xhat, gain, _measurement(idx, cur.levels, cur.flows))
+    members = np.array([(s.levels, s.flows, s.inputs, s.offtakes)  # gathered: a row per sample
+                        for s in history])[:, :, np.array(coalition.members) - 1]
+    ys = members[:, :2].reshape(len(history), -1)                  # as _measurement builds them
+    xhat = _x_correct(filt, xhat, gains[0], ys[0])
+    for gain, y, u, rho in zip(gains[1:], ys[1:], members[:, 2], members[:, 3]):
+        xhat = _x_correct(filt, _x_predict(filt, xhat, u, rho), gain, y)
     return KalmanState(xhat, cov)
 
 

@@ -150,11 +150,11 @@ class QpStructure:
     Aeq of full row rank; a ValueError is raised when the Cholesky
     factorization H = LL' fails, when Aeq has more rows than columns, or
     when the QR of L^-1 Aeq' has an |R_ii| <= RANK_RTOL max |R_jj|.  Built
-    here: L^-1, the QR factors eq_q, eq_r of L^-1 Aeq' and the start map
-    start_beq = Q R^-T, with which solve_qp forms the equality-constrained
-    minimizer z0 = start_beq beq - (I - QQ') L^-1 f in z = L'x; cond(L) =
-    sqrt(cond(H)).  A controller keeps one structure per QP it solves every
-    step.
+    here: L^-1 (cond(L) = sqrt(cond(H))), the QR factors eq_q, eq_r of
+    L^-1 Aeq' and the start map start_beq = Q R^-T, with which solve_qp forms
+    the equality-constrained minimizer z0 = start_beq beq - (I - QQ') L^-1 f
+    in z = L'x.  Without equality rows (every MPC program) the last three
+    are empty, taken with no QR.  A controller keeps one structure per QP.
     """
 
     def __init__(self, H, Aeq=None, Ain=None):
@@ -171,9 +171,13 @@ class QpStructure:
         except np.linalg.LinAlgError:
             raise ValueError("H must be positive definite") from None
         self.chol_inv = np.linalg.inv(chol)
+        if not self.Aeq.shape[0]:  # every MPC program: nothing to factor
+            self.eq_q = self.start_beq = np.zeros((n, 0))
+            self.eq_r = np.zeros((0, 0))
+            return
         self.eq_q, self.eq_r = np.linalg.qr(self.chol_inv @ self.Aeq.T)
         diag = np.abs(np.diag(self.eq_r))
-        if self.Aeq.shape[0] > n or diag.size and diag.min() <= RANK_RTOL * diag.max():
+        if self.Aeq.shape[0] > n or diag.min() <= RANK_RTOL * diag.max():
             raise ValueError("Aeq must have full row rank")
         self.start_beq = np.linalg.solve(self.eq_r, self.eq_q.T).T
 

@@ -3,17 +3,17 @@
 A coalition is carried by one CoalitionGains record: its stacked model,
 feedback gain K_i and cost-to-go matrix P_i, with certificates.  At each
 decision the supervisor synthesizes (or retrieves from cache) the records
-of every candidate topology's coalitions in chain order, and solves each
-distinct coalition's setpoint once from the most recently published
-neighbour setpoints.  All candidates are then rolled out together on the
-coupled chain model for H = max(t_lambda, preview_horizon) steps, each
-under its own decentralized law u = clip(K (xi - xi_bar)),
-K = blockdiag(K_1, ...).  Unclipped, a rollout is an affine recursion, so
-all of them are filled by doubling in log depth (7 batched products for
-H = 120, as in the associative scan of Blelloch, 1990); only the candidates
-whose unclipped inputs leave the box are rolled out again step by step
-under the clip.  Scores thus equal the sequential clipped rollout's up to
-round-off.  A candidate scores
+of the candidate topologies' distinct coalitions in one call, and fills
+every candidate's setpoints in one upstream pass over the chain from the
+most recently published neighbour setpoints.  All candidates are then
+rolled out together on the coupled chain model for
+H = max(t_lambda, preview_horizon) steps, each under its own decentralized
+law u = clip(K (xi - xi_bar)), K = blockdiag(K_1, ...).  Unclipped, a
+rollout is an affine recursion, so all of them are filled by doubling in
+log depth (7 batched products for H = 120, as in the associative scan of
+Blelloch, 1990); only the candidates whose unclipped inputs leave the box
+are rolled out again step by step under the clip.  Scores thus equal the
+sequential clipped rollout's up to round-off.  A candidate scores
 
     sum_k ( Q ||e(k) - e*||^2 + R ||u(k)||^2 )  +  sum_i zeta_i' P_i zeta_i
         +  c_link * |links| * t_lambda
@@ -39,7 +39,7 @@ from .numerics import (
     lyapunov_residual,
     solve_dare,
 )
-from .topology import Partition, Topology, candidate_set, partition_of
+from .topology import Topology, candidate_set, partition_of
 
 CERT_RTOL = 1e-8
 TIE_RTOL = 1e-9  # score tie tolerance; real margins measure >= 3e-5 relative
@@ -120,10 +120,10 @@ def _synthesize_one(coalition, cfg) -> CoalitionGains:
     return CoalitionGains(coalition, gain, p_mat, d_res, l_res)
 
 
-def synthesize(partition: Partition, subsystems, cfg: ControllerConfig,
-               cache: SynthesisCache) -> list:
-    """One certified CoalitionGains record per block of the partition, in block order.
+def synthesize(blocks, subsystems, cfg: ControllerConfig, cache: SynthesisCache) -> list:
+    """One certified CoalitionGains record per coalition of `blocks`, in order.
 
+    `blocks` is a Partition or any coalitions, such as all of a decision's.
     Gains depend on each subsystem's delay and gain and on the level and
     input weights, and the cache's gain schedules also on every kf_*
     setting; the cache is bound to all of these by value.
@@ -131,7 +131,7 @@ def synthesize(partition: Partition, subsystems, cfg: ControllerConfig,
     cache.bind((tuple((sub.delay, sub.gain) for sub in subsystems),
                 cfg.level_weight, cfg.input_weight, _kf_tuning(cfg)))
     records = []
-    for members in partition:
+    for members in blocks:
         record = cache.gains(members)
         if record is None:
             record = _synthesize_one(build_coalition_model(subsystems, members), cfg)
@@ -165,7 +165,7 @@ class PublishedSetpoints:
         self.outflow[idx] = setpoint.xi_s[coalition.gate_flow_rows()] + setpoint.u_s
 
 
-def topology_value(state, candidates, records, setpoints, c_link, t_lambda, model, rho, cfg):
+def topology_value(state, candidates, records, xi_bar, c_link, t_lambda, model, rho, cfg):
     """Scores of all candidates: predicted shifted-state cost plus priced network usage.
 
     Candidate c's decentralized law u = clip(K_c (xi - xi_bar_c)), with
@@ -188,20 +188,18 @@ def topology_value(state, candidates, records, setpoints, c_link, t_lambda, mode
     exposes.
     `records[c]` are candidate c's CoalitionGains in chain order, as
     synthesize(partition_of(candidate)) returns them, so that their stacked
-    states are the global state; `setpoints` maps each coalition's members
-    to its xi_bar.  Returns one score per candidate.
+    states are the global state; row c of `xi_bar`, from candidate_setpoints,
+    holds candidate c's xi_bar_c.  Returns one score per candidate.
     """
     n_cand, n = len(records), model.n
     k_t = np.zeros((n_cand, n, model.m))            # K_c transposed, block-diagonal
     p_diag = np.zeros((n_cand, n, n))               # blockdiag(P_1, ...) per candidate
-    xi_bar = np.empty((n_cand, n))
     for c, gains in enumerate(records):
         row = col = 0
         for g in gains:
             rows, cols = slice(row, row + g.model.n), slice(col, col + g.model.m)
             k_t[c, rows, cols] = g.gain.T
             p_diag[c, rows, rows] = g.p_mat
-            xi_bar[c, rows] = setpoints[g.model.members]
             row, col = rows.stop, cols.stop
 
     steps = max(t_lambda, cfg.preview_horizon)
@@ -283,20 +281,24 @@ class SelectionResult:
     values: list  # (bit-string, value) per candidate, in candidate_set order
 
 
-def candidate_setpoints(records, rho, published):
-    """Step-3/4 setpoints of every distinct coalition among the records.
+def candidate_setpoints(candidates, rho, outflow, model):
+    """Step-3/4 setpoints of every candidate, one C x n array in the chain `model`'s layout.
 
-    A coalition's boundary estimate is the published outflow of each of its
-    coupling sources: that gate's flow plus its input increment, from the
-    owning coalition's latest setpoint.  Its zero-level steady state is then
-    solved once, however many candidates share it.  Returns members -> xi_bar.
+    A coalition's boundary estimate is its coupling source's published
+    outflow.  One upstream pass per candidate, in Python floats, applies
+    compute_setpoint's rule in its operand order: gate s passes rho_s +
+    (gate s+1's flow if link s is on, else outflow[s]), rho_N + 0.0 at the
+    chain end.  Each block's slice is compute_setpoint(block, rho_B, outflow[sources]).
     """
-    coalitions = {g.model.members: g.model for g in records}.values()
-    return {
-        coal.members: compute_setpoint(coal, rho[[s - 1 for s in coal.members]],
-                                       published.outflow[[s - 1 for s in coal.coupling_sources]])
-        for coal in coalitions
-    }
+    rho_l, out_l = rho.tolist(), outflow.tolist()[1:] + [0.0]   # no gate below reach N
+    flows = np.empty((len(candidates), model.m))
+    for row, cand in zip(flows, candidates):
+        below = 0.0
+        for s in range(model.m, 0, -1):
+            row[s - 1] = below = rho_l[s - 1] + (below if s in cand.enabled else out_l[s - 1])
+    xi_bar = np.zeros((len(candidates), model.n))
+    xi_bar[:, model.flow_rows()] = flows[:, np.repeat(np.arange(model.m), model.delays)]
+    return xi_bar
 
 
 def select_topology(state, rho, published, incumbent, cache,
@@ -304,8 +306,9 @@ def select_topology(state, rho, published, incumbent, cache,
                     c_link, global_model) -> SelectionResult:
     """Evaluate the incumbent and all one-link toggles; return the cheapest.
 
-    Each candidate's coalitions get boundary estimates and setpoints from
-    the published data, and all candidates are scored in one batched
+    The candidates' distinct coalitions are synthesized in one call and
+    their setpoints filled from the published data in one pass
+    (candidate_setpoints); all candidates are then scored in one batched
     rollout of their decentralized feedback on the coupled chain model
     `global_model` over the coming interval (topology_value): unclipped
     rollouts by doubling, and the rows whose inputs leave the box by the
@@ -319,9 +322,12 @@ def select_topology(state, rho, published, incumbent, cache,
     """
     rho = np.asarray(rho, dtype=float)
     candidates = candidate_set(incumbent)
-    records = [synthesize(partition_of(cand), subsystems, cfg, cache) for cand in candidates]
-    setpoints = candidate_setpoints([g for gains in records for g in gains], rho, published)
-    values = topology_value(state, candidates, records, setpoints, c_link, t_lambda,
+    partitions = [partition_of(cand) for cand in candidates]
+    distinct = dict.fromkeys(b for part in partitions for b in part)
+    by_members = dict(zip(distinct, synthesize(distinct, subsystems, cfg, cache)))
+    records = [[by_members[b] for b in part] for part in partitions]
+    xi_bar = candidate_setpoints(candidates, rho, published.outflow, global_model)
+    values = topology_value(state, candidates, records, xi_bar, c_link, t_lambda,
                             global_model, rho, cfg)
     scored = [(float(value), cand.n_links, cand.bits(), cand)
               for value, cand in zip(values, candidates)]

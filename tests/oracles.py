@@ -7,13 +7,19 @@ exhaustive active-set enumeration vs pivoting, horizon loops vs stacked
 prediction maps, a term-by-term condensation vs stacked products, a
 backward costate sweep vs the condensed cost's linear term, reach-by-reach
 difference equations vs stacked state-space matrices, a fused filter
-replay vs a cached gain schedule) so that agreement is meaningful.
+replay vs a cached gain schedule, a per-candidate synthesis and per-block
+setpoint placement vs a decision's one-pass bookkeeping) so that agreement
+is meaningful.
 """
 
 import itertools
 
 import numpy as np
 import scipy.linalg
+
+from canalmpc.control import compute_setpoint
+from canalmpc.supervisor import synthesize, topology_value
+from canalmpc.topology import candidate_set, partition_of
 
 
 def square_setpoint(coalition, rho, omega):
@@ -137,6 +143,28 @@ def looped_rollout_value(xi0, blocks, xi_mat, up_mat, phi_rho, yardstick, level_
         z = xi[rows] - yardstick[rows]
         total += z @ p_mat @ z
     return total, clipped
+
+
+def per_candidate_scores(state, rho, published, incumbent, cache, subsystems, cfg, t_lambda,
+                         c_link, model):
+    """select_topology's scores by the per-candidate path, candidate_set order.
+
+    Each candidate gets its own synthesize(partition_of(candidate)) call and
+    one compute_setpoint per block, placed blockwise in its xi_bar row; the
+    rows are then scored by topology_value.
+    """
+    candidates = candidate_set(incumbent)
+    records = [synthesize(partition_of(cand), subsystems, cfg, cache) for cand in candidates]
+    xi_bar = np.empty((len(candidates), model.n))
+    for row, gains in zip(xi_bar, records):
+        start = 0
+        for entry in gains:
+            coal = entry.model
+            row[start:start + coal.n] = compute_setpoint(
+                coal, rho[[s - 1 for s in coal.members]],
+                published.outflow[[s - 1 for s in coal.coupling_sources]])
+            start += coal.n
+    return topology_value(state, candidates, records, xi_bar, c_link, t_lambda, model, rho, cfg)
 
 
 def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, margin):

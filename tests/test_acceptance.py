@@ -8,7 +8,9 @@ values attached.
 """
 
 import itertools
+import json
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +325,22 @@ def test_12_determinism_and_round_trip(runs, tmp_path):
         f"same-seed trace files identical ({identical}); write/read round-trip lossless "
         f"({lossless}); rewrite byte-stable ({byte_stable})",
     )
+
+
+# perfbench's three workloads are these runs' configurations at seed 0
+BENCHMARK_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("run, workload", [
+    ("coal2", "coalitional-cold"), ("mis1", "mismatch-warm"), ("cent1", "centralized"),
+])
+def test_runs_match_benchmark_reference(runs, run, workload):
+    """Behaviour lock: the topology sequence equals the benchmark's reference,
+    and every step cost is within its 1e-6 relative plus 1e-12 x peak rule."""
+    reference = json.loads((BENCHMARK_REFERENCE / f"{workload}.json").read_text())
+    trace = runs[run]
+    assert trace.topology_bits == reference["topology_bits"]
+    ref_cost = np.array(reference["perf_cost"])
+    tol = 1e-6 * np.abs(ref_cost) + 1e-12 * np.max(np.abs(ref_cost))
+    assert trace.perf_cost.shape == ref_cost.shape
+    assert np.count_nonzero(np.abs(trace.perf_cost - ref_cost) > tol) == 0

@@ -161,6 +161,26 @@ class TestKalman:
         omega = kf.split(filt.coalition.n)[1]
         assert omega.size == 0 or np.all(omega != 0.0)
 
+    @pytest.mark.parametrize("members", [(5, 6, 7, 8), tuple(range(1, 14))])
+    def test_gathered_replay_matches_per_sample_replay(self, members):
+        """kf_init gathers every sample's member entries at once; its replay of
+        20 samples with nonzero inputs equals the per-sample oracle bit for bit,
+        and each step reads the inputs of the sample before it."""
+        rng = np.random.default_rng(7)
+        buf = deque(Sample(0.1 * rng.normal(size=13), 3.0 + rng.normal(size=13),
+                           0.3 * rng.normal(size=13), 2.0 + rng.normal(size=13))
+                    for _ in range(20))
+        filt = kalman_model(make_coalition(members), self.cfg)
+        assert filt.coalition.n_channels == (0 if 13 in members else 1)
+        schedule = kf_schedule(filt, 20)
+        kf = kf_init(filt, buf, schedule)
+        xhat, cov = replay_kf_init(filt, buf)
+        assert np.array_equal(kf.xhat, xhat) and np.array_equal(kf.cov, cov)
+        buf[-1].inputs[:] = 0.5   # the newest sample's inputs never enter the replay
+        assert np.array_equal(kf_init(filt, buf, schedule).xhat, xhat)
+        buf[-2].inputs[:] = 0.5
+        assert not np.array_equal(kf_init(filt, buf, schedule).xhat, xhat)
+
     def test_schedule_must_match_history(self):
         filt = kalman_model(make_coalition((5,)), self.cfg)
         levels, flows, offs = steady_global_arrays({5: 3.0, 6: 1.0}, {5: 2.0})

@@ -97,6 +97,20 @@ class TestFixedMaps:
                 x_ref = scipy.linalg.solve_triangular(chol, ref, trans="T", lower=True)
                 assert np.linalg.norm(sol.x - x_ref, np.inf) <= 1e-12 * np.linalg.norm(x_ref, np.inf)
 
+    def test_no_equality_rows_take_no_qr(self, monkeypatch):
+        """Without equality rows the structure factors only H: its QR factors
+        and start map are the empty ones the QR of an n x 0 matrix gives."""
+        q_ref, r_ref = np.linalg.qr(np.zeros((5, 0)))
+        calls = Counter()
+        for name in ("solve", "qr"):
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        s = QpStructure(2.0 * np.eye(5), None, np.ones((3, 5)))
+        assert not calls
+        assert (s.eq_q.shape, s.eq_r.shape, s.start_beq.shape) == (q_ref.shape, r_ref.shape, (5, 0))
+
     @pytest.mark.parametrize("n_eq", [0, 2])
     @pytest.mark.parametrize("n_working", [0, 1, 4])
     def test_working_dual_is_tail_of_full_triangular_solve(self, n_working, n_eq):

@@ -24,7 +24,7 @@ from canalmpc.supervisor import (
 )
 from canalmpc.topology import Partition, Topology, candidate_set, full_topology, partition_of
 
-from oracles import looped_rollout_value, scipy_lqr_gain
+from oracles import looped_rollout_value, per_candidate_scores, scipy_lqr_gain
 
 CHAIN = build_chain(DEZ_REACHES, 300.0)
 MODEL = assemble_global(CHAIN)
@@ -143,10 +143,28 @@ class TestSynthesisCache:
         assert all(a is b for a, b in zip(first, again))
 
 
+def _block_rows(members):
+    """The global state rows of a contiguous coalition."""
+    return MODEL.offsets[members[0]] + np.arange(build_coalition_model(CHAIN, members).n)
+
+
 def _setpoints_of(blocks, rho, published):
-    """candidate_setpoints over freshly synthesized records of the given coalitions."""
-    return candidate_setpoints(synthesize(Partition(blocks), CHAIN, CFG, SynthesisCache()),
-                               rho, published)
+    """Each block's slice of candidate_setpoints for the topology linking within the blocks."""
+    candidate = Topology(13, {s for b in blocks for s in b[:-1]})
+    (xi_bar,) = candidate_setpoints([candidate], rho, published.outflow, MODEL)
+    return {b: xi_bar[_block_rows(b)] for b in blocks}
+
+
+def _assert_blocks_match_compute_setpoint(candidates, rho, outflow):
+    """Every block's slice of every candidate is compute_setpoint's, bit for bit."""
+    xi_bar = candidate_setpoints(candidates, rho, outflow, MODEL)
+    assert xi_bar.shape == (len(candidates), MODEL.n)
+    for row, cand in zip(xi_bar, candidates):
+        for members in partition_of(cand):
+            coal = build_coalition_model(CHAIN, members)
+            expected = compute_setpoint(coal, rho[[s - 1 for s in members]],
+                                        outflow[[s - 1 for s in coal.coupling_sources]])
+            assert np.array_equal(row[_block_rows(members)], expected)
 
 
 class TestCandidateSetpoints:
@@ -187,6 +205,20 @@ class TestCandidateSetpoints:
             flows = setpoints[(i,)][build_coalition_model(CHAIN, (i,)).flow_rows()]
             assert flows == pytest.approx(2.0 + (5.0 if i < 13 else 0.0))
 
+    @pytest.mark.parametrize("incumbent", [(), tuple(range(1, 13)), (2, 3, 7, 11)])
+    def test_every_block_matches_compute_setpoint(self, incumbent):
+        """All candidates of an incumbent, the chain's last reach included."""
+        rng = np.random.default_rng(len(incumbent))
+        _assert_blocks_match_compute_setpoint(candidate_set(Topology(13, incumbent)),
+                                              rng.uniform(0.0, 3.0, 13), rng.uniform(0.0, 9.0, 13))
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(st.sets(st.integers(1, 12)), st.integers(0, 2**16))
+    def test_drawn_incumbents_match_compute_setpoint(self, incumbent, seed):
+        rng = np.random.default_rng(seed)
+        _assert_blocks_match_compute_setpoint(candidate_set(Topology(13, incumbent)),
+                                              rng.uniform(0.0, 3.0, 13), rng.normal(4.0, 3.0, 13))
+
 
 def _steady_preview():
     """Steady chain state at uniform offtakes, with the chain model and those offtakes."""
@@ -210,29 +242,32 @@ def _contiguous_partitions(rng, count):
 
 
 def _random_setpoints(rng, steady, model, records):
-    """Random xi_bar per distinct coalition, and its oracle blocks per record list."""
+    """Random setpoints per distinct coalition, placed in one xi_bar row per
+    record list, and the oracle blocks of each record list."""
     setpoints = {}
+    xi_bar = np.empty((len(records), model.n))
     blocks = []
-    for gains in records:
+    for c, gains in enumerate(records):
         blocks.append([])
         for entry in gains:
             coal = entry.model
             rows = model.offsets[coal.members[0]] + np.arange(coal.n)  # contiguous members
             if coal.members not in setpoints:
                 setpoints[coal.members] = steady[rows] + rng.normal(scale=0.1, size=coal.n)
+            xi_bar[c, rows] = setpoints[coal.members]
             cols = [s - 1 for s in coal.members]
             blocks[-1].append((rows, cols, entry.gain, entry.p_mat, setpoints[coal.members]))
-    return setpoints, blocks
+    return xi_bar, blocks
 
 
 def _rollout_batch(rng, parts, scale):
-    """Candidates, records, setpoints, oracle blocks and a start state `scale` off steady."""
+    """Candidates, records, xi_bar, oracle blocks and a start state `scale` off steady."""
     steady, model, _ = _steady_preview()
     candidates = [Topology(13, {s for b in part for s in b[:-1]}) for part in parts]
     cache = SynthesisCache()
     records = [synthesize(part, CHAIN, CFG, cache) for part in parts]
-    setpoints, blocks = _random_setpoints(rng, steady, model, records)
-    return candidates, records, setpoints, blocks, steady + rng.normal(scale=scale, size=39)
+    xi_bar, blocks = _random_setpoints(rng, steady, model, records)
+    return candidates, records, xi_bar, blocks, steady + rng.normal(scale=scale, size=39)
 
 
 def _seeded_batch(seed, scale):
@@ -243,9 +278,9 @@ def _seeded_batch(seed, scale):
 
 def _assert_matches_oracle(batch, cfg=CFG, t_lambda=4):
     """Scores equal the per-coalition loop's; returns the entries it clipped, per candidate."""
-    candidates, records, setpoints, blocks, xi0 = batch
+    candidates, records, xi_bar, blocks, xi0 = batch
     steady, model, rho = _steady_preview()
-    values = topology_value(xi0, candidates, records, setpoints, 0.6, t_lambda, model, rho, cfg)
+    values = topology_value(xi0, candidates, records, xi_bar, 0.6, t_lambda, model, rho, cfg)
     assert values.shape == (len(candidates),)
     clipped = []
     for value, candidate, candidate_blocks in zip(values, candidates, blocks):
@@ -264,7 +299,7 @@ class TestTopologyValue:
     def test_zero_at_setpoint_free_links(self, full_gains):
         state, model, rho = _steady_preview()
         (value,) = topology_value(
-            state, [full_topology(13)], [full_gains], {FULL: state.copy()},
+            state, [full_topology(13)], [full_gains], state[None],
             c_link=0.0, t_lambda=4, model=model, rho=rho, cfg=CFG,
         )
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -273,7 +308,7 @@ class TestTopologyValue:
         """At the setpoint all 12 links cost c_link * 12 * t_lambda."""
         state, model, rho = _steady_preview()
         (value,) = topology_value(
-            state, [full_topology(13)], [full_gains], {FULL: state.copy()},
+            state, [full_topology(13)], [full_gains], state[None],
             c_link=0.6, t_lambda=4, model=model, rho=rho, cfg=CFG,
         )
         assert value == pytest.approx(28.8)
@@ -284,7 +319,7 @@ class TestTopologyValue:
         state = state + np.random.default_rng(3).normal(scale=0.05, size=state.size)
         free, priced = (
             topology_value(
-                state, [full_topology(13)], [full_gains], {FULL: np.zeros(39)},
+                state, [full_topology(13)], [full_gains], np.zeros((1, 39)),
                 c_link=c_link, t_lambda=4, model=model, rho=rho, cfg=CFG,
             )[0]
             for c_link in (0.0, 0.6)
@@ -296,10 +331,8 @@ class TestTopologyValue:
         """Singletons at their setpoints with no link enabled score zero at any link price."""
         state, model, rho = _steady_preview()
         gains = synthesize(SINGLETON_PARTITION, CHAIN, CFG, SynthesisCache())
-        setpoints = {(i,): state[model.offsets[i]:model.offsets[i] + CHAIN[i - 1].n]
-                     for i in range(1, 14)}
         (value,) = topology_value(
-            state, [Topology(13, ())], [gains], setpoints,
+            state, [Topology(13, ())], [gains], state[None],
             c_link=0.6, t_lambda=4, model=model, rho=rho, cfg=CFG,
         )
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -310,7 +343,7 @@ class TestTopologyValue:
         for _ in range(10):
             state = rng.normal(size=39)
             (value,) = topology_value(
-                state, [Topology(13, ())], [full_gains], {FULL: np.zeros(39)},
+                state, [Topology(13, ())], [full_gains], np.zeros((1, 39)),
                 c_link=0.0, t_lambda=4, model=model, rho=rho, cfg=CFG,
             )
             assert value >= 0.0
@@ -326,12 +359,13 @@ class TestTopologyValue:
         cache = SynthesisCache()
         candidates = candidate_set(Topology(13, {2, 3, 7, 11}))
         records = [synthesize(partition_of(cand), CHAIN, CFG, cache) for cand in candidates]
-        setpoints, _ = _random_setpoints(rng, steady, model, records)
+        xi_bar, _ = _random_setpoints(rng, steady, model, records)
         xi0 = steady + rng.normal(scale=1.0, size=39)
-        batch = topology_value(xi0, candidates, records, setpoints, 0.6, 4, model, rho, CFG)
+        batch = topology_value(xi0, candidates, records, xi_bar, 0.6, 4, model, rho, CFG)
         assert batch.shape == (13,)
         for c, (cand, gains) in enumerate(zip(candidates, records)):
-            (alone,) = topology_value(xi0, [cand], [gains], setpoints, 0.6, 4, model, rho, CFG)
+            (alone,) = topology_value(xi0, [cand], [gains], xi_bar[c:c + 1], 0.6, 4, model, rho,
+                                      CFG)
             assert alone == pytest.approx(batch[c], rel=1e-12, abs=0.0)
 
     def test_full_partition_cost_to_go_matches_simulation(self, full_gains):
@@ -404,12 +438,16 @@ def _disturbed_setup():
 
 
 def test_candidate_setpoints_once_per_distinct_coalition():
-    """Singletons plus the twelve one-link merges: 25 distinct coalitions."""
+    """Singletons plus the twelve one-link merges: each of the 25 distinct
+    coalitions gets one setpoint, the same in every candidate that has it."""
     state, rho, published = _disturbed_setup()
-    cache = SynthesisCache()
-    records = [synthesize(partition_of(cand), CHAIN, CFG, cache)
-               for cand in candidate_set(Topology(13, ()))]
-    setpoints = candidate_setpoints([g for gains in records for g in gains], rho, published)
+    candidates = candidate_set(Topology(13, ()))
+    xi_bar = candidate_setpoints(candidates, rho, published.outflow, MODEL)
+    setpoints = {}
+    for row, cand in zip(xi_bar, candidates):
+        for members in partition_of(cand):
+            block = setpoints.setdefault(members, row[_block_rows(members)])
+            assert np.array_equal(row[_block_rows(members)], block)
     assert len(setpoints) == 25
     pair = build_coalition_model(CHAIN, (4, 5))
     omega = published.outflow[[5]]  # coupling source: gate 6
@@ -426,6 +464,16 @@ class TestSelectTopology:
                              CFG.link_cost, MODEL)
         assert r1.topology == r2.topology
         assert r1.values == r2.values
+
+    @pytest.mark.parametrize("incumbent", [(), (9,), (2, 3, 7, 11), tuple(range(1, 13))])
+    def test_values_equal_per_candidate_path(self, incumbent):
+        """One synthesis and one setpoint pass per decision score bit for bit
+        as a synthesis and a setpoint per block of each candidate."""
+        state, rho, published = _disturbed_setup()
+        args = (Topology(13, incumbent), SynthesisCache(), CHAIN, CFG, 4, CFG.link_cost, MODEL)
+        result = select_topology(state, rho, published, *args)
+        expected = per_candidate_scores(state, rho, published, *args)
+        assert [value for _, value in result.values] == expected.tolist()
 
     def test_cache_transparency(self):
         """A cache warmed by a decision at another state scores exactly as a fresh one."""
