@@ -43,9 +43,7 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="closed-loop coalitional run")
     common(p_run)
-    p_run.add_argument("--centralized", action="store_true",
-                       help="fixed full topology instead of the supervisory layer")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, centralized=False)
 
     p_base = sub.add_parser("baseline", help="centralized baseline run")
     common(p_base)
@@ -66,10 +64,16 @@ def _build_parser():
     return parser
 
 
-def _materialize(args):
+def _materialize(args, default_scenario="scenario1"):
+    """The checked configuration a command runs.
+
+    `default_scenario` fills in a missing scenario; None leaves it missing,
+    for a command that runs no scenario.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.scenario or cfg.scenario is None:
-        cfg.scenario = scenario_by_name(args.scenario or "scenario1")
+    name = args.scenario or (default_scenario if cfg.scenario is None else None)
+    if name:
+        cfg.scenario = scenario_by_name(name)
     if args.out is not None:
         cfg.output_dir = args.out
     if args.seed is not None:
@@ -179,7 +183,7 @@ def cmd_sweep(args):
 
 
 def cmd_validate(args):
-    cfg = _materialize(args)
+    cfg = _materialize(args, default_scenario=None)
     results = run_checks(cfg)
     failed = 0
     for name, ok, detail in results:

@@ -123,7 +123,8 @@ def _synthesize_one(coalition, cfg) -> CoalitionGains:
 def synthesize(blocks, subsystems, cfg: ControllerConfig, cache: SynthesisCache) -> list:
     """One certified CoalitionGains record per coalition of `blocks`, in order.
 
-    `blocks` is a Partition or any coalitions, such as all of a decision's.
+    `blocks` is partition_of's tuple of member tuples or any coalitions, such
+    as all of a decision's.
     Gains depend on each subsystem's delay and gain and on the level and
     input weights, and the cache's gain schedules also on every kf_*
     setting; the cache is bound to all of these by value.

@@ -47,35 +47,11 @@ def full_topology(n_agents: int) -> Topology:
     return Topology(n_agents, frozenset(range(1, n_agents)))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint coalitions covering all agents, sorted by smallest member."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        if not all(blocks):
-            raise ValueError("empty coalition")
-        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", blocks)
-        seen = set()
-        for b in blocks:
-            if seen & set(b):
-                raise ValueError("coalitions overlap")
-            seen |= set(b)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
-def partition_of(topology: Topology) -> Partition:
+def partition_of(topology: Topology) -> tuple:
     """Connected components induced by the enabled links of a chain graph.
 
-    The blocks are contiguous runs of agents, in chain order.
+    Returns a tuple of member tuples: contiguous runs of agents, in chain
+    order, that cover the chain once.
     """
     n = topology.n_agents
     blocks = []
@@ -87,7 +63,7 @@ def partition_of(topology: Topology) -> Partition:
             blocks.append(tuple(current))
             current = [i + 1]
     blocks.append(tuple(current))
-    return Partition(tuple(blocks))
+    return tuple(blocks)
 
 
 def candidate_set(current: Topology) -> list:

@@ -1,43 +1,18 @@
 """Invariant suite behind the `validate` CLI command.
 
 Each check is a named predicate over a run configuration; `run_checks`
-executes all of them and reports (name, passed, detail) triples.  These are
-the module-level invariants that do not need a full closed-loop run.
+executes all of them and reports (name, passed, detail) triples.  Every
+check reads the configuration's reach table or controller tuning and needs
+no closed-loop run; invariants that hold by construction, whatever the
+configuration, are left to the tests.
 """
-
-import itertools
 
 import numpy as np
 
 from .canal import assemble_global, build_chain, build_coalition_model
 from .control import compute_setpoint
-from .numerics import QpStructure, solve_qp
 from .supervisor import CERT_RTOL, SynthesisCache, synthesize
-from .topology import Partition, Topology, partition_of
-
-
-# Up to 16 reaches all 2^(N-1) topologies are checked, past that a seeded sample.
-PARTITION_SAMPLE = 4096
-
-
-def _check_partition_conditions(cfg):
-    n = len(cfg.reaches)
-    links = list(range(1, n))
-    topologies, what = itertools.product((0, 1), repeat=n - 1), "topologies"
-    if n > 16:
-        topologies = np.random.default_rng(0).integers(0, 2, size=(PARTITION_SAMPLE, n - 1))
-        what = f"topologies, a seeded sample of the 2^{n - 1}"
-    count = 0
-    for bits in topologies:
-        enabled = frozenset(l for l, b in zip(links, bits) if b)
-        p = partition_of(Topology(n, enabled))
-        members = sorted(s for b in p for s in b)
-        if members != list(range(1, n + 1)):
-            return False, f"cover violated for {enabled}"
-        if not 1 <= len(p) <= n:
-            return False, f"block count {len(p)} out of range"
-        count += 1
-    return True, f"{count} {what}"
+from .topology import Topology, partition_of
 
 
 def _check_block_assembly(cfg):
@@ -46,14 +21,7 @@ def _check_block_assembly(cfg):
     rng = np.random.default_rng(0)
     n = len(subs)
     for _ in range(5):
-        n_cuts = int(rng.integers(0, max(n - 1, 1)))  # none for one or two reaches
-        cuts = sorted(rng.choice(range(1, n), size=n_cuts, replace=False))
-        blocks = []
-        start = 1
-        for c in list(cuts) + [n]:
-            if start <= c:
-                blocks.append(tuple(range(start, c + 1)))
-            start = c + 1
+        blocks = partition_of(Topology(n, {l for l in range(1, n) if rng.random() < 0.5}))
         coals = [build_coalition_model(subs, b) for b in blocks]
         unrouted = [s for c in coals for s in c.coupling_sources if s not in global_model.offsets]
         if unrouted:
@@ -82,15 +50,9 @@ def _check_steady_state(cfg):
     offtakes = np.full(len(subs), 2.0)
     state = compute_setpoint(model, offtakes, np.zeros(0))
     nxt = model.Xi @ state + model.Phi @ offtakes
-    ok = np.allclose(nxt, state, atol=1e-10)
-    return ok, "zero-level steady state is a fixed point"
-
-
-def _check_gamma_rows(cfg):
-    subs = build_chain(cfg.reaches, cfg.controller.sample_time)
-    model = assemble_global(subs)
-    ok = np.allclose(model.gamma @ model.gamma.T, np.eye(model.m), atol=1e-14)
-    return ok, "level selectors orthonormal"
+    if not np.allclose(nxt, state, atol=1e-10):
+        return False, f"zero-level steady state moves by {np.max(np.abs(nxt - state)):.1e} in one step"
+    return True, "zero-level steady state is a fixed point"
 
 
 def _check_synthesis_certificates(cfg):
@@ -98,12 +60,9 @@ def _check_synthesis_certificates(cfg):
     cache = SynthesisCache()
     n = len(subs)
     cut = min(3, n - 1)  # head block of up to three reaches, tail nonempty
-    partitions = [
-        Partition(tuple((i,) for i in range(1, n + 1))),
-        Partition((tuple(range(1, n + 1)),)),
-    ]
+    partitions = [tuple((i,) for i in range(1, n + 1)), (tuple(range(1, n + 1)),)]
     if cut:
-        partitions.append(Partition((tuple(range(1, cut + 1)), tuple(range(cut + 1, n + 1)))))
+        partitions.append((tuple(range(1, cut + 1)), tuple(range(cut + 1, n + 1))))
     worst = 0.0  # synthesize raises SynthesisError for a residual past tolerance
     for part in partitions:
         for entry in synthesize(part, subs, cfg.controller, cache):
@@ -131,31 +90,11 @@ def _check_setpoint_telescoping(cfg):
     return True, "coalition steady states match the chain's on 5 random partitions"
 
 
-def _check_qp_equality_agreement(cfg):
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        m_mat = rng.normal(size=(n, n))
-        h = m_mat @ m_mat.T + 0.5 * np.eye(n)
-        f = rng.normal(size=n)
-        aeq = rng.normal(size=(1, n))
-        beq = rng.normal(size=1)
-        sol = solve_qp(QpStructure(h, aeq), f, beq)
-        kkt = np.block([[h, aeq.T], [aeq, np.zeros((1, 1))]])
-        ref = np.linalg.solve(kkt, np.concatenate([-f, beq]))[:n]
-        if np.linalg.norm(sol.x - ref, np.inf) > 1e-9 * (1 + np.linalg.norm(ref, np.inf)):
-            return False, "KKT disagreement"
-    return True, "10 random equality QPs"
-
-
 CHECKS = [
-    ("partition-conditions-exhaustive", _check_partition_conditions),
     ("coalition-block-assembly", _check_block_assembly),
     ("global-steady-state", _check_steady_state),
-    ("level-selector-rows", _check_gamma_rows),
     ("synthesis-certificates", _check_synthesis_certificates),
     ("setpoint-telescoping", _check_setpoint_telescoping),
-    ("qp-equality-kkt-agreement", _check_qp_equality_agreement),
 ]
 
 

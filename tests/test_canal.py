@@ -119,13 +119,14 @@ class TestCoalitionModel:
         assert coal.n_channels == 1
         assert coal.coupling_sources == (5,)
 
-    def test_gamma_selects_levels(self, chain):
-        coal = assemble_global(chain)
-        assert np.allclose(coal.gamma @ coal.gamma.T, np.eye(13))
+    @pytest.mark.parametrize("n_reaches", [1, 2, 3, len(DEZ_REACHES)])
+    def test_gamma_selects_levels(self, n_reaches):
+        coal = assemble_global(build_chain(DEZ_REACHES[:n_reaches], T_C))
+        assert np.allclose(coal.gamma @ coal.gamma.T, np.eye(n_reaches))
         rows = coal.level_rows()
-        state = np.zeros(39)
-        state[rows] = np.arange(1.0, 14.0)
-        assert np.allclose(coal.gamma @ state, np.arange(1.0, 14.0))
+        state = np.zeros(coal.n)
+        state[rows] = np.arange(1.0, n_reaches + 1)
+        assert np.allclose(coal.gamma @ state, np.arange(1.0, n_reaches + 1))
 
     def test_noncontiguous_members(self, chain):
         coal = build_coalition_model(chain, (1, 3))

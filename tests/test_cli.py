@@ -47,14 +47,6 @@ class TestCli:
         assert all(b == "1" * 12 for b in trace.topology_bits)
         assert np.all(trace.mean_decision_vars == 39.0)
 
-    def test_run_centralized_flag_matches_baseline(self, tmp_path):
-        cfg = mini_config(tmp_path)
-        assert main(["run", "--config", str(cfg), "--centralized"]) == 0
-        t1 = read_trace(tmp_path / "out" / "trace_centralized.csv")
-        assert main(["baseline", "--config", str(cfg)]) == 0
-        t2 = read_trace(tmp_path / "out" / "trace_centralized.csv")
-        assert t1.arrays_equal(t2)
-
     def test_seed_reproducibility(self, tmp_path):
         cfg = mini_config(tmp_path)
         assert main(["run", "--config", str(cfg), "--seed", "7"]) == 0
@@ -122,6 +114,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in out
+
+    def test_validate_takes_a_table_without_scenario(self, tmp_path, capsys):
+        """validate runs no scenario, so a 3-reach table needs no scenario section."""
+        path = tmp_path / "three.yaml"
+        path.write_text(yaml.safe_dump({"reaches": [
+            {"index": r.index, "backwater_area": r.backwater_area, "delay_steps": r.delay_steps}
+            for r in DEZ_REACHES[:3]
+        ]}))
+        rc = main(["validate", "--config", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert len(lines) == 4 and all(line.startswith("PASS") for line in lines)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -22,7 +22,7 @@ from canalmpc.supervisor import (
     synthesize,
     topology_value,
 )
-from canalmpc.topology import Partition, Topology, candidate_set, full_topology, partition_of
+from canalmpc.topology import Topology, candidate_set, full_topology, partition_of
 
 from oracles import looped_rollout_value, per_candidate_scores, scipy_lqr_gain
 
@@ -30,8 +30,8 @@ CHAIN = build_chain(DEZ_REACHES, 300.0)
 MODEL = assemble_global(CHAIN)
 CFG = ControllerConfig()
 FULL = tuple(range(1, 14))
-FULL_PARTITION = Partition((FULL,))
-SINGLETON_PARTITION = Partition(tuple((i,) for i in range(1, 14)))
+FULL_PARTITION = (FULL,)
+SINGLETON_PARTITION = tuple((i,) for i in range(1, 14))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ class TestSynthesize:
                 blocks.append(tuple(range(start, c + 1)))
                 start = c + 1
             blocks = [b for b in blocks if b]
-            for entry in synthesize(Partition(tuple(blocks)), CHAIN, CFG, cache):
+            for entry in synthesize(tuple(blocks), CHAIN, CFG, cache):
                 tol = 1e-8 * (1.0 + np.linalg.norm(entry.p_mat, np.inf))
                 assert entry.dare_res <= tol and entry.lyap_res <= tol
 
@@ -96,7 +96,7 @@ class TestSynthesize:
 
     def test_records_tile_the_chain_gain(self):
         """In block order, the records' gains tile the 13x39 chain gain."""
-        part = Partition(((1, 2), (3,)) + tuple((i,) for i in range(4, 14)))
+        part = ((1, 2), (3,)) + tuple((i,) for i in range(4, 14))
         gains = synthesize(part, CHAIN, CFG, SynthesisCache())
         assert [entry.model.members for entry in gains] == list(part)
         offsets = assemble_global(CHAIN).offsets
@@ -108,7 +108,7 @@ class TestSynthesize:
 
 
 class TestSynthesisCache:
-    PAIR = Partition(((1, 2),))
+    PAIR = ((1, 2),)
 
     def test_other_reach_table_refused(self):
         cache = SynthesisCache()
@@ -229,7 +229,7 @@ def _steady_preview():
 def _partition_at(cuts):
     """The contiguous partition of the 13 reaches that ends a block after each cut."""
     ends = [0] + sorted(int(c) for c in cuts) + [13]
-    return Partition(tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])))
+    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
 
 
 def _contiguous_partitions(rng, count):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from canalmpc.topology import (
-    Partition,
     Topology,
     candidate_set,
     full_topology,
@@ -41,21 +40,22 @@ class TestPartitionOf:
 
     def test_all_enabled(self):
         p = partition_of(full_topology(N))
-        assert p.blocks == (tuple(range(1, 14)),)
+        assert p == (tuple(range(1, 14)),)
 
     def test_two_links(self):
         t = Topology(N, frozenset({1, 2}))
         p = partition_of(t)
-        assert p.blocks[0] == (1, 2, 3)
+        assert p[0] == (1, 2, 3)
         assert len(p) == 11
 
-    def test_exhaustive_union_find_oracle(self):
-        links = list(range(1, N))
-        for bits in itertools.product("01", repeat=N - 1):
+    @pytest.mark.parametrize("n", [1, 2, 3, N])
+    def test_exhaustive_union_find_oracle(self, n):
+        links = list(range(1, n))
+        for bits in itertools.product("01", repeat=n - 1):
             enabled = frozenset(l for l, b in zip(links, bits) if b == "1")
-            p = partition_of(Topology(N, enabled))
+            p = partition_of(Topology(n, enabled))
             edges = [(l, l + 1) for l in enabled]
-            assert p.blocks == union_find_components(N, edges)
+            assert p == union_find_components(n, edges)
 
     def test_partition_conditions(self):
         rng = np.random.default_rng(0)
@@ -71,15 +71,6 @@ class TestPartitionOf:
             # chain topology: every block is a contiguous interval
             for b in p:
                 assert list(b) == list(range(b[0], b[-1] + 1))
-
-    def test_partition_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Partition(((1, 2), (2, 3)))
-
-    @pytest.mark.parametrize("blocks", [((1, 2), ()), ((), (1, 2)), ((),)])
-    def test_partition_rejects_empty_block(self, blocks):
-        with pytest.raises(ValueError, match="empty coalition"):
-            Partition(blocks)
 
 
 class TestCandidateSet:

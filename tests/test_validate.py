@@ -3,9 +3,11 @@ import time
 
 import pytest
 
-from canalmpc import supervisor
+from canalmpc import supervisor, validate
 from canalmpc.canal import DEZ_REACHES
+from canalmpc.control import compute_setpoint
 from canalmpc.io import RunConfig
+from canalmpc.topology import partition_of
 from canalmpc.validate import run_checks
 
 
@@ -18,15 +20,32 @@ def test_invariants_hold_on_leading_reaches(n_reaches):
 
 
 def test_partition_check_samples_long_chains():
-    """Past 16 reaches the partition check samples instead of enumerating 2^(N-1)."""
+    """Every check passes on a 20-reach chain within 5 s."""
     tail = [dataclasses.replace(r, index=13 + r.index) for r in DEZ_REACHES[:7]]
     cfg = dataclasses.replace(RunConfig(), reaches=DEZ_REACHES + tuple(tail))
     start = time.perf_counter()
     results = run_checks(cfg)
     assert time.perf_counter() - start < 5.0
     assert [(name, detail) for name, ok, detail in results if not ok] == []
-    detail = dict((name, detail) for name, _, detail in results)["partition-conditions-exhaustive"]
-    assert detail == "4096 topologies, a seeded sample of the 2^19"
+
+
+@pytest.mark.parametrize("check, name, fault, detail", [
+    ("coalition-block-assembly", "partition_of",
+     lambda topology: partition_of(topology)[::-1], "assembly mismatch for "),
+    ("global-steady-state", "compute_setpoint",
+     lambda model, rho, omega: compute_setpoint(model, rho + 1.0, omega),
+     "zero-level steady state moves by "),
+    ("setpoint-telescoping", "compute_setpoint",
+     lambda model, rho, omega: compute_setpoint(model, rho, omega + 1.0),
+     "leaves the chain's steady state"),
+], ids=["block-order", "wrong-offtakes", "wrong-boundary-flow"])
+def test_broken_check_reported(monkeypatch, check, name, fault, detail):
+    """A fault in what a check relies on fails that check, with its reason."""
+    monkeypatch.setattr(validate, name, fault)
+    results = {result[0]: result[1:] for result in run_checks(RunConfig())}
+    ok, found = results[check]
+    assert not ok
+    assert detail in found
 
 
 def test_failed_certificate_reported(monkeypatch):
