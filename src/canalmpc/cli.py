@@ -30,9 +30,10 @@ def _build_parser():
         description="Coalitional MPC for canal level control with topology switching",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "YAML run configuration (default: the case study)"
 
     def common(p):
-        p.add_argument("--config", help="YAML run configuration (default: the case study)")
+        p.add_argument("--config", help=config_help)
         p.add_argument("--scenario", default=None, help="built-in scenario name (scenario1/scenario2)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
@@ -58,22 +59,18 @@ def _build_parser():
     p_swp.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
-    common(p_val)
+    p_val.add_argument("--config", help=config_help)
     p_val.set_defaults(func=cmd_validate)
 
     return parser
 
 
-def _materialize(args, default_scenario="scenario1"):
-    """The checked configuration a command runs.
-
-    `default_scenario` fills in a missing scenario; None leaves it missing,
-    for a command that runs no scenario.
-    """
+def _materialize(args):
+    """The checked configuration a command runs; scenario1 when neither
+    --scenario nor the file names a scenario."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    name = args.scenario or (default_scenario if cfg.scenario is None else None)
-    if name:
-        cfg.scenario = scenario_by_name(name)
+    if args.scenario or cfg.scenario is None:
+        cfg.scenario = scenario_by_name(args.scenario or "scenario1")
     if args.out is not None:
         cfg.output_dir = args.out
     if args.seed is not None:
@@ -183,8 +180,8 @@ def cmd_sweep(args):
 
 
 def cmd_validate(args):
-    cfg = _materialize(args, default_scenario=None)
-    results = run_checks(cfg)
+    """The invariant suite on --config's reach table and tuning, or the case study's."""
+    results = run_checks(load_config(args.config) if args.config else RunConfig())
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")

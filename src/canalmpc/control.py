@@ -340,7 +340,7 @@ def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
         np.full(len(prog.flow_rows), -cfg.flow_margin), bound - k_xi, bound + k_xi,
     ])
 
-    sol = solve_qp(prog.qp, None, beq, bin_)
+    sol = solve_qp(prog.qp, beq, bin_)
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
@@ -450,7 +450,6 @@ class MpcStep:
     vprime: np.ndarray   # (N_c, m) free moves, zero afterwards
     eps: np.ndarray      # (N_c, n_q) flow-floor slacks for t = 1..N_c
     status: str
-    objective: float
     active_set: tuple = ()   # the QP's final working inequality rows
 
 
@@ -478,13 +477,10 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> MpcStep:
 
     sol = solve_qp(prog.qp, bin=bin_, start=start)
     if sol.status == numerics.INFEASIBLE:
-        return MpcStep(
-            np.zeros((n_c, m)), np.zeros((n_c, n_q)),
-            numerics.INFEASIBLE, float("nan"),
-        )
+        return MpcStep(np.zeros((n_c, m)), np.zeros((n_c, n_q)), numerics.INFEASIBLE)
     vprime = sol.x[:nu].reshape(n_c, m)
     eps = sol.x[nu:].reshape(n_c, n_q)
-    return MpcStep(vprime, eps, sol.status, sol.objective, sol.active_set)
+    return MpcStep(vprime, eps, sol.status, sol.active_set)
 
 
 def control_action(zeta, u_s, vprime, gain):

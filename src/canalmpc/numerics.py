@@ -2,12 +2,12 @@
 
 Everything here is pure and deterministic: identical inputs produce
 bit-identical outputs, so simulation traces are reproducible.  The kernels
-are numpy's (solve, cholesky, qr, eigvalsh), so the package needs no scipy
-at run time.  solve_dare and QpStructure (positive-definite H, full-rank
-Aeq) check their inputs on entry; the certificate helpers and solve_qp work
-on arrays those have checked, and solve_qp's vectors f, beq and bin are
-built by the controllers from checked configuration, certified gains and
-finite measurements.
+are numpy's (solve, inv, cholesky, qr, eigvalsh), so the package needs no
+scipy at run time.  solve_dare and QpStructure (positive-definite H,
+full-rank Aeq) check their inputs on entry; the certificate helpers and
+solve_qp work on arrays those have checked, and solve_qp's right-hand sides
+beq and bin are built by the controllers from checked configuration,
+certified gains and finite measurements.
 """
 
 from dataclasses import dataclass, field
@@ -145,16 +145,16 @@ _FEAS_TOL = 1e-9
 class QpStructure:
     """The fixed part of a QP family: H, Aeq and Ain, checked and factored once.
 
-    The family is min 0.5 x'Hx + f'x  s.t.  Aeq x = beq,  Ain x <= bin with
-    only f, beq and bin varying.  H must be symmetric positive definite and
-    Aeq of full row rank; a ValueError is raised when the Cholesky
-    factorization H = LL' fails, when Aeq has more rows than columns, or
-    when the QR of L^-1 Aeq' has an |R_ii| <= RANK_RTOL max |R_jj|.  Built
-    here: L^-1 (cond(L) = sqrt(cond(H))), the QR factors eq_q, eq_r of
-    L^-1 Aeq' and the start map start_beq = Q R^-T, with which solve_qp forms
-    the equality-constrained minimizer z0 = start_beq beq - (I - QQ') L^-1 f
-    in z = L'x.  Without equality rows (every MPC program) the last three
-    are empty, taken with no QR.  A controller keeps one structure per QP.
+    The family is min 0.5 x'Hx  s.t.  Aeq x = beq,  Ain x <= bin with only
+    beq and bin varying.  H must be symmetric positive definite and Aeq of
+    full row rank; a ValueError is raised when the Cholesky factorization
+    H = LL' fails, when Aeq has more rows than columns, or when the QR of
+    L^-1 Aeq' has an |R_ii| <= RANK_RTOL max |R_jj|.  Built here: L^-1
+    (cond(L) = sqrt(cond(H))), the QR factors eq_q, eq_r of L^-1 Aeq' and
+    the start map start_beq = Q R^-T, with which solve_qp forms the
+    equality-constrained minimizer z0 = start_beq beq in z = L'x.  Without
+    equality rows (every MPC program) the last three are empty, taken with
+    no QR.  A controller keeps one structure per QP.
     """
 
     def __init__(self, H, Aeq=None, Ain=None):
@@ -185,7 +185,6 @@ class QpStructure:
 @dataclass
 class QpSolution:
     x: np.ndarray
-    objective: float
     status: str
     iterations: int = 0
     active_set: tuple = field(default_factory=tuple)
@@ -193,10 +192,6 @@ class QpSolution:
     @property
     def optimal(self):
         return self.status == OPTIMAL
-
-
-def _objective(H, f, x):
-    return float(0.5 * x @ H @ x + (0.0 if f is None else f @ x))
 
 
 def _qr_append(q, r, v, tol):
@@ -225,13 +220,12 @@ def _working_dual(r, q_v, n_working):
     return np.linalg.solve(r[-n_working:, -n_working:], q_v[-n_working:])
 
 
-def _warm_start(s, w, beq, bin_, start):
+def _warm_start(s, beq, bin_, start):
     """Q, R, z and inequality multipliers on the working set Aeq, Ain[start],
     or None when a start row is dependent or a multiplier is negative.
 
     With the working rows' L^-1 A_W' = QR and y = R^-T b_W, the minimizer of
-    0.5 |z + w|^2 on A_W x = b_W is z = Q(Q'w + y) - w, with multipliers
-    -R^-1 (Q'w + y)."""
+    0.5 |z|^2 on A_W x = b_W is z = Qy, with multipliers -R^-1 y."""
     q, r = s.eq_q, s.eq_r
     try:
         for i in start:
@@ -240,40 +234,39 @@ def _warm_start(s, w, beq, bin_, start):
     except SingularMatrixError:
         return None
     b = bin_[list(start)] if beq is None else np.concatenate([beq, bin_[list(start)]])
-    qwy = q.T @ w + np.linalg.solve(r.T, b)
-    lam = -_working_dual(r, qwy, len(start))
+    y = np.linalg.solve(r.T, b)
+    lam = -_working_dual(r, y, len(start))
     if not np.all(lam >= 0.0):
         return None
-    return q, r, q @ qwy - w, lam
+    return q, r, q @ y, lam
 
 
-def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
+def solve_qp(structure, beq=None, bin=None, max_iter=None, start=()):
     """Solve a small dense strictly convex QP by the dual active-set method
     of Goldfarb & Idnani (Math. Programming 27, 1983).
 
-    The problem is the member of `structure`'s family with linear term f
-    and right-hand sides beq and bin (None for no term or rows); the
-    vectors are taken as given, unchecked.  In z = L'x the objective is
-    0.5 |z + L^-1 f|^2 and a constraint row a becomes v = L^-1 a'.  With f
-    None, z0 = Q R^-T beq (0 without equality rows) is returned after one
-    iteration, active set empty, when it satisfies every inequality; that
-    check comes before any start.  The solve starts at the minimizer on
-    the equality rows plus the inequality rows `start` and adds the most
-    violated inequality (lowest index on ties).  With the working rows'
-    L^-1 A_w' = QR, adding v moves z along -(I - QQ')v and the working
-    inequality multipliers along -R^-1 Q'v; a working row whose multiplier
-    reaches zero first (lowest index on ties) leaves before v enters.  A v
-    in the span of the working rows that no multiplier makes room for
-    proves the inequalities infeasible.
+    The problem is the member of `structure`'s family with right-hand sides
+    beq and bin (None for no rows), taken as given, unchecked.  In z = L'x
+    the objective is 0.5 |z|^2 and a constraint row a becomes v = L^-1 a'.
+    The cold start z0 = Q R^-T beq (0 without equality rows) is returned
+    after one iteration, active set empty, when it satisfies every
+    inequality; that check comes before any start.  Otherwise the solve
+    starts at the minimizer on the equality rows plus the inequality rows
+    `start` and adds the most violated inequality (lowest index on ties).
+    With the working rows' L^-1 A_w' = QR, adding v moves z along
+    -(I - QQ')v and the working inequality multipliers along -R^-1 Q'v; a
+    working row whose multiplier reaches zero first (lowest index on ties)
+    leaves before v enters.  A v in the span of the working rows that no
+    multiplier makes room for proves the inequalities infeasible.
 
     `start`, typically the previous solve's active_set, may be any
     inequality rows: Goldfarb & Idnani may start from any working set whose
     minimizer has nonnegative multipliers.  A start row whose v depends on
     the rows before it, or a start with a negative multiplier, is refused
-    for the cold start on the equality rows alone, which start=() selects.
-    Either way the solve ends at the unique minimizer of the strictly
-    convex QP, so a taken start changes only round-off and the iteration
-    count, and a refused one gives the cold solve bit for bit.
+    for the cold start, which start=() selects.  Either way the solve ends
+    at the unique minimizer of the strictly convex QP, so a taken start
+    changes only round-off and the iteration count, and a refused one gives
+    the cold solve bit for bit.
 
     Deterministic: the same problem always yields the same solution.  Status
     is 'infeasible' when no point satisfies the inequalities on the equality
@@ -288,22 +281,16 @@ def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
     Ain, bin_ = s.Ain, np.zeros(0) if bin is None else bin
-    if f is None:  # 0.5 |z|^2, least at z = 0 or, on equality rows, at Q R^-T beq
-        if beq is None:
-            z = x = w = np.zeros(s.n)
-            viol = -bin_
-        else:
-            z, w = s.start_beq @ beq, np.zeros(s.n)
-            x = s.chol_inv.T @ z
-            viol = Ain @ x - bin_
-        if viol.max(initial=-np.inf) <= _FEAS_TOL:
-            return QpSolution(x, 0.5 * float(z @ z), OPTIMAL, 1, ())
+    if beq is None:  # 0.5 |z|^2 is least at z = 0, or on the equality rows at Q R^-T beq
+        z = x = np.zeros(s.n)
+        viol = -bin_
     else:
-        w = s.chol_inv @ f
-        z = s.eq_q @ (s.eq_q.T @ w) - w
-        if beq is not None:
-            z += s.start_beq @ beq
-    warm = _warm_start(s, w, beq, bin_, start) if start else None
+        z = s.start_beq @ beq
+        x = s.chol_inv.T @ z
+        viol = Ain @ x - bin_
+    warm = None
+    if start and viol.max(initial=-np.inf) > _FEAS_TOL:
+        warm = _warm_start(s, beq, bin_, start)
     # working: inequality rows in QR column order; lam: their multipliers
     if warm is None:
         q, r = s.eq_q, s.eq_r
@@ -311,7 +298,6 @@ def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
     else:
         q, r, z, lam = warm
         working = list(start)
-    if f is not None or warm is not None:  # else x and viol are the cold start's, checked above
         x = s.chol_inv.T @ z
         viol = Ain @ x - bin_
 
@@ -320,7 +306,7 @@ def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
         if enter is None:
             viol[working] = -np.inf
             if not viol.size or viol.max() <= _FEAS_TOL:
-                return QpSolution(x, _objective(s.H, f, x), OPTIMAL, it, tuple(sorted(working)))
+                return QpSolution(x, OPTIMAL, it, tuple(sorted(working)))
             enter, lam_enter = int(np.argmax(viol)), 0.0
             v = s.chol_inv @ Ain[enter]
         try:
@@ -337,7 +323,7 @@ def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
         ratios = lam[shrinking] / dual[shrinking]
         t_drop = ratios.min(initial=np.inf)
         if t_add == t_drop == np.inf:
-            return QpSolution(x, _objective(s.H, f, x), INFEASIBLE, it, tuple(sorted(working)))
+            return QpSolution(x, INFEASIBLE, it, tuple(sorted(working)))
         t = min(t_add, t_drop)
         if w_norm:
             z = z - t * w_norm * q_add[:, -1]
@@ -355,4 +341,4 @@ def solve_qp(structure, f=None, beq=None, bin=None, max_iter=None, start=()):
             del working[j]
             lam = np.delete(lam, j)
             q, r = np.linalg.qr(s.chol_inv @ np.vstack([s.Aeq, Ain[working]]).T)
-    return QpSolution(x, _objective(s.H, f, x), MAX_ITERATIONS, max_iter, tuple(sorted(working)))
+    return QpSolution(x, MAX_ITERATIONS, max_iter, tuple(sorted(working)))

@@ -215,10 +215,24 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_bad_mismatch_factor_refused(self, tmp_path, capsys):
-        rc = main(["validate", "--config", str(mini_config(tmp_path)), "--mismatch", "1.5"])
+        rc = main(["run", "--config", str(mini_config(tmp_path)), "--mismatch", "1.5"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "configuration error: --mismatch 1.5" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--scenario", "scenario1"], ["--out", "elsewhere"],
+                                      ["--seed", "1"], ["--clink", "0.3"], ["--tlambda", "2"],
+                                      ["--mismatch", "0.2"]], ids=lambda flag: flag[0])
+    def test_validate_takes_only_config(self, flag, capsys):
+        """validate reads the reach table and tuning alone, so a run flag is
+        refused as an unknown argument before any check runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"] + flag)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
         assert captured.out == ""
 
     def test_delay_offset_below_one_step_refused(self, tmp_path, capsys):

@@ -509,15 +509,14 @@ class TestStackedHorizonMaps:
         return coal, gain, prepare_mpc(coal, gain, p_mat, self.cfg)
 
     def _production(self, prog, zeta0, sp, monkeypatch):
-        """mpc_step's result, the f (zero when none is passed) and bin it hands
-        to solve_qp and the solve's wall time."""
+        """mpc_step's result, the bin it hands to solve_qp and the solve's wall
+        time."""
         handed = []
 
-        def spy(structure, f=None, beq=None, bin=None, start=()):
+        def spy(structure, beq=None, bin=None, start=()):
             began = time.perf_counter()
-            sol = numerics.solve_qp(structure, f, beq, bin, start=start)
-            handed.append((np.zeros(structure.n) if f is None else f, bin,
-                           time.perf_counter() - began))
+            sol = numerics.solve_qp(structure, beq, bin, start=start)
+            handed.append((bin, time.perf_counter() - began))
             return sol
 
         monkeypatch.setattr(control, "solve_qp", spy)
@@ -544,15 +543,16 @@ class TestStackedHorizonMaps:
         for _ in range(12):
             sp = self._setpoint(coal, rng)
             zeta0 = rng.normal(scale=rng.choice([0.05, 0.5, 5.0]), size=coal.n)
-            step, f, bin_, _ = self._production(prog, zeta0, sp, monkeypatch)
+            step, bin_, _ = self._production(prog, zeta0, sp, monkeypatch)
             ref_bin, start = self._oracle(coal, gain, zeta0, sp)
             assert bin_.shape == ref_bin.shape
             assert np.max(np.abs(bin_ - ref_bin)) <= 1e-12 * max(1.0, np.max(np.abs(ref_bin)))
             if start is not None:
                 # The clamped feedback law is a feasible point of the QP.
-                start_obj = 0.5 * start @ prog.qp.H @ start + f @ start
+                start_obj = 0.5 * start @ prog.qp.H @ start
+                x = np.concatenate([step.vprime.ravel(), step.eps.ravel()])
                 assert step.status == "optimal"
-                assert step.objective <= start_obj + 1e-12 * (1.0 + abs(start_obj))
+                assert 0.5 * x @ prog.qp.H @ x <= start_obj + 1e-12 * (1.0 + abs(start_obj))
             outcomes.add(start is None)
         assert outcomes == {True, False}  # both branches exercised
 
@@ -564,7 +564,7 @@ class TestStackedHorizonMaps:
         for _ in range(14):
             sp = self._setpoint(coal, rng)
             zeta0 = rng.normal(scale=scale, size=coal.n)
-            step, _, bin_, elapsed = self._production(prog, zeta0, sp, monkeypatch)
+            step, bin_, elapsed = self._production(prog, zeta0, sp, monkeypatch)
             lp = scipy.optimize.linprog(np.zeros(prog.qp.n), A_ub=prog.qp.Ain, b_ub=bin_,
                                         bounds=(None, None), method="highs")
             assert lp.status in (0, 2)  # solved or infeasible

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +297,17 @@ class TestLoadConfig:
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):
             scenario_by_name("scenario9")
+
+    def test_readme_example_loads(self, tmp_path):
+        """The README's YAML example is a complete configuration a run accepts."""
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```yaml\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "example.yaml"
+        path.write_text(blocks[0])
+        cfg = load_config(path)
+        assert len(cfg.reaches) == 2 and sorted(cfg.scenario.schedules) == [1, 2]
+        assert cfg.plant.surface_factors == (1.2, 0.8)
 
 
 class TestTraceRoundTrip:
