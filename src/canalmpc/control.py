@@ -19,7 +19,6 @@ rectifies the feedback law against the hard input box and the soft flow
 floor.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ class ControllerConfig:
     kf_prior_flow: float = 1.0
     kf_prior_level: float = 1e-2
     kf_prior_omega: float = 10.0
-    history_capacity: int = 20      # filter warm-start samples, at least 1
+    history_capacity: int = 20      # run-record rows a new filter replays, at least 1
     # Supervisory rollout length when scoring candidate topologies.  Long
     # enough to expose slow cross-coalition externalities (the slowest pool
     # settles in ~100 steps); the topology choice itself still applies for
@@ -99,17 +98,6 @@ class KalmanState:
 
     def split(self, n):
         return self.xhat[:n], self.xhat[n:]
-
-
-@dataclass
-class Sample:
-    """One global snapshot kept for filter warm-starts; the run keeps the
-    last history_capacity of them, oldest first."""
-
-    levels: np.ndarray
-    flows: np.ndarray
-    inputs: np.ndarray
-    offtakes: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,36 +187,37 @@ def kf_schedule(filt: KalmanModel, length: int):
     return gains.transpose(0, 2, 1), cov
 
 
-def kf_init(filt: KalmanModel, history: deque, schedule) -> KalmanState:
-    """Warm-start a coalition filter by replaying the shared history of Samples.
+def kf_init(filt: KalmanModel, window, schedule) -> KalmanState:
+    """Warm-start a coalition filter by replaying a window of the run record.
 
-    The prior is a steady state consistent with the oldest sample: flow
-    slots filled with the measured gate flow, levels as measured, and each
-    disturbance channel set to the mass-balance residual q_s - p_s of the
-    member s it attaches to (a zero prior would contradict the measured
-    flows and, producing no innovation at steady state, never get
-    corrected).  Only the estimate is replayed: sample j's correction uses
-    gain j of `schedule`, kf_schedule(filt, len(history)), whose final
+    window is (4, L, N): levels, flows, inputs and offtakes of every reach
+    over L rows, oldest first.  The prior is a steady state consistent with
+    the oldest row: flow slots filled with the measured gate flow, levels
+    as measured, and each disturbance channel set to the mass-balance
+    residual q_s - p_s of the member s it attaches to (a zero prior would
+    contradict the measured flows and, producing no innovation at steady
+    state, never get corrected).  Only the estimate is replayed: row j's
+    correction uses gain j of `schedule`, kf_schedule(filt, L), whose final
     covariance the returned state carries.
     """
     gains, cov = schedule
-    if not 1 <= len(history) == len(gains):
-        raise ValueError("history must hold at least one sample, one per schedule gain")
+    length = window.shape[1]
+    if not 1 <= length == len(gains):
+        raise ValueError("window must hold at least one row, one per schedule gain")
     coalition = filt.coalition
     n, r = coalition.n, coalition.n_channels
-    first = history[0]
+    levels, flows, _, offtakes = window[:, 0]
 
     xhat = np.zeros(n + r)
-    xhat[:n] = coalition.stack_state([first.flows] * max(coalition.delays), first.levels)
+    xhat[:n] = coalition.stack_state([flows] * max(coalition.delays), levels)
     for c, source in enumerate(coalition.coupling_sources):
         attached = source - 1
-        xhat[n + c] = first.flows[attached - 1] - first.offtakes[attached - 1]
+        xhat[n + c] = flows[attached - 1] - offtakes[attached - 1]
 
-    members = np.array([(s.levels, s.flows, s.inputs, s.offtakes)  # gathered: a row per sample
-                        for s in history])[:, :, np.array(coalition.members) - 1]
-    ys = members[:, :2].reshape(len(history), -1)                  # as _measurement builds them
+    members = window[:, :, np.array(coalition.members) - 1]        # gathered: (4, L, m)
+    ys = members[:2].transpose(1, 0, 2).reshape(length, -1)         # as _measurement builds them
     xhat = _x_correct(filt, xhat, gains[0], ys[0])
-    for gain, y, u, rho in zip(gains[1:], ys[1:], members[:, 2], members[:, 3]):
+    for gain, y, u, rho in zip(gains[1:], ys[1:], members[2], members[3]):
         xhat = _x_correct(filt, _x_predict(filt, xhat, u, rho), gain, y)
     return KalmanState(xhat, cov)
 
@@ -512,8 +501,8 @@ class CoalitionController:
         self.kf: KalmanState | None = None
         self.mpc_start = ()
 
-    def warm_start(self, history, schedule):
-        self.kf = kf_init(self.filter, history, schedule)
+    def warm_start(self, window, schedule):
+        self.kf = kf_init(self.filter, window, schedule)
 
     def advance_filter(self, u_prev_global, rho_prev_global, levels, flows):
         """Land one measurement, the only way one reaches a running filter; a

@@ -7,13 +7,12 @@ t_lambda steps; coalition controllers run every step.  Runs are fully
 deterministic given the seed.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
-from .control import CoalitionController, ControllerConfig, Sample, compute_setpoint
+from .control import CoalitionController, ControllerConfig, compute_setpoint
 from .supervisor import (
     PublishedSetpoints,
     SynthesisCache,
@@ -164,7 +163,11 @@ class Plant:
 
 @dataclass
 class SimTrace:
-    """Per-step record of one run; array fields are what trace files persist."""
+    """Per-step record of one run; array fields are what trace files persist.
+
+    levels, flows, inputs and offtakes view rows 1..T of `rows`, the run's
+    one record; row 0 is the plant at rest: step 0's measurement and
+    offtakes, zero inputs."""
 
     scenario: str
     levels: np.ndarray          # (T, N) for N reaches
@@ -176,18 +179,19 @@ class SimTrace:
     net_links: np.ndarray       # (T,) int
     n_coalitions: np.ndarray    # (T,) int
     mean_decision_vars: np.ndarray  # (T,)
+    rows: np.ndarray = field(repr=False)  # (4, T + 1, N); not persisted
     config_hash: str = ""
     seed: int = 0
 
     @classmethod
     def empty(cls, scenario: str, horizon: int, n: int, seed: int, config_hash: str) -> "SimTrace":
         """A zero-filled trace of `horizon` steps over `n` reaches, to be filled step by step."""
-        levels, flows, inputs, offtakes = (np.zeros((horizon, n)) for _ in range(4))
+        rows = np.zeros((4, horizon + 1, n))
         return cls(
-            scenario, levels, flows, inputs, offtakes, topology_bits=[],
+            scenario, *rows[:, 1:], topology_bits=[],
             perf_cost=np.zeros(horizon), net_links=np.zeros(horizon, dtype=int),
             n_coalitions=np.zeros(horizon, dtype=int), mean_decision_vars=np.zeros(horizon),
-            config_hash=config_hash, seed=seed,
+            config_hash=config_hash, seed=seed, rows=rows,
         )
 
     @property
@@ -217,6 +221,8 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     With supervision disabled the run is the centralized baseline: one
     coalition on the fixed full topology, no topology decisions.
     """
+    if t_lambda < 1:
+        raise ValueError(f"t_lambda must be at least 1, got {t_lambda}")
     ctrl_cfg = ctrl_cfg or ControllerConfig()
     plant_cfg = plant_cfg or PlantConfig()
     cache = cache if cache is not None else SynthesisCache()
@@ -228,34 +234,34 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     rho0 = scenario.offtakes_at(0)
     plant = Plant(plant_cfg, ctrl_cfg.sample_time, rho0, reaches=reaches, seed=seed)
 
-    levels, flows = plant.measure()
-    flows_hist = [flows.copy() for _ in range(max_delay)]
-    history = deque([Sample(levels, flows, np.zeros(n), rho0)], maxlen=ctrl_cfg.history_capacity)
-    published = PublishedSetpoints.bootstrap(flows)
+    trace = SimTrace.empty(scenario.name, scenario.horizon, n, seed, "")
+    rows = trace.rows  # row k + 1 is step k; row 0 is the plant at rest
+    rows[:2, 0] = plant.measure()
+    rows[3, 0] = rho0
+    published = PublishedSetpoints.bootstrap(rows[1, 0])
 
     incumbent = full_topology(n)
     controllers = {}
-    trace = SimTrace.empty(scenario.name, scenario.horizon, n, seed, "")
 
-    def rebuild_controllers(topology):
+    def rebuild_controllers(topology, window):
         records = synthesize(partition_of(topology), subs, ctrl_cfg, cache)
         fresh = {r.model.members: controllers.pop(r.model.members, None) for r in records}
         controllers.clear()  # the replaced controllers go before any successor is built
         for record in records:
             if fresh[record.model.members] is None:
                 ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
-                ctrl.warm_start(history, cache.schedule(ctrl.filter, len(history)))
+                ctrl.warm_start(window, cache.schedule(ctrl.filter, window.shape[1]))
                 fresh[record.model.members] = ctrl
         return fresh
 
     for k in range(scenario.horizon):
         rho = scenario.offtakes_at(k)
-        if k > 0:
-            levels, flows = plant.measure()
-            flows_hist.insert(0, flows.copy())
-            del flows_hist[max_delay:]
+        rows[:2, k + 1] = plant.measure() if k > 0 else rows[:2, 0]
+        rows[3, k + 1] = rho
+        levels, flows, u_global = rows[:3, k + 1]
 
-        state = nominal_model.stack_state(flows_hist, levels)
+        lags = [max(k + 1 - j, 0) for j in range(max_delay)]
+        state = nominal_model.stack_state(rows[1, lags], levels)
         if k == 0 or supervision and k % t_lambda == 0:
             if supervision:
                 incumbent = select_topology(
@@ -263,16 +269,14 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                     t_lambda, ctrl_cfg.link_cost, nominal_model,
                 ).topology
             ctrl = None  # drop the last step's reference: the rebuild may replace it
-            controllers = rebuild_controllers(incumbent)
+            window = rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1]  # rows of steps < k
+            controllers = rebuild_controllers(incumbent, window)
 
         if k > 0:
-            last = history[-1]
             for ctrl in controllers.values():
-                ctrl.advance_filter(last.inputs, last.offtakes, levels, flows)
+                ctrl.advance_filter(rows[2, k], rows[3, k], levels, flows)
 
-        u_global = np.zeros(n)
         perf = 0.0
-        dec_vars = []
         for members in sorted(controllers):
             ctrl = controllers[members]
             try:
@@ -282,7 +286,6 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
             for pos, s in enumerate(members):
                 u_global[s - 1] = u[pos]
             published.publish(ctrl.model, setpoint)
-            dec_vars.append(ctrl.model.m * ctrl_cfg.control_horizon)
             # partition_of yields contiguous runs, so a coalition's state is one slice
             off = nominal_model.offsets[members[0]]
             zeta = state[off:off + ctrl.model.n] - setpoint.xi_s
@@ -293,18 +296,13 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
         if np.max(np.abs(u_global)) > ctrl_cfg.input_bound + 1e-9:
             raise RuntimeError(f"hard input constraint violated at step {k}")
 
-        trace.levels[k] = levels
-        trace.flows[k] = flows
-        trace.inputs[k] = u_global
-        trace.offtakes[k] = rho
         trace.topology_bits.append(incumbent.bits())
         trace.perf_cost[k] = perf
         trace.net_links[k] = incumbent.n_links
         trace.n_coalitions[k] = len(controllers)
-        trace.mean_decision_vars[k] = float(np.mean(dec_vars))
+        trace.mean_decision_vars[k] = ctrl_cfg.control_horizon * n / len(controllers)
 
         plant.step(u_global, rho)
-        history.append(Sample(levels, flows, u_global, rho))
 
     return trace
 

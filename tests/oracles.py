@@ -293,21 +293,21 @@ def costate_gradient(acl, up, gain, q_mat, r_mat, p_mat, zeta0, n_p, n_c):
     return np.concatenate(grads[::-1])
 
 
-def replay_kf_init(filt, history):
+def replay_kf_init(filt, window):
     """Filter warm start by the fused replay: covariance and estimate together.
 
-    Each sample runs the whole predict/correct cycle, gain computed on the
-    spot, instead of replaying the estimate against a precomputed gain
-    schedule.  The prior is the one control.kf_init documents.
+    Each row of the (4, L, N) window runs the whole predict/correct cycle,
+    gain computed on the spot, instead of replaying the estimate against a
+    precomputed gain schedule.  The prior is the one control.kf_init documents.
     """
     coalition, f_mat, c_mat, v_mat = filt.coalition, filt.f_mat, filt.c_mat, filt.v_mat
     n, r = coalition.n, coalition.n_channels
     idx = [s - 1 for s in coalition.members]
-    samples = list(history)
-    first = samples[0]
+    samples = list(np.swapaxes(window, 0, 1))   # per row: levels, flows, inputs, offtakes
+    levels, flows, _, offtakes = samples[0]
 
     def measurement(sample):
-        return np.concatenate([sample.levels[idx], sample.flows[idx]])
+        return np.concatenate([sample[0][idx], sample[1][idx]])
 
     def correct(xhat, cov, y):
         cp = c_mat @ cov
@@ -318,13 +318,13 @@ def replay_kf_init(filt, history):
         return xhat, 0.5 * (cov + cov.T)
 
     xhat = np.zeros(n + r)
-    xhat[:n] = coalition.stack_state([first.flows] * max(coalition.delays), first.levels)
+    xhat[:n] = coalition.stack_state([flows] * max(coalition.delays), levels)
     for c, source in enumerate(coalition.coupling_sources):
-        xhat[n + c] = first.flows[source - 2] - first.offtakes[source - 2]
-    xhat, cov = correct(xhat, np.diag(filt.prior), measurement(first))
+        xhat[n + c] = flows[source - 2] - offtakes[source - 2]
+    xhat, cov = correct(xhat, np.diag(filt.prior), measurement(samples[0]))
     for prev, cur in zip(samples, samples[1:]):
         xhat = f_mat @ xhat
-        xhat[:n] += coalition.Up @ prev.inputs[idx] + coalition.Phi @ prev.offtakes[idx]
+        xhat[:n] += coalition.Up @ prev[2][idx] + coalition.Phi @ prev[3][idx]
         cov = f_mat @ cov @ f_mat.T + filt.w_mat
         xhat, cov = correct(xhat, 0.5 * (cov + cov.T), measurement(cur))
     return xhat, cov

@@ -9,7 +9,6 @@ values attached.
 
 import itertools
 import json
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from canalmpc.canal import DEZ_REACHES, assemble_global, build_chain, build_coal
 from canalmpc.control import (
     ControllerConfig,
     KalmanState,
-    Sample,
     compute_setpoint,
     kalman_model,
     kf_init,
@@ -263,7 +261,7 @@ def test_11_kalman_convergence_and_warm_start():
     prior = np.diag([CFG.kf_prior_flow] * 2 + [CFG.kf_prior_level, CFG.kf_prior_omega])
     kf = KalmanState(np.array([q12, q12, 0.0, 0.0]), prior)
 
-    hist = deque(maxlen=CFG.history_capacity)
+    hist = []
     levels = np.zeros(13)
     flows = np.zeros(13)
     inputs = np.zeros(13)
@@ -276,7 +274,7 @@ def test_11_kalman_convergence_and_warm_start():
     for k in range(50):
         lv = levels.copy(); lv[11] = x[2]
         fl = flows.copy(); fl[11] = x[0]
-        hist.append(Sample(lv, fl, inputs, offs))
+        hist.append((lv, fl, inputs, offs))
         x = coal.Xi @ x + coal.Phi @ rho + coal.Psi @ np.array([w_true])
         kf = kf_update(filt, kf, u, rho, np.array([x[2], x[0]]))
         if first_hit is None and abs(kf.xhat[3] - w_true) <= 1e-3:
@@ -286,7 +284,8 @@ def test_11_kalman_convergence_and_warm_start():
     # forced topology switch: {12} merges with {11}; warm-start from history
     coal2 = build_coalition_model(CHAIN, (11, 12))
     filt2 = kalman_model(coal2, CFG)
-    kf2 = kf_init(filt2, hist, kf_schedule(filt2, len(hist)))
+    window = np.array(hist[-CFG.history_capacity:]).transpose(1, 0, 2)  # (4, L, 13)
+    kf2 = kf_init(filt2, window, kf_schedule(filt2, window.shape[1]))
     x2 = np.array([3.0, 3.0, 0.0, x[0], x[1], x[2]])
     u2 = np.zeros(2)
     rho2 = np.array([1.0, p12])

@@ -1,5 +1,4 @@
 import time
-from collections import deque
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from canalmpc.control import (
     ControllerConfig,
     CoalitionController,
     KalmanState,
-    Sample,
     Setpoint,
     compute_setpoint,
     control_action,
@@ -60,8 +58,20 @@ def synth(coal, cfg):
     return k, p
 
 
-def warm_start(filt, history):
-    return kf_init(filt, history, kf_schedule(filt, len(history)))
+def warm_start(filt, window):
+    return kf_init(filt, window, kf_schedule(filt, window.shape[1]))
+
+
+def at_rest(levels, flows, offs, length=1):
+    """A (4, length, 13) record window repeating one row with zero inputs."""
+    return np.repeat(np.array([levels, flows, np.zeros(13), offs])[:, None], length, axis=1)
+
+
+def random_window(rng, length):
+    """A (4, length, 13) record window of random levels, flows, inputs and offtakes."""
+    return np.array([(0.1 * rng.normal(size=13), 3.0 + rng.normal(size=13),
+                      0.3 * rng.normal(size=13), 2.0 + rng.normal(size=13))
+                     for _ in range(length)]).transpose(1, 0, 2)
 
 
 def steady_global_arrays(flows_by_reach, offtakes_by_reach):
@@ -84,8 +94,8 @@ class TestKalman:
         coal = make_coalition((12, 13))
         assert coal.n_channels == 0
         levels, flows, offs = steady_global_arrays({12: 2.0, 13: 2.0}, {12: 0.0, 13: 2.0})
-        buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 20)
-        kf = warm_start(kalman_model(coal, self.cfg), buf)
+        window = at_rest(levels, flows, offs, 20)
+        kf = warm_start(kalman_model(coal, self.cfg), window)
         xi_hat, omega = kf.split(coal.n)
         assert omega.shape == (0,)
         assert np.allclose(coal.gamma @ xi_hat, 0.0, atol=1e-9)
@@ -95,17 +105,17 @@ class TestKalman:
         w_true, p12 = 2.0, 1.5
         q12 = p12 + w_true
         levels, flows, offs = steady_global_arrays({12: q12, 13: w_true}, {12: p12, 13: w_true})
-        buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 20)
-        kf = warm_start(kalman_model(coal, self.cfg), buf)
+        window = at_rest(levels, flows, offs, 20)
+        kf = warm_start(kalman_model(coal, self.cfg), window)
         _, omega = kf.split(coal.n)
         assert abs(omega[0] - w_true) <= 0.05 * w_true
 
     def test_init_deterministic(self):
         coal = make_coalition((5,))
         levels, flows, offs = steady_global_arrays({5: 3.0, 6: 1.0}, {5: 2.0})
-        buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 10)
-        kf1 = warm_start(kalman_model(coal, self.cfg), buf)
-        kf2 = warm_start(kalman_model(coal, self.cfg), buf)
+        window = at_rest(levels, flows, offs, 10)
+        kf1 = warm_start(kalman_model(coal, self.cfg), window)
+        kf2 = warm_start(kalman_model(coal, self.cfg), window)
         assert np.array_equal(kf1.xhat, kf2.xhat)
         assert np.array_equal(kf1.cov, kf2.cov)
 
@@ -136,9 +146,9 @@ class TestKalman:
         levels = np.zeros(13)
         flows = np.full(13, 0.0)
         offs = np.zeros(13)
-        buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 3)
+        window = at_rest(levels, flows, offs, 3)
         filt = kalman_model(coal, self.cfg)
-        kf = warm_start(filt, buf)
+        kf = warm_start(filt, window)
         assert kf.xhat.shape == (39,)
         kf2 = kf_update(filt, kf, np.zeros(13), offs, np.zeros(26))
         assert kf2.xhat.shape == (39,)
@@ -149,44 +159,40 @@ class TestKalman:
         """Estimate replay against the gain schedule equals the fused
         predict/correct replay bit for bit, estimate and covariance."""
         rng = np.random.default_rng(length)
-        buf = deque(Sample(0.1 * rng.normal(size=13), 3.0 + rng.normal(size=13),
-                           0.3 * rng.normal(size=13), 2.0 + rng.normal(size=13))
-                    for _ in range(length))
+        window = random_window(rng, length)
         filt = kalman_model(make_coalition(members), self.cfg)
         schedule = kf_schedule(filt, length)
         assert schedule[0].shape == (length, filt.f_mat.shape[0], 2 * len(members))
-        kf = kf_init(filt, buf, schedule)
-        xhat, cov = replay_kf_init(filt, buf)
+        kf = kf_init(filt, window, schedule)
+        xhat, cov = replay_kf_init(filt, window)
         assert np.array_equal(kf.xhat, xhat) and np.array_equal(kf.cov, cov)
         omega = kf.split(filt.coalition.n)[1]
         assert omega.size == 0 or np.all(omega != 0.0)
 
     @pytest.mark.parametrize("members", [(5, 6, 7, 8), tuple(range(1, 14))])
     def test_gathered_replay_matches_per_sample_replay(self, members):
-        """kf_init gathers every sample's member entries at once; its replay of
-        20 samples with nonzero inputs equals the per-sample oracle bit for bit,
-        and each step reads the inputs of the sample before it."""
+        """kf_init gathers every row's member entries at once; its replay of
+        20 rows with nonzero inputs equals the per-row oracle bit for bit,
+        and each step reads the inputs of the row before it."""
         rng = np.random.default_rng(7)
-        buf = deque(Sample(0.1 * rng.normal(size=13), 3.0 + rng.normal(size=13),
-                           0.3 * rng.normal(size=13), 2.0 + rng.normal(size=13))
-                    for _ in range(20))
+        window = random_window(rng, 20)
         filt = kalman_model(make_coalition(members), self.cfg)
         assert filt.coalition.n_channels == (0 if 13 in members else 1)
         schedule = kf_schedule(filt, 20)
-        kf = kf_init(filt, buf, schedule)
-        xhat, cov = replay_kf_init(filt, buf)
+        kf = kf_init(filt, window, schedule)
+        xhat, cov = replay_kf_init(filt, window)
         assert np.array_equal(kf.xhat, xhat) and np.array_equal(kf.cov, cov)
-        buf[-1].inputs[:] = 0.5   # the newest sample's inputs never enter the replay
-        assert np.array_equal(kf_init(filt, buf, schedule).xhat, xhat)
-        buf[-2].inputs[:] = 0.5
-        assert not np.array_equal(kf_init(filt, buf, schedule).xhat, xhat)
+        window[2, -1] = 0.5   # the newest row's inputs never enter the replay
+        assert np.array_equal(kf_init(filt, window, schedule).xhat, xhat)
+        window[2, -2] = 0.5
+        assert not np.array_equal(kf_init(filt, window, schedule).xhat, xhat)
 
     def test_schedule_must_match_history(self):
         filt = kalman_model(make_coalition((5,)), self.cfg)
         levels, flows, offs = steady_global_arrays({5: 3.0, 6: 1.0}, {5: 2.0})
-        buf = deque([Sample(levels, flows, np.zeros(13), offs)] * 4)
+        window = at_rest(levels, flows, offs, 4)
         with pytest.raises(ValueError, match="schedule"):
-            kf_init(filt, buf, kf_schedule(filt, 3))
+            kf_init(filt, window, kf_schedule(filt, 3))
 
     @pytest.mark.parametrize("field, value", [
         ("kf_measurement_noise", 0.0), ("kf_measurement_noise", -1e-4),
@@ -675,8 +681,8 @@ def _stepped_controller(members, cfg, steps=5):
     ctrl = CoalitionController(coal, *synth(coal, cfg), cfg)
     gate_flows = {s: 3.0 for s in range(members[0], 14)}
     levels, flows, offs = steady_global_arrays(gate_flows, {members[-1]: 1.0})
-    buf = deque([Sample(levels, flows, np.zeros(13), offs)])
-    ctrl.warm_start(buf, kf_schedule(ctrl.filter, len(buf)))
+    window = at_rest(levels, flows, offs)
+    ctrl.warm_start(window, kf_schedule(ctrl.filter, window.shape[1]))
     for _ in range(steps):
         ctrl.compute(offs)
         ctrl.advance_filter(np.zeros(13), offs, levels, flows)
@@ -739,8 +745,8 @@ class TestOffsetFreeClosedLoop:
         q0 = p_off  # controller starts believing there is no external outflow
         x = np.array([q0, q0, 0.0])
         levels, flows, offs = steady_global_arrays({10: q0}, {10: p_off})
-        buf = deque([Sample(levels, flows, np.zeros(13), offs)])
-        ctrl.warm_start(buf, kf_schedule(ctrl.filter, len(buf)))
+        window = at_rest(levels, flows, offs)
+        ctrl.warm_start(window, kf_schedule(ctrl.filter, window.shape[1]))
 
         u_global = np.zeros(13)
         rho_global = offs

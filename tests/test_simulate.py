@@ -189,15 +189,47 @@ class TestClosedLoop:
         lengths = []
         real = control.kf_init
 
-        def recording(filt, history, schedule):
-            lengths.append(len(history))
-            return real(filt, history, schedule)
+        def recording(filt, window, schedule):
+            lengths.append(window.shape[1])
+            return real(filt, window, schedule)
 
         monkeypatch.setattr(control, "kf_init", recording)
         cfg = ControllerConfig(history_capacity=3)
         run_closed_loop(scenario_1(horizon=24), cfg, seed=0, cache=SynthesisCache())
         # Step 0 warm-starts on the initial sample; later ones see the last three.
         assert lengths[0] == 1 and lengths[-1] == 3 and max(lengths) == 3
+
+    def test_warm_start_windows_are_rows_of_the_returned_trace(self, monkeypatch):
+        """Every window a new filter replays equals the returned trace's rows for
+        the same steps, behind the at-rest row when it reaches back before step 0."""
+        windows, steps = [], [0]
+        real_init, real_step = control.kf_init, simulate.plant_step
+
+        def recording(filt, window, schedule):
+            windows.append((steps[0], np.array(window)))
+            return real_init(filt, window, schedule)
+
+        def counting(*args):
+            steps[0] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(control, "kf_init", recording)
+        monkeypatch.setattr(simulate, "plant_step", counting)
+        cfg = ControllerConfig()
+        trace = run_closed_loop(scenario_1(), cfg, seed=0, cache=CACHE)
+        persisted = np.array([trace.levels, trace.flows, trace.inputs, trace.offtakes])
+        at_rest = persisted[:, :1].copy()
+        at_rest[2] = 0.0
+        record = np.concatenate([at_rest, persisted], axis=1)
+        capacity = cfg.history_capacity
+        assert {k + 1 < capacity for k, _ in windows} == {True, False}
+        for k, window in windows:
+            assert np.array_equal(window, record[:, max(0, k + 1 - capacity):k + 1]), k
+
+    @pytest.mark.parametrize("t_lambda", [0, -1])
+    def test_t_lambda_below_one_refused(self, t_lambda):
+        with pytest.raises(ValueError, match="t_lambda must be at least 1"):
+            run_closed_loop(scenario_1(horizon=8), t_lambda=t_lambda, cache=CACHE)
 
     def test_warm_cache_computes_no_gain_schedule(self, monkeypatch):
         schedules = []
