@@ -18,8 +18,8 @@ from .io import (
     scenario_by_name,
     write_trace,
 )
-from .simulate import PlantConfig, accumulate_costs, run_centralized, run_closed_loop
-from .supervisor import PublishedSetpoints, SynthesisCache, select_topology
+from .simulate import PlantConfig, accumulate_costs, run_closed_loop
+from .supervisor import SynthesisCache, select_topology
 from .topology import Topology
 from .validate import run_checks
 
@@ -89,18 +89,9 @@ def _materialize(args):
 
 
 def _run_one(cfg, centralized, cache):
-    kwargs = dict(
-        scenario=cfg.scenario,
-        ctrl_cfg=cfg.controller,
-        plant_cfg=cfg.plant,
-        seed=cfg.seed,
-        cache=cache,
-        reaches=cfg.reaches,
-    )
-    if centralized:
-        trace = run_centralized(**kwargs)
-    else:
-        trace = run_closed_loop(t_lambda=cfg.t_lambda, **kwargs)
+    trace = run_closed_loop(cfg.scenario, cfg.controller, cfg.plant, seed=cfg.seed,
+                            t_lambda=cfg.t_lambda, supervision=not centralized,
+                            cache=cache, reaches=cfg.reaches)
     trace.config_hash = cfg.config_hash()
     return trace
 
@@ -163,15 +154,15 @@ def cmd_sweep(args):
     mid = n // 2
     state[lv[mid - 1]] = 0.06
     state[lv[mid]] = 0.048
-    published = PublishedSetpoints.bootstrap(flows)
     cache = SynthesisCache()
     third = max(1, (n - 1) // 4)
     ends = frozenset(range(1, third + 1)) | frozenset(range(n - third, n))
     incumbent = Topology(n, ends & frozenset(range(1, n)))  # links 1..n-1 only
     counts = []
     for c_link in sorted(cfg.c_link_sweep):
-        result = select_topology(state, rho, published, incumbent, cache, subs,
-                                 cfg.controller, cfg.t_lambda, c_link, model)
+        priced = dataclasses.replace(cfg.controller, link_cost=c_link)
+        result = select_topology(state, rho, flows, incumbent, cache, subs,
+                                 priced, cfg.t_lambda, model)
         counts.append(result.topology.n_links)
         print(f"c_link={c_link:g}: selected {result.topology.bits()} ({result.topology.n_links} links)")
     monotone = all(a >= b for a, b in zip(counts, counts[1:]))

@@ -45,20 +45,31 @@ class RunConfig:
     def config_hash(self) -> str:
         """Digest of the run-defining fields; equal values hash equally, int or float."""
         payload = {
-            "reaches": [[r.index, float(r.backwater_area), r.delay_steps,
-                         float(r.length), float(r.bottom_width)] for r in self.reaches],
-            "controller": dataclasses.asdict(self.controller),
+            "reaches": [list(_as_typed(r).values()) for r in self.reaches],
+            "controller": _as_typed(self.controller),
             "scenario": None if self.scenario is None else {
                 "name": self.scenario.name,
                 "horizon": self.scenario.horizon,
-                "schedules": {k: list(map(list, v)) for k, v in sorted(self.scenario.schedules.items())},
+                "schedules": {k: [[step, float(v)] for step, v in entries]
+                              for k, entries in sorted(self.scenario.schedules.items())},
             },
-            "plant": dataclasses.asdict(self.plant),
+            "plant": _as_typed(self.plant),
             "t_lambda": self.t_lambda,
             "seed": self.seed,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _as_typed(obj):
+    """A flat config dataclass's fields by name, each float-typed value (a scalar
+    or a tuple's entries) a float, so that 250 and 250.0 hash alike."""
+    def cast(kind, value):
+        kind = typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind  # X | None
+        if typing.get_origin(kind) is tuple and value is not None:  # tuple[X, ...]
+            return [cast(typing.get_args(kind)[0], v) for v in value]
+        return float(value) if kind is float and value is not None else value
+    return {f.name: cast(f.type, getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}

@@ -13,12 +13,7 @@ import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
 from .control import CoalitionController, ControllerConfig, compute_setpoint
-from .supervisor import (
-    PublishedSetpoints,
-    SynthesisCache,
-    select_topology,
-    synthesize,
-)
+from .supervisor import SynthesisCache, select_topology, synthesize
 from .topology import full_topology, partition_of
 
 
@@ -161,13 +156,13 @@ class Plant:
             self.state[self._level_rows] += noise
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
     """Per-step record of one run; array fields are what trace files persist.
 
     levels, flows, inputs and offtakes view rows 1..T of `rows`, the run's
     one record; row 0 is the plant at rest: step 0's measurement and
-    offtakes, zero inputs."""
+    offtakes, zero inputs.  Traces compare by arrays_equal; == is identity."""
 
     scenario: str
     levels: np.ndarray          # (T, N) for N reaches
@@ -238,20 +233,22 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     rows = trace.rows  # row k + 1 is step k; row 0 is the plant at rest
     rows[:2, 0] = plant.measure()
     rows[3, 0] = rho0
-    published = PublishedSetpoints.bootstrap(rows[1, 0])
+    outflow = rows[1, 0].copy()  # published per-gate q_s + dq_s; at rest, the measured flows
 
     incumbent = full_topology(n)
-    controllers = {}
+    controllers = []  # chain order, as partition_of yields the coalitions
 
     def rebuild_controllers(topology, window):
         records = synthesize(partition_of(topology), subs, ctrl_cfg, cache)
-        fresh = {r.model.members: controllers.pop(r.model.members, None) for r in records}
-        controllers.clear()  # the replaced controllers go before any successor is built
-        for record in records:
-            if fresh[record.model.members] is None:
+        kept = {ctrl.model.members: ctrl for ctrl in controllers}
+        controllers.clear()
+        fresh = [kept.get(r.model.members) for r in records]
+        kept.clear()  # the replaced controllers go before any successor is built
+        for pos, record in enumerate(records):
+            if fresh[pos] is None:
                 ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
                 ctrl.warm_start(window, cache.schedule(ctrl.filter, window.shape[1]))
-                fresh[record.model.members] = ctrl
+                fresh[pos] = ctrl
         return fresh
 
     for k in range(scenario.horizon):
@@ -265,29 +262,26 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
         if k == 0 or supervision and k % t_lambda == 0:
             if supervision:
                 incumbent = select_topology(
-                    state, rho, published, incumbent, cache, subs, ctrl_cfg,
-                    t_lambda, ctrl_cfg.link_cost, nominal_model,
+                    state, rho, outflow, incumbent, cache, subs, ctrl_cfg, t_lambda, nominal_model,
                 ).topology
             ctrl = None  # drop the last step's reference: the rebuild may replace it
             window = rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1]  # rows of steps < k
             controllers = rebuild_controllers(incumbent, window)
 
         if k > 0:
-            for ctrl in controllers.values():
+            for ctrl in controllers:
                 ctrl.advance_filter(rows[2, k], rows[3, k], levels, flows)
 
         perf = 0.0
-        for members in sorted(controllers):
-            ctrl = controllers[members]
+        for ctrl in controllers:
             try:
                 u, setpoint = ctrl.compute(rho)
             except Exception as exc:
                 raise RuntimeError(f"controller failure at step {k}: {exc}") from exc
-            for pos, s in enumerate(members):
-                u_global[s - 1] = u[pos]
-            published.publish(ctrl.model, setpoint)
+            u_global[ctrl.idx] = u
+            outflow[ctrl.idx] = setpoint.xi_s[ctrl.model.gate_flow_rows()] + setpoint.u_s
             # partition_of yields contiguous runs, so a coalition's state is one slice
-            off = nominal_model.offsets[members[0]]
+            off = nominal_model.offsets[ctrl.model.members[0]]
             zeta = state[off:off + ctrl.model.n] - setpoint.xi_s
             nu = u - setpoint.u_s
             q_mat, r_mat = ctrl.program.q_mat, ctrl.program.r_mat

@@ -5,7 +5,8 @@ feedback gain K_i and cost-to-go matrix P_i, with certificates.  At each
 decision the supervisor synthesizes (or retrieves from cache) the records
 of the candidate topologies' distinct coalitions in one call, and fills
 every candidate's setpoints in one upstream pass over the chain from the
-most recently published neighbour setpoints.  All candidates are then
+published outflow, one float per gate: each coalition's latest q_s + dq_s,
+or the measured gate flow before any setpoint.  All candidates are then
 rolled out together on the coupled chain model for
 H = max(t_lambda, preview_horizon) steps, each under its own decentralized
 law u = clip(K (xi - xi_bar)), K = blockdiag(K_1, ...).  Unclipped, a
@@ -16,7 +17,7 @@ are rolled out again step by step under the clip.  Scores thus equal the
 sequential clipped rollout's up to round-off.  A candidate scores
 
     sum_k ( Q ||e(k) - e*||^2 + R ||u(k)||^2 )  +  sum_i zeta_i' P_i zeta_i
-        +  c_link * |links| * t_lambda
+        +  cfg.link_cost * |links| * t_lambda
 
 where e are the level errors, zeta_i = xi_i(H) - xi*_i, and xi* is the
 global steady state; the minimizer is picked.  Gains come from a
@@ -146,28 +147,8 @@ def synthesize(blocks, subsystems, cfg: ControllerConfig, cache: SynthesisCache)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PublishedSetpoints:
-    """Most recent per-gate steady outflow q_s + dq_s, shared with the top layer.
-
-    Coalition setpoints are scattered to per-gate entries so that any
-    candidate partition can read them, whatever partition produced them.
-    Bootstrap uses the currently measured gate flows with zero inputs.
-    """
-
-    outflow: np.ndarray
-
-    @classmethod
-    def bootstrap(cls, measured_flows):
-        return cls(outflow=np.array(measured_flows, dtype=float))
-
-    def publish(self, coalition, setpoint):
-        idx = [s - 1 for s in coalition.members]
-        self.outflow[idx] = setpoint.xi_s[coalition.gate_flow_rows()] + setpoint.u_s
-
-
-def topology_value(state, candidates, records, xi_bar, c_link, t_lambda, model, rho, cfg):
-    """Scores of all candidates: predicted shifted-state cost plus priced network usage.
+def topology_value(state, candidates, records, xi_bar, t_lambda, model, rho, cfg):
+    """Scores of all candidates: predicted shifted-state cost plus network usage at cfg.link_cost.
 
     Candidate c's decentralized law u = clip(K_c (xi - xi_bar_c)), with
     K_c = blockdiag(K_1, ...) and each coalition steering toward its own
@@ -219,7 +200,7 @@ def topology_value(state, candidates, records, xi_bar, c_link, t_lambda, model, 
     dev += offset[:, None, level_rows]
     stage = (cfg.level_weight * np.sum(np.square(dev, out=dev), axis=2)
              + cfg.input_weight * np.sum(np.square(u, out=u), axis=2))
-    total = np.array([c_link * cand.n_links * t_lambda for cand in candidates])
+    total = np.array([cfg.link_cost * cand.n_links * t_lambda for cand in candidates])
     total += stage.sum(axis=1)
     zeta = e[:, steps] + offset
     total += (zeta[:, None] @ p_diag @ zeta[:, :, None]).ravel()
@@ -302,18 +283,17 @@ def candidate_setpoints(candidates, rho, outflow, model):
     return xi_bar
 
 
-def select_topology(state, rho, published, incumbent, cache,
-                    subsystems, cfg: ControllerConfig, t_lambda: int,
-                    c_link, global_model) -> SelectionResult:
+def select_topology(state, rho, outflow, incumbent, cache, subsystems,
+                    cfg: ControllerConfig, t_lambda: int, global_model) -> SelectionResult:
     """Evaluate the incumbent and all one-link toggles; return the cheapest.
 
     The candidates' distinct coalitions are synthesized in one call and
-    their setpoints filled from the published data in one pass
-    (candidate_setpoints); all candidates are then scored in one batched
-    rollout of their decentralized feedback on the coupled chain model
-    `global_model` over the coming interval (topology_value): unclipped
-    rollouts by doubling, and the rows whose inputs leave the box by the
-    sequential clipped loop, so scores match that loop to round-off.  Each
+    their setpoints filled from the published per-gate `outflow` in one
+    pass (candidate_setpoints); all are then scored, links at cfg.link_cost,
+    in one batched rollout of their decentralized feedback on the coupled
+    chain model `global_model` over the coming interval (topology_value):
+    unclipped rollouts by doubling, and the rows whose inputs leave the box
+    by the sequential clipped loop, so scores match that loop to round-off.  Each
     row of the batch is its candidate's own rollout: rows share only the
     model and the starting state, so a candidate scores the same, up to
     round-off, whichever others are scored with it.  Scores within
@@ -327,9 +307,8 @@ def select_topology(state, rho, published, incumbent, cache,
     distinct = dict.fromkeys(b for part in partitions for b in part)
     by_members = dict(zip(distinct, synthesize(distinct, subsystems, cfg, cache)))
     records = [[by_members[b] for b in part] for part in partitions]
-    xi_bar = candidate_setpoints(candidates, rho, published.outflow, global_model)
-    values = topology_value(state, candidates, records, xi_bar, c_link, t_lambda,
-                            global_model, rho, cfg)
+    xi_bar = candidate_setpoints(candidates, rho, outflow, global_model)
+    values = topology_value(state, candidates, records, xi_bar, t_lambda, global_model, rho, cfg)
     scored = [(float(value), cand.n_links, cand.bits(), cand)
               for value, cand in zip(values, candidates)]
     cutoff = min(t[0] for t in scored)

@@ -158,8 +158,8 @@ def looped_rollout_value(xi0, blocks, xi_mat, up_mat, phi_rho, yardstick, level_
     return total, clipped
 
 
-def per_candidate_scores(state, rho, published, incumbent, cache, subsystems, cfg, t_lambda,
-                         c_link, model):
+def per_candidate_scores(state, rho, outflow, incumbent, cache, subsystems, cfg, t_lambda,
+                         model):
     """select_topology's scores by the per-candidate path, candidate_set order.
 
     Each candidate gets its own synthesize(partition_of(candidate)) call and
@@ -175,9 +175,9 @@ def per_candidate_scores(state, rho, published, incumbent, cache, subsystems, cf
             coal = entry.model
             row[start:start + coal.n] = compute_setpoint(
                 coal, rho[[s - 1 for s in coal.members]],
-                published.outflow[[s - 1 for s in coal.coupling_sources]])
+                outflow[[s - 1 for s in coal.coupling_sources]])
             start += coal.n
-    return topology_value(state, candidates, records, xi_bar, c_link, t_lambda, model, rho, cfg)
+    return topology_value(state, candidates, records, xi_bar, t_lambda, model, rho, cfg)
 
 
 def looped_mpc_data(acl, up, gain, flow_sel, zeta0, xi_s, u_s, n_p, n_c, bound, margin):

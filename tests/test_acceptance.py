@@ -7,6 +7,7 @@ notes); they are asserted as stated and fail honestly with the measured
 values attached.
 """
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -36,7 +37,6 @@ from canalmpc.simulate import (
     scenario_2,
 )
 from canalmpc.supervisor import (
-    PublishedSetpoints,
     SynthesisCache,
     select_topology,
     synthesize,
@@ -240,12 +240,11 @@ def test_10_link_count_monotone_in_cost():
     state[lv[5]] = 0.06
     state[lv[6]] = 0.048
     incumbent = Topology(13, frozenset({1, 2, 3, 10, 11, 12}))
-    published = PublishedSetpoints.bootstrap(flows)
     counts = []
     for c_link in (0.0, 0.15, 0.3, 0.6, 1.2, 2.4):
         result = select_topology(
-            state, offtakes, published, incumbent,
-            CACHE, CHAIN, CFG, 4, c_link=c_link, global_model=model,
+            state, offtakes, flows, incumbent,
+            CACHE, CHAIN, dataclasses.replace(CFG, link_cost=c_link), 4, global_model=model,
         )
         counts.append(result.topology.n_links)
     ok = all(a >= b for a, b in zip(counts, counts[1:]))

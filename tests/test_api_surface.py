@@ -1,21 +1,34 @@
 """Every public name in the package is used by the program or the benchmark.
 
 A public module-level function, class or constant, or a public method or
-property of a class, counts as used when its name occurs as a whole word in
+property of a class, counts as used when its name occurs as code in
 ``src/canalmpc/`` or ``perfbench/`` somewhere other than the line that
-defines it.  Tests do not count: an API only the tests call is dead code.
+defines it: as a name, an attribute or a keyword argument, read from the
+syntax tree, so that a docstring, a comment or a string that still names a
+deleted API does not count.  Tests do not count: an API only the tests call
+is dead code.
 """
 
 import ast
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "canalmpc"
 SEARCHED = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-LINES = [(path, lineno, line)
-         for path in SEARCHED
-         for lineno, line in enumerate(path.read_text().splitlines(), start=1)]
+
+
+def _code_names(path):
+    """(line, name) per Name, Attribute and keyword node of the module at `path`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.end_lineno, node.attr
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.lineno, node.arg
+
+
+USES = [(path, lineno, name) for path in SEARCHED for lineno, name in _code_names(path)]
 
 
 def _public_definitions():
@@ -38,9 +51,7 @@ def _public_definitions():
 
 
 def _references(name, skip):
-    pattern = re.compile(rf"\b{re.escape(name)}\b")
-    return sum(1 for path, lineno, line in LINES
-               if (path, lineno) != skip and pattern.search(line))
+    return sum(1 for path, lineno, used in USES if used == name and (path, lineno) != skip)
 
 
 def test_every_public_name_is_referenced():

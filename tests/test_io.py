@@ -162,6 +162,21 @@ class TestLoadConfig:
         assert parsed == builtin_config(name)
         assert parsed.config_hash() == builtin_config(name).config_hash()
 
+    @pytest.mark.parametrize("field, as_int, as_float, changed", [
+        ("controller", ControllerConfig(level_weight=250), ControllerConfig(level_weight=250.0),
+         ControllerConfig(level_weight=251)),
+        ("plant", PlantConfig(surface_factors=(1,) * 13), PlantConfig(surface_factors=(1.0,) * 13),
+         PlantConfig(surface_factors=(2,) * 13)),
+        ("scenario", Scenario("flat", 30, {i: ((0, 2),) for i in range(1, 14)}), small_scenario(),
+         Scenario("flat", 30, {i: ((0, 3),) for i in range(1, 14)})),
+    ])
+    def test_config_hash_ignores_int_or_float_spelling(self, field, as_int, as_float, changed):
+        """An int in a float field hashes as the float it equals; another value does not."""
+        digest = RunConfig(**{field: as_int}).config_hash()
+        assert as_int == as_float
+        assert digest == RunConfig(**{field: as_float}).config_hash()
+        assert digest != RunConfig(**{field: changed}).config_hash()
+
     @pytest.mark.parametrize("name, digest", [("scenario1", "6bb14feeca60"),
                                               ("scenario2", "a4198d0632b7")])
     def test_config_hash_of_bundled_files_unchanged(self, name, digest):

@@ -226,6 +226,12 @@ class TestClosedLoop:
         for k, window in windows:
             assert np.array_equal(window, record[:, max(0, k + 1 - capacity):k + 1]), k
 
+    def test_traces_compare_by_arrays_equal_not_eq(self):
+        """== on traces is identity, so it never asks numpy for an array's truth value."""
+        a, b = (simulate.SimTrace.empty("s", 3, 2, 0, "") for _ in range(2))
+        assert a == a and a != b
+        assert a.arrays_equal(b)
+
     @pytest.mark.parametrize("t_lambda", [0, -1])
     def test_t_lambda_below_one_refused(self, t_lambda):
         with pytest.raises(ValueError, match="t_lambda must be at least 1"):
@@ -265,6 +271,32 @@ class TestClosedLoop:
         bad = ControllerConfig(input_bound=1e-6)
         with pytest.raises(RuntimeError, match=r"step \d+"):
             run_closed_loop(sc, ctrl_cfg=bad, seed=0, cache=SynthesisCache())
+
+
+class TestPublishedOutflow:
+    def test_decisions_read_the_outflow_published_the_step_before(self, monkeypatch):
+        """The decision at step 0 reads the measured gate flows; every later one
+        reads each gate's xi_s[gate row] + u_s from the previous step's setpoints."""
+        seen, latest = [], np.full(13, np.nan)
+        real_select, real_compute = simulate.select_topology, CoalitionController.compute
+
+        def select(state, rho, outflow, *args):
+            seen.append((np.array(outflow), latest.copy()))
+            return real_select(state, rho, outflow, *args)
+
+        def compute(ctrl, rho):
+            u, setpoint = real_compute(ctrl, rho)
+            latest[ctrl.idx] = setpoint.xi_s[ctrl.model.gate_flow_rows()] + setpoint.u_s
+            return u, setpoint
+
+        monkeypatch.setattr(simulate, "select_topology", select)
+        monkeypatch.setattr(CoalitionController, "compute", compute)
+        trace = run_closed_loop(scenario_1(), seed=0, cache=CACHE)
+        assert len(seen) == 72
+        (first, _), *later = seen
+        assert np.array_equal(first, trace.flows[0])
+        for outflow, published in later:
+            assert np.array_equal(outflow, published)
 
 
 class TestBuiltOnce:

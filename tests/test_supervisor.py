@@ -12,9 +12,8 @@ from canalmpc.canal import (
     build_chain,
     build_coalition_model,
 )
-from canalmpc.control import ControllerConfig, Setpoint, compute_setpoint, weight_matrices
+from canalmpc.control import ControllerConfig, compute_setpoint, weight_matrices
 from canalmpc.supervisor import (
-    PublishedSetpoints,
     SynthesisCache,
     SynthesisError,
     candidate_setpoints,
@@ -148,10 +147,10 @@ def _block_rows(members):
     return MODEL.offsets[members[0]] + np.arange(build_coalition_model(CHAIN, members).n)
 
 
-def _setpoints_of(blocks, rho, published):
+def _setpoints_of(blocks, rho, outflow):
     """Each block's slice of candidate_setpoints for the topology linking within the blocks."""
     candidate = Topology(13, {s for b in blocks for s in b[:-1]})
-    (xi_bar,) = candidate_setpoints([candidate], rho, published.outflow, MODEL)
+    (xi_bar,) = candidate_setpoints([candidate], rho, outflow, MODEL)
     return {b: xi_bar[_block_rows(b)] for b in blocks}
 
 
@@ -172,35 +171,33 @@ class TestCandidateSetpoints:
 
     def test_full_coalition_empty(self):
         """The whole chain has no coupling channel, so no published flow enters."""
-        quiet = PublishedSetpoints.bootstrap(np.zeros(13))
-        busy = PublishedSetpoints.bootstrap(np.full(13, 7.0))
+        quiet = np.zeros(13)
+        busy = np.full(13, 7.0)
         full = _setpoints_of((FULL,), self.RHO, quiet)[FULL]
         assert np.array_equal(full, _setpoints_of((FULL,), self.RHO, busy)[FULL])
         assert np.array_equal(full, compute_setpoint(MODEL, self.RHO, np.zeros(0)))
 
     def test_singleton_reads_downstream_flow(self):
         coal = build_coalition_model(CHAIN, (4,))
-        published = PublishedSetpoints.bootstrap(np.zeros(13))
-        published.outflow[4] = 6.75  # gate 5: flow 6.5 plus increment 0.25
-        xi_bar = _setpoints_of(((4,),), self.RHO, published)[(4,)]
+        outflow = np.zeros(13)
+        outflow[4] = 6.75  # gate 5: flow 6.5 plus increment 0.25
+        xi_bar = _setpoints_of(((4,),), self.RHO, outflow)[(4,)]
         assert xi_bar[coal.flow_rows()] == pytest.approx(2.0 + 6.75)
 
     def test_publish_stores_gate_outflow(self):
+        """The upstream coalition reads the outflow published for gates 4 and 5;
+        test_simulate's TestPublishedOutflow checks what the run loop publishes."""
         coal = build_coalition_model(CHAIN, (4, 5))
-        published = PublishedSetpoints.bootstrap(np.full(13, 5.0))
+        outflow = np.full(13, 5.0)
         xi_s = np.arange(1.0, coal.n + 1.0)
-        published.publish(coal, Setpoint(xi_s, np.array([0.5, -0.25]), np.zeros(coal.n), True))
-        assert published.outflow[3] == xi_s[0] + 0.5
-        assert published.outflow[4] == xi_s[coal.offsets[5]] - 0.25
-        assert np.all(np.delete(published.outflow, [3, 4]) == 5.0)
+        outflow[[3, 4]] = xi_s[coal.gate_flow_rows()] + np.array([0.5, -0.25])
         upstream = build_coalition_model(CHAIN, (3,))
-        xi_bar = _setpoints_of(((3,),), self.RHO, published)[(3,)]
-        expected = compute_setpoint(upstream, self.RHO[[2]], published.outflow[[3]])
+        xi_bar = _setpoints_of(((3,),), self.RHO, outflow)[(3,)]
+        expected = compute_setpoint(upstream, self.RHO[[2]], outflow[[3]])
         assert np.array_equal(xi_bar, expected)
 
     def test_bootstrap_equal_flows(self):
-        published = PublishedSetpoints.bootstrap(np.full(13, 5.0))
-        setpoints = _setpoints_of(tuple((i,) for i in range(1, 14)), self.RHO, published)
+        setpoints = _setpoints_of(tuple((i,) for i in range(1, 14)), self.RHO, np.full(13, 5.0))
         for i in range(1, 14):
             flows = setpoints[(i,)][build_coalition_model(CHAIN, (i,)).flow_rows()]
             assert flows == pytest.approx(2.0 + (5.0 if i < 13 else 0.0))
@@ -280,7 +277,7 @@ def _assert_matches_oracle(batch, cfg=CFG, t_lambda=4):
     """Scores equal the per-coalition loop's; returns the entries it clipped, per candidate."""
     candidates, records, xi_bar, blocks, xi0 = batch
     steady, model, rho = _steady_preview()
-    values = topology_value(xi0, candidates, records, xi_bar, 0.6, t_lambda, model, rho, cfg)
+    values = topology_value(xi0, candidates, records, xi_bar, t_lambda, model, rho, cfg)
     assert values.shape == (len(candidates),)
     clipped = []
     for value, candidate, candidate_blocks in zip(values, candidates, blocks):
@@ -300,27 +297,27 @@ class TestTopologyValue:
         state, model, rho = _steady_preview()
         (value,) = topology_value(
             state, [full_topology(13)], [full_gains], state[None],
-            c_link=0.0, t_lambda=4, model=model, rho=rho, cfg=CFG,
+            t_lambda=4, model=model, rho=rho, cfg=dataclasses.replace(CFG, link_cost=0.0),
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_network_term_only(self, full_gains):
-        """At the setpoint all 12 links cost c_link * 12 * t_lambda."""
+        """At the setpoint all 12 links cost link_cost * 12 * t_lambda."""
         state, model, rho = _steady_preview()
         (value,) = topology_value(
             state, [full_topology(13)], [full_gains], state[None],
-            c_link=0.6, t_lambda=4, model=model, rho=rho, cfg=CFG,
+            t_lambda=4, model=model, rho=rho, cfg=dataclasses.replace(CFG, link_cost=0.6),
         )
         assert value == pytest.approx(28.8)
 
     def test_full_price(self, full_gains):
-        """Away from the setpoint all 12 links still add exactly c_link * 12 * t_lambda."""
+        """Away from the setpoint all 12 links still add exactly link_cost * 12 * t_lambda."""
         state, model, rho = _steady_preview()
         state = state + np.random.default_rng(3).normal(scale=0.05, size=state.size)
         free, priced = (
             topology_value(
                 state, [full_topology(13)], [full_gains], np.zeros((1, 39)),
-                c_link=c_link, t_lambda=4, model=model, rho=rho, cfg=CFG,
+                t_lambda=4, model=model, rho=rho, cfg=dataclasses.replace(CFG, link_cost=c_link),
             )[0]
             for c_link in (0.0, 0.6)
         )
@@ -333,7 +330,7 @@ class TestTopologyValue:
         gains = synthesize(SINGLETON_PARTITION, CHAIN, CFG, SynthesisCache())
         (value,) = topology_value(
             state, [Topology(13, ())], [gains], state[None],
-            c_link=0.6, t_lambda=4, model=model, rho=rho, cfg=CFG,
+            t_lambda=4, model=model, rho=rho, cfg=dataclasses.replace(CFG, link_cost=0.6),
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -344,7 +341,7 @@ class TestTopologyValue:
             state = rng.normal(size=39)
             (value,) = topology_value(
                 state, [Topology(13, ())], [full_gains], np.zeros((1, 39)),
-                c_link=0.0, t_lambda=4, model=model, rho=rho, cfg=CFG,
+                t_lambda=4, model=model, rho=rho, cfg=dataclasses.replace(CFG, link_cost=0.0),
             )
             assert value >= 0.0
 
@@ -361,11 +358,10 @@ class TestTopologyValue:
         records = [synthesize(partition_of(cand), CHAIN, CFG, cache) for cand in candidates]
         xi_bar, _ = _random_setpoints(rng, steady, model, records)
         xi0 = steady + rng.normal(scale=1.0, size=39)
-        batch = topology_value(xi0, candidates, records, xi_bar, 0.6, 4, model, rho, CFG)
+        batch = topology_value(xi0, candidates, records, xi_bar, 4, model, rho, CFG)
         assert batch.shape == (13,)
         for c, (cand, gains) in enumerate(zip(candidates, records)):
-            (alone,) = topology_value(xi0, [cand], [gains], xi_bar[c:c + 1], 0.6, 4, model, rho,
-                                      CFG)
+            (alone,) = topology_value(xi0, [cand], [gains], xi_bar[c:c + 1], 4, model, rho, CFG)
             assert alone == pytest.approx(batch[c], rel=1e-12, abs=0.0)
 
     def test_full_partition_cost_to_go_matches_simulation(self, full_gains):
@@ -433,16 +429,15 @@ def _disturbed_setup():
     level_rows = coal.level_rows()
     state[level_rows[8]] = 0.35   # reaches 9 and 10 disturbed
     state[level_rows[9]] = 0.30
-    published = PublishedSetpoints.bootstrap(flows)
-    return state, offtakes, published
+    return state, offtakes, flows
 
 
 def test_candidate_setpoints_once_per_distinct_coalition():
     """Singletons plus the twelve one-link merges: each of the 25 distinct
     coalitions gets one setpoint, the same in every candidate that has it."""
-    state, rho, published = _disturbed_setup()
+    state, rho, outflow = _disturbed_setup()
     candidates = candidate_set(Topology(13, ()))
-    xi_bar = candidate_setpoints(candidates, rho, published.outflow, MODEL)
+    xi_bar = candidate_setpoints(candidates, rho, outflow, MODEL)
     setpoints = {}
     for row, cand in zip(xi_bar, candidates):
         for members in partition_of(cand):
@@ -450,18 +445,16 @@ def test_candidate_setpoints_once_per_distinct_coalition():
             assert np.array_equal(row[_block_rows(members)], block)
     assert len(setpoints) == 25
     pair = build_coalition_model(CHAIN, (4, 5))
-    omega = published.outflow[[5]]  # coupling source: gate 6
+    omega = outflow[[5]]  # coupling source: gate 6
     assert np.array_equal(setpoints[(4, 5)], compute_setpoint(pair, rho[[3, 4]], omega))
 
 
 class TestSelectTopology:
     def test_deterministic(self):
-        state, rho, published = _disturbed_setup()
+        state, rho, outflow = _disturbed_setup()
         cache = SynthesisCache()
-        r1 = select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4,
-                             CFG.link_cost, MODEL)
-        r2 = select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4,
-                             CFG.link_cost, MODEL)
+        r1 = select_topology(state, rho, outflow, full_topology(13), cache, CHAIN, CFG, 4, MODEL)
+        r2 = select_topology(state, rho, outflow, full_topology(13), cache, CHAIN, CFG, 4, MODEL)
         assert r1.topology == r2.topology
         assert r1.values == r2.values
 
@@ -469,41 +462,42 @@ class TestSelectTopology:
     def test_values_equal_per_candidate_path(self, incumbent):
         """One synthesis and one setpoint pass per decision score bit for bit
         as a synthesis and a setpoint per block of each candidate."""
-        state, rho, published = _disturbed_setup()
-        args = (Topology(13, incumbent), SynthesisCache(), CHAIN, CFG, 4, CFG.link_cost, MODEL)
-        result = select_topology(state, rho, published, *args)
-        expected = per_candidate_scores(state, rho, published, *args)
+        state, rho, outflow = _disturbed_setup()
+        args = (Topology(13, incumbent), SynthesisCache(), CHAIN, CFG, 4, MODEL)
+        result = select_topology(state, rho, outflow, *args)
+        expected = per_candidate_scores(state, rho, outflow, *args)
         assert [value for _, value in result.values] == expected.tolist()
 
     def test_cache_transparency(self):
         """A cache warmed by a decision at another state scores exactly as a fresh one."""
-        state, rho, published = _disturbed_setup()
+        state, rho, outflow = _disturbed_setup()
         warm = SynthesisCache()
-        select_topology(compute_setpoint(MODEL, rho, np.zeros(0)), rho, published,
-                        full_topology(13), warm, CHAIN, CFG, 4, CFG.link_cost, MODEL)
+        select_topology(compute_setpoint(MODEL, rho, np.zeros(0)), rho, outflow,
+                        full_topology(13), warm, CHAIN, CFG, 4, MODEL)
         warmed, fresh = (
-            select_topology(state, rho, published, full_topology(13), cache, CHAIN, CFG, 4,
-                            CFG.link_cost, MODEL)
+            select_topology(state, rho, outflow, full_topology(13), cache, CHAIN, CFG, 4, MODEL)
             for cache in (warm, SynthesisCache())
         )
         assert warmed.topology == fresh.topology
         assert warmed.values == fresh.values
 
     def test_huge_link_cost_sheds(self):
-        state, rho, published = _disturbed_setup()
+        state, rho, outflow = _disturbed_setup()
         cache = SynthesisCache()
         incumbent = full_topology(13)
         result = select_topology(
-            state, rho, published, incumbent, cache, CHAIN, CFG, 4, 1e9, MODEL
+            state, rho, outflow, incumbent, cache, CHAIN,
+            dataclasses.replace(CFG, link_cost=1e9), 4, MODEL
         )
         assert result.topology.n_links < incumbent.n_links
 
     def test_zero_cost_prefers_performance(self):
-        state, rho, published = _disturbed_setup()
+        state, rho, outflow = _disturbed_setup()
         cache = SynthesisCache()
         incumbent = Topology(13, ())
         result = select_topology(
-            state, rho, published, incumbent, cache, CHAIN, CFG, 4, 0.0, MODEL
+            state, rho, outflow, incumbent, cache, CHAIN,
+            dataclasses.replace(CFG, link_cost=0.0), 4, MODEL
         )
         best_value = min(v for _, v in result.values)
         incumbent_value = dict(result.values)[incumbent.bits()]
@@ -512,10 +506,10 @@ class TestSelectTopology:
     def test_equal_scores_break_toward_fewer_links_then_smallest_bits(self, monkeypatch):
         monkeypatch.setattr(supervisor, "topology_value",
                             lambda state, candidates, *rest: np.full(len(candidates), 5.0))
-        state, rho, published = _disturbed_setup()
+        state, rho, outflow = _disturbed_setup()
         incumbent = Topology(13, {3, 7})
-        result = select_topology(state, rho, published, incumbent, SynthesisCache(),
-                                 CHAIN, CFG, 4, CFG.link_cost, MODEL)
+        result = select_topology(state, rho, outflow, incumbent, SynthesisCache(),
+                                 CHAIN, CFG, 4, MODEL)
         assert result.topology == Topology(13, {7})
         assert [bits for bits, _ in result.values] == [c.bits() for c in candidate_set(incumbent)]
         assert all(type(value) is float and value == 5.0 for _, value in result.values)
@@ -531,19 +525,20 @@ class TestSelectTopology:
             return np.array([by_bits.get(c.bits(), 30.0) for c in candidates])
 
         monkeypatch.setattr(supervisor, "topology_value", scores)
-        state, rho, published = _disturbed_setup()
-        result = select_topology(state, rho, published, incumbent, SynthesisCache(),
-                                 CHAIN, CFG, 4, CFG.link_cost, MODEL)
+        state, rho, outflow = _disturbed_setup()
+        result = select_topology(state, rho, outflow, incumbent, SynthesisCache(),
+                                 CHAIN, CFG, 4, MODEL)
         assert result.topology == Topology(13, winner)
 
     def test_link_count_monotone_in_cost(self):
-        state, rho, published = _disturbed_setup()
+        state, rho, outflow = _disturbed_setup()
         cache = SynthesisCache()
         incumbent = full_topology(13)
         counts = []
         for c_link in (0.0, 0.15, 0.3, 0.6, 1.2, 2.4):
             result = select_topology(
-                state, rho, published, incumbent, cache, CHAIN, CFG, 4, c_link, MODEL
+                state, rho, outflow, incumbent, cache, CHAIN,
+                dataclasses.replace(CFG, link_cost=c_link), 4, MODEL
             )
             counts.append(result.topology.n_links)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
