@@ -63,11 +63,11 @@ class ControllerConfig:
             raise ValueError("control horizon must not exceed prediction horizon")
         if self.control_horizon < 1:
             raise ValueError("control horizon must be at least 1")
-        for name in ("input_weight", "slack_weight", "setpoint_slack_weight",
+        for name in ("level_weight", "input_weight", "slack_weight", "setpoint_slack_weight",
                      "sample_time", "input_bound", "kf_measurement_noise"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        for name in ("level_weight", "link_cost", "kf_flow_process_noise", "kf_level_process_noise",
+        for name in ("link_cost", "kf_flow_process_noise", "kf_level_process_noise",
                      "kf_omega_process_noise", "kf_prior_flow", "kf_prior_level", "kf_prior_omega"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -229,7 +229,8 @@ def kf_init(filt: KalmanModel, window, schedule) -> KalmanState:
 
 @dataclass
 class Setpoint:
-    """Feasible operating point: state xi_s, input u_s, equality slack sigma."""
+    """Feasible operating point: state xi_s, input u_s, steady-state slack
+    sigma = (I - Xi) xi_s - Up u_s - Phi rho - Psi omega."""
 
     xi_s: np.ndarray
     u_s: np.ndarray
@@ -263,81 +264,80 @@ def compute_setpoint(coalition, rho, omega):
 class SetpointProgram:
     """State-independent parts of one coalition's setpoint projection QP.
 
-    Over (xi_s, u_s, sigma), H, Aeq and Ain depend only on the coalition,
-    its gain and the weights; a projection fills in beq and bin.
+    Over y = (delta, u_s), H and Ain depend only on the coalition, its gain
+    and the weights; a projection fills in bin.  floor_rows are the state
+    rows of the flow-floor inequalities, in their QP row order.
     """
 
     coalition: CoalitionModel
     gain: np.ndarray
-    flow_rows: list
+    floor_rows: list
     qp: QpStructure
 
 
 def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
     """Assemble the setpoint projection QP's fixed blocks (done once per controller).
 
-    Q weighs levels only, so diag(2Q, 2R, 2G) is singular.  H adds rho Aeq'Aeq
-    with rho = 1e-3 G (G the setpoint slack weight): rho/2 |Aeq x|^2 is constant
-    on Aeq x = beq, and as [I - Xi; gamma] has full column rank, this H is
-    positive definite and the QP takes range-space steps.
+    With xi_s = xi_bar + delta around compute_setpoint's xi_bar, the
+    steady-state slack is sigma = A y with A = [I - Xi, -Up], and the cost
+    xi_s' Q xi_s + u_s' R u_s + G |sigma|^2 (G the setpoint slack weight) is
+    0.5 y'Hy with H = 2 diag(Q, R) + 2G A'A: Q weighs levels only and xi_bar
+    has zero levels.  As Q > 0 on levels and [I - Xi; gamma] has full
+    column rank, H is positive definite.
     """
     n, m = coalition.n, coalition.m
     q_mat, r_mat = weight_matrices(coalition, cfg)
-    nv = n + m + n  # xi_s, u_s, sigma
-
-    aeq = np.zeros((n, nv))
-    aeq[:, :n] = np.eye(n) - coalition.Xi
-    aeq[:, n:n + m] = -coalition.Up
-    aeq[:, n + m:] = -np.eye(n)
-
-    h_mat = 1e-3 * cfg.setpoint_slack_weight * (aeq.T @ aeq)
+    slack_map = np.hstack([np.eye(n) - coalition.Xi, -coalition.Up])
+    h_mat = 2.0 * cfg.setpoint_slack_weight * (slack_map.T @ slack_map)
     h_mat[:n, :n] += 2.0 * q_mat
-    h_mat[n:n + m, n:n + m] += 2.0 * r_mat
-    h_mat[n + m:, n + m:] += 2.0 * cfg.setpoint_slack_weight * np.eye(n)
+    h_mat[n:, n:] += 2.0 * r_mat
 
-    flow_rows = coalition.flow_rows()
-    n_q = len(flow_rows)
-    ain = np.zeros((n_q + 2 * m, nv))
-    ain[np.arange(n_q), flow_rows] = -1.0
+    # Floor rows run from the last flow slot up.  Once the last reach's
+    # offtake is 0 (Dez scenario1 from k = 72), both delay slots of its gate
+    # violate the floor by exactly the margin; the lowest-index tie rule then
+    # enters the last slot, the one that stays active, rather than one that
+    # must leave again (504 centralized setpoint iterations per run against
+    # 936 in flow_rows() order).
+    floor_rows = coalition.flow_rows()[::-1]
+    n_q = len(floor_rows)
+    ain = np.zeros((n_q + 2 * m, n + m))
+    ain[np.arange(n_q), floor_rows] = -1.0
     ain[n_q:n_q + m, :n] = -gain
-    ain[n_q:n_q + m, n:n + m] = np.eye(m)
-    ain[n_q + m:, :n] = gain
-    ain[n_q + m:, n:n + m] = -np.eye(m)
+    ain[n_q:n_q + m, n:] = np.eye(m)
+    ain[n_q + m:] = -ain[n_q:n_q + m]
 
     return SetpointProgram(
-        coalition=coalition, gain=gain, flow_rows=flow_rows, qp=QpStructure(h_mat, aeq, ain),
+        coalition=coalition, gain=gain, floor_rows=floor_rows, qp=QpStructure(h_mat, ain),
     )
 
 
 def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
     """Project the steady state for offtakes rho and boundary flows omega onto the constraints.
 
-    Minimizes u_s' R u_s + xi_s' Q xi_s + sigma' G sigma subject to the
-    slacked steady-state equality (I - Xi) xi_s - Up u_s - sigma = Phi rho +
-    Psi omega, the flow floor on every flow section, and the input box
-    evaluated at the current state.  Without active constraints the
-    minimizer is compute_setpoint's zero-level steady state with u_s = 0 and
+    Minimizes u_s' R u_s + xi_s' Q xi_s + sigma' G sigma, where sigma is the
+    slack of the steady-state equality (I - Xi) xi_s - Up u_s = Phi rho +
+    Psi omega, subject to the flow floor on every flow section and the input
+    box evaluated at the current state.  The QP is posed in delta = xi_s -
+    xi_bar around compute_setpoint's xi_bar (see prepare_setpoint), so
+    without active constraints the minimizer is xi_bar with u_s = 0 and
     sigma = 0.  `prog` is the coalition's program from prepare_setpoint.
     """
     coalition = prog.coalition
-    n, m = coalition.n, coalition.m
+    n = coalition.n
     bound = cfg.input_bound
-    beq = coalition.Phi @ rho + coalition.Psi @ omega
-    # flow floor, then K (xi_k - xi_s) + u_s within the input box
-    k_xi = prog.gain @ xi_k
-    bin_ = np.concatenate([
-        np.full(len(prog.flow_rows), -cfg.flow_margin), bound - k_xi, bound + k_xi,
-    ])
+    xi_bar = compute_setpoint(coalition, rho, omega)
+    # flow floor -delta <= xi_bar - margin, then K (xi_k - xi_bar - delta) + u_s within the box
+    k_xi = prog.gain @ (xi_k - xi_bar)
+    bin_ = np.concatenate([xi_bar[prog.floor_rows] - cfg.flow_margin, bound - k_xi, bound + k_xi])
 
-    sol = solve_qp(prog.qp, beq, bin_)
+    sol = solve_qp(prog.qp, bin_)
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
         )
-    xi_s = sol.x[:n]
-    u_s = sol.x[n:n + m]
-    sigma = sol.x[n + m:]
-    return Setpoint(xi_s, u_s, sigma, feasible=sol.optimal)
+    delta, u_s = sol.x[:n], sol.x[n:]
+    sigma = delta - coalition.Xi @ delta - coalition.Up @ u_s
+    return Setpoint(xi_bar + delta, u_s, sigma, feasible=sol.optimal)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +374,12 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     """Condense the coalition MPC into dense QP blocks (done once per controller).
 
     H and Ain go into the program's QpStructure, checked and factored;
-    mpc_step fills in only bin.  There is no linear term: K and P come from
-    one certified Riccati synthesis with these weight_matrices, so
-    R K + Up' P Acl = 0 and P = Q + K'RK + Acl' P Acl.  Along v' = 0 the
-    cost-to-go from zeta(t + 1) is zeta(t + 1)' P zeta(t + 1), so the
-    gradient in v'(t) is 2 (R K + Up' P Acl) zeta(t): zero for every zeta0,
-    up to the certified Riccati residual.
+    mpc_step fills in only bin.  K and P come from one certified Riccati
+    synthesis with these weight_matrices, so R K + Up' P Acl = 0 and
+    P = Q + K'RK + Acl' P Acl.  Completing the square step by step, the
+    horizon cost is zeta0' P zeta0 plus v'(t)' (R + Up' P Up) v'(t) summed
+    over t < N_c: there is no linear term, and the Hessian in the free moves
+    is block-diagonal, up to the certified Riccati residual.
     """
     n, m = coalition.n, coalition.m
     n_p, n_c = cfg.prediction_horizon, cfg.control_horizon
@@ -401,11 +401,7 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     m_maps = gain @ t_maps
     for t in range(n_c):
         m_maps[t, :, t * m:(t + 1) * m] += np.eye(m)
-    # sum_t maps[t]' W maps[t] over a stack of maps is one product of the stacked rows
-    stage, inputs = t_maps[1:n_p], m_maps[:n_p]
-    h_uu = 2.0 * (stage.reshape(-1, nu).T @ (q_mat @ stage).reshape(-1, nu)
-                  + t_maps[n_p].T @ p_mat @ t_maps[n_p]
-                  + inputs.reshape(-1, nu).T @ (r_mat @ inputs).reshape(-1, nu))
+    h_uu = 2.0 * np.kron(np.eye(n_c), r_mat + coalition.Up.T @ p_mat @ coalition.Up)
 
     flow_sel = coalition.flow_selector()
     n_q = flow_sel.shape[0]
@@ -426,10 +422,10 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
 
     box_map = (gain @ powers).reshape(n_box, n)
     floor_map = (flow_sel @ powers[1:n_c + 1]).reshape(n_eps, n)
-    del powers, drive, t_maps, m_maps, stage, inputs  # freed before H is factored: a lower peak
+    del powers, drive, t_maps, m_maps  # freed before H is factored: a lower peak
     return MpcProgram(
         n_p=n_p, n_c=n_c, n_q=n_q, m=m, box_map=box_map, floor_map=floor_map,
-        qp=QpStructure(h_mat, None, ain),
+        qp=QpStructure(h_mat, ain),
         flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
     )
 

@@ -3,11 +3,11 @@
 Everything here is pure and deterministic: identical inputs produce
 bit-identical outputs, so simulation traces are reproducible.  The kernels
 are numpy's (solve, inv, cholesky, qr, eigvalsh), so the package needs no
-scipy at run time.  solve_dare and QpStructure (positive-definite H,
-full-rank Aeq) check their inputs on entry; the certificate helpers and
-solve_qp work on arrays those have checked, and solve_qp's right-hand sides
-beq and bin are built by the controllers from checked configuration,
-certified gains and finite measurements.
+scipy at run time.  solve_dare and QpStructure (positive-definite H) check
+their inputs on entry; the certificate helpers and solve_qp work on arrays
+those have checked, and solve_qp's right-hand side bin is built by the
+controllers from checked configuration, certified gains and finite
+measurements.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +23,8 @@ class RiccatiConvergenceError(RuntimeError):
     """Riccati doubling diverged or hit its step cap; the pair is likely not stabilizable."""
 
 
-# Relative tolerance below which equality rows (QpStructure's R diagonal) or
-# an entering working-set row (solve_qp) count as linearly dependent.
+# Relative tolerance below which a start or entering row counts as linearly
+# dependent on the working rows (solve_qp).
 RANK_RTOL = 1e-10
 
 
@@ -143,43 +143,28 @@ _FEAS_TOL = 1e-9
 
 
 class QpStructure:
-    """The fixed part of a QP family: H, Aeq and Ain, checked and factored once.
+    """The fixed part of a QP family: H and Ain, checked and factored once.
 
-    The family is min 0.5 x'Hx  s.t.  Aeq x = beq,  Ain x <= bin with only
-    beq and bin varying.  H must be symmetric positive definite and Aeq of
-    full row rank; a ValueError is raised when the Cholesky factorization
-    H = LL' fails, when Aeq has more rows than columns, or when the QR of
-    L^-1 Aeq' has an |R_ii| <= RANK_RTOL max |R_jj|.  Built here: L^-1
-    (cond(L) = sqrt(cond(H))), the QR factors eq_q, eq_r of L^-1 Aeq' and
-    the start map start_beq = Q R^-T, with which solve_qp forms the
-    equality-constrained minimizer z0 = start_beq beq in z = L'x.  Without
-    equality rows (every MPC program) the last three are empty, taken with
-    no QR.  A controller keeps one structure per QP.
+    The family is min 0.5 x'Hx  s.t.  Ain x <= bin with only bin varying.
+    H must be symmetric positive definite; a ValueError is raised when the
+    Cholesky factorization H = LL' fails.  Built here: L^-1, in whose
+    coordinates z = L'x solve_qp steps (cond(L) = sqrt(cond(H))).  A
+    controller keeps one structure per QP.
     """
 
-    def __init__(self, H, Aeq=None, Ain=None):
+    def __init__(self, H, Ain=None):
         self.H = _as_matrix(H, "H")
         self.n = n = self.H.shape[0]
         if self.H.shape != (n, n):
             raise ValueError(f"H must be square, got {self.H.shape}")
-        self.Aeq = np.zeros((0, n)) if Aeq is None or np.size(Aeq) == 0 else _as_matrix(Aeq, "Aeq")
         self.Ain = np.zeros((0, n)) if Ain is None or np.size(Ain) == 0 else _as_matrix(Ain, "Ain")
-        if self.Aeq.shape[1] != n or self.Ain.shape[1] != n:
+        if self.Ain.shape[1] != n:
             raise ValueError("constraint column count inconsistent with n")
         try:
             chol = np.linalg.cholesky(self.H)
         except np.linalg.LinAlgError:
             raise ValueError("H must be positive definite") from None
         self.chol_inv = np.linalg.inv(chol)
-        if not self.Aeq.shape[0]:  # every MPC program: nothing to factor
-            self.eq_q = self.start_beq = np.zeros((n, 0))
-            self.eq_r = np.zeros((0, 0))
-            return
-        self.eq_q, self.eq_r = np.linalg.qr(self.chol_inv @ self.Aeq.T)
-        diag = np.abs(np.diag(self.eq_r))
-        if self.Aeq.shape[0] > n or diag.min() <= RANK_RTOL * diag.max():
-            raise ValueError("Aeq must have full row rank")
-        self.start_beq = np.linalg.solve(self.eq_r, self.eq_q.T).T
 
 
 @dataclass
@@ -212,88 +197,72 @@ def _qr_append(q, r, v, tol):
     return np.column_stack([q, w / norm]), r_new
 
 
-def _working_dual(r, q_v, n_working):
-    """The last n_working entries of R^-1 Q'v: R is upper triangular, so they
-    solve against its trailing block alone."""
-    if not n_working:
-        return np.zeros(0)
-    return np.linalg.solve(r[-n_working:, -n_working:], q_v[-n_working:])
-
-
-def _warm_start(s, beq, bin_, start):
-    """Q, R, z and inequality multipliers on the working set Aeq, Ain[start],
-    or None when a start row is dependent or a multiplier is negative.
+def _warm_start(s, bin_, start):
+    """Q, R, z and multipliers on the working set Ain[start], or None when a
+    start row is dependent or a multiplier is negative.
 
     With the working rows' L^-1 A_W' = QR and y = R^-T b_W, the minimizer of
     0.5 |z|^2 on A_W x = b_W is z = Qy, with multipliers -R^-1 y."""
-    q, r = s.eq_q, s.eq_r
+    q, r = np.zeros((s.n, 0)), np.zeros((0, 0))
     try:
         for i in start:
             v = s.chol_inv @ s.Ain[i]
             q, r = _qr_append(q, r, v, RANK_RTOL * np.linalg.norm(v))
     except SingularMatrixError:
         return None
-    b = bin_[list(start)] if beq is None else np.concatenate([beq, bin_[list(start)]])
-    y = np.linalg.solve(r.T, b)
-    lam = -_working_dual(r, y, len(start))
+    y = np.linalg.solve(r.T, bin_[list(start)])
+    lam = -np.linalg.solve(r, y)
     if not np.all(lam >= 0.0):
         return None
     return q, r, q @ y, lam
 
 
-def solve_qp(structure, beq=None, bin=None, max_iter=None, start=()):
+def solve_qp(structure, bin=None, max_iter=None, start=()):
     """Solve a small dense strictly convex QP by the dual active-set method
     of Goldfarb & Idnani (Math. Programming 27, 1983).
 
-    The problem is the member of `structure`'s family with right-hand sides
-    beq and bin (None for no rows), taken as given, unchecked.  In z = L'x
-    the objective is 0.5 |z|^2 and a constraint row a becomes v = L^-1 a'.
-    The cold start z0 = Q R^-T beq (0 without equality rows) is returned
-    after one iteration, active set empty, when it satisfies every
-    inequality; that check comes before any start.  Otherwise the solve
-    starts at the minimizer on the equality rows plus the inequality rows
-    `start` and adds the most violated inequality (lowest index on ties).
+    The problem is the member of `structure`'s family with right-hand side
+    bin (None for no rows), taken as given, unchecked.  In z = L'x the
+    objective is 0.5 |z|^2 and a constraint row a becomes v = L^-1 a'.  The
+    cold start z = 0 is returned after one iteration, active set empty,
+    when it satisfies every row, that is when bin >= 0; that check comes
+    before any start.  Otherwise the solve starts at the minimizer on the
+    rows `start` and adds the most violated row (lowest index on ties).
     With the working rows' L^-1 A_w' = QR, adding v moves z along
-    -(I - QQ')v and the working inequality multipliers along -R^-1 Q'v; a
-    working row whose multiplier reaches zero first (lowest index on ties)
-    leaves before v enters.  A v in the span of the working rows that no
-    multiplier makes room for proves the inequalities infeasible.
+    -(I - QQ')v and the working multipliers along -R^-1 Q'v; a working row
+    whose multiplier reaches zero first (lowest index on ties) leaves before
+    v enters.  A v in the span of the working rows that no multiplier makes
+    room for proves the rows infeasible.
 
-    `start`, typically the previous solve's active_set, may be any
-    inequality rows: Goldfarb & Idnani may start from any working set whose
-    minimizer has nonnegative multipliers.  A start row whose v depends on
-    the rows before it, or a start with a negative multiplier, is refused
-    for the cold start, which start=() selects.  Either way the solve ends
-    at the unique minimizer of the strictly convex QP, so a taken start
-    changes only round-off and the iteration count, and a refused one gives
-    the cold solve bit for bit.
+    `start`, typically the previous solve's active_set, may be any rows:
+    Goldfarb & Idnani may start from any working set whose minimizer has
+    nonnegative multipliers.  A start row whose v depends on the rows before
+    it, or a start with a negative multiplier, is refused for the cold
+    start, which start=() selects.  Either way the solve ends at the unique
+    minimizer of the strictly convex QP, so a taken start changes only
+    round-off and the iteration count, and a refused one gives the cold
+    solve bit for bit.
 
     Deterministic: the same problem always yields the same solution.  Status
-    is 'infeasible' when no point satisfies the inequalities on the equality
-    set, 'max-iterations' with the last iterate attached when the cap is
-    reached.  A ValueError is raised when the step onto an entering row all
-    but in the working span overflows.  Nothing fixed is factored per solve:
-    L^-1, the QR of L^-1 Aeq' and the start map Q R^-T come from the
-    QpStructure; start rows and an entering row are appended to that QR, a
-    leaving row triggers a fresh QR.
+    is 'infeasible' when no point satisfies the rows, 'max-iterations' with
+    the last iterate attached when the cap is reached.  A ValueError is
+    raised when the step onto an entering row all but in the working span
+    overflows.  Nothing fixed is factored per solve: L^-1 comes from the
+    QpStructure; start rows and an entering row are appended to the
+    working rows' QR, a leaving row triggers a fresh QR.
     """
     s = structure
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
     Ain, bin_ = s.Ain, np.zeros(0) if bin is None else bin
-    if beq is None:  # 0.5 |z|^2 is least at z = 0, or on the equality rows at Q R^-T beq
-        z = x = np.zeros(s.n)
-        viol = -bin_
-    else:
-        z = s.start_beq @ beq
-        x = s.chol_inv.T @ z
-        viol = Ain @ x - bin_
+    z = x = np.zeros(s.n)  # 0.5 |z|^2 is least at z = 0
+    viol = -bin_
     warm = None
     if start and viol.max(initial=-np.inf) > _FEAS_TOL:
-        warm = _warm_start(s, beq, bin_, start)
-    # working: inequality rows in QR column order; lam: their multipliers
+        warm = _warm_start(s, bin_, start)
+    # working: the rows in QR column order; lam: their multipliers
     if warm is None:
-        q, r = s.eq_q, s.eq_r
+        q, r = np.zeros((s.n, 0)), np.zeros((0, 0))
         working, lam = [], np.zeros(0)
     else:
         q, r, z, lam = warm
@@ -314,7 +283,7 @@ def solve_qp(structure, beq=None, bin=None, max_iter=None, start=()):
             q_v, w_norm = r_add[:-1, -1], r_add[-1, -1]
         except SingularMatrixError:
             q_v, w_norm = q.T @ v, 0.0
-        dual = _working_dual(r, q_v, len(working))
+        dual = np.linalg.solve(r, q_v)
         with np.errstate(all="ignore"):  # checked below
             t_add = (Ain[enter] @ x - bin_[enter]) / w_norm**2 if w_norm else np.inf
         if w_norm and not np.isfinite(t_add):
@@ -340,5 +309,5 @@ def solve_qp(structure, beq=None, bin=None, max_iter=None, start=()):
             j = working.index(min(np.array(working)[shrinking][ratios == t_drop]))
             del working[j]
             lam = np.delete(lam, j)
-            q, r = np.linalg.qr(s.chol_inv @ np.vstack([s.Aeq, Ain[working]]).T)
+            q, r = np.linalg.qr(s.chol_inv @ Ain[working].T)
     return QpSolution(x, MAX_ITERATIONS, max_iter, tuple(sorted(working)))

@@ -6,7 +6,7 @@ upstream walk, scipy's Schur-based Riccati solver vs structured doubling,
 exhaustive active-set enumeration vs pivoting, horizon loops vs stacked
 prediction maps, a term-by-term condensation vs stacked products, a backward
 costate sweep vs the condensed cost's zero gradient, scipy's cho_solve for
-the shift that moves a test QP's linear term into its right-hand sides
+the shift that moves a test QP's linear term into its right-hand side
 (solve_qp takes none), reach-by-reach difference equations vs stacked
 state-space matrices, a fused filter replay vs a cached gain schedule, a
 per-candidate synthesis and per-block setpoint placement vs a decision's
@@ -97,16 +97,15 @@ def brute_force_qp(H, f, Aeq=None, beq=None, Ain=None, bin_=None, tol=1e-8):
     return best_x, best_obj
 
 
-def shift_linear_term(H, f, Aeq=None, beq=None, Ain=None, bin_=None):
-    """(x0, beq - Aeq x0, bin - Ain x0) for x0 = -H^-1 f, by scipy's cho_solve.
+def shift_linear_term(H, f, Ain=None, bin_=None):
+    """(x0, bin - Ain x0) for x0 = -H^-1 f, by scipy's cho_solve.
 
     With x = y + x0, 0.5 x'Hx + f'x = 0.5 y'Hy - 0.5 x0'Hx0, so the QP with
     linear term f is the QP in y without one on the shifted right-hand
-    sides; its minimizer is x = y + x0.  An absent side (None) stays None.
+    side; its minimizer is x = y + x0.  An absent side (None) stays None.
     """
     x0 = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), f)
-    return (x0, None if beq is None else beq - Aeq @ x0,
-            None if bin_ is None else bin_ - Ain @ x0)
+    return x0, None if bin_ is None else bin_ - Ain @ x0
 
 
 def union_find_components(n, edges):

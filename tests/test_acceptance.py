@@ -202,7 +202,7 @@ def test_08_qp_oracle_equivalence():
         a_in = rng.normal(size=(n_in, n))
         b_in = a_in @ rng.normal(size=n) + rng.uniform(0.05, 1.0, size=n_in)
         # solve_qp takes no linear term: f moves into bin by x = y + x0.
-        x0, _, b_y = shift_linear_term(h, f, Ain=a_in, bin_=b_in)
+        x0, b_y = shift_linear_term(h, f, Ain=a_in, bin_=b_in)
         sol = solve_qp(QpStructure(h, Ain=a_in), bin=b_y)
         assert sol.optimal
         x = sol.x + x0

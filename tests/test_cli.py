@@ -115,6 +115,19 @@ class TestCli:
         assert rc == 0
         assert "FAIL" not in out
 
+    def test_validate_refuses_zero_level_weight(self, tmp_path, capsys):
+        """Q = 0 leaves both controller Hessians singular; validate refuses it
+        as a configuration error rather than pass the zero gain it synthesizes."""
+        path = mini_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["controller"] = {"level_weight": 0.0}
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["validate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error: controller: level_weight" in captured.err
+        assert captured.out == ""
+
     def test_validate_takes_a_table_without_scenario(self, tmp_path, capsys):
         """validate runs no scenario, so a 3-reach table needs no scenario section."""
         path = tmp_path / "three.yaml"

@@ -32,6 +32,7 @@ from canalmpc.control import (
     weight_matrices,
 )
 from canalmpc.numerics import lqr_gain, solve_dare
+from canalmpc.simulate import run_centralized, scenario_1
 from canalmpc.supervisor import _synthesize_one
 
 from oracles import (
@@ -310,18 +311,18 @@ def tables_and_weights(draw, max_reaches=20):
 class TestSetpointProgramProperty:
     @settings(max_examples=12, derandomize=True, database=None, deadline=None)
     @given(tables_and_weights())
-    def test_every_coalition_has_full_rank_equalities(self, case):
-        # QpStructure refuses dependent equality rows; the slack sigma's -I
-        # block must keep every coalition's steady-state equality clear of
-        # that check.  The gain enters only the input-box rows, so a zero
-        # gain builds the same H and Aeq as the synthesized one.
+    def test_every_coalition_has_positive_definite_hessian(self, case):
+        # QpStructure refuses an H without a Cholesky factor, so every
+        # contiguous coalition's setpoint program building is the check.  The
+        # gain enters only the input-box rows, so a zero gain builds the same
+        # H as the synthesized one.
         chain, cfg = case
         n = len(chain)
         for first in range(1, n + 1):
             for last in range(first, n + 1):
                 coal = build_coalition_model(chain, range(first, last + 1))
                 prog = prepare_setpoint(coal, np.zeros((coal.m, coal.n)), cfg)
-                assert prog.qp.eq_r.shape == (coal.n, coal.n)
+                assert prog.qp.n == coal.n + coal.m
 
 
 class TestFeasibleSetpoint:
@@ -389,7 +390,8 @@ class TestFeasibleSetpoint:
 
     @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
     def test_augmented_program_matches_plain_qp_oracle(self, members):
-        """H + rho Aeq'Aeq changes the objective by a constant on Aeq x = beq only.
+        """The program in delta = xi_s - xi_bar matches the plain QP over
+        (xi_s, u_s, sigma) with the slacked steady-state equality.
 
         The oracle solves the plain QP (H = diag(2Q, 2R, 2G), singular) by
         enumeration over the rows a cutting-plane loop collects: once the
@@ -405,6 +407,11 @@ class TestFeasibleSetpoint:
         h[n:n + m, n:n + m] = 2 * r_mat
         h[n + m:, n + m:] = 2 * self.cfg.setpoint_slack_weight * np.eye(n)
         aeq = np.hstack([np.eye(n) - coal.Xi, -coal.Up, -np.eye(n)])
+        # flow floor -xi_s <= -margin on every flow slot, then
+        # K (xi_now - xi_s) + u_s within the input box
+        flow_rows = coal.flow_rows()
+        box = np.hstack([-k_gain, np.eye(m), np.zeros((m, n))])
+        ain = np.vstack([-np.eye(2 * n + m)[flow_rows], box, -box])
         rng = np.random.default_rng(7)
         binding = 0
         for scale in (0.3, 1.0, 3.0, 0.3, 1.0, 3.0):
@@ -415,12 +422,12 @@ class TestFeasibleSetpoint:
             f = np.zeros(2 * n + m)
             beq = coal.Phi @ rho + coal.Psi @ omega
             kx = k_gain @ xi_now
-            bin_ = np.concatenate([np.full(len(coal.flow_rows()), -self.cfg.flow_margin),
+            bin_ = np.concatenate([np.full(len(flow_rows), -self.cfg.flow_margin),
                                    self.cfg.input_bound - kx, self.cfg.input_bound + kx])
             rows = []
             while True:
-                x_ref, _ = brute_force_qp(h, f, aeq, beq, prog.qp.Ain[rows], bin_[rows])
-                violated = np.nonzero(prog.qp.Ain @ x_ref - bin_ > 1e-9)[0].tolist()
+                x_ref, _ = brute_force_qp(h, f, aeq, beq, ain[rows], bin_[rows])
+                violated = np.nonzero(ain @ x_ref - bin_ > 1e-9)[0].tolist()
                 if not violated:
                     break
                 rows = sorted(rows + violated)
@@ -440,6 +447,35 @@ class TestFeasibleSetpoint:
         sp = feasible_setpoint(prog, [2.0], [1.0], xi_now, self.cfg)
         total = k_gain @ (xi_now - sp.xi_s) + sp.u_s
         assert np.max(np.abs(total)) <= self.cfg.input_bound + 1e-8
+
+    def test_centralized_floor_tie_enters_the_row_that_stays(self, monkeypatch):
+        """From k = 72 of scenario1 reach 13's offtake is 0, and both delay
+        slots of its gate violate the floor by exactly the margin.  The floor
+        rows run from the last flow slot up, so the lowest-index tie rule
+        enters the last slot's row, which stays: every centralized setpoint
+        solve from then on ends after 2 iterations with that row alone active."""
+        programs, solves = [], []
+        real_prepare, real_solve = control.prepare_setpoint, control.solve_qp
+
+        def prepare(*args):
+            programs.append(real_prepare(*args))
+            return programs[-1]
+
+        def solve(structure, *args, **kwargs):
+            sol = real_solve(structure, *args, **kwargs)
+            if structure is programs[-1].qp:
+                solves.append(sol)
+            return sol
+
+        monkeypatch.setattr(control, "prepare_setpoint", prepare)
+        monkeypatch.setattr(control, "solve_qp", solve)
+        run_centralized(scenario_1(), seed=0)
+        (prog,) = programs
+        last_slot = prog.coalition.flow_rows()[-1]
+        assert len(solves) == 288
+        for k, sol in enumerate(solves[72:], 72):
+            assert sol.iterations == 2, k
+            assert [prog.floor_rows[i] for i in sol.active_set] == [last_slot], k
 
 
 class TestMpcStep:
@@ -519,9 +555,9 @@ class TestStackedHorizonMaps:
         time."""
         handed = []
 
-        def spy(structure, beq=None, bin=None, start=()):
+        def spy(structure, bin=None, start=()):
             began = time.perf_counter()
-            sol = numerics.solve_qp(structure, beq, bin, start=start)
+            sol = numerics.solve_qp(structure, bin, start=start)
             handed.append((bin, time.perf_counter() - began))
             return sol
 
@@ -701,9 +737,9 @@ class TestBuiltOncePrograms:
             assert np.array_equal(getattr(ctrl.filter, name), getattr(fresh_filter, name))
         fresh = prepare_setpoint(coal, ctrl.gain, self.cfg)
         kept = ctrl.setpoint_program
-        assert kept.flow_rows == fresh.flow_rows
-        # The kept H, rows, L^-1 and QR of L^-1 Aeq' are those of a fresh build.
-        for name in ("H", "Aeq", "Ain", "chol_inv", "eq_q", "eq_r"):
+        assert kept.floor_rows == fresh.floor_rows
+        # The kept H, rows and L^-1 are those of a fresh build.
+        for name in ("H", "Ain", "chol_inv"):
             assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
         assert np.array_equal(ctrl.program.qp.H, prepare_mpc(coal, *synth(coal, self.cfg),
                                                              self.cfg).qp.H)

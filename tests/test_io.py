@@ -192,6 +192,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"controller: {field}"):
             parse_config({"controller": {field: value}})
 
+    @pytest.mark.parametrize("value", [0.0, -250.0])
+    def test_nonpositive_level_weight_named(self, value):
+        with pytest.raises(ConfigError, match="controller: level_weight"):
+            parse_config({"controller": {"level_weight": value}})
+
     @pytest.mark.parametrize("field", ["level_weight", "input_weight", "slack_weight",
                                        "setpoint_slack_weight", "link_cost", "sample_time",
                                        "input_bound", "flow_margin", "kf_flow_process_noise",
