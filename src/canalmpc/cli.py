@@ -32,13 +32,16 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     config_help = "YAML run configuration (default: the case study)"
 
-    def common(p):
+    def scenario_flags(p):
         p.add_argument("--config", help=config_help)
         p.add_argument("--scenario", default=None, help="built-in scenario name (scenario1/scenario2)")
+        p.add_argument("--tlambda", type=int, default=None, help="supervisory interval override")
+
+    def common(p):
+        scenario_flags(p)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--clink", type=float, default=None, help="link cost override")
-        p.add_argument("--tlambda", type=int, default=None, help="supervisory interval override")
         p.add_argument("--mismatch", type=float, default=None,
                        help="plant mismatch factor (alternating +/- on surfaces only)")
 
@@ -55,8 +58,9 @@ def _build_parser():
     p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="link-cost sweep: selected link counts at a disturbed state")
-    common(p_swp)
-    p_swp.set_defaults(func=cmd_sweep)
+    scenario_flags(p_swp)
+    # sweep runs no plant and prices each sweep entry: the run flags are refused
+    p_swp.set_defaults(func=cmd_sweep, out=None, seed=None, clink=None, mismatch=None)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--config", help=config_help)

@@ -16,7 +16,9 @@ The control action applied at time k is
 where (xi_s, u_s) is the feasible setpoint, zeta = xi - xi_s, K the
 coalition feedback gain, and v' the first move of the auxiliary MPC that
 rectifies the feedback law against the hard input box and the soft flow
-floor.
+floor.  CoalitionController.compute applies it: feasible_setpoint gives
+(xi_s, u_s) and mpc_step the MPC's QP solution, whose first m entries are
+v'(0).
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import numerics
 from .canal import CoalitionModel
-from .numerics import QpStructure, solve_qp
+from .numerics import QpSolution, QpStructure, solve_qp
 
 
 @dataclass
@@ -229,12 +231,11 @@ def kf_init(filt: KalmanModel, window, schedule) -> KalmanState:
 
 @dataclass
 class Setpoint:
-    """Feasible operating point: state xi_s, input u_s, steady-state slack
-    sigma = (I - Xi) xi_s - Up u_s - Phi rho - Psi omega."""
+    """Feasible operating point: state xi_s and input u_s; feasible is False
+    when the projection QP stopped short of optimal."""
 
     xi_s: np.ndarray
     u_s: np.ndarray
-    sigma: np.ndarray
     feasible: bool
 
 
@@ -335,9 +336,7 @@ def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
         raise RuntimeError(
             f"setpoint projection infeasible for coalition {coalition.members}"
         )
-    delta, u_s = sol.x[:n], sol.x[n:]
-    sigma = delta - coalition.Xi @ delta - coalition.Up @ u_s
-    return Setpoint(xi_bar + delta, u_s, sigma, feasible=sol.optimal)
+    return Setpoint(xi_bar + sol.x[:n], sol.x[n:], feasible=sol.optimal)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +363,8 @@ class MpcProgram:
     m: int
     box_map: np.ndarray         # K Acl^t stacked for t = 0..N_p: feedback inputs from zeta0
     floor_map: np.ndarray       # flow_sel Acl^t stacked for t = 1..N_c: free-run flows
-    qp: QpStructure             # Hessian over (u, eps); floor rows, then box rows
+    qp: QpStructure             # Hessian over x = (v', eps); floor rows, then box rows
     flow_sel: np.ndarray        # selects every flow slot of the state
-    q_mat: np.ndarray           # stage weights, also the harness's step cost
-    r_mat: np.ndarray
 
 
 def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
@@ -383,7 +380,7 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     """
     n, m = coalition.n, coalition.m
     n_p, n_c = cfg.prediction_horizon, cfg.control_horizon
-    q_mat, r_mat = weight_matrices(coalition, cfg)
+    _, r_mat = weight_matrices(coalition, cfg)
     acl = coalition.Xi + coalition.Up @ gain
 
     powers = np.empty((n_p + 1, n, n))   # Acl^t
@@ -425,32 +422,24 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     del powers, drive, t_maps, m_maps  # freed before H is factored: a lower peak
     return MpcProgram(
         n_p=n_p, n_c=n_c, n_q=n_q, m=m, box_map=box_map, floor_map=floor_map,
-        qp=QpStructure(h_mat, ain),
-        flow_sel=flow_sel, q_mat=q_mat, r_mat=r_mat,
+        qp=QpStructure(h_mat, ain), flow_sel=flow_sel,
     )
 
 
-@dataclass
-class MpcStep:
-    vprime: np.ndarray   # (N_c, m) free moves, zero afterwards
-    eps: np.ndarray      # (N_c, n_q) flow-floor slacks for t = 1..N_c
-    status: str
-    active_set: tuple = ()   # the QP's final working inequality rows
-
-
-def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> MpcStep:
-    """Solve the coalition MPC around the feedback law.
+def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> QpSolution:
+    """Solve the coalition MPC around the feedback law; returns the QP's solution.
 
     Minimizes the shifted-state cost over v'(0..N_c-1) and nonnegative
     flow-floor slacks, subject to the closed-loop prediction, the soft flow
-    floor, and the hard input box at every step of the horizon.  The cost
-    has no linear term (see prepare_mpc), so when the feedback law keeps
-    every row, solve_qp returns v' = 0 after one iteration.  `prog` is the
-    coalition's program from prepare_mpc; `start` is the QP's initial
-    working set (solve_qp), usually the previous step's active_set.
+    floor, and the hard input box at every step of the horizon.  The
+    solution's x holds the moves v'(t), m per step for t < N_c, then the
+    slacks, n_q per step for t = 1..N_c.  The cost has no linear term (see
+    prepare_mpc), so when the feedback law keeps every row, x[:m] = 0 after
+    one iteration.  `prog` is the coalition's program from prepare_mpc;
+    `start` is the QP's initial working set (solve_qp), usually the previous
+    step's active_set.
     """
     n_p, n_c, n_q, m = prog.n_p, prog.n_c, prog.n_q, prog.m
-    nu = m * n_c
     bound = cfg.input_bound
     xi_s, u_s = setpoint.xi_s, setpoint.u_s
 
@@ -460,17 +449,7 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> MpcStep:
     base = (prog.box_map @ zeta0).reshape(n_p + 1, m) + u_s
     bin_ = np.concatenate([floor, np.zeros(floor.size), bound - base, bound + base], axis=None)
 
-    sol = solve_qp(prog.qp, bin=bin_, start=start)
-    if sol.status == numerics.INFEASIBLE:
-        return MpcStep(np.zeros((n_c, m)), np.zeros((n_c, n_q)), numerics.INFEASIBLE)
-    vprime = sol.x[:nu].reshape(n_c, m)
-    eps = sol.x[nu:].reshape(n_c, n_q)
-    return MpcStep(vprime, eps, sol.status, sol.active_set)
-
-
-def control_action(zeta, u_s, vprime, gain):
-    """u = K zeta + u_s + v'(0); inside the box by the t = 0 MPC constraint."""
-    return gain @ zeta + u_s + vprime[0]
+    return solve_qp(prog.qp, bin=bin_, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +495,17 @@ class CoalitionController:
         )
 
     def compute(self, rho_global):
-        """Setpoint projection plus MPC; returns (u, setpoint)."""
+        """Setpoint projection plus MPC; returns (u, setpoint), with
+        u = K zeta + u_s + v'(0) inside the box by the MPC's t = 0 rows."""
         model = self.model
         rho = np.asarray(rho_global)[self.idx]
         xi_hat, omega_hat = self.kf.split(model.n)
         setpoint = feasible_setpoint(self.setpoint_program, rho, omega_hat, xi_hat, self.cfg)
         zeta = xi_hat - setpoint.xi_s
-        step = mpc_step(zeta, setpoint, self.program, self.cfg, self.mpc_start)
-        if step.status == numerics.INFEASIBLE:
+        sol = mpc_step(zeta, setpoint, self.program, self.cfg, self.mpc_start)
+        if sol.status == numerics.INFEASIBLE:
             raise RuntimeError(
                 f"MPC infeasible for coalition {model.members}"
             )
-        self.mpc_start = step.active_set if step.status == numerics.OPTIMAL else ()
-        return control_action(zeta, setpoint.u_s, step.vprime, self.gain), setpoint
+        self.mpc_start = sol.active_set if sol.optimal else ()
+        return self.gain @ zeta + setpoint.u_s + sol.x[:model.m], setpoint

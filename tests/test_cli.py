@@ -248,6 +248,19 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", [["--out", "elsewhere"], ["--seed", "1"], ["--clink", "0.3"],
+                                      ["--mismatch", "0.2"]], ids=lambda flag: flag[0])
+    def test_sweep_takes_only_scenario_flags(self, flag, capsys):
+        """sweep prices each sweep entry at one disturbed state and runs no
+        plant, so a run flag is refused as an unknown argument before any
+        selection."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"] + flag)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.out == ""
+
     def test_delay_offset_below_one_step_refused(self, tmp_path, capsys):
         path = mini_config(tmp_path)
         doc = yaml.safe_load(path.read_text())

@@ -20,7 +20,6 @@ from canalmpc.control import (
     KalmanState,
     Setpoint,
     compute_setpoint,
-    control_action,
     feasible_setpoint,
     kalman_model,
     kf_init,
@@ -84,6 +83,12 @@ def steady_global_arrays(flows_by_reach, offtakes_by_reach):
     for i, v in offtakes_by_reach.items():
         offs[i - 1] = v
     return levels, flows, offs
+
+
+def steady_slack(coal, sp, rho, omega):
+    """The setpoint's steady-state slack (I - Xi) xi_s - Up u_s - Phi rho - Psi omega."""
+    return ((np.eye(coal.n) - coal.Xi) @ sp.xi_s - coal.Up @ sp.u_s
+            - coal.Phi @ np.asarray(rho, dtype=float) - coal.Psi @ np.asarray(omega, dtype=float))
 
 
 class TestKalman:
@@ -337,7 +342,7 @@ class TestFeasibleSetpoint:
         assert sp.feasible
         assert np.allclose(sp.xi_s, xi_bar, atol=1e-7)
         assert np.allclose(sp.u_s, 0.0, atol=1e-7)
-        assert np.linalg.norm(sp.sigma, np.inf) <= 1e-7
+        assert np.linalg.norm(steady_slack(coal, sp, [3.0], [7.0]), np.inf) <= 1e-7
 
     def test_negative_flow_hits_floor(self):
         coal = make_coalition((8,))
@@ -349,7 +354,7 @@ class TestFeasibleSetpoint:
         sp = feasible_setpoint(prog, [0.5], [-1.0], xi_now, self.cfg)
         flows = sp.xi_s[coal.flow_rows()]
         assert np.all(flows >= self.cfg.flow_margin - 1e-9)
-        assert np.linalg.norm(sp.sigma, np.inf) > 1e-6
+        assert np.linalg.norm(steady_slack(coal, sp, [0.5], [-1.0]), np.inf) > 1e-6
 
     def test_matches_enumeration_oracle_on_one_reach(self):
         coal = make_coalition((8,))  # d = 1, smallest instance
@@ -383,7 +388,7 @@ class TestFeasibleSetpoint:
             )
             bin_ = np.array([-self.cfg.flow_margin, bound - kx, bound + kx])
             x_ref, obj_ref = brute_force_qp(h, f, aeq, beq, ain, bin_)
-            ours = np.concatenate([sp.xi_s, sp.u_s, sp.sigma])
+            ours = np.concatenate([sp.xi_s, sp.u_s, steady_slack(coal, sp, [rho], [omega])])
             obj_ours = 0.5 * ours @ h @ ours + f @ ours
             assert abs(obj_ours - obj_ref) <= 1e-6
             assert np.linalg.norm(ours - x_ref, np.inf) <= 1e-5
@@ -432,7 +437,7 @@ class TestFeasibleSetpoint:
                     break
                 rows = sorted(rows + violated)
             binding += bool(rows)
-            ours = np.concatenate([sp.xi_s, sp.u_s, sp.sigma])
+            ours = np.concatenate([sp.xi_s, sp.u_s, steady_slack(coal, sp, rho, omega)])
             assert np.linalg.norm(ours - x_ref, np.inf) <= 1e-9 * (1 + np.linalg.norm(x_ref, np.inf))
         assert binding >= 2  # the flow floor or the input box shapes some projections
 
@@ -487,13 +492,13 @@ class TestMpcStep:
         sp = Setpoint(
             xi_s=np.array([2.0, 2.0, 0.0]),
             u_s=np.zeros(1),
-            sigma=np.zeros(3),
             feasible=True,
         )
-        step = mpc_step(np.zeros(3), sp, prog, self.cfg)
-        assert step.status == "optimal"
-        assert np.allclose(step.vprime, 0.0, atol=1e-9)
-        assert np.allclose(step.eps, 0.0, atol=1e-9)
+        sol = mpc_step(np.zeros(3), sp, prog, self.cfg)
+        nu = prog.m * prog.n_c
+        assert sol.status == "optimal"
+        assert np.allclose(sol.x[:nu], 0.0, atol=1e-9)  # v'
+        assert np.allclose(sol.x[nu:], 0.0, atol=1e-9)  # eps
 
     def test_centralized_decision_variable_count(self):
         coal = assemble_global(CHAIN)
@@ -503,41 +508,41 @@ class TestMpcStep:
         cfg = ControllerConfig(control_horizon=10, prediction_horizon=10)
         coal = make_coalition((5,))
         prog = prepare_mpc(coal, *synth(coal, cfg), cfg)
-        sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
+        sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), True)
         zeta = np.array([0.1, -0.05, 0.02])  # small: no constraint activity
-        step = mpc_step(zeta, sp, prog, cfg)
-        assert step.status == "optimal" and step.active_set == ()
-        assert not np.any(step.vprime) and not np.any(step.eps)
+        sol = mpc_step(zeta, sp, prog, cfg)
+        assert sol.status == "optimal" and sol.active_set == ()
+        assert not np.any(sol.x)  # v' and eps
 
     def test_vprime_zero_unconstrained_short_horizon(self):
         coal = make_coalition((5,))
         prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
-        sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), np.zeros(3), True)
+        sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), True)
         zeta = np.array([0.05, -0.02, 0.01])
-        step = mpc_step(zeta, sp, prog, self.cfg)
-        assert step.status == "optimal" and step.active_set == ()
-        assert not np.any(step.vprime) and not np.any(step.eps)
+        sol = mpc_step(zeta, sp, prog, self.cfg)
+        assert sol.status == "optimal" and sol.active_set == ()
+        assert not np.any(sol.x)  # v' and eps
 
     def test_input_bound_binds_exactly(self):
         coal = make_coalition((10,))
         k_gain, p_mat = synth(coal, self.cfg)
-        sp = Setpoint(np.array([3.0, 3.0, 0.0]), np.zeros(1), np.zeros(3), True)
+        sp = Setpoint(np.array([3.0, 3.0, 0.0]), np.zeros(1), True)
         zeta = np.array([0.0, 0.0, 4.0])  # huge level error
         desired = float(np.max(np.abs(k_gain @ zeta)))
         assert desired > self.cfg.input_bound
         prog = prepare_mpc(coal, k_gain, p_mat, self.cfg)
-        step = mpc_step(zeta, sp, prog, self.cfg)
-        assert step.status == "optimal"
-        u0 = control_action(zeta, sp.u_s, step.vprime, k_gain)
+        sol = mpc_step(zeta, sp, prog, self.cfg)
+        assert sol.status == "optimal"
+        u0 = k_gain @ zeta + sp.u_s + sol.x[:coal.m]  # K zeta + u_s + v'(0)
         assert abs(abs(u0[0]) - self.cfg.input_bound) <= 1e-8
 
     def test_slacks_zero_when_floor_clear(self):
         coal = make_coalition((6,))
         prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
-        sp = Setpoint(np.array([5.0] * 3 + [0.0]), np.zeros(1), np.zeros(4), True)
+        sp = Setpoint(np.array([5.0] * 3 + [0.0]), np.zeros(1), True)
         zeta = np.array([0.2, 0.1, -0.1, 0.3])
-        step = mpc_step(zeta, sp, prog, self.cfg)
-        assert np.allclose(step.eps, 0.0, atol=1e-10)
+        sol = mpc_step(zeta, sp, prog, self.cfg)
+        assert np.allclose(sol.x[prog.m * prog.n_c:], 0.0, atol=1e-10)  # eps
 
 
 class TestStackedHorizonMaps:
@@ -575,7 +580,7 @@ class TestStackedHorizonMaps:
     def _setpoint(coal, rng):
         xi_s = np.zeros(coal.n)
         xi_s[coal.flow_rows()] = rng.uniform(0.0, 3.0, size=len(coal.flow_rows()))
-        return Setpoint(xi_s, rng.uniform(-0.5, 0.5, size=coal.m), np.zeros(coal.n), True)
+        return Setpoint(xi_s, rng.uniform(-0.5, 0.5, size=coal.m), True)
 
     @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
     def test_random_states_match_horizon_loop(self, members, monkeypatch):
@@ -592,9 +597,8 @@ class TestStackedHorizonMaps:
             if start is not None:
                 # The clamped feedback law is a feasible point of the QP.
                 start_obj = 0.5 * start @ prog.qp.H @ start
-                x = np.concatenate([step.vprime.ravel(), step.eps.ravel()])
                 assert step.status == "optimal"
-                assert 0.5 * x @ prog.qp.H @ x <= start_obj + 1e-12 * (1.0 + abs(start_obj))
+                assert 0.5 * step.x @ prog.qp.H @ step.x <= start_obj + 1e-12 * (1.0 + abs(start_obj))
             outcomes.add(start is None)
         assert outcomes == {True, False}  # both branches exercised
 
@@ -696,18 +700,41 @@ class TestZeroLinearTerm:
 
 
 class TestControlAction:
+    """compute applies u = K zeta + u_s + v'(0), inside the input box."""
+
     cfg = ControllerConfig()
 
-    def test_zero_zeta_gives_setpoint_input(self):
-        u = control_action(np.zeros(3), np.array([0.4]), np.zeros((3, 1)), np.zeros((1, 3)))
-        assert u[0] == pytest.approx(0.4)
+    def _compute(self, members, level, monkeypatch):
+        """u, the MPC's zeta0, setpoint and solution of one compute on a
+        controller warm-started at rest with the first member's level at `level`."""
+        coal = make_coalition(members)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        levels, flows, offs = steady_global_arrays({s: 3.0 for s in range(members[0], 14)},
+                                                   {members[-1]: 1.0})
+        levels[members[0] - 1] = level
+        window = at_rest(levels, flows, offs)
+        ctrl.warm_start(window, kf_schedule(ctrl.filter, window.shape[1]))
+        seen, real = [], control.mpc_step
 
-    def test_sign_level_high_reduces_inflow(self):
-        coal = make_coalition((7,))
-        k_gain, _ = synth(coal, self.cfg)
-        zeta = np.zeros(3)
-        zeta[coal.level_rows()[0]] = 0.5  # level above target
-        u = control_action(zeta, np.zeros(1), np.zeros((3, 1)), k_gain)
+        def spy(zeta0, setpoint, prog, cfg, start=()):
+            seen.append((zeta0, setpoint, real(zeta0, setpoint, prog, cfg, start)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(control, "mpc_step", spy)
+        u, setpoint = ctrl.compute(offs)
+        ((zeta0, handed, sol),) = seen
+        assert handed is setpoint
+        return ctrl, u, zeta0, setpoint, sol
+
+    @pytest.mark.parametrize("members, level", [((7,), 0.5), ((5, 6), 2.0), ((10,), 4.0)])
+    def test_feedback_plus_setpoint_plus_first_move(self, members, level, monkeypatch):
+        ctrl, u, zeta0, sp, sol = self._compute(members, level, monkeypatch)
+        assert sol.optimal
+        assert np.array_equal(u, ctrl.gain @ zeta0 + sp.u_s + sol.x[:ctrl.model.m])
+        assert np.max(np.abs(u)) <= self.cfg.input_bound + 1e-9
+
+    def test_sign_level_high_reduces_inflow(self, monkeypatch):
+        _, u, *_ = self._compute((7,), 0.5, monkeypatch)  # level above target
         assert u[0] < 0.0
 
 

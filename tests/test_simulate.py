@@ -257,8 +257,13 @@ class TestClosedLoop:
     def test_input_outside_box_refused_before_the_plant(self, monkeypatch):
         """The run loop, not the plant, checks the hard input box, and names the step."""
         bound = ControllerConfig().input_bound
-        monkeypatch.setattr(control, "control_action",
-                            lambda zeta, u_s, vprime, gain: np.full(u_s.shape, 1.5 * bound))
+        real = CoalitionController.compute
+
+        def outside(ctrl, rho_global):
+            u, setpoint = real(ctrl, rho_global)
+            return np.full(u.shape, 1.5 * bound), setpoint
+
+        monkeypatch.setattr(CoalitionController, "compute", outside)
         stepped = []
         monkeypatch.setattr(simulate, "plant_step", lambda *args: stepped.append(args))
         with pytest.raises(RuntimeError, match="hard input constraint violated at step 0"):
@@ -389,6 +394,30 @@ class TestCentralized:
         assert float(np.mean(coal.mean_decision_vars)) < 39.0
 
 
+class TestStepCost:
+    def test_perf_cost_is_the_supervisor_stage_term_under_a_tight_box(self, monkeypatch):
+        """perf_cost[k] is level_weight |e|^2 + input_weight |u|^2 against the
+        zero-error reference, also where a setpoint moves off it: with a 0.3
+        box, setpoints from k = 72 on shift u_s or member levels away from 0."""
+        cfg = ControllerConfig(input_bound=0.3)
+        shifted = []
+        real = control.feasible_setpoint
+
+        def spy(prog, rho, omega, xi_k, cfg):
+            sp = real(prog, rho, omega, xi_k, cfg)
+            shifted.append(np.any(sp.u_s) or np.any(sp.xi_s[prog.coalition.level_rows()]))
+            return sp
+
+        monkeypatch.setattr(control, "feasible_setpoint", spy)
+        trace = run_closed_loop(scenario_1(horizon=100), ctrl_cfg=cfg, seed=0, cache=CACHE)
+        assert any(shifted)
+        for k in range(trace.horizon):
+            e, u = trace.levels[k], trace.inputs[k]
+            expected = cfg.level_weight * float(e @ e) + cfg.input_weight * float(u @ u)
+            assert trace.perf_cost[k] == pytest.approx(expected, rel=1e-12, abs=0.0), k
+        assert np.all(trace.perf_cost[72:] > 0.0)
+
+
 class TestAccumulateCosts:
     def test_network_cost_zero_when_no_links(self):
         sc = Scenario("flat", 60, {i: ((0, 2.0),) for i in range(1, 14)})
@@ -408,7 +437,7 @@ class TestAccumulateCosts:
         sc = scenario_1(horizon=20)
         trace = run_centralized(sc, seed=0, cache=CACHE)
         d = dataclasses.asdict(accumulate_costs(trace, 0.6))
-        assert d["c_link"] == 0.6
+        assert d["network_avg"] == pytest.approx(0.6 * d["links_avg"])
         assert d["combined_avg"] == pytest.approx(d["perf_avg"] + d["network_avg"])
 
 
