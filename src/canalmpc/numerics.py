@@ -7,10 +7,12 @@ scipy at run time.  solve_dare and QpStructure (positive-definite H) check
 their inputs on entry; the certificate helpers and solve_qp work on arrays
 those have checked, and solve_qp's right-hand side bin is built by the
 controllers from checked configuration, certified gains and finite
-measurements.
+measurements.  A QpStructure keeps what its family fixes, the constraint
+rows included, in the coordinates z = L'x that solve_qp steps in.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -148,8 +150,9 @@ class QpStructure:
     The family is min 0.5 x'Hx  s.t.  Ain x <= bin with only bin varying.
     H must be symmetric positive definite; a ValueError is raised when the
     Cholesky factorization H = LL' fails.  Built here: L^-1, in whose
-    coordinates z = L'x solve_qp steps (cond(L) = sqrt(cond(H))).  A
-    controller keeps one structure per QP.
+    coordinates z = L'x solve_qp steps (cond(L) = sqrt(cond(H))).  Built on
+    first use: `rows`, whose row i is (L^-1 a_i)', and its rank tolerance
+    `row_tol`.  A controller keeps one structure per QP.
     """
 
     def __init__(self, H, Ain=None):
@@ -165,6 +168,14 @@ class QpStructure:
         except np.linalg.LinAlgError:
             raise ValueError("H must be positive definite") from None
         self.chol_inv = np.linalg.inv(chol)
+
+    @cached_property
+    def rows(self):
+        return self.Ain @ self.chol_inv.T
+
+    @cached_property
+    def row_tol(self):
+        return RANK_RTOL * np.linalg.norm(self.rows, axis=1)
 
 
 @dataclass
@@ -198,19 +209,17 @@ def _qr_append(q, r, v, tol):
 
 
 def _warm_start(s, bin_, start):
-    """Q, R, z and multipliers on the working set Ain[start], or None when a
-    start row is dependent or a multiplier is negative.
-
-    With the working rows' L^-1 A_W' = QR and y = R^-T b_W, the minimizer of
-    0.5 |z|^2 on A_W x = b_W is z = Qy, with multipliers -R^-1 y."""
-    q, r = np.zeros((s.n, 0)), np.zeros((0, 0))
-    try:
-        for i in start:
-            v = s.chol_inv @ s.Ain[i]
-            q, r = _qr_append(q, r, v, RANK_RTOL * np.linalg.norm(v))
-    except SingularMatrixError:
+    """Q, R, z and multipliers on the working rows `start` (a list), or None
+    when they outnumber the variables, one is dependent (|R_kk| <= row_tol)
+    or a multiplier is negative.  With one QR, L^-1 A_W' = QR, and
+    y = R^-T b_W, the minimizer of 0.5 |z|^2 on A_W x = b_W is z = Qy, with
+    multipliers -R^-1 y."""
+    if len(start) > s.n:
         return None
-    y = np.linalg.solve(r.T, bin_[list(start)])
+    q, r = np.linalg.qr(s.rows[start].T)
+    if not np.all(np.abs(np.diag(r)) > s.row_tol[start]):
+        return None
+    y = np.linalg.solve(r.T, bin_[start])
     lam = -np.linalg.solve(r, y)
     if not np.all(lam >= 0.0):
         return None
@@ -223,21 +232,22 @@ def solve_qp(structure, bin=None, max_iter=None, start=()):
 
     The problem is the member of `structure`'s family with right-hand side
     bin (None for no rows), taken as given, unchecked.  In z = L'x the
-    objective is 0.5 |z|^2 and a constraint row a becomes v = L^-1 a'.  The
-    cold start z = 0 is returned after one iteration, active set empty,
-    when it satisfies every row, that is when bin >= 0; that check comes
-    before any start.  Otherwise the solve starts at the minimizer on the
-    rows `start` and adds the most violated row (lowest index on ties).
-    With the working rows' L^-1 A_w' = QR, adding v moves z along
-    -(I - QQ')v and the working multipliers along -R^-1 Q'v; a working row
-    whose multiplier reaches zero first (lowest index on ties) leaves before
-    v enters.  A v in the span of the working rows that no multiplier makes
-    room for proves the rows infeasible.
+    objective is 0.5 |z|^2 and a constraint row a becomes v = L^-1 a', a
+    row of the structure's `rows`.  The cold start z = 0 is returned after
+    one iteration, active set empty, when it satisfies every row, that is
+    when bin >= 0; that check comes before any start or matrix product.
+    Otherwise the solve starts at the minimizer on the rows `start` and
+    adds the most violated row (lowest index on ties).  With the working
+    rows' L^-1 A_w' = QR, adding v moves z along -(I - QQ')v and the
+    working multipliers along -R^-1 Q'v; a working row whose multiplier
+    reaches zero first (lowest index on ties) leaves before v enters.  A v
+    in the span of the working rows that no multiplier makes room for
+    proves the rows infeasible.
 
     `start`, typically the previous solve's active_set, may be any rows:
     Goldfarb & Idnani may start from any working set whose minimizer has
-    nonnegative multipliers.  A start row whose v depends on the rows before
-    it, or a start with a negative multiplier, is refused for the cold
+    nonnegative multipliers.  A start with more rows than variables, a
+    dependent start row or a negative multiplier is refused for the cold
     start, which start=() selects.  Either way the solve ends at the unique
     minimizer of the strictly convex QP, so a taken start changes only
     round-off and the iteration count, and a refused one gives the cold
@@ -247,56 +257,55 @@ def solve_qp(structure, bin=None, max_iter=None, start=()):
     is 'infeasible' when no point satisfies the rows, 'max-iterations' with
     the last iterate attached when the cap is reached.  A ValueError is
     raised when the step onto an entering row all but in the working span
-    overflows.  Nothing fixed is factored per solve: L^-1 comes from the
-    QpStructure; start rows and an entering row are appended to the
-    working rows' QR, a leaving row triggers a fresh QR.
+    overflows.  Nothing fixed is factored per solve: L^-1 and `rows` come
+    from the QpStructure; the start rows take one QR, an entering row is
+    appended to the working rows' QR, a leaving row triggers a fresh QR.
+    The solve steps in z alone and maps back to x = L^-T z once, at return.
     """
     s = structure
     if max_iter is None:
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
-    Ain, bin_ = s.Ain, np.zeros(0) if bin is None else bin
-    z = x = np.zeros(s.n)  # 0.5 |z|^2 is least at z = 0
-    viol = -bin_
-    warm = None
-    if start and viol.max(initial=-np.inf) > _FEAS_TOL:
-        warm = _warm_start(s, bin_, start)
+    bin_ = np.zeros(0) if bin is None else bin
+    viol = -bin_  # the violations at z = 0, where 0.5 |z|^2 is least
+    if viol.max(initial=-np.inf) <= _FEAS_TOL:
+        return QpSolution(np.zeros(s.n), OPTIMAL, 1)
+    rows = s.rows
     # working: the rows in QR column order; lam: their multipliers
+    working = list(start)
+    warm = _warm_start(s, bin_, working) if working else None
     if warm is None:
-        q, r = np.zeros((s.n, 0)), np.zeros((0, 0))
+        q, r, z = np.zeros((s.n, 0)), np.zeros((0, 0)), np.zeros(s.n)
         working, lam = [], np.zeros(0)
     else:
         q, r, z, lam = warm
-        working = list(start)
-        x = s.chol_inv.T @ z
-        viol = Ain @ x - bin_
+        viol = rows @ z - bin_
 
     enter = None
     for it in range(1, max_iter + 1):
         if enter is None:
             viol[working] = -np.inf
-            if not viol.size or viol.max() <= _FEAS_TOL:
-                return QpSolution(x, OPTIMAL, it, tuple(sorted(working)))
+            if viol.max() <= _FEAS_TOL:
+                return QpSolution(s.chol_inv.T @ z, OPTIMAL, it, tuple(sorted(working)))
             enter, lam_enter = int(np.argmax(viol)), 0.0
-            v = s.chol_inv @ Ain[enter]
+            v = rows[enter]
         try:
-            q_add, r_add = _qr_append(q, r, v, RANK_RTOL * np.linalg.norm(v))
+            q_add, r_add = _qr_append(q, r, v, s.row_tol[enter])
             q_v, w_norm = r_add[:-1, -1], r_add[-1, -1]
         except SingularMatrixError:
             q_v, w_norm = q.T @ v, 0.0
-        dual = np.linalg.solve(r, q_v)
+        dual = np.linalg.solve(r, q_v) if working else q_v  # R, q_v empty
         with np.errstate(all="ignore"):  # checked below
-            t_add = (Ain[enter] @ x - bin_[enter]) / w_norm**2 if w_norm else np.inf
+            t_add = (v @ z - bin_[enter]) / w_norm**2 if w_norm else np.inf
         if w_norm and not np.isfinite(t_add):
             raise ValueError(f"step onto inequality row {enter} overflows")
         shrinking = dual > 0.0
         ratios = lam[shrinking] / dual[shrinking]
         t_drop = ratios.min(initial=np.inf)
         if t_add == t_drop == np.inf:
-            return QpSolution(x, INFEASIBLE, it, tuple(sorted(working)))
+            return QpSolution(s.chol_inv.T @ z, INFEASIBLE, it, tuple(sorted(working)))
         t = min(t_add, t_drop)
         if w_norm:
             z = z - t * w_norm * q_add[:, -1]
-            x = s.chol_inv.T @ z
         lam = lam - t * dual
         lam_enter += t
         if t_add <= t_drop:
@@ -304,10 +313,10 @@ def solve_qp(structure, bin=None, max_iter=None, start=()):
             lam = np.append(lam, lam_enter)
             q, r = q_add, r_add
             enter = None
-            viol = Ain @ x - bin_
+            viol = rows @ z - bin_
         else:
             j = working.index(min(np.array(working)[shrinking][ratios == t_drop]))
             del working[j]
             lam = np.delete(lam, j)
-            q, r = np.linalg.qr(s.chol_inv @ Ain[working].T)
-    return QpSolution(x, MAX_ITERATIONS, max_iter, tuple(sorted(working)))
+            q, r = np.linalg.qr(rows[working].T)
+    return QpSolution(s.chol_inv.T @ z, MAX_ITERATIONS, max_iter, tuple(sorted(working)))

@@ -7,10 +7,11 @@ exhaustive active-set enumeration vs pivoting, horizon loops vs stacked
 prediction maps, a term-by-term condensation vs stacked products, a backward
 costate sweep vs the condensed cost's zero gradient, scipy's cho_solve for
 the shift that moves a test QP's linear term into its right-hand side
-(solve_qp takes none), reach-by-reach difference equations vs stacked
-state-space matrices, a fused filter replay vs a cached gain schedule, a
-per-candidate synthesis and per-block setpoint placement vs a decision's
-one-pass bookkeeping) so that agreement is meaningful.
+(solve_qp takes none), a triangular solve against scipy's Cholesky factor
+vs a product with the inverse factor, reach-by-reach difference equations
+vs stacked state-space matrices, a fused filter replay vs a cached gain
+schedule, a per-candidate synthesis and per-block setpoint placement vs a
+decision's one-pass bookkeeping) so that agreement is meaningful.
 """
 
 import itertools
@@ -106,6 +107,13 @@ def shift_linear_term(H, f, Ain=None, bin_=None):
     """
     x0 = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), f)
     return x0, None if bin_ is None else bin_ - Ain @ x0
+
+
+def whitened_rows(H, Ain):
+    """The rows of Ain in the coordinates z = L'x of H = LL', row i being
+    (L^-1 a_i)', by scipy's Cholesky factor and a triangular solve."""
+    chol = scipy.linalg.cholesky(H, lower=True)
+    return scipy.linalg.solve_triangular(chol, Ain.T, lower=True).T
 
 
 def union_find_components(n, edges):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from canalmpc import numerics
 from canalmpc.canal import DEZ_REACHES, build_chain, build_coalition_model
-from canalmpc.control import ControllerConfig, weight_matrices
+from canalmpc.control import ControllerConfig, prepare_mpc, prepare_setpoint, weight_matrices
 from canalmpc.numerics import (
     QpStructure,
     RiccatiConvergenceError,
@@ -21,13 +21,15 @@ from canalmpc.numerics import (
 )
 from canalmpc.supervisor import CERT_RTOL
 
-from oracles import brute_force_qp, scipy_dare, shift_linear_term
+from oracles import brute_force_qp, scipy_dare, shift_linear_term, whitened_rows
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 class TestRangeSpaceStep:
-    """The dual step in Cholesky coordinates z = L'x agrees with the full KKT system."""
+    """The dual step in Cholesky coordinates z = L'x agrees with the full KKT
+    system.  The working rows' QR is built here from L^-1 a_i, apart from the
+    structure's whitened rows, by appending one row at a time."""
 
     @staticmethod
     def step(s, g, rows):
@@ -71,7 +73,7 @@ class TestRangeSpaceStep:
 
 
 class TestFixedMaps:
-    """What a structure factors once, and the QR solve_qp grows row by row."""
+    """What a structure factors and whitens once, and the QR solve_qp grows row by row."""
 
     def test_structure_factors_only_h(self, monkeypatch):
         """A structure takes the Cholesky factor of H and its inverse, and no
@@ -85,6 +87,33 @@ class TestFixedMaps:
         s = QpStructure(2.0 * np.eye(5), np.ones((3, 5)))
         assert calls == {"cholesky": 1, "inv": 1}
         assert np.allclose(s.chol_inv, np.eye(5) / np.sqrt(2.0), rtol=1e-15, atol=0.0)
+
+    @staticmethod
+    def dez_structures():
+        """The 13-member setpoint and MPC structures of the centralized run."""
+        cfg = ControllerConfig()
+        coal = build_coalition_model(build_chain(DEZ_REACHES, cfg.sample_time), range(1, 14))
+        q, r = weight_matrices(coal, cfg)
+        P = solve_dare(coal.Xi, coal.Up, q, r)
+        K = lqr_gain(coal.Xi, coal.Up, r, P)
+        return [prepare_setpoint(coal, K, cfg).qp, prepare_mpc(coal, K, P, cfg).qp]
+
+    def test_rows_match_triangular_solve(self):
+        """rows[i] = (L^-1 a_i)' agrees with a triangular solve against
+        scipy's Cholesky factor; row_tol scales each row's norm."""
+        rng = np.random.default_rng(33)
+        structures = self.dez_structures()
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            M = rng.normal(size=(n, n))
+            structures.append(QpStructure(M @ M.T + 0.1 * np.eye(n),
+                                          rng.normal(size=(int(rng.integers(1, 12)), n))))
+        for s in structures:
+            ref = whitened_rows(s.H, s.Ain)
+            assert s.rows.shape == s.Ain.shape
+            assert np.linalg.norm(s.rows - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.allclose(s.row_tol, numerics.RANK_RTOL * np.linalg.norm(ref, axis=1),
+                               rtol=1e-13, atol=0.0)
 
     def test_qr_append_keeps_r_upper_triangular(self):
         rng = np.random.default_rng(41)
@@ -367,6 +396,7 @@ class TestSolveQp:
         sol = solve_qp(structure, bin_y)
         assert sol.optimal and sol.iterations == 1 and sol.active_set == ()
         assert not calls
+        assert "rows" not in vars(structure)  # the whitened rows are never built
         assert np.allclose(sol.x + x0, x_min, rtol=0.0, atol=1e-10)
 
     def test_structure_reused_across_problems(self):
@@ -408,19 +438,38 @@ class TestSolveQp:
         assert warm.optimal and warm.active_set == (0,) and warm.iterations == 1
         assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("start", [(1,), (0, 1)], ids=["negative-multiplier", "dependent-row"])
-    def test_rejected_start_is_the_cold_solve(self, start):
+    @staticmethod
+    def dependent_rows_qp():
+        """A feasible QP in 5 variables whose origin is infeasible: rows 0-2
+        independent, row 3 duplicates row 1, row 4 = row 0 - 2 row 2."""
+        rng = np.random.default_rng(4)
+        M = rng.normal(size=(5, 5))
+        Ain = rng.normal(size=(3, 5))
+        Ain = np.vstack([Ain, Ain[1], Ain[0] - 2.0 * Ain[2], rng.normal(size=(3, 5))])
+        bin_ = Ain @ rng.normal(size=5) + 0.1
+        assert bin_.min() < 0.0
+        return QpStructure(M @ M.T + np.eye(5), Ain), bin_
+
+    @pytest.mark.parametrize("qp, start", [
+        ("start", (1,)), ("start", (0, 1)), ("dependent", (1, 3)), ("dependent", (3, 1, 5)),
+        ("dependent", (0, 2, 4)), ("dependent", (4, 6, 0, 2)), ("dependent", (0, 1, 2, 5, 6, 7)),
+    ], ids=["negative-multiplier", "dependent-row", "duplicate", "duplicate-first",
+            "combination", "combination-first", "more-rows-than-variables"])
+    def test_rejected_start_is_the_cold_solve(self, qp, start):
         # Equal x means equal objectives too.
-        structure, bin_ = self.start_qp()
+        structure, bin_ = self.start_qp() if qp == "start" else self.dependent_rows_qp()
+        assert numerics._warm_start(structure, bin_, list(start)) is None
         cold = solve_qp(structure, bin=bin_)
         warm = solve_qp(structure, bin=bin_, start=start)
+        assert cold.optimal
         assert np.array_equal(warm.x, cold.x)
         assert (warm.status, warm.iterations, warm.active_set) == \
             (cold.status, cold.iterations, cold.active_set)
 
     def test_feasible_point_without_linear_term_ignores_start(self, monkeypatch):
         """With the origin feasible (bin >= 0), a solve with a start returns
-        it after one iteration, appending, solving and factoring nothing."""
+        it after one iteration, appending, solving and factoring nothing and
+        building no whitened rows."""
         rng = np.random.default_rng(30)
         M = rng.normal(size=(6, 6))
         H = M @ M.T + np.eye(6)
@@ -437,6 +486,7 @@ class TestSolveQp:
         assert sol.optimal and sol.iterations == 1 and sol.active_set == ()
         assert not calls
         assert not np.any(sol.x)
+        assert "rows" not in vars(structure) and "row_tol" not in vars(structure)
 
     def test_deterministic(self):
         # Equal x means equal objectives too.

@@ -351,16 +351,16 @@ class TestBuiltOnce:
         assert calls["prepare_mpc"] <= controllers
         assert calls["solves"] > 0
         # Both QPs step on their structure's Cholesky factor, factored once
-        # per structure, and append to the QR one row L^-1 a_i per start
-        # row before the first iteration and at most one per iteration.  No
-        # row enters the working set before step 72 of scenario1, and no
-        # MPC row, so no start row, before step 100, so the bound is checked
-        # on a run past both.
+        # per structure.  The start rows take one QR before the first
+        # iteration, and at most one entering row L^-1 a_i per iteration is
+        # appended to the QR.  No row enters the working set before step 72
+        # of scenario1, and no MPC row, so no start row, before step 100, so
+        # the bound is checked on a run past both.
         calls.clear()
         run_centralized(scenario_1(horizon=120), seed=0, cache=SynthesisCache())
         assert calls["cholesky"] <= calls["structures"] == 2
         assert calls["start_rows"] > 0
-        assert 0 < calls["_qr_append"] <= calls["iterations"] + calls["start_rows"]
+        assert 0 < calls["_qr_append"] <= calls["iterations"]
 
     def test_replaced_controllers_released_before_successors_are_built(self, monkeypatch):
         """A rebuild holds no replaced controller while it builds the new ones, so the
