@@ -88,21 +88,18 @@ class TestFixedMaps:
         assert calls == {"cholesky": 1, "inv": 1}
         assert np.allclose(s.chol_inv, np.eye(5) / np.sqrt(2.0), rtol=1e-15, atol=0.0)
 
-    @staticmethod
-    def dez_structures():
-        """The 13-member setpoint and MPC structures of the centralized run."""
+    def test_rows_match_triangular_solve(self):
+        """rows[i] = (L^-1 a_i)' agrees with a triangular solve against
+        scipy's Cholesky factor, on random structures and the centralized
+        run's 13-member setpoint and MPC structures; row_tol scales each
+        row's norm."""
         cfg = ControllerConfig()
         coal = build_coalition_model(build_chain(DEZ_REACHES, cfg.sample_time), range(1, 14))
         q, r = weight_matrices(coal, cfg)
         P = solve_dare(coal.Xi, coal.Up, q, r)
         K = lqr_gain(coal.Xi, coal.Up, r, P)
-        return [prepare_setpoint(coal, K, cfg).qp, prepare_mpc(coal, K, P, cfg).qp]
-
-    def test_rows_match_triangular_solve(self):
-        """rows[i] = (L^-1 a_i)' agrees with a triangular solve against
-        scipy's Cholesky factor; row_tol scales each row's norm."""
+        structures = [prepare_setpoint(coal, K, cfg).qp, prepare_mpc(coal, K, P, cfg).qp]
         rng = np.random.default_rng(33)
-        structures = self.dez_structures()
         for _ in range(10):
             n = int(rng.integers(1, 9))
             M = rng.normal(size=(n, n))
