@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numerics
 from .canal import CoalitionModel
-from .numerics import QpSolution, QpStructure, solve_qp
+from .numerics import QpSolution, QpStructure, block_diag, solve_qp
 
 
 @dataclass
@@ -98,16 +98,16 @@ class KalmanState:
     xhat: np.ndarray
     cov: np.ndarray
 
-    def split(self, n):
-        return self.xhat[:n], self.xhat[n:]
-
 
 @dataclass(frozen=True, eq=False)
 class KalmanModel:
-    """A coalition's filter matrices on [xi; w], built once per controller."""
+    """Filter matrices on [xi; w]: a coalition's, built once per controller,
+    or a partition's (partition_filter), whose coalition is None."""
 
-    coalition: CoalitionModel
+    coalition: CoalitionModel | None
     f_mat: np.ndarray
+    b_mat: np.ndarray   # input map: Up, zero rows on the channels
+    phi_mat: np.ndarray  # offtake map: Phi, zero rows on the channels
     c_mat: np.ndarray   # measured: member level errors and gate flows
     w_mat: np.ndarray
     v_mat: np.ndarray
@@ -121,6 +121,8 @@ def kalman_model(coalition, cfg) -> KalmanModel:
     f_mat[:n, :n] = coalition.Xi
     f_mat[:n, n:] = coalition.Psi
     f_mat[n:, n:] = np.eye(r)
+    b_mat, phi_mat = np.zeros((2, n + r, coalition.m))
+    b_mat[:n], phi_mat[:n] = coalition.Up, coalition.Phi
     c_mat = np.zeros((2 * coalition.m, n + r))
     c_mat[: coalition.m, :n] = coalition.gamma
     c_mat[coalition.m:, :n] = coalition.gate_flow_selector()
@@ -133,19 +135,26 @@ def kalman_model(coalition, cfg) -> KalmanModel:
     prior[:n] = cfg.kf_prior_flow
     prior[coalition.level_rows()] = cfg.kf_prior_level
     prior[n:] = cfg.kf_prior_omega
-    return KalmanModel(coalition, f_mat, c_mat, np.diag(w_diag), v_mat, prior)
+    return KalmanModel(coalition, f_mat, b_mat, phi_mat, c_mat, np.diag(w_diag), v_mat, prior)
 
 
-def _measurement(idx, levels, flows):
-    """Coalition measurement vector: global levels and flows at reach indices idx."""
-    return np.concatenate([np.asarray(levels)[idx], np.asarray(flows)[idx]])
+def partition_filter(filters) -> KalmanModel:
+    """One filter for a partition: its coalitions' filters, in chain order, on the diagonal.
+
+    The coalitions tile the chain, so the input and offtake maps take the
+    global u and rho as they are, and the measurement stacks each
+    coalition's [levels; flows] in turn.  With a block-diagonal covariance,
+    kf_update keeps it block-diagonal, each block its coalition's own filter:
+    F, C, W and V are block-diagonal and LU's partial pivoting stays within
+    a block of the innovation covariance.
+    """
+    return KalmanModel(None, *[block_diag(*[getattr(f, name) for f in filters]) for name in
+                               ("f_mat", "b_mat", "phi_mat", "c_mat", "w_mat", "v_mat")],
+                       np.concatenate([f.prior for f in filters]))
 
 
 def _x_predict(filt, xhat, u, rho):
-    coalition = filt.coalition
-    xhat = filt.f_mat @ xhat
-    xhat[:coalition.n] += coalition.Up @ u + coalition.Phi @ rho
-    return xhat
+    return filt.f_mat @ xhat + (filt.b_mat @ u + filt.phi_mat @ rho)
 
 
 def _x_correct(filt, xhat, gain, y):
@@ -217,7 +226,7 @@ def kf_init(filt: KalmanModel, window, schedule) -> KalmanState:
         xhat[n + c] = flows[attached - 1] - offtakes[attached - 1]
 
     members = window[:, :, np.array(coalition.members) - 1]        # gathered: (4, L, m)
-    ys = members[:2].transpose(1, 0, 2).reshape(length, -1)         # as _measurement builds them
+    ys = members[:2].transpose(1, 0, 2).reshape(length, -1)         # [levels; flows] per row
     xhat = _x_correct(filt, xhat, gains[0], ys[0])
     for gain, y, u, rho in zip(gains[1:], ys[1:], members[2], members[3]):
         xhat = _x_correct(filt, _x_predict(filt, xhat, u, rho), gain, y)
@@ -458,11 +467,12 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> QpSolution:
 
 
 class CoalitionController:
-    """One coalition's filter, gains and condensed MPC, stepped by the simulator.
+    """One coalition's gains, filter matrices and condensed MPC, stepped by the simulator.
 
-    Filter matrices, setpoint program and MPC program are built once, here.
-    Each MPC solve starts from the working set the last optimal one ended
-    on; a new controller starts cold, so the set never outlives its run.
+    Filter matrices, setpoint program and MPC program are built once, here;
+    the estimate lives in the run loop's partition filter.  Each MPC solve
+    starts from the working set the last optimal one ended on; a new
+    controller starts cold, so the set never outlives its run.
     """
 
     def __init__(self, coalition, gain, p_mat, cfg):
@@ -473,33 +483,15 @@ class CoalitionController:
         self.filter = kalman_model(coalition, cfg)
         self.setpoint_program = prepare_setpoint(coalition, gain, cfg)
         self.program = prepare_mpc(coalition, gain, p_mat, cfg)
-        self.kf: KalmanState | None = None
         self.mpc_start = ()
 
-    def warm_start(self, window, schedule):
-        self.kf = kf_init(self.filter, window, schedule)
-
-    def advance_filter(self, u_prev_global, rho_prev_global, levels, flows):
-        """Land one measurement, the only way one reaches a running filter; a
-        non-finite level or gate flow is refused, so every QP vector stays finite."""
-        idx = self.idx
-        y = _measurement(idx, levels, flows)
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"non-finite measurement for coalition {self.model.members}")
-        self.kf = kf_update(
-            self.filter,
-            self.kf,
-            np.asarray(u_prev_global)[idx],
-            np.asarray(rho_prev_global)[idx],
-            y,
-        )
-
-    def compute(self, rho_global):
-        """Setpoint projection plus MPC; returns (u, setpoint), with
-        u = K zeta + u_s + v'(0) inside the box by the MPC's t = 0 rows."""
+    def compute(self, rho_global, xhat):
+        """Setpoint projection plus MPC from the coalition's estimate xhat =
+        [xi_hat; omega_hat]; returns (u, setpoint), with u = K zeta + u_s + v'(0)
+        inside the box by the MPC's t = 0 rows."""
         model = self.model
         rho = np.asarray(rho_global)[self.idx]
-        xi_hat, omega_hat = self.kf.split(model.n)
+        xi_hat, omega_hat = xhat[:model.n], xhat[model.n:]
         setpoint = feasible_setpoint(self.setpoint_program, rho, omega_hat, xi_hat, self.cfg)
         zeta = xi_hat - setpoint.xi_s
         sol = mpc_step(zeta, setpoint, self.program, self.cfg, self.mpc_start)

@@ -16,7 +16,6 @@ import typing
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .canal import DEZ_REACHES, ReachParams
@@ -203,6 +202,7 @@ def check_run_config(cfg: RunConfig) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration."""
+    import yaml  # imported by its only user, off the import path of runs that read no config
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)

@@ -41,6 +41,16 @@ def _as_matrix(a, name="matrix"):
     return a
 
 
+def block_diag(*blocks):
+    """The 2-D `blocks` on the diagonal of one matrix, zeros elsewhere."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def solve_dare(A, B, Q, R):
     """Solve the discrete algebraic Riccati equation by structured doubling.
 

@@ -8,11 +8,14 @@ deterministic given the seed.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
-from .control import CoalitionController, ControllerConfig, compute_setpoint
+from .control import (CoalitionController, ControllerConfig, KalmanState, compute_setpoint,
+                      kf_init, kf_update, partition_filter)
+from .numerics import block_diag
 from .supervisor import SynthesisCache, select_topology, synthesize
 from .topology import full_topology, partition_of
 
@@ -236,26 +239,30 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     outflow = rows[1, 0].copy()  # published per-gate q_s + dq_s; at rest, the measured flows
 
     incumbent = full_topology(n)
-    controllers = []  # chain order, as partition_of yields the coalitions
+    partition, controllers, blocks = (), [], []  # chain order, as partition_of yields them
+    est = None  # the partition filter's state; blocks[i] is controllers[i]'s slice of it
 
-    def rebuild_controllers(topology, window):
-        records = synthesize(partition_of(topology), subs, ctrl_cfg, cache)
-        kept = {ctrl.model.members: ctrl for ctrl in controllers}
+    def rebuild_controllers(partition, window):
+        """The partition's controllers, each with its estimate: a kept controller's
+        blocks of `est`, a new one's warm start."""
+        records = synthesize(partition, subs, ctrl_cfg, cache)
+        kept = {ctrl.model.members: (ctrl, KalmanState(est.xhat[b], est.cov[b, b]))
+                for ctrl, b in zip(controllers, blocks)}
         controllers.clear()
         fresh = [kept.get(r.model.members) for r in records]
         kept.clear()  # the replaced controllers go before any successor is built
         for pos, record in enumerate(records):
             if fresh[pos] is None:
                 ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
-                ctrl.warm_start(window, cache.schedule(ctrl.filter, window.shape[1]))
-                fresh[pos] = ctrl
+                fresh[pos] = ctrl, kf_init(ctrl.filter, window, cache.schedule(ctrl.filter,
+                                                                               window.shape[1]))
         return fresh
 
     for k in range(scenario.horizon):
         rho = scenario.offtakes_at(k)
         rows[:2, k + 1] = plant.measure() if k > 0 else rows[:2, 0]
         rows[3, k + 1] = rho
-        levels, flows, u_global = rows[:3, k + 1]
+        levels, _, u_global = rows[:3, k + 1]
 
         if k == 0 or supervision and k % t_lambda == 0:
             if supervision:
@@ -264,17 +271,31 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                 incumbent = select_topology(
                     state, rho, outflow, incumbent, cache, subs, ctrl_cfg, t_lambda, nominal_model,
                 ).topology
-            ctrl = None  # drop the last step's reference: the rebuild may replace it
-            window = rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1]  # rows of steps < k
-            controllers = rebuild_controllers(incumbent, window)
+            if partition_of(incumbent) != partition:
+                partition = partition_of(incumbent)
+                ctrl = None  # drop the last step's reference: the rebuild may replace it
+                window = rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1]  # steps < k
+                controllers, estimates = map(list, zip(*rebuild_controllers(partition, window)))
+                ends = accumulate(len(e.xhat) for e in estimates)
+                blocks = [slice(end - len(e.xhat), end) for e, end in zip(estimates, ends)]
+                filt = partition_filter([ctrl.filter for ctrl in controllers])
+                est = KalmanState(np.concatenate([e.xhat for e in estimates]),
+                                  block_diag(*[e.cov for e in estimates]))
+                # the partition measurement: [levels; flows] of each coalition's members in turn
+                quantity = np.array([q for c in controllers for q in (0, 1) for _ in c.idx])
+                reach = np.array([s - 1 for c in controllers for s in c.model.members * 2])
 
+        y = rows[quantity, k + 1, reach]
+        if not np.all(np.isfinite(y)):  # refused here, so every QP vector stays finite
+            bad = reach[np.argmin(np.isfinite(y))]
+            owner = next(ctrl.model.members for ctrl in controllers if bad in ctrl.idx)
+            raise ValueError(f"step {k}: non-finite measurement for coalition {owner}")
         if k > 0:
-            for ctrl in controllers:
-                ctrl.advance_filter(rows[2, k], rows[3, k], levels, flows)
+            est = kf_update(filt, est, rows[2, k], rows[3, k], y)
 
-        for ctrl in controllers:
+        for ctrl, block in zip(controllers, blocks):
             try:
-                u, setpoint = ctrl.compute(rho)
+                u, setpoint = ctrl.compute(rho, est.xhat[block])
             except Exception as exc:
                 raise RuntimeError(f"controller failure at step {k}: {exc}") from exc
             u_global[ctrl.idx] = u

@@ -10,7 +10,8 @@ the shift that moves a test QP's linear term into its right-hand side
 (solve_qp takes none), a triangular solve against scipy's Cholesky factor
 vs a product with the inverse factor, reach-by-reach difference equations
 vs stacked state-space matrices, a fused filter replay vs a cached gain
-schedule, a per-candidate synthesis and per-block setpoint placement vs a
+schedule, per-coalition filter steps vs a partition's block-diagonal one,
+a per-candidate synthesis and per-block setpoint placement vs a
 decision's one-pass bookkeeping) so that agreement is meaningful.
 """
 
@@ -300,6 +301,31 @@ def costate_gradient(acl, up, gain, q_mat, r_mat, p_mat, zeta0, n_p, n_c):
     return np.concatenate(grads[::-1])
 
 
+def joseph_correct(filt, xhat, cov, y):
+    """One measurement update of a coalition filter: gain computed on the spot,
+    covariance in Joseph form."""
+    c_mat, v_mat = filt.c_mat, filt.v_mat
+    cp = c_mat @ cov
+    gain = np.linalg.solve(cp @ c_mat.T + v_mat, cp).T
+    xhat = xhat + gain @ (y - c_mat @ xhat)
+    ikc = np.eye(cov.shape[0]) - gain @ c_mat
+    cov = ikc @ cov @ ikc.T + gain @ v_mat @ gain.T
+    return xhat, 0.5 * (cov + cov.T)
+
+
+def kf_step(filt, xhat, cov, u, rho, y):
+    """One plain predict/correct cycle of a coalition filter.
+
+    The state advances through the coalition's own Xi, Psi, Up and Phi (u and
+    rho are the members' inputs and offtakes), then y lands by joseph_correct.
+    """
+    coalition, f_mat = filt.coalition, filt.f_mat
+    xhat = f_mat @ xhat
+    xhat[:coalition.n] += coalition.Up @ u + coalition.Phi @ rho
+    cov = f_mat @ cov @ f_mat.T + filt.w_mat
+    return joseph_correct(filt, xhat, 0.5 * (cov + cov.T), y)
+
+
 def replay_kf_init(filt, window):
     """Filter warm start by the fused replay: covariance and estimate together.
 
@@ -307,7 +333,7 @@ def replay_kf_init(filt, window):
     gain computed on the spot, instead of replaying the estimate against a
     precomputed gain schedule.  The prior is the one control.kf_init documents.
     """
-    coalition, f_mat, c_mat, v_mat = filt.coalition, filt.f_mat, filt.c_mat, filt.v_mat
+    coalition = filt.coalition
     n, r = coalition.n, coalition.n_channels
     idx = [s - 1 for s in coalition.members]
     samples = list(np.swapaxes(window, 0, 1))   # per row: levels, flows, inputs, offtakes
@@ -316,24 +342,13 @@ def replay_kf_init(filt, window):
     def measurement(sample):
         return np.concatenate([sample[0][idx], sample[1][idx]])
 
-    def correct(xhat, cov, y):
-        cp = c_mat @ cov
-        gain = np.linalg.solve(cp @ c_mat.T + v_mat, cp).T
-        xhat = xhat + gain @ (y - c_mat @ xhat)
-        ikc = np.eye(cov.shape[0]) - gain @ c_mat
-        cov = ikc @ cov @ ikc.T + gain @ v_mat @ gain.T
-        return xhat, 0.5 * (cov + cov.T)
-
     xhat = np.zeros(n + r)
     xhat[:n] = coalition.stack_state([flows] * max(coalition.delays), levels)
     for c, source in enumerate(coalition.coupling_sources):
         xhat[n + c] = flows[source - 2] - offtakes[source - 2]
-    xhat, cov = correct(xhat, np.diag(filt.prior), measurement(samples[0]))
+    xhat, cov = joseph_correct(filt, xhat, np.diag(filt.prior), measurement(samples[0]))
     for prev, cur in zip(samples, samples[1:]):
-        xhat = f_mat @ xhat
-        xhat[:n] += coalition.Up @ prev[2][idx] + coalition.Phi @ prev[3][idx]
-        cov = f_mat @ cov @ f_mat.T + filt.w_mat
-        xhat, cov = correct(xhat, 0.5 * (cov + cov.T), measurement(cur))
+        xhat, cov = kf_step(filt, xhat, cov, prev[2][idx], prev[3][idx], measurement(cur))
     return xhat, cov
 
 

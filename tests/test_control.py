@@ -1,12 +1,14 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from canalmpc import control, numerics
+from canalmpc import control, numerics, simulate
 from canalmpc.canal import (
     DEZ_REACHES,
     ReachParams,
@@ -26,17 +28,20 @@ from canalmpc.control import (
     kf_schedule,
     kf_update,
     mpc_step,
+    partition_filter,
     prepare_mpc,
     prepare_setpoint,
     weight_matrices,
 )
 from canalmpc.numerics import lqr_gain, solve_dare
-from canalmpc.simulate import run_centralized, scenario_1
-from canalmpc.supervisor import _synthesize_one
+from canalmpc.simulate import run_centralized, run_closed_loop, scenario_1
+from canalmpc.supervisor import SynthesisCache, _synthesize_one
+from canalmpc.topology import Topology, partition_of
 
 from oracles import (
     brute_force_qp,
     costate_gradient,
+    kf_step,
     looped_mpc_data,
     looped_mpc_program,
     replay_kf_init,
@@ -102,7 +107,7 @@ class TestKalman:
         levels, flows, offs = steady_global_arrays({12: 2.0, 13: 2.0}, {12: 0.0, 13: 2.0})
         window = at_rest(levels, flows, offs, 20)
         kf = warm_start(kalman_model(coal, self.cfg), window)
-        xi_hat, omega = kf.split(coal.n)
+        xi_hat, omega = kf.xhat[:coal.n], kf.xhat[coal.n:]
         assert omega.shape == (0,)
         assert np.allclose(coal.gamma @ xi_hat, 0.0, atol=1e-9)
 
@@ -113,7 +118,7 @@ class TestKalman:
         levels, flows, offs = steady_global_arrays({12: q12, 13: w_true}, {12: p12, 13: w_true})
         window = at_rest(levels, flows, offs, 20)
         kf = warm_start(kalman_model(coal, self.cfg), window)
-        _, omega = kf.split(coal.n)
+        omega = kf.xhat[coal.n:]
         assert abs(omega[0] - w_true) <= 0.05 * w_true
 
     def test_init_deterministic(self):
@@ -172,7 +177,7 @@ class TestKalman:
         kf = kf_init(filt, window, schedule)
         xhat, cov = replay_kf_init(filt, window)
         assert np.array_equal(kf.xhat, xhat) and np.array_equal(kf.cov, cov)
-        omega = kf.split(filt.coalition.n)[1]
+        omega = kf.xhat[filt.coalition.n:]
         assert omega.size == 0 or np.all(omega != 0.0)
 
     @pytest.mark.parametrize("members", [(5, 6, 7, 8), tuple(range(1, 14))])
@@ -233,6 +238,53 @@ class TestKalman:
             kf = kf_update(filt, kf, np.zeros(1), np.zeros(1), y)
             assert np.allclose(kf.cov, kf.cov.T)
             assert np.min(np.linalg.eigvalsh(kf.cov)) > -1e-12
+
+
+class TestPartitionFilter:
+    """A partition's filter is its coalitions' filters on the diagonal, stepped at once."""
+
+    cfg = ControllerConfig()
+
+    @pytest.mark.parametrize("enabled", [frozenset(), frozenset(range(1, 13)),
+                                         frozenset(range(1, 13)) - {2, 3, 7, 11}])
+    def test_blocks_match_per_coalition_filters(self, enabled):
+        """Over 12 seeded steps each coalition's block of x_hat and P matches its own
+        plain predict/correct to 1e-12 relative; the other blocks of P stay exactly 0."""
+        rng = np.random.default_rng(len(enabled))
+        blocks_members = partition_of(Topology(13, enabled))
+        filters = [kalman_model(make_coalition(b), self.cfg) for b in blocks_members]
+        reach_idx = [np.array(b) - 1 for b in blocks_members]
+        refs = [(s.xhat, s.cov) for s in (warm_start(f, random_window(rng, 5)) for f in filters)]
+        est = KalmanState(np.concatenate([x for x, _ in refs]),
+                          scipy.linalg.block_diag(*(p for _, p in refs)))
+        whole = partition_filter(filters)
+        on_blocks = scipy.linalg.block_diag(*(np.ones(p.shape) for _, p in refs)) == 1.0
+        ends = np.cumsum([len(x) for x, _ in refs])
+        blocks = [slice(end - len(x), end) for (x, _), end in zip(refs, ends)]
+        for _ in range(12):
+            u, rho = 0.3 * rng.normal(size=13), 2.0 + rng.normal(size=13)
+            levels, flows = 0.1 * rng.normal(size=13), 3.0 + rng.normal(size=13)
+            ys = [np.concatenate([levels[idx], flows[idx]]) for idx in reach_idx]
+            est = kf_update(whole, est, u, rho, np.concatenate(ys))
+            refs = [kf_step(f, *ref, u[idx], rho[idx], y)
+                    for f, ref, idx, y in zip(filters, refs, reach_idx, ys)]
+            for block, (xhat, cov) in zip(blocks, refs):
+                assert np.max(np.abs(est.xhat[block] - xhat)) <= 1e-12 * np.max(np.abs(xhat))
+                assert np.max(np.abs(est.cov[block, block] - cov)) <= 1e-12 * np.max(np.abs(cov))
+            assert np.all(est.cov[~on_blocks] == 0.0)
+
+    @pytest.mark.parametrize("members", [tuple(range(1, 14)), (5, 6)])
+    def test_one_coalition_partition_is_its_own_filter(self, members):
+        """A one-coalition partition steps bit for bit as the coalition's own filter."""
+        rng = np.random.default_rng(3)
+        filt = kalman_model(make_coalition(members), self.cfg)
+        own = whole = warm_start(filt, random_window(rng, 5))
+        m = len(members)
+        for _ in range(10):
+            u, rho, y = rng.normal(size=m), rng.normal(size=m), rng.normal(size=2 * m)
+            own = kf_update(filt, own, u, rho, y)
+            whole = kf_update(partition_filter([filt]), whole, u, rho, y)
+            assert np.array_equal(own.xhat, whole.xhat) and np.array_equal(own.cov, whole.cov)
 
 
 class TestComputeSetpoint:
@@ -712,8 +764,7 @@ class TestControlAction:
         levels, flows, offs = steady_global_arrays({s: 3.0 for s in range(members[0], 14)},
                                                    {members[-1]: 1.0})
         levels[members[0] - 1] = level
-        window = at_rest(levels, flows, offs)
-        ctrl.warm_start(window, kf_schedule(ctrl.filter, window.shape[1]))
+        kf = warm_start(ctrl.filter, at_rest(levels, flows, offs))
         seen, real = [], control.mpc_step
 
         def spy(zeta0, setpoint, prog, cfg, start=()):
@@ -721,7 +772,7 @@ class TestControlAction:
             return seen[-1][2]
 
         monkeypatch.setattr(control, "mpc_step", spy)
-        u, setpoint = ctrl.compute(offs)
+        u, setpoint = ctrl.compute(offs, kf.xhat)
         ((zeta0, handed, sol),) = seen
         assert handed is setpoint
         return ctrl, u, zeta0, setpoint, sol
@@ -738,18 +789,18 @@ class TestControlAction:
         assert u[0] < 0.0
 
 
-def _stepped_controller(members, cfg, steps=5):
+def _stepped_controller(members, cfg):
     """A controller on `members` warm-started at steady state and stepped a few times."""
     coal = make_coalition(members)
     ctrl = CoalitionController(coal, *synth(coal, cfg), cfg)
     gate_flows = {s: 3.0 for s in range(members[0], 14)}
     levels, flows, offs = steady_global_arrays(gate_flows, {members[-1]: 1.0})
-    window = at_rest(levels, flows, offs)
-    ctrl.warm_start(window, kf_schedule(ctrl.filter, window.shape[1]))
-    for _ in range(steps):
-        ctrl.compute(offs)
-        ctrl.advance_filter(np.zeros(13), offs, levels, flows)
-    return ctrl, (levels, flows, offs)
+    kf = warm_start(ctrl.filter, at_rest(levels, flows, offs))
+    y = np.concatenate([levels[ctrl.idx], flows[ctrl.idx]])
+    for _ in range(5):
+        ctrl.compute(offs, kf.xhat)
+        kf = kf_update(ctrl.filter, kf, np.zeros(coal.m), offs[ctrl.idx], y)
+    return ctrl
 
 
 class TestBuiltOncePrograms:
@@ -757,10 +808,10 @@ class TestBuiltOncePrograms:
 
     @pytest.mark.parametrize("members", [(4,), (5, 6)])
     def test_programs_equal_fresh_build(self, members):
-        ctrl, _ = _stepped_controller(members, self.cfg)
+        ctrl = _stepped_controller(members, self.cfg)
         coal = ctrl.model
         fresh_filter = kalman_model(coal, self.cfg)
-        for name in ("f_mat", "c_mat", "w_mat", "v_mat", "prior"):
+        for name in ("f_mat", "b_mat", "phi_mat", "c_mat", "w_mat", "v_mat", "prior"):
             assert np.array_equal(getattr(ctrl.filter, name), getattr(fresh_filter, name))
         fresh = prepare_setpoint(coal, ctrl.gain, self.cfg)
         kept = ctrl.setpoint_program
@@ -780,20 +831,35 @@ class TestBuiltOncePrograms:
         assert np.array_equal(filt.c_mat[:m, :n], coal.gamma)
         assert np.array_equal(filt.c_mat[m:, :n], coal.gate_flow_selector())
         assert not np.any(filt.c_mat[:, n:])
+        assert np.array_equal(filt.b_mat[:n], coal.Up) and not np.any(filt.b_mat[n:])
+        assert np.array_equal(filt.phi_mat[:n], coal.Phi) and not np.any(filt.phi_mat[n:])
         w = np.diag(filt.w_mat)
         assert np.all(w[coal.level_rows()] == self.cfg.kf_level_process_noise)
         assert np.all(w[coal.flow_rows()] == self.cfg.kf_flow_process_noise)
         assert np.all(w[n:] == self.cfg.kf_omega_process_noise)
 
-    def test_non_finite_level_raises(self):
-        """A NaN level, a NaN gate flow and an inf gate flow are each refused
-        as they reach the filter."""
-        ctrl, (levels, flows, offs) = _stepped_controller((4,), self.cfg, steps=1)
+    def test_non_finite_level_raises(self, monkeypatch):
+        """A NaN level, a NaN gate flow and an inf gate flow are each refused where
+        the run loop gathers the partition measurement, naming the step and the
+        coalition of the measurement's first bad entry."""
+        singletons = SimpleNamespace(topology=Topology(13, frozenset()))
+        monkeypatch.setattr(simulate, "select_topology", lambda *args: singletons)
+        real = simulate.Plant.measure
         for which, value in [("levels", np.nan), ("flows", np.nan), ("flows", np.inf)]:
-            measured = {"levels": levels.copy(), "flows": flows.copy()}
-            measured[which][3] = value
-            with pytest.raises(ValueError, match=r"non-finite measurement for coalition \(4,\)"):
-                ctrl.advance_filter(np.zeros(13), offs, measured["levels"], measured["flows"])
+            calls = []
+
+            def measure(plant):
+                measured = dict(zip(("levels", "flows"), real(plant)))
+                calls.append(None)
+                if len(calls) == 3:  # step 2; the first call measures the plant at rest
+                    measured[which][3] = value
+                    measured["levels"][8] = np.nan  # reach 9: after reach 4 in the partition's order
+                return measured["levels"], measured["flows"]
+
+            monkeypatch.setattr(simulate.Plant, "measure", measure)
+            with pytest.raises(ValueError,
+                               match=r"step 2: non-finite measurement for coalition \(4,\)"):
+                run_closed_loop(scenario_1(horizon=4), seed=0, cache=SynthesisCache())
 
 
 class TestOffsetFreeClosedLoop:
@@ -808,27 +874,19 @@ class TestOffsetFreeClosedLoop:
         q0 = p_off  # controller starts believing there is no external outflow
         x = np.array([q0, q0, 0.0])
         levels, flows, offs = steady_global_arrays({10: q0}, {10: p_off})
-        window = at_rest(levels, flows, offs)
-        ctrl.warm_start(window, kf_schedule(ctrl.filter, window.shape[1]))
+        kf = warm_start(ctrl.filter, at_rest(levels, flows, offs))
 
-        u_global = np.zeros(13)
-        rho_global = offs
         horizon = 300
         last_u = np.zeros(1)
         for k in range(horizon):
-            u, sp = ctrl.compute(rho_global)
+            u, sp = ctrl.compute(offs, kf.xhat)
             assert np.max(np.abs(u)) <= cfg.input_bound + 1e-9
             x = coal.Xi @ x + coal.Up @ u + coal.Phi @ np.array([p_off]) + coal.Psi @ np.array([w_true])
-            u_global[9] = u[0]
-            ctrl.advance_filter(
-                u_global, rho_global,
-                levels=np.r_[np.zeros(9), x[2], np.zeros(3)],
-                flows=np.r_[np.zeros(9), x[0], np.zeros(3)],
-            )
+            kf = kf_update(ctrl.filter, kf, u, np.array([p_off]), np.array([x[2], x[0]]))
             last_u = u
         assert abs(x[2]) < 1e-3  # level error rejected
         # steady state: inputs well inside the box, flows well above the floor
         assert np.max(np.abs(last_u)) < 0.5 * cfg.input_bound
         assert x[0] > cfg.flow_margin + 0.5
-        _, omega = ctrl.kf.split(coal.n)
+        omega = kf.xhat[coal.n:]
         assert abs(omega[0] - w_true) < 1e-2

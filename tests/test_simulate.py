@@ -187,13 +187,13 @@ class TestClosedLoop:
 
     def test_warm_starts_replay_at_most_history_capacity_samples(self, monkeypatch):
         lengths = []
-        real = control.kf_init
+        real = simulate.kf_init
 
         def recording(filt, window, schedule):
             lengths.append(window.shape[1])
             return real(filt, window, schedule)
 
-        monkeypatch.setattr(control, "kf_init", recording)
+        monkeypatch.setattr(simulate, "kf_init", recording)
         cfg = ControllerConfig(history_capacity=3)
         run_closed_loop(scenario_1(horizon=24), cfg, seed=0, cache=SynthesisCache())
         # Step 0 warm-starts on the initial sample; later ones see the last three.
@@ -203,7 +203,7 @@ class TestClosedLoop:
         """Every window a new filter replays equals the returned trace's rows for
         the same steps, behind the at-rest row when it reaches back before step 0."""
         windows, steps = [], [0]
-        real_init, real_step = control.kf_init, simulate.plant_step
+        real_init, real_step = simulate.kf_init, simulate.plant_step
 
         def recording(filt, window, schedule):
             windows.append((steps[0], np.array(window)))
@@ -213,7 +213,7 @@ class TestClosedLoop:
             steps[0] += 1
             return real_step(*args)
 
-        monkeypatch.setattr(control, "kf_init", recording)
+        monkeypatch.setattr(simulate, "kf_init", recording)
         monkeypatch.setattr(simulate, "plant_step", counting)
         cfg = ControllerConfig()
         trace = run_closed_loop(scenario_1(), cfg, seed=0, cache=CACHE)
@@ -225,6 +225,42 @@ class TestClosedLoop:
         assert {k + 1 < capacity for k, _ in windows} == {True, False}
         for k, window in windows:
             assert np.array_equal(window, record[:, max(0, k + 1 - capacity):k + 1]), k
+
+    def test_kept_coalitions_carry_their_filter_blocks_across_a_decision(self, monkeypatch):
+        """A rebuild starts each coalition the new partition keeps from its blocks of
+        the last estimate and covariance, bit for bit; blocks between coalitions are 0."""
+        layouts, updates = [], []
+        real_filter, real_update = simulate.partition_filter, simulate.kf_update
+
+        def recording_filter(filters):
+            ends = np.cumsum([len(f.prior) for f in filters])
+            layouts.append({f.coalition.members: slice(end - len(f.prior), end)
+                            for f, end in zip(filters, ends)})
+            return real_filter(filters)
+
+        def recording_update(filt, est, *args):
+            updates.append((layouts[-1], est, real_update(filt, est, *args)))
+            return updates[-1][2]
+
+        monkeypatch.setattr(simulate, "partition_filter", recording_filter)
+        monkeypatch.setattr(simulate, "kf_update", recording_update)
+        run_closed_loop(scenario_1(horizon=40), seed=0, cache=CACHE)
+        kept = replaced = 0
+        for (old, _, last), (new, start, _) in zip(updates, updates[1:]):
+            if new is old:
+                continue
+            for members, block in new.items():
+                if members not in old:
+                    replaced += 1
+                    continue
+                kept += 1
+                was = old[members]
+                assert np.array_equal(start.xhat[block], last.xhat[was])
+                assert np.array_equal(start.cov[block, block], last.cov[was, was])
+                rest = np.ones(len(start.xhat), dtype=bool)
+                rest[block] = False
+                assert np.all(start.cov[block][:, rest] == 0.0)
+        assert kept > 0 and replaced > 0
 
     def test_traces_compare_by_arrays_equal_not_eq(self):
         """== on traces is identity, so it never asks numpy for an array's truth value."""
@@ -259,8 +295,8 @@ class TestClosedLoop:
         bound = ControllerConfig().input_bound
         real = CoalitionController.compute
 
-        def outside(ctrl, rho_global):
-            u, setpoint = real(ctrl, rho_global)
+        def outside(ctrl, rho_global, xhat):
+            u, setpoint = real(ctrl, rho_global, xhat)
             return np.full(u.shape, 1.5 * bound), setpoint
 
         monkeypatch.setattr(CoalitionController, "compute", outside)
@@ -289,8 +325,8 @@ class TestPublishedOutflow:
             seen.append((np.array(outflow), latest.copy()))
             return real_select(state, rho, outflow, *args)
 
-        def compute(ctrl, rho):
-            u, setpoint = real_compute(ctrl, rho)
+        def compute(ctrl, rho, xhat):
+            u, setpoint = real_compute(ctrl, rho, xhat)
             latest[ctrl.idx] = setpoint.xi_s[ctrl.model.gate_flow_rows()] + setpoint.u_s
             return u, setpoint
 
