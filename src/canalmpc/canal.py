@@ -80,7 +80,7 @@ def build_chain(reaches, t_sample):
     for pos, r in enumerate(reaches, start=1):
         if r.index != pos:
             raise ValueError("reach indices must be contiguous starting at 1")
-    return tuple(build_subsystem(r, t_sample) for r in reaches)
+    return tuple([build_subsystem(r, t_sample) for r in reaches])
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,14 +234,14 @@ def build_coalition_model(subsystems, members) -> CoalitionModel:
         Phi=Phi,
         Psi=Psi,
         gamma=gamma,
-        coupling_sources=tuple(source for _, _, source in channels),
+        coupling_sources=tuple([source for _, _, source in channels]),
         offsets=offsets,
-        delays=tuple(by_index[s].delay for s in members),
+        delays=tuple([by_index[s].delay for s in members]),
     )
 
 
 def assemble_global(subsystems) -> CoalitionModel:
     """The whole chain as a single coalition (no external channels)."""
-    members = tuple(s.index for s in subsystems)
+    members = tuple([s.index for s in subsystems])
     return build_coalition_model(subsystems, members)
 

@@ -16,12 +16,16 @@ The control action applied at time k is
 where (xi_s, u_s) is the feasible setpoint, zeta = xi - xi_s, K the
 coalition feedback gain, and v' the first move of the auxiliary MPC that
 rectifies the feedback law against the hard input box and the soft flow
-floor.  CoalitionController.compute applies it: feasible_setpoint gives
-(xi_s, u_s) and mpc_step the MPC's QP solution, whose first m entries are
-v'(0).
+floor.  PartitionController.step applies it to every coalition of a
+partition at once, forming all coalitions' QP right-hand sides together.
+A coalition whose QP rows all hold at the QP's zero start takes that
+optimum, xi_s = xi_bar (compute_setpoint's steady state), u_s = 0 and
+v' = 0; any other coalition's setpoint comes from feasible_setpoint, and
+its MPC solution, whose first m entries are v'(0), from mpc_step.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -321,8 +325,8 @@ def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
     )
 
 
-def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
-    """Project the steady state for offtakes rho and boundary flows omega onto the constraints.
+def feasible_setpoint(prog: SetpointProgram, xi_bar, bin_) -> Setpoint:
+    """Project the steady state xi_bar onto the constraints; bin_ is the QP's right-hand side.
 
     Minimizes u_s' R u_s + xi_s' Q xi_s + sigma' G sigma, where sigma is the
     slack of the steady-state equality (I - Xi) xi_s - Up u_s = Phi rho +
@@ -330,21 +334,17 @@ def feasible_setpoint(prog: SetpointProgram, rho, omega, xi_k, cfg) -> Setpoint:
     box evaluated at the current state.  The QP is posed in delta = xi_s -
     xi_bar around compute_setpoint's xi_bar (see prepare_setpoint), so
     without active constraints the minimizer is xi_bar with u_s = 0 and
-    sigma = 0.  `prog` is the coalition's program from prepare_setpoint.
+    sigma = 0.  `prog` is the coalition's program from prepare_setpoint,
+    and bin_ its rows' right-hand side at the current state xi_k,
+    PartitionController.setpoint_rhs: the flow floor -delta <= xi_bar -
+    margin, then K (xi_k - xi_bar - delta) + u_s within the box.
     """
-    coalition = prog.coalition
-    n = coalition.n
-    bound = cfg.input_bound
-    xi_bar = compute_setpoint(coalition, rho, omega)
-    # flow floor -delta <= xi_bar - margin, then K (xi_k - xi_bar - delta) + u_s within the box
-    k_xi = prog.gain @ (xi_k - xi_bar)
-    bin_ = np.concatenate([xi_bar[prog.floor_rows] - cfg.flow_margin, bound - k_xi, bound + k_xi])
-
     sol = solve_qp(prog.qp, bin_)
     if sol.status == numerics.INFEASIBLE:
         raise RuntimeError(
-            f"setpoint projection infeasible for coalition {coalition.members}"
+            f"setpoint projection infeasible for coalition {prog.coalition.members}"
         )
+    n = prog.coalition.n
     return Setpoint(xi_bar + sol.x[:n], sol.x[n:], feasible=sol.optimal)
 
 
@@ -373,14 +373,13 @@ class MpcProgram:
     box_map: np.ndarray         # K Acl^t stacked for t = 0..N_p: feedback inputs from zeta0
     floor_map: np.ndarray       # flow_sel Acl^t stacked for t = 1..N_c: free-run flows
     qp: QpStructure             # Hessian over x = (v', eps); floor rows, then box rows
-    flow_sel: np.ndarray        # selects every flow slot of the state
 
 
 def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     """Condense the coalition MPC into dense QP blocks (done once per controller).
 
-    H and Ain go into the program's QpStructure, checked and factored;
-    mpc_step fills in only bin.  K and P come from one certified Riccati
+    H and Ain go into the program's QpStructure, checked and factored; a
+    step fills in only bin (PartitionController.mpc_rhs).  K and P come from one certified Riccati
     synthesis with these weight_matrices, so R K + Up' P Acl = 0 and
     P = Q + K'RK + Acl' P Acl.  Completing the square step by step, the
     horizon cost is zeta0' P zeta0 plus v'(t)' (R + Up' P Up) v'(t) summed
@@ -431,11 +430,11 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     del powers, drive, t_maps, m_maps  # freed before H is factored: a lower peak
     return MpcProgram(
         n_p=n_p, n_c=n_c, n_q=n_q, m=m, box_map=box_map, floor_map=floor_map,
-        qp=QpStructure(h_mat, ain), flow_sel=flow_sel,
+        qp=QpStructure(h_mat, ain),
     )
 
 
-def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> QpSolution:
+def mpc_step(prog: MpcProgram, bin_, start=()) -> QpSolution:
     """Solve the coalition MPC around the feedback law; returns the QP's solution.
 
     Minimizes the shifted-state cost over v'(0..N_c-1) and nonnegative
@@ -444,60 +443,179 @@ def mpc_step(zeta0, setpoint, prog: MpcProgram, cfg, start=()) -> QpSolution:
     solution's x holds the moves v'(t), m per step for t < N_c, then the
     slacks, n_q per step for t = 1..N_c.  The cost has no linear term (see
     prepare_mpc), so when the feedback law keeps every row, x[:m] = 0 after
-    one iteration.  `prog` is the coalition's program from prepare_mpc;
-    `start` is the QP's initial working set (solve_qp), usually the previous
-    step's active_set.
+    one iteration.  `prog` is the coalition's program from prepare_mpc and
+    bin_ its rows' right-hand side, PartitionController.mpc_rhs; `start` is
+    the QP's initial working set (solve_qp), usually the previous step's
+    active_set.
     """
-    n_p, n_c, n_q, m = prog.n_p, prog.n_c, prog.n_q, prog.m
-    bound = cfg.input_bound
-    xi_s, u_s = setpoint.xi_s, setpoint.u_s
-
-    # Rows: flow floor for t = 1..N_c, eps >= 0, then the box's upper and
-    # lower halves for t = 0..N_p.
-    floor = (prog.floor_map @ zeta0).reshape(n_c, n_q) + prog.flow_sel @ xi_s - cfg.flow_margin
-    base = (prog.box_map @ zeta0).reshape(n_p + 1, m) + u_s
-    bin_ = np.concatenate([floor, np.zeros(floor.size), bound - base, bound + base], axis=None)
-
     return solve_qp(prog.qp, bin=bin_, start=start)
 
 
 # ---------------------------------------------------------------------------
-# Per-coalition controller state machine
+# Controllers
 # ---------------------------------------------------------------------------
 
 
 class CoalitionController:
-    """One coalition's gains, filter matrices and condensed MPC, stepped by the simulator.
+    """One coalition's gains, filter matrices, programs and MPC start.
 
     Filter matrices, setpoint program and MPC program are built once, here;
-    the estimate lives in the run loop's partition filter.  Each MPC solve
-    starts from the working set the last optimal one ended on; a new
-    controller starts cold, so the set never outlives its run.
+    the estimate lives in the run loop's partition filter, and the partition's
+    PartitionController steps the controllers.  Each MPC solve starts from
+    the working set the last optimal one ended on; a new controller starts
+    cold, so the set never outlives its run.
     """
 
     def __init__(self, coalition, gain, p_mat, cfg):
         self.model = coalition
         self.idx = np.array(coalition.members) - 1   # members' 0-based reach indices
         self.gain = gain
-        self.cfg = cfg
         self.filter = kalman_model(coalition, cfg)
         self.setpoint_program = prepare_setpoint(coalition, gain, cfg)
         self.program = prepare_mpc(coalition, gain, p_mat, cfg)
         self.mpc_start = ()
 
-    def compute(self, rho_global, xhat):
-        """Setpoint projection plus MPC from the coalition's estimate xhat =
-        [xi_hat; omega_hat]; returns (u, setpoint), with u = K zeta + u_s + v'(0)
-        inside the box by the MPC's t = 0 rows."""
-        model = self.model
-        rho = np.asarray(rho_global)[self.idx]
-        xi_hat, omega_hat = xhat[:model.n], xhat[model.n:]
-        setpoint = feasible_setpoint(self.setpoint_program, rho, omega_hat, xi_hat, self.cfg)
-        zeta = xi_hat - setpoint.xi_s
-        sol = mpc_step(zeta, setpoint, self.program, self.cfg, self.mpc_start)
-        if sol.status == numerics.INFEASIBLE:
-            raise RuntimeError(
-                f"MPC infeasible for coalition {model.members}"
-            )
-        self.mpc_start = sol.active_set if sol.optimal else ()
-        return self.gain @ zeta + setpoint.u_s + sol.x[:model.m], setpoint
+
+def _stacked(rows):
+    """One index array over each coalition's `rows` in turn, the coalition of
+    each entry, and each coalition's slice of it."""
+    sizes = [len(r) for r in rows]
+    ends = list(accumulate(sizes))
+    return (np.array([j for r in rows for j in r], dtype=int),
+            np.repeat(np.arange(len(rows)), sizes),
+            [slice(end - size, end) for size, end in zip(sizes, ends)])
+
+
+def _to_solve(rhs, owner):
+    """The coalitions, in chain order, owning an entry of the stacked right-hand
+    side `rhs` that fails solve_qp's zero-start test; owner[j] owns rhs[j]."""
+    return sorted(set(owner[rhs < -numerics.FEAS_TOL].tolist()))
+
+
+class PartitionController:
+    """A partition's coalition controllers, in chain order, stepped as one.
+
+    Built at each rebuild, it holds blockdiag(K_i), the blockdiag of the
+    MPCs' box_map and floor_map, and the indices of every coalition's rows.
+    Vectors stack the coalitions' in turn: the estimate [xi_1; w_1; xi_2;
+    ...], whose blocks[i] is coalition i's, the state [xi_1; xi_2; ...] and
+    the inputs and offtakes, whose states[i] and inputs[i] are coalition i's.
+    A stacked right-hand side holds each coalition's QP rows in its QP's row
+    order, coalition i's at setpoint_slices[i] or mpc_slices[i].  The
+    coalitions of a partition tile the chain, so the stacked state, inputs
+    and offtakes are the chain's.
+    """
+
+    def __init__(self, controllers, cfg):
+        self.controllers, self.cfg = controllers, cfg
+        self.gain = block_diag(*[ctrl.gain for ctrl in controllers])
+        self.box_map = block_diag(*[ctrl.program.box_map for ctrl in controllers])
+        self.floor_map = block_diag(*[ctrl.program.floor_map for ctrl in controllers])
+        n_input, n_state = self.gain.shape
+        n_floor, n_box = self.floor_map.shape[0], self.box_map.shape[0]
+        n_c, n_t = cfg.control_horizon, cfg.prediction_horizon + 1
+        # Index lists, built in Python and made arrays once.  The setpoint rows
+        # index [xi_bar - margin; bound - K(xi_hat - xi_bar); bound + K(...)],
+        # the MPC rows [floor; bound - base; bound + base; 0].
+        xi, omega, cuts, delays, flows, gates, floor_state, box_input = ([] for _ in range(8))
+        setpoint, mpc = [], []
+        self.blocks, self.states, self.inputs, self.linked = [], [], [], []
+        est = row = col = floor_at = box_at = 0
+        for ctrl in controllers:
+            mdl, size = ctrl.model, ctrl.model.n + ctrl.model.n_channels
+            self.blocks.append(slice(est, est + size))
+            self.states.append(slice(row, row + mdl.n))
+            self.inputs.append(slice(col, col + mdl.m))
+            xi += range(est, est + mdl.n)
+            omega += range(est + mdl.n, est + size)
+            # the input whose gate a cut's omega_hat flows below, per channel
+            cuts += [col + mdl.members.index(source - 1) for source in mdl.coupling_sources]
+            self.linked += [s + 1 in mdl.members for s in mdl.members]
+            delays += mdl.delays
+            own_flows, own_inputs = [row + r for r in mdl.flow_rows()], [*range(col, col + mdl.m)]
+            flows += own_flows
+            gates += [row + r for r in mdl.gate_flow_rows()]
+            # what each row of floor_map and box_map adds: a flow slot for
+            # t = 1..N_c, an input for t = 0..N_p
+            floor_state += own_flows * n_c
+            box_input += own_inputs * n_t
+            setpoint.append([row + r for r in ctrl.setpoint_program.floor_rows]
+                            + [n_state + j for j in own_inputs]
+                            + [n_state + n_input + j for j in own_inputs])
+            n_eps = len(own_flows) * n_c
+            boxes = range(n_floor + box_at, n_floor + box_at + len(own_inputs) * n_t)
+            mpc.append([*range(floor_at, floor_at + n_eps), *[n_floor + 2 * n_box] * n_eps,
+                        *boxes, *[n_box + j for j in boxes]])
+            est, row, col = est + size, row + mdl.n, col + mdl.m
+            floor_at, box_at = floor_at + n_eps, box_at + len(boxes)
+        (self.xi_idx, self.omega_idx, self.cut_gates, self.delays, self.flow_rows, self.gate_rows,
+         self.floor_state, self.box_input) = [np.array(rows, dtype=int) for rows in
+                                              (xi, omega, cuts, delays, flows, gates,
+                                               floor_state, box_input)]
+        self.setpoint_rows, self.setpoint_owner, self.setpoint_slices = _stacked(setpoint)
+        self.mpc_rows, self.mpc_owner, self.mpc_slices = _stacked(mpc)
+
+    def xi_bar(self, xhat, rho):
+        """Every coalition's zero-level steady state, stacked, from one upstream pass.
+
+        The pass applies compute_setpoint's rule in its operand order: a gate
+        passes its offtake plus the next gate's flow, the coalition's
+        omega_hat at a cut, or 0.0 below the chain's last reach."""
+        below_cut = np.zeros(len(rho))
+        below_cut[self.cut_gates] = xhat[self.omega_idx]
+        rho_l, cut_l = rho.tolist(), below_cut.tolist()
+        flows, below = [0.0] * len(rho_l), 0.0
+        for s in range(len(rho_l) - 1, -1, -1):
+            flows[s] = below = rho_l[s] + (below if self.linked[s] else cut_l[s])
+        xi_bar = np.zeros(len(self.xi_idx))
+        xi_bar[self.flow_rows] = np.repeat(flows, self.delays)
+        return xi_bar
+
+    def setpoint_rhs(self, xi_hat, xi_bar):
+        """The setpoint QPs' right-hand sides, stacked, at the state xi_hat."""
+        bound, k_xi = self.cfg.input_bound, self.gain @ (xi_hat - xi_bar)
+        rows = np.concatenate([xi_bar - self.cfg.flow_margin, bound - k_xi, bound + k_xi])
+        return rows[self.setpoint_rows]
+
+    def mpc_rhs(self, zeta, xi_s, u_s):
+        """The MPC QPs' right-hand sides, stacked, for zeta = xi_hat - xi_s and u_s."""
+        bound = self.cfg.input_bound
+        floor = self.floor_map @ zeta + xi_s[self.floor_state] - self.cfg.flow_margin
+        base = self.box_map @ zeta + u_s[self.box_input]
+        return np.concatenate([floor, bound - base, bound + base, [0.0]])[self.mpc_rows]
+
+    def step(self, xhat, rho):
+        """(u, outflow) for the stacked estimate `xhat` and offtakes `rho`.
+
+        u is each coalition's K zeta + u_s + v'(0), inside the box by the
+        MPC's t = 0 rows, and outflow each gate's published xi_s[gate row] +
+        u_s.  A coalition whose setpoint rows all hold at the QP's zero start
+        takes its optimum, xi_s = xi_bar and u_s = 0, and one whose MPC rows
+        do takes v' = 0 and an empty MPC start, with no call; any other
+        coalition's QP is solved on its slice of the stacked right-hand side,
+        by feasible_setpoint or by mpc_step from its own start.
+        """
+        xi_hat = xhat[self.xi_idx]
+        xi_s = self.xi_bar(xhat, rho)  # xi_bar, until a projection moves it
+        u_s = np.zeros(len(rho))
+        rhs = self.setpoint_rhs(xi_hat, xi_s)
+        for i in _to_solve(rhs, self.setpoint_owner):
+            ctrl, rows, cols = self.controllers[i], self.states[i], self.inputs[i]
+            setpoint = feasible_setpoint(ctrl.setpoint_program, xi_s[rows],
+                                         rhs[self.setpoint_slices[i]])
+            xi_s[rows], u_s[cols] = setpoint.xi_s, setpoint.u_s
+
+        zeta = xi_hat - xi_s
+        rhs = self.mpc_rhs(zeta, xi_s, u_s)
+        solve = _to_solve(rhs, self.mpc_owner)
+        u = self.gain @ zeta + u_s
+        for i, ctrl in enumerate(self.controllers):
+            if i not in solve:
+                ctrl.mpc_start = ()
+                continue
+            sol = mpc_step(ctrl.program, rhs[self.mpc_slices[i]], ctrl.mpc_start)
+            if sol.status == numerics.INFEASIBLE:
+                raise RuntimeError(f"MPC infeasible for coalition {ctrl.model.members}")
+            ctrl.mpc_start = sol.active_set if sol.optimal else ()
+            u[self.inputs[i]] += sol.x[:ctrl.model.m]
+        return u, xi_s[self.gate_rows] + u_s

@@ -151,7 +151,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max-iterations"
 
-_FEAS_TOL = 1e-9
+# A row holds when its violation is at most FEAS_TOL (solve_qp; the
+# controllers test the zero start against it before calling solve_qp).
+FEAS_TOL = 1e-9
 
 
 class QpStructure:
@@ -277,7 +279,7 @@ def solve_qp(structure, bin=None, max_iter=None, start=()):
         max_iter = 100 + 10 * (s.n + s.Ain.shape[0])
     bin_ = np.zeros(0) if bin is None else bin
     viol = -bin_  # the violations at z = 0, where 0.5 |z|^2 is least
-    if viol.max(initial=-np.inf) <= _FEAS_TOL:
+    if viol.max(initial=-np.inf) <= FEAS_TOL:
         return QpSolution(np.zeros(s.n), OPTIMAL, 1)
     rows = s.rows
     # working: the rows in QR column order; lam: their multipliers
@@ -294,7 +296,7 @@ def solve_qp(structure, bin=None, max_iter=None, start=()):
     for it in range(1, max_iter + 1):
         if enter is None:
             viol[working] = -np.inf
-            if viol.max() <= _FEAS_TOL:
+            if viol.max() <= FEAS_TOL:
                 return QpSolution(s.chol_inv.T @ z, OPTIMAL, it, tuple(sorted(working)))
             enter, lam_enter = int(np.argmax(viol)), 0.0
             v = rows[enter]

@@ -8,13 +8,12 @@ deterministic given the seed.
 """
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
-from .control import (CoalitionController, ControllerConfig, KalmanState, compute_setpoint,
-                      kf_init, kf_update, partition_filter)
+from .control import (CoalitionController, ControllerConfig, KalmanState, PartitionController,
+                      compute_setpoint, kf_init, kf_update, partition_filter)
 from .numerics import block_diag
 from .supervisor import SynthesisCache, select_topology, synthesize
 from .topology import full_topology, partition_of
@@ -115,11 +114,11 @@ class PlantConfig:
                 f"plant config has {len(factors)} surface factors and "
                 f"{len(offsets)} delay offsets for {n} reaches"
             )
-        return tuple(
+        return tuple([
             ReachParams(r.index, r.backwater_area * f, r.delay_steps + dd,
                         r.length, r.bottom_width)
             for r, f, dd in zip(reaches, factors, offsets)
-        )
+        ])
 
 
 def plant_step(model, state, inputs, offtakes):
@@ -239,16 +238,17 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     outflow = rows[1, 0].copy()  # published per-gate q_s + dq_s; at rest, the measured flows
 
     incumbent = full_topology(n)
-    partition, controllers, blocks = (), [], []  # chain order, as partition_of yields them
-    est = None  # the partition filter's state; blocks[i] is controllers[i]'s slice of it
+    partition, part = (), None  # part: the partition's controllers, stepped as one
+    est = None  # the partition filter's state; part.blocks[i] is controller i's slice of it
 
     def rebuild_controllers(partition, window):
-        """The partition's controllers, each with its estimate: a kept controller's
+        """The partition's controllers and their filter's state: a kept controller's
         blocks of `est`, a new one's warm start."""
+        nonlocal part
         records = synthesize(partition, subs, ctrl_cfg, cache)
         kept = {ctrl.model.members: (ctrl, KalmanState(est.xhat[b], est.cov[b, b]))
-                for ctrl, b in zip(controllers, blocks)}
-        controllers.clear()
+                for ctrl, b in zip(part.controllers, part.blocks)} if part else {}
+        part = None
         fresh = [kept.get(r.model.members) for r in records]
         kept.clear()  # the replaced controllers go before any successor is built
         for pos, record in enumerate(records):
@@ -256,7 +256,9 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                 ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
                 fresh[pos] = ctrl, kf_init(ctrl.filter, window, cache.schedule(ctrl.filter,
                                                                                window.shape[1]))
-        return fresh
+        return (PartitionController([ctrl for ctrl, _ in fresh], ctrl_cfg),
+                KalmanState(np.concatenate([e.xhat for _, e in fresh]),
+                            block_diag(*[e.cov for _, e in fresh])))
 
     for k in range(scenario.horizon):
         rho = scenario.offtakes_at(k)
@@ -273,41 +275,33 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                 ).topology
             if partition_of(incumbent) != partition:
                 partition = partition_of(incumbent)
-                ctrl = None  # drop the last step's reference: the rebuild may replace it
                 window = rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1]  # steps < k
-                controllers, estimates = map(list, zip(*rebuild_controllers(partition, window)))
-                ends = accumulate(len(e.xhat) for e in estimates)
-                blocks = [slice(end - len(e.xhat), end) for e, end in zip(estimates, ends)]
-                filt = partition_filter([ctrl.filter for ctrl in controllers])
-                est = KalmanState(np.concatenate([e.xhat for e in estimates]),
-                                  block_diag(*[e.cov for e in estimates]))
+                part, est = rebuild_controllers(partition, window)
+                filt = partition_filter([ctrl.filter for ctrl in part.controllers])
                 # the partition measurement: [levels; flows] of each coalition's members in turn
-                quantity = np.array([q for c in controllers for q in (0, 1) for _ in c.idx])
-                reach = np.array([s - 1 for c in controllers for s in c.model.members * 2])
+                quantity = np.array([q for c in part.controllers for q in (0, 1) for _ in c.idx])
+                reach = np.array([s - 1 for c in part.controllers for s in c.model.members * 2])
 
         y = rows[quantity, k + 1, reach]
         if not np.all(np.isfinite(y)):  # refused here, so every QP vector stays finite
             bad = reach[np.argmin(np.isfinite(y))]
-            owner = next(ctrl.model.members for ctrl in controllers if bad in ctrl.idx)
+            owner = next(ctrl.model.members for ctrl in part.controllers if bad in ctrl.idx)
             raise ValueError(f"step {k}: non-finite measurement for coalition {owner}")
         if k > 0:
             est = kf_update(filt, est, rows[2, k], rows[3, k], y)
 
-        for ctrl, block in zip(controllers, blocks):
-            try:
-                u, setpoint = ctrl.compute(rho, est.xhat[block])
-            except Exception as exc:
-                raise RuntimeError(f"controller failure at step {k}: {exc}") from exc
-            u_global[ctrl.idx] = u
-            outflow[ctrl.idx] = setpoint.xi_s[ctrl.model.gate_flow_rows()] + setpoint.u_s
+        try:
+            u_global[:], outflow = part.step(est.xhat, rho)
+        except Exception as exc:
+            raise RuntimeError(f"controller failure at step {k}: {exc}") from exc
 
         if np.max(np.abs(u_global)) > ctrl_cfg.input_bound + 1e-9:
             raise RuntimeError(f"hard input constraint violated at step {k}")
 
         trace.topology_bits.append(incumbent.bits())
         trace.net_links[k] = incumbent.n_links
-        trace.n_coalitions[k] = len(controllers)
-        trace.mean_decision_vars[k] = ctrl_cfg.control_horizon * n / len(controllers)
+        trace.n_coalitions[k] = len(part.controllers)
+        trace.mean_decision_vars[k] = ctrl_cfg.control_horizon * n / len(part.controllers)
 
         plant.step(u_global, rho)
 

@@ -130,7 +130,7 @@ def synthesize(blocks, subsystems, cfg: ControllerConfig, cache: SynthesisCache)
     input weights, and the cache's gain schedules also on every kf_*
     setting; the cache is bound to all of these by value.
     """
-    cache.bind((tuple((sub.delay, sub.gain) for sub in subsystems),
+    cache.bind((tuple([(sub.delay, sub.gain) for sub in subsystems]),
                 cfg.level_weight, cfg.input_weight, _kf_tuning(cfg)))
     records = []
     for members in blocks:

@@ -11,7 +11,9 @@ the shift that moves a test QP's linear term into its right-hand side
 vs a product with the inverse factor, reach-by-reach difference equations
 vs stacked state-space matrices, a fused filter replay vs a cached gain
 schedule, per-coalition filter steps vs a partition's block-diagonal one,
-a per-candidate synthesis and per-block setpoint placement vs a
+per-coalition controller steps, both QPs always solved, vs a partition's
+stacked step that solves only where the zero start fails, a per-candidate
+synthesis and per-block setpoint placement vs a
 decision's one-pass bookkeeping) so that agreement is meaningful.
 """
 
@@ -20,7 +22,7 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from canalmpc.control import compute_setpoint
+from canalmpc.control import compute_setpoint, feasible_setpoint, mpc_step
 from canalmpc.supervisor import synthesize, topology_value
 from canalmpc.topology import candidate_set, partition_of
 
@@ -350,6 +352,50 @@ def replay_kf_init(filt, window):
     for prev, cur in zip(samples, samples[1:]):
         xhat, cov = kf_step(filt, xhat, cov, prev[2][idx], prev[3][idx], measurement(cur))
     return xhat, cov
+
+
+def setpoint_rhs(prog, xi_bar, xi_k, cfg):
+    """One coalition's setpoint QP right-hand side at the state xi_k, on its own:
+    the flow floor -delta <= xi_bar - margin, then K (xi_k - xi_bar - delta) + u_s
+    within the box."""
+    k_xi = prog.gain @ (xi_k - xi_bar)
+    return np.concatenate([xi_bar[prog.floor_rows] - cfg.flow_margin,
+                           cfg.input_bound - k_xi, cfg.input_bound + k_xi])
+
+
+def mpc_rhs(prog, coalition, zeta0, xi_s, u_s, cfg):
+    """One coalition's MPC right-hand side, on its own, through its flow selector:
+    the flow floor for t = 1..N_c, eps >= 0, then the box's upper and lower
+    halves for t = 0..N_p."""
+    floor = ((prog.floor_map @ zeta0).reshape(prog.n_c, prog.n_q)
+             + coalition.flow_selector() @ xi_s - cfg.flow_margin)
+    base = (prog.box_map @ zeta0).reshape(prog.n_p + 1, prog.m) + u_s
+    return np.concatenate([floor, np.zeros(floor.size), cfg.input_bound - base,
+                           cfg.input_bound + base], axis=None)
+
+
+def per_coalition_step(controllers, starts, xhats, rhos, cfg):
+    """Each coalition's step by the per-coalition loop, both QPs always solved.
+
+    Coalition i, from its estimate xhats[i] = [xi_hat; omega_hat], offtakes
+    rhos[i] and MPC start starts[i], takes xi_bar from compute_setpoint, its
+    projection from feasible_setpoint and its MPC solution from mpc_step, on
+    the right-hand sides setpoint_rhs and mpc_rhs form for it alone; u = K
+    zeta + u_s + v'(0) and the outflow is xi_s[gate rows] + u_s.  Returns
+    the stacked u and outflow and each coalition's next start.
+    """
+    us, outflows, next_starts = [], [], []
+    for ctrl, start, xhat, rho in zip(controllers, starts, xhats, rhos):
+        coal, sp_prog = ctrl.model, ctrl.setpoint_program
+        xi_hat = xhat[:coal.n]
+        xi_bar = compute_setpoint(coal, rho, xhat[coal.n:])
+        sp = feasible_setpoint(sp_prog, xi_bar, setpoint_rhs(sp_prog, xi_bar, xi_hat, cfg))
+        zeta = xi_hat - sp.xi_s
+        sol = mpc_step(ctrl.program, mpc_rhs(ctrl.program, coal, zeta, sp.xi_s, sp.u_s, cfg), start)
+        us.append(ctrl.gain @ zeta + sp.u_s + sol.x[:coal.m])
+        outflows.append(sp.xi_s[coal.gate_flow_rows()] + sp.u_s)
+        next_starts.append(sol.active_set if sol.optimal else ())
+    return np.concatenate(us), np.concatenate(outflows), next_starts
 
 
 def step_reaches(reaches, t_sample, members, state, inputs, offtakes, external):

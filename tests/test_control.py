@@ -20,6 +20,7 @@ from canalmpc.control import (
     ControllerConfig,
     CoalitionController,
     KalmanState,
+    PartitionController,
     Setpoint,
     compute_setpoint,
     feasible_setpoint,
@@ -44,7 +45,10 @@ from oracles import (
     kf_step,
     looped_mpc_data,
     looped_mpc_program,
+    mpc_rhs,
+    per_coalition_step,
     replay_kf_init,
+    setpoint_rhs,
     square_setpoint,
 )
 
@@ -88,6 +92,21 @@ def steady_global_arrays(flows_by_reach, offtakes_by_reach):
     for i, v in offtakes_by_reach.items():
         offs[i - 1] = v
     return levels, flows, offs
+
+
+def project(ctrl, rho, omega, xi_k, cfg):
+    """The setpoint for offtakes rho and boundary flows omega at the state xi_k:
+    feasible_setpoint on the right-hand side a one-coalition partition forms."""
+    part = PartitionController([ctrl], cfg)
+    rho, omega = np.asarray(rho, dtype=float), np.asarray(omega, dtype=float)
+    xi_bar = part.xi_bar(np.concatenate([xi_k, omega]), rho)
+    return feasible_setpoint(ctrl.setpoint_program, xi_bar, part.setpoint_rhs(xi_k, xi_bar))
+
+
+def solve_mpc(ctrl, zeta0, setpoint, cfg):
+    """mpc_step on the right-hand side a one-coalition partition forms."""
+    part = PartitionController([ctrl], cfg)
+    return mpc_step(ctrl.program, part.mpc_rhs(zeta0, setpoint.xi_s, setpoint.u_s))
 
 
 def steady_slack(coal, sp, rho, omega):
@@ -387,10 +406,10 @@ class TestFeasibleSetpoint:
 
     def test_unconstrained_passthrough(self):
         coal = make_coalition((4,))
-        k_gain, _ = synth(coal, self.cfg)
-        prog = prepare_setpoint(coal, k_gain, self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        k_gain = ctrl.gain
         xi_bar = compute_setpoint(coal, [3.0], [7.0])
-        sp = feasible_setpoint(prog, [3.0], [7.0], xi_bar.copy(), self.cfg)
+        sp = project(ctrl, [3.0], [7.0], xi_bar.copy(), self.cfg)
         assert sp.feasible
         assert np.allclose(sp.xi_s, xi_bar, atol=1e-7)
         assert np.allclose(sp.u_s, 0.0, atol=1e-7)
@@ -398,20 +417,20 @@ class TestFeasibleSetpoint:
 
     def test_negative_flow_hits_floor(self):
         coal = make_coalition((8,))
-        k_gain, _ = synth(coal, self.cfg)
-        prog = prepare_setpoint(coal, k_gain, self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        k_gain = ctrl.gain
         # disturbance estimate forcing a negative steady flow
         assert compute_setpoint(coal, [0.5], [-1.0])[0] < 0.0
         xi_now = np.array([0.5, 0.0])
-        sp = feasible_setpoint(prog, [0.5], [-1.0], xi_now, self.cfg)
+        sp = project(ctrl, [0.5], [-1.0], xi_now, self.cfg)
         flows = sp.xi_s[coal.flow_rows()]
         assert np.all(flows >= self.cfg.flow_margin - 1e-9)
         assert np.linalg.norm(steady_slack(coal, sp, [0.5], [-1.0]), np.inf) > 1e-6
 
     def test_matches_enumeration_oracle_on_one_reach(self):
         coal = make_coalition((8,))  # d = 1, smallest instance
-        k_gain, _ = synth(coal, self.cfg)
-        prog = prepare_setpoint(coal, k_gain, self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        k_gain = ctrl.gain
         q_mat, r_mat = weight_matrices(coal, self.cfg)
         g_mat = self.cfg.setpoint_slack_weight * np.eye(2)
         for rho, omega, xi_now in [
@@ -419,7 +438,7 @@ class TestFeasibleSetpoint:
             (2.0, 1.0, np.array([3.0, 0.4])),
             (0.0, 0.0, np.array([0.0, -3.0])),
         ]:
-            sp = feasible_setpoint(prog, [rho], [omega], xi_now, self.cfg)
+            sp = project(ctrl, [rho], [omega], xi_now, self.cfg)
             # hand-assembled QP: variables (xi_s, u_s, sigma)
             h = np.zeros((5, 5))
             h[:2, :2] = 2 * q_mat
@@ -455,8 +474,8 @@ class TestFeasibleSetpoint:
         relaxation's minimizer satisfies every row, it is the minimizer.
         """
         coal = make_coalition(members)
-        k_gain, _ = synth(coal, self.cfg)
-        prog = prepare_setpoint(coal, k_gain, self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        k_gain = ctrl.gain
         n, m = coal.n, coal.m
         q_mat, r_mat = weight_matrices(coal, self.cfg)
         h = np.zeros((2 * n + m, 2 * n + m))
@@ -474,7 +493,7 @@ class TestFeasibleSetpoint:
         for scale in (0.3, 1.0, 3.0, 0.3, 1.0, 3.0):
             rho, omega = rng.uniform(0, 2, m), rng.uniform(-3, 1, coal.n_channels)
             xi_now = compute_setpoint(coal, rho, omega) + rng.normal(0, scale, n)
-            sp = feasible_setpoint(prog, rho, omega, xi_now, self.cfg)
+            sp = project(ctrl, rho, omega, xi_now, self.cfg)
             assert sp.feasible
             f = np.zeros(2 * n + m)
             beq = coal.Phi @ rho + coal.Psi @ omega
@@ -495,13 +514,13 @@ class TestFeasibleSetpoint:
 
     def test_input_box_respected_exactly(self):
         coal = make_coalition((8,))
-        k_gain, _ = synth(coal, self.cfg)
-        prog = prepare_setpoint(coal, k_gain, self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        k_gain = ctrl.gain
         xi_bar = compute_setpoint(coal, [2.0], [1.0])
         # current state far above target: pure feedback would exceed the box
         xi_now = xi_bar + np.array([0.0, 5.0])
         assert np.max(np.abs(k_gain @ (xi_now - xi_bar))) > self.cfg.input_bound
-        sp = feasible_setpoint(prog, [2.0], [1.0], xi_now, self.cfg)
+        sp = project(ctrl, [2.0], [1.0], xi_now, self.cfg)
         total = k_gain @ (xi_now - sp.xi_s) + sp.u_s
         assert np.max(np.abs(total)) <= self.cfg.input_bound + 1e-8
 
@@ -509,10 +528,13 @@ class TestFeasibleSetpoint:
         """From k = 72 of scenario1 reach 13's offtake is 0, and both delay
         slots of its gate violate the floor by exactly the margin.  The floor
         rows run from the last flow slot up, so the lowest-index tie rule
-        enters the last slot's row, which stays: every centralized setpoint
-        solve from then on ends after 2 iterations with that row alone active."""
-        programs, solves = [], []
-        real_prepare, real_solve = control.prepare_setpoint, control.solve_qp
+        enters the last slot's row, which stays: the centralized setpoint QP
+        is solved at exactly steps 72 to 287 (before, every row holds at its
+        zero start), each solve ending after 2 iterations with that row alone
+        active."""
+        programs, solves, steps = [], [], [0]
+        real_prepare, real_solve, real_step = (control.prepare_setpoint, control.solve_qp,
+                                               simulate.plant_step)
 
         def prepare(*args):
             programs.append(real_prepare(*args))
@@ -521,16 +543,21 @@ class TestFeasibleSetpoint:
         def solve(structure, *args, **kwargs):
             sol = real_solve(structure, *args, **kwargs)
             if structure is programs[-1].qp:
-                solves.append(sol)
+                solves.append((steps[0], sol))
             return sol
+
+        def counting(*args):
+            steps[0] += 1
+            return real_step(*args)
 
         monkeypatch.setattr(control, "prepare_setpoint", prepare)
         monkeypatch.setattr(control, "solve_qp", solve)
+        monkeypatch.setattr(simulate, "plant_step", counting)
         run_centralized(scenario_1(), seed=0)
         (prog,) = programs
         last_slot = prog.coalition.flow_rows()[-1]
-        assert len(solves) == 288
-        for k, sol in enumerate(solves[72:], 72):
+        assert [k for k, _ in solves] == list(range(72, 288))
+        for k, sol in solves:
             assert sol.iterations == 2, k
             assert [prog.floor_rows[i] for i in sol.active_set] == [last_slot], k
 
@@ -540,13 +567,14 @@ class TestMpcStep:
 
     def test_origin_optimal(self):
         coal = make_coalition((9,))
-        prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        prog = ctrl.program
         sp = Setpoint(
             xi_s=np.array([2.0, 2.0, 0.0]),
             u_s=np.zeros(1),
             feasible=True,
         )
-        sol = mpc_step(np.zeros(3), sp, prog, self.cfg)
+        sol = solve_mpc(ctrl, np.zeros(3), sp, self.cfg)
         nu = prog.m * prog.n_c
         assert sol.status == "optimal"
         assert np.allclose(sol.x[:nu], 0.0, atol=1e-9)  # v'
@@ -559,19 +587,21 @@ class TestMpcStep:
     def test_vprime_zero_unconstrained_nc_equals_np(self):
         cfg = ControllerConfig(control_horizon=10, prediction_horizon=10)
         coal = make_coalition((5,))
-        prog = prepare_mpc(coal, *synth(coal, cfg), cfg)
+        ctrl = CoalitionController(coal, *synth(coal, cfg), cfg)
+        prog = ctrl.program
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), True)
         zeta = np.array([0.1, -0.05, 0.02])  # small: no constraint activity
-        sol = mpc_step(zeta, sp, prog, cfg)
+        sol = solve_mpc(ctrl, zeta, sp, cfg)
         assert sol.status == "optimal" and sol.active_set == ()
         assert not np.any(sol.x)  # v' and eps
 
     def test_vprime_zero_unconstrained_short_horizon(self):
         coal = make_coalition((5,))
-        prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        prog = ctrl.program
         sp = Setpoint(np.array([4.0, 4.0, 0.0]), np.zeros(1), True)
         zeta = np.array([0.05, -0.02, 0.01])
-        sol = mpc_step(zeta, sp, prog, self.cfg)
+        sol = solve_mpc(ctrl, zeta, sp, self.cfg)
         assert sol.status == "optimal" and sol.active_set == ()
         assert not np.any(sol.x)  # v' and eps
 
@@ -582,34 +612,36 @@ class TestMpcStep:
         zeta = np.array([0.0, 0.0, 4.0])  # huge level error
         desired = float(np.max(np.abs(k_gain @ zeta)))
         assert desired > self.cfg.input_bound
-        prog = prepare_mpc(coal, k_gain, p_mat, self.cfg)
-        sol = mpc_step(zeta, sp, prog, self.cfg)
+        ctrl = CoalitionController(coal, k_gain, p_mat, self.cfg)
+        prog = ctrl.program
+        sol = solve_mpc(ctrl, zeta, sp, self.cfg)
         assert sol.status == "optimal"
         u0 = k_gain @ zeta + sp.u_s + sol.x[:coal.m]  # K zeta + u_s + v'(0)
         assert abs(abs(u0[0]) - self.cfg.input_bound) <= 1e-8
 
     def test_slacks_zero_when_floor_clear(self):
         coal = make_coalition((6,))
-        prog = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        prog = ctrl.program
         sp = Setpoint(np.array([5.0] * 3 + [0.0]), np.zeros(1), True)
         zeta = np.array([0.2, 0.1, -0.1, 0.3])
-        sol = mpc_step(zeta, sp, prog, self.cfg)
+        sol = solve_mpc(ctrl, zeta, sp, self.cfg)
         assert np.allclose(sol.x[prog.m * prog.n_c:], 0.0, atol=1e-10)  # eps
 
 
 class TestStackedHorizonMaps:
-    """mpc_step's inequality data and verdict against a step-by-step rollout."""
+    """A partition's MPC right-hand side and mpc_step's verdict against a step-by-step rollout."""
 
     cfg = ControllerConfig()
 
     def _programs(self, members):
         coal = make_coalition(members)
-        gain, p_mat = synth(coal, self.cfg)
-        return coal, gain, prepare_mpc(coal, gain, p_mat, self.cfg)
+        ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
+        return coal, ctrl.gain, ctrl
 
-    def _production(self, prog, zeta0, sp, monkeypatch):
-        """mpc_step's result, the bin it hands to solve_qp and the solve's wall
-        time."""
+    def _production(self, ctrl, zeta0, sp, monkeypatch):
+        """mpc_step's result on a one-coalition partition's right-hand side, the bin
+        it hands to solve_qp and the solve's wall time."""
         handed = []
 
         def spy(structure, bin=None, start=()):
@@ -619,7 +651,7 @@ class TestStackedHorizonMaps:
             return sol
 
         monkeypatch.setattr(control, "solve_qp", spy)
-        step = mpc_step(zeta0, sp, prog, self.cfg)
+        step = solve_mpc(ctrl, zeta0, sp, self.cfg)
         return (step,) + handed[0]
 
     def _oracle(self, coal, gain, zeta0, sp):
@@ -636,13 +668,14 @@ class TestStackedHorizonMaps:
 
     @pytest.mark.parametrize("members", [(4,), (5, 6), tuple(range(1, 14))])
     def test_random_states_match_horizon_loop(self, members, monkeypatch):
-        coal, gain, prog = self._programs(members)
+        coal, gain, ctrl = self._programs(members)
+        prog = ctrl.program
         rng = np.random.default_rng(sum(members))
         outcomes = set()
         for _ in range(12):
             sp = self._setpoint(coal, rng)
             zeta0 = rng.normal(scale=rng.choice([0.05, 0.5, 5.0]), size=coal.n)
-            step, bin_, _ = self._production(prog, zeta0, sp, monkeypatch)
+            step, bin_, _ = self._production(ctrl, zeta0, sp, monkeypatch)
             ref_bin, start = self._oracle(coal, gain, zeta0, sp)
             assert bin_.shape == ref_bin.shape
             assert np.max(np.abs(bin_ - ref_bin)) <= 1e-12 * max(1.0, np.max(np.abs(ref_bin)))
@@ -657,12 +690,13 @@ class TestStackedHorizonMaps:
     @pytest.mark.parametrize("scale", [0.5, 2.0, 5.0])
     def test_infeasible_verdict_matches_feasibility_lp(self, scale, monkeypatch):
         """mpc_step reports 'infeasible' exactly when an LP over its rows finds no point."""
-        coal, gain, prog = self._programs(tuple(range(1, 14)))
+        coal, gain, ctrl = self._programs(tuple(range(1, 14)))
+        prog = ctrl.program
         rng = np.random.default_rng(13)
         for _ in range(14):
             sp = self._setpoint(coal, rng)
             zeta0 = rng.normal(scale=scale, size=coal.n)
-            step, bin_, elapsed = self._production(prog, zeta0, sp, monkeypatch)
+            step, bin_, elapsed = self._production(ctrl, zeta0, sp, monkeypatch)
             lp = scipy.optimize.linprog(np.zeros(prog.qp.n), A_ub=prog.qp.Ain, b_ub=bin_,
                                         bounds=(None, None), method="highs")
             assert lp.status in (0, 2)  # solved or infeasible
@@ -752,53 +786,129 @@ class TestZeroLinearTerm:
 
 
 class TestControlAction:
-    """compute applies u = K zeta + u_s + v'(0), inside the input box."""
+    """A partition step applies u = K zeta + u_s + v'(0), inside the input box."""
 
     cfg = ControllerConfig()
 
-    def _compute(self, members, level, monkeypatch):
-        """u, the MPC's zeta0, setpoint and solution of one compute on a
-        controller warm-started at rest with the first member's level at `level`."""
+    def _compute(self, members, level):
+        """u of one step of the one-coalition partition on `members`, warm-started at
+        rest with the first member's level at `level`, and the MPC's zeta0, setpoint
+        and solution by the coalition's own right-hand sides (oracles)."""
         coal = make_coalition(members)
         ctrl = CoalitionController(coal, *synth(coal, self.cfg), self.cfg)
         levels, flows, offs = steady_global_arrays({s: 3.0 for s in range(members[0], 14)},
                                                    {members[-1]: 1.0})
         levels[members[0] - 1] = level
-        kf = warm_start(ctrl.filter, at_rest(levels, flows, offs))
-        seen, real = [], control.mpc_step
-
-        def spy(zeta0, setpoint, prog, cfg, start=()):
-            seen.append((zeta0, setpoint, real(zeta0, setpoint, prog, cfg, start)))
-            return seen[-1][2]
-
-        monkeypatch.setattr(control, "mpc_step", spy)
-        u, setpoint = ctrl.compute(offs, kf.xhat)
-        ((zeta0, handed, sol),) = seen
-        assert handed is setpoint
-        return ctrl, u, zeta0, setpoint, sol
+        xhat, rho = warm_start(ctrl.filter, at_rest(levels, flows, offs)).xhat, offs[ctrl.idx]
+        xi_hat, xi_bar = xhat[:coal.n], compute_setpoint(coal, rho, xhat[coal.n:])
+        sp = feasible_setpoint(ctrl.setpoint_program, xi_bar,
+                               setpoint_rhs(ctrl.setpoint_program, xi_bar, xi_hat, self.cfg))
+        zeta0 = xi_hat - sp.xi_s
+        sol = mpc_step(ctrl.program, mpc_rhs(ctrl.program, coal, zeta0, sp.xi_s, sp.u_s, self.cfg))
+        u, _ = PartitionController([ctrl], self.cfg).step(xhat, rho)
+        return ctrl, u, zeta0, sp, sol
 
     @pytest.mark.parametrize("members, level", [((7,), 0.5), ((5, 6), 2.0), ((10,), 4.0)])
-    def test_feedback_plus_setpoint_plus_first_move(self, members, level, monkeypatch):
-        ctrl, u, zeta0, sp, sol = self._compute(members, level, monkeypatch)
+    def test_feedback_plus_setpoint_plus_first_move(self, members, level):
+        ctrl, u, zeta0, sp, sol = self._compute(members, level)
         assert sol.optimal
         assert np.array_equal(u, ctrl.gain @ zeta0 + sp.u_s + sol.x[:ctrl.model.m])
         assert np.max(np.abs(u)) <= self.cfg.input_bound + 1e-9
 
-    def test_sign_level_high_reduces_inflow(self, monkeypatch):
-        _, u, *_ = self._compute((7,), 0.5, monkeypatch)  # level above target
+    def test_sign_level_high_reduces_inflow(self):
+        _, u, *_ = self._compute((7,), 0.5)  # level above target
         assert u[0] < 0.0
+
+
+class TestPartitionController:
+    """PartitionController.step against the per-coalition loop, oracles.per_coalition_step.
+
+    Four states, each a filter warm start on a scenario1 record window held at
+    rest: at rest; with reach 13's offtake at 0, so that the setpoint floor
+    binds; with reach 4's level 5 m and reach 10's 6 m high, so that the
+    setpoint's input box binds; and with gate 4 measured dry, so that the
+    MPC's soft flow floor binds.  Each state is stepped twice, the second
+    step starting each MPC from the first's working set, and then at rest.
+    """
+
+    cfg = ControllerConfig()
+
+    def _steps(self, blocks):
+        """(state, u, outflow, MPC starts, reference u, outflow and starts) per step."""
+        rest = scenario_1().offtakes_at(0)
+        flows = np.cumsum(rest[::-1])[::-1]
+        high, dry_offtake, dry_gate = np.zeros(13), rest.copy(), flows.copy()
+        high[[3, 9]] = 5.0, 6.0
+        dry_offtake[12] = 0.0
+        dry_gate[3] = 0.0
+        for state, levels, gate_flows, rho in [("rest", np.zeros(13), flows, rest),
+                                               ("floor", np.zeros(13), flows, dry_offtake),
+                                               ("box", high, flows, rest),
+                                               ("dry", np.zeros(13), dry_gate, rest)]:
+            controllers = [CoalitionController(make_coalition(b), *synth(make_coalition(b),
+                                                                          self.cfg), self.cfg)
+                           for b in blocks]
+            part, starts = PartitionController(controllers, self.cfg), [()] * len(controllers)
+            # the state twice, then at rest, where every MPC start must empty
+            steps = [(state, at_rest(levels, gate_flows, rest), rho)] * 2
+            for label, window, offtakes in steps + [("rest", at_rest(np.zeros(13), flows, rest),
+                                                     rest)]:
+                xhats = [warm_start(ctrl.filter, window).xhat for ctrl in controllers]
+                rhos = [offtakes[ctrl.idx] for ctrl in controllers]
+                u, outflow = part.step(np.concatenate(xhats), np.concatenate(rhos))
+                u_ref, out_ref, starts = per_coalition_step(controllers, starts, xhats, rhos,
+                                                            self.cfg)
+                yield label, u, outflow, [c.mpc_start for c in controllers], u_ref, out_ref, starts
+
+    @pytest.mark.parametrize("enabled", [frozenset(), frozenset(range(1, 13)),
+                                         frozenset(range(1, 13)) - {2, 3, 7, 11}])
+    def test_matches_per_coalition_loop(self, enabled):
+        """u (on the scale of the input bound) and the published outflow agree to 1e-12
+        relative, and every coalition's MPC start is the loop's."""
+        bound = self.cfg.input_bound
+        for state, u, outflow, starts, u_ref, out_ref, ref_starts in self._steps(
+                partition_of(Topology(13, enabled))):
+            assert np.max(np.abs(u - u_ref)) <= 1e-12 * max(bound, np.max(np.abs(u_ref))), state
+            assert np.max(np.abs(outflow - out_ref)) <= 1e-12 * np.max(np.abs(out_ref)), state
+            assert starts == ref_starts, state
+            if state == "floor":  # reach 13's gate, 0 at xi_bar, is lifted to the floor
+                assert out_ref[12] >= self.cfg.flow_margin - 1e-9
+            if state == "box":  # some input saturates
+                assert np.max(np.abs(u_ref)) >= bound - 1e-9
+            assert any(starts) == (state == "dry"), state  # only there MPC rows bind
+
+    @pytest.mark.parametrize("enabled", [frozenset(), frozenset(range(1, 13)),
+                                         frozenset(range(1, 13)) - {2, 3, 7, 11}])
+    def test_xi_bar_is_each_coalitions_compute_setpoint(self, enabled):
+        """The one upstream pass gives every coalition's compute_setpoint bit for bit."""
+        rng = np.random.default_rng(len(enabled))
+        controllers = [CoalitionController(make_coalition(b), *synth(make_coalition(b), self.cfg),
+                                           self.cfg) for b in partition_of(Topology(13, enabled))]
+        part = PartitionController(controllers, self.cfg)
+        for _ in range(5):
+            xhat, rho = rng.normal(size=part.blocks[-1].stop), rng.uniform(0.0, 10.0, size=13)
+            assert np.array_equal(part.xi_bar(xhat, rho), np.concatenate([
+                compute_setpoint(c.model, rho[c.idx], xhat[b][c.model.n:])
+                for c, b in zip(controllers, part.blocks)]))
+
+    @pytest.mark.parametrize("members", [tuple(range(1, 14)), (5, 6), (10,)])
+    def test_one_coalition_partition_matches_bit_for_bit(self, members):
+        for state, u, outflow, starts, u_ref, out_ref, ref_starts in self._steps([members]):
+            assert np.array_equal(u, u_ref) and np.array_equal(outflow, out_ref), state
+            assert starts == ref_starts, state
 
 
 def _stepped_controller(members, cfg):
     """A controller on `members` warm-started at steady state and stepped a few times."""
     coal = make_coalition(members)
     ctrl = CoalitionController(coal, *synth(coal, cfg), cfg)
+    part = PartitionController([ctrl], cfg)
     gate_flows = {s: 3.0 for s in range(members[0], 14)}
     levels, flows, offs = steady_global_arrays(gate_flows, {members[-1]: 1.0})
     kf = warm_start(ctrl.filter, at_rest(levels, flows, offs))
     y = np.concatenate([levels[ctrl.idx], flows[ctrl.idx]])
     for _ in range(5):
-        ctrl.compute(offs, kf.xhat)
+        part.step(kf.xhat, offs[ctrl.idx])
         kf = kf_update(ctrl.filter, kf, np.zeros(coal.m), offs[ctrl.idx], y)
     return ctrl
 
@@ -869,6 +979,7 @@ class TestOffsetFreeClosedLoop:
         coal = make_coalition((10,))
         k_gain, p_mat = synth(coal, cfg)
         ctrl = CoalitionController(coal, k_gain, p_mat, cfg)
+        part = PartitionController([ctrl], cfg)
 
         w_true, p_off = 2.0, 1.0
         q0 = p_off  # controller starts believing there is no external outflow
@@ -879,7 +990,7 @@ class TestOffsetFreeClosedLoop:
         horizon = 300
         last_u = np.zeros(1)
         for k in range(horizon):
-            u, sp = ctrl.compute(offs, kf.xhat)
+            u, _ = part.step(kf.xhat, offs[ctrl.idx])
             assert np.max(np.abs(u)) <= cfg.input_bound + 1e-9
             x = coal.Xi @ x + coal.Up @ u + coal.Phi @ np.array([p_off]) + coal.Psi @ np.array([w_true])
             kf = kf_update(ctrl.filter, kf, u, np.array([p_off]), np.array([x[2], x[0]]))

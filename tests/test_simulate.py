@@ -14,7 +14,8 @@ from canalmpc.canal import (
     assemble_global,
     build_chain,
 )
-from canalmpc.control import CoalitionController, ControllerConfig, compute_setpoint
+from canalmpc.control import (CoalitionController, ControllerConfig, PartitionController,
+                              compute_setpoint)
 from canalmpc.simulate import (
     PlantConfig,
     Scenario,
@@ -166,7 +167,7 @@ class TestClosedLoop:
             return real(structure, *args, start=start, **kwargs)
 
         monkeypatch.setattr(control, "solve_qp", recording)
-        # The MPC's input box first binds near step 100, after the k = 72 drop.
+        # MPC rows, those of the soft flow floor, first bind after the k = 72 drop.
         cache = SynthesisCache()
         first = run(scenario_1(horizon=120), seed=0, cache=cache)
         assert run(scenario_1(horizon=120), seed=0, cache=cache).arrays_equal(first)
@@ -293,13 +294,13 @@ class TestClosedLoop:
     def test_input_outside_box_refused_before_the_plant(self, monkeypatch):
         """The run loop, not the plant, checks the hard input box, and names the step."""
         bound = ControllerConfig().input_bound
-        real = CoalitionController.compute
+        real = PartitionController.step
 
-        def outside(ctrl, rho_global, xhat):
-            u, setpoint = real(ctrl, rho_global, xhat)
-            return np.full(u.shape, 1.5 * bound), setpoint
+        def outside(part, xhat, rho):
+            u, outflow = real(part, xhat, rho)
+            return np.full(u.shape, 1.5 * bound), outflow
 
-        monkeypatch.setattr(CoalitionController, "compute", outside)
+        monkeypatch.setattr(PartitionController, "step", outside)
         stepped = []
         monkeypatch.setattr(simulate, "plant_step", lambda *args: stepped.append(args))
         with pytest.raises(RuntimeError, match="hard input constraint violated at step 0"):
@@ -310,28 +311,29 @@ class TestClosedLoop:
         # an absurdly tight input box makes the tail constraints infeasible
         sc = scenario_1(horizon=80)
         bad = ControllerConfig(input_bound=1e-6)
-        with pytest.raises(RuntimeError, match=r"step \d+"):
+        with pytest.raises(RuntimeError, match=r"step 72: MPC infeasible for coalition \(3, 4\)"):
             run_closed_loop(sc, ctrl_cfg=bad, seed=0, cache=SynthesisCache())
 
 
 class TestPublishedOutflow:
     def test_decisions_read_the_outflow_published_the_step_before(self, monkeypatch):
         """The decision at step 0 reads the measured gate flows; every later one
-        reads each gate's xi_s[gate row] + u_s from the previous step's setpoints."""
+        reads the outflow, each gate's xi_s[gate row] + u_s, that the previous
+        step's partition controller published."""
         seen, latest = [], np.full(13, np.nan)
-        real_select, real_compute = simulate.select_topology, CoalitionController.compute
+        real_select, real_step = simulate.select_topology, PartitionController.step
 
         def select(state, rho, outflow, *args):
             seen.append((np.array(outflow), latest.copy()))
             return real_select(state, rho, outflow, *args)
 
-        def compute(ctrl, rho, xhat):
-            u, setpoint = real_compute(ctrl, rho, xhat)
-            latest[ctrl.idx] = setpoint.xi_s[ctrl.model.gate_flow_rows()] + setpoint.u_s
-            return u, setpoint
+        def step(part, xhat, rho):
+            u, outflow = real_step(part, xhat, rho)
+            latest[:] = outflow
+            return u, outflow
 
         monkeypatch.setattr(simulate, "select_topology", select)
-        monkeypatch.setattr(CoalitionController, "compute", compute)
+        monkeypatch.setattr(PartitionController, "step", step)
         trace = run_closed_loop(scenario_1(), seed=0, cache=CACHE)
         assert len(seen) == 72
         (first, _), *later = seen
@@ -361,6 +363,7 @@ class TestBuiltOnce:
         count(supervisor, "weight_matrices")
         count(np.linalg, "cholesky")
         count(CoalitionController, "__init__", "controllers")
+        count(simulate, "PartitionController", "partitions")
         count(SynthesisCache, "store", "coalitions")
         count(control, "prepare_mpc")
         solve_qp = numerics.solve_qp
@@ -385,7 +388,7 @@ class TestBuiltOnce:
         assert calls["cholesky"] <= calls["structures"] <= 2 * controllers
         assert calls["weight_matrices"] <= coalitions + 2 * controllers
         assert calls["prepare_mpc"] <= controllers
-        assert calls["solves"] > 0
+        assert 0 < calls["partitions"] <= controllers  # stacked once per rebuild
         # Both QPs step on their structure's Cholesky factor, factored once
         # per structure.  The start rows take one QR before the first
         # iteration, and at most one entering row L^-1 a_i per iteration is
@@ -395,8 +398,24 @@ class TestBuiltOnce:
         calls.clear()
         run_centralized(scenario_1(horizon=120), seed=0, cache=SynthesisCache())
         assert calls["cholesky"] <= calls["structures"] == 2
-        assert calls["start_rows"] > 0
+        assert calls["solves"] > 0 and calls["start_rows"] > 0
         assert 0 < calls["_qr_append"] <= calls["iterations"]
+
+    def test_settled_run_solves_no_qp(self, monkeypatch):
+        """Before k = 72 scenario1 is settled: every coalition's setpoint and MPC rows
+        hold at the QP's zero start, so a 60-step run makes no solve_qp call (1,032
+        when every coalition-step solved both QPs)."""
+        solves = []
+        real = control.solve_qp
+
+        def counting(*args, **kwargs):
+            solves.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(control, "solve_qp", counting)
+        trace = run_closed_loop(scenario_1(horizon=60), seed=0, cache=SynthesisCache())
+        assert int(trace.n_coalitions.sum()) > 0
+        assert solves == []
 
     def test_replaced_controllers_released_before_successors_are_built(self, monkeypatch):
         """A rebuild holds no replaced controller while it builds the new ones, so the
@@ -439,8 +458,8 @@ class TestStepCost:
         shifted = []
         real = control.feasible_setpoint
 
-        def spy(prog, rho, omega, xi_k, cfg):
-            sp = real(prog, rho, omega, xi_k, cfg)
+        def spy(prog, xi_bar, bin_):
+            sp = real(prog, xi_bar, bin_)
             shifted.append(np.any(sp.u_s) or np.any(sp.xi_s[prog.coalition.level_rows()]))
             return sp
 
