@@ -25,6 +25,7 @@ its MPC solution, whose first m entries are v'(0), from mpc_step.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -279,18 +280,45 @@ class SetpointProgram:
     """State-independent parts of one coalition's setpoint projection QP.
 
     Over y = (delta, u_s), H and Ain depend only on the coalition, its gain
-    and the weights; a projection fills in bin.  floor_rows are the state
-    rows of the flow-floor inequalities, in their QP row order.
+    and the weights; qp holds them from the first solve, and a projection
+    fills in bin.  floor_rows are the state rows of the flow-floor
+    inequalities, in their QP row order.
     """
 
     coalition: CoalitionModel
     gain: np.ndarray
+    cfg: ControllerConfig
     floor_rows: list
-    qp: QpStructure
+
+    @cached_property
+    def qp(self) -> QpStructure:
+        """H over y and Ain, checked and factored (see prepare_setpoint)."""
+        coalition, n, m = self.coalition, self.coalition.n, self.coalition.m
+        q_mat, r_mat = weight_matrices(coalition, self.cfg)
+        slack_map = np.hstack([np.eye(n) - coalition.Xi, -coalition.Up])
+        h_mat = 2.0 * self.cfg.setpoint_slack_weight * (slack_map.T @ slack_map)
+        h_mat[:n, :n] += 2.0 * q_mat
+        h_mat[n:, n:] += 2.0 * r_mat
+
+        n_q = len(self.floor_rows)
+        ain = np.zeros((n_q + 2 * m, n + m))
+        ain[np.arange(n_q), self.floor_rows] = -1.0
+        ain[n_q:n_q + m, :n] = -self.gain
+        ain[n_q:n_q + m, n:] = np.eye(m)
+        ain[n_q + m:] = -ain[n_q:n_q + m]
+        return _structure(coalition, h_mat, ain)
+
+
+def _structure(coalition, h_mat, ain):
+    """QpStructure(h_mat, ain), whose ValueError names the coalition."""
+    try:
+        return QpStructure(h_mat, ain)
+    except ValueError as exc:
+        raise ValueError(f"{exc} for coalition {coalition.members}") from None
 
 
 def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
-    """Assemble the setpoint projection QP's fixed blocks (done once per controller).
+    """A coalition's setpoint projection QP, whose H and Ain are built on its first solve.
 
     With xi_s = xi_bar + delta around compute_setpoint's xi_bar, the
     steady-state slack is sigma = A y with A = [I - Xi, -Up], and the cost
@@ -299,30 +327,13 @@ def prepare_setpoint(coalition, gain, cfg) -> SetpointProgram:
     has zero levels.  As Q > 0 on levels and [I - Xi; gamma] has full
     column rank, H is positive definite.
     """
-    n, m = coalition.n, coalition.m
-    q_mat, r_mat = weight_matrices(coalition, cfg)
-    slack_map = np.hstack([np.eye(n) - coalition.Xi, -coalition.Up])
-    h_mat = 2.0 * cfg.setpoint_slack_weight * (slack_map.T @ slack_map)
-    h_mat[:n, :n] += 2.0 * q_mat
-    h_mat[n:, n:] += 2.0 * r_mat
-
     # Floor rows run from the last flow slot up.  Once the last reach's
     # offtake is 0 (Dez scenario1 from k = 72), both delay slots of its gate
     # violate the floor by exactly the margin; the lowest-index tie rule then
     # enters the last slot, the one that stays active, rather than one that
     # must leave again (504 centralized setpoint iterations per run against
     # 936 in flow_rows() order).
-    floor_rows = coalition.flow_rows()[::-1]
-    n_q = len(floor_rows)
-    ain = np.zeros((n_q + 2 * m, n + m))
-    ain[np.arange(n_q), floor_rows] = -1.0
-    ain[n_q:n_q + m, :n] = -gain
-    ain[n_q:n_q + m, n:] = np.eye(m)
-    ain[n_q + m:] = -ain[n_q:n_q + m]
-
-    return SetpointProgram(
-        coalition=coalition, gain=gain, floor_rows=floor_rows, qp=QpStructure(h_mat, ain),
-    )
+    return SetpointProgram(coalition, gain, cfg, coalition.flow_rows()[::-1])
 
 
 def feasible_setpoint(prog: SetpointProgram, xi_bar, bin_) -> Setpoint:
@@ -363,75 +374,83 @@ class MpcProgram:
     into raising flows whenever a level error cannot be drained (terminal
     reach with zero offtake), destabilizing the loop; the hard input box is
     kept over the whole horizon, which is what recursive feasibility of the
-    applied law needs.
+    applied law needs.  qp is built on the first solve; the maps
+    PartitionController's zero-start test reads are built with the program.
     """
 
+    coalition: CoalitionModel
+    gain: np.ndarray
+    p_mat: np.ndarray
+    cfg: ControllerConfig
     n_p: int
     n_c: int
     n_q: int
     m: int
     box_map: np.ndarray         # K Acl^t stacked for t = 0..N_p: feedback inputs from zeta0
     floor_map: np.ndarray       # flow_sel Acl^t stacked for t = 1..N_c: free-run flows
-    qp: QpStructure             # Hessian over x = (v', eps); floor rows, then box rows
+
+    @cached_property
+    def qp(self) -> QpStructure:
+        """Hessian over x = (v', eps); floor rows, then box rows (see prepare_mpc)."""
+        coalition, gain, m, n_p, n_c = self.coalition, self.gain, self.m, self.n_p, self.n_c
+        n, nu = coalition.n, m * n_c
+        _, r_mat = weight_matrices(coalition, self.cfg)
+        # zeta(t) = Acl^t zeta0 + t_maps[t] @ u; block j of t_maps[t] is Acl^(t-1-j) Up
+        drive = _acl_powers(coalition, gain, n_p)[:n_p] @ coalition.Up
+        t_maps = np.zeros((n_p + 1, n, nu))
+        for j in range(n_c):
+            t_maps[j + 1:, :, j * m:(j + 1) * m] = drive[:n_p - j]
+        # u(t) = gain @ Acl^t zeta0 + m_maps[t] @ u, with v'(t) = 0 from t = N_c on
+        m_maps = gain @ t_maps
+        for t in range(n_c):
+            m_maps[t, :, t * m:(t + 1) * m] += np.eye(m)
+
+        n_eps = self.n_q * n_c
+        nz = nu + n_eps
+        h_mat = np.zeros((nz, nz))
+        h_mat[:nu, :nu] = 2.0 * np.kron(np.eye(n_c),
+                                        r_mat + coalition.Up.T @ self.p_mat @ coalition.Up)
+        h_mat[nu:, nu:] = 2.0 * self.cfg.slack_weight * np.eye(n_eps)
+
+        # Ain rows: soft flow floor for t = 1..N_c, eps >= 0, then the hard input
+        # box's upper and lower halves for t = 0..N_p.
+        n_box = m * (n_p + 1)
+        ain = np.zeros((2 * n_eps + 2 * n_box, nz))
+        ain[:n_eps, :nu] = -(coalition.flow_selector() @ t_maps[1:n_c + 1]).reshape(n_eps, nu)
+        ain[:n_eps, nu:] = ain[n_eps:2 * n_eps, nu:] = -np.eye(n_eps)
+        ain[2 * n_eps:2 * n_eps + n_box, :nu] = m_maps.reshape(n_box, nu)
+        ain[2 * n_eps + n_box:, :nu] = -m_maps.reshape(n_box, nu)
+        del drive, t_maps, m_maps  # freed before H is factored: a lower peak
+        return _structure(coalition, h_mat, ain)
+
+
+def _acl_powers(coalition, gain, n_p):
+    """Acl^t stacked for t = 0..n_p, with Acl = Xi + Up K."""
+    acl = coalition.Xi + coalition.Up @ gain
+    powers = np.empty((n_p + 1, coalition.n, coalition.n))
+    powers[0] = np.eye(coalition.n)
+    for t in range(n_p):
+        powers[t + 1] = acl @ powers[t]
+    return powers
 
 
 def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
-    """Condense the coalition MPC into dense QP blocks (done once per controller).
+    """Condense the coalition MPC; its QP's H and Ain are built on its first solve.
 
-    H and Ain go into the program's QpStructure, checked and factored; a
-    step fills in only bin (PartitionController.mpc_rhs).  K and P come from one certified Riccati
-    synthesis with these weight_matrices, so R K + Up' P Acl = 0 and
-    P = Q + K'RK + Acl' P Acl.  Completing the square step by step, the
-    horizon cost is zeta0' P zeta0 plus v'(t)' (R + Up' P Up) v'(t) summed
-    over t < N_c: there is no linear term, and the Hessian in the free moves
-    is block-diagonal, up to the certified Riccati residual.
+    A step fills in only bin (PartitionController.mpc_rhs).  K and P come
+    from one certified Riccati synthesis with these weight_matrices, so
+    R K + Up' P Acl = 0 and P = Q + K'RK + Acl' P Acl.  Completing the
+    square step by step, the horizon cost is zeta0' P zeta0 plus
+    v'(t)' (R + Up' P Up) v'(t) summed over t < N_c: there is no linear
+    term, and the Hessian in the free moves is block-diagonal, up to the
+    certified Riccati residual.
     """
-    n, m = coalition.n, coalition.m
-    n_p, n_c = cfg.prediction_horizon, cfg.control_horizon
-    _, r_mat = weight_matrices(coalition, cfg)
-    acl = coalition.Xi + coalition.Up @ gain
-
-    powers = np.empty((n_p + 1, n, n))   # Acl^t
-    powers[0] = np.eye(n)
-    for t in range(n_p):
-        powers[t + 1] = acl @ powers[t]
-
-    nu = m * n_c
-    # zeta(t) = powers[t] zeta0 + t_maps[t] @ u; block j of t_maps[t] is Acl^(t-1-j) Up
-    drive = powers[:n_p] @ coalition.Up
-    t_maps = np.zeros((n_p + 1, n, nu))
-    for j in range(n_c):
-        t_maps[j + 1:, :, j * m:(j + 1) * m] = drive[:n_p - j]
-    # u(t) = gain @ powers[t] zeta0 + m_maps[t] @ u, with v'(t) = 0 from t = N_c on
-    m_maps = gain @ t_maps
-    for t in range(n_c):
-        m_maps[t, :, t * m:(t + 1) * m] += np.eye(m)
-    h_uu = 2.0 * np.kron(np.eye(n_c), r_mat + coalition.Up.T @ p_mat @ coalition.Up)
-
+    n, n_p, n_c = coalition.n, cfg.prediction_horizon, cfg.control_horizon
+    powers = _acl_powers(coalition, gain, n_p)
     flow_sel = coalition.flow_selector()
-    n_q = flow_sel.shape[0]
-    n_eps = n_q * n_c
-    nz = nu + n_eps
-    h_mat = np.zeros((nz, nz))
-    h_mat[:nu, :nu] = h_uu
-    h_mat[nu:, nu:] = 2.0 * cfg.slack_weight * np.eye(n_eps)
-
-    # Ain rows: soft flow floor for t = 1..N_c, eps >= 0, then the hard input
-    # box's upper and lower halves for t = 0..N_p.
-    n_box = m * (n_p + 1)
-    ain = np.zeros((2 * n_eps + 2 * n_box, nz))
-    ain[:n_eps, :nu] = -(flow_sel @ t_maps[1:n_c + 1]).reshape(n_eps, nu)
-    ain[:n_eps, nu:] = ain[n_eps:2 * n_eps, nu:] = -np.eye(n_eps)
-    ain[2 * n_eps:2 * n_eps + n_box, :nu] = m_maps.reshape(n_box, nu)
-    ain[2 * n_eps + n_box:, :nu] = -m_maps.reshape(n_box, nu)
-
-    box_map = (gain @ powers).reshape(n_box, n)
-    floor_map = (flow_sel @ powers[1:n_c + 1]).reshape(n_eps, n)
-    del powers, drive, t_maps, m_maps  # freed before H is factored: a lower peak
-    return MpcProgram(
-        n_p=n_p, n_c=n_c, n_q=n_q, m=m, box_map=box_map, floor_map=floor_map,
-        qp=QpStructure(h_mat, ain),
-    )
+    return MpcProgram(coalition, gain, p_mat, cfg, n_p, n_c, len(flow_sel), coalition.m,
+                      box_map=(gain @ powers).reshape(-1, n),
+                      floor_map=(flow_sel @ powers[1:n_c + 1]).reshape(-1, n))
 
 
 def mpc_step(prog: MpcProgram, bin_, start=()) -> QpSolution:
@@ -459,11 +478,11 @@ def mpc_step(prog: MpcProgram, bin_, start=()) -> QpSolution:
 class CoalitionController:
     """One coalition's gains, filter matrices, programs and MPC start.
 
-    Filter matrices, setpoint program and MPC program are built once, here;
-    the estimate lives in the run loop's partition filter, and the partition's
-    PartitionController steps the controllers.  Each MPC solve starts from
-    the working set the last optimal one ended on; a new controller starts
-    cold, so the set never outlives its run.
+    Filter matrices and both programs are built once, here, and a program's
+    QP data on its first solve; the estimate lives in the run loop's partition
+    filter, and the partition's PartitionController steps the controllers.
+    Each MPC solve starts from the working set the last optimal one ended on;
+    a new controller starts cold, so the set never outlives its run.
     """
 
     def __init__(self, coalition, gain, p_mat, cfg):

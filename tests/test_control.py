@@ -388,10 +388,10 @@ class TestSetpointProgramProperty:
     @settings(max_examples=12, derandomize=True, database=None, deadline=None)
     @given(tables_and_weights())
     def test_every_coalition_has_positive_definite_hessian(self, case):
-        # QpStructure refuses an H without a Cholesky factor, so every
-        # contiguous coalition's setpoint program building is the check.  The
-        # gain enters only the input-box rows, so a zero gain builds the same
-        # H as the synthesized one.
+        # QpStructure refuses an H without a Cholesky factor, so reading every
+        # contiguous coalition's setpoint prog.qp, which builds it, is the
+        # check.  The gain enters only the input-box rows, so a zero gain
+        # builds the same H as the synthesized one.
         chain, cfg = case
         n = len(chain)
         for first in range(1, n + 1):
@@ -627,6 +627,16 @@ class TestMpcStep:
         zeta = np.array([0.2, 0.1, -0.1, 0.3])
         sol = solve_mpc(ctrl, zeta, sp, self.cfg)
         assert np.allclose(sol.x[prog.m * prog.n_c:], 0.0, atol=1e-10)  # eps
+
+    def test_indefinite_hessian_fails_at_first_solve_naming_the_coalition(self):
+        """The QP data is built on the first solve, so a Hessian without a Cholesky
+        factor passes prepare_mpc and is refused there, naming the coalition."""
+        coal = make_coalition((5, 6))
+        gain, _ = synth(coal, self.cfg)
+        prog = prepare_mpc(coal, gain, -1e6 * np.eye(coal.n), self.cfg)
+        rows = 2 * prog.n_q * prog.n_c + 2 * prog.m * (prog.n_p + 1)
+        with pytest.raises(ValueError, match=r"positive definite for coalition \(5, 6\)"):
+            mpc_step(prog, -np.ones(rows))
 
 
 class TestStackedHorizonMaps:
@@ -923,14 +933,15 @@ class TestBuiltOncePrograms:
         fresh_filter = kalman_model(coal, self.cfg)
         for name in ("f_mat", "b_mat", "phi_mat", "c_mat", "w_mat", "v_mat", "prior"):
             assert np.array_equal(getattr(ctrl.filter, name), getattr(fresh_filter, name))
-        fresh = prepare_setpoint(coal, ctrl.gain, self.cfg)
-        kept = ctrl.setpoint_program
-        assert kept.floor_rows == fresh.floor_rows
-        # The kept H, rows and L^-1 are those of a fresh build.
-        for name in ("H", "Ain", "chol_inv"):
-            assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
-        assert np.array_equal(ctrl.program.qp.H, prepare_mpc(coal, *synth(coal, self.cfg),
-                                                             self.cfg).qp.H)
+        fresh_setpoint = prepare_setpoint(coal, ctrl.gain, self.cfg)
+        fresh_mpc = prepare_mpc(coal, *synth(coal, self.cfg), self.cfg)
+        assert ctrl.setpoint_program.floor_rows == fresh_setpoint.floor_rows
+        for name in ("box_map", "floor_map"):
+            assert np.array_equal(getattr(ctrl.program, name), getattr(fresh_mpc, name))
+        # Both QPs' H, rows and L^-1, built on first use, are those of a fresh build.
+        for kept, fresh in [(ctrl.setpoint_program, fresh_setpoint), (ctrl.program, fresh_mpc)]:
+            for name in ("H", "Ain", "chol_inv"):
+                assert np.array_equal(getattr(kept.qp, name), getattr(fresh.qp, name))
 
     def test_filter_matrices_match_model(self):
         coal = make_coalition((5, 6))

@@ -314,6 +314,16 @@ class TestClosedLoop:
         with pytest.raises(RuntimeError, match=r"step 72: MPC infeasible for coalition \(3, 4\)"):
             run_closed_loop(sc, ctrl_cfg=bad, seed=0, cache=SynthesisCache())
 
+    def test_indefinite_hessian_fails_at_first_solve_with_its_step(self, monkeypatch):
+        """QP data is built on a coalition's first solve (step 72 here), so a Hessian
+        without a Cholesky factor fails there, named by step and coalition."""
+        real = control.weight_matrices
+        monkeypatch.setattr(control, "weight_matrices",
+                            lambda coal, cfg: (real(coal, cfg)[0], -1e6 * np.eye(coal.m)))
+        with pytest.raises(RuntimeError, match=r"controller failure at step 72: H must be "
+                                               r"positive definite for coalition \(13,\)"):
+            run_closed_loop(scenario_1(horizon=80), seed=0, cache=CACHE)
+
 
 class TestPublishedOutflow:
     def test_decisions_read_the_outflow_published_the_step_before(self, monkeypatch):
@@ -344,8 +354,9 @@ class TestPublishedOutflow:
 
 class TestBuiltOnce:
     def test_setup_work_scales_with_controllers_not_steps(self, monkeypatch):
-        """Filter matrices, setpoint factors and QP data are built per coalition or
-        controller; a step only solves against them."""
+        """Filter matrices and prediction maps are built per coalition or controller,
+        and a QP's data on its controller's first solve of it; a step only solves
+        against them."""
         calls = Counter()
 
         def count(owner, name, key=None):
@@ -378,6 +389,16 @@ class TestBuiltOnce:
         count(control, "solve_qp", "solves")
         count(control, "QpStructure", "structures")
         count(numerics, "_qr_append")
+        programs = []  # every program a solve reads, kept alive so their ids stay distinct
+        for name in ("feasible_setpoint", "mpc_step"):
+            def solving(prog, *args, solve=getattr(control, name), **kwargs):
+                programs.append(prog)
+                return solve(prog, *args, **kwargs)
+
+            monkeypatch.setattr(control, name, solving)
+
+        def solved_programs():
+            return len({id(prog) for prog in programs})
 
         trace = run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
         controllers, coalitions = calls["controllers"], calls["coalitions"]
@@ -385,10 +406,16 @@ class TestBuiltOnce:
         assert int(trace.n_coalitions.sum()) > coalitions + 2 * controllers
         assert calls["flow_selector"] <= controllers
         assert calls["gate_flow_selector"] <= controllers
-        assert calls["cholesky"] <= calls["structures"] <= 2 * controllers
+        assert calls["cholesky"] <= calls["structures"] <= solved_programs()
         assert calls["weight_matrices"] <= coalitions + 2 * controllers
         assert calls["prepare_mpc"] <= controllers
         assert 0 < calls["partitions"] <= controllers  # stacked once per rebuild
+        # At most one structure per QP family of each controller that solves one,
+        # on a run whose coalitions solve both QPs from step 72 on.
+        calls.clear()
+        programs.clear()
+        run_closed_loop(scenario_2(), seed=0, cache=SynthesisCache())
+        assert 0 < calls["cholesky"] <= calls["structures"] <= solved_programs() < calls["solves"]
         # Both QPs step on their structure's Cholesky factor, factored once
         # per structure.  The start rows take one QR before the first
         # iteration, and at most one entering row L^-1 a_i per iteration is
@@ -405,17 +432,16 @@ class TestBuiltOnce:
         """Before k = 72 scenario1 is settled: every coalition's setpoint and MPC rows
         hold at the QP's zero start, so a 60-step run makes no solve_qp call (1,032
         when every coalition-step solved both QPs)."""
-        solves = []
-        real = control.solve_qp
+        solves, structures = [], []
+        for name, calls in [("solve_qp", solves), ("QpStructure", structures)]:
+            def counting(*args, real=getattr(control, name), calls=calls, **kwargs):
+                calls.append(args[0])
+                return real(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            solves.append(args[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(control, "solve_qp", counting)
+            monkeypatch.setattr(control, name, counting)
         trace = run_closed_loop(scenario_1(horizon=60), seed=0, cache=SynthesisCache())
         assert int(trace.n_coalitions.sum()) > 0
-        assert solves == []
+        assert solves == [] and structures == []  # no QP data built either
 
     def test_replaced_controllers_released_before_successors_are_built(self, monkeypatch):
         """A rebuild holds no replaced controller while it builds the new ones, so the
