@@ -16,12 +16,13 @@ The control action applied at time k is
 where (xi_s, u_s) is the feasible setpoint, zeta = xi - xi_s, K the
 coalition feedback gain, and v' the first move of the auxiliary MPC that
 rectifies the feedback law against the hard input box and the soft flow
-floor.  PartitionController.step applies it to every coalition of a
-partition at once, forming all coalitions' QP right-hand sides together.
-A coalition whose QP rows all hold at the QP's zero start takes that
-optimum, xi_s = xi_bar (compute_setpoint's steady state), u_s = 0 and
-v' = 0; any other coalition's setpoint comes from feasible_setpoint, and
-its MPC solution, whose first m entries are v'(0), from mpc_step.
+floor.  PartitionController.step applies it to a partition's coalitions,
+built from their CoalitionGains records, at once, forming all their QP
+right-hand sides together.  A coalition whose QP rows all hold at the
+QP's zero start takes that optimum, xi_s = xi_bar (gate_flows' steady
+state), u_s = 0 and v' = 0; any other coalition's setpoint comes from
+feasible_setpoint, and its MPC solution, whose first m entries are v'(0),
+from mpc_step.
 """
 
 from dataclasses import dataclass
@@ -106,7 +107,7 @@ class KalmanState:
 
 @dataclass(frozen=True, eq=False)
 class KalmanModel:
-    """Filter matrices on [xi; w]: a coalition's, built once per controller,
+    """Filter matrices on [xi; w]: a coalition's, built once per coalition a partition adds,
     or a partition's (partition_filter), whose coalition is None."""
 
     coalition: CoalitionModel | None
@@ -253,25 +254,33 @@ class Setpoint:
     feasible: bool
 
 
+def gate_flows(rho, linked, boundary):
+    """Every gate's settled flow, a list, from one upstream pass over the lists rho
+    and boundary, one float per gate in chain order: gate j passes rho[j] plus
+    gate j + 1's flow if linked[j], else boundary[j] (0.0 below the last reach)."""
+    flows, below = [0.0] * len(rho), 0.0
+    for j in range(len(rho) - 1, -1, -1):
+        flows[j] = below = rho[j] + (below if linked[j] else boundary[j])
+    return flows
+
+
 def compute_setpoint(coalition, rho, omega):
     """Steady state with zero level errors compensating offtakes and omega.
 
     A settled gate passes its reach's offtake plus what the gate below it
-    passes: the next member's flow, the omega channel sourced there, or
-    nothing below the chain's last reach.  Walking the members upstream
-    gives every gate flow, which fills its delay line; levels are zero and
-    no input is needed, so xi_bar = Xi xi_bar + Phi rho + Psi omega.
-    Offtakes are checked where a Scenario is built; rho and omega are
-    those offtakes or flows derived from them.
+    passes (gate_flows): the next member's flow, the omega channel sourced
+    there, or nothing below the chain's last reach.  Every gate flow fills
+    its delay line; levels are zero and no input is needed, so xi_bar = Xi
+    xi_bar + Phi rho + Psi omega.  Offtakes are checked where a Scenario is
+    built; rho and omega are those offtakes or flows derived from them.
     """
     rho = np.asarray(rho, dtype=float).reshape(coalition.m)
     omega = np.asarray(omega, dtype=float).reshape(coalition.n_channels)
-    below = dict(zip(coalition.coupling_sources, omega.tolist()))
-    for s, p in zip(coalition.members[::-1], rho[::-1].tolist()):
-        below[s] = p + below.get(s + 1, 0.0)
+    cut = dict(zip(coalition.coupling_sources, omega.tolist()))
+    flows = gate_flows(rho.tolist(), [s + 1 in coalition.offsets for s in coalition.members],
+                       [cut.get(s + 1, 0.0) for s in coalition.members])
     xi_bar = np.zeros(coalition.n)
-    xi_bar[coalition.flow_rows()] = np.repeat([below[s] for s in coalition.members],
-                                              coalition.delays)
+    xi_bar[coalition.flow_rows()] = np.repeat(flows, coalition.delays)
     return xi_bar
 
 
@@ -364,7 +373,7 @@ def feasible_setpoint(prog: SetpointProgram, xi_bar, bin_) -> Setpoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MpcProgram:
     """State-independent parts of the condensed MPC QP for one coalition.
 
@@ -382,17 +391,14 @@ class MpcProgram:
     gain: np.ndarray
     p_mat: np.ndarray
     cfg: ControllerConfig
-    n_p: int
-    n_c: int
-    n_q: int
-    m: int
     box_map: np.ndarray         # K Acl^t stacked for t = 0..N_p: feedback inputs from zeta0
     floor_map: np.ndarray       # flow_sel Acl^t stacked for t = 1..N_c: free-run flows
 
     @cached_property
     def qp(self) -> QpStructure:
         """Hessian over x = (v', eps); floor rows, then box rows (see prepare_mpc)."""
-        coalition, gain, m, n_p, n_c = self.coalition, self.gain, self.m, self.n_p, self.n_c
+        coalition, gain, m = self.coalition, self.gain, self.coalition.m
+        n_p, n_c = self.cfg.prediction_horizon, self.cfg.control_horizon
         n, nu = coalition.n, m * n_c
         _, r_mat = weight_matrices(coalition, self.cfg)
         # zeta(t) = Acl^t zeta0 + t_maps[t] @ u; block j of t_maps[t] is Acl^(t-1-j) Up
@@ -405,7 +411,7 @@ class MpcProgram:
         for t in range(n_c):
             m_maps[t, :, t * m:(t + 1) * m] += np.eye(m)
 
-        n_eps = self.n_q * n_c
+        n_eps = len(coalition.flow_rows()) * n_c
         nz = nu + n_eps
         h_mat = np.zeros((nz, nz))
         h_mat[:nu, :nu] = 2.0 * np.kron(np.eye(n_c),
@@ -445,12 +451,11 @@ def prepare_mpc(coalition, gain, p_mat, cfg) -> MpcProgram:
     term, and the Hessian in the free moves is block-diagonal, up to the
     certified Riccati residual.
     """
-    n, n_p, n_c = coalition.n, cfg.prediction_horizon, cfg.control_horizon
-    powers = _acl_powers(coalition, gain, n_p)
-    flow_sel = coalition.flow_selector()
-    return MpcProgram(coalition, gain, p_mat, cfg, n_p, n_c, len(flow_sel), coalition.m,
+    n, n_c = coalition.n, cfg.control_horizon
+    powers = _acl_powers(coalition, gain, cfg.prediction_horizon)
+    return MpcProgram(coalition, gain, p_mat, cfg,
                       box_map=(gain @ powers).reshape(-1, n),
-                      floor_map=(flow_sel @ powers[1:n_c + 1]).reshape(-1, n))
+                      floor_map=(coalition.flow_selector() @ powers[1:n_c + 1]).reshape(-1, n))
 
 
 def mpc_step(prog: MpcProgram, bin_, start=()) -> QpSolution:
@@ -475,26 +480,6 @@ def mpc_step(prog: MpcProgram, bin_, start=()) -> QpSolution:
 # ---------------------------------------------------------------------------
 
 
-class CoalitionController:
-    """One coalition's gains, filter matrices, programs and MPC start.
-
-    Filter matrices and both programs are built once, here, and a program's
-    QP data on its first solve; the estimate lives in the run loop's partition
-    filter, and the partition's PartitionController steps the controllers.
-    Each MPC solve starts from the working set the last optimal one ended on;
-    a new controller starts cold, so the set never outlives its run.
-    """
-
-    def __init__(self, coalition, gain, p_mat, cfg):
-        self.model = coalition
-        self.idx = np.array(coalition.members) - 1   # members' 0-based reach indices
-        self.gain = gain
-        self.filter = kalman_model(coalition, cfg)
-        self.setpoint_program = prepare_setpoint(coalition, gain, cfg)
-        self.program = prepare_mpc(coalition, gain, p_mat, cfg)
-        self.mpc_start = ()
-
-
 def _stacked(rows):
     """One index array over each coalition's `rows` in turn, the coalition of
     each entry, and each coalition's slice of it."""
@@ -512,10 +497,16 @@ def _to_solve(rhs, owner):
 
 
 class PartitionController:
-    """A partition's coalition controllers, in chain order, stepped as one.
+    """A partition's coalitions, in chain order, stepped as one.
 
-    Built at each rebuild, it holds blockdiag(K_i), the blockdiag of the
-    MPCs' box_map and floor_map, and the indices of every coalition's rows.
+    Built at each rebuild from the partition's CoalitionGains records, it
+    holds each coalition's filter matrices, setpoint program, MPC program
+    and MPC start in chain-ordered lists.  A coalition that `kept` maps by
+    members keeps the four it had, so no QP it built is built again; any
+    other's are built here.  An MPC solve starts from the working set the
+    coalition's last optimal one ended on, a new coalition's cold, so the
+    set never outlives its run.  It stacks blockdiag(K_i), the blockdiag of
+    the MPCs' box_map and floor_map, and the indices of every coalition's rows.
     Vectors stack the coalitions' in turn: the estimate [xi_1; w_1; xi_2;
     ...], whose blocks[i] is coalition i's, the state [xi_1; xi_2; ...] and
     the inputs and offtakes, whose states[i] and inputs[i] are coalition i's.
@@ -525,11 +516,15 @@ class PartitionController:
     and offtakes are the chain's.
     """
 
-    def __init__(self, controllers, cfg):
-        self.controllers, self.cfg = controllers, cfg
-        self.gain = block_diag(*[ctrl.gain for ctrl in controllers])
-        self.box_map = block_diag(*[ctrl.program.box_map for ctrl in controllers])
-        self.floor_map = block_diag(*[ctrl.program.floor_map for ctrl in controllers])
+    def __init__(self, records, cfg, kept):
+        self.cfg = cfg
+        held = [kept[r.model.members] if r.model.members in kept else
+                (kalman_model(r.model, cfg), prepare_setpoint(r.model, r.gain, cfg),
+                 prepare_mpc(r.model, r.gain, r.p_mat, cfg), ()) for r in records]
+        self.filters, self.setpoint_programs, self.programs, self.mpc_starts = map(list, zip(*held))
+        self.gain = block_diag(*[prog.gain for prog in self.programs])
+        self.box_map = block_diag(*[prog.box_map for prog in self.programs])
+        self.floor_map = block_diag(*[prog.floor_map for prog in self.programs])
         n_input, n_state = self.gain.shape
         n_floor, n_box = self.floor_map.shape[0], self.box_map.shape[0]
         n_c, n_t = cfg.control_horizon, cfg.prediction_horizon + 1
@@ -540,8 +535,8 @@ class PartitionController:
         setpoint, mpc = [], []
         self.blocks, self.states, self.inputs, self.linked = [], [], [], []
         est = row = col = floor_at = box_at = 0
-        for ctrl in controllers:
-            mdl, size = ctrl.model, ctrl.model.n + ctrl.model.n_channels
+        for prog, setpoint_prog in zip(self.programs, self.setpoint_programs):
+            mdl, size = prog.coalition, prog.coalition.n + prog.coalition.n_channels
             self.blocks.append(slice(est, est + size))
             self.states.append(slice(row, row + mdl.n))
             self.inputs.append(slice(col, col + mdl.m))
@@ -558,7 +553,7 @@ class PartitionController:
             # t = 1..N_c, an input for t = 0..N_p
             floor_state += own_flows * n_c
             box_input += own_inputs * n_t
-            setpoint.append([row + r for r in ctrl.setpoint_program.floor_rows]
+            setpoint.append([row + r for r in setpoint_prog.floor_rows]
                             + [n_state + j for j in own_inputs]
                             + [n_state + n_input + j for j in own_inputs])
             n_eps = len(own_flows) * n_c
@@ -575,19 +570,13 @@ class PartitionController:
         self.mpc_rows, self.mpc_owner, self.mpc_slices = _stacked(mpc)
 
     def xi_bar(self, xhat, rho):
-        """Every coalition's zero-level steady state, stacked, from one upstream pass.
-
-        The pass applies compute_setpoint's rule in its operand order: a gate
-        passes its offtake plus the next gate's flow, the coalition's
-        omega_hat at a cut, or 0.0 below the chain's last reach."""
+        """Every coalition's zero-level steady state, stacked, from one gate_flows pass:
+        below a cut a gate's boundary is the coalition's omega_hat there."""
         below_cut = np.zeros(len(rho))
         below_cut[self.cut_gates] = xhat[self.omega_idx]
-        rho_l, cut_l = rho.tolist(), below_cut.tolist()
-        flows, below = [0.0] * len(rho_l), 0.0
-        for s in range(len(rho_l) - 1, -1, -1):
-            flows[s] = below = rho_l[s] + (below if self.linked[s] else cut_l[s])
         xi_bar = np.zeros(len(self.xi_idx))
-        xi_bar[self.flow_rows] = np.repeat(flows, self.delays)
+        xi_bar[self.flow_rows] = np.repeat(gate_flows(rho.tolist(), self.linked,
+                                                      below_cut.tolist()), self.delays)
         return xi_bar
 
     def setpoint_rhs(self, xi_hat, xi_bar):
@@ -619,8 +608,8 @@ class PartitionController:
         u_s = np.zeros(len(rho))
         rhs = self.setpoint_rhs(xi_hat, xi_s)
         for i in _to_solve(rhs, self.setpoint_owner):
-            ctrl, rows, cols = self.controllers[i], self.states[i], self.inputs[i]
-            setpoint = feasible_setpoint(ctrl.setpoint_program, xi_s[rows],
+            rows, cols = self.states[i], self.inputs[i]
+            setpoint = feasible_setpoint(self.setpoint_programs[i], xi_s[rows],
                                          rhs[self.setpoint_slices[i]])
             xi_s[rows], u_s[cols] = setpoint.xi_s, setpoint.u_s
 
@@ -628,13 +617,13 @@ class PartitionController:
         rhs = self.mpc_rhs(zeta, xi_s, u_s)
         solve = _to_solve(rhs, self.mpc_owner)
         u = self.gain @ zeta + u_s
-        for i, ctrl in enumerate(self.controllers):
+        for i, prog in enumerate(self.programs):
             if i not in solve:
-                ctrl.mpc_start = ()
+                self.mpc_starts[i] = ()
                 continue
-            sol = mpc_step(ctrl.program, rhs[self.mpc_slices[i]], ctrl.mpc_start)
+            sol = mpc_step(prog, rhs[self.mpc_slices[i]], self.mpc_starts[i])
             if sol.status == numerics.INFEASIBLE:
-                raise RuntimeError(f"MPC infeasible for coalition {ctrl.model.members}")
-            ctrl.mpc_start = sol.active_set if sol.optimal else ()
-            u[self.inputs[i]] += sol.x[:ctrl.model.m]
+                raise RuntimeError(f"MPC infeasible for coalition {prog.coalition.members}")
+            self.mpc_starts[i] = sol.active_set if sol.optimal else ()
+            u[self.inputs[i]] += sol.x[:prog.coalition.m]
         return u, xi_s[self.gate_rows] + u_s

@@ -164,7 +164,7 @@ class QpStructure:
     Cholesky factorization H = LL' fails.  Built here: L^-1, in whose
     coordinates z = L'x solve_qp steps (cond(L) = sqrt(cond(H))).  Built on
     first use: `rows`, whose row i is (L^-1 a_i)', and its rank tolerance
-    `row_tol`.  A controller builds one structure per QP, on its first solve.
+    `row_tol`.  A coalition builds one structure per QP, on its first solve.
     """
 
     def __init__(self, H, Ain=None):

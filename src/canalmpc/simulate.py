@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
-from .control import (CoalitionController, ControllerConfig, KalmanState, PartitionController,
-                      compute_setpoint, kf_init, kf_update, partition_filter)
+from .control import (ControllerConfig, KalmanState, PartitionController, compute_setpoint,
+                      kf_init, kf_update, partition_filter)
 from .numerics import block_diag
 from .supervisor import SynthesisCache, select_topology, synthesize
 from .topology import full_topology, partition_of
@@ -239,26 +239,25 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
 
     incumbent = full_topology(n)
     partition, part = (), None  # part: the partition's controllers, stepped as one
-    est = None  # the partition filter's state; part.blocks[i] is controller i's slice of it
+    est = None  # the partition filter's state; part.blocks[i] is coalition i's slice of it
 
     def rebuild_controllers(partition, window):
-        """The partition's controllers and their filter's state: a kept controller's
-        blocks of `est`, a new one's warm start."""
+        """The partition's controllers and their filter's state: a kept coalition's
+        filter, programs, MPC start and blocks of `est`, a new one's warm start."""
         nonlocal part
         records = synthesize(partition, subs, ctrl_cfg, cache)
-        kept = {ctrl.model.members: (ctrl, KalmanState(est.xhat[b], est.cov[b, b]))
-                for ctrl, b in zip(part.controllers, part.blocks)} if part else {}
-        part = None
-        fresh = [kept.get(r.model.members) for r in records]
-        kept.clear()  # the replaced controllers go before any successor is built
-        for pos, record in enumerate(records):
-            if fresh[pos] is None:
-                ctrl = CoalitionController(record.model, record.gain, record.p_mat, ctrl_cfg)
-                fresh[pos] = ctrl, kf_init(ctrl.filter, window, cache.schedule(ctrl.filter,
-                                                                               window.shape[1]))
-        return (PartitionController([ctrl for ctrl, _ in fresh], ctrl_cfg),
-                KalmanState(np.concatenate([e.xhat for _, e in fresh]),
-                            block_diag(*[e.cov for _, e in fresh])))
+        kept = {} if part is None else {
+            p.coalition.members: ((filt, sp, p, start), KalmanState(est.xhat[b], est.cov[b, b]))
+            for filt, sp, p, start, b in zip(part.filters, part.setpoint_programs, part.programs,
+                                             part.mpc_starts, part.blocks)
+            if p.coalition.members in partition}
+        part = None  # the replaced coalitions go before any successor is built
+        part = PartitionController(records, ctrl_cfg, {m: held for m, (held, _) in kept.items()})
+        states = [kept[members][1] if members in kept else
+                  kf_init(filt, window, cache.schedule(filt, window.shape[1]))
+                  for members, filt in zip(partition, part.filters)]
+        return part, KalmanState(np.concatenate([s.xhat for s in states]),
+                                 block_diag(*[s.cov for s in states]))
 
     for k in range(scenario.horizon):
         rho = scenario.offtakes_at(k)
@@ -277,15 +276,15 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                 partition = partition_of(incumbent)
                 window = rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1]  # steps < k
                 part, est = rebuild_controllers(partition, window)
-                filt = partition_filter([ctrl.filter for ctrl in part.controllers])
+                filt = partition_filter(part.filters)
                 # the partition measurement: [levels; flows] of each coalition's members in turn
-                quantity = np.array([q for c in part.controllers for q in (0, 1) for _ in c.idx])
-                reach = np.array([s - 1 for c in part.controllers for s in c.model.members * 2])
+                quantity = np.array([q for members in partition for q in (0, 1) for _ in members])
+                reach = np.array([s - 1 for members in partition for s in members * 2])
 
         y = rows[quantity, k + 1, reach]
         if not np.all(np.isfinite(y)):  # refused here, so every QP vector stays finite
             bad = reach[np.argmin(np.isfinite(y))]
-            owner = next(ctrl.model.members for ctrl in part.controllers if bad in ctrl.idx)
+            owner = next(members for members in partition if bad + 1 in members)
             raise ValueError(f"step {k}: non-finite measurement for coalition {owner}")
         if k > 0:
             est = kf_update(filt, est, rows[2, k], rows[3, k], y)
@@ -300,8 +299,8 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
 
         trace.topology_bits.append(incumbent.bits())
         trace.net_links[k] = incumbent.n_links
-        trace.n_coalitions[k] = len(part.controllers)
-        trace.mean_decision_vars[k] = ctrl_cfg.control_horizon * n / len(part.controllers)
+        trace.n_coalitions[k] = len(partition)
+        trace.mean_decision_vars[k] = ctrl_cfg.control_horizon * n / len(partition)
 
         plant.step(u_global, rho)
 

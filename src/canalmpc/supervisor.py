@@ -32,7 +32,7 @@ from operator import attrgetter
 import numpy as np
 
 from .canal import CoalitionModel, build_coalition_model
-from .control import ControllerConfig, compute_setpoint, kf_schedule, weight_matrices
+from .control import ControllerConfig, compute_setpoint, gate_flows, kf_schedule, weight_matrices
 from .numerics import (
     RiccatiConvergenceError,
     dare_residual,
@@ -267,17 +267,14 @@ def candidate_setpoints(candidates, rho, outflow, model):
     """Step-3/4 setpoints of every candidate, one C x n array in the chain `model`'s layout.
 
     A coalition's boundary estimate is its coupling source's published
-    outflow.  One upstream pass per candidate, in Python floats, applies
-    compute_setpoint's rule in its operand order: gate s passes rho_s +
-    (gate s+1's flow if link s is on, else outflow[s]), rho_N + 0.0 at the
-    chain end.  Each block's slice is compute_setpoint(block, rho_B, outflow[sources]).
+    outflow, so one gate_flows pass per candidate gives its flows: gate s
+    passes rho_s + (gate s+1's flow if link s is on, else outflow[s]), and
+    rho_N + 0.0 at the chain end.  Each block's slice is
+    compute_setpoint(block, rho_B, outflow[sources]).
     """
     rho_l, out_l = rho.tolist(), outflow.tolist()[1:] + [0.0]   # no gate below reach N
-    flows = np.empty((len(candidates), model.m))
-    for row, cand in zip(flows, candidates):
-        below = 0.0
-        for s in range(model.m, 0, -1):
-            row[s - 1] = below = rho_l[s - 1] + (below if s in cand.enabled else out_l[s - 1])
+    flows = np.array([gate_flows(rho_l, [s in cand.enabled for s in range(1, model.m + 1)], out_l)
+                      for cand in candidates])
     xi_bar = np.zeros((len(candidates), model.n))
     xi_bar[:, model.flow_rows()] = flows[:, np.repeat(np.arange(model.m), model.delays)]
     return xi_bar

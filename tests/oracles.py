@@ -22,7 +22,8 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from canalmpc.control import compute_setpoint, feasible_setpoint, mpc_step
+from canalmpc.control import (compute_setpoint, feasible_setpoint, mpc_step, prepare_mpc,
+                              prepare_setpoint)
 from canalmpc.supervisor import synthesize, topology_value
 from canalmpc.topology import candidate_set, partition_of
 
@@ -367,17 +368,18 @@ def mpc_rhs(prog, coalition, zeta0, xi_s, u_s, cfg):
     """One coalition's MPC right-hand side, on its own, through its flow selector:
     the flow floor for t = 1..N_c, eps >= 0, then the box's upper and lower
     halves for t = 0..N_p."""
-    floor = ((prog.floor_map @ zeta0).reshape(prog.n_c, prog.n_q)
+    floor = ((prog.floor_map @ zeta0).reshape(cfg.control_horizon, len(coalition.flow_rows()))
              + coalition.flow_selector() @ xi_s - cfg.flow_margin)
-    base = (prog.box_map @ zeta0).reshape(prog.n_p + 1, prog.m) + u_s
+    base = (prog.box_map @ zeta0).reshape(cfg.prediction_horizon + 1, coalition.m) + u_s
     return np.concatenate([floor, np.zeros(floor.size), cfg.input_bound - base,
                            cfg.input_bound + base], axis=None)
 
 
-def per_coalition_step(controllers, starts, xhats, rhos, cfg):
+def per_coalition_step(records, starts, xhats, rhos, cfg):
     """Each coalition's step by the per-coalition loop, both QPs always solved.
 
-    Coalition i, from its estimate xhats[i] = [xi_hat; omega_hat], offtakes
+    Coalition i, with the CoalitionGains record records[i], builds fresh
+    programs, and from its estimate xhats[i] = [xi_hat; omega_hat], offtakes
     rhos[i] and MPC start starts[i], takes xi_bar from compute_setpoint, its
     projection from feasible_setpoint and its MPC solution from mpc_step, on
     the right-hand sides setpoint_rhs and mpc_rhs form for it alone; u = K
@@ -385,14 +387,16 @@ def per_coalition_step(controllers, starts, xhats, rhos, cfg):
     the stacked u and outflow and each coalition's next start.
     """
     us, outflows, next_starts = [], [], []
-    for ctrl, start, xhat, rho in zip(controllers, starts, xhats, rhos):
-        coal, sp_prog = ctrl.model, ctrl.setpoint_program
+    for rec, start, xhat, rho in zip(records, starts, xhats, rhos):
+        coal = rec.model
+        sp_prog, prog = prepare_setpoint(coal, rec.gain, cfg), prepare_mpc(coal, rec.gain,
+                                                                          rec.p_mat, cfg)
         xi_hat = xhat[:coal.n]
         xi_bar = compute_setpoint(coal, rho, xhat[coal.n:])
         sp = feasible_setpoint(sp_prog, xi_bar, setpoint_rhs(sp_prog, xi_bar, xi_hat, cfg))
         zeta = xi_hat - sp.xi_s
-        sol = mpc_step(ctrl.program, mpc_rhs(ctrl.program, coal, zeta, sp.xi_s, sp.u_s, cfg), start)
-        us.append(ctrl.gain @ zeta + sp.u_s + sol.x[:coal.m])
+        sol = mpc_step(prog, mpc_rhs(prog, coal, zeta, sp.xi_s, sp.u_s, cfg), start)
+        us.append(rec.gain @ zeta + sp.u_s + sol.x[:coal.m])
         outflows.append(sp.xi_s[coal.gate_flow_rows()] + sp.u_s)
         next_starts.append(sol.active_set if sol.optimal else ())
     return np.concatenate(us), np.concatenate(outflows), next_starts

@@ -14,8 +14,7 @@ from canalmpc.canal import (
     assemble_global,
     build_chain,
 )
-from canalmpc.control import (CoalitionController, ControllerConfig, PartitionController,
-                              compute_setpoint)
+from canalmpc.control import ControllerConfig, PartitionController, compute_setpoint
 from canalmpc.simulate import (
     PlantConfig,
     Scenario,
@@ -27,6 +26,7 @@ from canalmpc.simulate import (
     scenario_2,
 )
 from canalmpc.supervisor import SynthesisCache
+from canalmpc.topology import Topology, partition_of
 
 CACHE = SynthesisCache()  # shared across tests; selections are cache-transparent
 
@@ -147,6 +147,17 @@ class TestClosedLoop:
         assert trace.net_links[-1] == 0  # one link shed per supervisory interval
         assert np.max(np.abs(trace.levels)) < 1e-6
         assert np.max(np.abs(trace.inputs)) < 1e-6
+
+    @pytest.mark.parametrize("link_cost", [0.0, 0.6])
+    def test_settled_chain_sheds_one_link_per_decision(self, link_cost):
+        """A characterization, not a bound: on settled scenario1 the supervisor sheds
+        one link per decision, 11 at decision 0 down to none at step 44, and holds the
+        empty topology to step 71, at link price 0 (where a settled decision's
+        candidates tie) as at 0.6.  The candidate set allows no faster fall."""
+        cfg = ControllerConfig(link_cost=link_cost)
+        trace = run_closed_loop(scenario_1(horizon=72), cfg, seed=0, cache=CACHE)
+        assert trace.net_links[0:45:4].tolist() == list(range(11, -1, -1))
+        assert not np.any(trace.net_links[44:])
 
     def test_deterministic_bit_identical(self):
         sc = scenario_1(horizon=40)
@@ -352,11 +363,22 @@ class TestPublishedOutflow:
             assert np.array_equal(outflow, published)
 
 
+def _new_coalitions(trace):
+    """(rebuilds, coalitions built): the partitions a run's topology bits change to,
+    and the coalitions each has that the one before it has not."""
+    partitions = [partition_of(Topology(len(bits) + 1, {i + 1 for i, b in enumerate(bits)
+                                                         if b == "1"}))
+                  for bits in trace.topology_bits]
+    changes = [(before, after) for before, after in zip([()] + partitions, partitions)
+               if after != before]
+    return len(changes), sum(len(set(after) - set(before)) for before, after in changes)
+
+
 class TestBuiltOnce:
     def test_setup_work_scales_with_controllers_not_steps(self, monkeypatch):
-        """Filter matrices and prediction maps are built per coalition or controller,
-        and a QP's data on its controller's first solve of it; a step only solves
-        against them."""
+        """Filter matrices and prediction maps are built once per coalition a rebuild
+        adds, a partition's stacking once per rebuild, and a QP's data on its
+        coalition's first solve of it; a step only solves against them."""
         calls = Counter()
 
         def count(owner, name, key=None):
@@ -373,7 +395,6 @@ class TestBuiltOnce:
         count(control, "weight_matrices")
         count(supervisor, "weight_matrices")
         count(np.linalg, "cholesky")
-        count(CoalitionController, "__init__", "controllers")
         count(simulate, "PartitionController", "partitions")
         count(SynthesisCache, "store", "coalitions")
         count(control, "prepare_mpc")
@@ -401,15 +422,16 @@ class TestBuiltOnce:
             return len({id(prog) for prog in programs})
 
         trace = run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
-        controllers, coalitions = calls["controllers"], calls["coalitions"]
+        rebuilds, controllers = _new_coalitions(trace)
+        coalitions = calls["coalitions"]
         # A per-step rebuild would add at least one call per coalition-step.
         assert int(trace.n_coalitions.sum()) > coalitions + 2 * controllers
         assert calls["flow_selector"] <= controllers
         assert calls["gate_flow_selector"] <= controllers
         assert calls["cholesky"] <= calls["structures"] <= solved_programs()
         assert calls["weight_matrices"] <= coalitions + 2 * controllers
-        assert calls["prepare_mpc"] <= controllers
-        assert 0 < calls["partitions"] <= controllers  # stacked once per rebuild
+        assert calls["prepare_mpc"] == controllers  # a kept coalition is not built again
+        assert 0 < calls["partitions"] == rebuilds <= controllers  # stacked once per rebuild
         # At most one structure per QP family of each controller that solves one,
         # on a run whose coalitions solve both QPs from step 72 on.
         calls.clear()
@@ -444,18 +466,20 @@ class TestBuiltOnce:
         assert solves == [] and structures == []  # no QP data built either
 
     def test_replaced_controllers_released_before_successors_are_built(self, monkeypatch):
-        """A rebuild holds no replaced controller while it builds the new ones, so the
-        controllers alive at any construction cover at most the chain's states."""
+        """A rebuild holds no replaced coalition's programs while it builds the new
+        ones, so the MPC programs alive at any prepare_mpc call cover at most the
+        chain's states."""
         alive, covered = weakref.WeakSet(), []
-        build = CoalitionController.__init__
+        build = control.prepare_mpc
 
-        def tracked(ctrl, *args, **kwargs):
+        def tracked(*args):
             gc.collect()
-            covered.append(sum(c.model.n for c in alive))
-            build(ctrl, *args, **kwargs)
-            alive.add(ctrl)
+            covered.append(sum(prog.coalition.n for prog in alive))
+            prog = build(*args)
+            alive.add(prog)
+            return prog
 
-        monkeypatch.setattr(CoalitionController, "__init__", tracked)
+        monkeypatch.setattr(control, "prepare_mpc", tracked)
         run_closed_loop(scenario_1(horizon=24), seed=0, cache=SynthesisCache())
         assert len(covered) > 1  # some rebuild came after the first build
         assert max(covered) <= 39
