@@ -16,13 +16,14 @@ The control action applied at time k is
 where (xi_s, u_s) is the feasible setpoint, zeta = xi - xi_s, K the
 coalition feedback gain, and v' the first move of the auxiliary MPC that
 rectifies the feedback law against the hard input box and the soft flow
-floor.  PartitionController.step applies it to a partition's coalitions,
-built from their CoalitionGains records, at once, forming all their QP
-right-hand sides together.  A coalition whose QP rows all hold at the
-QP's zero start takes that optimum, xi_s = xi_bar (gate_flows' steady
-state), u_s = 0 and v' = 0; any other coalition's setpoint comes from
-feasible_setpoint, and its MPC solution, whose first m entries are v'(0),
-from mpc_step.
+floor.  A run's one PartitionController holds the partition's coalitions,
+built from their CoalitionGains records: rebuild switches it to a new
+partition, update advances its estimate est on their filters stacked as
+one block-diagonal filter, and step applies the law to all at once.  A
+coalition whose QP rows all hold at the QP's zero start takes that
+optimum, xi_s = xi_bar (gate_flows' steady state), u_s = 0 and v' = 0; any
+other coalition's setpoint comes from feasible_setpoint, and its MPC
+solution, whose first m entries are v'(0), from mpc_step.
 """
 
 from dataclasses import dataclass
@@ -108,7 +109,7 @@ class KalmanState:
 @dataclass(frozen=True, eq=False)
 class KalmanModel:
     """Filter matrices on [xi; w]: a coalition's, built once per coalition a partition adds,
-    or a partition's (partition_filter), whose coalition is None."""
+    or a partition's (PartitionController.filter), whose coalition and prior are None."""
 
     coalition: CoalitionModel | None
     f_mat: np.ndarray
@@ -117,7 +118,7 @@ class KalmanModel:
     c_mat: np.ndarray   # measured: member level errors and gate flows
     w_mat: np.ndarray
     v_mat: np.ndarray
-    prior: np.ndarray   # diagonal of the warm-start prior covariance
+    prior: np.ndarray | None  # diagonal of a coalition's warm-start prior covariance
 
 
 def kalman_model(coalition, cfg) -> KalmanModel:
@@ -142,21 +143,6 @@ def kalman_model(coalition, cfg) -> KalmanModel:
     prior[coalition.level_rows()] = cfg.kf_prior_level
     prior[n:] = cfg.kf_prior_omega
     return KalmanModel(coalition, f_mat, b_mat, phi_mat, c_mat, np.diag(w_diag), v_mat, prior)
-
-
-def partition_filter(filters) -> KalmanModel:
-    """One filter for a partition: its coalitions' filters, in chain order, on the diagonal.
-
-    The coalitions tile the chain, so the input and offtake maps take the
-    global u and rho as they are, and the measurement stacks each
-    coalition's [levels; flows] in turn.  With a block-diagonal covariance,
-    kf_update keeps it block-diagonal, each block its coalition's own filter:
-    F, C, W and V are block-diagonal and LU's partial pivoting stays within
-    a block of the innovation covariance.
-    """
-    return KalmanModel(None, *[block_diag(*[getattr(f, name) for f in filters]) for name in
-                               ("f_mat", "b_mat", "phi_mat", "c_mat", "w_mat", "v_mat")],
-                       np.concatenate([f.prior for f in filters]))
 
 
 def _x_predict(filt, xhat, u, rho):
@@ -497,31 +483,52 @@ def _to_solve(rhs, owner):
 
 
 class PartitionController:
-    """A partition's coalitions, in chain order, stepped as one.
+    """A run's bottom layer: a partition's coalitions, in chain order, stepped as one.
 
-    Built at each rebuild from the partition's CoalitionGains records, it
-    holds each coalition's filter matrices, setpoint program, MPC program
-    and MPC start in chain-ordered lists.  A coalition that `kept` maps by
-    members keeps the four it had, so no QP it built is built again; any
-    other's are built here.  An MPC solve starts from the working set the
-    coalition's last optimal one ended on, a new coalition's cold, so the
-    set never outlives its run.  It stacks blockdiag(K_i), the blockdiag of
-    the MPCs' box_map and floor_map, and the indices of every coalition's rows.
-    Vectors stack the coalitions' in turn: the estimate [xi_1; w_1; xi_2;
-    ...], whose blocks[i] is coalition i's, the state [xi_1; xi_2; ...] and
-    the inputs and offtakes, whose states[i] and inputs[i] are coalition i's.
-    A stacked right-hand side holds each coalition's QP rows in its QP's row
-    order, coalition i's at setpoint_slices[i] or mpc_slices[i].  The
-    coalitions of a partition tile the chain, so the stacked state, inputs
-    and offtakes are the chain's.
+    It holds each coalition's filter matrices, setpoint program, MPC program
+    and MPC start in chain-ordered lists, and the partition `filter`, their
+    filters on its diagonal, with its estimate `est`.  The coalitions tile
+    the chain, so the filter takes the global u and rho, and its measurement,
+    gathered by `measured`, stacks each coalition's [levels; flows] in turn.
+    kf_update (update) keeps est's covariance block-diagonal, each block its
+    coalition's own filter: F, C, W and V are block-diagonal and LU's
+    partial pivoting stays within a block of the innovation covariance.  An
+    MPC solve starts from the working set the coalition's last optimal one
+    ended on, a new coalition's cold.  It stacks blockdiag(K_i) and the
+    MPCs' box_map and floor_map.  Vectors stack the coalitions' in turn: est
+    [xi_1; w_1; xi_2; ...], whose blocks[i] is coalition i's, the state
+    [xi_1; xi_2; ...], the inputs and offtakes, whose states[i] and inputs[i]
+    are coalition i's, and the QPs' right-hand sides, in each QP's row
+    order, coalition i's at setpoint_slices[i] or mpc_slices[i].
     """
 
-    def __init__(self, records, cfg, kept):
-        self.cfg = cfg
-        held = [kept[r.model.members] if r.model.members in kept else
-                (kalman_model(r.model, cfg), prepare_setpoint(r.model, r.gain, cfg),
-                 prepare_mpc(r.model, r.gain, r.p_mat, cfg), ()) for r in records]
-        self.filters, self.setpoint_programs, self.programs, self.mpc_starts = map(list, zip(*held))
+    def __init__(self, cfg, cache):
+        self.cfg, self.cache = cfg, cache  # cache.schedule(filt, length) gives kf_init's gains
+        self.filters = self.setpoint_programs = self.programs = self.mpc_starts = self.blocks = ()
+
+    def rebuild(self, records, window):
+        """Switch to the partition of the CoalitionGains `records`, in chain order.  A
+        coalition the last partition had keeps its filter, programs (no QP it built is
+        built again), MPC start and blocks of est; the others are dropped before any new
+        one is built, and a new one's filter is warm-started by kf_init on `window`."""
+        cfg, members = self.cfg, {r.model.members for r in records}
+        held = {prog.coalition.members: (filt, sp, prog, start, self.est.xhat[b], self.est.cov[b, b])
+                for filt, sp, prog, start, b in zip(self.filters, self.setpoint_programs,
+                                                    self.programs, self.mpc_starts, self.blocks)
+                if prog.coalition.members in members}
+        self.filters = self.setpoint_programs = self.programs = ()  # replaced ones go first
+        for r in records:
+            if r.model.members not in held:
+                filt = kalman_model(r.model, cfg)
+                start = kf_init(filt, window, self.cache.schedule(filt, window.shape[1]))
+                held[r.model.members] = (filt, prepare_setpoint(r.model, r.gain, cfg),
+                                         prepare_mpc(r.model, r.gain, r.p_mat, cfg), (),
+                                         start.xhat, start.cov)
+        (self.filters, self.setpoint_programs, self.programs, self.mpc_starts, xhats,
+         covs) = map(list, zip(*[held[r.model.members] for r in records]))
+        self.est = KalmanState(np.concatenate(xhats), block_diag(*covs))
+        mats = zip(*[(f.f_mat, f.b_mat, f.phi_mat, f.c_mat, f.w_mat, f.v_mat) for f in self.filters])
+        self.filter = KalmanModel(None, *[block_diag(*mat) for mat in mats], prior=None)
         self.gain = block_diag(*[prog.gain for prog in self.programs])
         self.box_map = block_diag(*[prog.box_map for prog in self.programs])
         self.floor_map = block_diag(*[prog.floor_map for prog in self.programs])
@@ -531,22 +538,24 @@ class PartitionController:
         # Index lists, built in Python and made arrays once.  The setpoint rows
         # index [xi_bar - margin; bound - K(xi_hat - xi_bar); bound + K(...)],
         # the MPC rows [floor; bound - base; bound + base; 0].
-        xi, omega, cuts, delays, flows, gates, floor_state, box_input = ([] for _ in range(8))
+        xi, omega, cuts, delays, flows, gates, floor_state, box_input, measured = (
+            [] for _ in range(9))
         setpoint, mpc = [], []
         self.blocks, self.states, self.inputs, self.linked = [], [], [], []
-        est = row = col = floor_at = box_at = 0
+        est_at = row = col = floor_at = box_at = 0
         for prog, setpoint_prog in zip(self.programs, self.setpoint_programs):
             mdl, size = prog.coalition, prog.coalition.n + prog.coalition.n_channels
-            self.blocks.append(slice(est, est + size))
+            self.blocks.append(slice(est_at, est_at + size))
             self.states.append(slice(row, row + mdl.n))
             self.inputs.append(slice(col, col + mdl.m))
-            xi += range(est, est + mdl.n)
-            omega += range(est + mdl.n, est + size)
+            xi += range(est_at, est_at + mdl.n)
+            omega += range(est_at + mdl.n, est_at + size)
             # the input whose gate a cut's omega_hat flows below, per channel
             cuts += [col + mdl.members.index(source - 1) for source in mdl.coupling_sources]
             self.linked += [s + 1 in mdl.members for s in mdl.members]
             delays += mdl.delays
             own_flows, own_inputs = [row + r for r in mdl.flow_rows()], [*range(col, col + mdl.m)]
+            measured += [(q, s - 1) for q in (0, 1) for s in mdl.members]  # [levels; flows]
             flows += own_flows
             gates += [row + r for r in mdl.gate_flow_rows()]
             # what each row of floor_map and box_map adds: a flow slot for
@@ -560,14 +569,20 @@ class PartitionController:
             boxes = range(n_floor + box_at, n_floor + box_at + len(own_inputs) * n_t)
             mpc.append([*range(floor_at, floor_at + n_eps), *[n_floor + 2 * n_box] * n_eps,
                         *boxes, *[n_box + j for j in boxes]])
-            est, row, col = est + size, row + mdl.n, col + mdl.m
+            est_at, row, col = est_at + size, row + mdl.n, col + mdl.m
             floor_at, box_at = floor_at + n_eps, box_at + len(boxes)
         (self.xi_idx, self.omega_idx, self.cut_gates, self.delays, self.flow_rows, self.gate_rows,
          self.floor_state, self.box_input) = [np.array(rows, dtype=int) for rows in
                                               (xi, omega, cuts, delays, flows, gates,
                                                floor_state, box_input)]
+        self.measured = tuple(np.array(measured).T)
         self.setpoint_rows, self.setpoint_owner, self.setpoint_slices = _stacked(setpoint)
         self.mpc_rows, self.mpc_owner, self.mpc_slices = _stacked(mpc)
+
+    def update(self, u, rho, y):
+        """One kf_update of est: the state advances under the stacked inputs u and offtakes
+        rho, then y lands, every reach's measured (levels, flows) as in kf_init's window."""
+        self.est = kf_update(self.filter, self.est, u, rho, y[self.measured])
 
     def xi_bar(self, xhat, rho):
         """Every coalition's zero-level steady state, stacked, from one gate_flows pass:

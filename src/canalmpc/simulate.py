@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canal import DEZ_REACHES, ReachParams, assemble_global, build_chain
-from .control import (ControllerConfig, KalmanState, PartitionController, compute_setpoint,
-                      kf_init, kf_update, partition_filter)
-from .numerics import block_diag
+from .control import ControllerConfig, PartitionController, compute_setpoint
 from .supervisor import SynthesisCache, select_topology, synthesize
 from .topology import full_topology, partition_of
 
@@ -220,6 +218,9 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     """
     if t_lambda < 1:
         raise ValueError(f"t_lambda must be at least 1, got {t_lambda}")
+    if len(scenario.schedules) != len(reaches):
+        raise ValueError(f"scenario {scenario.name} schedules {len(scenario.schedules)} reaches, "
+                         f"not the {len(reaches)} of the reach table")
     ctrl_cfg = ctrl_cfg or ControllerConfig()
     plant_cfg = plant_cfg or PlantConfig()
     cache = cache if cache is not None else SynthesisCache()
@@ -238,26 +239,7 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
     outflow = rows[1, 0].copy()  # published per-gate q_s + dq_s; at rest, the measured flows
 
     incumbent = full_topology(n)
-    partition, part = (), None  # part: the partition's controllers, stepped as one
-    est = None  # the partition filter's state; part.blocks[i] is coalition i's slice of it
-
-    def rebuild_controllers(partition, window):
-        """The partition's controllers and their filter's state: a kept coalition's
-        filter, programs, MPC start and blocks of `est`, a new one's warm start."""
-        nonlocal part
-        records = synthesize(partition, subs, ctrl_cfg, cache)
-        kept = {} if part is None else {
-            p.coalition.members: ((filt, sp, p, start), KalmanState(est.xhat[b], est.cov[b, b]))
-            for filt, sp, p, start, b in zip(part.filters, part.setpoint_programs, part.programs,
-                                             part.mpc_starts, part.blocks)
-            if p.coalition.members in partition}
-        part = None  # the replaced coalitions go before any successor is built
-        part = PartitionController(records, ctrl_cfg, {m: held for m, (held, _) in kept.items()})
-        states = [kept[members][1] if members in kept else
-                  kf_init(filt, window, cache.schedule(filt, window.shape[1]))
-                  for members, filt in zip(partition, part.filters)]
-        return part, KalmanState(np.concatenate([s.xhat for s in states]),
-                                 block_diag(*[s.cov for s in states]))
+    partition, part = (), PartitionController(ctrl_cfg, cache)
 
     for k in range(scenario.horizon):
         rho = scenario.offtakes_at(k)
@@ -274,23 +256,18 @@ def run_closed_loop(scenario: Scenario, ctrl_cfg: ControllerConfig = None,
                 ).topology
             if partition_of(incumbent) != partition:
                 partition = partition_of(incumbent)
-                window = rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1]  # steps < k
-                part, est = rebuild_controllers(partition, window)
-                filt = partition_filter(part.filters)
-                # the partition measurement: [levels; flows] of each coalition's members in turn
-                quantity = np.array([q for members in partition for q in (0, 1) for _ in members])
-                reach = np.array([s - 1 for members in partition for s in members * 2])
+                part.rebuild(synthesize(partition, subs, ctrl_cfg, cache),
+                             rows[:, max(0, k + 1 - ctrl_cfg.history_capacity):k + 1])  # steps < k
 
-        y = rows[quantity, k + 1, reach]
-        if not np.all(np.isfinite(y)):  # refused here, so every QP vector stays finite
-            bad = reach[np.argmin(np.isfinite(y))]
-            owner = next(members for members in partition if bad + 1 in members)
+        if not np.isfinite(rows[:2, k + 1]).all():  # refused here, so every QP vector stays finite
+            bad = np.argmin(np.isfinite(rows[:2, k + 1]).all(axis=0)) + 1  # the first bad reach
+            owner = next(members for members in partition if bad in members)
             raise ValueError(f"step {k}: non-finite measurement for coalition {owner}")
         if k > 0:
-            est = kf_update(filt, est, rows[2, k], rows[3, k], y)
+            part.update(rows[2, k], rows[3, k], rows[:2, k + 1])
 
         try:
-            u_global[:], outflow = part.step(est.xhat, rho)
+            u_global[:], outflow = part.step(part.est.xhat, rho)
         except Exception as exc:
             raise RuntimeError(f"controller failure at step {k}: {exc}") from exc
 

@@ -28,7 +28,6 @@ from canalmpc.control import (
     kf_schedule,
     kf_update,
     mpc_step,
-    partition_filter,
     prepare_mpc,
     prepare_setpoint,
     weight_matrices,
@@ -93,10 +92,24 @@ def steady_global_arrays(flows_by_reach, offtakes_by_reach):
     return levels, flows, offs
 
 
+def partition_controller(records, cfg, window=None):
+    """A PartitionController that rebuild has switched to the partition of `records`,
+    warm-started on `window`, by default one row of zeros up to the last member."""
+    part = PartitionController(cfg, SynthesisCache())
+    n = max(r.model.members[-1] for r in records)
+    part.rebuild(records, np.zeros((4, 1, n)) if window is None else window)
+    return part
+
+
+def ungained(coalitions):
+    """Records with zero gains for `coalitions`, for tests that read no gain."""
+    return [CoalitionGains(c, np.zeros((c.m, c.n)), np.eye(c.n), 0.0, 0.0) for c in coalitions]
+
+
 def one_coalition(coal, cfg):
     """The certified CoalitionGains record of `coal` and its one-coalition partition."""
     rec = _synthesize_one(coal, cfg)
-    return rec, PartitionController([rec], cfg, {})
+    return rec, partition_controller([rec], cfg)
 
 
 def project(part, rho, omega, xi_k):
@@ -263,50 +276,60 @@ class TestKalman:
 
 
 class TestPartitionFilter:
-    """A partition's filter is its coalitions' filters on the diagonal, stepped at once."""
+    """A partition's filter is its coalitions' filters on the diagonal, warm-started by
+    PartitionController.rebuild and stepped at once by its update."""
 
     cfg = ControllerConfig()
 
     @pytest.mark.parametrize("enabled", [frozenset(), frozenset(range(1, 13)),
                                          frozenset(range(1, 13)) - {2, 3, 7, 11}])
     def test_blocks_match_per_coalition_filters(self, enabled):
-        """Over 12 seeded steps each coalition's block of x_hat and P matches its own
-        plain predict/correct to 1e-12 relative; the other blocks of P stay exactly 0."""
+        """After rebuild each coalition's block of est is its own kf_init on the window,
+        bit for bit; over 12 seeded updates it matches its own plain predict/correct to
+        1e-12 relative, and the other blocks of P stay exactly 0."""
         rng = np.random.default_rng(len(enabled))
         blocks_members = partition_of(Topology(13, enabled))
+        window = random_window(rng, 5)
+        part = partition_controller(ungained([make_coalition(b) for b in blocks_members]),
+                                    self.cfg, window)
         filters = [kalman_model(make_coalition(b), self.cfg) for b in blocks_members]
         reach_idx = [np.array(b) - 1 for b in blocks_members]
-        refs = [(s.xhat, s.cov) for s in (warm_start(f, random_window(rng, 5)) for f in filters)]
-        est = KalmanState(np.concatenate([x for x, _ in refs]),
-                          scipy.linalg.block_diag(*(p for _, p in refs)))
-        whole = partition_filter(filters)
+        refs = [(s.xhat, s.cov) for s in (warm_start(f, window) for f in filters)]
+        for block, (xhat, cov) in zip(part.blocks, refs):
+            assert np.array_equal(part.est.xhat[block], xhat)
+            assert np.array_equal(part.est.cov[block, block], cov)
         on_blocks = scipy.linalg.block_diag(*(np.ones(p.shape) for _, p in refs)) == 1.0
-        ends = np.cumsum([len(x) for x, _ in refs])
-        blocks = [slice(end - len(x), end) for (x, _), end in zip(refs, ends)]
+        assert np.all(part.est.cov[~on_blocks] == 0.0)
         for _ in range(12):
             u, rho = 0.3 * rng.normal(size=13), 2.0 + rng.normal(size=13)
             levels, flows = 0.1 * rng.normal(size=13), 3.0 + rng.normal(size=13)
             ys = [np.concatenate([levels[idx], flows[idx]]) for idx in reach_idx]
-            est = kf_update(whole, est, u, rho, np.concatenate(ys))
+            part.update(u, rho, np.array([levels, flows]))
             refs = [kf_step(f, *ref, u[idx], rho[idx], y)
                     for f, ref, idx, y in zip(filters, refs, reach_idx, ys)]
-            for block, (xhat, cov) in zip(blocks, refs):
+            est = part.est
+            for block, (xhat, cov) in zip(part.blocks, refs):
                 assert np.max(np.abs(est.xhat[block] - xhat)) <= 1e-12 * np.max(np.abs(xhat))
                 assert np.max(np.abs(est.cov[block, block] - cov)) <= 1e-12 * np.max(np.abs(cov))
             assert np.all(est.cov[~on_blocks] == 0.0)
 
     @pytest.mark.parametrize("members", [tuple(range(1, 14)), (5, 6)])
     def test_one_coalition_partition_is_its_own_filter(self, members):
-        """A one-coalition partition steps bit for bit as the coalition's own filter."""
+        """A one-coalition partition warm-starts and steps bit for bit as the coalition's
+        own filter."""
         rng = np.random.default_rng(3)
-        filt = kalman_model(make_coalition(members), self.cfg)
-        own = whole = warm_start(filt, random_window(rng, 5))
-        m = len(members)
+        window = random_window(rng, 5)
+        coal = make_coalition(members)
+        part = partition_controller(ungained([coal]), self.cfg, window)
+        filt = kalman_model(coal, self.cfg)
+        own = warm_start(filt, window)
+        idx = np.array(members) - 1
         for _ in range(10):
-            u, rho, y = rng.normal(size=m), rng.normal(size=m), rng.normal(size=2 * m)
-            own = kf_update(filt, own, u, rho, y)
-            whole = kf_update(partition_filter([filt]), whole, u, rho, y)
-            assert np.array_equal(own.xhat, whole.xhat) and np.array_equal(own.cov, whole.cov)
+            assert np.array_equal(own.xhat, part.est.xhat) and np.array_equal(own.cov, part.est.cov)
+            u, rho, y = rng.normal(size=coal.m), rng.normal(size=coal.m), rng.normal(size=(2, 13))
+            own = kf_update(filt, own, u, rho, y[:, idx].ravel())
+            part.update(u, rho, y)
+        assert np.array_equal(own.xhat, part.est.xhat) and np.array_equal(own.cov, part.est.cov)
 
 
 class TestComputeSetpoint:
@@ -860,7 +883,7 @@ class TestPartitionController:
                                                ("box", high, flows, rest),
                                                ("dry", np.zeros(13), dry_gate, rest)]:
             records = [_synthesize_one(make_coalition(b), self.cfg) for b in blocks]
-            part, starts = PartitionController(records, self.cfg, {}), [()] * len(records)
+            part, starts = partition_controller(records, self.cfg), [()] * len(records)
             # the state twice, then at rest, where every MPC start must empty
             steps = [(state, at_rest(levels, gate_flows, rest), rho)] * 2
             for label, window, offtakes in steps + [("rest", at_rest(np.zeros(13), flows, rest),
@@ -895,7 +918,7 @@ class TestPartitionController:
         rng = np.random.default_rng(len(enabled))
         records = [_synthesize_one(make_coalition(b), self.cfg)
                    for b in partition_of(Topology(13, enabled))]
-        part = PartitionController(records, self.cfg, {})
+        part = partition_controller(records, self.cfg)
         for _ in range(5):
             xhat, rho = rng.normal(size=part.blocks[-1].stop), rng.uniform(0.0, 10.0, size=13)
             assert np.array_equal(part.xi_bar(xhat, rho), np.concatenate([
@@ -937,8 +960,7 @@ class TestGateFlowsProperty:
 
         # xi_bar reads no gain, so zero gains spare the drawn coalitions a synthesis
         coalitions = [build_coalition_model(chain, b) for b in partition_of(Topology(n, links))]
-        part = PartitionController([CoalitionGains(c, np.zeros((c.m, c.n)), np.eye(c.n), 0.0, 0.0)
-                                    for c in coalitions], ControllerConfig(), {})
+        part = partition_controller(ungained(coalitions), ControllerConfig())
         xhat, rho = rng.normal(0.0, 10.0, part.blocks[-1].stop), rng.uniform(0.0, 20.0, n)
         xi_bar = part.xi_bar(xhat, rho)
         for coal, block, rows in zip(coalitions, part.blocks, part.states):
@@ -969,7 +991,7 @@ class TestPartitionControllerProperty:
         rng, n, cfg = np.random.default_rng(seed), len(chain), ControllerConfig()
         blocks = partition_of(Topology(n, links))
         records = [_synthesize_one(build_coalition_model(chain, b), cfg) for b in blocks]
-        part, starts = PartitionController(records, cfg, {}), [()] * len(records)
+        part, starts = partition_controller(records, cfg), [()] * len(records)
         rest = rng.uniform(0.5, 5.0, n)
         flows, dry = np.cumsum(rest[::-1])[::-1], rest.copy()
         dry[-1] = 0.0
@@ -995,16 +1017,14 @@ class TestPartitionControllerProperty:
 def _stepped_partition(members, cfg):
     """The one-coalition partition on `members`, warm-started at steady state and
     stepped a few times, and the coalition's record."""
-    coal = make_coalition(members)
-    rec, part = one_coalition(coal, cfg)
+    rec = _synthesize_one(make_coalition(members), cfg)
     idx = np.array(members) - 1
     gate_flows = {s: 3.0 for s in range(members[0], 14)}
     levels, flows, offs = steady_global_arrays(gate_flows, {members[-1]: 1.0})
-    kf = warm_start(part.filters[0], at_rest(levels, flows, offs))
-    y = np.concatenate([levels[idx], flows[idx]])
+    part = partition_controller([rec], cfg, at_rest(levels, flows, offs))
     for _ in range(5):
-        part.step(kf.xhat, offs[idx])
-        kf = kf_update(part.filters[0], kf, np.zeros(coal.m), offs[idx], y)
+        part.step(part.est.xhat, offs[idx])
+        part.update(np.zeros(len(members)), offs[idx], np.array([levels, flows]))
     return rec, part
 
 

@@ -139,6 +139,13 @@ class TestPlantStep:
             state = nxt
 
 
+@pytest.fixture(scope="module", params=[0.0, 0.6])
+def scenario1_links(request):
+    """net_links of scenario1's first 120 steps at link price 0 and 0.6."""
+    cfg = ControllerConfig(link_cost=request.param)
+    return run_closed_loop(scenario_1(horizon=120), cfg, seed=0, cache=CACHE).net_links
+
+
 class TestClosedLoop:
     def test_zero_disturbance_sheds_links_levels_stay(self):
         sc = Scenario("flat", 72, {i: ((0, 2.0),) for i in range(1, 14)})
@@ -148,16 +155,20 @@ class TestClosedLoop:
         assert np.max(np.abs(trace.levels)) < 1e-6
         assert np.max(np.abs(trace.inputs)) < 1e-6
 
-    @pytest.mark.parametrize("link_cost", [0.0, 0.6])
-    def test_settled_chain_sheds_one_link_per_decision(self, link_cost):
+    def test_settled_chain_sheds_one_link_per_decision(self, scenario1_links):
         """A characterization, not a bound: on settled scenario1 the supervisor sheds
         one link per decision, 11 at decision 0 down to none at step 44, and holds the
         empty topology to step 71, at link price 0 (where a settled decision's
         candidates tie) as at 0.6.  The candidate set allows no faster fall."""
-        cfg = ControllerConfig(link_cost=link_cost)
-        trace = run_closed_loop(scenario_1(horizon=72), cfg, seed=0, cache=CACHE)
-        assert trace.net_links[0:45:4].tolist() == list(range(11, -1, -1))
-        assert not np.any(trace.net_links[44:])
+        assert scenario1_links[0:45:4].tolist() == list(range(11, -1, -1))
+        assert not np.any(scenario1_links[44:72])
+
+    def test_offtake_step_regains_one_link_per_decision(self, scenario1_links):
+        """A characterization, not a bound: after the offtake step at k = 72 the
+        supervisor regains one link per decision, 1 at step 72 up to all 12 at step
+        116, at link price 0 as at 0.6.  The candidate set, the incumbent and its
+        one-link toggles, allows no faster climb."""
+        assert scenario1_links[72:117:4].tolist() == list(range(1, 13))
 
     def test_deterministic_bit_identical(self):
         sc = scenario_1(horizon=40)
@@ -199,33 +210,33 @@ class TestClosedLoop:
 
     def test_warm_starts_replay_at_most_history_capacity_samples(self, monkeypatch):
         lengths = []
-        real = simulate.kf_init
+        real = PartitionController.rebuild
 
-        def recording(filt, window, schedule):
+        def recording(part, records, window):
             lengths.append(window.shape[1])
-            return real(filt, window, schedule)
+            return real(part, records, window)
 
-        monkeypatch.setattr(simulate, "kf_init", recording)
+        monkeypatch.setattr(PartitionController, "rebuild", recording)
         cfg = ControllerConfig(history_capacity=3)
         run_closed_loop(scenario_1(horizon=24), cfg, seed=0, cache=SynthesisCache())
         # Step 0 warm-starts on the initial sample; later ones see the last three.
         assert lengths[0] == 1 and lengths[-1] == 3 and max(lengths) == 3
 
     def test_warm_start_windows_are_rows_of_the_returned_trace(self, monkeypatch):
-        """Every window a new filter replays equals the returned trace's rows for
-        the same steps, behind the at-rest row when it reaches back before step 0."""
+        """Every window a rebuild warm-starts new filters on equals the returned trace's
+        rows for the same steps, behind the at-rest row when it reaches back before step 0."""
         windows, steps = [], [0]
-        real_init, real_step = simulate.kf_init, simulate.plant_step
+        real_rebuild, real_step = PartitionController.rebuild, simulate.plant_step
 
-        def recording(filt, window, schedule):
+        def recording(part, records, window):
             windows.append((steps[0], np.array(window)))
-            return real_init(filt, window, schedule)
+            return real_rebuild(part, records, window)
 
         def counting(*args):
             steps[0] += 1
             return real_step(*args)
 
-        monkeypatch.setattr(simulate, "kf_init", recording)
+        monkeypatch.setattr(PartitionController, "rebuild", recording)
         monkeypatch.setattr(simulate, "plant_step", counting)
         cfg = ControllerConfig()
         trace = run_closed_loop(scenario_1(), cfg, seed=0, cache=CACHE)
@@ -239,40 +250,43 @@ class TestClosedLoop:
             assert np.array_equal(window, record[:, max(0, k + 1 - capacity):k + 1]), k
 
     def test_kept_coalitions_carry_their_filter_blocks_across_a_decision(self, monkeypatch):
-        """A rebuild starts each coalition the new partition keeps from its blocks of
-        the last estimate and covariance, bit for bit; blocks between coalitions are 0."""
-        layouts, updates = [], []
-        real_filter, real_update = simulate.partition_filter, simulate.kf_update
+        """A rebuild keeps each coalition the new partition keeps: its filter, programs
+        and MPC start, and its blocks of the last estimate and covariance, bit for bit.
+        A new coalition's blocks are its filter's kf_init on the window; blocks between
+        coalitions are 0."""
+        real = PartitionController.rebuild
 
-        def recording_filter(filters):
-            ends = np.cumsum([len(f.prior) for f in filters])
-            layouts.append({f.coalition.members: slice(end - len(f.prior), end)
-                            for f, end in zip(filters, ends)})
-            return real_filter(filters)
+        def held(part):
+            return {prog.coalition.members: (filt, sp, prog, start, block)
+                    for filt, sp, prog, start, block in zip(
+                        part.filters, part.setpoint_programs, part.programs, part.mpc_starts,
+                        part.blocks)}
 
-        def recording_update(filt, est, *args):
-            updates.append((layouts[-1], est, real_update(filt, est, *args)))
-            return updates[-1][2]
-
-        monkeypatch.setattr(simulate, "partition_filter", recording_filter)
-        monkeypatch.setattr(simulate, "kf_update", recording_update)
-        run_closed_loop(scenario_1(horizon=40), seed=0, cache=CACHE)
-        kept = replaced = 0
-        for (old, _, last), (new, start, _) in zip(updates, updates[1:]):
-            if new is old:
-                continue
-            for members, block in new.items():
-                if members not in old:
-                    replaced += 1
-                    continue
-                kept += 1
-                was = old[members]
-                assert np.array_equal(start.xhat[block], last.xhat[was])
-                assert np.array_equal(start.cov[block, block], last.cov[was, was])
-                rest = np.ones(len(start.xhat), dtype=bool)
+        def checked(part, records, window):
+            old, last = held(part), getattr(part, "est", None)
+            real(part, records, window)
+            for members, (filt, sp, prog, start, block) in held(part).items():
+                rest = np.ones(len(part.est.xhat), dtype=bool)
                 rest[block] = False
-                assert np.all(start.cov[block][:, rest] == 0.0)
-        assert kept > 0 and replaced > 0
+                assert np.all(part.est.cov[block][:, rest] == 0.0)
+                if members not in old:
+                    counts["new"] += bool(old)  # built in place of a replaced coalition
+                    ref = control.kf_init(filt, window, control.kf_schedule(filt, window.shape[1]))
+                    assert np.array_equal(part.est.xhat[block], ref.xhat)
+                    assert np.array_equal(part.est.cov[block, block], ref.cov)
+                    continue
+                counts["kept"] += 1
+                counts["kept starts"] += bool(start)
+                *was, was_start, was_block = old[members]
+                assert all(a is b for a, b in zip((filt, sp, prog), was)) and start == was_start
+                assert np.array_equal(part.est.xhat[block], last.xhat[was_block])
+                assert np.array_equal(part.est.cov[block, block], last.cov[was_block, was_block])
+
+        counts = Counter()
+        monkeypatch.setattr(PartitionController, "rebuild", checked)
+        # MPC rows bind from step 100 on, so some kept coalitions carry a nonempty start.
+        run_closed_loop(scenario_1(horizon=120), seed=0, cache=CACHE)
+        assert counts["kept"] > 0 and counts["new"] > 0 and counts["kept starts"] > 0
 
     def test_traces_compare_by_arrays_equal_not_eq(self):
         """== on traces is identity, so it never asks numpy for an array's truth value."""
@@ -284,6 +298,15 @@ class TestClosedLoop:
     def test_t_lambda_below_one_refused(self, t_lambda):
         with pytest.raises(ValueError, match="t_lambda must be at least 1"):
             run_closed_loop(scenario_1(horizon=8), t_lambda=t_lambda, cache=CACHE)
+
+    @pytest.mark.parametrize("reaches", [DEZ_REACHES[:5],
+                                         DEZ_REACHES + (ReachParams(14, 0.5e5, 2),)])
+    def test_scenario_for_another_reach_table_refused(self, reaches):
+        """A scenario schedules reaches 1..N of the table it runs on, or the run refuses
+        it before it builds anything."""
+        with pytest.raises(ValueError, match=f"scenario scenario1 schedules 13 reaches, "
+                                             f"not the {len(reaches)} of the reach table"):
+            run_closed_loop(scenario_1(horizon=8), reaches=reaches, cache=SynthesisCache())
 
     def test_warm_cache_computes_no_gain_schedule(self, monkeypatch):
         schedules = []
@@ -395,7 +418,7 @@ class TestBuiltOnce:
         count(control, "weight_matrices")
         count(supervisor, "weight_matrices")
         count(np.linalg, "cholesky")
-        count(simulate, "PartitionController", "partitions")
+        count(PartitionController, "rebuild", "partitions")
         count(SynthesisCache, "store", "coalitions")
         count(control, "prepare_mpc")
         solve_qp = numerics.solve_qp
